@@ -64,8 +64,8 @@ func main() {
 			i, q, sys.Streams[q].Name, verdict, res.PlanTime.Round(time.Millisecond),
 			res.FreeStreams, res.FreeOps, res.CandidateHosts)
 		if *showStats {
-			fmt.Printf("    solver: %d nodes, %d cuts, %d reduced-cost fixings, %d presolve-fixed vars, %d LP iters\n",
-				res.Nodes, res.Cuts, res.Fixings, res.PresolveFixed, res.LPIters)
+			fmt.Printf("    solver: %d nodes, %d presolve-fixed vars, %d LP iters\n",
+				res.Nodes, res.PresolveFixed, res.LPIters)
 			fmt.Printf("    basis:  %d refactorizations (%d drift-forced), %d eta updates (peak file %d), fill-in %.2f\n",
 				res.Factor.Refactors, res.Factor.DriftRebuilds,
 				res.Factor.EtaAppends, res.Factor.PeakEtas, res.Factor.FillRatio)
@@ -77,8 +77,8 @@ func main() {
 
 	if *showStats {
 		st := p.Stats()
-		fmt.Printf("cumulative solver effort: %d nodes, %d cuts, %d fixings, %d presolve-fixed, %d LP iters over %d submissions (%d timeouts, %d stalls)\n",
-			st.TotalNodes, st.TotalCuts, st.TotalFixings, st.TotalPresolveFixed,
+		fmt.Printf("cumulative solver effort: %d nodes, %d presolve-fixed, %d LP iters over %d submissions (%d timeouts, %d stalls)\n",
+			st.TotalNodes, st.TotalPresolveFixed,
 			st.TotalLPIters, st.Submissions, st.Timeouts, st.Stalls)
 		fmt.Printf("cumulative basis effort:  %d refactorizations (%d drift-forced), %d eta updates, peak eta file %d, peak fill-in %.2f\n\n",
 			st.Factor.Refactors, st.Factor.DriftRebuilds, st.Factor.EtaAppends,

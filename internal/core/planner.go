@@ -77,10 +77,9 @@ type Config struct {
 	// DisableWarmStart withholds the greedy incumbent from the solver
 	// (ablation; the search then has to find its first feasible point).
 	DisableWarmStart bool
-	// DisableTreeReduction turns off the MILP tree-reduction layer —
-	// presolve, root cutting planes, reduced-cost bound fixing and
-	// pseudo-cost branching — so the solver runs plain branch and bound
-	// (ablation; conformance tests compare both modes).
+	// DisableTreeReduction turns off MILP presolve and pseudo-cost
+	// branching, so the solver runs plain most-fractional branch and
+	// bound (ablation; conformance tests compare both modes).
 	DisableTreeReduction bool
 	// Validate re-checks every produced assignment against the dsps
 	// feasibility validator; enabled by default in NewPlanner. A
@@ -165,7 +164,7 @@ func NewPlanner(sys *dsps.System, cfg Config) *Planner {
 		cfg.MigrationWeight = 2
 	}
 	if cfg.MaxNodes <= 0 {
-		cfg.MaxNodes = 32
+		cfg.MaxNodes = 80
 	}
 	if cfg.SolveTimeout <= 0 {
 		cfg.SolveTimeout = 500 * time.Millisecond
@@ -336,8 +335,8 @@ func (p *Planner) submitGroup(ctx context.Context, fresh []dsps.StreamID, start 
 	// admission decisions unchanged), so a search that has stopped
 	// improving its incumbent is burning deadline on nothing. Small models
 	// search their full budget — on them a late admission find is cheap
-	// and real (the Fig. 2 shared-chain and relay scenarios need ~30
-	// nodes).
+	// and real (the Fig. 2 shared-chain and relay scenarios need more than
+	// 48 nodes; the default MaxNodes of 80 covers them).
 	if model.NumVars() >= stallVarThreshold {
 		opts.StallNodes = stallNodesLarge
 	}
@@ -346,10 +345,9 @@ func (p *Planner) submitGroup(ctx context.Context, fresh []dsps.StreamID, start 
 	res.Nodes = sol.Nodes
 	res.LPIters = sol.LPIters
 	res.Factor = sol.Factor
-	res.Cuts = sol.Cuts
-	res.Fixings = sol.Fixings
 	res.PresolveFixed = sol.PresolveFixed
 	res.Stalled = sol.Stalled
+	res.BudgetHit = sol.BudgetHit
 
 	if sol.Cancelled || ctx.Err() != nil {
 		// Aborted mid-solve: discard any incumbent, keep the previous

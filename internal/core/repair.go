@@ -152,8 +152,6 @@ func (p *Planner) Repair(ctx context.Context, events []plan.Event, opts ...plan.
 		rr.Nodes += res.Nodes
 		rr.LPIters += res.LPIters
 		rr.Factor.Merge(res.Factor)
-		rr.Cuts += res.Cuts
-		rr.Fixings += res.Fixings
 		rr.PresolveFixed += res.PresolveFixed
 		rr.SolveStatus = res.SolveStatus
 		if err != nil {
@@ -435,10 +433,9 @@ func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before
 	res.Nodes = sol.Nodes
 	res.LPIters = sol.LPIters
 	res.Factor = sol.Factor
-	res.Cuts = sol.Cuts
-	res.Fixings = sol.Fixings
 	res.PresolveFixed = sol.PresolveFixed
 	res.Stalled = sol.Stalled
+	res.BudgetHit = sol.BudgetHit
 
 	if sol.Cancelled || ctx.Err() != nil {
 		// The degraded state is already committed; the chunk simply stays

@@ -2,7 +2,6 @@ package lp
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"time"
 
@@ -55,14 +54,6 @@ type DenseSolver struct {
 	nSlack  int // inequality rows of the problem (potential slack columns)
 	stride  int // allocated row width (worst-case column count)
 
-	// Row reserve: arena headroom for rows appended after Load (cutting
-	// planes). The arena is sized for mAllCap rows and nSlackCap slack
-	// columns up front, so appending and warm-activating rows never
-	// re-strides the tableau.
-	reserve   int
-	mAllCap   int // mAll + reserve
-	nSlackCap int // nSlack at Load + reserve
-
 	n         int // live total columns (structural+slack+artificial)
 	nArtStart int // first artificial column
 
@@ -90,7 +81,6 @@ type DenseSolver struct {
 	maxIters int
 	deadline time.Time
 	ctx      context.Context
-	warmOnly bool
 	bland    bool
 	stall    int
 
@@ -105,17 +95,8 @@ type DenseSolver struct {
 	varRowsList  []int32
 	scanX        []float64
 	scanValid    bool
-	loadMAll     int   // rows present at Load; later rows always re-scan
 	rowMark      []int // round-stamped per-row dedup for the scan
 	rowRound     int
-
-	// Gomory cut-generation scratch (see gomory.go).
-	gColRow  []int
-	gAcc     []float64
-	gMark    []int
-	gTouched []int
-	gTerms   []Term
-	gRound   int
 
 	// warm records that the tableau holds a dual-feasible basis from a
 	// completed solve, so ReSolve may start with dual simplex.
@@ -153,20 +134,6 @@ func NewDenseSolver() *DenseSolver { return &DenseSolver{} }
 // before Load.
 func (s *DenseSolver) SetLazy(on bool) { s.lazyMode = on }
 
-// SetRowReserve reserves arena headroom for n rows appended after Load (see
-// AppendRows). Must be called before Load; the reserve applies to every
-// subsequent Load until changed.
-func (s *DenseSolver) SetRowReserve(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.reserve = n
-}
-
-// SpareRowCapacity reports how many more rows AppendRows can register before
-// the reserve declared by SetRowReserve is exhausted.
-func (s *DenseSolver) SpareRowCapacity() int { return s.mAllCap - s.mAll }
-
 // Load compiles p into the solver's arena, growing it only when p is larger
 // than any previously loaded problem. All variables start free and the
 // first ReSolve performs a cold solve. The solver keeps a reference to p
@@ -181,9 +148,8 @@ func (s *DenseSolver) Load(p *Problem) error {
 	s.m = 0
 	s.nStruct = p.NumVars
 
-	s.mAllCap = s.mAll + s.reserve
-	s.slackOf = growI(s.slackOf, s.mAllCap)
-	s.activeRows = growB(s.activeRows, s.mAllCap)
+	s.slackOf = growI(s.slackOf, s.mAll)
+	s.activeRows = growB(s.activeRows, s.mAll)
 	s.nSlack = 0
 	s.nInactive = 0
 	for i := range p.Cons {
@@ -204,27 +170,26 @@ func (s *DenseSolver) Load(p *Problem) error {
 			s.nInactive++
 		}
 	}
-	s.nSlackCap = s.nSlack + s.reserve
 	// Worst case: every row active with a slack plus one artificial each.
-	s.stride = p.NumVars + s.nSlackCap + s.mAllCap
+	s.stride = p.NumVars + s.nSlack + s.mAll
 
 	// The dense tableau is by far the largest allocation (gigabytes on
 	// batch models); grow it geometrically so a sequence of solves over
 	// slightly-growing models reallocates O(log) times instead of paying a
 	// fresh multi-gigabyte clear-and-fault on every high-water mark.
-	if need := s.mAllCap * s.stride; cap(s.rowsBuf) < need {
+	if need := s.mAll * s.stride; cap(s.rowsBuf) < need {
 		s.rowsBuf = make([]float64, need+need/2)
 	}
-	s.rowsBuf = s.rowsBuf[:s.mAllCap*s.stride]
-	if cap(s.rows) < s.mAllCap {
-		s.rows = make([][]float64, s.mAllCap)
+	s.rowsBuf = s.rowsBuf[:s.mAll*s.stride]
+	if cap(s.rows) < s.mAll {
+		s.rows = make([][]float64, s.mAll)
 	}
-	s.rows = s.rows[:s.mAllCap]
-	for i := 0; i < s.mAllCap; i++ {
+	s.rows = s.rows[:s.mAll]
+	for i := 0; i < s.mAll; i++ {
 		s.rows[i] = s.rowsBuf[i*s.stride : (i+1)*s.stride]
 	}
-	s.rhs = growF(s.rhs, s.mAllCap)
-	s.basis = growI(s.basis, s.mAllCap)
+	s.rhs = growF(s.rhs, s.mAll)
+	s.basis = growI(s.basis, s.mAll)
 	s.rowOf = growI(s.rowOf, s.stride)
 	s.inBasis = growB(s.inBasis, s.stride)
 	s.upper = growF(s.upper, s.stride)
@@ -244,13 +209,11 @@ func (s *DenseSolver) Load(p *Problem) error {
 	s.xbuf = growF(s.xbuf, n)
 	s.snap.valid = false
 
-	// Var→row CSR over the inequality rows loaded now; rows appended later
-	// (AppendRows) are few and are always re-scanned instead.
-	s.loadMAll = s.mAll
+	// Var→row CSR over the inequality rows.
 	s.scanX = growF(s.scanX, n)
 	s.scanValid = false
-	s.rowMark = growI(s.rowMark, s.mAllCap)
-	for i := range s.rowMark[:s.mAllCap] {
+	s.rowMark = growI(s.rowMark, s.mAll)
+	for i := range s.rowMark[:s.mAll] {
 		s.rowMark[i] = 0
 	}
 	s.rowRound = 0
@@ -428,75 +391,6 @@ func (s *DenseSolver) checkBasis(where string) {
 	}
 }
 
-// AppendRows registers constraint rows that the caller appended to the
-// loaded Problem's Cons slice since Load (or the previous AppendRows call),
-// without a cold rebuild: each new row is given a slack column from the
-// reserve declared by SetRowReserve and starts *inactive*, so the next
-// ReSolve warm-activates it only if the current optimum violates it — the
-// cutting-plane loop of internal/milp appends cover and clique cuts this
-// way and repairs them with a handful of dual-simplex pivots. Appended rows
-// must be inequalities (LE or GE). The call invalidates any saved basis
-// (SaveBasis snapshots taken before an append cannot describe the grown
-// problem). Returns the number of rows registered and an error when a row is
-// malformed or the reserve is exhausted.
-func (s *DenseSolver) AppendRows() (int, error) {
-	p := s.prob
-	if p == nil {
-		return 0, fmt.Errorf("lp: AppendRows before Load")
-	}
-	added := 0
-	for i := s.mAll; i < len(p.Cons); i++ {
-		c := &p.Cons[i]
-		if c.Sense == EQ {
-			return added, fmt.Errorf("lp: appended row %d is an equality", i)
-		}
-		for _, t := range c.Terms {
-			if t.Var < 0 || t.Var >= s.nStruct {
-				return added, fmt.Errorf("lp: appended row %d references variable %d outside [0,%d)", i, t.Var, s.nStruct)
-			}
-			if math.IsNaN(t.Coef) || math.IsInf(t.Coef, 0) {
-				return added, fmt.Errorf("lp: appended row %d has non-finite coefficient", i)
-			}
-		}
-		if math.IsNaN(c.RHS) || math.IsInf(c.RHS, 0) {
-			return added, fmt.Errorf("lp: appended row %d has non-finite right-hand side", i)
-		}
-		if s.mAll >= s.mAllCap {
-			return added, fmt.Errorf("lp: row reserve exhausted (%d rows)", s.reserve)
-		}
-		// The row starts inactive; its slack column is assigned on
-		// activation, like any other lazy row.
-		s.slackOf[s.mAll] = -1
-		s.activeRows[s.mAll] = false
-		s.nSlack++
-		s.mAll++
-		s.nInactive++
-		added++
-	}
-	if added > 0 {
-		s.snap.valid = false
-		s.scanValid = false
-	}
-	return added, nil
-}
-
-// ReducedCost returns the reduced cost of structural variable j at the
-// current basis, together with the bound the variable is nonbasic at. The
-// value is reported in the solver's minimisation space for the variable's
-// *current* orientation: after an Optimal ReSolve it is non-negative, and
-// moving j off its bound by t >= 0 (up from 0 when atUpper is false, down
-// from its upper bound when true) degrades the objective by at least d·t in
-// the LP relaxation — the inequality branch-and-bound uses for reduced-cost
-// bound fixing. Basic variables report 0.
-//
-//sqpr:hotpath
-func (s *DenseSolver) ReducedCost(j int) (d float64, atUpper bool) {
-	if s.inBasis[j] {
-		return 0, s.flipped[j]
-	}
-	return s.d[j], s.flipped[j]
-}
-
 // RowDual returns the dual multiplier of original constraint row i at the
 // current (optimal) basis: the sensitivity ∂objective/∂RHS_i in the
 // problem's minimisation space. Inactive lazy rows and equality rows (whose
@@ -646,7 +540,7 @@ func (s *DenseSolver) ReSolve(opts Options) Solution {
 			}
 			return Solution{Status: Unbounded, X: s.extract(), Iters: s.iters}
 		default: // IterLimit
-			if s.expired() || coldDone || s.warmOnly {
+			if s.expired() || coldDone {
 				return Solution{Status: IterLimit, Iters: s.iters}
 			}
 			// Pivot budget exhausted on the warm path without an external
@@ -674,7 +568,6 @@ func (s *DenseSolver) expired() bool {
 func (s *DenseSolver) installOpts(opts Options) {
 	s.deadline = opts.Deadline
 	s.ctx = opts.Ctx
-	s.warmOnly = opts.WarmOnly
 	s.maxIters = opts.MaxIters
 	if s.maxIters <= 0 {
 		s.maxIters = 200 * (s.mAll + s.nStruct + s.nSlack + 10)
@@ -726,9 +619,9 @@ func (s *DenseSolver) coldPass() Status {
 // activateViolated evaluates the inactive rows at x and warm-activates the
 // violated ones; returns how many were activated. After a full first scan
 // it runs incrementally: only rows containing a variable that moved since
-// that variable's rows were last evaluated (plus any rows appended after
-// Load) are re-evaluated — on SQPR's models a node re-solve moves a handful
-// of variables while thousands of availability/acyclicity rows stay put.
+// that variable's rows were last evaluated are re-evaluated — on SQPR's
+// models a node re-solve moves a handful of variables while thousands of
+// availability/acyclicity rows stay put.
 //
 //sqpr:hotpath
 func (s *DenseSolver) activateViolated(x []float64) int {
@@ -763,13 +656,6 @@ func (s *DenseSolver) activateViolated(x []float64) int {
 				s.activateRow(i)
 				count++
 			}
-		}
-	}
-	// Rows appended after Load are outside the CSR index: always evaluate.
-	for i := s.loadMAll; i < s.mAll; i++ {
-		if !s.activeRows[i] && s.rowViolated(i, x) {
-			s.activateRow(i)
-			count++
 		}
 	}
 	return count
@@ -1417,227 +1303,4 @@ func (s *DenseSolver) pivot(r, j int) {
 	s.basis[r] = j
 	s.inBasis[j] = true
 	s.rowOf[j] = r
-}
-
-// Gomory mixed-integer (GMI) cut generation from the current optimal basis.
-//
-// For a basis row whose basic variable is integer-constrained but sits at a
-// fractional value b̄ = ⌊b̄⌋ + f0, the GMI inequality over the nonbasic
-// variables (all at 0 in the tableau's current orientation)
-//
-//	Σ_int  g_j·x_j + Σ_cont h_j·x_j >= f0,
-//	g_j = f_j            if f_j <= f0,   f_j = frac(ā_j)
-//	    = f0(1-f_j)/(1-f0) otherwise
-//	h_j = ā_j            if ā_j >= 0
-//	    = f0(-ā_j)/(1-f0) otherwise
-//
-// is valid for every mixed-integer point. The solver re-expresses the cut
-// over the original structural variables — undoing bound flips and
-// substituting slack definitions — so the caller can pool it like any other
-// row. Generation runs at the branch-and-bound root only: with no variable
-// fixes in place, the emitted rows are globally valid.
-
-// Numerical guard rails for cut generation.
-const (
-	gmiMinFrac    = 0.02  // basic value must be at least this fractional
-	gmiMaxTerms   = 200   // skip cuts denser than this
-	gmiMaxDynamic = 1e7   // max |coef| ratio within one cut
-	gmiDropTol    = 1e-11 // relative magnitude below which terms are dropped
-)
-
-// GomoryCuts derives up to max GMI cuts from the current basis, which must
-// come from an Optimal ReSolve with no variable fixes applied. isInt
-// reports, per structural variable, whether the model constrains it to
-// integer values. Each cut is delivered to emit as structural-space terms
-// with a GE sense (terms alias solver scratch; emit must copy). Returns the
-// number of cuts emitted.
-func (s *DenseSolver) GomoryCuts(isInt []bool, max int, emit func(terms []Term, rhs float64)) int {
-	if !s.warm || max <= 0 || len(isInt) < s.nStruct {
-		return 0
-	}
-	for j := 0; j < s.nStruct; j++ {
-		if s.fixVal[j] != fixFree {
-			return 0 // node-local fixes would make the cuts non-global
-		}
-	}
-	// Reverse map: tableau column of a slack -> its original row.
-	s.gColRow = growI(s.gColRow, s.n)
-	for j := range s.gColRow[:s.n] {
-		s.gColRow[j] = -1
-	}
-	for r := 0; r < s.mAll; r++ {
-		if sl := s.slackOf[r]; sl >= 0 && s.activeRows[r] && sl < s.n {
-			s.gColRow[sl] = r
-		}
-	}
-	s.gAcc = growF(s.gAcc, s.nStruct)
-	s.gMark = growI(s.gMark, s.nStruct)
-	for j := range s.gMark[:s.nStruct] {
-		s.gMark[j] = 0
-	}
-	s.gTerms = s.gTerms[:0]
-
-	emitted := 0
-	for i := 0; i < s.m && emitted < max; i++ {
-		b := s.basis[i]
-		if b >= s.nStruct || !isInt[b] {
-			continue
-		}
-		f0 := s.rhs[i] - math.Floor(s.rhs[i])
-		if f0 < gmiMinFrac || f0 > 1-gmiMinFrac {
-			continue
-		}
-		if s.gomoryFromRow(i, f0, isInt, emit) {
-			emitted++
-		}
-	}
-	return emitted
-}
-
-// gomoryFromRow builds and emits one GMI cut from basis row i; reports
-// whether a cut was emitted.
-func (s *DenseSolver) gomoryFromRow(i int, f0 float64, isInt []bool, emit func([]Term, float64)) bool {
-	row := s.rows[i]
-	ratio := f0 / (1 - f0)
-	s.gRound++
-	round := s.gRound
-	touched := s.gTouched[:0]
-	rhs := f0
-
-	// acc accumulates structural-space coefficients of the GE cut.
-	add := func(j int, c float64) {
-		if s.gMark[j] != round {
-			s.gMark[j] = round
-			s.gAcc[j] = 0
-			touched = append(touched, j)
-		}
-		s.gAcc[j] += c
-	}
-
-	ok := true
-	for j := 0; j < s.n && ok; j++ {
-		if s.inBasis[j] {
-			continue
-		}
-		a := row[j]
-		if a == 0 {
-			continue
-		}
-		switch {
-		case j < s.nStruct && isInt[j]:
-			// Integer nonbasic (possibly in complement orientation; the
-			// complement of an integer variable is integer).
-			f := a - math.Floor(a)
-			g := f
-			if f > f0 {
-				g = ratio * (1 - f)
-			}
-			if g < 1e-12 {
-				continue
-			}
-			if s.flipped[j] {
-				// g·x̄ = g·(u − x): constant to the RHS, negated term.
-				u := s.baseU[j]
-				if math.IsInf(u, 1) {
-					ok = false
-					break
-				}
-				rhs -= g * u
-				add(j, -g)
-			} else {
-				add(j, g)
-			}
-		case j < s.nStruct:
-			// Continuous structural nonbasic.
-			h := a
-			if a < 0 {
-				h = ratio * -a
-			}
-			if h < 1e-12 {
-				continue
-			}
-			if s.flipped[j] {
-				u := s.baseU[j]
-				if math.IsInf(u, 1) {
-					ok = false
-					break
-				}
-				rhs -= h * u
-				add(j, -h)
-			} else {
-				add(j, h)
-			}
-		default:
-			// Slack (continuous, >= 0) or artificial column.
-			if s.upper[j] == 0 {
-				continue // pinned artificial: identically zero
-			}
-			r := s.gColRow[j]
-			if r < 0 {
-				ok = false // untracked column; give up on this row
-				break
-			}
-			h := a
-			if a < 0 {
-				h = ratio * -a
-			}
-			if h < 1e-12 {
-				continue
-			}
-			c := &s.prob.Cons[r]
-			if c.Sense == GE {
-				// Built as −a·x + s = −b: s = a·x − b.
-				rhs += h * c.RHS
-				for _, t := range c.Terms {
-					add(t.Var, h*t.Coef)
-				}
-			} else {
-				// a·x + s = b: s = b − a·x.
-				rhs -= h * c.RHS
-				for _, t := range c.Terms {
-					add(t.Var, -h*t.Coef)
-				}
-			}
-		}
-	}
-	s.gTouched = touched
-	if !ok {
-		return false
-	}
-
-	// Assemble, with dynamic-range and density guards; tiny coefficients
-	// are dropped with a conservative RHS adjustment (for a GE row, a
-	// dropped c>0 term weakens the RHS by c·u).
-	maxAbs := 0.0
-	for _, j := range touched {
-		if v := math.Abs(s.gAcc[j]); v > maxAbs {
-			maxAbs = v
-		}
-	}
-	if maxAbs == 0 {
-		return false
-	}
-	s.gTerms = s.gTerms[:0]
-	for _, j := range touched {
-		c := s.gAcc[j]
-		if math.Abs(c) <= gmiDropTol*maxAbs {
-			if c > 0 {
-				u := s.prob.upper(j)
-				if math.IsInf(u, 1) {
-					return false
-				}
-				rhs -= c * u
-			}
-			continue
-		}
-		if math.Abs(c) < maxAbs/gmiMaxDynamic {
-			return false
-		}
-		s.gTerms = append(s.gTerms, Term{Var: j, Coef: c})
-	}
-	if len(s.gTerms) == 0 || len(s.gTerms) > gmiMaxTerms {
-		return false
-	}
-	emit(s.gTerms, rhs)
-	return true
 }

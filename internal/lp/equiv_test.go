@@ -167,51 +167,6 @@ func TestDenseSparseBasisRoundTripEquivalence(t *testing.T) {
 	}
 }
 
-// TestDenseSparseAppendRowsEquivalence grows both engines' problems with
-// appended cut rows mid-sequence and cross-checks the warm re-solves.
-func TestDenseSparseAppendRowsEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 30; trial++ {
-		n := 3 + rng.Intn(8)
-		p := randomBoundedLP(rng, n, 1+rng.Intn(5))
-		d := NewDenseSolver()
-		sp := NewSolver()
-		d.SetRowReserve(4)
-		sp.SetRowReserve(4)
-		if err := d.Load(p); err != nil {
-			t.Fatalf("dense load: %v", err)
-		}
-		if err := sp.Load(p); err != nil {
-			t.Fatalf("sparse load: %v", err)
-		}
-		checkAgree(t, tname("append-root", false, trial), p,
-			d.ReSolve(Options{}), sp.ReSolve(Options{}))
-
-		// Append 1-2 random LE rows that cut off part of the box.
-		extra := 1 + rng.Intn(2)
-		for k := 0; k < extra; k++ {
-			terms := make([]Term, 0, n)
-			for j := 0; j < n; j++ {
-				if rng.Float64() < 0.6 {
-					terms = append(terms, Term{j, rng.Float64() * 2})
-				}
-			}
-			if len(terms) == 0 {
-				terms = append(terms, Term{rng.Intn(n), 1})
-			}
-			p.Cons = append(p.Cons, Constraint{Terms: terms, Sense: LE, RHS: 0.5 + rng.Float64()})
-		}
-		if _, err := d.AppendRows(); err != nil {
-			t.Fatalf("dense append: %v", err)
-		}
-		if _, err := sp.AppendRows(); err != nil {
-			t.Fatalf("sparse append: %v", err)
-		}
-		checkAgree(t, tname("append-solve", false, trial), p,
-			d.ReSolve(Options{}), sp.ReSolve(Options{}))
-	}
-}
-
 func tname(where string, lazy bool, trial int) string {
 	if lazy {
 		return where + "-lazy-" + itoa(trial)

@@ -123,11 +123,6 @@ type Options struct {
 	// MaxIters caps total simplex iterations; 0 selects a size-derived
 	// default.
 	MaxIters int
-	// WarmOnly makes an iteration-capped warm ReSolve return IterLimit
-	// instead of falling back to a cold rebuild with a fresh budget.
-	// Branch-and-bound probing uses this: a probe is only worth its answer
-	// if the warm path reaches it cheaply.
-	WarmOnly bool
 }
 
 // Upper returns the upper bound of variable j.

@@ -365,9 +365,9 @@ func (s *Solver) btranRow(r int) {
 // accV[j] = rho·a_jᵉᶠᶠ over all live columns, touching only columns of
 // rows where rho is nonzero. accTouch lists the touched columns; accMark
 // round-stamps validity. Basic columns are skipped outright: every consumer
-// of the row (dual ratio test, reduced-cost update, artificial drive-out,
-// Gomory expansion) ignores them, and on dense-ish rows they are a sizable
-// share of the touched set.
+// of the row (dual ratio test, reduced-cost update, artificial drive-out)
+// ignores them, and on dense-ish rows they are a sizable share of the
+// touched set.
 //
 //sqpr:hotpath
 func (s *Solver) buildPivotRow() {

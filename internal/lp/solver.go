@@ -2,7 +2,6 @@ package lp
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"time"
 
@@ -21,13 +20,12 @@ import (
 //
 // The public surface is identical to the dense reference engine
 // (DenseSolver): Load/ReSolve with warm restarts, Fix/Unfix bound pinning,
-// lazy row activation, AppendRows cut appending, SaveBasis/RestoreBasis
-// snapshots, GomoryCuts, and ReducedCost/RowDual sensitivities. Internal
-// conventions differ in one deliberate way: rows are stored in their natural
-// orientation with slack coefficient +1 (LE) or −1 (GE) and the RHS is never
-// sign-normalised. Tableau rows B⁻¹A are invariant under row scaling, so
-// every externally observable quantity (duals, reduced costs, Gomory cuts)
-// matches the dense engine's.
+// lazy row activation, SaveBasis/RestoreBasis snapshots and RowDual
+// sensitivities. Internal conventions differ in one deliberate way: rows are
+// stored in their natural orientation with slack coefficient +1 (LE) or −1
+// (GE) and the RHS is never sign-normalised. Tableau rows B⁻¹A are invariant
+// under row scaling, so every externally observable quantity (duals, reduced
+// costs) matches the dense engine's.
 //
 // The solver is not safe for concurrent use; use one per goroutine.
 type Solver struct {
@@ -38,13 +36,10 @@ type Solver struct {
 	nStruct int // structural variables
 	nSlack  int // inequality rows of the problem (potential slack columns)
 
-	// Row reserve: arena headroom for rows appended after Load (cutting
-	// planes). Arenas are sized for mAllCap rows and nSlackCap slack columns
-	// up front, so appending and warm-activating rows never reallocates.
-	reserve   int
-	mAllCap   int // mAll + reserve
-	nSlackCap int // nSlack at Load + reserve
-	colCap    int // worst-case live columns: nStruct + nSlackCap + mAllCap
+	// colCap is the worst-case live column count, nStruct + nSlack + mAll;
+	// arenas are sized for it up front, so warm-activating rows never
+	// reallocates.
+	colCap int
 
 	n         int // live total columns (structural + aux)
 	nArtStart int // first artificial column at the last cold rebuild
@@ -124,7 +119,6 @@ type Solver struct {
 	maxIters int
 	deadline time.Time
 	ctx      context.Context
-	warmOnly bool
 	bland    bool
 	stall    int
 
@@ -135,16 +129,8 @@ type Solver struct {
 	varRowsList  []int32
 	scanX        []float64
 	scanValid    bool
-	loadMAll     int
 	rowMark      []int
 	rowRound     int
-
-	// Gomory cut-generation scratch (see gomory.go).
-	gAcc     []float64
-	gMark    []int
-	gTouched []int
-	gTerms   []Term
-	gRound   int
 
 	// warm records that the solver holds a dual-feasible basis from a
 	// completed solve, so ReSolve may start with dual simplex.
@@ -202,16 +188,6 @@ func NewSolver() *Solver { return &Solver{} }
 // before Load.
 func (s *Solver) SetLazy(on bool) { s.lazyMode = on }
 
-// SetRowReserve reserves arena headroom for n rows appended after Load (see
-// AppendRows). Must be called before Load; the reserve applies to every
-// subsequent Load until changed.
-func (s *Solver) SetRowReserve(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.reserve = n
-}
-
 // SetRefactorInterval sets how many eta updates accumulate before the basis
 // is refactorized from scratch (n <= 0 restores the default). Lower values
 // trade pivot speed for numerical robustness.
@@ -221,10 +197,6 @@ func (s *Solver) SetRefactorInterval(n int) {
 	}
 	s.refactorEvery = n
 }
-
-// SpareRowCapacity reports how many more rows AppendRows can register before
-// the reserve declared by SetRowReserve is exhausted.
-func (s *Solver) SpareRowCapacity() int { return s.mAllCap - s.mAll }
 
 // etaLimit is the effective eta-file length that triggers a scheduled
 // refactorize: the configured interval, but never more than the basis size
@@ -267,11 +239,10 @@ func (s *Solver) Load(p *Problem) error {
 	s.m = 0
 	s.nStruct = p.NumVars
 
-	s.mAllCap = s.mAll + s.reserve
-	s.slackOf = growI32(s.slackOf, s.mAllCap)
-	s.rowSlot = growI32(s.rowSlot, s.mAllCap)
-	s.slotRow = growI32(s.slotRow, s.mAllCap)
-	s.activeRows = growB(s.activeRows, s.mAllCap)
+	s.slackOf = growI32(s.slackOf, s.mAll)
+	s.rowSlot = growI32(s.rowSlot, s.mAll)
+	s.slotRow = growI32(s.slotRow, s.mAll)
+	s.activeRows = growB(s.activeRows, s.mAll)
 	s.nSlack = 0
 	s.nInactive = 0
 	for i := range p.Cons {
@@ -292,16 +263,15 @@ func (s *Solver) Load(p *Problem) error {
 			s.nInactive++
 		}
 	}
-	s.nSlackCap = s.nSlack + s.reserve
 	// Worst case: every row active with a slack plus one artificial each.
-	s.colCap = p.NumVars + s.nSlackCap + s.mAllCap
+	s.colCap = p.NumVars + s.nSlack + s.mAll
 
 	auxCap := s.colCap - p.NumVars
 	s.auxSlot = growI32(s.auxSlot, auxCap)
 	s.auxCoef = growF(s.auxCoef, auxCap)
 	s.auxIsArt = growB(s.auxIsArt, auxCap)
 
-	s.basis = growI(s.basis, s.mAllCap)
+	s.basis = growI(s.basis, s.mAll)
 	s.rowOf = growI(s.rowOf, s.colCap)
 	s.inBasis = growB(s.inBasis, s.colCap)
 	s.upper = growF(s.upper, s.colCap)
@@ -314,11 +284,11 @@ func (s *Solver) Load(p *Problem) error {
 		s.fixVal[j] = fixFree
 	}
 
-	s.beff = growF(s.beff, s.mAllCap)
-	s.xB = growF(s.xB, s.mAllCap)
-	s.alpha = growF(s.alpha, s.mAllCap)
-	s.rho = growF(s.rho, s.mAllCap)
-	s.work = growF(s.work, s.mAllCap)
+	s.beff = growF(s.beff, s.mAll)
+	s.xB = growF(s.xB, s.mAll)
+	s.alpha = growF(s.alpha, s.mAll)
+	s.rho = growF(s.rho, s.mAll)
+	s.work = growF(s.work, s.mAll)
 	s.accV = growF(s.accV, s.colCap)
 	s.accMark = growI(s.accMark, s.colCap)
 	for i := range s.accMark[:s.colCap] {
@@ -341,16 +311,14 @@ func (s *Solver) Load(p *Problem) error {
 	s.snap.valid = false
 
 	s.buildCSC()
-	s.lu.init(s.mAllCap)
-	s.eta.init(s.mAllCap)
+	s.lu.init(s.mAll)
+	s.eta.init(s.mAll)
 
-	// Var→row CSR over the inequality rows loaded now; rows appended later
-	// (AppendRows) are few and are always re-scanned instead.
-	s.loadMAll = s.mAll
+	// Var→row CSR over the inequality rows.
 	s.scanX = growF(s.scanX, n)
 	s.scanValid = false
-	s.rowMark = growI(s.rowMark, s.mAllCap)
-	for i := range s.rowMark[:s.mAllCap] {
+	s.rowMark = growI(s.rowMark, s.mAll)
+	for i := range s.rowMark[:s.mAll] {
 		s.rowMark[i] = 0
 	}
 	s.rowRound = 0
@@ -392,10 +360,9 @@ func (s *Solver) Load(p *Problem) error {
 	return nil
 }
 
-// buildCSC (re)builds the compressed-sparse-column index of the structural
-// constraint matrix over all rows currently registered, including appended
-// ones. Row indices are original row numbers; activity is resolved through
-// rowSlot at solve time.
+// buildCSC builds the compressed-sparse-column index of the structural
+// constraint matrix. Row indices are original row numbers; activity is
+// resolved through rowSlot at solve time.
 func (s *Solver) buildCSC() {
 	p := s.prob
 	n := s.nStruct
@@ -582,79 +549,6 @@ func (s *Solver) checkBasis(where string) {
 	}
 }
 
-// AppendRows registers constraint rows that the caller appended to the
-// loaded Problem's Cons slice since Load (or the previous AppendRows call),
-// without a cold rebuild: each new row is given a slack column from the
-// reserve declared by SetRowReserve and starts *inactive*, so the next
-// ReSolve warm-activates it only if the current optimum violates it — the
-// cutting-plane loop of internal/milp appends cover and clique cuts this
-// way and repairs them with a handful of dual-simplex pivots. Appended rows
-// must be inequalities (LE or GE). The call invalidates any saved basis
-// (SaveBasis snapshots taken before an append cannot describe the grown
-// problem). Returns the number of rows registered and an error when a row is
-// malformed or the reserve is exhausted.
-func (s *Solver) AppendRows() (int, error) {
-	p := s.prob
-	if p == nil {
-		return 0, fmt.Errorf("lp: AppendRows before Load")
-	}
-	added := 0
-	for i := s.mAll; i < len(p.Cons); i++ {
-		c := &p.Cons[i]
-		if c.Sense == EQ {
-			return added, fmt.Errorf("lp: appended row %d is an equality", i)
-		}
-		for _, t := range c.Terms {
-			if t.Var < 0 || t.Var >= s.nStruct {
-				return added, fmt.Errorf("lp: appended row %d references variable %d outside [0,%d)", i, t.Var, s.nStruct)
-			}
-			if math.IsNaN(t.Coef) || math.IsInf(t.Coef, 0) {
-				return added, fmt.Errorf("lp: appended row %d has non-finite coefficient", i)
-			}
-		}
-		if math.IsNaN(c.RHS) || math.IsInf(c.RHS, 0) {
-			return added, fmt.Errorf("lp: appended row %d has non-finite right-hand side", i)
-		}
-		if s.mAll >= s.mAllCap {
-			return added, fmt.Errorf("lp: row reserve exhausted (%d rows)", s.reserve)
-		}
-		// The row starts inactive; its slack column is assigned on
-		// activation, like any other lazy row.
-		s.slackOf[s.mAll] = -1
-		s.rowSlot[s.mAll] = -1
-		s.activeRows[s.mAll] = false
-		s.nSlack++
-		s.mAll++
-		s.nInactive++
-		added++
-	}
-	if added > 0 {
-		s.snap.valid = false
-		s.scanValid = false
-		// Fold the new rows into the CSC index so FTRAN scatters and flip
-		// bookkeeping see them the moment they activate.
-		s.buildCSC()
-	}
-	return added, nil
-}
-
-// ReducedCost returns the reduced cost of structural variable j at the
-// current basis, together with the bound the variable is nonbasic at. The
-// value is reported in the solver's minimisation space for the variable's
-// *current* orientation: after an Optimal ReSolve it is non-negative, and
-// moving j off its bound by t >= 0 (up from 0 when atUpper is false, down
-// from its upper bound when true) degrades the objective by at least d·t in
-// the LP relaxation — the inequality branch-and-bound uses for reduced-cost
-// bound fixing. Basic variables report 0.
-//
-//sqpr:hotpath
-func (s *Solver) ReducedCost(j int) (d float64, atUpper bool) {
-	if s.inBasis[j] {
-		return 0, s.flipped[j]
-	}
-	return s.d[j], s.flipped[j]
-}
-
 // RowDual returns the dual multiplier of original constraint row i at the
 // current (optimal) basis: the sensitivity ∂objective/∂RHS_i in the
 // problem's minimisation space. Inactive lazy rows and equality rows (whose
@@ -815,7 +709,7 @@ func (s *Solver) ReSolve(opts Options) Solution {
 			}
 			return Solution{Status: Unbounded, X: s.extract(), Iters: s.iters}
 		default: // IterLimit, or stCold after a failed refactorize
-			if s.expired() || coldDone || s.warmOnly {
+			if s.expired() || coldDone {
 				return Solution{Status: IterLimit, Iters: s.iters}
 			}
 			// Pivot budget exhausted on the warm path without an external
@@ -868,7 +762,6 @@ func (s *Solver) expired() bool {
 func (s *Solver) installOpts(opts Options) {
 	s.deadline = opts.Deadline
 	s.ctx = opts.Ctx
-	s.warmOnly = opts.WarmOnly
 	s.maxIters = opts.MaxIters
 	if s.maxIters <= 0 {
 		s.maxIters = 200 * (s.mAll + s.nStruct + s.nSlack + 10)
@@ -888,9 +781,9 @@ func (s *Solver) installOpts(opts Options) {
 // activateViolated evaluates the inactive rows at x and warm-activates the
 // violated ones; returns how many were activated. After a full first scan
 // it runs incrementally: only rows containing a variable that moved since
-// that variable's rows were last evaluated (plus any rows appended after
-// Load) are re-evaluated — on SQPR's models a node re-solve moves a handful
-// of variables while thousands of availability/acyclicity rows stay put.
+// that variable's rows were last evaluated are re-evaluated — on SQPR's
+// models a node re-solve moves a handful of variables while thousands of
+// availability/acyclicity rows stay put.
 //
 //sqpr:hotpath
 func (s *Solver) activateViolated(x []float64) int {
@@ -925,13 +818,6 @@ func (s *Solver) activateViolated(x []float64) int {
 				s.activateRow(i)
 				count++
 			}
-		}
-	}
-	// Rows appended after Load are outside the CSR index: always evaluate.
-	for i := s.loadMAll; i < s.mAll; i++ {
-		if !s.activeRows[i] && s.rowViolated(i, x) {
-			s.activateRow(i)
-			count++
 		}
 	}
 	return count

@@ -270,3 +270,41 @@ func TestConcurrentIndependentSolvers(t *testing.T) {
 		}
 	}
 }
+
+// TestRowDualSensitivity checks RowDual against a finite-difference
+// perturbation of the right-hand side.
+func TestRowDualSensitivity(t *testing.T) {
+	// min −x0 s.t. x0 <= 5 (row), x0 unbounded above: optimum −5, dual −1.
+	p := &Problem{
+		NumVars: 1,
+		Cost:    []float64{-1},
+		Cons:    []Constraint{{Terms: []Term{{0, 1}}, Sense: LE, RHS: 5}},
+	}
+	s := NewSolver()
+	if err := s.Load(p); err != nil {
+		t.Fatal(err)
+	}
+	if sol := s.ReSolve(Options{}); sol.Status != Optimal || math.Abs(sol.Objective-(-5)) > 1e-9 {
+		t.Fatalf("solve: %+v", sol)
+	}
+	if y := s.RowDual(0); math.Abs(y-(-1)) > 1e-9 {
+		t.Fatalf("RowDual = %v want -1", y)
+	}
+
+	// GE variant: min x0 s.t. x0 >= 3 → dual +1.
+	p2 := &Problem{
+		NumVars: 1,
+		Cost:    []float64{1},
+		Cons:    []Constraint{{Terms: []Term{{0, 1}}, Sense: GE, RHS: 3}},
+	}
+	s2 := NewSolver()
+	if err := s2.Load(p2); err != nil {
+		t.Fatal(err)
+	}
+	if sol := s2.ReSolve(Options{}); sol.Status != Optimal || math.Abs(sol.Objective-3) > 1e-9 {
+		t.Fatalf("solve: %+v", sol)
+	}
+	if y := s2.RowDual(0); math.Abs(y-1) > 1e-9 {
+		t.Fatalf("GE RowDual = %v want 1", y)
+	}
+}

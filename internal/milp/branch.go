@@ -13,32 +13,6 @@ import (
 	"sqpr/internal/lp"
 )
 
-// Tuning constants of the tree-reduction layer.
-const (
-	// cutRowReserve is the lp.Solver row headroom reserved for cutting
-	// planes; separation never emits more cuts than fit.
-	cutRowReserve = 96
-	// cutMaxRounds bounds the root separate→append→re-solve loop.
-	cutMaxRounds = 12
-	// probeMaxDepthSmall bounds how deep reliability probing
-	// (strong-branching lite) runs on small LPs (at most probeSmallN
-	// active variables), where the two capped solves per candidate are
-	// cheap and visibly shrink proof trees. Larger LPs never probe: at
-	// their tableau width the probes cost more than the branching mistakes
-	// they would prevent.
-	probeMaxDepthSmall = 4
-	probeSmallN        = 128
-	// probeMaxCand caps how many unreliable candidates one node probes.
-	probeMaxCand = 4
-	// probeIterCap bounds the dual-simplex pivots of one probe solve.
-	probeIterCap = 50
-	// pcReliable is the observation count per direction below which a
-	// candidate's pseudo-cost is considered unreliable.
-	pcReliable = 1
-	// gmiMaxPerRound caps Gomory mixed-integer cuts per separation round.
-	gmiMaxPerRound = 24
-)
-
 // bbNode is one branch-and-bound subproblem: a set of pinned binaries
 // (indices into compiled.active space) plus bookkeeping for best-first
 // ordering and pseudo-cost updates. Nodes are pooled on the compiled arena.
@@ -96,11 +70,9 @@ var workerPool = sync.Pool{New: func() any { return &worker{slv: lp.NewSolver()}
 // best-first queue on that many goroutines; Workers <= 1 runs the identical
 // search loop inline and is fully deterministic.
 //
-// Unless Options.DisableTreeReduction is set, a tree-reduction layer runs
-// around the search: presolve before compilation, cover/clique cuts at the
-// root, reduced-cost bound fixing after every node LP, and pseudo-cost
-// branching with reliability probing. None of these change which integer
-// points are optimal — they only shrink the tree that proves it.
+// Unless Options.DisableTreeReduction is set, presolve runs before
+// compilation and branching uses pseudo-costs. Neither changes which
+// integer points are optimal — they only shrink the tree that proves it.
 func (m *Model) Solve(opts Options) Result {
 	intTol := opts.IntTol
 	if intTol == 0 {
@@ -140,8 +112,9 @@ func (m *Model) Solve(opts Options) Result {
 
 	res := Result{
 		Nodes: s.nodes, LPIters: s.lpIters, Cancelled: s.cancelled, Stalled: s.stalled,
-		Cuts: s.cuts, Fixings: s.fixings, PresolveFixed: c.presolveFixed,
-		Factor: s.factor,
+		BudgetHit:     s.truncated && !s.stalled && !s.cancelled,
+		PresolveFixed: c.presolveFixed,
+		Factor:        s.factor,
 	}
 	switch {
 	case s.bestX == nil && s.provedInfeasible:
@@ -172,7 +145,7 @@ func (m *Model) Solve(opts Options) Result {
 type search struct {
 	c        *compiled
 	ctx      context.Context
-	reduce   bool // tree-reduction layer enabled
+	reduce   bool // presolve + pseudo-cost branching enabled
 	intTol   float64
 	maxNodes int
 	deadline time.Time
@@ -193,8 +166,6 @@ type search struct {
 
 	nodes   int //sqpr:guarded-by mu
 	lpIters int //sqpr:guarded-by mu
-	cuts    int //sqpr:guarded-by mu
-	fixings int //sqpr:guarded-by mu
 	//sqpr:guarded-by mu
 	factor lp.FactorStats // merged from each worker's solver at release
 
@@ -292,10 +263,10 @@ func (s *search) stopped() bool {
 
 // validateCandidate checks a candidate full-model point against bounds,
 // integrality and every row, returning its minimisation-space objective.
-// Validation runs against the caller's original rows — not the presolved or
-// cut-extended image — so an accepted incumbent is feasible for the exact
-// model as built. It reads only state that is immutable during a search, so
-// workers call it WITHOUT holding s.mu.
+// Validation runs against the caller's original rows — not the presolved
+// image — so an accepted incumbent is feasible for the exact model as built.
+// It reads only state that is immutable during a search, so workers call it
+// WITHOUT holding s.mu.
 func (s *search) validateCandidate(x []float64) (float64, bool) {
 	m := s.c.m
 	if len(x) != len(m.vars) {
@@ -364,11 +335,11 @@ func (s *search) acceptModelPoint(x []float64) bool {
 }
 
 // run drives the search: the single-threaded root phase (root LP, dive
-// heuristic, cutting-plane loop, root branching) followed by the best-first
-// tree loop on the given number of workers (clamped to GOMAXPROCS — each
-// worker owns a dense solver arena, so oversubscribing buys contention and
-// memory, not speed). The search state after run reflects whether the tree
-// was exhausted (proof) or a budget/gap/cancellation cut it short.
+// heuristic, root branching) followed by the best-first tree loop on the
+// given number of workers (clamped to GOMAXPROCS — each worker owns a solver
+// arena, so oversubscribing buys contention and memory, not speed). The
+// search state after run reflects whether the tree was exhausted (proof) or
+// a budget/gap/cancellation cut it short.
 //
 //sqpr:locked mu — single-threaded except the worker loops, which lock internally
 func (s *search) run(workers int) {
@@ -442,16 +413,9 @@ type fracCand struct {
 	frac float64 // distance from the nearest integer
 }
 
-// probeObs is one strong-branching observation made by reliability probing.
-type probeObs struct {
-	k    int
-	up   bool
-	unit float64 // objective degradation per unit of fractional distance
-}
-
 // worker owns one warm LP solver over the compiled base problem plus the
-// scratch buffers for bound diffing, candidate points, reduced costs and
-// probing, so processing a node allocates nothing in steady state.
+// scratch buffers for bound diffing and candidate points, so processing a
+// node allocates nothing in steady state.
 type worker struct {
 	s       *search
 	slv     *lp.Solver
@@ -467,16 +431,9 @@ type worker struct {
 	hasSnap     bool
 	snapApplied []int8
 
-	// Per-node scratch of the tree-reduction layer.
 	fracs      []fracCand // fractional binaries of the current relaxation
-	rc         []float64  // reduced cost per active var at the node optimum
-	rcUp       []bool     // bound the variable is nonbasic at
-	rcFix      []boundFix // bound fixes inherited by this node's children
-	cutoffHint float64    // bestObj-derived cutoff captured at the last unlock
-	probeList  []int      // candidate indices selected for probing
-	probeObs   []probeObs
-	candBuf    []float64 // model-space integral candidate
-	diveBuf    []float64 // model-space dive candidate
+	candBuf    []float64  // model-space integral candidate
+	diveBuf    []float64  // model-space dive candidate
 	diveBounds []boundFix
 }
 
@@ -495,14 +452,9 @@ func newWorker(s *search) *worker {
 	}
 	w.xAct = growFloats(w.xAct, nAct)
 	w.xDive = growFloats(w.xDive, nAct)
-	w.rc = growFloats(w.rc, nAct)
-	w.rcUp = growBools(w.rcUp, nAct)
 	w.candBuf = growFloats(w.candBuf, nv)
 	w.diveBuf = growFloats(w.diveBuf, nv)
 	w.fracs = w.fracs[:0]
-	w.rcFix = w.rcFix[:0]
-	w.probeList = w.probeList[:0]
-	w.probeObs = w.probeObs[:0]
 	w.diveBounds = w.diveBounds[:0]
 	return w
 }
@@ -522,46 +474,18 @@ func (w *worker) release() {
 }
 
 // ensureLoaded lazily compiles the base LP into this worker's solver; the
-// arena is reused from previous Solve calls when large enough. Tree workers
-// load after the root phase froze the cut pool, so they carry no cut-row
-// reserve: every pivot runs at the exact problem width.
+// arena is reused from previous Solve calls when large enough.
 func (w *worker) ensureLoaded() bool {
 	if w.loaded {
 		return true
 	}
 	// Lazy rows: SQPR models carry thousands of availability/acyclicity
 	// rows of which only a handful bind at any node optimum, so the active
-	// tableau stays small. Cut-pool rows load lazily too: a worker
-	// activates a cut only when its subtree violates it.
+	// tableau stays small.
 	w.slv.SetLazy(true)
-	w.slv.SetRowReserve(0)
 	if err := w.slv.Load(&w.s.c.base); err != nil {
 		return false
 	}
-	w.loaded = true
-	return true
-}
-
-// reloadRoot reloads the base LP (including any pooled cuts) with the given
-// row reserve, resetting the worker's applied-pin view. The next solve is
-// cold. Root phase only.
-func (w *worker) reloadRoot(reserve int) bool {
-	if w.loaded {
-		// Load resets the solver's factorization counters; bank the ones
-		// accumulated so far or the root reload would erase them.
-		w.s.mu.Lock()
-		w.s.factor.Merge(w.slv.FactorStats())
-		w.s.mu.Unlock()
-	}
-	w.slv.SetLazy(true)
-	w.slv.SetRowReserve(reserve)
-	if err := w.slv.Load(&w.s.c.base); err != nil {
-		return false
-	}
-	for k := range w.applied {
-		w.applied[k] = nodeFree
-	}
-	w.hasSnap = false
 	w.loaded = true
 	return true
 }
@@ -662,8 +586,8 @@ func (w *worker) solveNode(bounds []boundFix, into []float64) (lp.Solution, []fl
 }
 
 // processRoot runs the single-threaded root phase: the root relaxation, the
-// rounding-dive heuristic, the cutting-plane loop, root reduced-cost fixing
-// and the first branch. No lock is held — workers start only afterwards.
+// rounding-dive heuristic and the first branch. No lock is held — workers
+// start only afterwards.
 //
 //sqpr:locked mu — single-threaded root phase
 func (s *search) processRoot(w *worker) {
@@ -693,91 +617,24 @@ func (s *search) processRoot(w *worker) {
 	}
 	relax := sol.Objective
 
-	// Rounding dive before cuts: pins every binary to its rounded root
-	// value and re-solves; a feasible result seeds the incumbent that both
-	// reduced-cost fixing and pruning need. When the caller supplied a warm
-	// start (SQPR's greedy plan) the incumbent already exists, so the dive
-	// LP — and the root re-solve it forces, since it leaves the solver at
-	// its leaf — are skipped.
-	var ok bool
+	// Rounding dive: pins every binary to its rounded root value and
+	// re-solves; a feasible result seeds the incumbent that pruning needs.
+	// When the caller supplied a warm start (SQPR's greedy plan) the
+	// incumbent already exists, so the dive LP — and the root re-solve it
+	// forces, since it leaves the solver at its leaf — are skipped.
 	if s.bestX == nil {
 		if cand, obj := w.dive(xAct); cand != nil {
 			s.installIncumbent(cand, obj)
 		}
+		var ok bool
 		if sol, xAct, ok = s.resolveRoot(w); !ok {
 			return
 		}
 		relax = sol.Objective
 	}
-
-	// Cutting-plane loop: separate violated cover/clique cuts and Gomory
-	// mixed-integer cuts against the root optimum, append them warm,
-	// re-solve, repeat. Every cut lands in the pool (base.Cons), so tree
-	// workers load them lazily. The first separation runs against the
-	// reserve-free tableau: only when cuts actually exist does the solver
-	// re-arm with append headroom — and it sheds that headroom again before
-	// the tree search, so node re-solves always pivot at the exact problem
-	// width.
-	if s.reduce {
-		// Total pool budget: cuts beyond a multiple of the model's own row
-		// count make every pivot pay more than the bound improvement is
-		// worth; small models get a floor so the Gomory pass can work.
-		cutCap := s.c.baseRows * 3
-		if cutCap < 12 {
-			cutCap = 12
-		}
-		if cutCap > cutRowReserve {
-			cutCap = cutRowReserve
-		}
-		if added := s.separateRound(w, xAct, cutCap); added > 0 {
-			s.cuts += added
-			if !w.reloadRoot(cutRowReserve) {
-				s.proofLost = true
-				return
-			}
-			if sol, xAct, ok = s.resolveRoot(w); !ok {
-				return
-			}
-			relax = sol.Objective
-			for round := 1; round < cutMaxRounds; round++ {
-				spare := min(w.slv.SpareRowCapacity(), cutCap-(len(s.c.base.Cons)-s.c.baseRows))
-				more := s.separateRound(w, xAct, spare)
-				if more == 0 {
-					break
-				}
-				if _, err := w.slv.AppendRows(); err != nil {
-					// Reserve exhausted mid-append: drop the unregistered
-					// rows so every view of the problem stays consistent.
-					s.c.base.Cons = s.c.base.Cons[:len(s.c.base.Cons)-more]
-					break
-				}
-				s.cuts += more
-				if sol, xAct, ok = s.resolveRoot(w); !ok {
-					return
-				}
-				relax = sol.Objective
-			}
-			// Cut management: keep only the cuts binding at the final root
-			// optimum. The slack ones were stepping stones of the
-			// separation loop — pooling them would tax every node re-solve
-			// with dense rows that no longer carry the bound.
-			kept := s.c.pruneCutPool(xAct)
-			s.cuts = kept
-			// One more cold solve buys exact-width pivots for every node
-			// that follows.
-			if !w.reloadRoot(0) {
-				s.proofLost = true
-				return
-			}
-			if sol, xAct, ok = s.resolveRoot(w); !ok {
-				return
-			}
-			relax = sol.Objective
-		}
-	}
 	s.rootBound = relax
 
-	// The post-cut root basis is the restore point for subtree jumps.
+	// The root basis is the restore point for subtree jumps.
 	if sol.Status == lp.Optimal && sol.Feasible {
 		w.slv.SaveBasis()
 		copy(w.snapApplied, w.applied)
@@ -801,15 +658,7 @@ func (s *search) processRoot(w *worker) {
 		}
 		return
 	}
-	w.captureReducedCosts()
-	w.rcFix = w.rcFix[:0]
-	w.probeObs = w.probeObs[:0]
-	w.cutoffHint = s.bestObj - s.pruneSlack()
-	w.maybeProbe(relax, 0)
-	w.collectRCFixes(relax)
 	k, val := w.selectBranch()
-	w.stripFix(k)
-	s.fixings += len(w.rcFix)
 
 	root := s.newNode()
 	up, down := w.makeChildren(root, relax, k, val)
@@ -823,34 +672,13 @@ func (s *search) processRoot(w *worker) {
 	}
 }
 
-// separateRound runs one root separation round: cover and clique cuts from
-// the row structure, then Gomory mixed-integer cuts from the solver's
-// optimal basis, all bounded by spare pool capacity. Returns how many rows
-// were appended to the pool.
-func (s *search) separateRound(w *worker, xAct []float64, spare int) int {
-	before := len(s.c.base.Cons)
-	s.c.separateCuts(xAct, spare)
-	// Gomory cuts are dense — slack substitution spreads them over whole
-	// row supports — so they pay off on small proof-bound models but drag
-	// every subsequent re-solve on large ones, whose trees the admission
-	// gap already keeps shallow. Same size gate as deep probing.
-	if len(s.c.active) <= probeSmallN {
-		if left := spare - (len(s.c.base.Cons) - before); left > 0 {
-			w.slv.GomoryCuts(s.c.isIntBuf, min(left, gmiMaxPerRound), func(terms []lp.Term, rhs float64) {
-				s.c.appendGECut(terms, rhs)
-			})
-		}
-	}
-	return len(s.c.base.Cons) - before
-}
-
 // loop is the worker body: take a node — the locally plunged child when one
 // is pending, otherwise the most promising open node — solve its relaxation
 // warm, then branch, bound or fathom. Plunging keeps each worker diving
 // depth-first along the preferred (rounded) branch, which finds incumbents
 // early exactly like a serial DFS, while the shared best-first queue hands
 // out the remaining subtrees. All queue and incumbent state is touched
-// under s.mu; LP solves and probing run outside the lock.
+// under s.mu; LP solves run outside the lock.
 func (w *worker) loop() {
 	s := w.s
 	var plunge *bbNode
@@ -905,11 +733,6 @@ func (w *worker) loop() {
 		}
 		s.nodes++
 		s.busy++
-		// Snapshot the incumbent cutoff for the lock-free phase below: the
-		// incumbent only improves, so a fix or skip decided against this
-		// (possibly stale, never too small) cutoff stays valid under the
-		// fresh one commit() prunes with.
-		w.cutoffHint = s.bestObj - s.pruneSlack()
 		s.mu.Unlock()
 
 		sol, xAct := w.solveNode(n.bounds, w.xAct)
@@ -922,24 +745,10 @@ func (w *worker) loop() {
 			w.hasSnap = true
 		}
 
-		// Classify the relaxation, pre-validate any integral incumbent
-		// candidate and capture reduced costs outside the lock — the
-		// O(rows·terms) validation would otherwise serialize every worker
-		// on s.mu.
+		// Classify the relaxation and pre-validate any integral incumbent
+		// candidate outside the lock — the O(rows·terms) validation would
+		// otherwise serialize every worker on s.mu.
 		out := w.assess(sol, xAct)
-
-		// Reliability probing and reduced-cost fixing also run lock-free —
-		// both would otherwise serialize every worker on s.mu — against the
-		// snapshot cutoff. Nodes the fresh cutoff will prune anyway are
-		// skipped outright.
-		w.probeObs = w.probeObs[:0]
-		w.rcFix = w.rcFix[:0]
-		if out.status == lp.Optimal && out.feasible && len(w.fracs) > 0 && out.relax < w.cutoffHint {
-			if len(w.fracs) > 1 {
-				w.maybeProbe(out.relax, n.depth)
-			}
-			w.collectRCFixes(out.relax)
-		}
 
 		s.mu.Lock()
 		s.lpIters += sol.Iters
@@ -952,7 +761,7 @@ func (w *worker) loop() {
 
 // outcome carries everything a solved node contributes back to the shared
 // search state, computed lock-free by the worker. Fractional candidates are
-// in w.fracs, reduced costs in w.rc/w.rcUp.
+// in w.fracs.
 type outcome struct {
 	status   lp.Status
 	feasible bool
@@ -978,9 +787,7 @@ func (w *worker) assess(sol lp.Solution, xAct []float64) outcome {
 		if obj, ok := s.validateCandidate(full); ok {
 			out.cand, out.candObj = full, obj
 		}
-		return out
 	}
-	w.captureReducedCosts()
 	return out
 }
 
@@ -997,14 +804,6 @@ func (w *worker) collectFracs(xAct []float64) {
 		if f > s.intTol {
 			w.fracs = append(w.fracs, fracCand{k: k, val: v, frac: f})
 		}
-	}
-}
-
-// captureReducedCosts snapshots the solver's reduced costs for every active
-// variable; valid immediately after an Optimal ReSolve, before probing.
-func (w *worker) captureReducedCosts() {
-	for k := range w.rc {
-		w.rc[k], w.rcUp[k] = w.slv.ReducedCost(k)
 	}
 }
 
@@ -1032,82 +831,6 @@ func (w *worker) dive(xRoot []float64) ([]float64, float64) {
 		return full, obj
 	}
 	return nil, 0
-}
-
-// maybeProbe selects up to probeMaxCand unreliable candidates (no
-// pseudo-cost observations in some direction) and probes each with two
-// iteration-capped LP solves, recording observations and — when a probe
-// proves a direction infeasible — a bound fix for the node's children. The
-// solver is left warm but off the node optimum; the next solveNode repairs
-// it. Shallow nodes only: the payoff is shaping the big subtrees.
-func (w *worker) maybeProbe(relax float64, depth int) {
-	s := w.s
-	// Large LPs skip probing altogether: at their tableau width the two
-	// capped solves per candidate cost more than the branching mistake
-	// they would prevent.
-	limit := -1
-	if len(s.c.active) <= probeSmallN {
-		limit = probeMaxDepthSmall
-	}
-	if !s.reduce || depth > limit {
-		return
-	}
-	w.probeList = w.probeList[:0]
-	s.mu.Lock()
-	for _, fc := range w.fracs {
-		if len(w.probeList) >= probeMaxCand {
-			break
-		}
-		if s.pcUpN[fc.k] < pcReliable || s.pcDnN[fc.k] < pcReliable {
-			w.probeList = append(w.probeList, fc.k)
-		}
-	}
-	s.mu.Unlock()
-	if len(w.probeList) == 0 {
-		return
-	}
-	iters := 0
-	for _, k := range w.probeList {
-		var val float64
-		for _, fc := range w.fracs {
-			if fc.k == k {
-				val = fc.val
-				break
-			}
-		}
-		for _, up := range [2]bool{true, false} {
-			w.slv.Fix(k, up)
-			sol := w.slv.ReSolve(lp.Options{MaxIters: probeIterCap, WarmOnly: true, Deadline: s.deadline, Ctx: s.ctx})
-			iters += sol.Iters
-			w.slv.Unfix(k)
-			dist := val
-			if up {
-				dist = 1 - val
-			}
-			if dist < 1e-6 {
-				dist = 1e-6
-			}
-			switch {
-			case sol.Status == lp.Optimal && sol.Feasible:
-				delta := sol.Objective - relax
-				if delta < 0 {
-					delta = 0
-				}
-				w.probeObs = append(w.probeObs, probeObs{k: k, up: up, unit: delta / dist})
-			case sol.Status == lp.Infeasible:
-				// This direction is infeasible below the node: fix the
-				// variable the other way for the whole subtree.
-				w.rcFix = append(w.rcFix, boundFix{k, !up})
-				w.target[k] = nodeAtZero
-				if !up {
-					w.target[k] = nodeAtUpper
-				}
-			}
-		}
-	}
-	s.mu.Lock()
-	s.lpIters += iters
-	s.mu.Unlock()
 }
 
 // pcScore computes the pseudo-cost product score of a fractional candidate.
@@ -1150,28 +873,10 @@ func (w *worker) selectBranch() (int, float64) {
 		}
 		return best.k, best.val
 	}
-	// Fold fresh probe observations first so they inform this decision.
-	for _, ob := range w.probeObs {
-		if ob.up {
-			s.pcUp[ob.k] += ob.unit
-			s.pcUpN[ob.k]++
-		} else {
-			s.pcDn[ob.k] += ob.unit
-			s.pcDnN[ob.k]++
-		}
-		s.pcSum += ob.unit
-		s.pcCnt++
-	}
-	w.probeObs = w.probeObs[:0]
-
 	bestIdx := -1
 	bestScore := math.Inf(-1)
 	var best fracCand
 	for _, fc := range w.fracs {
-		// Skip candidates fixed by probing for this subtree.
-		if w.target[fc.k] != nodeFree {
-			continue
-		}
 		// Branch priorities break ties, they do not dictate: the builder
 		// ranks admission d and availability y above flow x, and that
 		// ranking decides between candidates whose pseudo-cost scores are
@@ -1194,61 +899,11 @@ func (w *worker) selectBranch() (int, float64) {
 			bestIdx, bestScore, best = fc.k, sc, fc
 		}
 	}
-	if bestIdx < 0 {
-		// Every candidate was probe-fixed; fall back to the first one.
-		best = w.fracs[0]
-	}
 	return best.k, best.val
 }
 
-// collectRCFixes appends reduced-cost bound fixes to w.rcFix: a binary
-// nonbasic at a bound whose reduced cost proves the opposite bound cannot
-// beat the incumbent is pinned for the whole subtree. It runs lock-free
-// against w.cutoffHint — a snapshot of the incumbent cutoff that can only
-// be larger than the current one, so every fix it takes would also be
-// taken against fresh state. Fixed variables are marked in w.target, which
-// keeps them out of selectBranch's candidates.
-func (w *worker) collectRCFixes(relax float64) {
-	s := w.s
-	if !s.reduce {
-		return
-	}
-	cutoff := w.cutoffHint
-	for k, mi := range s.c.active {
-		if w.target[k] != nodeFree || s.c.m.vars[mi].typ != Binary {
-			continue
-		}
-		if d := w.rc[k]; d > 0 && relax+d >= cutoff {
-			w.rcFix = append(w.rcFix, boundFix{k, w.rcUp[k]})
-			if w.rcUp[k] {
-				w.target[k] = nodeAtUpper
-			} else {
-				w.target[k] = nodeAtZero
-			}
-		}
-	}
-}
-
-// stripFix removes a fix on variable k from w.rcFix (and unpins it in
-// w.target) so the children can pin k in both directions. selectBranch
-// skips pinned candidates, so this only fires on its every-candidate-fixed
-// fallback.
-func (w *worker) stripFix(k int) {
-	if w.target[k] == nodeFree {
-		return
-	}
-	for i := range w.rcFix {
-		if w.rcFix[i].lpVar == k {
-			w.rcFix[i] = w.rcFix[len(w.rcFix)-1]
-			w.rcFix = w.rcFix[:len(w.rcFix)-1]
-			w.target[k] = nodeFree
-			return
-		}
-	}
-}
-
 // makeChildren builds the two children of node n branching on variable k at
-// fractional value val, inheriting n's pins plus w.rcFix. Caller holds s.mu
+// fractional value val, inheriting n's pins. Caller holds s.mu
 // or the search is single-threaded.
 func (w *worker) makeChildren(n *bbNode, relax float64, k int, val float64) (up, down *bbNode) {
 	s := w.s
@@ -1256,13 +911,12 @@ func (w *worker) makeChildren(n *bbNode, relax float64, k int, val float64) (up,
 		ch := s.newNode()
 		// One exact-size growth at most: pooled nodes keep their backing,
 		// so the steady-state search allocates no per-node bookkeeping.
-		if need := len(n.bounds) + len(w.rcFix) + 1; cap(ch.bounds) < need {
+		if need := len(n.bounds) + 1; cap(ch.bounds) < need {
 			// Round the capacity up so pooled nodes converge on a size that
 			// fits any node of the tree.
 			ch.bounds = make([]boundFix, 0, (need/32+1)*32)
 		}
 		ch.bounds = append(ch.bounds, n.bounds...)
-		ch.bounds = append(ch.bounds, w.rcFix...)
 		ch.bounds = append(ch.bounds, boundFix{k, atUpper})
 		ch.depth = n.depth + 1
 		ch.est = relax
@@ -1283,8 +937,7 @@ func (w *worker) makeChildren(n *bbNode, relax float64, k int, val float64) (up,
 
 // commit folds one assessed relaxation back into the shared search state:
 // update pseudo-costs, prune, install a pre-validated incumbent, or select
-// a branching variable, apply reduced-cost fixes and expand. Caller holds
-// mu.
+// a branching variable and expand. Caller holds mu.
 //
 //sqpr:locked mu — the worker loop holds mu across each commit
 func (w *worker) commit(n *bbNode, out outcome) *bbNode {
@@ -1342,8 +995,6 @@ func (w *worker) commit(n *bbNode, out outcome) *bbNode {
 		return nil
 	}
 	k, val := w.selectBranch()
-	w.stripFix(k)
-	s.fixings += len(w.rcFix)
 
 	// Branch: plunge into the rounded side ourselves (depth-first dive,
 	// mirrors a serial exploration order) and share the sibling through the

@@ -6,15 +6,12 @@
 // and stagnation limits, branch priorities, and externally supplied
 // warm-start incumbents.
 //
-// The search is a best-first branch and bound with depth-first plunging,
-// wrapped in a tree-reduction layer (unless Options.DisableTreeReduction):
-// a presolve pass tightens and fixes over the row image before compilation
-// (presolve.go), the root separates lifted cover, clique and Gomory
-// mixed-integer cuts into a lazily-loaded cut pool (cuts.go, lp/gomory.go),
-// reduced-cost bound fixing pins binaries after every node LP, and
-// branching runs on reliability-initialised pseudo-costs with
-// builder-supplied priorities as tie-breaks. A rounding "dive" heuristic at
-// the root produces an early incumbent when the caller supplied none.
+// The search is a best-first branch and bound with depth-first plunging
+// over one root LP. Unless Options.DisableTreeReduction is set, a presolve
+// pass tightens and fixes over the row image before compilation
+// (presolve.go) and branching runs on pseudo-costs with builder-supplied
+// priorities as tie-breaks. A rounding "dive" heuristic at the root
+// produces an early incumbent when the caller supplied none.
 package milp
 
 import (
@@ -223,17 +220,16 @@ type Result struct {
 	// counts and eta-append totals add up, peak eta-file length and LU
 	// fill-in ratio are high-water marks.
 	Factor lp.FactorStats
-	// Cuts counts cutting planes separated at the root and kept in the cut
-	// pool; Fixings counts reduced-cost (and probing) bound fixings applied
-	// during the search; PresolveFixed counts variables eliminated before
-	// the search started.
-	Cuts          int
-	Fixings       int
+	// PresolveFixed counts variables eliminated before the search started.
 	PresolveFixed int
 	// Stalled is set when the search ended via Options.StallNodes rather
 	// than a deadline or node budget; telemetry keeps it apart from real
 	// timeouts.
 	Stalled bool
+	// BudgetHit is set when the deadline or the node budget cut the search
+	// short — the only endings telemetry counts as timeouts. Gap-tolerance
+	// and stall stops also return FeasibleMIP but leave it false.
+	BudgetHit bool
 	// Cancelled is set when Options.Ctx was cancelled mid-search; callers
 	// should discard any incumbent and keep their previous state.
 	Cancelled bool
@@ -277,10 +273,9 @@ type Options struct {
 	// changes the admission decision the planner is waiting on. 0 disables
 	// stagnation stopping (proofs of optimality need the full tree).
 	StallNodes int
-	// DisableTreeReduction turns off the tree-reduction layer — presolve,
-	// root cutting planes, reduced-cost bound fixing and pseudo-cost
-	// branching — falling back to plain most-fractional branch and bound
-	// over the unreduced model (ablation and conformance testing).
+	// DisableTreeReduction turns off presolve and pseudo-cost branching,
+	// falling back to plain most-fractional branch and bound over the
+	// unreduced model (ablation and conformance testing).
 	DisableTreeReduction bool
 }
 
@@ -325,34 +320,11 @@ type compiled struct {
 	pskip    []bool
 	appear   []int32 // live-row appearance count per model variable
 
-	prio     []int8 // branch priority of each LP-active variable
-	isIntBuf []bool // integrality of each LP-active variable
+	prio []int8 // branch priority of each LP-active variable
 
 	presolveFixed     int // binaries/columns fixed by presolve
 	presolveTightened int // coefficients tightened
 	presolveDropped   int // redundant rows removed
-
-	// Cut pool (see cuts.go): rows appended to base.Cons past baseRows,
-	// deduplicated by hash across separation rounds of one Solve.
-	baseRows int // rows of base.Cons that come from the model
-	cutSeen  map[uint64]bool
-
-	// Cut-separation scratch (see cuts.go): the knapsack-implied conflict
-	// graph (built once per Solve) and the per-round working buffers.
-	conflBuilt bool
-	conflEdges []uint64 // packed (lo<<32|hi) conflict pairs, sorted
-	adjStart   []int    // CSR adjacency offsets per LP-active variable
-	adjList    []int32
-	cutItems   []cutItem
-	coverIdx   []int
-	cliqueIdx  []int
-	coverCoefs []int
-	liftIdx    []int
-	liftW      []float64
-	liftCoef   []int
-	liftMinW   []float64
-	cutMark    []int
-	cutRound   int
 
 	// Node recycling: fathomed bbNodes are returned here and reused, so the
 	// steady-state search allocates no per-node bookkeeping.
@@ -520,7 +492,6 @@ func (m *Model) compile(presolveOn bool) (*compiled, error) {
 	c.base.Cost = growFloats(c.base.Cost, n)
 	c.base.Upper = growFloats(c.base.Upper, n)
 	c.prio = growInt8s(c.prio, n)
-	c.isIntBuf = growBools(c.isIntBuf, n)
 	for k, mi := range c.active {
 		v := &m.vars[mi]
 		c.base.Cost[k] = c.objDir * v.obj
@@ -530,7 +501,6 @@ func (m *Model) compile(presolveOn bool) (*compiled, error) {
 			c.base.Upper[k] = c.phi[mi] - c.plo[mi]
 		}
 		c.prio[k] = v.prio
-		c.isIntBuf[k] = v.typ == Binary
 	}
 
 	// LP rows from the (possibly tightened) row image.
@@ -575,14 +545,6 @@ func (m *Model) compile(presolveOn bool) (*compiled, error) {
 		}
 		cons.Sense = c.psense[ri]
 		cons.RHS = rhs
-	}
-	c.baseRows = len(c.base.Cons)
-	c.cutMark = growInts(c.cutMark, n)
-	c.conflBuilt = false
-	if c.cutSeen == nil {
-		c.cutSeen = make(map[uint64]bool, 32)
-	} else {
-		clear(c.cutSeen)
 	}
 	return c, nil
 }

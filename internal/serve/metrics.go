@@ -56,10 +56,8 @@ func WriteMetrics(w io.Writer, d MetricsData) {
 	m.counter("sqpr_planner_plan_seconds_total", "Wall-clock planning time accumulated across calls.", d.Planner.TotalPlanTime.Seconds())
 	m.counter("sqpr_planner_nodes_total", "Branch-and-bound nodes explored.", float64(d.Planner.TotalNodes))
 	m.counter("sqpr_planner_lp_iterations_total", "Simplex iterations performed.", float64(d.Planner.TotalLPIters))
-	m.counter("sqpr_planner_cuts_total", "Root cutting planes pooled.", float64(d.Planner.TotalCuts))
-	m.counter("sqpr_planner_fixings_total", "Reduced-cost bound fixings applied.", float64(d.Planner.TotalFixings))
 	m.counter("sqpr_planner_presolve_fixed_total", "Variables eliminated by presolve.", float64(d.Planner.TotalPresolveFixed))
-	m.counter("sqpr_planner_timeouts_total", "Solves that hit their deadline or node budget.", float64(d.Planner.Timeouts))
+	m.counter("sqpr_planner_timeouts_total", "Solves cut short by their deadline or node budget.", float64(d.Planner.Timeouts))
 	m.counter("sqpr_planner_stalls_total", "Solves ended by the stagnation stop.", float64(d.Planner.Stalls))
 	m.gauge("sqpr_planner_admitted_queries", "Currently admitted queries.", float64(d.Admitted))
 

@@ -32,8 +32,6 @@ func goldenData() serve.MetricsData {
 			TotalPlanTime:      1500 * time.Millisecond,
 			TotalNodes:         210,
 			TotalLPIters:       3200,
-			TotalCuts:          17,
-			TotalFixings:       9,
 			TotalPresolveFixed: 54,
 			Timeouts:           2,
 			Stalls:             1,

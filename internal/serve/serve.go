@@ -290,12 +290,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	WriteMetrics(w, data)
 }
 
-// decodeBody parses a JSON request body, answering 400 on malformed input.
+// maxBodyBytes bounds a POST body. The largest legitimate one is a repair
+// with a few dozen events, well under a kilobyte.
+const maxBodyBytes = 1 << 20
+
+// decodeBody parses a JSON request body of at most maxBodyBytes, answering
+// 413 on a larger one and 400 on malformed input.
 func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody("decoding request body: "+err.Error()))
+		status := http.StatusBadRequest
+		if s := statusFor(err); s == http.StatusRequestEntityTooLarge {
+			status = s
+		}
+		writeJSON(w, status, errorBody("decoding request body: "+err.Error()))
 		return false
 	}
 	return true
@@ -305,7 +314,10 @@ func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
 // mistakes are 4xx, backpressure is 429, a wedged or closed service is 503
 // (the same condition /readyz reports), everything else 500.
 func statusFor(err error) int {
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, plan.ErrWALFailed), errors.Is(err, plan.ErrServiceClosed),
 		errors.Is(err, wal.ErrCorrupt), errors.Is(err, wal.ErrClosed):
 		return http.StatusServiceUnavailable

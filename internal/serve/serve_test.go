@@ -234,6 +234,14 @@ func TestSubmitRejectsBadBodies(t *testing.T) {
 	if rec := do(t, h, "POST", "/v1/submit", `{"query": 999}`); rec.Code != http.StatusBadRequest {
 		t.Errorf("submit unknown stream: status %d, want 400", rec.Code)
 	}
+	// A body past the 1 MiB cap is refused before it is buffered, on every
+	// POST route.
+	huge := `{"query": 0, "pad": "` + strings.Repeat("x", 1<<20) + `"}`
+	for _, path := range []string{"/v1/submit", "/v1/remove", "/v1/repair"} {
+		if rec := do(t, h, "POST", path, huge); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversized POST %s: status %d, want 413", path, rec.Code)
+		}
+	}
 }
 
 func TestRemoveHandler(t *testing.T) {

@@ -1,9 +1,9 @@
 // Randomized conformance of the MILP tree-reduction layer at the planner
-// level: with presolve, root cuts, reduced-cost fixing and pseudo-cost
-// branching on versus off, every submission of a seeded workload must reach
-// the identical admission decision, and the final allocations must score
-// the identical paper objective. CI runs this under -race (the large-model
-// stagnation stop and all solver scratch pooling are exercised on the way).
+// level: with presolve and pseudo-cost branching on versus off, every
+// submission of a seeded workload must reach the identical admission
+// decision, and the final allocations must score the identical paper
+// objective. CI runs this under -race (the large-model stagnation stop and
+// all solver scratch pooling are exercised on the way).
 package sqpr_test
 
 import (
