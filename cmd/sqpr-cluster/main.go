@@ -184,6 +184,16 @@ func clusterScale(ds sim.DeployScale) sim.Scale {
 	}
 }
 
+// Connection timeouts of the -serve daemon, so a client that stalls while
+// sending headers or a body, or idles on keep-alive, cannot hold a
+// connection open forever. There is no write timeout: a reply legitimately
+// waits out a solve.
+const (
+	serveReadHeaderTimeout = 5 * time.Second
+	serveReadTimeout       = 30 * time.Second
+	serveIdleTimeout       = 2 * time.Minute
+)
+
 // runServe is the -serve daemon mode: the SQPR planner over the cluster
 // substrate behind the internal/serve control plane, durable when -wal is
 // given. SIGINT/SIGTERM starts a graceful drain — readiness flips off,
@@ -227,7 +237,13 @@ func runServe(ctx context.Context, ds sim.DeployScale, addr, walDir string) {
 		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
 		os.Exit(1)
 	}
-	hs := &http.Server{Addr: addr, Handler: srv.Handler()}
+	hs := &http.Server{
+		Addr:              addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		ReadTimeout:       serveReadTimeout,
+		IdleTimeout:       serveIdleTimeout,
+	}
 	go func() {
 		<-ctx.Done()
 		fmt.Println("shutdown signal: draining")

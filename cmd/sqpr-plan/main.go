@@ -25,7 +25,7 @@ func main() {
 	timeout := flag.Duration("timeout", 250*time.Millisecond, "per-query solver timeout")
 	seed := flag.Int64("seed", 42, "workload seed")
 	jsonOut := flag.String("json", "", "write the final system+plan as JSON to this file ('-' for stdout)")
-	showStats := flag.Bool("stats", false, "print solver effort per submit: nodes explored, cuts added, variables fixed")
+	showStats := flag.Bool("stats", false, "print solver effort per submit: nodes explored, presolve-fixed variables, LP iterations and basis refactorizations")
 	flag.Parse()
 
 	sys := sqpr.BuildSystem(sqpr.SystemConfig{

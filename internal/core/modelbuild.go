@@ -676,7 +676,7 @@ func (b *builder) setObjective() {
 		// the reduced reward still dwarfs every other term, so admission
 		// is never sacrificed, but a provider that can move off moves.
 		if sys.Hosts[hk.h].State == dsps.HostDraining {
-			coef -= b.p.cfg.MigrationWeight
+			coef -= migrationWeight
 		}
 		terms = append(terms, milp.Term{Var: dv, Coef: coef})
 	}
@@ -695,7 +695,7 @@ func (b *builder) setObjective() {
 		// the solver's repair gap tolerance or evacuations would sit
 		// inside the allowed slack.
 		if sys.Hosts[zk.h].State == dsps.HostDraining {
-			coef -= b.p.cfg.MigrationWeight
+			coef -= migrationWeight
 		}
 		terms = append(terms, milp.Term{Var: zv, Coef: coef})
 	}

@@ -39,11 +39,8 @@ type Config struct {
 	SolveTimeout time.Duration
 	// MaxNodes caps branch-and-bound nodes per call (0 = default).
 	MaxNodes int
-	// SolveWorkers sets how many goroutines explore each MILP
-	// branch-and-bound tree. <= 1 runs the search inline and fully
-	// deterministically; a plan.WithParallelism submit option overrides it
-	// per call. Parallelism pays off on large solves (many free streams or
-	// candidate hosts); small solves are faster serial.
+	// SolveWorkers is ignored; kept only for bench/harness.go, which still
+	// assigns it (the branch and bound runs on the calling goroutine).
 	SolveWorkers int
 	// MaxCandidateHosts caps the hosts considered by one planning call.
 	// Hosts already involved with related streams are always included.
@@ -53,17 +50,6 @@ type Config struct {
 	// one call; beyond the cap further sharing queries stay fixed (their
 	// availability is preserved by explicit rows). 0 selects 24.
 	MaxFreeStreams int
-	// GapTol stops the search when the incumbent is provably within this
-	// relative gap of the optimum; 0 selects 0.01. Because λ1 dominates
-	// the objective, a small relative gap never sacrifices admissions.
-	GapTol float64
-	// MigrationWeight is the objective reward Repair grants for keeping a
-	// surviving operator on its incumbent host (equivalently, the cost of
-	// migrating it). It should exceed the normalised quality terms (λ2–λ4
-	// contributions are at most ~1 each) so placement polish never causes
-	// a migration, while staying well below Weights.L1 so an admission is
-	// never sacrificed to avoid one; 0 selects 2.
-	MigrationWeight float64
 	// DisableReduction plans over all streams and operators (ablation;
 	// the paper shows the full problem is intractable).
 	DisableReduction bool
@@ -82,8 +68,9 @@ type Config struct {
 	// bound (ablation; conformance tests compare both modes).
 	DisableTreeReduction bool
 	// Validate re-checks every produced assignment against the dsps
-	// feasibility validator; enabled by default in NewPlanner. A
-	// plan.WithValidation submit option overrides it per call.
+	// feasibility validator. DefaultConfig sets it; the zero Config does
+	// not validate. A plan.WithValidation submit option overrides it per
+	// call.
 	Validate bool
 }
 
@@ -102,6 +89,19 @@ const (
 	stallVarThreshold = 400
 	stallNodesLarge   = 8
 )
+
+// submitGapTol stops a Submit search when the incumbent is provably within
+// this relative gap of the optimum. Because λ1 dominates the objective, a
+// small relative gap never sacrifices admissions.
+const submitGapTol = 0.01
+
+// migrationWeight is the objective reward Repair grants for keeping a
+// surviving operator on its incumbent host (equivalently, the cost of
+// migrating it). It exceeds the normalised quality terms (λ2–λ4
+// contributions are at most ~1 each) so placement polish never causes a
+// migration, while staying well below Weights.L1 so an admission is never
+// sacrificed to avoid one.
+const migrationWeight = 2
 
 // groupGraceBudget is the minimum wall-clock budget an armed greedy run
 // receives even when earlier work consumed the whole call timeout (see
@@ -123,8 +123,6 @@ type Planner struct {
 	allowedHosts map[dsps.HostID]bool
 	// validate is the per-call effective validation switch.
 	validate bool
-	// workers is the per-call effective branch-and-bound parallelism.
-	workers int
 
 	// bld is the pooled model builder, reused across submissions so a
 	// long-lived planner stops churning the heap on every call.
@@ -157,12 +155,6 @@ func NewPlanner(sys *dsps.System, cfg Config) *Planner {
 	if cfg.MaxFreeStreams <= 0 {
 		cfg.MaxFreeStreams = 24
 	}
-	if cfg.GapTol == 0 {
-		cfg.GapTol = 0.01
-	}
-	if cfg.MigrationWeight == 0 {
-		cfg.MigrationWeight = 2
-	}
 	if cfg.MaxNodes <= 0 {
 		cfg.MaxNodes = 80
 	}
@@ -192,10 +184,9 @@ func (p *Planner) AdmittedCount() int { return len(p.admitted) }
 // plan.WithCandidateHosts restricts the candidate host universe (the
 // building block of internal/hier), plan.WithBatch plans additional
 // queries jointly in one optimisation with the deadline scaled by the
-// batch size (§V-A1), plan.WithValidation toggles post-solve feasibility
-// validation, and plan.WithParallelism sets the branch-and-bound worker
-// count. Cancelling ctx aborts the MILP search promptly and leaves the
-// planner state unchanged.
+// batch size (§V-A1), and plan.WithValidation toggles post-solve
+// feasibility validation. Cancelling ctx aborts the MILP search promptly and
+// leaves the planner state unchanged.
 func (p *Planner) Submit(ctx context.Context, q dsps.StreamID, opts ...plan.SubmitOption) (Result, error) {
 	ctx = plan.OrBackground(ctx)
 	cfg := plan.Apply(opts)
@@ -208,23 +199,25 @@ func (p *Planner) Submit(ctx context.Context, q dsps.StreamID, opts ...plan.Subm
 		timeout = time.Duration(len(qs)) * p.cfg.SolveTimeout
 	}
 
+	p.beginCall(cfg)
+	return p.submit(ctx, qs, timeout)
+}
+
+// beginCall resolves the per-call options Submit and Repair share: the
+// candidate-host restriction and the validation override. Both are read
+// only by the builders of the call that set them.
+func (p *Planner) beginCall(cfg plan.SubmitConfig) {
+	p.allowedHosts = nil
 	if cfg.Hosts != nil {
 		p.allowedHosts = make(map[dsps.HostID]bool, len(cfg.Hosts))
 		for _, h := range cfg.Hosts {
 			p.allowedHosts[h] = true
 		}
-		defer func() { p.allowedHosts = nil }()
 	}
 	p.validate = p.cfg.Validate
 	if cfg.Validate != nil {
 		p.validate = *cfg.Validate
 	}
-	p.workers = p.cfg.SolveWorkers
-	if cfg.Workers > 0 {
-		p.workers = cfg.Workers
-	}
-
-	return p.submit(ctx, qs, timeout)
 }
 
 // Remove withdraws an admitted query and garbage-collects every operator
@@ -317,8 +310,7 @@ func (p *Planner) submitGroup(ctx context.Context, fresh []dsps.StreamID, start 
 		Ctx:                  ctx,
 		Deadline:             deadline,
 		MaxNodes:             p.cfg.MaxNodes,
-		GapTol:               p.cfg.GapTol,
-		Workers:              p.workers,
+		GapTol:               submitGapTol,
 		DisableTreeReduction: p.cfg.DisableTreeReduction,
 		// λ1 dominates: any absolute gap well below λ1 cannot hide a
 		// further admission. A small (but not tiny) gap lets the search
@@ -340,40 +332,13 @@ func (p *Planner) submitGroup(ctx context.Context, fresh []dsps.StreamID, start 
 	if model.NumVars() >= stallVarThreshold {
 		opts.StallNodes = stallNodesLarge
 	}
-	sol := model.Solve(opts)
-	res.SolveStatus = sol.Status
-	res.Nodes = sol.Nodes
-	res.LPIters = sol.LPIters
-	res.Factor = sol.Factor
-	res.PresolveFixed = sol.PresolveFixed
-	res.Stalled = sol.Stalled
-	res.BudgetHit = sol.BudgetHit
-
-	if sol.Cancelled || ctx.Err() != nil {
-		// Aborted mid-solve: discard any incumbent, keep the previous
-		// state, and report the cancellation to the caller.
+	next, err := p.solve(ctx, b, model, opts, &res)
+	if next == nil {
+		// Cancelled, no feasible plan within the budget, or unusable solver
+		// output: the query is not admitted and the state is unchanged
+		// (Algorithm 1 keeps the previous solution).
 		res.PlanTime = time.Since(start)
-		return res, ctx.Err()
-	}
-
-	if sol.X == nil {
-		// No feasible plan found within the budget: the query is not
-		// admitted and the state is unchanged (Algorithm 1 keeps the
-		// previous solution).
-		res.Reason = plan.ReasonNoFeasiblePlan
-		res.PlanTime = time.Since(start)
-		return res, nil
-	}
-
-	next, err := b.decode(sol.X)
-	if err != nil {
-		return res, fmt.Errorf("core: decoding solver output: %w", err)
-	}
-	if p.validate {
-		if err := next.Validate(p.sys); err != nil {
-			res.Reason = plan.ReasonValidationFailed
-			return res, fmt.Errorf("core: solver produced infeasible plan: %w", err)
-		}
+		return res, err
 	}
 
 	// Accept the new allocation and update admission bookkeeping.
@@ -399,4 +364,39 @@ func (p *Planner) submitGroup(ctx context.Context, fresh []dsps.StreamID, start 
 	}
 	res.PlanTime = time.Since(start)
 	return res, nil
+}
+
+// solve runs the built model and decodes the solver's answer into the next
+// assignment, filling res's solver telemetry. It returns nil when there is
+// nothing to commit: with an error when ctx was cancelled mid-solve (any
+// incumbent is discarded) or the output fails to decode or validate, and
+// with res.Reason set when no feasible point was found within the budget.
+func (p *Planner) solve(ctx context.Context, b *builder, model *milp.Model, opts milp.Options, res *Result) (*dsps.Assignment, error) {
+	sol := model.Solve(opts)
+	res.SolveStatus = sol.Status
+	res.Nodes = sol.Nodes
+	res.LPIters = sol.LPIters
+	res.Factor = sol.Factor
+	res.PresolveFixed = sol.PresolveFixed
+	res.Stalled = sol.Stalled
+	res.BudgetHit = sol.BudgetHit
+
+	if sol.Cancelled || ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	if sol.X == nil {
+		res.Reason = plan.ReasonNoFeasiblePlan
+		return nil, nil
+	}
+	next, err := b.decode(sol.X)
+	if err != nil {
+		return nil, fmt.Errorf("core: decoding solver output: %w", err)
+	}
+	if p.validate {
+		if err := next.Validate(p.sys); err != nil {
+			res.Reason = plan.ReasonValidationFailed
+			return nil, fmt.Errorf("core: solver produced infeasible plan: %w", err)
+		}
+	}
+	return next, nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"sqpr/internal/dsps"
@@ -100,21 +99,7 @@ func (p *Planner) Repair(ctx context.Context, events []plan.Event, opts ...plan.
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
-	if cfg.Hosts != nil {
-		p.allowedHosts = make(map[dsps.HostID]bool, len(cfg.Hosts))
-		for _, h := range cfg.Hosts {
-			p.allowedHosts[h] = true
-		}
-		defer func() { p.allowedHosts = nil }()
-	}
-	p.validate = p.cfg.Validate
-	if cfg.Validate != nil {
-		p.validate = *cfg.Validate
-	}
-	p.workers = p.cfg.SolveWorkers
-	if cfg.Workers > 0 {
-		p.workers = cfg.Workers
-	}
+	p.beginCall(cfg)
 
 	// Drifted queries' operators get no stay bonus: their costs changed,
 	// so re-placing them is the point of the repair. Only drift events
@@ -360,7 +345,7 @@ func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before
 			continue
 		}
 		if _, cand := b.hostIdx[pl.Host]; cand && p.sys.HostPlaceable(pl.Host) {
-			b.stayBonus[zKey{pl.Host, pl.Op}] = p.cfg.MigrationWeight
+			b.stayBonus[zKey{pl.Host, pl.Op}] = migrationWeight
 			if prev, ok := b.preferHost[pl.Op]; !ok || pl.Host < prev {
 				b.preferHost[pl.Op] = pl.Host
 			}
@@ -394,14 +379,13 @@ func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before
 		Ctx:                  ctx,
 		Deadline:             deadline,
 		MaxNodes:             p.cfg.MaxNodes,
-		Workers:              p.workers,
 		DisableTreeReduction: p.cfg.DisableTreeReduction,
 		// Submit's gap tolerances are calibrated to admission counts (λ1
 		// multiples); repair additionally optimises migration terms of
-		// magnitude MigrationWeight, so the allowed slack must sit below
+		// magnitude migrationWeight, so the allowed slack must sit below
 		// one stay bonus or the solver may legally return a plan with
 		// avoidable migrations.
-		AbsGapTol: 0.25 * p.cfg.MigrationWeight,
+		AbsGapTol: 0.25 * migrationWeight,
 	}
 	// For pure failure chunks the pinned incumbent — survivors in place,
 	// severed queries greedily rebuilt at their former hosts — is already
@@ -428,39 +412,17 @@ func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before
 	if !p.cfg.DisableWarmStart {
 		opts.Incumbent = b.incumbent(deadline)
 	}
-	sol := model.Solve(opts)
-	res.SolveStatus = sol.Status
-	res.Nodes = sol.Nodes
-	res.LPIters = sol.LPIters
-	res.Factor = sol.Factor
-	res.PresolveFixed = sol.PresolveFixed
-	res.Stalled = sol.Stalled
-	res.BudgetHit = sol.BudgetHit
-
-	if sol.Cancelled || ctx.Err() != nil {
+	next, err := p.solve(ctx, b, model, opts, &res)
+	if next == nil {
 		// The degraded state is already committed; the chunk simply stays
-		// un-repaired (its hard queries remain dropped).
+		// un-repaired (its hard queries remain dropped) — on cancellation,
+		// on unusable solver output, or when no feasible point was found
+		// within the budget (only possible with the warm start disabled).
 		res.PlanTime = time.Since(start)
-		return res, ctx.Err()
-	}
-	if sol.X == nil {
-		// No feasible point within the budget (only possible with the
-		// warm start disabled): keep the stripped state for this chunk.
-		res.Reason = plan.ReasonNoFeasiblePlan
-		res.PlanTime = time.Since(start)
-		p.stats.Record(res)
-		return res, nil
-	}
-
-	next, err := b.decode(sol.X)
-	if err != nil {
-		return res, fmt.Errorf("core: decoding repair solution: %w", err)
-	}
-	if p.validate {
-		if err := next.Validate(p.sys); err != nil {
-			res.Reason = plan.ReasonValidationFailed
-			return res, fmt.Errorf("core: repair produced infeasible plan: %w", err)
+		if err == nil {
+			p.stats.Record(res)
 		}
+		return res, err
 	}
 
 	p.state = next

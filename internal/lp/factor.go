@@ -121,7 +121,7 @@ type etaFile struct {
 }
 
 func (e *etaFile) init(mcap int) {
-	ecap := defaultRefactorInterval * 2
+	ecap := refactorInterval * 2
 	if cap(e.r) < ecap {
 		e.r = make([]int32, 0, ecap)
 		e.piv = make([]float64, 0, ecap)

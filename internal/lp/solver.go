@@ -90,14 +90,13 @@ type Solver struct {
 	// current basis; xbValid that xB matches basis/beff. Structural changes
 	// (activation, restore, rebuild) clear factorValid; bound-orientation
 	// changes off the basis clear only xbValid.
-	lu            luFactor
-	eta           etaFile
-	factorValid   bool
-	xbValid       bool
-	refactorEvery int
-	phase1        bool // costOf prices the phase-1 objective
-	driftTries    int
-	stats         FactorStats
+	lu          luFactor
+	eta         etaFile
+	factorValid bool
+	xbValid     bool
+	phase1      bool // costOf prices the phase-1 objective
+	driftTries  int
+	stats       FactorStats
 
 	// Solve scratch, all preallocated by Load to keep the warm path free of
 	// heap allocation: alpha/rho are FTRAN/BTRAN result vectors, work is the
@@ -174,11 +173,11 @@ const (
 )
 
 const (
-	defaultRefactorInterval = 64   // eta count that triggers a scheduled refactorize
-	maxDriftTries           = 3    // drift-triggered refactorizes per ReSolve
-	driftCheckTol           = 1e-7 // FTRAN-vs-BTRAN pivot agreement tolerance
-	luSingularTol           = 1e-10
-	residualTol             = 1e-6 // ‖B·xB − beff‖∞ bound checked after refactorize
+	refactorInterval = 64   // eta count that triggers a scheduled refactorize
+	maxDriftTries    = 3    // drift-triggered refactorizes per ReSolve
+	driftCheckTol    = 1e-7 // FTRAN-vs-BTRAN pivot agreement tolerance
+	luSingularTol    = 1e-10
+	residualTol      = 1e-6 // ‖B·xB − beff‖∞ bound checked after refactorize
 )
 
 // NewSolver returns an empty solver; call Load before solving.
@@ -188,27 +187,17 @@ func NewSolver() *Solver { return &Solver{} }
 // before Load.
 func (s *Solver) SetLazy(on bool) { s.lazyMode = on }
 
-// SetRefactorInterval sets how many eta updates accumulate before the basis
-// is refactorized from scratch (n <= 0 restores the default). Lower values
-// trade pivot speed for numerical robustness.
-func (s *Solver) SetRefactorInterval(n int) {
-	if n <= 0 {
-		n = defaultRefactorInterval
-	}
-	s.refactorEvery = n
-}
-
 // etaLimit is the effective eta-file length that triggers a scheduled
-// refactorize: the configured interval, but never more than the basis size
+// refactorize: refactorInterval, but never more than half the basis size
 // (with a small floor). Applying the eta file costs O(count · m), so on a
-// small active basis letting it grow to the full configured interval makes
-// every BTRAN/FTRAN pay for dozens of stale pivots when a from-scratch
-// refactorize costs almost nothing; on large bases the configured interval
-// wins because refactorizes there are the expensive side.
+// small active basis letting it grow to the full interval makes every
+// BTRAN/FTRAN pay for dozens of stale pivots when a from-scratch
+// refactorize costs almost nothing; on large bases the full interval wins
+// because refactorizes there are the expensive side.
 //
 //sqpr:hotpath
 func (s *Solver) etaLimit() int {
-	lim := s.refactorEvery
+	lim := refactorInterval
 	if h := s.m / 2; h < lim {
 		if h < 8 {
 			h = 8
@@ -298,9 +287,6 @@ func (s *Solver) Load(p *Problem) error {
 	s.accTouch = growI32(s.accTouch, s.colCap)[:0]
 	s.cand = growI32(s.cand, s.colCap)[:0]
 	s.candPos = 0
-	if s.refactorEvery == 0 {
-		s.refactorEvery = defaultRefactorInterval
-	}
 	s.driftTries = 0
 
 	n := p.NumVars

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"context"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -36,8 +35,8 @@ type boundFix struct {
 }
 
 // nodeHeap is a best-first priority queue: smallest relaxation estimate
-// first (most promising bound in minimisation space), FIFO on ties so a
-// single worker explores nodes in a deterministic order.
+// first (most promising bound in minimisation space), FIFO on ties so the
+// search explores nodes in a deterministic order.
 type nodeHeap []*bbNode
 
 func (h nodeHeap) Len() int { return len(h) }
@@ -60,24 +59,20 @@ func (h *nodeHeap) Pop() any {
 
 // workerPool recycles workers — their lp.Solver arenas and all per-node
 // scratch — across Solve calls, so a long-lived planner's branch-and-bound
-// stops allocating fresh tableaus and buffers per submission.
+// stops allocating fresh tableaus and buffers per submission. Solve calls on
+// independent models may run on different goroutines and share the pool.
 var workerPool = sync.Pool{New: func() any { return &worker{slv: lp.NewSolver()} }}
 
 // Solve optimises the model. The returned Result always carries the best
 // incumbent found, mirroring the paper's use of a solver timeout after which
-// "the best solution that the method found" is used. With Options.Workers
-// greater than one the branch-and-bound explores nodes from a shared
-// best-first queue on that many goroutines; Workers <= 1 runs the identical
-// search loop inline and is fully deterministic.
+// "the best solution that the method found" is used. The search runs on the
+// calling goroutine and is fully deterministic unless a deadline or a
+// cancellation cuts it short.
 //
 // Unless Options.DisableTreeReduction is set, presolve runs before
 // compilation and branching uses pseudo-costs. Neither changes which
 // integer points are optimal — they only shrink the tree that proves it.
 func (m *Model) Solve(opts Options) Result {
-	intTol := opts.IntTol
-	if intTol == 0 {
-		intTol = defaultIntTol
-	}
 	maxNodes := opts.MaxNodes
 	if maxNodes <= 0 {
 		maxNodes = 10000
@@ -92,7 +87,6 @@ func (m *Model) Solve(opts Options) Result {
 		c:          c,
 		ctx:        opts.Ctx,
 		reduce:     !opts.DisableTreeReduction,
-		intTol:     intTol,
 		maxNodes:   maxNodes,
 		stallNodes: opts.StallNodes,
 		deadline:   opts.Deadline,
@@ -100,7 +94,6 @@ func (m *Model) Solve(opts Options) Result {
 		absGap:     opts.AbsGapTol,
 		bestObj:    math.Inf(1), // minimisation space
 	}
-	s.cond.L = &s.mu
 	s.initScratch()
 
 	// Warm start: accept an externally computed feasible point.
@@ -108,7 +101,7 @@ func (m *Model) Solve(opts Options) Result {
 		s.acceptModelPoint(opts.Incumbent)
 	}
 
-	s.run(opts.Workers)
+	s.run()
 
 	res := Result{
 		Nodes: s.nodes, LPIters: s.lpIters, Cancelled: s.cancelled, Stalled: s.stalled,
@@ -139,70 +132,49 @@ func (m *Model) Solve(opts Options) Result {
 	return res
 }
 
-// search is the shared state of one branch-and-bound run. All mutable
-// fields below mu are guarded by it; workers only touch them inside short
-// critical sections around each node solve.
+// search is the state of one branch-and-bound run.
 type search struct {
 	c        *compiled
 	ctx      context.Context
 	reduce   bool // presolve + pseudo-cost branching enabled
-	intTol   float64
 	maxNodes int
 	deadline time.Time
 	gapTol   float64
 	absGap   float64
 
-	stallNodes int // stop after this many nodes without incumbent progress
-	//sqpr:guarded-by mu
+	stallNodes  int // stop after this many nodes without incumbent progress
 	lastImprove int // node count at the last incumbent improvement
 
-	mu   sync.Mutex
-	cond sync.Cond
+	open nodeHeap
+	seq  int
 
-	open nodeHeap //sqpr:guarded-by mu
-	seq  int      //sqpr:guarded-by mu
-	//sqpr:guarded-by mu
-	busy int // workers currently solving a node
+	nodes   int
+	lpIters int
+	factor  lp.FactorStats // taken from the worker's solver at release
 
-	nodes   int //sqpr:guarded-by mu
-	lpIters int //sqpr:guarded-by mu
-	//sqpr:guarded-by mu
-	factor lp.FactorStats // merged from each worker's solver at release
-
-	//sqpr:guarded-by mu
-	bestX []float64 // model-space incumbent (aliases compiled scratch)
-	//sqpr:guarded-by mu
-	bestObj float64 // minimisation-space objective of incumbent
+	bestX   []float64 // model-space incumbent (aliases compiled scratch)
+	bestObj float64   // minimisation-space objective of incumbent
 
 	// Pseudo-costs per LP-active variable: sums of per-unit objective
 	// degradation and observation counts, plus global averages used for
-	// uninitialised candidates. Guarded by mu.
-	//sqpr:guarded-by mu
-	pcUp, pcDn []float64
-	//sqpr:guarded-by mu
+	// uninitialised candidates.
+	pcUp, pcDn   []float64
 	pcUpN, pcDnN []int32
-	pcSum        float64 //sqpr:guarded-by mu
-	pcCnt        int32   //sqpr:guarded-by mu
+	pcSum        float64
+	pcCnt        int32
 
-	rootBound float64 //sqpr:guarded-by mu
-	//sqpr:guarded-by mu
-	stalled bool // ended via the stagnation stop
-	//sqpr:guarded-by mu
-	provedOptimal bool //sqpr:guarded-by mu
-	//sqpr:guarded-by mu
+	rootBound        float64
+	stalled          bool // ended via the stagnation stop
+	provedOptimal    bool
 	provedInfeasible bool
-	//sqpr:guarded-by mu
-	truncated bool // node/deadline budget exhausted mid-search
-	//sqpr:guarded-by mu
-	proofLost bool // an LP hit its budget: keep searching, drop proof
-	gapHit    bool //sqpr:guarded-by mu
-	cancelled bool //sqpr:guarded-by mu
+	truncated        bool // node/deadline budget exhausted mid-search
+	proofLost        bool // an LP hit its budget: keep searching, drop proof
+	gapHit           bool
+	cancelled        bool
 }
 
 // initScratch wires the per-Solve scratch (heap backing, node pool,
 // pseudo-cost arrays) to the compiled arena so repeated Solves reuse it.
-//
-//sqpr:locked mu — caller runs in the single-threaded setup phase
 func (s *search) initScratch() {
 	c := s.c
 	nAct := len(c.active)
@@ -221,8 +193,6 @@ func (s *search) initScratch() {
 
 // finishScratch recycles remaining open nodes and returns the heap backing
 // to the arena.
-//
-//sqpr:locked mu — caller runs in the single-threaded teardown phase
 func (s *search) finishScratch() {
 	for _, n := range s.open {
 		if n != nil {
@@ -233,8 +203,7 @@ func (s *search) finishScratch() {
 	s.c.openScratch = s.open
 }
 
-// newNode takes a node from the pool (caller holds mu, or the search is in
-// its single-threaded root phase).
+// newNode takes a node from the pool.
 func (s *search) newNode() *bbNode {
 	c := s.c
 	if n := len(c.nodeFree); n > 0 {
@@ -249,24 +218,34 @@ func (s *search) newNode() *bbNode {
 	return &bbNode{branchVar: -1}
 }
 
-// freeNode recycles a fathomed node (caller holds mu or is single-threaded).
+// freeNode recycles a fathomed node.
 func (s *search) freeNode(n *bbNode) {
 	s.c.nodeFree = append(s.c.nodeFree, n)
 }
 
-// stopped reports (under mu) whether workers must wind down.
-//
-//sqpr:locked mu
+// stopped reports whether the search must wind down.
 func (s *search) stopped() bool {
 	return s.cancelled || s.truncated || s.gapHit
+}
+
+// exhausted is polled before every node: it records a cancellation, a
+// stagnation stop or a spent node/deadline budget, and reports stopped.
+func (s *search) exhausted() bool {
+	switch {
+	case s.ctx != nil && s.ctx.Err() != nil:
+		s.cancelled, s.truncated = true, true
+	case s.stallNodes > 0 && s.bestX != nil && s.nodes-s.lastImprove >= s.stallNodes:
+		s.stalled, s.truncated = true, true
+	case s.nodes >= s.maxNodes || (!s.deadline.IsZero() && time.Now().After(s.deadline)):
+		s.truncated = true
+	}
+	return s.stopped()
 }
 
 // validateCandidate checks a candidate full-model point against bounds,
 // integrality and every row, returning its minimisation-space objective.
 // Validation runs against the caller's original rows — not the presolved
 // image — so an accepted incumbent is feasible for the exact model as built.
-// It reads only state that is immutable during a search, so workers call it
-// WITHOUT holding s.mu.
 func (s *search) validateCandidate(x []float64) (float64, bool) {
 	m := s.c.m
 	if len(x) != len(m.vars) {
@@ -277,7 +256,7 @@ func (s *search) validateCandidate(x []float64) (float64, bool) {
 		if x[i] < v.lo-1e-6 || x[i] > v.hi+1e-6 {
 			return 0, false
 		}
-		if v.typ == Binary && math.Abs(x[i]-math.Round(x[i])) > s.intTol {
+		if v.typ == Binary && math.Abs(x[i]-math.Round(x[i])) > intTol {
 			return 0, false
 		}
 	}
@@ -308,11 +287,8 @@ func (s *search) validateCandidate(x []float64) (float64, bool) {
 	return s.c.lpSpace(s.c.modelObjective(x)), true
 }
 
-// installIncumbent installs a pre-validated point if it improves the
-// incumbent, copying it into the arena-owned incumbent buffer. Caller holds
-// s.mu (or the search is single-threaded).
-//
-//sqpr:locked mu — caller holds mu or runs pre-search
+// installIncumbent installs a validated point if it improves the incumbent,
+// copying it into the arena-owned incumbent buffer.
 func (s *search) installIncumbent(x []float64, lpObj float64) bool {
 	if lpObj < s.bestObj-1e-12 {
 		s.bestObj = lpObj
@@ -324,8 +300,7 @@ func (s *search) installIncumbent(x []float64, lpObj float64) bool {
 	return false
 }
 
-// acceptModelPoint validates and installs a candidate in one step; used for
-// the pre-search warm start, where there is no lock contention.
+// acceptModelPoint validates and installs a candidate in one step.
 func (s *search) acceptModelPoint(x []float64) bool {
 	lpObj, ok := s.validateCandidate(x)
 	if !ok {
@@ -334,43 +309,21 @@ func (s *search) acceptModelPoint(x []float64) bool {
 	return s.installIncumbent(x, lpObj)
 }
 
-// run drives the search: the single-threaded root phase (root LP, dive
-// heuristic, root branching) followed by the best-first tree loop on the
-// given number of workers (clamped to GOMAXPROCS — each worker owns a solver
-// arena, so oversubscribing buys contention and memory, not speed). The
-// search state after run reflects whether the tree was exhausted (proof) or
-// a budget/gap/cancellation cut it short.
-//
-//sqpr:locked mu — single-threaded except the worker loops, which lock internally
-func (s *search) run(workers int) {
-	if max := runtime.GOMAXPROCS(0); workers > max {
-		workers = max
-	}
+// run drives the search: the root phase (root LP, dive heuristic, root
+// branching) followed by the best-first tree loop. The search state after
+// run reflects whether the tree was exhausted (proof) or a
+// budget/gap/cancellation cut it short.
+func (s *search) run() {
 	s.rootBound = math.Inf(-1)
 
-	w0 := newWorker(s)
-	s.processRoot(w0)
+	w := newWorker(s)
+	s.processRoot(w)
 	if !s.stopped() && len(s.open) > 0 {
-		if workers <= 1 {
-			w0.loop()
-		} else {
-			var wg sync.WaitGroup
-			for i := 1; i < workers; i++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					w := newWorker(s)
-					defer w.release()
-					w.loop()
-				}()
-			}
-			w0.loop()
-			wg.Wait()
-		}
+		w.loop()
 	}
-	w0.release()
+	w.release()
 
-	if !s.stopped() && !s.proofLost && len(s.open) == 0 && s.busy == 0 {
+	if !s.stopped() && !s.proofLost && len(s.open) == 0 {
 		s.provedOptimal = s.bestX != nil
 		if s.bestX == nil {
 			s.provedInfeasible = true
@@ -379,22 +332,17 @@ func (s *search) run(workers int) {
 	s.finishScratch()
 }
 
-// push enqueues a node (caller holds mu, or the search is single-threaded
-// pre-start).
-//
-//sqpr:locked mu
+// push enqueues a node.
 func (s *search) push(n *bbNode) {
 	n.seq = s.seq
 	s.seq++
 	heap.Push(&s.open, n)
 }
 
-//sqpr:locked mu — caller holds mu
 func (s *search) pruneSlack() float64 {
 	return s.absGap + 1e-9*(1+math.Abs(s.bestObj))
 }
 
-//sqpr:locked mu — caller holds mu
 func (s *search) gapReached() bool {
 	if s.bestX == nil || math.IsInf(s.rootBound, 0) {
 		return false
@@ -464,9 +412,7 @@ func newWorker(s *search) *worker {
 // recycles the worker with all its scratch.
 func (w *worker) release() {
 	if w.loaded {
-		w.s.mu.Lock()
-		w.s.factor.Merge(w.slv.FactorStats())
-		w.s.mu.Unlock()
+		w.s.factor = w.slv.FactorStats()
 	}
 	w.slv.Detach()
 	w.s = nil
@@ -492,8 +438,6 @@ func (w *worker) ensureLoaded() bool {
 
 // resolveRoot re-solves the unpinned root and classifies it; ok is false
 // when the root phase must end (infeasibility proven or proof lost).
-//
-//sqpr:locked mu — single-threaded root phase
 func (s *search) resolveRoot(w *worker) (sol lp.Solution, xAct []float64, ok bool) {
 	sol, xAct = w.solveNode(nil, w.xAct)
 	s.lpIters += sol.Iters
@@ -585,18 +529,10 @@ func (w *worker) solveNode(bounds []boundFix, into []float64) (lp.Solution, []fl
 	return sol, into
 }
 
-// processRoot runs the single-threaded root phase: the root relaxation, the
-// rounding-dive heuristic and the first branch. No lock is held — workers
-// start only afterwards.
-//
-//sqpr:locked mu — single-threaded root phase
+// processRoot runs the root phase: the root relaxation, the rounding-dive
+// heuristic and the first branch.
 func (s *search) processRoot(w *worker) {
-	if s.ctx != nil && s.ctx.Err() != nil {
-		s.cancelled, s.truncated = true, true
-		return
-	}
-	if s.nodes >= s.maxNodes || (!s.deadline.IsZero() && time.Now().After(s.deadline)) {
-		s.truncated = true
+	if s.exhausted() {
 		return
 	}
 	s.nodes++
@@ -623,9 +559,7 @@ func (s *search) processRoot(w *worker) {
 	// incumbent already exists, so the dive LP — and the root re-solve it
 	// forces, since it leaves the solver at its leaf — are skipped.
 	if s.bestX == nil {
-		if cand, obj := w.dive(xAct); cand != nil {
-			s.installIncumbent(cand, obj)
-		}
+		w.dive(xAct)
 		var ok bool
 		if sol, xAct, ok = s.resolveRoot(w); !ok {
 			return
@@ -652,10 +586,7 @@ func (s *search) processRoot(w *worker) {
 
 	w.collectFracs(xAct)
 	if len(w.fracs) == 0 {
-		full := roundBinaries(s.c, s.c.toModelXInto(xAct, w.candBuf), s.intTol)
-		if obj, ok := s.validateCandidate(full); ok {
-			s.installIncumbent(full, obj)
-		}
+		s.acceptModelPoint(roundBinaries(s.c, s.c.toModelXInto(xAct, w.candBuf)))
 		return
 	}
 	k, val := w.selectBranch()
@@ -672,59 +603,26 @@ func (s *search) processRoot(w *worker) {
 	}
 }
 
-// loop is the worker body: take a node — the locally plunged child when one
-// is pending, otherwise the most promising open node — solve its relaxation
-// warm, then branch, bound or fathom. Plunging keeps each worker diving
-// depth-first along the preferred (rounded) branch, which finds incumbents
-// early exactly like a serial DFS, while the shared best-first queue hands
-// out the remaining subtrees. All queue and incumbent state is touched
-// under s.mu; LP solves run outside the lock.
+// loop is the tree search: take a node — the plunged child when one is
+// pending, otherwise the most promising open node — solve its relaxation
+// warm, then branch, bound or fathom. Plunging dives depth-first along the
+// preferred (rounded) branch, which finds incumbents early, while the
+// best-first queue orders the remaining subtrees.
 func (w *worker) loop() {
 	s := w.s
 	var plunge *bbNode
-	s.mu.Lock()
 	for {
 		var n *bbNode
 		if plunge != nil {
 			n, plunge = plunge, nil
 		} else {
-			for len(s.open) == 0 && s.busy > 0 && !s.stopped() {
-				s.cond.Wait()
-			}
 			if s.stopped() || len(s.open) == 0 {
-				s.cond.Broadcast()
-				s.mu.Unlock()
 				return
 			}
 			n = heap.Pop(&s.open).(*bbNode)
 		}
-		if s.ctx != nil && s.ctx.Err() != nil {
-			s.cancelled = true
-			s.truncated = true
+		if s.exhausted() {
 			s.freeNode(n)
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			return
-		}
-		if s.stallNodes > 0 && s.bestX != nil && s.nodes-s.lastImprove >= s.stallNodes {
-			s.truncated = true
-			s.stalled = true
-			s.freeNode(n)
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			return
-		}
-		if s.nodes >= s.maxNodes || (!s.deadline.IsZero() && time.Now().After(s.deadline)) {
-			s.truncated = true
-			s.freeNode(n)
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			return
-		}
-		if s.stopped() {
-			s.freeNode(n)
-			s.cond.Broadcast()
-			s.mu.Unlock()
 			return
 		}
 		if n.est >= s.bestObj-s.pruneSlack() {
@@ -732,63 +630,21 @@ func (w *worker) loop() {
 			continue // bound already dominated by incumbent
 		}
 		s.nodes++
-		s.busy++
-		s.mu.Unlock()
 
 		sol, xAct := w.solveNode(n.bounds, w.xAct)
+		s.lpIters += sol.Iters
 
-		// The first optimal basis this worker produces becomes its restore
-		// point for cross-subtree jumps.
+		// The first optimal basis becomes the restore point for
+		// cross-subtree jumps.
 		if !w.hasSnap && sol.Status == lp.Optimal && sol.Feasible {
 			w.slv.SaveBasis()
 			copy(w.snapApplied, w.applied)
 			w.hasSnap = true
 		}
 
-		// Classify the relaxation and pre-validate any integral incumbent
-		// candidate outside the lock — the O(rows·terms) validation would
-		// otherwise serialize every worker on s.mu.
-		out := w.assess(sol, xAct)
-
-		s.mu.Lock()
-		s.lpIters += sol.Iters
-		plunge = w.commit(n, out)
+		plunge = w.commit(n, sol, xAct)
 		s.freeNode(n)
-		s.busy--
-		s.cond.Broadcast()
 	}
-}
-
-// outcome carries everything a solved node contributes back to the shared
-// search state, computed lock-free by the worker. Fractional candidates are
-// in w.fracs.
-type outcome struct {
-	status   lp.Status
-	feasible bool
-	relax    float64   // compiled minimisation space
-	cand     []float64 // validated integral incumbent candidate (model space)
-	candObj  float64
-}
-
-// assess classifies a solved relaxation, collects the fractional branching
-// candidates and validates any integral incumbent candidate. It touches
-// only worker-owned buffers and model state that is immutable during the
-// search; no lock is held.
-func (w *worker) assess(sol lp.Solution, xAct []float64) outcome {
-	out := outcome{status: sol.Status, feasible: sol.Feasible, relax: sol.Objective}
-	w.fracs = w.fracs[:0]
-	if sol.Status == lp.Infeasible || sol.Status == lp.Unbounded || !sol.Feasible {
-		return out
-	}
-	s := w.s
-	w.collectFracs(xAct)
-	if len(w.fracs) == 0 {
-		full := roundBinaries(s.c, s.c.toModelXInto(xAct, w.candBuf), s.intTol)
-		if obj, ok := s.validateCandidate(full); ok {
-			out.cand, out.candObj = full, obj
-		}
-	}
-	return out
 }
 
 // collectFracs fills w.fracs with every fractional binary of xAct.
@@ -801,18 +657,15 @@ func (w *worker) collectFracs(xAct []float64) {
 		}
 		v := xAct[k]
 		f := math.Abs(v - math.Round(v))
-		if f > s.intTol {
+		if f > intTol {
 			w.fracs = append(w.fracs, fracCand{k: k, val: v, frac: f})
 		}
 	}
 }
 
 // dive pins every binary to its rounded root-LP value and re-solves the
-// residual LP; a feasible result becomes an incumbent candidate, validated
-// here (lock-free).
-//
-//sqpr:locked mu — single-threaded root phase
-func (w *worker) dive(xRoot []float64) ([]float64, float64) {
+// residual LP; a feasible result that validates becomes the incumbent.
+func (w *worker) dive(xRoot []float64) {
 	c := w.s.c
 	w.diveBounds = w.diveBounds[:0]
 	for k, mi := range c.active {
@@ -822,21 +675,13 @@ func (w *worker) dive(xRoot []float64) ([]float64, float64) {
 		w.diveBounds = append(w.diveBounds, boundFix{k, xRoot[k] >= 0.5})
 	}
 	sol, xd := w.solveNode(w.diveBounds, w.xDive)
-	w.s.lpIters += sol.Iters // root phase is single-threaded; no lock needed
-	if !sol.Feasible || xd == nil {
-		return nil, 0
+	w.s.lpIters += sol.Iters
+	if sol.Feasible && xd != nil {
+		w.s.acceptModelPoint(roundBinaries(c, c.toModelXInto(xd, w.diveBuf)))
 	}
-	full := roundBinaries(c, c.toModelXInto(xd, w.diveBuf), w.s.intTol)
-	if obj, ok := w.s.validateCandidate(full); ok {
-		return full, obj
-	}
-	return nil, 0
 }
 
 // pcScore computes the pseudo-cost product score of a fractional candidate.
-// Caller holds s.mu.
-//
-//sqpr:locked mu — caller holds mu
 func (s *search) pcScore(fc fracCand) float64 {
 	avg := 1.0
 	if s.pcCnt > 0 {
@@ -857,10 +702,7 @@ func (s *search) pcScore(fc fracCand) float64 {
 // of the highest branch-priority class are considered (the builder ranks
 // admission d and availability y above flow x), and within the class the
 // pseudo-cost product score decides, with fractionality then index as
-// deterministic tie-breaks. Caller holds s.mu — or the search is in its
-// single-threaded root phase.
-//
-//sqpr:locked mu — called from commit with mu held
+// deterministic tie-breaks.
 func (w *worker) selectBranch() (int, float64) {
 	s := w.s
 	if !s.reduce {
@@ -903,8 +745,7 @@ func (w *worker) selectBranch() (int, float64) {
 }
 
 // makeChildren builds the two children of node n branching on variable k at
-// fractional value val, inheriting n's pins. Caller holds s.mu
-// or the search is single-threaded.
+// fractional value val, inheriting n's pins.
 func (w *worker) makeChildren(n *bbNode, relax float64, k int, val float64) (up, down *bbNode) {
 	s := w.s
 	build := func(atUpper bool) *bbNode {
@@ -935,22 +776,22 @@ func (w *worker) makeChildren(n *bbNode, relax float64, k int, val float64) (up,
 	return build(true), build(false)
 }
 
-// commit folds one assessed relaxation back into the shared search state:
-// update pseudo-costs, prune, install a pre-validated incumbent, or select
-// a branching variable and expand. Caller holds mu.
-//
-//sqpr:locked mu — the worker loop holds mu across each commit
-func (w *worker) commit(n *bbNode, out outcome) *bbNode {
+// commit folds one solved relaxation into the search state: update
+// pseudo-costs, prune, install an integral incumbent, or select a branching
+// variable and expand. It returns the child to plunge into, if any.
+func (w *worker) commit(n *bbNode, sol lp.Solution, xAct []float64) *bbNode {
 	s := w.s
+	solved := sol.Status == lp.Optimal && sol.Feasible
+	relax := sol.Objective // compiled minimisation space
 	// Checked builds verify bound monotonicity: a child subproblem only adds
 	// constraints, so its relaxation can never beat the parent's bound.
-	if invariant.Enabled && out.status == lp.Optimal && out.feasible && n.branchVar >= 0 && out.relax < n.est-1e-6 {
-		invariant.Failf("milp: child relaxation %g beats parent bound %g down the tree", out.relax, n.est)
+	if invariant.Enabled && solved && n.branchVar >= 0 && relax < n.est-1e-6 {
+		invariant.Failf("milp: child relaxation %g beats parent bound %g down the tree", relax, n.est)
 	}
 	// Pseudo-cost learning: the node's own relaxation measures the true
 	// degradation of the branch that created it.
-	if s.reduce && n.branchVar >= 0 && out.status == lp.Optimal && out.feasible {
-		delta := out.relax - n.parentEst
+	if s.reduce && n.branchVar >= 0 && solved {
+		delta := relax - n.parentEst
 		if delta < 0 {
 			delta = 0
 		}
@@ -967,28 +808,25 @@ func (w *worker) commit(n *bbNode, out outcome) *bbNode {
 	}
 
 	switch {
-	case out.status == lp.Infeasible:
+	case sol.Status == lp.Infeasible:
 		return nil
-	case out.status == lp.IterLimit && !out.feasible:
+	case sol.Status == lp.IterLimit && !sol.Feasible:
 		// The LP budget ran out before feasibility: the node was not
 		// resolved, so the search keeps going but can no longer claim a
 		// proof of optimality or infeasibility.
 		s.proofLost = true
 		return nil
-	case out.status == lp.Unbounded || !out.feasible:
+	case sol.Status == lp.Unbounded || !sol.Feasible:
 		// Unbounded relaxations cannot be pruned; treat as failure to
 		// bound.
 		return nil
 	}
-	relax := out.relax // compiled minimisation space
 	if relax >= s.bestObj-s.pruneSlack() {
 		return nil
 	}
+	w.collectFracs(xAct)
 	if len(w.fracs) == 0 {
-		// Integral: pre-validated incumbent candidate.
-		if out.cand != nil {
-			s.installIncumbent(out.cand, out.candObj)
-		}
+		s.acceptModelPoint(roundBinaries(s.c, s.c.toModelXInto(xAct, w.candBuf)))
 		if s.gapReached() {
 			s.gapHit = true
 		}
@@ -996,9 +834,8 @@ func (w *worker) commit(n *bbNode, out outcome) *bbNode {
 	}
 	k, val := w.selectBranch()
 
-	// Branch: plunge into the rounded side ourselves (depth-first dive,
-	// mirrors a serial exploration order) and share the sibling through the
-	// best-first queue.
+	// Branch: plunge into the rounded side (depth-first dive) and queue the
+	// sibling best-first.
 	up, down := w.makeChildren(n, relax, k, val)
 	preferred, sibling := up, down
 	if val < 0.5 {
@@ -1012,11 +849,11 @@ func (w *worker) commit(n *bbNode, out outcome) *bbNode {
 
 // roundBinaries snaps near-integral binary values to exact integers so that
 // incumbents are clean.
-func roundBinaries(c *compiled, x []float64, tol float64) []float64 {
+func roundBinaries(c *compiled, x []float64) []float64 {
 	for i, v := range c.m.vars {
 		if v.typ == Binary {
 			r := math.Round(x[i])
-			if math.Abs(x[i]-r) <= 10*tol {
+			if math.Abs(x[i]-r) <= 10*intTol {
 				x[i] = r
 			}
 		}

@@ -215,10 +215,9 @@ type Result struct {
 	Bound     float64   // best proven bound on the optimum
 	Nodes     int       // branch-and-bound nodes explored
 	LPIters   int       // total simplex iterations
-	// Factor aggregates the sparse engine's factorization telemetry across
-	// every worker solver of the search: refactorization and drift-rebuild
-	// counts and eta-append totals add up, peak eta-file length and LU
-	// fill-in ratio are high-water marks.
+	// Factor is the sparse engine's factorization telemetry for the
+	// search: refactorization, drift-rebuild and eta-append counts, and the
+	// high-water marks of eta-file length and LU fill-in ratio.
 	Factor lp.FactorStats
 	// PresolveFixed counts variables eliminated before the search started.
 	PresolveFixed int
@@ -257,12 +256,6 @@ type Options struct {
 	// extra admitted query, so the search stops as soon as the admission
 	// count is provably optimal.
 	AbsGapTol float64
-	// IntTol is the integrality tolerance; 0 selects 1e-6.
-	IntTol float64
-	// Workers sets how many goroutines explore the branch-and-bound tree
-	// from the shared best-first queue. Values <= 1 run the identical
-	// search inline on the calling goroutine, fully deterministically.
-	Workers int
 	// StallNodes, when positive, stops the search (returning the incumbent
 	// as FeasibleMIP) once that many consecutive nodes were explored
 	// without improving the incumbent — counting only while an incumbent
@@ -279,7 +272,9 @@ type Options struct {
 	DisableTreeReduction bool
 }
 
-const defaultIntTol = 1e-6
+// intTol is the integrality tolerance: a binary within this distance of an
+// integer counts as integral.
+const intTol = 1e-6
 
 // compiled is the presolved LP image of the model: fixed variables are
 // substituted out and the remaining ones are shifted so lower bounds are 0.

@@ -3,6 +3,7 @@ package milp
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 )
@@ -276,5 +277,67 @@ func TestAccumulatedTerms(t *testing.T) {
 	res := m.Solve(Options{})
 	if res.Status != OptimalMIP || math.Abs(res.Objective-2) > 1e-9 {
 		t.Fatalf("obj=%v", res.Objective)
+	}
+}
+
+// randomKnapsackModel builds a knapsack-with-conflicts MILP whose search
+// tree is non-trivial.
+func randomKnapsackModel(rng *rand.Rand, n int) *Model {
+	m := NewModel()
+	vars := make([]Var, n)
+	terms := make([]Term, n)
+	weights := make([]Term, n)
+	for i := 0; i < n; i++ {
+		vars[i] = m.AddBinary("x")
+		terms[i] = Term{vars[i], 1 + rng.Float64()*14}
+		weights[i] = Term{vars[i], 1 + rng.Float64()*9}
+	}
+	m.SetObjective(true, terms...)
+	m.AddCons("cap", LE, float64(2*n), weights...)
+	for i := 0; i+1 < n; i += 3 {
+		m.AddCons("pair", LE, 1, Term{vars[i], 1}, Term{vars[i+1], 1})
+	}
+	return m
+}
+
+// TestSerialDeterministic builds the identical model twice and expects bit-identical node counts and objectives.
+func TestSerialDeterministic(t *testing.T) {
+	for trial := 0; trial < 8; trial++ {
+		a := randomKnapsackModel(rand.New(rand.NewSource(int64(trial))), 14)
+		b := randomKnapsackModel(rand.New(rand.NewSource(int64(trial))), 14)
+		ra := a.Solve(Options{MaxNodes: 200000})
+		rb := b.Solve(Options{MaxNodes: 200000})
+		if ra.Status != rb.Status || ra.Nodes != rb.Nodes || ra.LPIters != rb.LPIters || ra.Objective != rb.Objective {
+			t.Fatalf("trial %d: nondeterministic serial solve: (%v,%d,%d,%v) vs (%v,%d,%d,%v)",
+				trial, ra.Status, ra.Nodes, ra.LPIters, ra.Objective, rb.Status, rb.Nodes, rb.LPIters, rb.Objective)
+		}
+	}
+}
+
+// TestConcurrentIndependentSolves exercises many Solve calls on independent
+// models from independent goroutines; run with -race to verify solver
+// isolation (the worker pool is shared).
+func TestConcurrentIndependentSolves(t *testing.T) {
+	var wg sync.WaitGroup
+	errs := make(chan string, 16)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for k := 0; k < 5; k++ {
+				m := randomKnapsackModel(rng, 10)
+				res := m.Solve(Options{MaxNodes: 100000})
+				if res.Status != OptimalMIP {
+					errs <- res.Status.String()
+					return
+				}
+			}
+		}(int64(g + 1))
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatalf("concurrent solve failed: %v", e)
 	}
 }

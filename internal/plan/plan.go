@@ -238,9 +238,6 @@ type SubmitConfig struct {
 	// Validate, when non-nil, overrides the planner's feasibility
 	// re-validation of produced assignments.
 	Validate *bool
-	// Workers, when positive, overrides how many goroutines the MILP
-	// branch-and-bound uses for this call (see WithParallelism).
-	Workers int
 }
 
 // SubmitOption customises one Submit call.
@@ -271,17 +268,6 @@ func WithBatch(qs ...dsps.StreamID) SubmitOption {
 // against the dsps feasibility validator before being accepted.
 func WithValidation(on bool) SubmitOption {
 	return func(c *SubmitConfig) { c.Validate = &on }
-}
-
-// WithParallelism sets how many goroutines explore the MILP
-// branch-and-bound tree for this call. n <= 1 runs the identical search
-// inline, fully deterministically; the parallel search returns the same
-// admitted/rejected decision (workers share one best-first queue and one
-// incumbent). Planners without a MILP solve ignore the option. Parallelism
-// pays off when individual solves are large — many free streams or
-// candidate hosts — and is overhead below roughly a millisecond per solve.
-func WithParallelism(n int) SubmitOption {
-	return func(c *SubmitConfig) { c.Workers = n }
 }
 
 // Apply folds the options into a SubmitConfig.

@@ -498,8 +498,7 @@ func coalescible(r *request) bool {
 		return true
 	}
 	c := Apply(r.opts)
-	return c.Timeout == 0 && c.Hosts == nil && c.Batch == nil &&
-		c.Validate == nil && c.Workers == 0
+	return c.Timeout == 0 && c.Hosts == nil && c.Batch == nil && c.Validate == nil
 }
 
 // applySingle applies one non-coalesced request to the planner. For a

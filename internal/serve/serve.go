@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -220,12 +221,17 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAdmitted(w http.ResponseWriter, r *http.Request) {
+	// Both fields come from one snapshot: a second service call would let a
+	// submit land in between and answer count != len(queries). Only a
+	// planner that cannot list its queries is asked for the bare count.
 	qs := s.svc.AdmittedQueries()
+	count := len(qs)
 	if qs == nil {
 		qs = []dsps.StreamID{}
+		count = s.svc.AdmittedCount()
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"count":   s.svc.AdmittedCount(),
+		"count":   count,
 		"queries": qs,
 	})
 }
@@ -295,11 +301,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 const maxBodyBytes = 1 << 20
 
 // decodeBody parses a JSON request body of at most maxBodyBytes, answering
-// 413 on a larger one and 400 on malformed input.
+// 413 on a larger one and 400 on malformed input — which includes anything
+// but whitespace after the first JSON value.
 func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
+	err := dec.Decode(into)
+	if err == nil {
+		if _, terr := dec.Token(); terr == nil {
+			err = errors.New("trailing data after the JSON value")
+		} else if terr != io.EOF {
+			err = terr
+		}
+	}
+	if err != nil {
 		status := http.StatusBadRequest
 		if s := statusFor(err); s == http.StatusRequestEntityTooLarge {
 			status = s

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -230,6 +231,27 @@ func TestSubmitRejectsBadBodies(t *testing.T) {
 			t.Errorf("submit %q: status %d, want 400", body, rec.Code)
 		}
 	}
+	// A body is exactly one JSON value: a second value or garbage after a
+	// well-formed first one is refused on every POST route, not served as
+	// the first value alone.
+	for path, first := range map[string]string{
+		"/v1/submit": `{"query":0}`,
+		"/v1/remove": `{"query":0}`,
+		"/v1/repair": `{"events":[{"kind":"drain","host":0}]}`,
+	} {
+		for _, tail := range []string{`{"query":1}`, ` garbage`} {
+			if rec := do(t, h, "POST", path, first+tail); rec.Code != http.StatusBadRequest {
+				t.Errorf("POST %s %q: status %d, want 400", path, first+tail, rec.Code)
+			}
+		}
+	}
+	var adm struct {
+		Count int `json:"count"`
+	}
+	decode(t, do(t, h, "GET", "/v1/admitted", ""), &adm)
+	if adm.Count != 0 {
+		t.Errorf("%d queries admitted by rejected bodies, want 0", adm.Count)
+	}
 	// An unknown stream is a client mistake, not a server error.
 	if rec := do(t, h, "POST", "/v1/submit", `{"query": 999}`); rec.Code != http.StatusBadRequest {
 		t.Errorf("submit unknown stream: status %d, want 400", rec.Code)
@@ -240,6 +262,48 @@ func TestSubmitRejectsBadBodies(t *testing.T) {
 	for _, path := range []string{"/v1/submit", "/v1/remove", "/v1/repair"} {
 		if rec := do(t, h, "POST", path, huge); rec.Code != http.StatusRequestEntityTooLarge {
 			t.Errorf("oversized POST %s: status %d, want 413", path, rec.Code)
+		}
+	}
+}
+
+// TestAdmittedReplyIsOneSnapshot hammers GET /v1/admitted beside concurrent
+// submits and removes (under -race in CI): count and queries must describe
+// the same instant on every reply.
+func TestAdmittedReplyIsOneSnapshot(t *testing.T) {
+	_, _, srv := newTestServer(t)
+	h := srv.Handler()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for q := 0; q < 4; q++ {
+		wg.Add(1)
+		go func(q int) {
+			defer wg.Done()
+			body := fmt.Sprintf(`{"query": %d}`, q)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, path := range []string{"/v1/submit", "/v1/remove"} {
+					h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("POST", path, strings.NewReader(body)))
+				}
+			}
+		}(q)
+	}
+	for i := 0; i < 2000; i++ {
+		var adm struct {
+			Count   int   `json:"count"`
+			Queries []int `json:"queries"`
+		}
+		decode(t, do(t, h, "GET", "/v1/admitted", ""), &adm)
+		if adm.Count != len(adm.Queries) {
+			t.Fatalf("reply %d: count %d beside %d listed queries %v", i, adm.Count, len(adm.Queries), adm.Queries)
 		}
 	}
 }

@@ -58,7 +58,6 @@ func restartPlanner(env *Env, sc Scale) *core.Planner {
 	cfg.SolveTimeout = sc.Timeout
 	cfg.MaxCandidateHosts = sc.MaxCandHost
 	cfg.MaxFreeStreams = 30
-	cfg.SolveWorkers = sc.Workers
 	return core.NewPlanner(env.Sys, cfg)
 }
 

@@ -167,10 +167,7 @@ type Scale struct {
 	Arities     []int
 	Timeout     time.Duration
 	MaxCandHost int
-	// Workers sets the MILP branch-and-bound parallelism of the SQPR
-	// planner (0/1 = serial, deterministic).
-	Workers int
-	Seed    int64
+	Seed        int64
 }
 
 // DefaultScale is the reduced-scale counterpart of the paper's 50-host,
@@ -212,7 +209,6 @@ func (e *Env) NewSQPR(sc Scale, timeout time.Duration) *Recorder {
 	cfg.SolveTimeout = timeout
 	cfg.MaxCandidateHosts = sc.MaxCandHost
 	cfg.MaxFreeStreams = 30
-	cfg.SolveWorkers = sc.Workers
 	return NewRecorder(e.Sys, core.NewPlanner(e.Sys, cfg))
 }
 

@@ -45,8 +45,8 @@ import (
 // by all five planners: core SQPR, the heuristic baseline, the SODA-like
 // baseline, the optimistic bound and the hierarchical decomposition.
 // Submit accepts functional options (WithTimeout, WithCandidateHosts,
-// WithBatch, WithValidation, WithParallelism); cancelling the context
-// aborts a planning call promptly and leaves the planner state unchanged.
+// WithBatch, WithValidation); cancelling the context aborts a planning call
+// promptly and leaves the planner state unchanged.
 type QueryPlanner = plan.QueryPlanner
 
 // Compile-time conformance of all five planners to the interface.
@@ -290,12 +290,6 @@ func WithBatch(qs ...StreamID) SubmitOption { return plan.WithBatch(qs...) }
 
 // WithValidation overrides post-solve feasibility validation for one call.
 func WithValidation(on bool) SubmitOption { return plan.WithValidation(on) }
-
-// WithParallelism sets how many goroutines explore the MILP branch-and-
-// bound tree for one planning call; <= 1 is serial and deterministic, and
-// parallel search returns the same admitted/rejected decision. It pays off
-// on large solves (many free streams or candidate hosts).
-func WithParallelism(n int) SubmitOption { return plan.WithParallelism(n) }
 
 // NewSystem creates a system with the given hosts and uniform link capacity.
 func NewSystem(hosts []Host, linkCap float64) *System { return dsps.NewSystem(hosts, linkCap) }
