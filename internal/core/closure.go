@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"sqpr/internal/dsps"
 )
 
@@ -44,17 +46,9 @@ func (c *closureCache) streamsOf(q dsps.StreamID) []dsps.StreamID {
 	for s := range seen {
 		out = append(out, s)
 	}
-	sortStreams(out)
+	slices.Sort(out)
 	c.memo[q] = out
 	return out
-}
-
-func sortStreams(s []dsps.StreamID) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // freeSet computes the set of free streams for planning the given new
@@ -87,7 +81,7 @@ func (p *Planner) freeSet(newQueries []dsps.StreamID) map[dsps.StreamID]bool {
 	for q := range p.admitted {
 		admitted = append(admitted, q)
 	}
-	sortStreams(admitted)
+	slices.Sort(admitted)
 	for changed := true; changed && len(free) < p.cfg.MaxFreeStreams; {
 		changed = false
 		for _, q := range admitted {
@@ -158,14 +152,6 @@ func (p *Planner) freeOperators(free map[dsps.StreamID]bool) []dsps.OperatorID {
 			ops = append(ops, op)
 		}
 	}
-	sortOps(ops)
+	slices.Sort(ops)
 	return ops
-}
-
-func sortOps(s []dsps.OperatorID) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -113,19 +113,6 @@ func TestFreeSetDisableReplanSkipsSharing(t *testing.T) {
 	}
 }
 
-func TestSortStreamsAndOps(t *testing.T) {
-	s := []dsps.StreamID{3, 1, 2}
-	sortStreams(s)
-	if s[0] != 1 || s[1] != 2 || s[2] != 3 {
-		t.Fatalf("sortStreams: %v", s)
-	}
-	o := []dsps.OperatorID{9, 4, 7}
-	sortOps(o)
-	if o[0] != 4 || o[1] != 7 || o[2] != 9 {
-		t.Fatalf("sortOps: %v", o)
-	}
-}
-
 func TestHostsTouched(t *testing.T) {
 	sys, ab, _ := chainSystem()
 	cfg := DefaultConfig()

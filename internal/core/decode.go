@@ -59,32 +59,27 @@ func (b *builder) decode(x []float64) (*dsps.Assignment, error) {
 // depends on. The MILP is free to leave y/z/x at 1 where the objective
 // penalty is zero-ish or where constraint slack permits; physically
 // deploying them would waste resources, so SQPR instantiates only the
-// support of the admitted queries.
+// support of the admitted queries. Unlike dsps.GarbageCollect, which keeps
+// every alternative support, it keeps the local producers of a needed
+// stream when there are any and otherwise one inflow (any causal source
+// suffices).
 func (b *builder) pruneUnused(a *dsps.Assignment) {
-	type hs struct {
-		h dsps.HostID
-		s dsps.StreamID
-	}
-	neededOps := make(map[dsps.Placement]bool)
-	neededFlows := make(map[dsps.Flow]bool)
-	visited := make(map[hs]bool)
-
+	// via marks each needed availability (h, s): 1, or 2+m when its support
+	// is the inflow from host m.
+	via := dsps.NewSeen(b.sys)
 	var visit func(h dsps.HostID, s dsps.StreamID)
 	visit = func(h dsps.HostID, s dsps.StreamID) {
-		k := hs{h, s}
-		if visited[k] {
+		i := b.sys.HSIndex(h, s)
+		if via[i] != 0 {
 			return
 		}
-		visited[k] = true
+		via[i] = 1
 		if b.sys.IsBaseAt(h, s) {
 			return
 		}
-		// Keep every support that exists: local producers first.
 		produced := false
 		for _, op := range b.sys.ProducersOf(s) {
-			pl := dsps.Placement{Host: h, Op: op}
-			if a.Ops[pl] {
-				neededOps[pl] = true
+			if a.Ops[dsps.Placement{Host: h, Op: op}] {
 				produced = true
 				for _, in := range b.sys.Operators[op].Inputs {
 					visit(h, in)
@@ -94,11 +89,9 @@ func (b *builder) pruneUnused(a *dsps.Assignment) {
 		if produced {
 			return
 		}
-		// Otherwise keep one inflow (any causal source suffices).
-		for m := 0; m < b.sys.NumHosts(); m++ {
-			f := dsps.Flow{From: dsps.HostID(m), To: h, Stream: s}
-			if a.Flows[f] {
-				neededFlows[f] = true
+		for m := range b.sys.Hosts {
+			if a.Flows[dsps.Flow{From: dsps.HostID(m), To: h, Stream: s}] {
+				via[i] = 2 + uint32(m)
 				visit(dsps.HostID(m), s)
 				return
 			}
@@ -107,31 +100,23 @@ func (b *builder) pruneUnused(a *dsps.Assignment) {
 	for s, h := range a.Provides {
 		visit(h, s)
 	}
-	// Preserve allocation pieces belonging to fixed (non-free) queries and
-	// any fixed consumers of free streams.
-	for pl, onv := range a.Ops {
-		if !onv {
-			continue
-		}
+	// Allocation pieces of fixed (non-free) queries stay, and so does what
+	// fixed consumers of free streams read.
+	for pl := range a.Ops {
 		if !b.freeOpSet[pl.Op] {
-			neededOps[pl] = true
 			for _, in := range b.sys.Operators[pl.Op].Inputs {
 				visit(pl.Host, in)
 			}
 		}
 	}
-	for f, onv := range a.Flows {
-		if onv && !b.free[f.Stream] {
-			neededFlows[f] = true
-		}
-	}
 	for pl := range a.Ops {
-		if !neededOps[pl] {
+		out := b.sys.Operators[pl.Op].Output
+		if b.freeOpSet[pl.Op] && (via[b.sys.HSIndex(pl.Host, out)] == 0 || b.sys.IsBaseAt(pl.Host, out)) {
 			delete(a.Ops, pl)
 		}
 	}
 	for f := range a.Flows {
-		if !neededFlows[f] {
+		if b.free[f.Stream] && via[b.sys.HSIndex(f.To, f.Stream)] != 2+uint32(f.From) {
 			delete(a.Flows, f)
 		}
 	}

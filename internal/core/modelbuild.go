@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -56,12 +57,12 @@ type builder struct {
 	// the entire node budget.
 	dAllowed map[dsps.StreamID]bool
 
-	// Greedy warm-start scratch (see seed.go): the incremental usage
-	// tracker, the trial-mutation journal, the cycle guard of planStreamAt
+	// Greedy warm-start scratch (see seed.go): the usage ledger of the
+	// trial, the trial-mutation journal, the cycle guard of planStreamAt
 	// and a host-ordering buffer, all pooled across submissions.
-	track       usageTracker
+	track       dsps.Usage
 	journal     []journalEntry
-	visiting    map[planKey]bool
+	visiting    []bool // by System.HSIndex; all false between runs
 	hostScratch []dsps.HostID
 	// scoredScratch holds greedyAdmit's candidate ranking; tryStack and
 	// auxStack are depth-indexed host buffers for planStreamAt's recursion
@@ -119,7 +120,6 @@ func (p *Planner) newBuilderWith(queries []dsps.StreamID, free map[dsps.StreamID
 			stayBonus:  make(map[zKey]float64),
 			preferHost: make(map[dsps.OperatorID]dsps.HostID),
 			freeOpSet:  make(map[dsps.OperatorID]bool),
-			visiting:   make(map[planKey]bool),
 			model:      milp.NewModel(),
 		}
 		p.bld = b
@@ -146,7 +146,7 @@ func (p *Planner) newBuilderWith(queries []dsps.StreamID, free map[dsps.StreamID
 	for s := range b.free {
 		b.freeStreams = append(b.freeStreams, s)
 	}
-	sortStreams(b.freeStreams)
+	slices.Sort(b.freeStreams)
 	b.freeOps = p.freeOperators(b.free)
 	for _, o := range b.freeOps {
 		b.freeOpSet[o] = true

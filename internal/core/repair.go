@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"sqpr/internal/dsps"
@@ -42,7 +43,7 @@ func (p *Planner) Repair(ctx context.Context, events []plan.Event, opts ...plan.
 	// are freed so the solver can evacuate them.
 	hard := p.state.AffectedQueries(p.sys, func(h dsps.HostID) bool { return !p.sys.HostUsable(h) })
 	hard = append(hard, plan.DriftedEventQueries(events, hard, func(q dsps.StreamID) bool { return p.admitted[q] })...)
-	sortStreams(hard)
+	slices.Sort(hard)
 	hardSet := make(map[dsps.StreamID]bool, len(hard))
 	for _, q := range hard {
 		hardSet[q] = true
@@ -60,7 +61,7 @@ func (p *Planner) Repair(ctx context.Context, events []plan.Event, opts ...plan.
 			affected = append(affected, q)
 		}
 	}
-	sortStreams(affected)
+	slices.Sort(affected)
 	rr.Affected = affected
 
 	if len(affected) == 0 {
@@ -280,7 +281,7 @@ func (b *builder) greedyRepair(chunkDrift bool, deadline time.Time) (*dsps.Assig
 		}
 	}
 	cand := b.p.state.Clone()
-	b.track.reset(b.sys, cand)
+	b.track.Reset(b.sys, cand)
 	b.seedArm(deadline)
 	for _, q := range b.queries {
 		if _, ok := cand.Provides[q]; ok {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"sqpr/internal/dsps"
 )
@@ -108,56 +109,18 @@ func (p *Planner) DriftedQueries(observed map[dsps.OperatorID]float64, threshold
 			drifted[op] = true
 		}
 	}
+	// A query drifted if the walk over its support stops at a drifted
+	// operator.
 	var out []dsps.StreamID
+	seen := dsps.NewSeen(p.sys)
+	stable := func(pl dsps.Placement) bool { return !drifted[pl.Op] }
+	epoch := uint32(0)
 	for q := range p.admitted {
-		if p.queryUsesDrifted(q, drifted) {
+		epoch++
+		if h, ok := p.state.Provides[q]; ok && !p.state.WalkSupport(p.sys, h, q, seen, epoch, stable, nil) {
 			out = append(out, q)
 		}
 	}
-	sortStreams(out)
+	slices.Sort(out)
 	return out
-}
-
-// queryUsesDrifted reports whether any operator currently supporting q has
-// drifted.
-func (p *Planner) queryUsesDrifted(q dsps.StreamID, drifted map[dsps.OperatorID]bool) bool {
-	h, ok := p.state.Provides[q]
-	if !ok {
-		return false
-	}
-	type hs struct {
-		h dsps.HostID
-		s dsps.StreamID
-	}
-	seen := make(map[hs]bool)
-	queue := []hs{{h, q}}
-	for len(queue) > 0 {
-		cur := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if seen[cur] {
-			continue
-		}
-		seen[cur] = true
-		if p.sys.IsBaseAt(cur.h, cur.s) {
-			continue
-		}
-		for _, op := range p.sys.ProducersOf(cur.s) {
-			pl := dsps.Placement{Host: cur.h, Op: op}
-			if p.state.Ops[pl] {
-				if drifted[op] {
-					return true
-				}
-				for _, in := range p.sys.Operators[op].Inputs {
-					queue = append(queue, hs{cur.h, in})
-				}
-			}
-		}
-		for m := 0; m < p.sys.NumHosts(); m++ {
-			f := dsps.Flow{From: dsps.HostID(m), To: cur.h, Stream: cur.s}
-			if p.state.Flows[f] {
-				queue = append(queue, hs{dsps.HostID(m), cur.s})
-			}
-		}
-	}
-	return false
 }

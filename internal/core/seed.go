@@ -29,7 +29,7 @@ import (
 // a feasible warm start for the solver to improve on.
 func (b *builder) incumbent(deadline time.Time) []float64 {
 	cand := b.p.state.Clone()
-	b.track.reset(b.sys, cand)
+	b.track.Reset(b.sys, cand)
 	b.seedArm(deadline)
 	for _, q := range b.queries {
 		if _, ok := cand.Provides[q]; ok {
@@ -53,7 +53,8 @@ func (b *builder) incumbent(deadline time.Time) []float64 {
 // polls it every 256 probes, so an expired call stops within microseconds.
 const seedProbeBudget = 1 << 20
 
-// seedArm resets the greedy brakes for one run. Every greedy entry point
+// seedArm resets the greedy brakes for one run and sizes planStreamAt's
+// cycle guard to the system. Every greedy entry point
 // must arm explicitly: the builder is pooled across calls, and a stale
 // deadline from a previous call would otherwise truncate the next greedy
 // on sight (a repair fast path running after a submit, for example). The
@@ -71,6 +72,9 @@ func (b *builder) seedArm(deadline time.Time) {
 	}
 	b.seedDeadline = deadline
 	b.seedProbes = seedProbeBudget
+	if n := b.sys.NumHosts() * len(b.sys.Streams); len(b.visiting) != n {
+		b.visiting = make([]bool, n)
+	}
 }
 
 // seedExpired reports whether the greedy's wall-clock deadline has lapsed.
@@ -101,12 +105,17 @@ func (b *builder) seedHostsAt(depth int) (try, aux *[]dsps.HostID) {
 //sqpr:hotpath
 func (b *builder) seedExit() { b.seedDepth-- }
 
-// headroom is the spare CPU of a candidate host under the tracker's trial
+// seedLeave takes availability k off planStreamAt's current path.
+//
+//sqpr:hotpath
+func (b *builder) seedLeave(k int) { b.visiting[k] = false }
+
+// headroom is the spare CPU of a candidate host under the ledger's trial
 // usage — the greedy's ranking key.
 //
 //sqpr:hotpath
 func (b *builder) headroom(h dsps.HostID) float64 {
-	return b.sys.Hosts[h].CPU - b.track.cpu[h]
+	return b.sys.Hosts[h].CPU - b.track.CPU[h]
 }
 
 // sortHostsByHeadroom orders hosts by spare CPU descending, HostID
@@ -143,106 +152,6 @@ func sortScoredDesc(s []scored) {
 	}
 }
 
-// usageTracker maintains the resource picture of one assignment under
-// incremental flow/op/provide mutations. Arrays are pooled on the builder.
-type usageTracker struct {
-	sys     *dsps.System
-	cpu     []float64
-	mem     []float64
-	out     []float64
-	in      []float64
-	link    [][]float64
-	network float64
-	cpuSum  float64
-}
-
-func (u *usageTracker) reset(sys *dsps.System, a *dsps.Assignment) {
-	n := sys.NumHosts()
-	u.sys = sys
-	u.cpu = resizeZero(u.cpu, n)
-	u.mem = resizeZero(u.mem, n)
-	u.out = resizeZero(u.out, n)
-	u.in = resizeZero(u.in, n)
-	if cap(u.link) < n {
-		u.link = make([][]float64, n)
-	}
-	u.link = u.link[:n]
-	for i := range u.link {
-		u.link[i] = resizeZero(u.link[i], n)
-	}
-	u.network = 0
-	u.cpuSum = 0
-	for pl, on := range a.Ops {
-		if on {
-			u.addOp(pl)
-		}
-	}
-	for f, on := range a.Flows {
-		if on {
-			u.addFlow(f)
-		}
-	}
-	for s, h := range a.Provides {
-		u.out[h] += sys.Streams[s].Rate
-	}
-}
-
-func resizeZero(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-//sqpr:hotpath
-func (u *usageTracker) addOp(pl dsps.Placement) {
-	op := &u.sys.Operators[pl.Op]
-	u.cpu[pl.Host] += op.Cost
-	u.mem[pl.Host] += op.Mem
-	u.cpuSum += op.Cost
-}
-
-//sqpr:hotpath
-func (u *usageTracker) removeOp(pl dsps.Placement) {
-	op := &u.sys.Operators[pl.Op]
-	u.cpu[pl.Host] -= op.Cost
-	u.mem[pl.Host] -= op.Mem
-	u.cpuSum -= op.Cost
-}
-
-//sqpr:hotpath
-func (u *usageTracker) addFlow(f dsps.Flow) {
-	rate := u.sys.Streams[f.Stream].Rate
-	u.link[f.From][f.To] += rate
-	u.out[f.From] += rate
-	u.in[f.To] += rate
-	u.network += rate
-}
-
-//sqpr:hotpath
-func (u *usageTracker) removeFlow(f dsps.Flow) {
-	rate := u.sys.Streams[f.Stream].Rate
-	u.link[f.From][f.To] -= rate
-	u.out[f.From] -= rate
-	u.in[f.To] -= rate
-	u.network -= rate
-}
-
-//sqpr:hotpath
-func (u *usageTracker) maxCPU() float64 {
-	var m float64
-	for _, c := range u.cpu {
-		if c > m {
-			m = c
-		}
-	}
-	return m
-}
-
 // journal records trial mutations so a probe can be rolled back without
 // cloning the assignment.
 type journalEntry struct {
@@ -251,21 +160,21 @@ type journalEntry struct {
 	op   dsps.Placement
 }
 
-// applyFlow adds a flow to the trial, tracker and journal.
+// applyFlow adds a flow to the trial, ledger and journal.
 //
 //sqpr:hotpath
 func (b *builder) applyFlow(trial *dsps.Assignment, f dsps.Flow) {
 	trial.Flows[f] = true
-	b.track.addFlow(f)
+	b.track.AddFlow(f)
 	b.journal = append(b.journal, journalEntry{flow: f}) //sqpr:amortized pooled
 }
 
-// applyOp adds an operator placement to the trial, tracker and journal.
+// applyOp adds an operator placement to the trial, ledger and journal.
 //
 //sqpr:hotpath
 func (b *builder) applyOp(trial *dsps.Assignment, pl dsps.Placement) {
 	trial.Ops[pl] = true
-	b.track.addOp(pl)
+	b.track.AddOp(pl)
 	b.journal = append(b.journal, journalEntry{isOp: true, op: pl}) //sqpr:amortized pooled
 }
 
@@ -277,10 +186,10 @@ func (b *builder) rollback(trial *dsps.Assignment, mark int) {
 		e := b.journal[i]
 		if e.isOp {
 			delete(trial.Ops, e.op)
-			b.track.removeOp(e.op)
+			b.track.RemoveOp(e.op)
 		} else {
 			delete(trial.Flows, e.flow)
-			b.track.removeFlow(e.flow)
+			b.track.RemoveFlow(e.flow)
 		}
 	}
 	b.journal = b.journal[:mark]
@@ -310,13 +219,13 @@ func (b *builder) greedyAdmit(cand *dsps.Assignment, q dsps.StreamID) bool {
 			break
 		}
 		mark := len(b.journal)
-		if !b.planStreamAt(cand, q, h, b.visiting) {
+		if !b.planStreamAt(cand, q, h) {
 			b.rollback(cand, mark)
 			continue
 		}
 		// Deliver the result to the client from h (out-bandwidth only; the
 		// provide itself is added once the winner is chosen).
-		if b.track.out[h]+rate > b.sys.Hosts[h].OutBW+1e-9 {
+		if b.track.Out[h]+rate > b.sys.Hosts[h].OutBW+1e-9 {
 			b.rollback(cand, mark)
 			continue
 		}
@@ -332,25 +241,25 @@ func (b *builder) greedyAdmit(cand *dsps.Assignment, q dsps.StreamID) bool {
 	sortScoredDesc(results)
 	for _, r := range results {
 		mark := len(b.journal)
-		if !b.planStreamAt(cand, q, r.h, b.visiting) {
+		if !b.planStreamAt(cand, q, r.h) {
 			b.rollback(cand, mark)
 			continue
 		}
 		cand.Provides[q] = r.h
-		b.track.out[r.h] += rate
+		b.track.Out[r.h] += rate
 		if cand.Validate(b.sys) == nil {
 			b.journal = b.journal[:0]
 			return true
 		}
 		delete(cand.Provides, q)
-		b.track.out[r.h] -= rate
+		b.track.Out[r.h] -= rate
 		b.rollback(cand, mark)
 	}
 	return false
 }
 
 // scoreResources evaluates the resource part of the weighted objective
-// (III.3) from the tracker: −λ2·O2/Σκ − λ3·O3/Σζ − λ4·O4/ζmax.
+// (III.3) from the ledger: −λ2·O2/Σκ − λ3·O3/Σζ − λ4·O4/ζmax.
 //
 //sqpr:hotpath
 func (b *builder) scoreResources() float64 {
@@ -372,23 +281,18 @@ func (b *builder) scoreResources() float64 {
 	if maxCPU <= 0 {
 		maxCPU = 1
 	}
-	return -w.L2*b.track.network/totalLink -
-		w.L3*b.track.cpuSum/totalCPU -
-		w.L4*b.track.maxCPU()/maxCPU
-}
-
-type planKey struct {
-	h dsps.HostID
-	s dsps.StreamID
+	return -w.L2*b.track.Network/totalLink -
+		w.L3*b.track.CPUSum/totalCPU -
+		w.L4*b.track.MaxCPU()/maxCPU
 }
 
 // planStreamAt makes stream s available at host h inside trial, adding
-// flows and operator placements greedily (journaled, tracker-checked).
-// visiting guards against cycles. On failure the caller rolls back to its
-// own mark; partial work may remain in the journal.
+// flows and operator placements greedily (journaled, ledger-checked).
+// b.visiting guards against cycles. On failure the caller rolls back to
+// its own mark; partial work may remain in the journal.
 //
 //sqpr:hotpath
-func (b *builder) planStreamAt(trial *dsps.Assignment, s dsps.StreamID, h dsps.HostID, visiting map[planKey]bool) bool {
+func (b *builder) planStreamAt(trial *dsps.Assignment, s dsps.StreamID, h dsps.HostID) bool {
 	if b.seedProbes <= 0 {
 		return false
 	}
@@ -403,12 +307,12 @@ func (b *builder) planStreamAt(trial *dsps.Assignment, s dsps.StreamID, h dsps.H
 	if trial.Available(b.sys, h, s) {
 		return true
 	}
-	k := planKey{h, s}
-	if visiting[k] {
+	k := b.sys.HSIndex(h, s)
+	if b.visiting[k] {
 		return false
 	}
-	visiting[k] = true
-	defer delete(visiting, k)
+	b.visiting[k] = true
+	defer b.seedLeave(k)
 
 	rate := b.sys.Streams[s].Rate
 	// Reuse: fetch from any candidate host that already has s.
@@ -482,16 +386,16 @@ func (b *builder) planStreamAt(trial *dsps.Assignment, s dsps.StreamID, h dsps.H
 			try = withPref
 		}
 		for _, m := range try {
-			if b.track.cpu[m]+o.Cost > b.sys.Hosts[m].CPU+1e-9 {
+			if b.track.CPU[m]+o.Cost > b.sys.Hosts[m].CPU+1e-9 {
 				continue
 			}
-			if lim := b.sys.Hosts[m].Mem; lim > 0 && b.track.mem[m]+o.Mem > lim+1e-9 {
+			if lim := b.sys.Hosts[m].Mem; lim > 0 && b.track.Mem[m]+o.Mem > lim+1e-9 {
 				continue
 			}
 			mark := len(b.journal)
 			ok := true
 			for _, in := range o.Inputs {
-				if !b.planStreamAt(trial, in, m, visiting) {
+				if !b.planStreamAt(trial, in, m) {
 					ok = false
 					break
 				}
@@ -517,13 +421,13 @@ func (b *builder) planStreamAt(trial *dsps.Assignment, s dsps.StreamID, h dsps.H
 //
 //sqpr:hotpath
 func (b *builder) flowFits(from, to dsps.HostID, rate float64) bool {
-	if b.track.link[from][to]+rate > b.sys.LinkCap[from][to]+1e-9 {
+	if b.track.Link[from][to]+rate > b.sys.LinkCap[from][to]+1e-9 {
 		return false
 	}
-	if b.track.out[from]+rate > b.sys.Hosts[from].OutBW+1e-9 {
+	if b.track.Out[from]+rate > b.sys.Hosts[from].OutBW+1e-9 {
 		return false
 	}
-	if b.track.in[to]+rate > b.sys.Hosts[to].InBW+1e-9 {
+	if b.track.In[to]+rate > b.sys.Hosts[to].InBW+1e-9 {
 		return false
 	}
 	return true

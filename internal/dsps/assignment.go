@@ -1,8 +1,9 @@
 package dsps
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Flow identifies one stream transfer between two hosts (variable x_hms).
@@ -24,9 +25,10 @@ type Assignment struct {
 	// Provides maps a requested stream to the host serving it to clients
 	// (d_hs = 1). At most one host serves each stream (III.4b).
 	Provides map[StreamID]HostID
-	// Flows holds every active inter-host transfer (x_hms = 1).
+	// Flows holds every active inter-host transfer (x_hms = 1). A present
+	// key is on: entries are written as true or deleted, never set false.
 	Flows map[Flow]bool
-	// Ops holds every operator placement (z_ho = 1).
+	// Ops holds every operator placement (z_ho = 1); a present key is on.
 	Ops map[Placement]bool
 }
 
@@ -46,15 +48,11 @@ func (a *Assignment) Clone() *Assignment {
 	for k, v := range a.Provides {
 		b.Provides[k] = v
 	}
-	for k, v := range a.Flows {
-		if v {
-			b.Flows[k] = true
-		}
+	for k := range a.Flows {
+		b.Flows[k] = true
 	}
-	for k, v := range a.Ops {
-		if v {
-			b.Ops[k] = true
-		}
+	for k := range a.Ops {
+		b.Ops[k] = true
 	}
 	return b
 }
@@ -79,7 +77,9 @@ func (a *Assignment) Available(sys *System, h HostID, s StreamID) bool {
 	return false
 }
 
-// Usage is the resource consumption snapshot of an assignment.
+// Usage is the resource ledger of an assignment: filled by Reset (or
+// ComputeUsage) and then kept current through AddOp/RemoveOp/AddFlow/
+// RemoveFlow, so a planner probing trial placements never recomputes it.
 type Usage struct {
 	CPU     []float64   // per-host CPU use Σ_o γ_o z_ho
 	Mem     []float64   // per-host memory use Σ_o mem_o z_ho
@@ -87,40 +87,96 @@ type Usage struct {
 	In      []float64   // per-host incoming bandwidth
 	Link    [][]float64 // per-link usage Σ_s ̺_s x_hms
 	Network float64     // system-wide network usage (objective O2)
+	// CPUSum is Σ_o γ_o z_ho accumulated placement by placement. Unlike
+	// TotalCPU it does not depend on which host an operator lands on, so
+	// trial plans placing the same operators compare exactly equal.
+	CPUSum float64
+
+	sys *System
 }
 
-// ComputeUsage derives full resource consumption from the assignment.
-func (a *Assignment) ComputeUsage(sys *System) *Usage {
+// Reset recomputes the ledger of a from scratch, reusing u's arrays.
+func (u *Usage) Reset(sys *System, a *Assignment) {
 	n := sys.NumHosts()
-	u := &Usage{
-		CPU:  make([]float64, n),
-		Mem:  make([]float64, n),
-		Out:  make([]float64, n),
-		In:   make([]float64, n),
-		Link: make([][]float64, n),
+	u.sys = sys
+	u.CPU = resizeZero(u.CPU, n)
+	u.Mem = resizeZero(u.Mem, n)
+	u.Out = resizeZero(u.Out, n)
+	u.In = resizeZero(u.In, n)
+	if cap(u.Link) < n {
+		u.Link = make([][]float64, n)
 	}
+	u.Link = u.Link[:n]
 	for i := range u.Link {
-		u.Link[i] = make([]float64, n)
+		u.Link[i] = resizeZero(u.Link[i], n)
 	}
-	for pl, on := range a.Ops {
-		if on {
-			u.CPU[pl.Host] += sys.Operators[pl.Op].Cost
-			u.Mem[pl.Host] += sys.Operators[pl.Op].Mem
-		}
+	u.Network, u.CPUSum = 0, 0
+	for pl := range a.Ops {
+		u.AddOp(pl)
 	}
-	for f, on := range a.Flows {
-		if !on {
-			continue
-		}
-		rate := sys.Streams[f.Stream].Rate
-		u.Link[f.From][f.To] += rate
-		u.Out[f.From] += rate
-		u.In[f.To] += rate
-		u.Network += rate
+	for f := range a.Flows {
+		u.AddFlow(f)
 	}
 	for s, h := range a.Provides {
 		u.Out[h] += sys.Streams[s].Rate // delivery to the client proxy (III.6c)
 	}
+}
+
+func resizeZero(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// AddOp charges one operator placement.
+//
+//sqpr:hotpath
+func (u *Usage) AddOp(pl Placement) {
+	op := &u.sys.Operators[pl.Op]
+	u.CPU[pl.Host] += op.Cost
+	u.Mem[pl.Host] += op.Mem
+	u.CPUSum += op.Cost
+}
+
+// RemoveOp refunds one operator placement.
+//
+//sqpr:hotpath
+func (u *Usage) RemoveOp(pl Placement) {
+	op := &u.sys.Operators[pl.Op]
+	u.CPU[pl.Host] -= op.Cost
+	u.Mem[pl.Host] -= op.Mem
+	u.CPUSum -= op.Cost
+}
+
+// AddFlow charges one inter-host transfer.
+//
+//sqpr:hotpath
+func (u *Usage) AddFlow(f Flow) {
+	rate := u.sys.Streams[f.Stream].Rate
+	u.Link[f.From][f.To] += rate
+	u.Out[f.From] += rate
+	u.In[f.To] += rate
+	u.Network += rate
+}
+
+// RemoveFlow refunds one inter-host transfer.
+//
+//sqpr:hotpath
+func (u *Usage) RemoveFlow(f Flow) {
+	rate := u.sys.Streams[f.Stream].Rate
+	u.Link[f.From][f.To] -= rate
+	u.Out[f.From] -= rate
+	u.In[f.To] -= rate
+	u.Network -= rate
+}
+
+// ComputeUsage derives full resource consumption from the assignment.
+func (a *Assignment) ComputeUsage(sys *System) *Usage {
+	u := new(Usage)
+	u.Reset(sys, a)
 	return u
 }
 
@@ -144,75 +200,139 @@ func (u *Usage) TotalCPU() float64 {
 	return t
 }
 
+// CheckIDs reports the first host, stream or operator id of the assignment
+// that lies outside sys. Assignments decoded from journals, snapshots and
+// files carry whatever ids the bytes held; everything below indexes the
+// system's tables with them, so this is the gate that turns a bad id into
+// an error instead of a panic.
+func (a *Assignment) CheckIDs(sys *System) error {
+	host := func(h HostID) bool { return h >= 0 && int(h) < len(sys.Hosts) }
+	stream := func(s StreamID) bool { return s >= 0 && int(s) < len(sys.Streams) }
+	for s, h := range a.Provides {
+		if !stream(s) || !host(h) {
+			return fmt.Errorf("dsps: provide of stream %d at host %d is outside the system", s, h)
+		}
+	}
+	for f := range a.Flows {
+		if !stream(f.Stream) || !host(f.From) || !host(f.To) {
+			return fmt.Errorf("dsps: flow of stream %d from host %d to host %d is outside the system", f.Stream, f.From, f.To)
+		}
+	}
+	for pl := range a.Ops {
+		if pl.Op < 0 || int(pl.Op) >= len(sys.Operators) || !host(pl.Host) {
+			return fmt.Errorf("dsps: placement of operator %d on host %d is outside the system", pl.Op, pl.Host)
+		}
+	}
+	return nil
+}
+
+// HSIndex is the dense index of availability (h, s): host and stream ids
+// are slice indices, so per-(host, stream) sets are flat arrays of
+// len(sys.Hosts)*len(sys.Streams) entries.
+func (sys *System) HSIndex(h HostID, s StreamID) int {
+	return int(h)*len(sys.Streams) + int(s)
+}
+
+// derive is the availability fixed point of the causality rule (III.7),
+// indexed by HSIndex: a stream is derived at a host if it is a base stream
+// there and the host is usable, if a placed operator with all inputs
+// already derived outputs it there, or if a flow carries it from a host
+// where it is already derived. What is never derived has no real source:
+// a missing input, or the self-sustaining feedback loop the potentials p
+// exclude.
+func (a *Assignment) derive(sys *System) []bool {
+	derived := make([]bool, len(sys.Hosts)*len(sys.Streams))
+	for s, hosts := range sys.baseHosts {
+		for _, h := range hosts {
+			if sys.HostUsable(h) {
+				derived[sys.HSIndex(h, s)] = true
+			}
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for pl := range a.Ops {
+			out := sys.HSIndex(pl.Host, sys.Operators[pl.Op].Output)
+			if derived[out] {
+				continue
+			}
+			if _, missing := underivedInput(sys, derived, pl); !missing {
+				derived[out] = true
+				changed = true
+			}
+		}
+		for f := range a.Flows {
+			if to := sys.HSIndex(f.To, f.Stream); !derived[to] && derived[sys.HSIndex(f.From, f.Stream)] {
+				derived[to] = true
+				changed = true
+			}
+		}
+	}
+	return derived
+}
+
+// underivedInput returns an input of pl that is not derived at its host.
+func underivedInput(sys *System, derived []bool, pl Placement) (StreamID, bool) {
+	for _, in := range sys.Operators[pl.Op].Inputs {
+		if !derived[sys.HSIndex(pl.Host, in)] {
+			return in, true
+		}
+	}
+	return 0, false
+}
+
 // Validate checks that the assignment is a feasible allocation for the
 // system: demand, availability, resource and acyclicity constraints
 // (III.4)–(III.7) all hold. It returns nil when feasible.
 func (a *Assignment) Validate(sys *System) error {
-	n := sys.NumHosts()
-
-	// Host availability: nothing may run on, originate at, or terminate at a
-	// down host. Draining hosts remain valid for existing allocations.
-	for pl, on := range a.Ops {
-		if on && !sys.HostUsable(pl.Host) {
-			return fmt.Errorf("dsps: operator %d placed on down host %d", pl.Op, pl.Host)
+	if err := a.CheckIDs(sys); err != nil {
+		return err
+	}
+	// Nothing may run on, originate at, or terminate at a down host
+	// (draining hosts remain valid for existing allocations), and every
+	// availability an allocation relies on must be derived. Possession
+	// (III.4a, III.5b, III.5c) is the weaker form of derivation, so the one
+	// check covers it and acyclicity (III.7) both. derive seeds usable
+	// hosts only; that cannot hide an error, because every piece touching
+	// a down host is rejected here by itself.
+	derived := a.derive(sys)
+	for s, h := range a.Provides {
+		if !sys.HostUsable(h) {
+			return fmt.Errorf("dsps: stream %d provided by down host %d", s, h)
+		}
+		// (III.4b) one host per stream is enforced by the map type.
+		if !sys.Streams[s].Requested {
+			return fmt.Errorf("dsps: host %d provides unrequested stream %d", h, s)
+		}
+		if !derived[sys.HSIndex(h, s)] {
+			return fmt.Errorf("dsps: provided stream %d at host %d is acausal", s, h)
 		}
 	}
-	for f, on := range a.Flows {
-		if !on {
-			continue
+	for pl := range a.Ops {
+		if !sys.HostUsable(pl.Host) {
+			return fmt.Errorf("dsps: operator %d placed on down host %d", pl.Op, pl.Host)
 		}
+		if in, missing := underivedInput(sys, derived, pl); missing {
+			return fmt.Errorf("dsps: operator %d on host %d has acausal input stream %d", pl.Op, pl.Host, in)
+		}
+	}
+	for f := range a.Flows {
 		if !sys.HostUsable(f.From) {
 			return fmt.Errorf("dsps: flow of stream %d from down host %d", f.Stream, f.From)
 		}
 		if !sys.HostUsable(f.To) {
 			return fmt.Errorf("dsps: flow of stream %d to down host %d", f.Stream, f.To)
 		}
-	}
-	for s, h := range a.Provides {
-		if !sys.HostUsable(h) {
-			return fmt.Errorf("dsps: stream %d provided by down host %d", s, h)
-		}
-	}
-
-	// (III.4a) a provider must possess the stream, and the stream must be
-	// requested; (III.4b) one host per stream is enforced by the map type.
-	for s, h := range a.Provides {
-		if !sys.Streams[s].Requested {
-			return fmt.Errorf("dsps: host %d provides unrequested stream %d", h, s)
-		}
-		if !a.Available(sys, h, s) {
-			return fmt.Errorf("dsps: host %d provides stream %d without possessing it", h, s)
-		}
-	}
-
-	// (III.5b) every placed operator has all inputs available locally.
-	for pl, on := range a.Ops {
-		if !on {
-			continue
-		}
-		op := sys.Operators[pl.Op]
-		for _, in := range op.Inputs {
-			if !a.Available(sys, pl.Host, in) {
-				return fmt.Errorf("dsps: operator %d on host %d missing input stream %d", pl.Op, pl.Host, in)
-			}
-		}
-	}
-
-	// (III.5c) a host may only send streams it possesses. Possession via
-	// inflow is checked causally below; here we check the static form.
-	for f, on := range a.Flows {
-		if !on {
-			continue
-		}
 		if f.From == f.To {
 			return fmt.Errorf("dsps: self-flow of stream %d at host %d", f.Stream, f.From)
 		}
-		if !a.Available(sys, f.From, f.Stream) {
-			return fmt.Errorf("dsps: host %d sends stream %d it does not possess", f.From, f.Stream)
+		if !derived[sys.HSIndex(f.From, f.Stream)] {
+			return fmt.Errorf("dsps: acausal flow of stream %d from host %d (no real source)", f.Stream, f.From)
 		}
 	}
 
 	// (III.6) resource budgets.
+	n := sys.NumHosts()
 	u := a.ComputeUsage(sys)
 	const tol = 1e-6
 	for h := 0; h < n; h++ {
@@ -234,84 +354,6 @@ func (a *Assignment) Validate(sys *System) error {
 			}
 		}
 	}
-
-	// (III.7) acyclicity / causality: every availability must be derivable
-	// from base streams and placed operators without feedback loops.
-	return a.validateCausality(sys)
-}
-
-// validateCausality performs a fixed-point derivation of availability: a
-// stream becomes available at a host if it is a base stream there, if a
-// placed operator with all inputs already derived outputs it there, or if
-// an in-flow from a host where it is already derived carries it. Any
-// flow or operator input that can never be derived indicates an acausal
-// cycle (the self-sustaining feedback the potentials p exclude).
-func (a *Assignment) validateCausality(sys *System) error {
-	type hs struct {
-		h HostID
-		s StreamID
-	}
-	derived := make(map[hs]bool)
-	// Seed with base streams actually used somewhere.
-	for h := range sys.Hosts {
-		for s := range sys.Streams {
-			if sys.IsBaseAt(HostID(h), StreamID(s)) {
-				derived[hs{HostID(h), StreamID(s)}] = true
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for pl, on := range a.Ops {
-			if !on {
-				continue
-			}
-			op := sys.Operators[pl.Op]
-			if derived[hs{pl.Host, op.Output}] {
-				continue
-			}
-			ok := true
-			for _, in := range op.Inputs {
-				if !derived[hs{pl.Host, in}] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				derived[hs{pl.Host, op.Output}] = true
-				changed = true
-			}
-		}
-		for f, on := range a.Flows {
-			if !on || derived[hs{f.To, f.Stream}] {
-				continue
-			}
-			if derived[hs{f.From, f.Stream}] {
-				derived[hs{f.To, f.Stream}] = true
-				changed = true
-			}
-		}
-	}
-	for f, on := range a.Flows {
-		if on && !derived[hs{f.From, f.Stream}] {
-			return fmt.Errorf("dsps: acausal flow of stream %d from host %d (no real source)", f.Stream, f.From)
-		}
-	}
-	for pl, on := range a.Ops {
-		if !on {
-			continue
-		}
-		for _, in := range sys.Operators[pl.Op].Inputs {
-			if !derived[hs{pl.Host, in}] {
-				return fmt.Errorf("dsps: operator %d on host %d has acausal input stream %d", pl.Op, pl.Host, in)
-			}
-		}
-	}
-	for s, h := range a.Provides {
-		if !derived[hs{h, s}] {
-			return fmt.Errorf("dsps: provided stream %d at host %d is acausal", s, h)
-		}
-	}
 	return nil
 }
 
@@ -319,57 +361,80 @@ func (a *Assignment) validateCausality(sys *System) error {
 // (objective O1), i.e. Σ d_hs.
 func (a *Assignment) SatisfiedQueries() int { return len(a.Provides) }
 
+// NewSeen returns the visited array WalkSupport stamps, sized for sys.
+func NewSeen(sys *System) []uint32 { return make([]uint32, len(sys.Hosts)*len(sys.Streams)) }
+
+// WalkSupport visits everything availability (h, s) rests on, backwards
+// and through every alternative: each operator placed at h that outputs s
+// (then its inputs at h) and each flow bringing s into h (then s at the
+// sender), stopping at base streams. onOp and onFlow, when non-nil, see
+// each such placement and flow once and stop the walk by returning false;
+// WalkSupport reports whether it ran to completion.
+//
+// seen (from NewSeen) is stamped with epoch at every availability reached.
+// Walks under one epoch share what they have visited, so many roots cost
+// one traversal; a fresh non-zero epoch starts an independent walk on the
+// same array without clearing it.
+func (a *Assignment) WalkSupport(sys *System, h HostID, s StreamID, seen []uint32, epoch uint32, onOp func(Placement) bool, onFlow func(Flow) bool) bool {
+	i := sys.HSIndex(h, s)
+	if seen[i] == epoch {
+		return true
+	}
+	seen[i] = epoch
+	if sys.IsBaseAt(h, s) {
+		return true
+	}
+	for _, op := range sys.ProducersOf(s) {
+		pl := Placement{Host: h, Op: op}
+		if !a.Ops[pl] {
+			continue
+		}
+		if onOp != nil && !onOp(pl) {
+			return false
+		}
+		for _, in := range sys.Operators[op].Inputs {
+			if !a.WalkSupport(sys, h, in, seen, epoch, onOp, onFlow) {
+				return false
+			}
+		}
+	}
+	for m := range sys.Hosts {
+		f := Flow{From: HostID(m), To: h, Stream: s}
+		if !a.Flows[f] {
+			continue
+		}
+		if onFlow != nil && !onFlow(f) {
+			return false
+		}
+		if !a.WalkSupport(sys, f.From, s, seen, epoch, onOp, onFlow) {
+			return false
+		}
+	}
+	return true
+}
+
 // GarbageCollect deletes operators and flows not backward-reachable from
 // any provided stream. All alternative supports of a needed availability
 // are kept (conservative), so a feasible assignment stays feasible. It is
 // the shared second half of query removal (§IV-B "conceptually removing
 // and re-adding queries") used by every planner's Remove.
 func (a *Assignment) GarbageCollect(sys *System) {
-	type hs struct {
-		h HostID
-		s StreamID
-	}
-	neededOps := make(map[Placement]bool)
-	neededFlows := make(map[Flow]bool)
-	seen := make(map[hs]bool)
-	var queue []hs
+	seen := NewSeen(sys)
 	for s, h := range a.Provides {
-		queue = append(queue, hs{h, s})
+		a.WalkSupport(sys, h, s, seen, 1, nil, nil)
 	}
-	for len(queue) > 0 {
-		cur := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if seen[cur] {
-			continue
-		}
-		seen[cur] = true
-		if sys.IsBaseAt(cur.h, cur.s) {
-			continue
-		}
-		for _, op := range sys.ProducersOf(cur.s) {
-			pl := Placement{Host: cur.h, Op: op}
-			if a.Ops[pl] {
-				neededOps[pl] = true
-				for _, in := range sys.Operators[op].Inputs {
-					queue = append(queue, hs{cur.h, in})
-				}
-			}
-		}
-		for m := 0; m < sys.NumHosts(); m++ {
-			f := Flow{From: HostID(m), To: cur.h, Stream: cur.s}
-			if a.Flows[f] {
-				neededFlows[f] = true
-				queue = append(queue, hs{HostID(m), cur.s})
-			}
-		}
+	// The walk keeps every producer and every inflow of each availability
+	// it reaches, so a piece is needed exactly when its target was reached.
+	needed := func(h HostID, s StreamID) bool {
+		return seen[sys.HSIndex(h, s)] == 1 && !sys.IsBaseAt(h, s)
 	}
 	for pl := range a.Ops {
-		if !neededOps[pl] {
+		if !needed(pl.Host, sys.Operators[pl.Op].Output) {
 			delete(a.Ops, pl)
 		}
 	}
 	for f := range a.Flows {
-		if !neededFlows[f] {
+		if !needed(f.To, f.Stream) {
 			delete(a.Flows, f)
 		}
 	}
@@ -383,47 +448,19 @@ func (a *Assignment) GarbageCollect(sys *System) {
 // failure; widening the predicate to draining hosts lists the queries a
 // graceful decommission should migrate.
 func (a *Assignment) AffectedQueries(sys *System, affected func(HostID) bool) []StreamID {
-	type hs struct {
-		h HostID
-		s StreamID
-	}
 	var out []StreamID
-	for q, ph := range a.Provides {
-		hit := affected(ph)
-		seen := make(map[hs]bool)
-		queue := []hs{{ph, q}}
-		for !hit && len(queue) > 0 {
-			cur := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			if seen[cur] {
-				continue
-			}
-			seen[cur] = true
-			if affected(cur.h) {
-				hit = true
-				break
-			}
-			if sys.IsBaseAt(cur.h, cur.s) {
-				continue
-			}
-			for _, op := range sys.ProducersOf(cur.s) {
-				if a.Ops[Placement{Host: cur.h, Op: op}] {
-					for _, in := range sys.Operators[op].Inputs {
-						queue = append(queue, hs{cur.h, in})
-					}
-				}
-			}
-			for m := 0; m < sys.NumHosts(); m++ {
-				if a.Flows[Flow{From: HostID(m), To: cur.h, Stream: cur.s}] {
-					queue = append(queue, hs{HostID(m), cur.s})
-				}
-			}
-		}
-		if hit {
+	seen := NewSeen(sys)
+	// Operators run where their output is needed, so beyond the providing
+	// host only a flow's sender adds a new host to a query's support.
+	untouched := func(f Flow) bool { return !affected(f.From) }
+	epoch := uint32(0)
+	for q, h := range a.Provides {
+		epoch++
+		if affected(h) || !a.WalkSupport(sys, h, q, seen, epoch, nil, untouched) {
 			out = append(out, q)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -452,80 +489,26 @@ func (a *Assignment) StripFailed(sys *System) {
 // PruneAcausal removes every operator placement and flow that is no longer
 // causally supported: after a failure strip, an operator may have lost an
 // input it received from the failed host, and a flow may have lost its real
-// source. Availability is re-derived from base streams at usable hosts via
-// the fixed point of Validate's causality rule; anything underivable is
-// deleted (cascading). The result is a feasible sub-assignment that keeps
+// source. Whatever derive does not reach from base streams at usable hosts
+// is deleted (cascading). The result is a feasible sub-assignment that keeps
 // every surviving allocation — including support orphaned by a lost
 // provide — so a repair planner can pin survivors instead of rebuilding
 // them. Provides whose stream became underivable at their host are removed
 // too (callers treat those queries as affected).
 func (a *Assignment) PruneAcausal(sys *System) {
-	type hs struct {
-		h HostID
-		s StreamID
-	}
-	derived := make(map[hs]bool)
-	for h := range sys.Hosts {
-		if !sys.HostUsable(HostID(h)) {
-			continue
-		}
-		for s := range sys.Streams {
-			if sys.IsBaseAt(HostID(h), StreamID(s)) {
-				derived[hs{HostID(h), StreamID(s)}] = true
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for pl, on := range a.Ops {
-			if !on {
-				continue
-			}
-			op := sys.Operators[pl.Op]
-			if derived[hs{pl.Host, op.Output}] {
-				continue
-			}
-			ok := true
-			for _, in := range op.Inputs {
-				if !derived[hs{pl.Host, in}] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				derived[hs{pl.Host, op.Output}] = true
-				changed = true
-			}
-		}
-		for f, on := range a.Flows {
-			if !on || derived[hs{f.To, f.Stream}] {
-				continue
-			}
-			if derived[hs{f.From, f.Stream}] {
-				derived[hs{f.To, f.Stream}] = true
-				changed = true
-			}
-		}
-	}
+	derived := a.derive(sys)
 	for pl := range a.Ops {
-		keep := true
-		for _, in := range sys.Operators[pl.Op].Inputs {
-			if !derived[hs{pl.Host, in}] {
-				keep = false
-				break
-			}
-		}
-		if !keep {
+		if _, missing := underivedInput(sys, derived, pl); missing {
 			delete(a.Ops, pl)
 		}
 	}
 	for f := range a.Flows {
-		if !derived[hs{f.From, f.Stream}] {
+		if !derived[sys.HSIndex(f.From, f.Stream)] {
 			delete(a.Flows, f)
 		}
 	}
 	for s, h := range a.Provides {
-		if !derived[hs{h, s}] {
+		if !derived[sys.HSIndex(h, s)] {
 			delete(a.Provides, s)
 		}
 	}
@@ -540,16 +523,14 @@ func (a *Assignment) PruneAcausal(sys *System) {
 // not chosen).
 func CountMigrations(sys *System, before, after *Assignment) int {
 	beforeHosts := make(map[OperatorID][]HostID)
-	for pl, on := range before.Ops {
-		if on && sys.HostUsable(pl.Host) {
+	for pl := range before.Ops {
+		if sys.HostUsable(pl.Host) {
 			beforeHosts[pl.Op] = append(beforeHosts[pl.Op], pl.Host)
 		}
 	}
 	afterAny := make(map[OperatorID]bool)
-	for pl, on := range after.Ops {
-		if on {
-			afterAny[pl.Op] = true
-		}
+	for pl := range after.Ops {
+		afterAny[pl.Op] = true
 	}
 	migrated := 0
 	for op, hosts := range beforeHosts {
@@ -570,40 +551,34 @@ func CountMigrations(sys *System, before, after *Assignment) int {
 	return migrated
 }
 
-// SortedFlows returns the active flows in deterministic order, for tests
-// and debug output.
+// CompareFlows orders flows by (Stream, From, To) and ComparePlacements
+// orders placements by (Op, Host): the wire order of assignment files,
+// snapshots and journal deltas.
+func CompareFlows(a, b Flow) int {
+	return cmp.Or(cmp.Compare(a.Stream, b.Stream), cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+}
+
+// ComparePlacements: see CompareFlows.
+func ComparePlacements(a, b Placement) int {
+	return cmp.Or(cmp.Compare(a.Op, b.Op), cmp.Compare(a.Host, b.Host))
+}
+
+// SortedFlows returns the active flows in wire order.
 func (a *Assignment) SortedFlows() []Flow {
 	out := make([]Flow, 0, len(a.Flows))
-	for f, on := range a.Flows {
-		if on {
-			out = append(out, f)
-		}
+	for f := range a.Flows {
+		out = append(out, f)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Stream != out[j].Stream {
-			return out[i].Stream < out[j].Stream
-		}
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
+	slices.SortFunc(out, CompareFlows)
 	return out
 }
 
-// SortedOps returns the active placements in deterministic order.
+// SortedOps returns the active placements in wire order.
 func (a *Assignment) SortedOps() []Placement {
 	out := make([]Placement, 0, len(a.Ops))
-	for p, on := range a.Ops {
-		if on {
-			out = append(out, p)
-		}
+	for p := range a.Ops {
+		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Op != out[j].Op {
-			return out[i].Op < out[j].Op
-		}
-		return out[i].Host < out[j].Host
-	})
+	slices.SortFunc(out, ComparePlacements)
 	return out
 }

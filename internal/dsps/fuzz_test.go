@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -105,6 +106,82 @@ func FuzzSystemJSON(f *testing.F) {
 					t.Fatalf("base placement (%d,%d) differs after round trip", h, s)
 				}
 			}
+		}
+	})
+}
+
+// outOfRangeAssignments are well-formed assignment files whose ids lie
+// outside a one-host, one-stream, operator-free system: a flow from host 7,
+// a provide of stream 5 and a placement of operator 9. Each used to panic
+// Validate with an index out of range.
+var outOfRangeAssignments = []string{
+	`{"version":1,"flows":[{"From":7,"To":0,"Stream":0}],"provides":[],"placements":[]}`,
+	`{"version":1,"flows":[],"provides":[{"stream":5,"host":0}],"placements":[]}`,
+	`{"version":1,"flows":[],"provides":[],"placements":[{"Host":0,"Op":9}]}`,
+}
+
+func TestValidateRejectsOutOfRangeIDs(t *testing.T) {
+	sys := NewSystem([]Host{{ID: 0, CPU: 1, OutBW: 1, InBW: 1}}, 0)
+	sys.PlaceBase(0, sys.AddStream(1, NoOperator, "s"))
+	for _, body := range append([]string{
+		`{"version":1,"flows":[{"From":0,"To":-1,"Stream":0}]}`,
+		`{"version":1,"flows":[{"From":0,"To":0,"Stream":-2}]}`,
+		`{"version":1,"provides":[{"stream":0,"host":1}]}`,
+		`{"version":1,"placements":[{"Host":3,"Op":0}]}`,
+	}, outOfRangeAssignments...) {
+		a, err := ReadAssignment(strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if a.CheckIDs(sys) == nil || a.Validate(sys) == nil {
+			t.Errorf("%s: accepted against a one-host system", body)
+		}
+	}
+}
+
+// FuzzAssignmentJSON feeds arbitrary bytes through the assignment decoder
+// and Validate against a fixed generated system: whatever ids, duplicates
+// or cycles the bytes describe, Validate must return — never panic — and
+// an assignment it accepts must re-encode to bytes that decode and encode
+// to the same bytes again.
+func FuzzAssignmentJSON(f *testing.F) {
+	var sys System
+	if err := json.Unmarshal(fuzzSeedSystems(f)[0], &sys); err != nil {
+		f.Fatal(err)
+	}
+	for _, body := range outOfRangeAssignments {
+		f.Add([]byte(body))
+	}
+	// A valid plan on the seed system (a⋈b at host 1, served from there),
+	// then a relay loop with no real source.
+	f.Add([]byte(`{"version":1,"provides":[{"stream":2,"host":1}],"flows":[],"placements":[{"Host":1,"Op":0}]}`))
+	f.Add([]byte(`{"version":1,"provides":[],"flows":[{"From":0,"To":1,"Stream":1},{"From":1,"To":0,"Stream":1}],"placements":[]}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var a Assignment
+		if err := json.Unmarshal(data, &a); err != nil {
+			return
+		}
+		if a.Validate(&sys) != nil {
+			return
+		}
+		enc1, err := json.Marshal(&a)
+		if err != nil {
+			t.Fatalf("cannot re-encode accepted assignment: %v", err)
+		}
+		var b Assignment
+		if err := json.Unmarshal(enc1, &b); err != nil {
+			t.Fatalf("re-encoded assignment does not decode: %v\n%s", err, enc1)
+		}
+		if err := b.Validate(&sys); err != nil {
+			t.Fatalf("round trip made a valid assignment invalid: %v", err)
+		}
+		enc2, err := json.Marshal(&b)
+		if err != nil {
+			t.Fatalf("second encode failed: %v", err)
+		}
+		if !bytes.Equal(enc1, enc2) {
+			t.Fatalf("encode not byte-identical after round trip:\n%s\nvs\n%s", enc1, enc2)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Serialisation: systems and assignments round-trip through JSON so that
@@ -119,11 +120,7 @@ func (a *Assignment) MarshalJSON() ([]byte, error) {
 	for s := range a.Provides {
 		streams = append(streams, s)
 	}
-	for i := 1; i < len(streams); i++ {
-		for j := i; j > 0 && streams[j] < streams[j-1]; j-- {
-			streams[j], streams[j-1] = streams[j-1], streams[j]
-		}
-	}
+	slices.Sort(streams)
 	for _, s := range streams {
 		out.Provides = append(out.Provides, provideJSON{s, a.Provides[s]})
 	}

@@ -1,0 +1,152 @@
+package dsps_test
+
+import (
+	"context"
+	"maps"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"sqpr/internal/core"
+	"sqpr/internal/dsps"
+	"sqpr/internal/heuristic"
+	"sqpr/internal/workload"
+)
+
+// TestAllocationRulesUnderPerturbation checks the properties callers rely
+// on, with no second implementation as oracle: generated systems are
+// filled by the heuristic planner, then perturbed by random removes, stray
+// flows and host failures. After every step GarbageCollect must be
+// idempotent, keep the allocation valid and leave Provides alone;
+// StripFailed+PruneAcausal must leave a valid allocation that still serves
+// every query AffectedQueries did not name; and a Usage kept current
+// through Add*/Remove* must equal one computed from scratch.
+func TestAllocationRulesUnderPerturbation(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		sys := workload.BuildSystem(workload.SystemConfig{NumHosts: 6, CPUPerHost: 12, OutBW: 200, InBW: 200, LinkCap: 100})
+		cfg := workload.DefaultConfig()
+		cfg.NumBaseStreams, cfg.NumQueries, cfg.Arities, cfg.Seed = 24, 24, []int{2, 3}, seed
+		w := workload.Generate(sys, cfg)
+		p := heuristic.New(sys, core.PaperWeights())
+		for _, q := range w.Queries {
+			if _, err := p.Submit(context.Background(), q); err != nil {
+				t.Fatalf("seed %d: Submit(%d): %v", seed, q, err)
+			}
+		}
+		a := p.Assignment().Clone()
+		if len(a.Provides) < 8 {
+			t.Fatalf("seed %d: only %d queries admitted; the test would be vacuous", seed, len(a.Provides))
+		}
+		u := a.ComputeUsage(sys)
+		rng := rand.New(rand.NewSource(seed))
+
+		// settle applies mutate, brings u up to date from what it removed,
+		// and checks the result is valid with u still exact.
+		settle := func(step string, mutate func()) {
+			t.Helper()
+			before := a.Clone()
+			mutate()
+			for pl := range before.Ops {
+				if !a.Ops[pl] {
+					u.RemoveOp(pl)
+				}
+			}
+			for f := range before.Flows {
+				if !a.Flows[f] {
+					u.RemoveFlow(f)
+				}
+			}
+			for q, h := range before.Provides {
+				if _, ok := a.Provides[q]; !ok {
+					u.Out[h] -= sys.Streams[q].Rate
+				}
+			}
+			if err := a.Validate(sys); err != nil {
+				t.Fatalf("seed %d, %s: %v", seed, step, err)
+			}
+			sameUsage(t, u, a.ComputeUsage(sys))
+		}
+		collect := func(step string) {
+			t.Helper()
+			provides := maps.Clone(a.Provides)
+			settle(step, func() { a.GarbageCollect(sys) })
+			if !maps.Equal(a.Provides, provides) {
+				t.Fatalf("seed %d, %s: GarbageCollect changed Provides", seed, step)
+			}
+			once := a.Clone()
+			a.GarbageCollect(sys)
+			if !reflect.DeepEqual(a, once) {
+				t.Fatalf("seed %d, %s: GarbageCollect is not idempotent", seed, step)
+			}
+		}
+
+		for step := 0; step < 24 && len(a.Provides) > 0; step++ {
+			up := slices.DeleteFunc(hostIDs(sys), func(h dsps.HostID) bool { return !sys.HostUsable(h) })
+			switch {
+			case step%6 == 5 && len(up) > 2: // a host fails
+				down := up[rng.Intn(len(up))]
+				sys.SetHostState(down, dsps.HostDown)
+				affected := a.AffectedQueries(sys, func(h dsps.HostID) bool { return h == down })
+				provides := maps.Clone(a.Provides)
+				settle("strip+prune", func() {
+					a.StripFailed(sys)
+					a.PruneAcausal(sys)
+				})
+				for q, h := range provides {
+					if got, ok := a.Provides[q]; !slices.Contains(affected, q) && (!ok || got != h) {
+						t.Fatalf("seed %d: query %d not named by AffectedQueries(host %d) lost its provide", seed, q, down)
+					}
+				}
+				for _, q := range affected {
+					if _, ok := a.Provides[q]; ok {
+						settle("demote", func() { delete(a.Provides, q) })
+					}
+				}
+				collect("collect after failure")
+			case step%2 == 0: // a stray relay nothing needs
+				s := w.BaseStreams[rng.Intn(len(w.BaseStreams))]
+				f := dsps.Flow{From: sys.BaseHosts(s)[0], To: up[rng.Intn(len(up))], Stream: s}
+				if sys.HostUsable(f.From) && f.From != f.To && !a.Flows[f] {
+					a.Flows[f] = true
+					u.AddFlow(f)
+					sameUsage(t, u, a.ComputeUsage(sys))
+				}
+			default: // a query leaves
+				qs := slices.Sorted(maps.Keys(a.Provides))
+				q := qs[rng.Intn(len(qs))]
+				settle("remove", func() { delete(a.Provides, q) })
+				collect("collect after remove")
+			}
+		}
+	}
+}
+
+func hostIDs(sys *dsps.System) []dsps.HostID {
+	ids := make([]dsps.HostID, sys.NumHosts())
+	for i := range ids {
+		ids[i] = dsps.HostID(i)
+	}
+	return ids
+}
+
+// sameUsage compares two ledgers entry by entry, up to the rounding that
+// adding and subtracting in a different order leaves behind.
+func sameUsage(t *testing.T, got, want *dsps.Usage) {
+	t.Helper()
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9 }
+	vec := func(name string, a, b []float64) {
+		if !slices.EqualFunc(a, b, near) {
+			t.Fatalf("incremental Usage.%s = %v, recomputed %v", name, a, b)
+		}
+	}
+	vec("CPU", got.CPU, want.CPU)
+	vec("Mem", got.Mem, want.Mem)
+	vec("Out", got.Out, want.Out)
+	vec("In", got.In, want.In)
+	for h := range want.Link {
+		vec("Link", got.Link[h], want.Link[h])
+	}
+	vec("Network/CPUSum", []float64{got.Network, got.CPUSum}, []float64{want.Network, want.CPUSum})
+}

@@ -3,6 +3,7 @@ package plan
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"sqpr/internal/dsps"
@@ -151,7 +152,7 @@ func RepairByResubmit(ctx context.Context, sys *dsps.System, p QueryPlanner, eve
 		return !sys.HostUsable(h)
 	})
 	rr.Affected = append(rr.Affected, DriftedEventQueries(events, rr.Affected, p.Admitted)...)
-	sortStreamIDs(rr.Affected)
+	slices.Sort(rr.Affected)
 	if len(rr.Affected) == 0 {
 		rr.Admitted = true
 		rr.PlanTime = time.Since(start)
@@ -198,12 +199,4 @@ func RepairByResubmit(ctx context.Context, sys *dsps.System, p QueryPlanner, eve
 	rr.Migrated = dsps.CountMigrations(sys, before, p.Assignment())
 	rr.PlanTime = time.Since(start)
 	return rr, nil
-}
-
-func sortStreamIDs(s []dsps.StreamID) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -2,9 +2,10 @@ package plan
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sqpr/internal/dsps"
 )
@@ -81,17 +82,25 @@ func ExportedState(sys *dsps.System, a *dsps.Assignment, admitted map[dsps.Strea
 			s.Admitted = append(s.Admitted, q)
 		}
 	}
-	sort.Slice(s.Admitted, func(i, j int) bool { return s.Admitted[i] < s.Admitted[j] })
+	slices.Sort(s.Admitted)
 	for h := range sys.Hosts {
 		s.Hosts[h] = sys.Hosts[h].State
 	}
 	return s
 }
 
-// CheckState validates a State against a system before import.
+// CheckState validates a State against a system before import: the bytes
+// of a snapshot or of replayed deltas may name hosts, streams and operators
+// the system does not have.
 func CheckState(sys *dsps.System, s State) error {
 	if len(s.Hosts) != sys.NumHosts() {
 		return fmt.Errorf("plan: state has %d host states, system has %d hosts", len(s.Hosts), sys.NumHosts())
+	}
+	if s.Assignment == nil {
+		return fmt.Errorf("plan: state has no assignment")
+	}
+	if err := s.Assignment.CheckIDs(sys); err != nil {
+		return err
 	}
 	for _, q := range s.Admitted {
 		if err := CheckStream(sys, q); err != nil {
@@ -158,27 +167,6 @@ func (d Delta) IsEmpty() bool {
 		len(d.Hosts) == 0 && !d.AuxSet
 }
 
-func sortFlows(fs []dsps.Flow) {
-	sort.Slice(fs, func(i, j int) bool {
-		if fs[i].Stream != fs[j].Stream {
-			return fs[i].Stream < fs[j].Stream
-		}
-		if fs[i].From != fs[j].From {
-			return fs[i].From < fs[j].From
-		}
-		return fs[i].To < fs[j].To
-	})
-}
-
-func sortOps(ps []dsps.Placement) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Op != ps[j].Op {
-			return ps[i].Op < ps[j].Op
-		}
-		return ps[i].Host < ps[j].Host
-	})
-}
-
 // Diff computes the delta that transforms before into after.
 func Diff(before, after State) Delta {
 	var d Delta
@@ -207,34 +195,34 @@ func Diff(before, after State) Delta {
 			d.ProvideDel = append(d.ProvideDel, s)
 		}
 	}
-	sort.Slice(d.ProvideSet, func(i, j int) bool { return d.ProvideSet[i].Stream < d.ProvideSet[j].Stream })
-	sort.Slice(d.ProvideDel, func(i, j int) bool { return d.ProvideDel[i] < d.ProvideDel[j] })
+	slices.SortFunc(d.ProvideSet, func(a, b ProvideChange) int { return cmp.Compare(a.Stream, b.Stream) })
+	slices.Sort(d.ProvideDel)
 
-	for f, on := range aa.Flows {
-		if on && !ba.Flows[f] {
+	for f := range aa.Flows {
+		if !ba.Flows[f] {
 			d.FlowAdd = append(d.FlowAdd, f)
 		}
 	}
-	for f, on := range ba.Flows {
-		if on && !aa.Flows[f] {
+	for f := range ba.Flows {
+		if !aa.Flows[f] {
 			d.FlowDel = append(d.FlowDel, f)
 		}
 	}
-	sortFlows(d.FlowAdd)
-	sortFlows(d.FlowDel)
+	slices.SortFunc(d.FlowAdd, dsps.CompareFlows)
+	slices.SortFunc(d.FlowDel, dsps.CompareFlows)
 
-	for p, on := range aa.Ops {
-		if on && !ba.Ops[p] {
+	for p := range aa.Ops {
+		if !ba.Ops[p] {
 			d.OpAdd = append(d.OpAdd, p)
 		}
 	}
-	for p, on := range ba.Ops {
-		if on && !aa.Ops[p] {
+	for p := range ba.Ops {
+		if !aa.Ops[p] {
 			d.OpDel = append(d.OpDel, p)
 		}
 	}
-	sortOps(d.OpAdd)
-	sortOps(d.OpDel)
+	slices.SortFunc(d.OpAdd, dsps.ComparePlacements)
+	slices.SortFunc(d.OpDel, dsps.ComparePlacements)
 
 	for h := range after.Hosts {
 		if h >= len(before.Hosts) || before.Hosts[h] != after.Hosts[h] {
@@ -268,7 +256,7 @@ func (s *State) Apply(d Delta) {
 		for q := range adm {
 			s.Admitted = append(s.Admitted, q)
 		}
-		sort.Slice(s.Admitted, func(i, j int) bool { return s.Admitted[i] < s.Admitted[j] })
+		slices.Sort(s.Admitted)
 	}
 	for _, q := range d.ProvideDel {
 		delete(s.Assignment.Provides, q)

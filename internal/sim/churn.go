@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"sqpr/internal/dsps"
@@ -153,7 +154,7 @@ func Churn(ctx context.Context, cs ChurnScale) (ChurnResult, error) {
 			for q := range dropped {
 				retry = append(retry, q)
 			}
-			sortStreamIDs(retry)
+			slices.Sort(retry)
 			for _, q := range retry {
 				if ctx.Err() != nil {
 					break
@@ -210,14 +211,6 @@ func poisson(rng *rand.Rand, lambda float64) int {
 		k++
 		if k >= 50 {
 			return k
-		}
-	}
-}
-
-func sortStreamIDs(s []dsps.StreamID) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
 }
