@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -239,5 +240,184 @@ func TestSubmitOptionsAcrossPlanners(t *testing.T) {
 				t.Fatalf("batch submit: %v", err)
 			}
 		})
+	}
+}
+
+// checkLedgerAgrees asserts that the three views of "q is served" agree for
+// every query: Admitted(q), membership in ExportState().Admitted and — for
+// the planners that place (all but the aggregate bound) — a provide in the
+// assignment.
+func checkLedgerAgrees(t *testing.T, step string, p sqpr.QueryPlanner, places bool, queries []sqpr.StreamID) {
+	t.Helper()
+	exported := p.(sqpr.StatePorter).ExportState().Admitted
+	if len(exported) != p.AdmittedCount() {
+		t.Fatalf("%s: ExportState lists %d admitted queries, AdmittedCount = %d", step, len(exported), p.AdmittedCount())
+	}
+	for _, q := range queries {
+		_, provided := p.Assignment().Provides[q]
+		if in := slices.Contains(exported, q); in != p.Admitted(q) || (places && provided != in) {
+			t.Fatalf("%s: query %d: Admitted = %v, in ExportState = %v, provided = %v", step, q, p.Admitted(q), in, provided)
+		}
+	}
+}
+
+// TestAdmissionViewsAgreeAtEveryStep walks every planner through the steps
+// of the conformance script — submits, a duplicate, a remove, a resubmit, a
+// batch refused for a bogus member, a cancelled submit, a joint batch — and
+// checks after each one that no view of the admitted set has drifted from
+// the others.
+func TestAdmissionViewsAgreeAtEveryStep(t *testing.T) {
+	for _, tc := range conformanceCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			sys, queries := conformanceEnv()
+			p := tc.make(sys)
+			step := func(name string, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				checkLedgerAgrees(t, name, p, tc.name != "bound", queries)
+			}
+			var served sqpr.StreamID = -1
+			for _, q := range queries[:6] {
+				_, err := p.Submit(ctx, q)
+				step("submit", err)
+				if served < 0 && p.Admitted(q) {
+					served = q
+				}
+			}
+			if served < 0 {
+				t.Fatal("planner admitted nothing on the conformance workload")
+			}
+			_, err := p.Submit(ctx, served)
+			step("duplicate submit", err)
+			step("remove", p.Remove(served))
+			_, err = p.Submit(ctx, served)
+			step("resubmit", err)
+			if _, err = p.Submit(ctx, served, sqpr.WithBatch(-5)); err == nil {
+				t.Fatal("batch with a bogus member did not fail")
+			}
+			step("batch with bogus member", nil)
+			step("remove again", p.Remove(served))
+			cancelled, cancel := context.WithCancel(ctx)
+			cancel()
+			if _, err = p.Submit(cancelled, served); err == nil {
+				t.Fatal("cancelled submit did not fail")
+			}
+			step("cancelled submit", nil)
+			_, err = p.Submit(ctx, served, sqpr.WithBatch(queries[6], queries[7]))
+			step("batch", err)
+			_, err = p.Repair(ctx, []sqpr.Event{sqpr.FailHost(0)})
+			step("repair", err)
+		})
+	}
+}
+
+// cancelledOnce is a context that reports cancellation as soon as when()
+// holds. Planners poll Err between the members of a sequential batch, so
+// tying it to "the first member is admitted" cancels exactly mid-batch.
+type cancelledOnce struct {
+	context.Context
+	when func() bool
+}
+
+func (c cancelledOnce) Err() error {
+	if c.when() {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestBatchErrorMidwayLeavesStateUnchanged cancels a two-member batch once
+// its first member is admitted. The sequential planners (heuristic, soda)
+// must return the error; any planner that does must be back at the
+// byte-identical pre-call state, and must then be able to place the same
+// queries again — for soda that needs the template placements of the
+// rolled-back member forgotten, not glued onto.
+func TestBatchErrorMidwayLeavesStateUnchanged(t *testing.T) {
+	for _, tc := range conformanceCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, queries := conformanceEnv()
+			p := tc.make(sys)
+			porter := p.(sqpr.StatePorter)
+			// Some load first, so there is a state to restore.
+			for _, q := range queries[:3] {
+				if _, err := p.Submit(context.Background(), q); err != nil {
+					t.Fatalf("Submit(%d): %v", q, err)
+				}
+			}
+			// The first two remaining queries the planner can serve alone.
+			var pair []sqpr.StreamID
+			for _, q := range queries[3:] {
+				if res, err := p.Submit(context.Background(), q); err == nil && res.Admitted && !res.AlreadyAdmitted {
+					if err := p.Remove(q); err != nil {
+						t.Fatalf("Remove(%d): %v", q, err)
+					}
+					if pair = append(pair, q); len(pair) == 2 {
+						break
+					}
+				}
+			}
+			if len(pair) < 2 {
+				t.Fatal("workload has no two fresh queries this planner admits")
+			}
+			before := porter.ExportState()
+
+			ctx := cancelledOnce{context.Background(), func() bool { return p.Admitted(pair[0]) }}
+			_, err := p.Submit(ctx, pair[0], sqpr.WithBatch(pair[1]))
+			if sequential := tc.name == "heuristic" || tc.name == "soda"; sequential && !errors.Is(err, context.Canceled) {
+				t.Fatalf("batch cancelled before its second member: err = %v, want context.Canceled", err)
+			}
+			if err == nil {
+				return // one joint decision (core, hier) or no poll mid-batch (bound)
+			}
+			if after := porter.ExportState(); !after.Equal(before) {
+				t.Fatalf("failed batch changed the state:\nbefore %+v\nafter  %+v", before, after)
+			}
+			checkLedgerAgrees(t, "failed batch", p, tc.name != "bound", queries)
+			for _, q := range pair {
+				res, err := p.Submit(context.Background(), q)
+				if err != nil || !res.Admitted {
+					t.Fatalf("resubmit of %d after the rollback: %+v, %v", q, res, err)
+				}
+			}
+			if err := p.Assignment().Validate(sys); err != nil {
+				t.Fatalf("assignment infeasible after rollback and resubmit: %v", err)
+			}
+		})
+	}
+}
+
+// TestSubmitIsDeterministic plans the sqpr-plan demonstration workload on
+// two fresh planners, with a timeout no call comes near: the same inputs
+// must compile to the same model, so every call explores the same nodes in
+// the same LP iterations and both planners end in byte-identical states.
+func TestSubmitIsDeterministic(t *testing.T) {
+	run := func() ([][2]int, sqpr.PlannerState) {
+		sys := sqpr.BuildSystem(sqpr.SystemConfig{NumHosts: 8, CPUPerHost: 8, OutBW: 80, InBW: 80, LinkCap: 40})
+		wcfg := sqpr.DefaultWorkloadConfig()
+		wcfg.NumBaseStreams, wcfg.NumQueries, wcfg.Seed = 30, 30, 42
+		w := sqpr.GenerateWorkload(sys, wcfg)
+		cfg := sqpr.DefaultPlannerConfig()
+		cfg.SolveTimeout = time.Minute
+		p := sqpr.NewPlanner(sys, cfg)
+		var effort [][2]int
+		for _, q := range w.Queries {
+			res, err := p.Submit(context.Background(), q)
+			if err != nil {
+				t.Fatalf("Submit(%d): %v", q, err)
+			}
+			effort = append(effort, [2]int{res.Nodes, res.LPIters})
+		}
+		return effort, p.ExportState()
+	}
+	effortA, stateA := run()
+	effortB, stateB := run()
+	if !slices.Equal(effortA, effortB) {
+		t.Fatalf("per-call (nodes, LP iterations) differ between two identical runs:\n%v\n%v", effortA, effortB)
+	}
+	if !stateA.Equal(stateB) {
+		t.Fatal("two identical runs ended in different states")
 	}
 }

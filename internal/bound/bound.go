@@ -7,7 +7,6 @@ package bound
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"time"
 
@@ -18,21 +17,18 @@ import (
 // Planner is the aggregate-host bound calculator. Queries are admitted
 // sequentially with full global reuse: operators already placed by earlier
 // queries cost nothing for later ones. It implements plan.QueryPlanner;
-// because the aggregate host is synthetic, Assignment() carries no
-// physical placements.
+// because the aggregate host is synthetic, the embedded ledger's allocation
+// stays empty and Assignment() carries no physical placements.
 type Planner struct {
+	plan.Ledger
 	sys      *dsps.System
 	budget   float64 // remaining aggregate CPU
 	capacity float64 // total usable aggregate CPU (tracks host churn)
 	placed   map[dsps.OperatorID]bool
-	haveCost map[dsps.StreamID]float64 // memo of marginal cost per stream
-	admitted map[dsps.StreamID]bool
 	// charged records the marginal CPU each admitted query was billed, so
 	// Remove can refund it. Refunds and the persistently placed operator
 	// closure are both optimistic, preserving the upper-bound property.
 	charged map[dsps.StreamID]float64
-	state   *dsps.Assignment
-	stats   plan.Stats
 }
 
 // New creates the bound planner for a system. The aggregate budget counts
@@ -40,32 +36,17 @@ type Planner struct {
 // stays an upper bound for that system.
 func New(sys *dsps.System) *Planner {
 	return &Planner{
+		Ledger:   plan.NewLedger("bound", sys),
 		sys:      sys,
 		budget:   sys.UsableCPU(),
 		capacity: sys.UsableCPU(),
 		placed:   make(map[dsps.OperatorID]bool),
-		admitted: make(map[dsps.StreamID]bool),
 		charged:  make(map[dsps.StreamID]float64),
-		state:    dsps.NewAssignment(),
 	}
 }
 
 // Remaining returns the unused aggregate CPU budget.
 func (p *Planner) Remaining() float64 { return p.budget }
-
-// AdmittedCount returns the number of admitted queries.
-func (p *Planner) AdmittedCount() int { return len(p.admitted) }
-
-// Admitted reports whether q was admitted.
-func (p *Planner) Admitted(q dsps.StreamID) bool { return p.admitted[q] }
-
-// Assignment returns an empty allocation: the bound planner is a pure
-// admission calculator over a synthetic aggregate host and produces no
-// physical placement.
-func (p *Planner) Assignment() *dsps.Assignment { return p.state }
-
-// Stats returns cumulative planner telemetry.
-func (p *Planner) Stats() plan.Stats { return p.stats }
 
 // Submit admits q (and any plan.WithBatch companions, sequentially) if the
 // marginal CPU cost of the cheapest plan (reusing all previously placed
@@ -79,53 +60,28 @@ func (p *Planner) Stats() plan.Stats { return p.stats }
 // operators it actually placed, which is a subset, so its marginal costs
 // are never lower and its admission count never higher.
 func (p *Planner) Submit(ctx context.Context, q dsps.StreamID, opts ...plan.SubmitOption) (plan.Result, error) {
-	ctx = plan.OrBackground(ctx)
-	start := time.Now()
-	cfg := plan.Apply(opts)
-	var res plan.Result
-
-	// All error checks happen before any admission, so a failed call never
-	// leaves a partially-applied batch behind. Per-query work is pure CPU
-	// arithmetic, so one upfront ctx poll suffices.
-	qs := cfg.Queries(q)
-	if err := ctx.Err(); err != nil {
+	// Per-query work is pure CPU arithmetic, so one upfront ctx poll
+	// suffices, and a call that fails does so before any admission.
+	if err := plan.OrBackground(ctx).Err(); err != nil {
 		return plan.Result{}, err
 	}
-	for _, query := range qs {
-		if err := plan.CheckStream(p.sys, query); err != nil {
-			return plan.Result{}, fmt.Errorf("bound: %w", err)
-		}
-	}
+	return p.SubmitEach(ctx, q, opts, p.submitOne)
+}
 
-	allAdmitted := true
-	anyFresh := false
-	for _, query := range qs {
-		if p.admitted[query] {
-			res.AlreadyAdmitted = true
-			continue
-		}
-		anyFresh = true
-		cost, _, ok := p.cheapest(query, make(map[dsps.StreamID]bool))
-		if !ok || cost > p.budget+1e-9 {
-			allAdmitted = false
-			res.Reason = plan.ReasonResourceExhausted
-			if !ok {
-				res.Reason = plan.ReasonNoFeasiblePlan
-			}
-			continue
-		}
-		p.budget -= cost
-		p.charged[query] = cost
-		p.markClosurePlaced(query)
-		p.admitted[query] = true
+// submitOne admits one fresh query if its marginal cost fits the budget.
+func (p *Planner) submitOne(_ context.Context, q dsps.StreamID, _ *plan.SubmitConfig, _ time.Time) (bool, plan.Reason, error) {
+	cost, _, ok := p.cheapest(q, make(map[dsps.StreamID]bool))
+	if !ok {
+		return false, plan.ReasonNoFeasiblePlan, nil
 	}
-	res.Admitted = allAdmitted
-	if res.Admitted || !anyFresh {
-		res.Reason = plan.ReasonNone
+	if cost > p.budget+dsps.FitTol {
+		return false, plan.ReasonResourceExhausted, nil
 	}
-	res.PlanTime = time.Since(start)
-	p.stats.Record(res)
-	return res, nil
+	p.budget -= cost
+	p.charged[q] = cost
+	p.markClosurePlaced(q)
+	p.SetAdmitted(q, true)
+	return true, plan.ReasonNone, nil
 }
 
 // Remove withdraws an admitted query and refunds the marginal CPU it was
@@ -133,16 +89,17 @@ func (p *Planner) Submit(ctx context.Context, q dsps.StreamID, opts ...plan.Subm
 // optimistic, which keeps the bound an upper bound (refunded budget and
 // free reuse can only increase later admissions).
 func (p *Planner) Remove(q dsps.StreamID) error {
-	if err := plan.CheckStream(p.sys, q); err != nil {
-		return fmt.Errorf("bound: %w", err)
+	if err := p.Ledger.Remove(q); err != nil {
+		return err
 	}
-	if !p.admitted[q] {
-		return fmt.Errorf("bound: query %d: %w", q, plan.ErrNotAdmitted)
-	}
+	p.refund(q)
+	return nil
+}
+
+// refund returns q's charge to the budget.
+func (p *Planner) refund(q dsps.StreamID) {
 	p.budget += p.charged[q]
 	delete(p.charged, q)
-	delete(p.admitted, q)
-	return nil
 }
 
 // Repair adjusts the aggregate CPU budget to the post-event usable host
@@ -165,22 +122,20 @@ func (p *Planner) Repair(ctx context.Context, events []plan.Event, opts ...plan.
 	newCap := p.sys.UsableCPU()
 	p.budget += newCap - p.capacity
 	p.capacity = newCap
-	for p.budget < -1e-9 {
-		// Deficit: drop the query with the largest charge (fewest drops).
+	for p.budget < -dsps.FitTol {
+		// Deficit: drop the query with the largest charge (fewest drops),
+		// the lowest id among equals.
 		worst := dsps.StreamID(-1)
-		var worstCharge float64
-		for q := range p.admitted {
-			c := p.charged[q]
-			if worst < 0 || c > worstCharge || (c == worstCharge && q < worst) {
-				worst, worstCharge = q, c
+		for _, q := range p.AdmittedQueries() {
+			if worst < 0 || p.charged[q] > p.charged[worst] {
+				worst = q
 			}
 		}
 		if worst < 0 {
 			break // nothing left to drop; capacity is simply negative
 		}
-		p.budget += worstCharge
-		delete(p.charged, worst)
-		delete(p.admitted, worst)
+		p.refund(worst)
+		p.SetAdmitted(worst, false)
 		rr.Affected = append(rr.Affected, worst)
 		rr.Dropped = append(rr.Dropped, worst)
 	}

@@ -25,14 +25,12 @@ type charge struct {
 }
 
 // ExportState snapshots the planner's durable state (see plan.StatePorter).
-// The ledger travels in Aux, sorted for deterministic serialisation.
+// The CPU ledger travels in Aux, sorted for deterministic serialisation.
 func (p *Planner) ExportState() plan.State {
-	s := plan.ExportedState(p.sys, p.state, p.admitted)
+	s := p.Ledger.ExportState()
 	a := aux{Budget: p.budget, Capacity: p.capacity}
-	for op, on := range p.placed {
-		if on {
-			a.Placed = append(a.Placed, op)
-		}
+	for op := range p.placed {
+		a.Placed = append(a.Placed, op)
 	}
 	sort.Slice(a.Placed, func(i, j int) bool { return a.Placed[i] < a.Placed[j] })
 	for q, c := range p.charged {
@@ -50,9 +48,6 @@ func (p *Planner) ExportState() plan.State {
 
 // ImportState replaces the planner state with s (see plan.StatePorter).
 func (p *Planner) ImportState(s plan.State) error {
-	if err := plan.CheckState(p.sys, s); err != nil {
-		return fmt.Errorf("bound: %w", err)
-	}
 	var a aux
 	if len(s.Aux) == 0 {
 		return fmt.Errorf("bound: imported state is missing the aux CPU ledger")
@@ -60,7 +55,9 @@ func (p *Planner) ImportState(s plan.State) error {
 	if err := json.Unmarshal(s.Aux, &a); err != nil {
 		return fmt.Errorf("bound: decoding aux state: %w", err)
 	}
-	plan.ApplyHostStates(p.sys, s.Hosts)
+	if err := p.Ledger.ImportState(s); err != nil {
+		return err
+	}
 	p.budget = a.Budget
 	p.capacity = a.Capacity
 	p.placed = make(map[dsps.OperatorID]bool, len(a.Placed))
@@ -71,7 +68,5 @@ func (p *Planner) ImportState(s plan.State) error {
 	for _, c := range a.Charged {
 		p.charged[c.Stream] = c.Cost
 	}
-	p.admitted = s.AdmittedSet()
-	p.state = s.Assignment.Clone()
 	return nil
 }

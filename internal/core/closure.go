@@ -77,11 +77,7 @@ func (p *Planner) freeSet(newQueries []dsps.StreamID) map[dsps.StreamID]bool {
 	// Merge the closures of sharing queries in deterministic order until
 	// the free-set budget is exhausted; remaining sharers stay fixed and
 	// are protected by availability-preservation rows.
-	admitted := make([]dsps.StreamID, 0, len(p.admitted))
-	for q := range p.admitted {
-		admitted = append(admitted, q)
-	}
-	slices.Sort(admitted)
+	admitted := p.AdmittedQueries()
 	for changed := true; changed && len(free) < p.cfg.MaxFreeStreams; {
 		changed = false
 		for _, q := range admitted {
@@ -129,14 +125,15 @@ func (p *Planner) hostsTouched(free map[dsps.StreamID]bool, extra []dsps.StreamI
 		return false
 	}
 	hosts := make(map[dsps.HostID]bool)
-	for f, on := range p.state.Flows {
-		if on && in(f.Stream) {
+	st := p.Assignment()
+	for f := range st.Flows {
+		if in(f.Stream) {
 			hosts[f.From] = true
 			hosts[f.To] = true
 		}
 	}
-	for pl, on := range p.state.Ops {
-		if on && in(p.sys.Operators[pl.Op].Output) {
+	for pl := range st.Ops {
+		if in(p.sys.Operators[pl.Op].Output) {
 			hosts[pl.Host] = true
 		}
 	}

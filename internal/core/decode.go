@@ -12,7 +12,7 @@ func (b *builder) decode(x []float64) (*dsps.Assignment, error) {
 	if len(x) != b.model.NumVars() {
 		return nil, fmt.Errorf("core: solution length %d != model size %d", len(x), b.model.NumVars())
 	}
-	next := b.p.state.Clone()
+	next := b.p.Assignment().Clone()
 
 	// Remove all previous allocation pieces covered by free variables.
 	for s := range next.Provides {

@@ -40,6 +40,7 @@ type builder struct {
 	lVar milp.Var // O4 linearisation: max per-host CPU
 
 	bigM float64
+	norm Norm // the (III.3) normalisers of sys, for the objective and the seed
 
 	// stayBonus rewards keeping a surviving operator on its incumbent host
 	// (repair's migration cost, mirrored as a reward so the model stays a
@@ -154,13 +155,14 @@ func (p *Planner) newBuilderWith(queries []dsps.StreamID, free map[dsps.StreamID
 	b.selectHosts()
 	b.computeResiduals()
 	b.bigM = float64(len(b.hosts)) + 2
+	b.norm = NormOf(b.sys)
 	return b
 }
 
 // allowProvide reports whether requested free stream s gets d variables in
 // this model (see dAllowed).
 func (b *builder) allowProvide(s dsps.StreamID) bool {
-	return b.dAllowed == nil || b.dAllowed[s] || b.p.admitted[s]
+	return b.dAllowed == nil || b.dAllowed[s] || b.p.Admitted(s)
 }
 
 // selectHosts picks the candidate host set: every host already touching a
@@ -174,22 +176,19 @@ func (b *builder) allowProvide(s dsps.StreamID) bool {
 func (b *builder) selectHosts() {
 	n := b.sys.NumHosts()
 	forced := make(map[dsps.HostID]bool)
-	st := b.p.state
+	st := b.p.Assignment()
 	force := func(h dsps.HostID) {
 		if b.sys.HostUsable(h) {
 			forced[h] = true
 		}
 	}
-	for f, on := range st.Flows {
-		if on && b.free[f.Stream] {
+	for f := range st.Flows {
+		if b.free[f.Stream] {
 			force(f.From)
 			force(f.To)
 		}
 	}
-	for pl, on := range st.Ops {
-		if !on {
-			continue
-		}
+	for pl := range st.Ops {
 		if b.freeOpSet[pl.Op] {
 			force(pl.Host)
 			continue
@@ -320,9 +319,9 @@ func (b *builder) computeResiduals() {
 			b.resLink[i][j] = b.sys.LinkCap[h][m]
 		}
 	}
-	st := b.p.state
-	for pl, on := range st.Ops {
-		if !on || b.freeOpSet[pl.Op] {
+	st := b.p.Assignment()
+	for pl := range st.Ops {
+		if b.freeOpSet[pl.Op] {
 			continue
 		}
 		if i, ok := b.hostIdx[pl.Host]; ok {
@@ -330,8 +329,8 @@ func (b *builder) computeResiduals() {
 			b.resMem[i] -= b.sys.Operators[pl.Op].Mem
 		}
 	}
-	for f, on := range st.Flows {
-		if !on || b.free[f.Stream] {
+	for f := range st.Flows {
+		if b.free[f.Stream] {
 			continue
 		}
 		rate := b.sys.Streams[f.Stream].Rate
@@ -367,7 +366,7 @@ func (b *builder) addNoRelayRow(fk flowKey, xv milp.Var) {
 	for _, op := range b.sys.ProducersOf(fk.s) {
 		if zv, ok := b.zVar[zKey{fk.from, op}]; ok {
 			terms = append(terms, milp.Term{Var: zv, Coef: -1})
-		} else if b.p.state.Ops[dsps.Placement{Host: fk.from, Op: op}] {
+		} else if b.p.Assignment().Ops[dsps.Placement{Host: fk.from, Op: op}] {
 			rhs += 1
 		}
 	}
@@ -378,7 +377,7 @@ func (b *builder) addNoRelayRow(fk flowKey, xv milp.Var) {
 func (b *builder) build() *milp.Model {
 	m := b.model
 	sys := b.sys
-	st := b.p.state
+	st := b.p.Assignment()
 
 	// --- Variables -----------------------------------------------------
 	// Variable names are static family tags: per-variable formatted names
@@ -440,7 +439,7 @@ func (b *builder) build() *milp.Model {
 			m.AddCons("demand-avail", milp.LE, 0, milp.Term{Var: d, Coef: 1}, milp.Term{Var: b.yVar[hk], Coef: -1})
 			sum = append(sum, milp.Term{Var: d, Coef: 1})
 		}
-		if b.p.admitted[s] {
+		if b.p.Admitted(s) {
 			// (IV.9): already admitted queries must stay satisfied,
 			// though possibly from a different host.
 			m.AddCons("keep-admitted", milp.EQ, 1, sum...)
@@ -490,7 +489,7 @@ func (b *builder) build() *milp.Model {
 					// Input outside free set can only happen with
 					// reduction disabled inconsistencies; treat as fixed
 					// availability from current state.
-					if b.p.state.Available(sys, h, in) {
+					if st.Available(sys, h, in) {
 						continue
 					}
 					b.model.Fix(zv, 0)
@@ -502,14 +501,14 @@ func (b *builder) build() *milp.Model {
 	}
 	// (III.5c): x_hms <= y_hs, or the production-only variant when stream
 	// relaying is disabled for ablation.
-	for fk, xv := range b.xVar {
+	b.eachFlowVar(func(fk flowKey, xv milp.Var) {
 		if b.p.cfg.DisableRelay {
 			b.addNoRelayRow(fk, xv)
-			continue
+			return
 		}
 		yv := b.yVar[hsKey{fk.from, fk.s}]
 		m.AddCons("send-avail", milp.LE, 0, milp.Term{Var: xv, Coef: 1}, milp.Term{Var: yv, Coef: -1})
-	}
+	})
 
 	// Availability preservation: fixed operators and fixed provides that
 	// consume a free stream on a candidate host require the new plan to
@@ -520,13 +519,13 @@ func (b *builder) build() *milp.Model {
 	b.addResourceRows()
 
 	// --- Acyclicity constraints (III.7) ----------------------------------
-	for fk, xv := range b.xVar {
+	b.eachFlowVar(func(fk flowKey, xv milp.Var) {
 		ph := b.pVar[hsKey{fk.from, fk.s}]
 		pm := b.pVar[hsKey{fk.to, fk.s}]
 		// p_hs >= p_ms + 1 − M(1 − x) ⇔ p_h − p_m − M·x >= 1 − M.
 		m.AddCons("acyclic", milp.GE, 1-b.bigM,
 			milp.Term{Var: ph, Coef: 1}, milp.Term{Var: pm, Coef: -1}, milp.Term{Var: xv, Coef: -b.bigM})
-	}
+	})
 
 	// --- Objective (III.3) ------------------------------------------------
 	b.setObjective()
@@ -536,10 +535,9 @@ func (b *builder) build() *milp.Model {
 // addPreservationRows forces y_hs = 1 wherever a fixed (non-free) element
 // of the current allocation depends on free stream s at host h.
 func (b *builder) addPreservationRows() {
-	st := b.p.state
 	need := make(map[hsKey]bool)
-	for pl, on := range st.Ops {
-		if !on || b.freeOpSet[pl.Op] {
+	for pl := range b.p.Assignment().Ops {
+		if b.freeOpSet[pl.Op] {
 			continue
 		}
 		for _, in := range b.sys.Operators[pl.Op].Inputs {
@@ -548,20 +546,33 @@ func (b *builder) addPreservationRows() {
 			}
 		}
 	}
-	for fk, on := range st.Flows {
-		if !on || b.free[fk.Stream] {
-			continue
+	// Rows go out in (stream, host) order, not map order: the row order
+	// decides the LP's pivots, so it must be the same for the same input.
+	for _, s := range b.freeStreams {
+		for _, h := range b.hosts {
+			// A consuming host outside the candidate set has no y variable
+			// and is skipped; forced hosts should prevent that.
+			if hk := (hsKey{h, s}); need[hk] {
+				b.model.AddCons("preserve-avail", milp.GE, 1, milp.Term{Var: b.yVar[hk], Coef: 1})
+			}
 		}
-		_ = fk // fixed flows of fixed streams never reference free streams
 	}
-	for hk := range need {
-		yv, ok := b.yVar[hk]
-		if !ok {
-			// The consuming host fell outside the candidate set; forced
-			// hosts should prevent this, but guard anyway.
-			continue
+}
+
+// eachFlowVar visits the x variables in the order build created them.
+// Ranging over b.xVar would visit them in map order, and the order rows are
+// emitted in decides the LP's pivots: identical inputs have to compile to
+// the identical model.
+func (b *builder) eachFlowVar(visit func(flowKey, milp.Var)) {
+	for _, s := range b.freeStreams {
+		for _, h := range b.hosts {
+			for _, mm := range b.hosts {
+				if h != mm {
+					fk := flowKey{h, mm, s}
+					visit(fk, b.xVar[fk])
+				}
+			}
 		}
-		b.model.AddCons("preserve-avail", milp.GE, 1, milp.Term{Var: yv, Coef: 1})
 	}
 }
 
@@ -652,23 +663,6 @@ func (b *builder) addResourceRows() {
 func (b *builder) setObjective() {
 	w := b.p.cfg.Weights
 	sys := b.sys
-	totalLink := sys.TotalLinkCap()
-	if totalLink <= 0 {
-		totalLink = 1
-	}
-	totalCPU := sys.TotalCPU()
-	if totalCPU <= 0 {
-		totalCPU = 1
-	}
-	maxCPU := 0.0
-	for _, h := range sys.Hosts {
-		if h.CPU > maxCPU {
-			maxCPU = h.CPU
-		}
-	}
-	if maxCPU <= 0 {
-		maxCPU = 1
-	}
 	var terms []milp.Term
 	for hk, dv := range b.dVar {
 		coef := w.L1
@@ -681,10 +675,10 @@ func (b *builder) setObjective() {
 		terms = append(terms, milp.Term{Var: dv, Coef: coef})
 	}
 	for fk, xv := range b.xVar {
-		terms = append(terms, milp.Term{Var: xv, Coef: -w.L2 * sys.Streams[fk.s].Rate / totalLink})
+		terms = append(terms, milp.Term{Var: xv, Coef: -w.L2 * sys.Streams[fk.s].Rate / b.norm.Link})
 	}
 	for zk, zv := range b.zVar {
-		coef := -w.L3 * sys.Operators[zk.o].Cost / totalCPU
+		coef := -w.L3 * sys.Operators[zk.o].Cost / b.norm.CPU
 		// Repair's migration cost: moving a surviving operator off its
 		// incumbent host forfeits the stay bonus, so migration only happens
 		// when it buys admission or substantial placement quality.
@@ -699,6 +693,6 @@ func (b *builder) setObjective() {
 		}
 		terms = append(terms, milp.Term{Var: zv, Coef: coef})
 	}
-	terms = append(terms, milp.Term{Var: b.lVar, Coef: -w.L4 / maxCPU})
+	terms = append(terms, milp.Term{Var: b.lVar, Coef: -w.L4 / b.norm.MaxCPU})
 	b.model.SetObjective(true, terms...)
 }

@@ -29,6 +29,37 @@ type Weights struct {
 // with the same weight as average CPU consumption.
 func PaperWeights() Weights { return Weights{L1: 100, L2: 1, L3: 1, L4: 1} }
 
+// Norm holds the denominators that bring O2–O4 of (III.3) to [0,1] for one
+// system: Σκ, Σζ and ζmax, each 1 where the system has none.
+type Norm struct{ Link, CPU, MaxCPU float64 }
+
+// NormOf computes the normalisers of sys.
+func NormOf(sys *dsps.System) Norm {
+	n := Norm{Link: sys.TotalLinkCap(), CPU: sys.TotalCPU()}
+	for _, h := range sys.Hosts {
+		n.MaxCPU = max(n.MaxCPU, h.CPU)
+	}
+	if n.Link <= 0 {
+		n.Link = 1
+	}
+	if n.CPU <= 0 {
+		n.CPU = 1
+	}
+	if n.MaxCPU <= 0 {
+		n.MaxCPU = 1
+	}
+	return n
+}
+
+// Objective evaluates (III.3) for a plan serving the given number of
+// queries at the given network use, CPU use and maximum per-host CPU:
+// λ1·O1 − λ2·O2/Σκ − λ3·O3/Σζ − λ4·O4/ζmax.
+//
+//sqpr:hotpath
+func (w Weights) Objective(n Norm, satisfied int, network, cpu, maxCPU float64) float64 {
+	return w.L1*float64(satisfied) - w.L2*network/n.Link - w.L3*cpu/n.CPU - w.L4*maxCPU/n.MaxCPU
+}
+
 // Config tunes the planner.
 type Config struct {
 	Weights Weights
@@ -111,12 +142,11 @@ const groupGraceBudget = 10 * time.Millisecond
 // Planner is the SQPR planner. It implements plan.QueryPlanner and is not
 // safe for concurrent use.
 type Planner struct {
-	sys   *dsps.System
-	cfg   Config
-	state *dsps.Assignment
-
-	// admitted tracks requested streams currently served (Σ_h d_hs = 1).
-	admitted map[dsps.StreamID]bool
+	// Ledger holds the allocation and the admitted set — the requested
+	// streams currently served (Σ_h d_hs = 1).
+	plan.Ledger
+	sys *dsps.System
+	cfg Config
 
 	// allowedHosts, when non-nil, restricts discretionary candidate hosts
 	// for the current call (plan.WithCandidateHosts).
@@ -129,7 +159,6 @@ type Planner struct {
 	bld *builder
 
 	closures *closureCache
-	stats    Stats
 }
 
 // Result describes the outcome of one planning call; it is the shared
@@ -140,9 +169,6 @@ type Result = plan.Result
 // Stats aggregates planner telemetry across all planning calls; it is the
 // shared telemetry type of plan.QueryPlanner.
 type Stats = plan.Stats
-
-// Stats returns cumulative planner telemetry.
-func (p *Planner) Stats() Stats { return p.stats }
 
 // NewPlanner creates a planner over the system with the given config.
 func NewPlanner(sys *dsps.System, cfg Config) *Planner {
@@ -162,22 +188,12 @@ func NewPlanner(sys *dsps.System, cfg Config) *Planner {
 		cfg.SolveTimeout = 500 * time.Millisecond
 	}
 	return &Planner{
+		Ledger:   plan.NewLedger("core", sys),
 		sys:      sys,
 		cfg:      cfg,
-		state:    dsps.NewAssignment(),
-		admitted: make(map[dsps.StreamID]bool),
 		closures: newClosureCache(sys),
 	}
 }
-
-// Assignment exposes the current allocation state (do not mutate).
-func (p *Planner) Assignment() *dsps.Assignment { return p.state }
-
-// Admitted reports whether query stream q is currently served.
-func (p *Planner) Admitted(q dsps.StreamID) bool { return p.admitted[q] }
-
-// AdmittedCount returns the number of admitted queries.
-func (p *Planner) AdmittedCount() int { return len(p.admitted) }
 
 // Submit runs Algorithm 1 (initial query planning) for query q. Options
 // customise the call: plan.WithTimeout overrides the solver budget,
@@ -207,34 +223,11 @@ func (p *Planner) Submit(ctx context.Context, q dsps.StreamID, opts ...plan.Subm
 // candidate-host restriction and the validation override. Both are read
 // only by the builders of the call that set them.
 func (p *Planner) beginCall(cfg plan.SubmitConfig) {
-	p.allowedHosts = nil
-	if cfg.Hosts != nil {
-		p.allowedHosts = make(map[dsps.HostID]bool, len(cfg.Hosts))
-		for _, h := range cfg.Hosts {
-			p.allowedHosts[h] = true
-		}
-	}
+	p.allowedHosts = cfg.HostSet()
 	p.validate = p.cfg.Validate
 	if cfg.Validate != nil {
 		p.validate = *cfg.Validate
 	}
-}
-
-// Remove withdraws an admitted query and garbage-collects every operator
-// and flow that no remaining query depends on. It is the first half of the
-// paper's adaptive replanning (§IV-B): "conceptually removing and
-// re-adding queries".
-func (p *Planner) Remove(q dsps.StreamID) error {
-	if err := plan.CheckStream(p.sys, q); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	if !p.admitted[q] {
-		return fmt.Errorf("core: query %d: %w", q, plan.ErrNotAdmitted)
-	}
-	delete(p.admitted, q)
-	delete(p.state.Provides, q)
-	p.state.GarbageCollect(p.sys)
-	return nil
 }
 
 func (p *Planner) submit(ctx context.Context, qs []dsps.StreamID, timeout time.Duration) (Result, error) {
@@ -254,7 +247,7 @@ func (p *Planner) submit(ctx context.Context, qs []dsps.StreamID, timeout time.D
 		if !p.sys.Streams[q].Requested {
 			return res, fmt.Errorf("core: stream %d: %w", q, plan.ErrNotRequested)
 		}
-		if p.admitted[q] {
+		if p.Admitted(q) {
 			res.AlreadyAdmitted = true
 			continue
 		}
@@ -263,16 +256,13 @@ func (p *Planner) submit(ctx context.Context, qs []dsps.StreamID, timeout time.D
 	if len(fresh) == 0 {
 		res.Admitted = true
 		res.PlanTime = time.Since(start)
-		p.stats.Record(res)
+		p.Record(res)
 		return res, nil
 	}
 
 	// Effective deadline: the earlier of the solver budget and the ctx
 	// deadline, so a ctx deadline also bounds individual node LPs.
-	finalDeadline := start.Add(timeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(finalDeadline) {
-		finalDeadline = d
-	}
+	finalDeadline := plan.Deadline(ctx, start, timeout)
 
 	// The whole batch is one joint solve. Earlier revisions split batches
 	// whose closure unions outgrew Config.MaxFreeStreams into sub-batches
@@ -287,7 +277,7 @@ func (p *Planner) submit(ctx context.Context, qs []dsps.StreamID, timeout time.D
 	// chunking (repair.go).
 	r, err := p.submitGroup(ctx, fresh, start, finalDeadline, &res)
 	if err == nil {
-		p.stats.Record(r)
+		p.Record(r)
 	}
 	return r, err
 }
@@ -341,24 +331,9 @@ func (p *Planner) submitGroup(ctx context.Context, fresh []dsps.StreamID, start 
 		return res, err
 	}
 
-	// Accept the new allocation and update admission bookkeeping.
-	p.state = next
-	for _, q := range fresh {
-		if _, ok := next.Provides[q]; ok {
-			p.admitted[q] = true
-			res.Admitted = true
-		}
-	}
-	// With multiple fresh queries, Admitted reports "all admitted".
-	if len(fresh) > 1 {
-		res.Admitted = true
-		for _, q := range fresh {
-			if !p.admitted[q] {
-				res.Admitted = false
-				break
-			}
-		}
-	}
+	// Accept the new allocation; with several fresh queries, Admitted
+	// reports "all admitted".
+	res.Admitted = p.Commit(next, fresh...)
 	if !res.Admitted {
 		res.Reason = plan.ReasonNoFeasiblePlan
 	}

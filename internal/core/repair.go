@@ -41,14 +41,14 @@ func (p *Planner) Repair(ctx context.Context, events []plan.Event, opts ...plan.
 	// admission is at stake. Soft-affected queries merely touch a draining
 	// host: they stay admitted (constraint (IV.9)) while their placements
 	// are freed so the solver can evacuate them.
-	hard := p.state.AffectedQueries(p.sys, func(h dsps.HostID) bool { return !p.sys.HostUsable(h) })
-	hard = append(hard, plan.DriftedEventQueries(events, hard, func(q dsps.StreamID) bool { return p.admitted[q] })...)
+	hard := p.Assignment().AffectedQueries(p.sys, func(h dsps.HostID) bool { return !p.sys.HostUsable(h) })
+	hard = append(hard, plan.DriftedEventQueries(events, hard, p.Admitted)...)
 	slices.Sort(hard)
 	hardSet := make(map[dsps.StreamID]bool, len(hard))
 	for _, q := range hard {
 		hardSet[q] = true
 	}
-	affected := p.state.AffectedQueries(p.sys, func(h dsps.HostID) bool { return !p.sys.HostPlaceable(h) })
+	affected := p.Assignment().AffectedQueries(p.sys, func(h dsps.HostID) bool { return !p.sys.HostPlaceable(h) })
 	for _, q := range hard {
 		found := false
 		for _, a := range affected {
@@ -72,7 +72,7 @@ func (p *Planner) Repair(ctx context.Context, events []plan.Event, opts ...plan.
 
 	// Snapshot for migration accounting; assignments are swapped, never
 	// mutated in place, so keeping the pointer suffices.
-	before := p.state
+	before := p.Assignment()
 
 	// Commit the failure: strip invalidated pieces, demote hard-affected
 	// queries, and prune everything that lost its causal support. The
@@ -81,14 +81,13 @@ func (p *Planner) Repair(ctx context.Context, events []plan.Event, opts ...plan.
 	// warm start and stay bonuses can pin it in place instead of
 	// rebuilding it from scratch; the final garbage collection below
 	// removes whatever the re-plan leaves unused.
-	stripped := p.state.Clone()
+	stripped := before.Clone()
 	for _, q := range hard {
 		delete(stripped.Provides, q)
-		delete(p.admitted, q)
 	}
 	stripped.StripFailed(p.sys)
 	stripped.PruneAcausal(p.sys)
-	p.state = stripped
+	p.Commit(stripped, hard...)
 
 	// Per-call options, mirroring Submit.
 	cfg := plan.Apply(opts)
@@ -96,10 +95,7 @@ func (p *Planner) Repair(ctx context.Context, events []plan.Event, opts ...plan.
 	if total <= 0 {
 		total = time.Duration(len(affected)) * p.cfg.SolveTimeout
 	}
-	deadline := start.Add(total)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
+	deadline := plan.Deadline(ctx, start, total)
 	p.beginCall(cfg)
 
 	// Drifted queries' operators get no stay bonus: their costs changed,
@@ -126,7 +122,7 @@ func (p *Planner) Repair(ctx context.Context, events []plan.Event, opts ...plan.
 	producible := p.producibleCheck()
 	replan := affected[:0:0]
 	for _, q := range affected {
-		if p.admitted[q] || producible(q) {
+		if p.Admitted(q) || producible(q) {
 			replan = append(replan, q)
 		}
 	}
@@ -148,11 +144,11 @@ func (p *Planner) Repair(ctx context.Context, events []plan.Event, opts ...plan.
 
 	// Drop the support the re-plan left unused (orphans of queries that
 	// could not be re-admitted, kept alive above for pinning).
-	p.state.GarbageCollect(p.sys)
+	p.GarbageCollect()
 
 	rr.Admitted = true
 	for _, q := range affected {
-		if p.admitted[q] {
+		if p.Admitted(q) {
 			rr.Kept = append(rr.Kept, q)
 		} else {
 			rr.Dropped = append(rr.Dropped, q)
@@ -162,7 +158,7 @@ func (p *Planner) Repair(ctx context.Context, events []plan.Event, opts ...plan.
 			}
 		}
 	}
-	rr.Migrated = dsps.CountMigrations(p.sys, before, p.state)
+	rr.Migrated = dsps.CountMigrations(p.sys, before, p.Assignment())
 	rr.PlanTime = time.Since(start)
 	return rr, firstErr
 }
@@ -280,7 +276,7 @@ func (b *builder) greedyRepair(chunkDrift bool, deadline time.Time) (*dsps.Assig
 			return nil, false
 		}
 	}
-	cand := b.p.state.Clone()
+	cand := b.p.Assignment().Clone()
 	b.track.Reset(b.sys, cand)
 	b.seedArm(deadline)
 	for _, q := range b.queries {
@@ -341,8 +337,8 @@ func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before
 	// Migration costs: keeping a surviving free operator on the placeable
 	// host it already runs on earns the stay bonus; placements on draining
 	// hosts earn nothing, so evacuation is free and staying is not.
-	for pl, on := range before.Ops {
-		if !on || !b.freeOpSet[pl.Op] || noBonus[pl.Op] {
+	for pl := range before.Ops {
+		if !b.freeOpSet[pl.Op] || noBonus[pl.Op] {
 			continue
 		}
 		if _, cand := b.hostIdx[pl.Host]; cand && p.sys.HostPlaceable(pl.Host) {
@@ -362,15 +358,9 @@ func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before
 	// candidate host needs evacuating) and drift chunks (re-placement is
 	// the goal) always take the full solve.
 	if fast, ok := b.greedyRepair(chunkDrift, deadline); ok {
-		p.state = fast
-		res.Admitted = true
-		for _, q := range chunk {
-			if _, provided := fast.Provides[q]; provided {
-				p.admitted[q] = true
-			}
-		}
+		res.Admitted = p.Commit(fast, chunk...)
 		res.PlanTime = time.Since(start)
-		p.stats.Record(res)
+		p.Record(res)
 		return res, nil
 	}
 
@@ -421,25 +411,16 @@ func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before
 		// within the budget (only possible with the warm start disabled).
 		res.PlanTime = time.Since(start)
 		if err == nil {
-			p.stats.Record(res)
+			p.Record(res)
 		}
 		return res, err
 	}
 
-	p.state = next
-	res.Admitted = true
-	for _, q := range chunk {
-		if _, ok := next.Provides[q]; ok {
-			p.admitted[q] = true
-		} else {
-			delete(p.admitted, q)
-			res.Admitted = false
-		}
-	}
+	res.Admitted = p.Commit(next, chunk...)
 	if !res.Admitted {
 		res.Reason = plan.ReasonNoFeasiblePlan
 	}
 	res.PlanTime = time.Since(start)
-	p.stats.Record(res)
+	p.Record(res)
 	return res, nil
 }

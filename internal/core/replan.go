@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"sqpr/internal/dsps"
 )
@@ -46,7 +45,7 @@ func (p *Planner) Replan(ctx context.Context, queries []dsps.StreamID) ([]Result
 	removed := make([]dsps.StreamID, 0, len(queries))
 	pending := make(map[dsps.StreamID]bool, len(queries))
 	for _, q := range queries {
-		if p.admitted[q] {
+		if p.Admitted(q) {
 			if err := p.Remove(q); err != nil {
 				return nil, err
 			}
@@ -60,7 +59,7 @@ func (p *Planner) Replan(ctx context.Context, queries []dsps.StreamID) ([]Result
 		if err != nil {
 			re := &ReplanError{Cause: err}
 			for _, rq := range removed {
-				if !pending[rq] || p.admitted[rq] {
+				if !pending[rq] || p.Admitted(rq) {
 					continue
 				}
 				//sqpr:ctxroot restoration must outlive the caller's ctx, which may be the cancellation that caused the failure
@@ -115,12 +114,12 @@ func (p *Planner) DriftedQueries(observed map[dsps.OperatorID]float64, threshold
 	seen := dsps.NewSeen(p.sys)
 	stable := func(pl dsps.Placement) bool { return !drifted[pl.Op] }
 	epoch := uint32(0)
-	for q := range p.admitted {
+	st := p.Assignment()
+	for _, q := range p.AdmittedQueries() {
 		epoch++
-		if h, ok := p.state.Provides[q]; ok && !p.state.WalkSupport(p.sys, h, q, seen, epoch, stable, nil) {
+		if h, ok := st.Provides[q]; ok && !st.WalkSupport(p.sys, h, q, seen, epoch, stable, nil) {
 			out = append(out, q)
 		}
 	}
-	slices.Sort(out)
 	return out
 }

@@ -28,7 +28,7 @@ import (
 // extended with however many queries were admitted before the brake, still
 // a feasible warm start for the solver to improve on.
 func (b *builder) incumbent(deadline time.Time) []float64 {
-	cand := b.p.state.Clone()
+	cand := b.p.Assignment().Clone()
 	b.track.Reset(b.sys, cand)
 	b.seedArm(deadline)
 	for _, q := range b.queries {
@@ -213,7 +213,6 @@ func (b *builder) greedyAdmit(cand *dsps.Assignment, q dsps.StreamID) bool {
 	b.sortHostsByHeadroom(order)
 
 	results := b.scoredScratch[:0]
-	rate := b.sys.Streams[q].Rate
 	for _, h := range order {
 		if b.seedProbes <= 0 {
 			break
@@ -225,7 +224,7 @@ func (b *builder) greedyAdmit(cand *dsps.Assignment, q dsps.StreamID) bool {
 		}
 		// Deliver the result to the client from h (out-bandwidth only; the
 		// provide itself is added once the winner is chosen).
-		if b.track.Out[h]+rate > b.sys.Hosts[h].OutBW+1e-9 {
+		if !b.track.FitsProvide(h, q, dsps.FitTol) {
 			b.rollback(cand, mark)
 			continue
 		}
@@ -246,13 +245,13 @@ func (b *builder) greedyAdmit(cand *dsps.Assignment, q dsps.StreamID) bool {
 			continue
 		}
 		cand.Provides[q] = r.h
-		b.track.Out[r.h] += rate
+		b.track.AddProvide(r.h, q)
 		if cand.Validate(b.sys) == nil {
 			b.journal = b.journal[:0]
 			return true
 		}
 		delete(cand.Provides, q)
-		b.track.Out[r.h] -= rate
+		b.track.RemoveProvide(r.h, q)
 		b.rollback(cand, mark)
 	}
 	return false
@@ -263,27 +262,7 @@ func (b *builder) greedyAdmit(cand *dsps.Assignment, q dsps.StreamID) bool {
 //
 //sqpr:hotpath
 func (b *builder) scoreResources() float64 {
-	w := b.p.cfg.Weights
-	totalLink := b.sys.TotalLinkCap()
-	if totalLink <= 0 {
-		totalLink = 1
-	}
-	totalCPU := b.sys.TotalCPU()
-	if totalCPU <= 0 {
-		totalCPU = 1
-	}
-	maxCPU := 0.0
-	for _, h := range b.sys.Hosts {
-		if h.CPU > maxCPU {
-			maxCPU = h.CPU
-		}
-	}
-	if maxCPU <= 0 {
-		maxCPU = 1
-	}
-	return -w.L2*b.track.Network/totalLink -
-		w.L3*b.track.CPUSum/totalCPU -
-		w.L4*b.track.MaxCPU()/maxCPU
+	return b.p.cfg.Weights.Objective(b.norm, 0, b.track.Network, b.track.CPUSum, b.track.MaxCPU())
 }
 
 // planStreamAt makes stream s available at host h inside trial, adding
@@ -314,14 +293,9 @@ func (b *builder) planStreamAt(trial *dsps.Assignment, s dsps.StreamID, h dsps.H
 	b.visiting[k] = true
 	defer b.seedLeave(k)
 
-	rate := b.sys.Streams[s].Rate
 	// Reuse: fetch from any candidate host that already has s.
 	for _, m := range b.hosts {
-		if m == h || !trial.Available(b.sys, m, s) {
-			continue
-		}
-		if b.flowFits(m, h, rate) {
-			b.applyFlow(trial, dsps.Flow{From: m, To: h, Stream: s})
+		if m != h && trial.Available(b.sys, m, s) && b.fetchFlow(trial, m, h, s) {
 			return true
 		}
 	}
@@ -331,11 +305,7 @@ func (b *builder) planStreamAt(trial *dsps.Assignment, s dsps.StreamID, h dsps.H
 			if m == h {
 				return true // available locally; Available would have caught it
 			}
-			if _, ok := b.hostIdx[m]; !ok {
-				continue
-			}
-			if b.flowFits(m, h, rate) {
-				b.applyFlow(trial, dsps.Flow{From: m, To: h, Stream: s})
+			if _, ok := b.hostIdx[m]; ok && b.fetchFlow(trial, m, h, s) {
 				return true
 			}
 		}
@@ -386,10 +356,7 @@ func (b *builder) planStreamAt(trial *dsps.Assignment, s dsps.StreamID, h dsps.H
 			try = withPref
 		}
 		for _, m := range try {
-			if b.track.CPU[m]+o.Cost > b.sys.Hosts[m].CPU+1e-9 {
-				continue
-			}
-			if lim := b.sys.Hosts[m].Mem; lim > 0 && b.track.Mem[m]+o.Mem > lim+1e-9 {
+			if !b.track.FitsOp(dsps.Placement{Host: m, Op: op}, dsps.FitTol) {
 				continue
 			}
 			mark := len(b.journal)
@@ -401,9 +368,9 @@ func (b *builder) planStreamAt(trial *dsps.Assignment, s dsps.StreamID, h dsps.H
 				}
 			}
 			if ok && m != h {
-				if b.flowFits(m, h, rate) {
+				if f := (dsps.Flow{From: m, To: h, Stream: s}); b.track.FitsFlow(f, dsps.FitTol) {
 					b.applyOp(trial, dsps.Placement{Host: m, Op: op})
-					b.applyFlow(trial, dsps.Flow{From: m, To: h, Stream: s})
+					b.applyFlow(trial, f)
 					return true
 				}
 				ok = false
@@ -417,19 +384,16 @@ func (b *builder) planStreamAt(trial *dsps.Assignment, s dsps.StreamID, h dsps.H
 	return false
 }
 
-// flowFits checks link and host bandwidth headroom for one extra flow.
+// fetchFlow adds the flow of s from one host to another to the trial if the
+// link and both interfaces have room for it.
 //
 //sqpr:hotpath
-func (b *builder) flowFits(from, to dsps.HostID, rate float64) bool {
-	if b.track.Link[from][to]+rate > b.sys.LinkCap[from][to]+1e-9 {
+func (b *builder) fetchFlow(trial *dsps.Assignment, from, to dsps.HostID, s dsps.StreamID) bool {
+	f := dsps.Flow{From: from, To: to, Stream: s}
+	if !b.track.FitsFlow(f, dsps.FitTol) {
 		return false
 	}
-	if b.track.Out[from]+rate > b.sys.Hosts[from].OutBW+1e-9 {
-		return false
-	}
-	if b.track.In[to]+rate > b.sys.Hosts[to].InBW+1e-9 {
-		return false
-	}
+	b.applyFlow(trial, f)
 	return true
 }
 

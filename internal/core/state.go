@@ -3,31 +3,23 @@ package core
 import (
 	"fmt"
 
+	"sqpr/internal/dsps"
 	"sqpr/internal/plan"
 )
 
-// ExportState snapshots the planner's durable state: assignment, admitted
-// set and host availability. The model builder, closure cache and solver
-// pools are derived machinery and rebuild lazily after an import.
-func (p *Planner) ExportState() plan.State {
-	return plan.ExportedState(p.sys, p.state, p.admitted)
-}
-
-// ImportState replaces the planner state with s (see plan.StatePorter).
-// The recovery path applies journaled placements through here, so a
-// restart re-admits every query with zero MILP solves.
+// ImportState replaces the planner state with s (see plan.StatePorter),
+// refusing an infeasible allocation when the planner validates. The
+// recovery path applies journaled placements through here, so a restart
+// re-admits every query with zero MILP solves; the model builder, closure
+// cache and solver pools are derived machinery and rebuild lazily.
 func (p *Planner) ImportState(s plan.State) error {
-	if err := plan.CheckState(p.sys, s); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	plan.ApplyHostStates(p.sys, s.Hosts)
-	next := s.Assignment.Clone()
-	if p.cfg.Validate {
-		if err := next.Validate(p.sys); err != nil {
-			return fmt.Errorf("core: imported state infeasible: %w", err)
+	return p.ImportStateIf(s, func(next *dsps.Assignment) error {
+		if !p.cfg.Validate {
+			return nil
 		}
-	}
-	p.state = next
-	p.admitted = s.AdmittedSet()
-	return nil
+		if err := next.Validate(p.sys); err != nil {
+			return fmt.Errorf("imported state infeasible: %w", err)
+		}
+		return nil
+	})
 }

@@ -78,8 +78,8 @@ func (a *Assignment) Available(sys *System, h HostID, s StreamID) bool {
 }
 
 // Usage is the resource ledger of an assignment: filled by Reset (or
-// ComputeUsage) and then kept current through AddOp/RemoveOp/AddFlow/
-// RemoveFlow, so a planner probing trial placements never recomputes it.
+// ComputeUsage) and then kept current through the Add*/Remove* methods, so
+// a planner probing trial placements (with Fits*) never recomputes it.
 type Usage struct {
 	CPU     []float64   // per-host CPU use Σ_o γ_o z_ho
 	Mem     []float64   // per-host memory use Σ_o mem_o z_ho
@@ -118,7 +118,7 @@ func (u *Usage) Reset(sys *System, a *Assignment) {
 		u.AddFlow(f)
 	}
 	for s, h := range a.Provides {
-		u.Out[h] += sys.Streams[s].Rate // delivery to the client proxy (III.6c)
+		u.AddProvide(h, s)
 	}
 }
 
@@ -171,6 +171,58 @@ func (u *Usage) RemoveFlow(f Flow) {
 	u.Out[f.From] -= rate
 	u.In[f.To] -= rate
 	u.Network -= rate
+}
+
+// AddProvide charges the delivery of s from h to the client proxy (III.6c).
+//
+//sqpr:hotpath
+func (u *Usage) AddProvide(h HostID, s StreamID) { u.Out[h] += u.sys.Streams[s].Rate }
+
+// RemoveProvide refunds one client delivery.
+//
+//sqpr:hotpath
+func (u *Usage) RemoveProvide(h HostID, s StreamID) { u.Out[h] -= u.sys.Streams[s].Rate }
+
+// The capacity rules (III.6), stated once. A budget holds while use stays
+// within a tolerance of it; the tolerance is the only thing callers choose.
+// Planners probe with FitTol and Validate accepts with the looser
+// ValidateTol, so rounding never makes Validate refuse what a probe let in.
+const (
+	FitTol      = 1e-9
+	ValidateTol = 1e-6
+)
+
+// over is the one comparison every capacity check is built on.
+func over(use, budget, tol float64) bool { return use > budget+tol }
+
+// FitsOp reports whether host pl.Host has the CPU and, where it has a
+// memory budget (zero = unconstrained), the memory for one more placement
+// of pl.Op (III.6d).
+//
+//sqpr:hotpath
+func (u *Usage) FitsOp(pl Placement, tol float64) bool {
+	op, host := &u.sys.Operators[pl.Op], &u.sys.Hosts[pl.Host]
+	return !over(u.CPU[pl.Host]+op.Cost, host.CPU, tol) &&
+		(host.Mem <= 0 || !over(u.Mem[pl.Host]+op.Mem, host.Mem, tol))
+}
+
+// FitsFlow reports whether the link and both host interfaces have room for
+// one more transfer f (III.6a–c).
+//
+//sqpr:hotpath
+func (u *Usage) FitsFlow(f Flow, tol float64) bool {
+	rate := u.sys.Streams[f.Stream].Rate
+	return !over(u.Link[f.From][f.To]+rate, u.sys.LinkCap[f.From][f.To], tol) &&
+		!over(u.Out[f.From]+rate, u.sys.Hosts[f.From].OutBW, tol) &&
+		!over(u.In[f.To]+rate, u.sys.Hosts[f.To].InBW, tol)
+}
+
+// FitsProvide reports whether h has the outgoing bandwidth to deliver s to
+// its client (III.6c).
+//
+//sqpr:hotpath
+func (u *Usage) FitsProvide(h HostID, s StreamID, tol float64) bool {
+	return !over(u.Out[h]+u.sys.Streams[s].Rate, u.sys.Hosts[h].OutBW, tol)
 }
 
 // ComputeUsage derives full resource consumption from the assignment.
@@ -334,22 +386,22 @@ func (a *Assignment) Validate(sys *System) error {
 	// (III.6) resource budgets.
 	n := sys.NumHosts()
 	u := a.ComputeUsage(sys)
-	const tol = 1e-6
+	const tol = ValidateTol
 	for h := 0; h < n; h++ {
-		if u.CPU[h] > sys.Hosts[h].CPU+tol {
+		if over(u.CPU[h], sys.Hosts[h].CPU, tol) {
 			return fmt.Errorf("dsps: host %d CPU %.3f exceeds budget %.3f", h, u.CPU[h], sys.Hosts[h].CPU)
 		}
-		if sys.Hosts[h].Mem > 0 && u.Mem[h] > sys.Hosts[h].Mem+tol {
+		if sys.Hosts[h].Mem > 0 && over(u.Mem[h], sys.Hosts[h].Mem, tol) {
 			return fmt.Errorf("dsps: host %d memory %.3f exceeds budget %.3f", h, u.Mem[h], sys.Hosts[h].Mem)
 		}
-		if u.Out[h] > sys.Hosts[h].OutBW+tol {
+		if over(u.Out[h], sys.Hosts[h].OutBW, tol) {
 			return fmt.Errorf("dsps: host %d out-bandwidth %.3f exceeds budget %.3f", h, u.Out[h], sys.Hosts[h].OutBW)
 		}
-		if u.In[h] > sys.Hosts[h].InBW+tol {
+		if over(u.In[h], sys.Hosts[h].InBW, tol) {
 			return fmt.Errorf("dsps: host %d in-bandwidth %.3f exceeds budget %.3f", h, u.In[h], sys.Hosts[h].InBW)
 		}
 		for m := 0; m < n; m++ {
-			if u.Link[h][m] > sys.LinkCap[h][m]+tol {
+			if over(u.Link[h][m], sys.LinkCap[h][m], tol) {
 				return fmt.Errorf("dsps: link %d->%d usage %.3f exceeds capacity %.3f", h, m, u.Link[h][m], sys.LinkCap[h][m])
 			}
 		}

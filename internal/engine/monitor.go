@@ -26,7 +26,6 @@ type Monitor struct {
 	received  []float64
 	delivered []float64 // accumulated rate-weighted client deliveries (local, no egress)
 	drops     []int64
-	opWork    map[dsps.OperatorID]float64
 	samples   int64 // compute records folded into cpuWork
 
 	latencySum   time.Duration
@@ -50,7 +49,6 @@ func NewMonitor(sys *dsps.System) *Monitor {
 		received:  make([]float64, n),
 		delivered: make([]float64, n),
 		drops:     make([]int64, n),
-		opWork:    make(map[dsps.OperatorID]float64),
 	}
 }
 
@@ -58,14 +56,6 @@ func (m *Monitor) recordCompute(h dsps.HostID, cost float64) {
 	m.mu.Lock()
 	m.cpuWork[h] += cost
 	m.samples++
-	m.mu.Unlock()
-}
-
-// RecordOpWork attributes measured work to an operator (used by tests and
-// the adaptive-replanning demo to synthesise drift).
-func (m *Monitor) RecordOpWork(op dsps.OperatorID, cost float64) {
-	m.mu.Lock()
-	m.opWork[op] += cost
 	m.mu.Unlock()
 }
 

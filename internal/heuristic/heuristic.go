@@ -8,7 +8,6 @@ package heuristic
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"time"
 
@@ -18,13 +17,16 @@ import (
 )
 
 // Planner is the heuristic baseline. It implements plan.QueryPlanner and
-// is not safe for concurrent use.
+// is not safe for concurrent use. The embedded ledger is its whole state;
+// this package holds only the candidate search.
 type Planner struct {
-	sys      *dsps.System
-	state    *dsps.Assignment
-	weights  core.Weights
-	admitted map[dsps.StreamID]bool
-	stats    plan.Stats
+	plan.Ledger
+	sys     *dsps.System
+	weights core.Weights
+
+	// track is the usage ledger of the candidate being probed, reset per
+	// candidate and kept current placement by placement.
+	track dsps.Usage
 
 	// MaxPlans caps abstract plan enumeration per query (exhaustive for
 	// the paper's 2- to 4-way joins; 5-way trees are pruned beyond this).
@@ -34,25 +36,12 @@ type Planner struct {
 // New creates a heuristic planner with the same objective weights as SQPR.
 func New(sys *dsps.System, w core.Weights) *Planner {
 	return &Planner{
+		Ledger:   plan.NewLedger("heuristic", sys),
 		sys:      sys,
-		state:    dsps.NewAssignment(),
 		weights:  w,
-		admitted: make(map[dsps.StreamID]bool),
 		MaxPlans: 256,
 	}
 }
-
-// Assignment exposes the current allocation (do not mutate).
-func (p *Planner) Assignment() *dsps.Assignment { return p.state }
-
-// Admitted reports whether q is currently served.
-func (p *Planner) Admitted(q dsps.StreamID) bool { return p.admitted[q] }
-
-// AdmittedCount returns the number of admitted queries.
-func (p *Planner) AdmittedCount() int { return len(p.admitted) }
-
-// Stats returns cumulative planner telemetry.
-func (p *Planner) Stats() plan.Stats { return p.stats }
 
 // Submit plans query q (and any plan.WithBatch companions, sequentially —
 // the heuristic has no joint optimisation). plan.WithCandidateHosts
@@ -60,81 +49,7 @@ func (p *Planner) Stats() plan.Stats { return p.stats }
 // and plan.WithValidation toggles the feasibility re-check. Cancelling ctx
 // aborts the search and leaves the planner state unchanged.
 func (p *Planner) Submit(ctx context.Context, q dsps.StreamID, opts ...plan.SubmitOption) (plan.Result, error) {
-	ctx = plan.OrBackground(ctx)
-	start := time.Now()
-	cfg := plan.Apply(opts)
-	var res plan.Result
-
-	qs := cfg.Queries(q)
-	for _, query := range qs {
-		if err := plan.CheckStream(p.sys, query); err != nil {
-			return plan.Result{}, fmt.Errorf("heuristic: %w", err)
-		}
-	}
-
-	deadline := time.Time{}
-	if cfg.Timeout > 0 {
-		deadline = start.Add(cfg.Timeout)
-	}
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline = d
-	}
-
-	// Snapshot for rollback: an error mid-batch (ctx cancellation) must
-	// leave the planner state unchanged. Assignments are swapped, never
-	// mutated in place, so keeping the old pointer suffices. A
-	// single-query call needs no snapshot — submitOne only errors before
-	// it mutates — so the O(admitted) copy is skipped on the hot path.
-	var prevState *dsps.Assignment
-	var prevAdmitted map[dsps.StreamID]bool
-	if len(qs) > 1 {
-		prevState = p.state
-		prevAdmitted = plan.CopyAdmitted(p.admitted)
-	}
-
-	allAdmitted := true
-	anyFresh := false
-	for _, query := range qs {
-		if p.admitted[query] {
-			res.AlreadyAdmitted = true
-			continue
-		}
-		anyFresh = true
-		ok, reason, err := p.submitOne(ctx, query, deadline, &cfg)
-		if err != nil {
-			if prevAdmitted != nil {
-				p.state = prevState
-				p.admitted = prevAdmitted
-			}
-			return plan.Result{}, err
-		}
-		if !ok {
-			allAdmitted = false
-			res.Reason = reason
-		}
-	}
-	res.Admitted = allAdmitted
-	if res.Admitted || !anyFresh {
-		res.Reason = plan.ReasonNone
-	}
-	res.PlanTime = time.Since(start)
-	p.stats.Record(res)
-	return res, nil
-}
-
-// Remove withdraws an admitted query and garbage-collects every operator
-// and flow that no remaining query depends on.
-func (p *Planner) Remove(q dsps.StreamID) error {
-	if err := plan.CheckStream(p.sys, q); err != nil {
-		return fmt.Errorf("heuristic: %w", err)
-	}
-	if !p.admitted[q] {
-		return fmt.Errorf("heuristic: query %d: %w", q, plan.ErrNotAdmitted)
-	}
-	delete(p.admitted, q)
-	delete(p.state.Provides, q)
-	p.state.GarbageCollect(p.sys)
-	return nil
+	return p.SubmitEach(ctx, q, opts, p.submitOne)
 }
 
 // Repair handles churn events with the shared fallback: remove the queries
@@ -146,11 +61,12 @@ func (p *Planner) Repair(ctx context.Context, events []plan.Event, opts ...plan.
 
 // submitOne plans a single fresh query; reports admission and, on
 // rejection, the machine-readable reason.
-func (p *Planner) submitOne(ctx context.Context, q dsps.StreamID, deadline time.Time, cfg *plan.SubmitConfig) (bool, plan.Reason, error) {
+func (p *Planner) submitOne(ctx context.Context, q dsps.StreamID, cfg *plan.SubmitConfig, deadline time.Time) (bool, plan.Reason, error) {
 	if err := ctx.Err(); err != nil {
 		return false, plan.ReasonNone, err
 	}
 	allowed := cfg.HostSet()
+	norm := core.NormOf(p.sys)
 	plans := p.abstractPlans(q)
 	bestScore := math.Inf(-1)
 	var best *dsps.Assignment
@@ -173,7 +89,7 @@ func (p *Planner) submitOne(ctx context.Context, q dsps.StreamID, deadline time.
 			if cand == nil {
 				continue
 			}
-			if score := p.score(cand); score > bestScore {
+			if score := p.score(norm, cand); score > bestScore {
 				bestScore = score
 				best = cand
 				bestHost = dsps.HostID(h)
@@ -189,8 +105,7 @@ func (p *Planner) submitOne(ctx context.Context, q dsps.StreamID, deadline time.
 			return false, plan.ReasonValidationFailed, nil
 		}
 	}
-	p.state = best
-	p.admitted[q] = true
+	p.Commit(best, q)
 	return true, plan.ReasonNone, nil
 }
 
@@ -265,15 +180,11 @@ func cartesian(choices [][]*abstractPlan, budget int) [][]*abstractPlan {
 
 // implement tries to realise the plan with all its new operators on host h,
 // fetching input streams from hosts that already have them. Returns the
-// resulting assignment or nil when infeasible.
+// resulting assignment — p.track holding its usage — or nil when infeasible.
 func (p *Planner) implement(plan *abstractPlan, q dsps.StreamID, h dsps.HostID) *dsps.Assignment {
-	cand := p.state.Clone()
-	if !p.realise(cand, plan, h) {
-		return nil
-	}
-	// Delivery bandwidth for the result stream.
-	u := cand.ComputeUsage(p.sys)
-	if u.Out[h]+p.sys.Streams[q].Rate > p.sys.Hosts[h].OutBW+1e-9 {
+	cand := p.Assignment().Clone()
+	p.track.Reset(p.sys, cand)
+	if !p.realise(cand, plan, h) || !p.track.FitsProvide(h, q, dsps.FitTol) {
 		return nil
 	}
 	return cand
@@ -288,8 +199,8 @@ func (p *Planner) realise(cand *dsps.Assignment, plan *abstractPlan, h dsps.Host
 		return true
 	}
 	// Otherwise place the operator here.
-	u := cand.ComputeUsage(p.sys)
-	if u.CPU[h]+op.Cost > p.sys.Hosts[h].CPU+1e-9 {
+	pl := dsps.Placement{Host: h, Op: plan.op}
+	if !p.track.FitsOp(pl, dsps.FitTol) {
 		return false
 	}
 	for i, in := range plan.inIDs {
@@ -304,7 +215,8 @@ func (p *Planner) realise(cand *dsps.Assignment, plan *abstractPlan, h dsps.Host
 			return false
 		}
 	}
-	cand.Ops[dsps.Placement{Host: h, Op: plan.op}] = true
+	cand.Ops[pl] = true
+	p.track.AddOp(pl)
 	return true
 }
 
@@ -314,18 +226,13 @@ func (p *Planner) fetch(cand *dsps.Assignment, s dsps.StreamID, h dsps.HostID) b
 	if cand.Available(p.sys, h, s) {
 		return true
 	}
-	rate := p.sys.Streams[s].Rate
 	try := func(m dsps.HostID) bool {
-		if m == h || !p.sys.HostUsable(m) {
+		f := dsps.Flow{From: m, To: h, Stream: s}
+		if m == h || !p.sys.HostUsable(m) || !p.track.FitsFlow(f, dsps.FitTol) {
 			return false
 		}
-		u := cand.ComputeUsage(p.sys)
-		if u.Link[m][h]+rate > p.sys.LinkCap[m][h]+1e-9 ||
-			u.Out[m]+rate > p.sys.Hosts[m].OutBW+1e-9 ||
-			u.In[h]+rate > p.sys.Hosts[h].InBW+1e-9 {
-			return false
-		}
-		cand.Flows[dsps.Flow{From: m, To: h, Stream: s}] = true
+		cand.Flows[f] = true
+		p.track.AddFlow(f)
 		return true
 	}
 	// Prefer hosts that already materialised s (sub-query reuse)...
@@ -345,29 +252,10 @@ func (p *Planner) fetch(cand *dsps.Assignment, s dsps.StreamID, h dsps.HostID) b
 	return false
 }
 
-// score evaluates the weighted objective (III.3) of a full assignment.
-func (p *Planner) score(a *dsps.Assignment) float64 {
-	u := a.ComputeUsage(p.sys)
-	totalLink := p.sys.TotalLinkCap()
-	if totalLink <= 0 {
-		totalLink = 1
-	}
-	totalCPU := p.sys.TotalCPU()
-	if totalCPU <= 0 {
-		totalCPU = 1
-	}
-	maxCPU := 0.0
-	for _, h := range p.sys.Hosts {
-		if h.CPU > maxCPU {
-			maxCPU = h.CPU
-		}
-	}
-	if maxCPU <= 0 {
-		maxCPU = 1
-	}
-	w := p.weights
-	return w.L1*float64(a.SatisfiedQueries()+1) - // +1 for the query being placed
-		w.L2*u.Network/totalLink -
-		w.L3*u.TotalCPU()/totalCPU -
-		w.L4*u.MaxCPU()/maxCPU
+// score evaluates the weighted objective (III.3) of the candidate
+// implement just built, from its tracked usage.
+func (p *Planner) score(norm core.Norm, cand *dsps.Assignment) float64 {
+	u := &p.track
+	// +1 for the query being placed.
+	return p.weights.Objective(norm, cand.SatisfiedQueries()+1, u.Network, u.TotalCPU(), u.MaxCPU())
 }

@@ -19,11 +19,14 @@ import (
 	"sqpr/internal/plan"
 )
 
-// Planner wraps one SQPR planner with site-level query routing. It
-// implements plan.QueryPlanner.
+// Planner is one SQPR planner with site-level query routing in front of
+// its Submit and Repair; state, bookkeeping and Remove are the embedded
+// planner's own (so its Stats count every retried site as a planning
+// call), and so are Replan and DriftedQueries: a replan re-submits through
+// the embedded planner, over all sites. It implements plan.QueryPlanner.
 type Planner struct {
+	*core.Planner
 	sys   *dsps.System
-	inner *core.Planner
 	sites [][]dsps.HostID
 	// siteOf maps every host to its site index.
 	siteOf []int
@@ -44,7 +47,7 @@ func New(sys *dsps.System, cfg core.Config, numSites int) *Planner {
 	}
 	p := &Planner{
 		sys:      sys,
-		inner:    core.NewPlanner(sys, cfg),
+		Planner:  core.NewPlanner(sys, cfg),
 		siteOf:   make([]int, n),
 		Fallback: true,
 	}
@@ -70,25 +73,6 @@ func New(sys *dsps.System, cfg core.Config, numSites int) *Planner {
 // Sites returns the host partition (do not mutate).
 func (p *Planner) Sites() [][]dsps.HostID { return p.sites }
 
-// Inner exposes the wrapped SQPR planner.
-func (p *Planner) Inner() *core.Planner { return p.inner }
-
-// Assignment returns the current allocation.
-func (p *Planner) Assignment() *dsps.Assignment { return p.inner.Assignment() }
-
-// AdmittedCount returns the number of admitted queries.
-func (p *Planner) AdmittedCount() int { return p.inner.AdmittedCount() }
-
-// Admitted reports whether q is served.
-func (p *Planner) Admitted(q dsps.StreamID) bool { return p.inner.Admitted(q) }
-
-// Stats returns cumulative planner telemetry (accumulated by the wrapped
-// SQPR planner; retried sites count as separate planning calls).
-func (p *Planner) Stats() plan.Stats { return p.inner.Stats() }
-
-// Remove withdraws an admitted query from the wrapped SQPR planner.
-func (p *Planner) Remove(q dsps.StreamID) error { return p.inner.Remove(q) }
-
 // Repair handles churn events with the shared fallback: the queries the
 // events invalidated are removed and resubmitted through this planner's
 // site-routed Submit, so repairs respect the hierarchical decomposition.
@@ -109,7 +93,7 @@ func (p *Planner) Submit(ctx context.Context, q dsps.StreamID, opts ...plan.Subm
 	ctx = plan.OrBackground(ctx)
 	cfg := plan.Apply(opts)
 	if cfg.Hosts != nil {
-		return p.inner.Submit(ctx, q, opts...)
+		return p.Planner.Submit(ctx, q, opts...)
 	}
 	if err := plan.CheckStream(p.sys, q); err != nil {
 		return plan.Result{}, err
@@ -143,7 +127,7 @@ func (p *Planner) Submit(ctx context.Context, q dsps.StreamID, opts ...plan.Subm
 			}
 			attempt = append(attempt, plan.WithTimeout(remaining))
 		}
-		res, err := p.inner.Submit(ctx, q, attempt...)
+		res, err := p.Planner.Submit(ctx, q, attempt...)
 		if err != nil {
 			return res, err
 		}
@@ -163,7 +147,7 @@ func (p *Planner) rankSites(q dsps.StreamID) []int {
 			coverage[p.siteOf[h]]++
 		}
 	}
-	usage := p.inner.Assignment().ComputeUsage(p.sys)
+	usage := p.Assignment().ComputeUsage(p.sys)
 	spare := make([]float64, len(p.sites))
 	for si, site := range p.sites {
 		for _, h := range site {

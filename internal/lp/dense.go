@@ -268,10 +268,6 @@ func (s *DenseSolver) Detach() {
 	s.snap.valid = false
 }
 
-// ActiveRows returns how many constraint rows the tableau currently holds;
-// in lazy mode this is typically far below len(Problem.Cons).
-func (s *DenseSolver) ActiveRows() int { return s.m }
-
 // SaveBasis snapshots the full tableau state — basis, bounds, fix set,
 // orientation, active rows, reduced costs — into a solver-owned arena. One
 // snapshot is held at a time; saving again overwrites it. The copy costs
@@ -460,14 +456,6 @@ func (s *DenseSolver) Unfix(j int) {
 	if s.warm {
 		s.upper[j] = s.baseU[j]
 	}
-}
-
-// Fixed reports the fix state of variable j: fixed pinned at 0 or its upper
-// bound, and free otherwise.
-//
-//sqpr:hotpath
-func (s *DenseSolver) Fixed(j int) (fixed, atUpper bool) {
-	return s.fixVal[j] != fixFree, s.fixVal[j] == fixUpper
 }
 
 // ReSolve optimises the loaded problem under the current variable fixes.

@@ -399,10 +399,6 @@ func (s *Solver) Detach() {
 	s.snap.valid = false
 }
 
-// ActiveRows returns how many constraint rows the basis currently spans; in
-// lazy mode this is typically far below len(Problem.Cons).
-func (s *Solver) ActiveRows() int { return s.m }
-
 // SaveBasis snapshots the solver's logical state — basis, bounds, fix set,
 // orientation, active rows, reduced costs — into a solver-owned arena. One
 // snapshot is held at a time; saving again overwrites it. The factorization
@@ -608,14 +604,6 @@ func (s *Solver) Unfix(j int) {
 	if s.warm {
 		s.upper[j] = s.baseU[j]
 	}
-}
-
-// Fixed reports the fix state of variable j: fixed pinned at 0 or its upper
-// bound, and free otherwise.
-//
-//sqpr:hotpath
-func (s *Solver) Fixed(j int) (fixed, atUpper bool) {
-	return s.fixVal[j] != fixFree, s.fixVal[j] == fixUpper
 }
 
 // ReSolve optimises the loaded problem under the current variable fixes.

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"context"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -859,10 +858,4 @@ func roundBinaries(c *compiled, x []float64) []float64 {
 		}
 	}
 	return x
-}
-
-// SortTermsInPlace orders terms by variable index; useful for deterministic
-// tests and debugging output.
-func SortTermsInPlace(ts []Term) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Var < ts[j].Var })
 }

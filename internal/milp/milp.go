@@ -94,9 +94,6 @@ func (m *Model) Reset() {
 // NumVars returns the number of variables added so far.
 func (m *Model) NumVars() int { return len(m.vars) }
 
-// NumRows returns the number of constraints added so far.
-func (m *Model) NumRows() int { return len(m.rows) }
-
 // AddVar adds a variable with the given bounds and domain. For Binary
 // variables the bounds are intersected with [0,1].
 func (m *Model) AddVar(lo, hi float64, typ VarType, name string) Var {
@@ -129,9 +126,6 @@ func (m *Model) Fix(v Var, val float64) {
 	m.vars[v].hi = val
 }
 
-// Bounds returns the current bounds of v.
-func (m *Model) Bounds(v Var) (lo, hi float64) { return m.vars[v].lo, m.vars[v].hi }
-
 // SetBranchPriority assigns a branching priority to v. Priorities break
 // ties between fractional candidates whose pseudo-cost scores are
 // indistinguishable — common early in a search, before the pseudo-costs
@@ -154,9 +148,6 @@ func (m *Model) SetObjective(maximize bool, terms ...Term) {
 		m.vars[t.Var].obj += t.Coef
 	}
 }
-
-// AddObjectiveTerm accumulates an extra coefficient onto the objective.
-func (m *Model) AddObjectiveTerm(v Var, coef float64) { m.vars[v].obj += coef }
 
 // AddCons appends a linear constraint. Terms on the same variable are
 // accumulated. After a Reset, rows reuse the term storage of the previous

@@ -302,13 +302,3 @@ func (c *SubmitConfig) HostSet() map[dsps.HostID]bool {
 	}
 	return set
 }
-
-// CopyAdmitted shallow-copies an admission set; sequential batch planners
-// snapshot it so an error mid-batch can roll back to the pre-call state.
-func CopyAdmitted(m map[dsps.StreamID]bool) map[dsps.StreamID]bool {
-	cp := make(map[dsps.StreamID]bool, len(m))
-	for k, v := range m {
-		cp[k] = v
-	}
-	return cp
-}

@@ -10,7 +10,6 @@ package soda
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -21,17 +20,13 @@ import (
 )
 
 // Planner is the SODA-like baseline. It implements plan.QueryPlanner and
-// is not safe for concurrent use.
+// is not safe for concurrent use. The embedded ledger is its whole state:
+// where a template operator runs — what "gluing templates" reuses — is
+// read off the allocation (opHost), so nothing has to be rebuilt after an
+// import, a remove or a rolled-back batch.
 type Planner struct {
-	sys      *dsps.System
-	state    *dsps.Assignment
-	weights  core.Weights
-	admitted map[dsps.StreamID]bool
-	stats    plan.Stats
-
-	// opHost records where each placed template operator runs, enabling
-	// whole-sub-query reuse ("gluing templates").
-	opHost map[dsps.OperatorID]dsps.HostID
+	plan.Ledger
+	sys *dsps.System
 
 	baseSets map[dsps.StreamID][]dsps.StreamID
 
@@ -39,30 +34,15 @@ type Planner struct {
 	joinIdxAt int // number of operators indexed so far
 }
 
-// New creates a SODA-like planner sharing SQPR's objective weights for the
-// load-balancing placement score.
-func New(sys *dsps.System, w core.Weights) *Planner {
+// New creates a SODA-like planner. The weights are accepted for symmetry
+// with the other planners; miniW placement balances load only.
+func New(sys *dsps.System, _ core.Weights) *Planner {
 	return &Planner{
+		Ledger:   plan.NewLedger("soda", sys),
 		sys:      sys,
-		state:    dsps.NewAssignment(),
-		weights:  w,
-		admitted: make(map[dsps.StreamID]bool),
-		opHost:   make(map[dsps.OperatorID]dsps.HostID),
 		baseSets: make(map[dsps.StreamID][]dsps.StreamID),
 	}
 }
-
-// Assignment exposes the current allocation (do not mutate).
-func (p *Planner) Assignment() *dsps.Assignment { return p.state }
-
-// Admitted reports whether q is served.
-func (p *Planner) Admitted(q dsps.StreamID) bool { return p.admitted[q] }
-
-// AdmittedCount returns the number of admitted queries.
-func (p *Planner) AdmittedCount() int { return len(p.admitted) }
-
-// Stats returns cumulative planner telemetry.
-func (p *Planner) Stats() plan.Stats { return p.stats }
 
 // Submit runs admission (macroQ) and placement (miniW) for query q (and
 // any plan.WithBatch companions, sequentially). plan.WithCandidateHosts
@@ -70,83 +50,7 @@ func (p *Planner) Stats() plan.Stats { return p.stats }
 // toggles the feasibility re-check. Cancelling ctx aborts the call and
 // leaves the planner state unchanged.
 func (p *Planner) Submit(ctx context.Context, q dsps.StreamID, opts ...plan.SubmitOption) (plan.Result, error) {
-	ctx = plan.OrBackground(ctx)
-	start := time.Now()
-	cfg := plan.Apply(opts)
-	var res plan.Result
-
-	qs := cfg.Queries(q)
-	for _, query := range qs {
-		if err := plan.CheckStream(p.sys, query); err != nil {
-			return plan.Result{}, fmt.Errorf("soda: %w", err)
-		}
-	}
-
-	// Snapshot for rollback: an error mid-batch (ctx cancellation) must
-	// leave the planner state unchanged. A single-query call needs no
-	// snapshot — submitOne only errors before it mutates — so the
-	// O(admitted + opHost) copies are skipped on the hot path.
-	var prevState *dsps.Assignment
-	var prevAdmitted map[dsps.StreamID]bool
-	var prevOpHost map[dsps.OperatorID]dsps.HostID
-	if len(qs) > 1 {
-		prevState = p.state
-		prevAdmitted = plan.CopyAdmitted(p.admitted)
-		prevOpHost = make(map[dsps.OperatorID]dsps.HostID, len(p.opHost))
-		for op, h := range p.opHost {
-			prevOpHost[op] = h
-		}
-	}
-
-	allAdmitted := true
-	anyFresh := false
-	for _, query := range qs {
-		if p.admitted[query] {
-			res.AlreadyAdmitted = true
-			continue
-		}
-		anyFresh = true
-		ok, reason, err := p.submitOne(ctx, query, &cfg)
-		if err != nil {
-			if prevAdmitted != nil {
-				p.state = prevState
-				p.admitted = prevAdmitted
-				p.opHost = prevOpHost
-			}
-			return plan.Result{}, err
-		}
-		if !ok {
-			allAdmitted = false
-			res.Reason = reason
-		}
-	}
-	res.Admitted = allAdmitted
-	if res.Admitted || !anyFresh {
-		res.Reason = plan.ReasonNone
-	}
-	res.PlanTime = time.Since(start)
-	p.stats.Record(res)
-	return res, nil
-}
-
-// Remove withdraws an admitted query, garbage-collects unneeded operators
-// and flows, and forgets template placements that no longer exist.
-func (p *Planner) Remove(q dsps.StreamID) error {
-	if err := plan.CheckStream(p.sys, q); err != nil {
-		return fmt.Errorf("soda: %w", err)
-	}
-	if !p.admitted[q] {
-		return fmt.Errorf("soda: query %d: %w", q, plan.ErrNotAdmitted)
-	}
-	delete(p.admitted, q)
-	delete(p.state.Provides, q)
-	p.state.GarbageCollect(p.sys)
-	for op, h := range p.opHost {
-		if !p.state.Ops[dsps.Placement{Host: h, Op: op}] {
-			delete(p.opHost, op)
-		}
-	}
-	return nil
+	return p.SubmitEach(ctx, q, opts, p.submitOne)
 }
 
 // Repair handles churn events with the shared fallback: remove the queries
@@ -156,9 +60,21 @@ func (p *Planner) Repair(ctx context.Context, events []plan.Event, opts ...plan.
 	return plan.RepairByResubmit(ctx, p.sys, p, events, opts...)
 }
 
+// opHost returns the host template operator op runs on, if it is placed
+// (each template operator is placed on at most one host).
+func (p *Planner) opHost(op dsps.OperatorID) (dsps.HostID, bool) {
+	st := p.Assignment()
+	for h := range p.sys.Hosts {
+		if st.Ops[dsps.Placement{Host: dsps.HostID(h), Op: op}] {
+			return dsps.HostID(h), true
+		}
+	}
+	return 0, false
+}
+
 // submitOne plans one fresh query; reports admission and, on rejection,
 // the machine-readable reason.
-func (p *Planner) submitOne(ctx context.Context, q dsps.StreamID, cfg *plan.SubmitConfig) (bool, plan.Reason, error) {
+func (p *Planner) submitOne(ctx context.Context, q dsps.StreamID, cfg *plan.SubmitConfig, _ time.Time) (bool, plan.Reason, error) {
 	if err := ctx.Err(); err != nil {
 		return false, plan.ReasonNone, err
 	}
@@ -166,35 +82,29 @@ func (p *Planner) submitOne(ctx context.Context, q dsps.StreamID, cfg *plan.Subm
 	if !ok {
 		return false, plan.ReasonNoTemplate, nil
 	}
-	if !p.macroQ(tmpl) {
+	cand := p.Assignment().Clone()
+	u := cand.ComputeUsage(p.sys)
+	if !p.macroQ(tmpl, u) {
 		return false, plan.ReasonResourceExhausted, nil
 	}
 	allowed := cfg.HostSet()
-	cand := p.state.Clone()
-	newHosts := make(map[dsps.OperatorID]dsps.HostID)
-	last := dsps.HostID(-1)
+	var last dsps.HostID
 	for _, opID := range tmpl {
 		if err := ctx.Err(); err != nil {
 			return false, plan.ReasonNone, err
 		}
-		if h, placed := p.opHost[opID]; placed {
+		if h, placed := p.opHost(opID); placed {
 			last = h // reuse the glued sub-query as-is
 			continue
 		}
-		h, okPlace := p.placeOp(cand, opID, allowed)
+		h, okPlace := p.placeOp(cand, u, opID, allowed)
 		if !okPlace {
 			return false, plan.ReasonNoFeasiblePlan, nil
 		}
-		newHosts[opID] = h
 		last = h
 	}
-	if last < 0 {
-		// Entire template reused; the provider is the host of the final op.
-		last = p.opHost[tmpl[len(tmpl)-1]]
-	}
-	// Delivery bandwidth at the providing host.
-	u := cand.ComputeUsage(p.sys)
-	if u.Out[last]+p.sys.Streams[q].Rate > p.sys.Hosts[last].OutBW+1e-9 {
+	// Delivery bandwidth at the providing host: that of the final operator.
+	if !u.FitsProvide(last, q, dsps.FitTol) {
 		return false, plan.ReasonNoFeasiblePlan, nil
 	}
 	cand.Provides[q] = last
@@ -203,11 +113,7 @@ func (p *Planner) submitOne(ctx context.Context, q dsps.StreamID, cfg *plan.Subm
 			return false, plan.ReasonValidationFailed, nil
 		}
 	}
-	p.state = cand
-	for op, h := range newHosts {
-		p.opHost[op] = h
-	}
-	p.admitted[q] = true
+	p.Commit(cand, q)
 	return true, plan.ReasonNone, nil
 }
 
@@ -294,42 +200,43 @@ func (p *Planner) baseSetOf(s dsps.StreamID) []dsps.StreamID {
 
 // macroQ admits the query if the aggregate CPU demand of its not-yet-placed
 // template operators fits the system's remaining aggregate CPU.
-func (p *Planner) macroQ(tmpl []dsps.OperatorID) bool {
+func (p *Planner) macroQ(tmpl []dsps.OperatorID, u *dsps.Usage) bool {
 	var demand float64
 	for _, opID := range tmpl {
-		if _, placed := p.opHost[opID]; !placed {
+		if _, placed := p.opHost(opID); !placed {
 			demand += p.sys.Operators[opID].Cost
 		}
 	}
-	u := p.state.ComputeUsage(p.sys)
 	spare := p.sys.UsableCPU() - u.TotalCPU()
-	return demand <= spare+1e-9
+	return demand <= spare+dsps.FitTol
 }
 
 // placeOp places one template operator on the allowed host that minimises
 // the load-balancing score, fetching each input once from its producing or
-// base host (direct transfer only — no relays).
-func (p *Planner) placeOp(cand *dsps.Assignment, opID dsps.OperatorID, allowed map[dsps.HostID]bool) (dsps.HostID, bool) {
+// base host (direct transfer only — no relays). On success cand and its
+// usage u become the winning trial.
+func (p *Planner) placeOp(cand *dsps.Assignment, u *dsps.Usage, opID dsps.OperatorID, allowed map[dsps.HostID]bool) (dsps.HostID, bool) {
 	op := &p.sys.Operators[opID]
 	bestScore := math.Inf(1)
 	var bestHost dsps.HostID
 	var bestTrial *dsps.Assignment
+	var bestUsage *dsps.Usage
 	for h := 0; h < p.sys.NumHosts(); h++ {
-		host := dsps.HostID(h)
-		if allowed != nil && !allowed[host] {
+		pl := dsps.Placement{Host: dsps.HostID(h), Op: opID}
+		if allowed != nil && !allowed[pl.Host] {
 			continue
 		}
-		if !p.sys.HostPlaceable(host) {
+		if !p.sys.HostPlaceable(pl.Host) {
 			continue // down or draining: no new operator placements
 		}
-		u := cand.ComputeUsage(p.sys)
-		if u.CPU[host]+op.Cost > p.sys.Hosts[host].CPU+1e-9 {
+		if !u.FitsOp(pl, dsps.FitTol) {
 			continue
 		}
 		trial := cand.Clone()
+		tu := trial.ComputeUsage(p.sys)
 		ok := true
 		for _, in := range op.Inputs {
-			if !p.fetchDirect(trial, in, host) {
+			if !p.fetchDirect(trial, tu, in, pl.Host) {
 				ok = false
 				break
 			}
@@ -337,41 +244,36 @@ func (p *Planner) placeOp(cand *dsps.Assignment, opID dsps.OperatorID, allowed m
 		if !ok {
 			continue
 		}
-		trial.Ops[dsps.Placement{Host: host, Op: opID}] = true
-		tu := trial.ComputeUsage(p.sys)
+		trial.Ops[pl] = true
+		tu.AddOp(pl)
 		score := tu.MaxCPU() // SODA's placement objective here: balance load
 		if score < bestScore {
 			bestScore = score
-			bestHost = host
-			bestTrial = trial
+			bestHost = pl.Host
+			bestTrial, bestUsage = trial, tu
 		}
 	}
 	if bestTrial == nil {
 		return 0, false
 	}
-	*cand = *bestTrial
+	*cand, *u = *bestTrial, *bestUsage
 	return bestHost, true
 }
 
 // fetchDirect brings stream s to host h with a single direct transfer from
 // the host that originates it (local propagation means a stream already
 // flowing into h is free).
-func (p *Planner) fetchDirect(cand *dsps.Assignment, s dsps.StreamID, h dsps.HostID) bool {
+func (p *Planner) fetchDirect(cand *dsps.Assignment, u *dsps.Usage, s dsps.StreamID, h dsps.HostID) bool {
 	if cand.Available(p.sys, h, s) {
 		return true
 	}
-	rate := p.sys.Streams[s].Rate
 	try := func(m dsps.HostID) bool {
-		if m == h || !p.sys.HostUsable(m) {
+		f := dsps.Flow{From: m, To: h, Stream: s}
+		if m == h || !p.sys.HostUsable(m) || !u.FitsFlow(f, dsps.FitTol) {
 			return false
 		}
-		u := cand.ComputeUsage(p.sys)
-		if u.Link[m][h]+rate > p.sys.LinkCap[m][h]+1e-9 ||
-			u.Out[m]+rate > p.sys.Hosts[m].OutBW+1e-9 ||
-			u.In[h]+rate > p.sys.Hosts[h].InBW+1e-9 {
-			return false
-		}
-		cand.Flows[dsps.Flow{From: m, To: h, Stream: s}] = true
+		cand.Flows[f] = true
+		u.AddFlow(f)
 		return true
 	}
 	if p.sys.Streams[s].IsBase() {

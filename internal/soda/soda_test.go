@@ -137,3 +137,30 @@ func TestBaseSetOf(t *testing.T) {
 		}
 	}
 }
+
+// TestSkipsHostShortOfMemory: host 0 has the roomier CPU and wins the
+// load-balance tie, but not the memory for the join; host 1 has. miniW must
+// skip host 0 (the capacity rulebook counts memory), not pick it and have
+// validation throw the whole candidate away.
+func TestSkipsHostShortOfMemory(t *testing.T) {
+	hosts := []dsps.Host{
+		{ID: 0, CPU: 20, Mem: 1, OutBW: 100, InBW: 100},
+		{ID: 1, CPU: 10, Mem: 4, OutBW: 100, InBW: 100},
+	}
+	sys := dsps.NewSystem(hosts, 50)
+	a := sys.AddStream(5, dsps.NoOperator, "a")
+	b := sys.AddStream(5, dsps.NoOperator, "b")
+	sys.PlaceBase(0, a)
+	sys.PlaceBase(1, b)
+	op := sys.AddOperator([]dsps.StreamID{a, b}, 1, 2, "ab")
+	op.Mem = 2
+	sys.SetRequested(op.Output, true)
+	p := New(sys, core.PaperWeights())
+	res, err := p.Submit(context.Background(), op.Output)
+	if err != nil || !res.Admitted {
+		t.Fatalf("Submit = %+v, %v; host 1 fits the query", res, err)
+	}
+	if !p.Assignment().Ops[dsps.Placement{Host: 1, Op: op.ID}] {
+		t.Fatalf("join not on host 1: %v", p.Assignment().Ops)
+	}
+}
