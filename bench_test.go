@@ -535,6 +535,64 @@ func BenchmarkLPResolve(b *testing.B) {
 	}
 }
 
+// BenchmarkLPActivationWave measures a lazy re-solve shaped like SQPR's
+// node LPs: a few rows activate, a few dual pivots repair them, and only
+// then do the next rows turn out violated. The LP is five independent
+// chains min −Σx, x ∈ [0,10], x₀ ≤ 5, x_k − x_{k−1} ≤ δ: with no row active
+// every variable sits at 10, where only each chain's first row is violated,
+// and repairing row k is what violates row k+1 — 24 waves of five rows per
+// solve. Each iteration restores the all-pinned-at-zero snapshot (no active
+// row; the restore costs one factorization of an empty basis), releases the
+// variables and re-solves. Bordered activation leaves refactors/op at that
+// one plus the scheduled eta-limit refactorizes instead of one per wave on
+// top; 0 allocs/op.
+func BenchmarkLPActivationWave(b *testing.B) {
+	const chains, length = 5, 24
+	n := chains * length
+	p := &lp.Problem{NumVars: n, Cost: make([]float64, n), Upper: make([]float64, n)}
+	for j := 0; j < n; j++ {
+		p.Cost[j] = -1
+		p.Upper[j] = 10
+	}
+	for c := 0; c < chains; c++ {
+		x := func(k int) int { return c*length + k }
+		p.Cons = append(p.Cons, lp.Constraint{Terms: []lp.Term{{Var: x(0), Coef: 1}}, Sense: lp.LE, RHS: 5})
+		for k := 1; k < length; k++ {
+			p.Cons = append(p.Cons, lp.Constraint{
+				Terms: []lp.Term{{Var: x(k), Coef: 1}, {Var: x(k - 1), Coef: -1}},
+				Sense: lp.LE, RHS: 4.0 / length,
+			})
+		}
+	}
+	s := lp.NewSolver()
+	s.SetLazy(true)
+	if err := s.Load(p); err != nil {
+		b.Fatal(err)
+	}
+	for j := 0; j < n; j++ {
+		s.Fix(j, false)
+	}
+	if sol := s.ReSolve(lp.Options{}); sol.Status != lp.Optimal {
+		b.Fatalf("pinned solve: %v", sol.Status)
+	}
+	s.SaveBasis()
+	before := s.FactorStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.RestoreBasis()
+		for j := 0; j < n; j++ {
+			s.Unfix(j)
+		}
+		if sol := s.ReSolve(lp.Options{}); sol.Status != lp.Optimal {
+			b.Fatalf("re-solve: %v", sol.Status)
+		}
+	}
+	after := s.FactorStats()
+	b.ReportMetric(float64(after.Refactors-before.Refactors)/float64(b.N), "refactors/op")
+	b.ReportMetric(float64(after.RowEtas-before.RowEtas)/float64(b.N), "rowetas/op")
+}
+
 // BenchmarkMILPNode measures whole branch-and-bound nodes on a knapsack
 // with conflicts: allocations per node stay bounded by the node bookkeeping
 // (the LP re-solves themselves are allocation-free).

@@ -421,3 +421,39 @@ func TestSubmitIsDeterministic(t *testing.T) {
 		t.Fatal("two identical runs ended in different states")
 	}
 }
+
+// TestRefactorsPerSolveBudget fills the 15-host daemon substrate (the
+// benchmark's s15: population seed 7, the daemon's planner limits) with its
+// first 80 queries under a timeout no call comes near, and bounds the LU
+// factorizations each submission costs. Lazy-row activation borders the
+// factors instead of discarding them, which took this ratio from 36 to 11;
+// the bound is a count, so a change that goes back to refactorizing per
+// activation wave fails here on any machine.
+func TestRefactorsPerSolveBudget(t *testing.T) {
+	sys := sqpr.BuildSystem(sqpr.SystemConfig{NumHosts: 15, CPUPerHost: 10, OutBW: 60, InBW: 60, LinkCap: 25})
+	w := sqpr.GenerateWorkload(sys, sqpr.WorkloadConfig{
+		NumBaseStreams: 150, BaseRate: 10, Zipf: 1, Arities: []int{2, 3}, NumQueries: 80,
+		SelMin: 0.001, SelMax: 0.005, CostPerRate: 0.05, Seed: 7,
+	})
+	cfg := sqpr.DefaultPlannerConfig()
+	cfg.SolveTimeout = time.Minute
+	cfg.MaxCandidateHosts = 8
+	cfg.MaxFreeStreams = 30
+	p := sqpr.NewPlanner(sys, cfg)
+	for _, q := range w.Queries {
+		if _, err := p.Submit(context.Background(), q); err != nil {
+			t.Fatalf("Submit(%d): %v", q, err)
+		}
+	}
+	st := p.Stats()
+	if st.Submissions == 0 || st.Factor.RowEtas == 0 {
+		t.Fatalf("nothing measured: %d submissions, %d row etas", st.Submissions, st.Factor.RowEtas)
+	}
+	const budget = 20
+	per := float64(st.Factor.Refactors) / float64(st.Submissions)
+	t.Logf("%d refactorizations, %d row etas, %d LP iterations over %d submissions: %.1f refactorizations per submission",
+		st.Factor.Refactors, st.Factor.RowEtas, st.TotalLPIters, st.Submissions, per)
+	if per > budget {
+		t.Fatalf("%.1f refactorizations per submission, budget %d", per, budget)
+	}
+}

@@ -8,7 +8,12 @@ import (
 	"sqpr/internal/invariant"
 )
 
-// DenseSolver is a reusable, stateful LP solver over one loaded Problem. It owns
+// DenseSolver is the dense-tableau engine the sparse Solver replaced, kept
+// in a test file as the oracle of the equivalence suite (equiv_test.go,
+// activation_test.go): no non-test code refers to it, and the hotpath
+// annotations below are inert here (sqpr-vet reads non-test files only).
+//
+// It is a reusable, stateful LP solver over one loaded Problem. It owns
 // a persistent arena (dense tableau rows, right-hand side, basis, reduced
 // costs) that is sized once per Load and reused across re-solves, so the
 // steady-state ReSolve path performs no heap allocation.

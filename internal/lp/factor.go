@@ -9,14 +9,16 @@ import (
 // FactorStats reports the factorization activity of a Solver since Load:
 // how often the basis was refactorized (and how many of those were forced
 // by numerical drift rather than the schedule), how many product-form eta
-// updates were appended between refactorizations, the longest eta file
+// updates were appended between refactorizations (and how many of those
+// bordered the factors with an activated lazy row), the longest eta file
 // observed, and the fill-in ratio (LU nonzeros over basis nonzeros) of the
 // most recent factorization.
 type FactorStats struct {
 	Refactors     int     // basis factorizations performed
 	DriftRebuilds int     // refactorizations/rebuilds forced by numerical drift
-	EtaAppends    int     // product-form updates appended between refactorizations
-	PeakEtas      int     // longest eta file reached
+	EtaAppends    int     // product-form updates appended between refactorizations: pivot, negation and row etas
+	RowEtas       int     // lazy rows bordered onto valid factors (one row eta each)
+	PeakEtas      int     // longest eta file reached, row etas included
 	FillRatio     float64 // nnz(L+U) / nnz(B) at the last refactorization
 }
 
@@ -25,6 +27,7 @@ func (f *FactorStats) Merge(o FactorStats) {
 	f.Refactors += o.Refactors
 	f.DriftRebuilds += o.DriftRebuilds
 	f.EtaAppends += o.EtaAppends
+	f.RowEtas += o.RowEtas
 	if o.PeakEtas > f.PeakEtas {
 		f.PeakEtas = o.PeakEtas
 	}
@@ -107,27 +110,36 @@ func (f *luFactor) init(mcap int) {
 }
 
 // etaFile is the product-form update sequence since the last refactorize:
-// B = B₀·E₁···E_k, each eta a pivot column (r, piv, sparse off-pivot
-// entries). A pivot of column a in row r appends the eta built from
-// α = B⁻¹a; re-orienting a basic variable appends a negation eta (piv −1,
-// no entries).
+// B = B₀·E₁···E_k, each eta the identity except for one column or one row
+// (r, piv on the diagonal, sparse off-diagonal entries). A pivot of column a
+// in row r appends the column eta built from α = B⁻¹a; re-orienting a basic
+// variable appends a negation eta (a column eta with piv −1 and no
+// entries); activating a lazy row at the new slot r appends a row eta
+// (piv the slack coefficient, entries the row's coefficients on the basic
+// columns) — the border of B' = diag(B,1)·E.
 type etaFile struct {
 	count int
 	r     []int32
 	piv   []float64
+	row   []bool  // eta k replaces row r of the identity, not column r
 	start []int32 // len count+1, offsets into idx/val
 	idx   []int32
 	val   []float64
 }
 
-func (e *etaFile) init(mcap int) {
-	ecap := refactorInterval * 2
+// init sizes the arenas for a basis of up to mcap rows of which lazyRows
+// (with lazyNNZ coefficients in total) may be bordered on by row etas: the
+// file holds at most one refactor interval of pivot etas plus one row eta
+// per activated row before prepWarm's scheduled refactorize empties it.
+func (e *etaFile) init(mcap, lazyRows, lazyNNZ int) {
+	ecap := refactorInterval*2 + lazyRows
 	if cap(e.r) < ecap {
 		e.r = make([]int32, 0, ecap)
 		e.piv = make([]float64, 0, ecap)
+		e.row = make([]bool, 0, ecap)
 		e.start = make([]int32, 1, ecap+1)
 	}
-	ncap := 4*mcap + 64
+	ncap := 4*mcap + 64 + lazyNNZ
 	if cap(e.idx) < ncap {
 		e.idx = make([]int32, 0, ncap)
 		e.val = make([]float64, 0, ncap)
@@ -139,6 +151,7 @@ func (e *etaFile) reset() {
 	e.count = 0
 	e.r = e.r[:0]
 	e.piv = e.piv[:0]
+	e.row = e.row[:0]
 	e.start = e.start[:1]
 	e.start[0] = 0
 	e.idx = e.idx[:0]
@@ -151,16 +164,13 @@ func (e *etaFile) reset() {
 //sqpr:hotpath
 func (e *etaFile) appendPivot(r int, alpha []float64, m int) {
 	// The eta arenas are preallocated by init and reused across solves.
-	e.r = append(e.r, int32(r))     //sqpr:amortized
-	e.piv = append(e.piv, alpha[r]) //sqpr:amortized
 	for i := 0; i < m; i++ {
 		if i != r && alpha[i] != 0 {
 			e.idx = append(e.idx, int32(i)) //sqpr:amortized
 			e.val = append(e.val, alpha[i]) //sqpr:amortized
 		}
 	}
-	e.start = append(e.start, int32(len(e.idx))) //sqpr:amortized
-	e.count++
+	e.close(r, alpha[r], false)
 }
 
 // appendNeg records the negation eta of re-orienting the basic variable of
@@ -168,10 +178,51 @@ func (e *etaFile) appendPivot(r int, alpha []float64, m int) {
 //
 //sqpr:hotpath
 func (e *etaFile) appendNeg(r int) {
-	e.r = append(e.r, int32(r))                 //sqpr:amortized
-	e.piv = append(e.piv, -1)                   //sqpr:amortized
-	e.start = append(e.start, e.start[e.count]) //sqpr:amortized
+	e.close(r, -1, false)
+}
+
+// close ends the eta whose off-diagonal entries were just appended to
+// idx/val: diagonal piv at (r,r), the entries down column r or along row r.
+//
+//sqpr:hotpath
+func (e *etaFile) close(r int, piv float64, row bool) {
+	e.r = append(e.r, int32(r))                  //sqpr:amortized
+	e.piv = append(e.piv, piv)                   //sqpr:amortized
+	e.row = append(e.row, row)                   //sqpr:amortized
+	e.start = append(e.start, int32(len(e.idx))) //sqpr:amortized
 	e.count++
+}
+
+// scatter solves against eta k along its stored entries: v_r ← v_r/piv,
+// then v_i −= val_i·v_r. This is E⁻¹v for a column eta and E⁻ᵀv for a row
+// eta.
+//
+//sqpr:hotpath
+func (e *etaFile) scatter(k int, v []float64) {
+	r := int(e.r[k])
+	vr := v[r]
+	if vr == 0 {
+		return
+	}
+	vr /= e.piv[k]
+	v[r] = vr
+	for t := e.start[k]; t < e.start[k+1]; t++ {
+		v[e.idx[t]] -= e.val[t] * vr
+	}
+}
+
+// gather solves against eta k across its stored entries:
+// v_r ← (v_r − Σ val_i·v_i)/piv. This is E⁻ᵀv for a column eta and E⁻¹v
+// for a row eta.
+//
+//sqpr:hotpath
+func (e *etaFile) gather(k int, v []float64) {
+	sum := 0.0
+	for t := e.start[k]; t < e.start[k+1]; t++ {
+		sum += e.val[t] * v[e.idx[t]]
+	}
+	r := int(e.r[k])
+	v[r] = (v[r] - sum) / e.piv[k]
 }
 
 // applyF applies the eta sequence forward: v ← E_k⁻¹···E₁⁻¹ v.
@@ -179,15 +230,10 @@ func (e *etaFile) appendNeg(r int) {
 //sqpr:hotpath
 func (e *etaFile) applyF(v []float64) {
 	for k := 0; k < e.count; k++ {
-		r := int(e.r[k])
-		vr := v[r]
-		if vr == 0 {
-			continue
-		}
-		vr /= e.piv[k]
-		v[r] = vr
-		for t := e.start[k]; t < e.start[k+1]; t++ {
-			v[e.idx[t]] -= e.val[t] * vr
+		if e.row[k] {
+			e.gather(k, v)
+		} else {
+			e.scatter(k, v)
 		}
 	}
 }
@@ -197,12 +243,11 @@ func (e *etaFile) applyF(v []float64) {
 //sqpr:hotpath
 func (e *etaFile) applyB(v []float64) {
 	for k := e.count - 1; k >= 0; k-- {
-		sum := 0.0
-		for t := e.start[k]; t < e.start[k+1]; t++ {
-			sum += e.val[t] * v[e.idx[t]]
+		if e.row[k] {
+			e.scatter(k, v)
+		} else {
+			e.gather(k, v)
 		}
-		r := int(e.r[k])
-		v[r] = (v[r] - sum) / e.piv[k]
 	}
 }
 
@@ -222,6 +267,66 @@ func (s *Solver) ftran(v []float64) {
 func (s *Solver) btran(v []float64) {
 	s.eta.applyB(v)
 	s.luSolveB(v)
+}
+
+// border extends valid factors over the inequality row c just appended at
+// basis slot r with slack coefficient sigma, instead of discarding them. The
+// grown basis is B' = diag(B,1)·E with E the identity except for row r,
+// which holds c's coefficients on the basic columns (by slot, in the
+// current orientation) and sigma on the diagonal. diag(B,1) costs the LU
+// one trivial pivot (unit diagonal, empty L and U columns, slot r at
+// position r); E is one row eta. The new basic value follows from the row
+// itself, xB[r] = (beff[r] − a_B·xB)/sigma, and the slack's zero cost puts
+// a zero in y = B'⁻ᵀc_B at r, so every other reduced cost stays exact.
+//
+//sqpr:hotpath
+func (s *Solver) border(c *Constraint, r int, sigma float64) {
+	s.lu.extend(r)
+	e := &s.eta
+	dot := 0.0
+	for _, tm := range c.Terms {
+		if !s.inBasis[tm.Var] {
+			continue
+		}
+		a := tm.Coef
+		if s.flipped[tm.Var] {
+			a = -a
+		}
+		i := s.rowOf[tm.Var]
+		e.idx = append(e.idx, int32(i)) //sqpr:amortized
+		e.val = append(e.val, a)        //sqpr:amortized
+		dot += a * s.xB[i]
+	}
+	e.close(r, sigma, true)
+	s.noteEta()
+	s.stats.RowEtas++
+	if s.xbValid {
+		s.xB[r] = (s.beff[r] - dot) / sigma
+	}
+}
+
+// extend grows the factors from B₀ to diag(B₀,1): slot r = f.m pivots at
+// position r on a unit diagonal with empty L and U columns.
+//
+//sqpr:hotpath
+func (f *luFactor) extend(r int) {
+	f.uDiag[r] = 1
+	f.rpos[r] = int32(r)
+	f.rinv[r] = int32(r)
+	f.cpos[r] = int32(r)
+	f.lStart[r+1] = f.lStart[r]
+	f.uStart[r+1] = f.uStart[r]
+	f.m = r + 1
+}
+
+// noteEta counts the eta just appended.
+//
+//sqpr:hotpath
+func (s *Solver) noteEta() {
+	s.stats.EtaAppends++
+	if s.eta.count > s.stats.PeakEtas {
+		s.stats.PeakEtas = s.eta.count
+	}
 }
 
 // luSolveF solves (B₀)z = v in place against the LU factors: forward
@@ -304,12 +409,11 @@ func (s *Solver) activeColNNZ(col int) int {
 }
 
 // refactorize rebuilds the LU factors of the current basis from the problem
-// data, resets the eta file, and refreshes the basic solution and reduced
-// costs exactly. Reports false when the basis is numerically singular — the
-// caller falls back to a cold rebuild, whose slack/artificial start basis
-// is diagonal and always factorizes. Markowitz-style fill control comes
-// from two choices: columns are eliminated in ascending active-nonzero
-// order, and partial pivoting picks the largest-magnitude candidate row.
+// data (the elimination documented on luFactor, columns taken in ascending
+// active-nonzero order to limit fill), resets the eta file, and refreshes
+// the basic solution and reduced costs exactly. Reports false when the
+// basis is numerically singular — the caller falls back to a cold rebuild,
+// whose slack/artificial start basis is diagonal and always factorizes.
 func (s *Solver) refactorize() bool {
 	f := &s.lu
 	m := s.m
@@ -569,8 +673,9 @@ func (s *Solver) computeDuals() {
 }
 
 // checkResidual verifies ‖B·xB − beff‖∞ against the factorization residual
-// tolerance; called by refactorize in checked builds, right after xB was
-// recomputed through the fresh factors.
+// tolerance. Checked builds call it from refactorize, right after xB was
+// recomputed through the fresh factors, and after every activation wave
+// that bordered the factors, where xB was extended in place.
 func (s *Solver) checkResidual(where string) {
 	m := s.m
 	res := make([]float64, m)
@@ -608,4 +713,21 @@ func (s *Solver) checkResidual(where string) {
 				where, res[t], t, residualTol, scale)
 		}
 	}
+}
+
+// checkDuals verifies every nonbasic reduced cost against computeDuals'
+// exact recomputation through the current factors, then puts the carried
+// values back so checked and release builds pivot alike. Checked builds call
+// it after every activation wave that bordered the factors: the wave's claim
+// is that the carried-over d is still the d of the grown basis.
+func (s *Solver) checkDuals(where string) {
+	carried := append([]float64(nil), s.d[:s.n]...)
+	s.computeDuals()
+	for j, want := range s.d[:s.n] {
+		if !s.inBasis[j] && math.Abs(carried[j]-want) > dualCheckTol*(1+math.Abs(want)) {
+			invariant.Failf("lp: %s left reduced cost d[%d]=%.12g, recomputed %.12g (tol %.1e)",
+				where, j, carried[j], want, dualCheckTol)
+		}
+	}
+	copy(s.d, carried)
 }

@@ -640,10 +640,7 @@ func (s *Solver) pivotCommit(r, j int) {
 	s.d[j] = 0
 
 	s.eta.appendPivot(r, s.alpha, s.m)
-	s.stats.EtaAppends++
-	if s.eta.count > s.stats.PeakEtas {
-		s.stats.PeakEtas = s.eta.count
-	}
+	s.noteEta()
 
 	// Apply the new eta to xB in place: the entering variable takes the
 	// ratio-test step, every other basic value moves along alpha.
@@ -714,10 +711,7 @@ func (s *Solver) flipBasic(r int) {
 	u := s.baseU[b]
 	s.toggleFlip(b)
 	s.eta.appendNeg(r)
-	s.stats.EtaAppends++
-	if s.eta.count > s.stats.PeakEtas {
-		s.stats.PeakEtas = s.eta.count
-	}
+	s.noteEta()
 	if s.xbValid {
 		s.xB[r] = u - s.xB[r]
 	}

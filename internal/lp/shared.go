@@ -3,7 +3,7 @@ package lp
 import "math"
 
 // Numerical tolerances for the simplex method, shared by the sparse Solver
-// and the dense reference DenseSolver.
+// and the test-only dense oracle (dense_test.go).
 const (
 	costTol  = 1e-9 // reduced-cost optimality tolerance
 	pivotTol = 1e-9 // minimum admissible pivot magnitude
@@ -23,37 +23,6 @@ const (
 // variable is bounded by 2·scanEps, which a row's coefficient sum keeps
 // well inside the FeasTol-scaled row tolerances.
 const scanEps = 1e-9
-
-// Solve optimises the problem with the given options. It never mutates p.
-// It is a thin compatibility wrapper over the stateful Solver: each call
-// compiles p into a fresh solver and runs a cold two-phase primal solve.
-// Callers that solve the same problem repeatedly under changing variable
-// fixes should hold a Solver and use ReSolve instead.
-func Solve(p *Problem, opts Options) Solution {
-	if p.NumVars == 0 {
-		if p.Validate() != nil {
-			return Solution{Status: Infeasible}
-		}
-		// Constant problem: feasible iff every row admits the zero vector.
-		if constRowsFeasible(p) {
-			return Solution{Status: Optimal, X: []float64{}, Feasible: true}
-		}
-		return Solution{Status: Infeasible}
-	}
-	var s Solver
-	if err := s.Load(p); err != nil {
-		// Structural errors are programming bugs of the caller; surface
-		// them as infeasibility rather than panicking inside the solver.
-		return Solution{Status: Infeasible}
-	}
-	sol := s.ReSolve(opts)
-	if sol.X != nil {
-		// Detach the point from the solver's arena; the solver dies here
-		// but the contract is that Solve's X is caller-owned.
-		sol.X = append([]float64(nil), sol.X...)
-	}
-	return sol
-}
 
 // constRowsFeasible reports whether a zero-variable problem is feasible.
 func constRowsFeasible(p *Problem) bool {

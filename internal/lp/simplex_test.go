@@ -9,6 +9,34 @@ import (
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// Solve is the one-shot form the tests use: compile p into a fresh Solver
+// and run a cold two-phase primal solve. It never mutates p.
+func Solve(p *Problem, opts Options) Solution {
+	if p.NumVars == 0 {
+		if p.Validate() != nil {
+			return Solution{Status: Infeasible}
+		}
+		// Constant problem: feasible iff every row admits the zero vector.
+		if constRowsFeasible(p) {
+			return Solution{Status: Optimal, X: []float64{}, Feasible: true}
+		}
+		return Solution{Status: Infeasible}
+	}
+	var s Solver
+	if err := s.Load(p); err != nil {
+		// Structural errors are programming bugs of the caller; surface
+		// them as infeasibility rather than panicking inside the solver.
+		return Solution{Status: Infeasible}
+	}
+	sol := s.ReSolve(opts)
+	if sol.X != nil {
+		// Detach the point from the solver's arena; the solver dies here
+		// but the contract is that Solve's X is caller-owned.
+		sol.X = append([]float64(nil), sol.X...)
+	}
+	return sol
+}
+
 func TestEmptyProblem(t *testing.T) {
 	sol := Solve(&Problem{}, Options{})
 	if sol.Status != Optimal || !sol.Feasible {

@@ -18,14 +18,15 @@ import (
 // (B⁻ᵀ·e, pivot rows and duals) — so per-pivot cost scales with the
 // nonzeros involved, not with rows × columns.
 //
-// The public surface is identical to the dense reference engine
-// (DenseSolver): Load/ReSolve with warm restarts, Fix/Unfix bound pinning,
-// lazy row activation, SaveBasis/RestoreBasis snapshots and RowDual
-// sensitivities. Internal conventions differ in one deliberate way: rows are
-// stored in their natural orientation with slack coefficient +1 (LE) or −1
-// (GE) and the RHS is never sign-normalised. Tableau rows B⁻¹A are invariant
-// under row scaling, so every externally observable quantity (duals, reduced
-// costs) matches the dense engine's.
+// The public surface — Load/ReSolve with warm restarts, Fix/Unfix bound
+// pinning, lazy row activation, SaveBasis/RestoreBasis snapshots and RowDual
+// sensitivities — is the one the dense tableau engine had; that engine
+// survives as the test-only oracle of the equivalence suite (dense_test.go).
+// Internal conventions differ from it in one deliberate way: rows are stored
+// in their natural orientation with slack coefficient +1 (LE) or −1 (GE) and
+// the RHS is never sign-normalised. Tableau rows B⁻¹A are invariant under
+// row scaling, so every externally observable quantity (duals, reduced
+// costs) matches the oracle's.
 //
 // The solver is not safe for concurrent use; use one per goroutine.
 type Solver struct {
@@ -87,9 +88,10 @@ type Solver struct {
 	xB   []float64
 
 	// Factorization state. factorValid marks that lu+eta describe the
-	// current basis; xbValid that xB matches basis/beff. Structural changes
-	// (activation, restore, rebuild) clear factorValid; bound-orientation
-	// changes off the basis clear only xbValid.
+	// current basis; xbValid that xB matches basis/beff. A restore or a cold
+	// rebuild clears factorValid; bound-orientation changes off the basis
+	// clear only xbValid; pivots, basic re-orientations and lazy-row
+	// activation (see border) update lu+eta and xB in step and clear neither.
 	lu          luFactor
 	eta         etaFile
 	factorValid bool
@@ -121,9 +123,9 @@ type Solver struct {
 	bland    bool
 	stall    int
 
-	// Incremental lazy-row scanning (same scheme as the dense engine): a
-	// var→row CSR index plus per-variable last-scanned values, so a re-solve
-	// only re-evaluates rows whose variables moved.
+	// Incremental lazy-row scanning: a var→row CSR index plus per-variable
+	// last-scanned values, so a re-solve only re-evaluates rows whose
+	// variables moved.
 	varRowsStart []int
 	varRowsList  []int32
 	scanX        []float64
@@ -138,7 +140,8 @@ type Solver struct {
 	// snap is the saved-basis arena of SaveBasis/RestoreBasis. Only logical
 	// state is snapshotted — basis, bounds, orientation, active rows, duals
 	// — never the factorization: restoring marks the factors stale and the
-	// next solve refactorizes, which costs about as much as one pivot cycle.
+	// next solve refactorizes, which costs one LU of the snapshot's basis
+	// plus a full dual pass (computeDuals).
 	snap struct {
 		valid      bool
 		m          int
@@ -177,7 +180,8 @@ const (
 	maxDriftTries    = 3    // drift-triggered refactorizes per ReSolve
 	driftCheckTol    = 1e-7 // FTRAN-vs-BTRAN pivot agreement tolerance
 	luSingularTol    = 1e-10
-	residualTol      = 1e-6 // ‖B·xB − beff‖∞ bound checked after refactorize
+	residualTol      = 1e-6 // ‖B·xB − beff‖∞ bound checked after refactorize and bordering
+	dualCheckTol     = 1e-7 // carried-vs-recomputed reduced-cost bound checked after bordering
 )
 
 // NewSolver returns an empty solver; call Load before solving.
@@ -298,7 +302,6 @@ func (s *Solver) Load(p *Problem) error {
 
 	s.buildCSC()
 	s.lu.init(s.mAll)
-	s.eta.init(s.mAll)
 
 	// Var→row CSR over the inequality rows.
 	s.scanX = growF(s.scanX, n)
@@ -325,6 +328,9 @@ func (s *Solver) Load(p *Problem) error {
 	for j := 1; j <= p.NumVars; j++ {
 		s.varRowsStart[j] += s.varRowsStart[j-1]
 	}
+	// Every inequality row a lazy Load leaves inactive may border the
+	// factors later; nnz is their coefficient count.
+	s.eta.init(s.mAll, s.nInactive, nnz)
 	if cap(s.varRowsList) < nnz {
 		s.varRowsList = make([]int32, nnz)
 	}
@@ -497,9 +503,9 @@ func (s *Solver) RestoreBasis() bool {
 // checkBasis verifies the basis/rowOf/inBasis cross-indexing that every
 // pivot must preserve, plus the row↔slot mapping the sparse engine adds.
 // Checked builds call it after basis restores and successful ReSolves;
-// release builds compile it out. The companion factorization-residual check
-// (‖B·xB − beff‖∞) runs inside refactorize, where xB is freshly computed
-// from the new factors.
+// release builds compile it out. The companion factorization checks
+// (checkResidual, checkDuals) run where the factors change: refactorize
+// and bordered activation.
 func (s *Solver) checkBasis(where string) {
 	if !s.warm {
 		// No warm-startable basis: the nStruct==0 shortcut in coldPass
@@ -643,6 +649,10 @@ func (s *Solver) ReSolve(opts Options) Solution {
 		case Optimal:
 			x := s.extract()
 			if s.nInactive > 0 && s.activateViolated(x) > 0 {
+				if invariant.Enabled && s.factorValid {
+					s.checkResidual("activation")
+					s.checkDuals("activation")
+				}
 				continue // repair the newly active rows warm
 			}
 			// The zero-activation scan above certified the inactive rows;
@@ -860,13 +870,14 @@ func (s *Solver) activateAll() {
 	s.nInactive = 0
 }
 
-// activateRow appends inactive inequality row i to the warm basis. Unlike
-// the dense engine there is no tableau to eliminate into: the row claims a
-// fresh slot and slack column, its effective RHS is computed under the
-// current orientation, the slack becomes basic, and the factorization is
-// marked stale. The next prepWarm refactorizes over the grown basis — which
-// is block-triangular in the old one, so the existing reduced costs remain
-// exact and dual feasibility survives activation.
+// activateRow appends inactive inequality row i to the warm basis: the row
+// claims a fresh slot and slack column, its effective RHS is computed under
+// the current orientation, and the slack becomes basic. The grown basis is
+// block-triangular in the old one, so the existing reduced costs remain
+// exact and dual feasibility survives activation; valid factors are
+// bordered in place (border) rather than rebuilt, so the repair pivots that
+// follow start from the factorization the wave found. Stale factors stay
+// stale and the next prepWarm refactorizes over the grown basis.
 //
 //sqpr:hotpath
 func (s *Solver) activateRow(i int) {
@@ -906,8 +917,11 @@ func (s *Solver) activateRow(i int) {
 	s.m = slot + 1
 	s.activeRows[i] = true
 	s.nInactive--
-	s.factorValid = false
-	s.xbValid = false
+	if s.factorValid {
+		s.border(c, slot, s.auxCoef[aux])
+	} else {
+		s.xbValid = false
+	}
 }
 
 // extract reconstructs structural variable values in the original

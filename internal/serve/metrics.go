@@ -66,6 +66,7 @@ func WriteMetrics(w io.Writer, d MetricsData) {
 	m.counter("sqpr_lp_refactors_total", "Basis factorizations performed.", float64(f.Refactors))
 	m.counter("sqpr_lp_drift_rebuilds_total", "Refactorizations forced by numerical drift.", float64(f.DriftRebuilds))
 	m.counter("sqpr_lp_eta_appends_total", "Product-form updates appended between refactorizations.", float64(f.EtaAppends))
+	m.counter("sqpr_lp_row_etas_total", "Lazy rows bordered onto valid factors (one row eta each, counted in eta appends).", float64(f.RowEtas))
 	m.gauge("sqpr_lp_peak_etas", "Longest eta file reached.", float64(f.PeakEtas))
 	m.gauge("sqpr_lp_fill_ratio", "nnz(L+U)/nnz(B) at the last refactorization (high-water).", f.FillRatio)
 

@@ -39,6 +39,7 @@ func goldenData() serve.MetricsData {
 				Refactors:     12,
 				DriftRebuilds: 1,
 				EtaAppends:    300,
+				RowEtas:       70,
 				PeakEtas:      40,
 				FillRatio:     1.75,
 			},
