@@ -12,6 +12,7 @@
 //	sqpr-sim -fig 4a            # one figure
 //	sqpr-sim -fig churn         # the host-churn repair scenario
 //	sqpr-sim -fig restart       # the crash/recovery scenario
+//	sqpr-sim -fig adaptive      # §IV-B: cost surge, drift detection, re-planning
 //	sqpr-sim -fig all           # everything (takes several minutes)
 //	sqpr-sim -fig 4a -queries 80 -hosts 10   # dial the scale down
 //
@@ -34,7 +35,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 4a,4b,4c,5a,5b,5c,6a,6b,churn,arrivals,restart or all")
+	fig := flag.String("fig", "all", "figure to regenerate: 4a,4b,4c,5a,5b,5c,6a,6b,churn,arrivals,restart,adaptive or all")
 	queries := flag.Int("queries", 0, "override query count")
 	hosts := flag.Int("hosts", 0, "override host count")
 	timeout := flag.Duration("timeout", 0, "override per-query solver timeout")
@@ -47,9 +48,9 @@ func main() {
 	// Validate the figure selector before simulating anything: a typo must
 	// cost a usage error, not minutes of solves followed by empty output.
 	switch *fig {
-	case "all", "4a", "4b", "4c", "5a", "5b", "5c", "6a", "6b", "churn", "arrivals", "restart":
+	case "all", "4a", "4b", "4c", "5a", "5b", "5c", "6a", "6b", "churn", "arrivals", "restart", "adaptive":
 	default:
-		fmt.Fprintf(os.Stderr, "unknown figure %q (want 4a,4b,4c,5a,5b,5c,6a,6b,churn,arrivals,restart or all)\n", *fig)
+		fmt.Fprintf(os.Stderr, "unknown figure %q (want 4a,4b,4c,5a,5b,5c,6a,6b,churn,arrivals,restart,adaptive or all)\n", *fig)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -144,6 +145,30 @@ func main() {
 		}
 		printRestart(res)
 	})
+	run("adaptive", func() {
+		// The monitor reports the three costliest placed operators at
+		// twice their planned cost.
+		res, err := sim.Adaptive(sc, 2, 3)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "adaptive: %v\n", err)
+			os.Exit(1)
+		}
+		printAdaptive(res)
+	})
+}
+
+func printAdaptive(r sim.AdaptiveResult) {
+	rows := [][]string{
+		{"admitted-before-surge", strconv.Itoa(r.AdmittedBefore)},
+		{"queries-drifted", strconv.Itoa(r.Drifted)},
+		{"drifted-readmitted", strconv.Itoa(r.Readmitted)},
+		{"admitted-after-replan", strconv.Itoa(r.AdmittedAfter)},
+		{"max-host-cpu-before", fmt.Sprintf("%.2f", r.MaxCPUBefore)},
+		{"max-host-cpu-after", fmt.Sprintf("%.2f", r.MaxCPUAfter)},
+		{"hosts-above-90%-before", strconv.Itoa(r.ShortageBefore)},
+		{"hosts-above-90%-after", strconv.Itoa(r.ShortageAfter)},
+	}
+	fmt.Print(stats.Table([]string{"metric", "value"}, rows))
 }
 
 func printRestart(r sim.RestartResult) {

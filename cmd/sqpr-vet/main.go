@@ -1,7 +1,7 @@
 // Command sqpr-vet runs the repository's custom static analyzers over the
 // given package patterns (default ./...): the per-package passes —
 // lockguard, ctxflow, hotalloc, errflow — and the interprocedural
-// module passes — walorder, lockorder, atomicmix — built on the
+// module passes — walorder, lockorder — built on the
 // internal/analysis/flow call graph. It exits nonzero when any diagnostic
 // fires, so CI can gate on it like `go vet`:
 //
@@ -21,7 +21,6 @@ import (
 	"os"
 
 	"sqpr/internal/analysis/anz"
-	"sqpr/internal/analysis/atomicmix"
 	"sqpr/internal/analysis/ctxflow"
 	"sqpr/internal/analysis/errflow"
 	"sqpr/internal/analysis/hotalloc"
@@ -32,7 +31,7 @@ import (
 
 func main() {
 	perPkg := []*anz.Analyzer{lockguard.Analyzer, ctxflow.Analyzer, hotalloc.Analyzer, errflow.Analyzer}
-	module := []*anz.ModuleAnalyzer{walorder.Analyzer, lockorder.Analyzer, atomicmix.Analyzer}
+	module := []*anz.ModuleAnalyzer{walorder.Analyzer, lockorder.Analyzer}
 
 	enabled := make(map[string]*bool, len(perPkg)+len(module))
 	for _, a := range perPkg {

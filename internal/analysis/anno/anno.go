@@ -22,7 +22,6 @@
 //	mutates           function/interface method changes journaled state (walorder)
 //	ack-ok <why>      statement-level waiver for an unjournaled ack (walorder)
 //	lock-order A < B  sanctioned lock acquisition hierarchy (lockorder)
-//	atomic-ok <why>   statement-level waiver for a plain access (atomicmix)
 package anno
 
 import (

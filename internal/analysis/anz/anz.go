@@ -32,7 +32,7 @@ type Analyzer struct {
 // ModuleAnalyzer is one whole-program static check: unlike an Analyzer,
 // which sees one package at a time, its Run receives every loaded target
 // package at once, so it can build call graphs and propagate facts across
-// package boundaries (the interprocedural walorder/lockorder/atomicmix
+// package boundaries (the interprocedural walorder/lockorder
 // contracts).
 type ModuleAnalyzer struct {
 	// Name identifies the analyzer in diagnostics (e.g. "walorder").

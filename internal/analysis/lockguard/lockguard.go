@@ -8,13 +8,14 @@
 // catch the real regression (touching shared planner/service/search state
 // without locking) without whole-program lock-set analysis:
 //
-//   - an access is accepted when, earlier in the same innermost function
-//     literal or declaration, the same base expression locks the mutex
-//     (base.mu.Lock() or base.mu.RLock(); writes require the exclusive
-//     Lock); inside the success branch of `if base.mu.TryLock()` (TryRLock
-//     for reads); or after a pending `defer base.mu.Unlock()` — direct or
-//     bound as a method value — which proves a caller-acquired lock is
-//     held;
+//   - an access is accepted when, in the same innermost function literal
+//     or declaration, the latest non-deferred lock or unlock of the mutex
+//     on the same base expression before it is a lock (base.mu.Lock() or
+//     base.mu.RLock(); writes require the exclusive Lock; an unlock on a
+//     branch that returns is skipped); inside the success branch of
+//     `if base.mu.TryLock()` (TryRLock for reads); or after a pending
+//     `defer base.mu.Unlock()` — direct or bound as a method value — which
+//     proves a caller-acquired lock is held;
 //   - a function annotated //sqpr:locked mu declares its caller holds mu
 //     (used for helpers called under the lock and for single-threaded
 //     phases such as the branch-and-bound root);
@@ -180,7 +181,7 @@ func checkAccess(pass *anz.Pass, guarded map[types.Object]string, lines *anno.Li
 	}
 	base := types.ExprString(sel.X)
 	write := isWrite(sc.body, sel)
-	if holdsBefore(pass, sc.body, base, mu, sel.Pos(), write) {
+	if holdsBefore(sc.body, base, mu, sel.Pos(), write) {
 		return
 	}
 	if inTryLockBranch(sc.body, base, mu, sel.Pos(), write) {
@@ -197,40 +198,63 @@ func checkAccess(pass *anz.Pass, guarded map[types.Object]string, lines *anno.Li
 		base, selection.Obj().Name(), mu, sc.name, need, base, mu, mu)
 }
 
-// holdsBefore reports whether base.mu.Lock() (or RLock for reads) is
-// called in this function strictly before pos — the lexical
-// lock-then-touch pattern every guarded access in this codebase follows.
-func holdsBefore(pass *anz.Pass, body *ast.BlockStmt, base, mu string, pos token.Pos, write bool) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
+// holdsBefore reports whether base.mu is locked at pos, as far as this
+// function's own lexical order shows: the latest non-deferred Lock, RLock,
+// Unlock or RUnlock on base.mu that ends before pos decides (an RLock
+// licenses reads only). Lock-then-touch passes; unlock-then-touch does not,
+// whatever was locked further up. An unlock on a path that leaves the
+// function — `if bad { mu.Unlock(); return }` — says nothing about the
+// code after it and is skipped.
+func holdsBefore(body *ast.BlockStmt, base, mu string, pos token.Pos, write bool) bool {
+	held := false
+	var visit func(n ast.Node) bool
+	visit = func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.FuncLit:
+			return x.Body == body
+		case *ast.DeferStmt:
 			return false
-		}
-		if fl, ok := n.(*ast.FuncLit); ok && fl.Body != body {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok || call.End() > pos {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if sel.Sel.Name != "Lock" && (write || sel.Sel.Name != "RLock") {
-			return true
-		}
-		muSel, ok := sel.X.(*ast.SelectorExpr)
-		if !ok || muSel.Sel.Name != mu {
-			return true
-		}
-		if types.ExprString(muSel.X) == base {
-			found = true
-			return false
+		case *ast.BlockStmt:
+			if x.End() <= pos && leaves(x) {
+				return false
+			}
+		case *ast.CallExpr:
+			sel, ok := x.Fun.(*ast.SelectorExpr)
+			if !ok || x.End() > pos {
+				return true
+			}
+			muSel, ok := sel.X.(*ast.SelectorExpr)
+			if !ok || muSel.Sel.Name != mu || types.ExprString(muSel.X) != base {
+				return true
+			}
+			switch sel.Sel.Name {
+			case "Lock":
+				held = true
+			case "RLock":
+				held = !write
+			case "Unlock", "RUnlock":
+				held = false
+			}
 		}
 		return true
-	})
-	return found
+	}
+	ast.Inspect(body, visit)
+	return held
+}
+
+// leaves reports whether the block ends by leaving the function or the
+// loop iteration, so nothing lexically after it runs in the state it left.
+func leaves(b *ast.BlockStmt) bool {
+	if len(b.List) == 0 {
+		return false
+	}
+	switch last := b.List[len(b.List)-1].(type) {
+	case *ast.ReturnStmt:
+		return true
+	case *ast.BranchStmt:
+		return last.Tok == token.CONTINUE
+	}
+	return false
 }
 
 // inTryLockBranch reports whether pos sits inside the success branch of

@@ -40,6 +40,29 @@ func (c *counter) goodWrite(v int) {
 	c.history = append(c.history, v)
 }
 
+// unlockThenTouch: the lock taken further up is gone by the second access.
+func (c *counter) unlockThenTouch() {
+	c.mu.Lock()
+	c.n++
+	c.mu.Unlock()
+	c.n++ // want `guarded by "mu"`
+}
+
+// earlyExitGood unlocks on a path that returns, which says nothing about
+// the code after it; and locking again licenses again.
+func (c *counter) earlyExitGood(bad bool) {
+	c.mu.Lock()
+	if bad {
+		c.mu.Unlock()
+		return
+	}
+	c.n++
+	c.mu.Unlock()
+	c.mu.RLock()
+	c.free = c.n
+	c.mu.RUnlock()
+}
+
 // lockedHelper is called with mu already held.
 //
 //sqpr:locked mu

@@ -1,8 +1,8 @@
 // Package analysis_test runs the full sqpr-vet analyzer suite against the
 // real module — the meta-check behind the CI gate: every package must stay
 // clean under the per-package analyzers (lockguard, ctxflow, hotalloc,
-// errflow) and the interprocedural module analyzers (walorder, lockorder,
-// atomicmix) at all times, so a regression in either the code or the
+// errflow) and the interprocedural module analyzers (walorder, lockorder)
+// at all times, so a regression in either the code or the
 // analyzers themselves fails here before it fails in CI.
 package analysis_test
 
@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"sqpr/internal/analysis/anz"
-	"sqpr/internal/analysis/atomicmix"
 	"sqpr/internal/analysis/ctxflow"
 	"sqpr/internal/analysis/errflow"
 	"sqpr/internal/analysis/hotalloc"
@@ -51,7 +50,6 @@ func TestModuleIsVetClean(t *testing.T) {
 	modFindings, err := anz.RunModuleAnalyzers(pkgs, []*anz.ModuleAnalyzer{
 		walorder.Analyzer,
 		lockorder.Analyzer,
-		atomicmix.Analyzer,
 	})
 	if err != nil {
 		t.Fatalf("running module analyzers: %v", err)

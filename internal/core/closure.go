@@ -10,145 +10,113 @@ import (
 // query plans for q (§IV-A). The closure follows every alternative producer
 // of every composite stream recursively down to base streams.
 type closureCache struct {
-	sys   *dsps.System
-	memo  map[dsps.StreamID][]dsps.StreamID
-	stamp int
+	sys  *dsps.System
+	memo [][]dsps.StreamID // by StreamID; nil = not computed (S(q) ∋ q)
+	seen []bool            // by StreamID; all false between calls
 }
 
 func newClosureCache(sys *dsps.System) *closureCache {
-	return &closureCache{sys: sys, memo: make(map[dsps.StreamID][]dsps.StreamID)}
+	return &closureCache{sys: sys}
 }
 
 // streamsOf returns S(q) as a sorted slice (deterministic iteration).
 func (c *closureCache) streamsOf(q dsps.StreamID) []dsps.StreamID {
-	if s, ok := c.memo[q]; ok {
-		return s
+	if n := len(c.sys.Streams); len(c.memo) < n {
+		c.memo = append(c.memo, make([][]dsps.StreamID, n-len(c.memo))...)
+		c.seen = append(c.seen, make([]bool, n-len(c.seen))...)
 	}
-	seen := make(map[dsps.StreamID]bool)
-	var stack []dsps.StreamID
-	stack = append(stack, q)
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[s] {
-			continue
-		}
-		seen[s] = true
-		for _, op := range c.sys.ProducersOf(s) {
+	if c.memo[q] != nil {
+		return c.memo[q]
+	}
+	// out doubles as the work list: streams behind next are expanded.
+	out := []dsps.StreamID{q}
+	c.seen[q] = true
+	for next := 0; next < len(out); next++ {
+		for _, op := range c.sys.ProducersOf(out[next]) {
 			for _, in := range c.sys.Operators[op].Inputs {
-				if !seen[in] {
-					stack = append(stack, in)
+				if !c.seen[in] {
+					c.seen[in] = true
+					out = append(out, in)
 				}
 			}
 		}
 	}
-	out := make([]dsps.StreamID, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
+	for _, s := range out {
+		c.seen[s] = false
 	}
 	slices.Sort(out)
 	c.memo[q] = out
 	return out
 }
 
-// freeSet computes the set of free streams for planning the given new
-// queries: the closures of the new queries, expanded transitively with the
-// closures of every admitted query that shares a stream with the set
-// (SQPR "only reconsiders the allocation of those operators that share
-// base or composite streams with the new query").
-func (p *Planner) freeSet(newQueries []dsps.StreamID) map[dsps.StreamID]bool {
-	free := make(map[dsps.StreamID]bool)
-	for _, q := range newQueries {
-		for _, s := range p.closures.streamsOf(q) {
-			free[s] = true
-		}
-	}
+// mergeSharers expands the free set of the new queries' closures
+// transitively with the closures of every admitted query that shares a
+// stream with it (SQPR "only reconsiders the allocation of those operators
+// that share base or composite streams with the new query").
+func (b *builder) mergeSharers() {
+	p := b.planner
 	if p.cfg.DisableReduction {
 		for s := range p.sys.Streams {
-			free[dsps.StreamID(s)] = true
+			b.addFree([]dsps.StreamID{dsps.StreamID(s)})
 		}
-		return free
+		return
 	}
 	if p.cfg.DisableReplan {
 		// Ablation: do not pull in sharing queries; their variables stay
 		// fixed and only availability-preservation constraints are added.
-		return free
+		return
 	}
 	// Merge the closures of sharing queries in deterministic order until
 	// the free-set budget is exhausted; remaining sharers stay fixed and
-	// are protected by availability-preservation rows.
+	// are protected by availability-preservation rows. A merge that would
+	// inflate the candidate host set beyond its cap is rolled back, keeping
+	// the reduced model tractable.
 	admitted := p.AdmittedQueries()
-	for changed := true; changed && len(free) < p.cfg.MaxFreeStreams; {
+	for changed := true; changed && len(b.freeStreams) < p.cfg.MaxFreeStreams; {
 		changed = false
 		for _, q := range admitted {
-			if free[q] {
+			if b.hasStream(q) {
 				continue // whole closure already merged
 			}
 			cl := p.closures.streamsOf(q)
-			shares := false
-			for _, s := range cl {
-				if free[s] {
-					shares = true
-					break
+			if slices.ContainsFunc(cl, b.hasStream) && len(b.freeStreams)+len(cl) <= p.cfg.MaxFreeStreams {
+				mark := len(b.freeStreams)
+				b.addFree(cl)
+				if b.hostsTouched() <= p.cfg.MaxCandidateHosts {
+					changed = true
+				} else {
+					b.truncFree(mark)
 				}
 			}
-			if shares && len(free)+len(cl) <= p.cfg.MaxFreeStreams &&
-				p.hostsTouched(free, cl) <= p.cfg.MaxCandidateHosts {
-				for _, s := range cl {
-					free[s] = true
-				}
-				free[q] = true
-				changed = true
-			}
-			if len(free) >= p.cfg.MaxFreeStreams {
+			if len(b.freeStreams) >= p.cfg.MaxFreeStreams {
 				break
 			}
 		}
 	}
-	return free
 }
 
-// hostsTouched estimates how many hosts the current allocation of the
-// candidate free set (free ∪ extra) involves; merging a sharing query is
-// declined when it would inflate the candidate host set beyond the cap,
-// keeping the reduced model tractable.
-func (p *Planner) hostsTouched(free map[dsps.StreamID]bool, extra []dsps.StreamID) int {
-	in := func(s dsps.StreamID) bool {
-		if free[s] {
-			return true
+// hostsTouched estimates how many hosts the current allocation of the free
+// set involves.
+func (b *builder) hostsTouched() int {
+	touched := make([]bool, b.sys.NumHosts())
+	n := 0
+	touch := func(h dsps.HostID) {
+		if !touched[h] {
+			touched[h] = true
+			n++
 		}
-		for _, e := range extra {
-			if e == s {
-				return true
-			}
-		}
-		return false
 	}
-	hosts := make(map[dsps.HostID]bool)
-	st := p.Assignment()
+	st := b.planner.Assignment()
 	for f := range st.Flows {
-		if in(f.Stream) {
-			hosts[f.From] = true
-			hosts[f.To] = true
+		if b.hasStream(f.Stream) {
+			touch(f.From)
+			touch(f.To)
 		}
 	}
 	for pl := range st.Ops {
-		if in(p.sys.Operators[pl.Op].Output) {
-			hosts[pl.Host] = true
+		if b.hasStream(b.sys.Operators[pl.Op].Output) {
+			touch(pl.Host)
 		}
 	}
-	return len(hosts)
-}
-
-// freeOperators returns every operator whose output stream is free; by
-// construction of the closure their inputs are free too.
-func (p *Planner) freeOperators(free map[dsps.StreamID]bool) []dsps.OperatorID {
-	var ops []dsps.OperatorID
-	for s := range free {
-		for _, op := range p.sys.ProducersOf(s) {
-			ops = append(ops, op)
-		}
-	}
-	slices.Sort(ops)
-	return ops
+	return n
 }

@@ -73,8 +73,8 @@ func TestFreeSetMergesSharingQueries(t *testing.T) {
 	}
 	// Planning abc must pull the admitted sharing query ab into the free
 	// set (they share streams a, b and ab).
-	free := p.freeSet([]dsps.StreamID{abc})
-	if !free[ab] {
+	b := p.newBuilder([]dsps.StreamID{abc}, false)
+	if !b.hasStream(ab) {
 		t.Fatal("sharing query ab not merged into the free set")
 	}
 }
@@ -88,9 +88,9 @@ func TestFreeSetRespectsCap(t *testing.T) {
 	if _, err := p.Submit(context.Background(), ab); err != nil {
 		t.Fatal(err)
 	}
-	free := p.freeSet([]dsps.StreamID{abc})
-	if len(free) > 5 {
-		t.Fatalf("free set %d exceeds cap 5", len(free))
+	b := p.newBuilder([]dsps.StreamID{abc}, false)
+	if len(b.freeStreams) > 5 {
+		t.Fatalf("free set %d exceeds cap 5", len(b.freeStreams))
 	}
 }
 
@@ -103,13 +103,13 @@ func TestFreeSetDisableReplanSkipsSharing(t *testing.T) {
 	if _, err := p.Submit(context.Background(), ab); err != nil {
 		t.Fatal(err)
 	}
-	free := p.freeSet([]dsps.StreamID{abc})
+	b := p.newBuilder([]dsps.StreamID{abc}, false)
 	// abc's own closure includes ab (it is an input stream), but the
 	// merge of ab *as an admitted query* is skipped; since ab is inside
 	// abc's closure anyway here, just verify the call works and the set
 	// is exactly the closure.
-	if len(free) != 5 {
-		t.Fatalf("free set %d, want closure-only 5", len(free))
+	if len(b.freeStreams) != 5 {
+		t.Fatalf("free set %d, want closure-only 5", len(b.freeStreams))
 	}
 }
 
@@ -121,11 +121,12 @@ func TestHostsTouched(t *testing.T) {
 	if _, err := p.Submit(context.Background(), ab); err != nil {
 		t.Fatal(err)
 	}
-	free := map[dsps.StreamID]bool{ab: true}
-	if got := p.hostsTouched(free, nil); got < 1 {
-		t.Fatalf("hostsTouched %d, want >=1 after placement", got)
-	}
-	if got := p.hostsTouched(map[dsps.StreamID]bool{}, nil); got != 0 {
+	b := p.builder()
+	if got := b.hostsTouched(); got != 0 {
 		t.Fatalf("hostsTouched %d for empty set", got)
+	}
+	b.addFree([]dsps.StreamID{ab})
+	if got := b.hostsTouched(); got < 1 {
+		t.Fatalf("hostsTouched %d, want >=1 after placement", got)
 	}
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"maps"
 
 	"sqpr/internal/dsps"
+	"sqpr/internal/milp"
 )
 
 // decode converts a solver point back into a full Assignment: the previous
@@ -12,42 +14,34 @@ func (b *builder) decode(x []float64) (*dsps.Assignment, error) {
 	if len(x) != b.model.NumVars() {
 		return nil, fmt.Errorf("core: solution length %d != model size %d", len(x), b.model.NumVars())
 	}
-	next := b.p.Assignment().Clone()
+	next := b.planner.Assignment().Clone()
 
 	// Remove all previous allocation pieces covered by free variables.
-	for s := range next.Provides {
-		if b.free[s] {
-			delete(next.Provides, s)
-		}
-	}
-	for f := range next.Flows {
-		if b.free[f.Stream] {
-			delete(next.Flows, f)
-		}
-	}
-	for pl := range next.Ops {
-		if b.freeOpSet[pl.Op] {
-			delete(next.Ops, pl)
-		}
-	}
+	maps.DeleteFunc(next.Provides, func(s dsps.StreamID, _ dsps.HostID) bool { return b.hasStream(s) })
+	maps.DeleteFunc(next.Flows, func(f dsps.Flow, _ bool) bool { return b.hasStream(f.Stream) })
+	maps.DeleteFunc(next.Ops, func(pl dsps.Placement, _ bool) bool { return b.hasOp(pl.Op) })
 
-	on := func(v float64) bool { return v > 0.5 }
-	for hk, dv := range b.dVar {
-		if on(x[dv]) {
-			if prev, ok := next.Provides[hk.s]; ok && prev != hk.h {
-				return nil, fmt.Errorf("core: stream %d provided by two hosts (%d, %d)", hk.s, prev, hk.h)
+	on := func(v milp.Var) bool { return x[v] > 0.5 }
+	for _, s := range b.freeStreams {
+		for _, h := range b.hosts {
+			if dv, ok := b.d(h, s); ok && on(dv) {
+				if prev, ok := next.Provides[s]; ok {
+					return nil, fmt.Errorf("core: stream %d provided by two hosts (%d, %d)", s, prev, h)
+				}
+				next.Provides[s] = h
 			}
-			next.Provides[hk.s] = hk.h
 		}
 	}
-	for fk, xv := range b.xVar {
-		if on(x[xv]) {
-			next.Flows[dsps.Flow{From: fk.from, To: fk.to, Stream: fk.s}] = true
+	b.eachFlowVar(func(from, to dsps.HostID, s dsps.StreamID, xv milp.Var) {
+		if on(xv) {
+			next.Flows[dsps.Flow{From: from, To: to, Stream: s}] = true
 		}
-	}
-	for zk, zv := range b.zVar {
-		if on(x[zv]) {
-			next.Ops[dsps.Placement{Host: zk.h, Op: zk.o}] = true
+	})
+	for _, o := range b.freeOps {
+		for _, h := range b.hosts {
+			if zv, _ := b.z(h, o); on(zv) {
+				next.Ops[dsps.Placement{Host: h, Op: o}] = true
+			}
 		}
 	}
 
@@ -103,21 +97,17 @@ func (b *builder) pruneUnused(a *dsps.Assignment) {
 	// Allocation pieces of fixed (non-free) queries stay, and so does what
 	// fixed consumers of free streams read.
 	for pl := range a.Ops {
-		if !b.freeOpSet[pl.Op] {
+		if !b.hasOp(pl.Op) {
 			for _, in := range b.sys.Operators[pl.Op].Inputs {
 				visit(pl.Host, in)
 			}
 		}
 	}
-	for pl := range a.Ops {
+	maps.DeleteFunc(a.Ops, func(pl dsps.Placement, _ bool) bool {
 		out := b.sys.Operators[pl.Op].Output
-		if b.freeOpSet[pl.Op] && (via[b.sys.HSIndex(pl.Host, out)] == 0 || b.sys.IsBaseAt(pl.Host, out)) {
-			delete(a.Ops, pl)
-		}
-	}
-	for f := range a.Flows {
-		if b.free[f.Stream] && via[b.sys.HSIndex(f.To, f.Stream)] != 2+uint32(f.From) {
-			delete(a.Flows, f)
-		}
-	}
+		return b.hasOp(pl.Op) && (via[b.sys.HSIndex(pl.Host, out)] == 0 || b.sys.IsBaseAt(pl.Host, out))
+	})
+	maps.DeleteFunc(a.Flows, func(f dsps.Flow, _ bool) bool {
+		return b.hasStream(f.Stream) && via[b.sys.HSIndex(f.To, f.Stream)] != 2+uint32(f.From)
+	})
 }

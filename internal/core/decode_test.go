@@ -48,11 +48,8 @@ func TestPruneUnusedKeepsOneSupport(t *testing.T) {
 	want.Flows[flow(0, 3, y)] = true
 	want.Flows[flow(0, 1, fixed)] = true
 
-	b := &builder{
-		sys:       sys,
-		free:      map[dsps.StreamID]bool{x: true, y: true, xy.Output: true},
-		freeOpSet: map[dsps.OperatorID]bool{xy.ID: true},
-	}
+	// Free: the closure of xy — x, y and xy itself, with its one operator.
+	b := NewPlanner(sys, Config{}).newBuilder([]dsps.StreamID{xy.Output}, false)
 	b.pruneUnused(a)
 	if !reflect.DeepEqual(a, want) {
 		t.Fatalf("after pruneUnused:\n got %+v\nwant %+v", a, want)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"slices"
 	"sort"
 	"time"
@@ -10,19 +9,26 @@ import (
 	"sqpr/internal/milp"
 )
 
-// builder assembles the reduced MILP (III.8) for one planning call.
+// builder assembles the reduced MILP (III.8) for one planning call. It is
+// pooled on the Planner and reused across submissions, so a long-lived
+// planner re-emits its model each call without reallocating it.
 type builder struct {
-	p       *Planner
+	planner *Planner
 	sys     *dsps.System
 	queries []dsps.StreamID // fresh queries being planned
 
-	free        map[dsps.StreamID]bool
-	freeStreams []dsps.StreamID
-	freeOps     []dsps.OperatorID
-	freeOpSet   map[dsps.OperatorID]bool
+	// layout holds the free sets, the candidate hosts and the variable
+	// addressing derived from them.
+	layout
 
-	hosts   []dsps.HostID // candidate hosts
-	hostIdx map[dsps.HostID]int
+	// pinned marks a Repair chunk model: the free set is the closures of
+	// the chunk's queries only (no sharing-merge), and of the requested free
+	// streams only those queries and the already admitted ones get provide
+	// (d) variables. Opportunistically admitting unrelated queries is
+	// Submit's job, and their λ1-rewarded fractional admissions would
+	// otherwise keep the delta solve's bound open for the entire node
+	// budget.
+	pinned bool
 
 	// Residual budgets on candidate hosts after subtracting consumption of
 	// fixed (non-free) flows, provides and operators.
@@ -30,33 +36,17 @@ type builder struct {
 	resLink                       [][]float64
 
 	model *milp.Model
-	// Variable indices; absent key means the variable does not exist (and
-	// is semantically zero).
-	dVar map[hsKey]milp.Var
-	xVar map[flowKey]milp.Var
-	yVar map[hsKey]milp.Var
-	zVar map[zKey]milp.Var
-	pVar map[hsKey]milp.Var
-	lVar milp.Var // O4 linearisation: max per-host CPU
+	bigM  float64
+	norm  Norm // the (III.3) normalisers of sys, for the objective and the seed
 
-	bigM float64
-	norm Norm // the (III.3) normalisers of sys, for the objective and the seed
-
-	// stayBonus rewards keeping a surviving operator on its incumbent host
-	// (repair's migration cost, mirrored as a reward so the model stays a
-	// maximisation), and preferHost biases the greedy warm start towards
-	// rebuilding an operator where it ran before the events. Both are
-	// empty outside Repair.
-	stayBonus  map[zKey]float64
-	preferHost map[dsps.OperatorID]dsps.HostID
-
-	// dAllowed, when non-nil, restricts which requested free streams get
-	// provide (d) variables, beyond the always-allowed admitted streams.
-	// Repair sets it to the chunk's queries: opportunistically admitting
-	// unrelated queries is Submit's job, and their λ1-rewarded fractional
-	// admissions would otherwise keep the delta solve's bound open for
-	// the entire node budget.
-	dAllowed map[dsps.StreamID]bool
+	// stay, by z variable (offset from zBase), rewards keeping a surviving
+	// operator on its incumbent host (repair's migration cost, mirrored as a
+	// reward so the model stays a maximisation), and prefer, by operator
+	// slot, biases the greedy warm start towards rebuilding an operator
+	// where it ran before the events (−1 = no preference). Both are blank
+	// outside Repair.
+	stay   []bool
+	prefer []dsps.HostID
 
 	// Greedy warm-start scratch (see seed.go): the usage ledger of the
 	// trial, the trial-mutation journal, the cycle guard of planStreamAt
@@ -84,85 +74,57 @@ type builder struct {
 	seedProbes   int
 }
 
-type hsKey struct {
-	h dsps.HostID
-	s dsps.StreamID
-}
-
-type flowKey struct {
-	from, to dsps.HostID
-	s        dsps.StreamID
-}
-
-type zKey struct {
-	h dsps.HostID
-	o dsps.OperatorID
-}
-
-// newBuilder computes the free sets, candidate hosts and residual budgets.
-// The builder itself — its variable maps, host tables and the MILP model —
-// is pooled on the Planner and reused across submissions, so a long-lived
-// planner re-emits its model each call without reallocating it.
-func (p *Planner) newBuilder(queries []dsps.StreamID) *builder {
-	return p.newBuilderWith(queries, p.freeSet(queries))
-}
-
-// newBuilderWith is newBuilder with an explicit free set; Repair passes the
-// pinned free set (closures of the affected queries only, no sharing-merge).
-func (p *Planner) newBuilderWith(queries []dsps.StreamID, free map[dsps.StreamID]bool) *builder {
+// builder returns the pooled builder, emptied: no free streams, no hosts,
+// no model.
+func (p *Planner) builder() *builder {
 	b := p.bld
 	if b == nil {
-		b = &builder{
-			dVar:       make(map[hsKey]milp.Var),
-			xVar:       make(map[flowKey]milp.Var),
-			yVar:       make(map[hsKey]milp.Var),
-			zVar:       make(map[zKey]milp.Var),
-			pVar:       make(map[hsKey]milp.Var),
-			stayBonus:  make(map[zKey]float64),
-			preferHost: make(map[dsps.OperatorID]dsps.HostID),
-			freeOpSet:  make(map[dsps.OperatorID]bool),
-			model:      milp.NewModel(),
-		}
+		b = &builder{model: milp.NewModel()}
 		p.bld = b
-	} else {
-		clear(b.dVar)
-		clear(b.xVar)
-		clear(b.yVar)
-		clear(b.zVar)
-		clear(b.pVar)
-		clear(b.freeOpSet)
-		clear(b.stayBonus)
-		clear(b.preferHost)
-		b.dAllowed = nil
-		b.freeStreams = b.freeStreams[:0]
-		b.freeOps = b.freeOps[:0]
-		b.hosts = b.hosts[:0]
-		b.journal = b.journal[:0]
-		b.model.Reset()
 	}
-	b.p = p
+	b.planner = p
 	b.sys = p.sys
+	b.queries = nil
+	b.pinned = false
+	b.reset(p.sys)
+	b.journal = b.journal[:0]
+	b.model.Reset()
+	return b
+}
+
+// newBuilder computes the free sets, candidate hosts, residual budgets and
+// variable layout for planning queries. Submit frees their closures merged
+// with those of the admitted queries sharing streams with them; Repair
+// passes pinned and gets the closures alone.
+func (p *Planner) newBuilder(queries []dsps.StreamID, pinned bool) *builder {
+	b := p.builder()
 	b.queries = queries
-	b.free = free
-	for s := range b.free {
-		b.freeStreams = append(b.freeStreams, s)
+	b.pinned = pinned
+	for _, q := range queries {
+		b.addFree(p.closures.streamsOf(q))
 	}
-	slices.Sort(b.freeStreams)
-	b.freeOps = p.freeOperators(b.free)
-	for _, o := range b.freeOps {
-		b.freeOpSet[o] = true
+	if !pinned {
+		b.mergeSharers()
 	}
+	b.seal(b.sys)
 	b.selectHosts()
 	b.computeResiduals()
+	b.place(b.allowProvide)
+	b.stay = append(b.stay[:0], make([]bool, len(b.freeOps)*len(b.hosts))...)
+	b.prefer = b.prefer[:0]
+	for range b.freeOps {
+		b.prefer = append(b.prefer, -1)
+	}
 	b.bigM = float64(len(b.hosts)) + 2
 	b.norm = NormOf(b.sys)
 	return b
 }
 
-// allowProvide reports whether requested free stream s gets d variables in
-// this model (see dAllowed).
+// allowProvide reports whether free stream s gets d variables in this
+// model (see pinned).
 func (b *builder) allowProvide(s dsps.StreamID) bool {
-	return b.dAllowed == nil || b.dAllowed[s] || b.p.Admitted(s)
+	return b.sys.Streams[s].Requested &&
+		(!b.pinned || slices.Contains(b.queries, s) || b.planner.Admitted(s))
 }
 
 // selectHosts picks the candidate host set: every host already touching a
@@ -175,21 +137,29 @@ func (b *builder) allowProvide(s dsps.StreamID) bool {
 // as discretionary candidates for new load.
 func (b *builder) selectHosts() {
 	n := b.sys.NumHosts()
-	forced := make(map[dsps.HostID]bool)
-	st := b.p.Assignment()
+	st := b.planner.Assignment()
+	// A chosen host is marked in hSlot; the slots proper are assigned at
+	// the end, in host order.
+	chosen := 0
+	choose := func(h dsps.HostID) {
+		if b.hSlot[h] < 0 {
+			b.hSlot[h] = 0
+			chosen++
+		}
+	}
 	force := func(h dsps.HostID) {
 		if b.sys.HostUsable(h) {
-			forced[h] = true
+			choose(h)
 		}
 	}
 	for f := range st.Flows {
-		if b.free[f.Stream] {
+		if b.hasStream(f.Stream) {
 			force(f.From)
 			force(f.To)
 		}
 	}
 	for pl := range st.Ops {
-		if b.freeOpSet[pl.Op] {
+		if b.hasOp(pl.Op) {
 			force(pl.Host)
 			continue
 		}
@@ -197,13 +167,13 @@ func (b *builder) selectHosts() {
 		// replanning ablation): its host must stay in scope so that the
 		// availability-preservation constraint can be expressed.
 		for _, in := range b.sys.Operators[pl.Op].Inputs {
-			if b.free[in] {
+			if b.hasStream(in) {
 				force(pl.Host)
 			}
 		}
 	}
 	for s, h := range st.Provides {
-		if b.free[s] {
+		if b.hasStream(s) {
 			force(h)
 		}
 	}
@@ -213,7 +183,7 @@ func (b *builder) selectHosts() {
 	// that originate at those hosts. (Sharing queries already have their
 	// hosts forced through their existing flows and placements above.)
 	for _, q := range b.queries {
-		for _, s := range b.p.closures.streamsOf(q) {
+		for _, s := range b.planner.closures.streamsOf(q) {
 			if b.sys.Streams[s].IsBase() {
 				for _, h := range b.sys.BaseHosts(s) {
 					force(h)
@@ -223,79 +193,56 @@ func (b *builder) selectHosts() {
 	}
 
 	allowed := func(h dsps.HostID) bool {
-		return (b.p.allowedHosts == nil || b.p.allowedHosts[h]) && b.sys.HostPlaceable(h)
+		return (b.planner.allowedHosts == nil || b.planner.allowedHosts[h]) && b.sys.HostPlaceable(h)
 	}
-	preferred := make(map[dsps.HostID]bool)
+	cap := b.planner.cfg.MaxCandidateHosts
+	if b.planner.cfg.DisableReduction {
+		cap = n
+	}
+	// Add preferred hosts (base-stream holders), then the globally most
+	// spare ones, each ordered by spare CPU.
+	usage := st.ComputeUsage(b.sys)
+	spare := func(h dsps.HostID) float64 { return b.sys.Hosts[h].CPU - usage.CPU[h] }
+	fill := func(list []dsps.HostID) {
+		sort.Slice(list, func(i, j int) bool {
+			si, sj := spare(list[i]), spare(list[j])
+			if si != sj {
+				return si > sj
+			}
+			return list[i] < list[j]
+		})
+		for _, h := range list {
+			if chosen >= cap {
+				break
+			}
+			choose(h)
+		}
+	}
+	var list []dsps.HostID
 	for _, s := range b.freeStreams {
 		if b.sys.Streams[s].IsBase() {
 			for _, h := range b.sys.BaseHosts(s) {
-				if allowed(h) {
-					preferred[h] = true
+				if allowed(h) && !b.hasHost(h) && !slices.Contains(list, h) {
+					list = append(list, h)
 				}
 			}
 		}
 	}
-
-	cap := b.p.cfg.MaxCandidateHosts
-	if b.p.cfg.DisableReduction {
-		cap = n
-	}
-	chosen := make(map[dsps.HostID]bool)
-	for h := range forced {
-		chosen[h] = true
-	}
-	// Add preferred hosts (base-stream holders) ordered by spare CPU.
-	usage := st.ComputeUsage(b.sys)
-	spare := func(h dsps.HostID) float64 { return b.sys.Hosts[h].CPU - usage.CPU[h] }
-	var prefList []dsps.HostID
-	for h := range preferred {
-		if !chosen[h] {
-			prefList = append(prefList, h)
-		}
-	}
-	sort.Slice(prefList, func(i, j int) bool {
-		si, sj := spare(prefList[i]), spare(prefList[j])
-		if si != sj {
-			return si > sj
-		}
-		return prefList[i] < prefList[j]
-	})
-	for _, h := range prefList {
-		if len(chosen) >= cap {
-			break
-		}
-		chosen[h] = true
-	}
-	// Fill with the globally most spare hosts.
-	if len(chosen) < cap {
-		var rest []dsps.HostID
+	fill(list)
+	if chosen < cap {
+		list = list[:0]
 		for h := 0; h < n; h++ {
-			if !chosen[dsps.HostID(h)] && allowed(dsps.HostID(h)) {
-				rest = append(rest, dsps.HostID(h))
+			if !b.hasHost(dsps.HostID(h)) && allowed(dsps.HostID(h)) {
+				list = append(list, dsps.HostID(h))
 			}
 		}
-		sort.Slice(rest, func(i, j int) bool {
-			si, sj := spare(rest[i]), spare(rest[j])
-			if si != sj {
-				return si > sj
-			}
-			return rest[i] < rest[j]
-		})
-		for _, h := range rest {
-			if len(chosen) >= cap {
-				break
-			}
-			chosen[h] = true
+		fill(list)
+	}
+	for h := 0; h < n; h++ {
+		if b.hasHost(dsps.HostID(h)) {
+			b.hSlot[h] = int32(len(b.hosts))
+			b.hosts = append(b.hosts, dsps.HostID(h))
 		}
-	}
-	b.hosts = make([]dsps.HostID, 0, len(chosen))
-	for h := range chosen {
-		b.hosts = append(b.hosts, h)
-	}
-	sort.Slice(b.hosts, func(i, j int) bool { return b.hosts[i] < b.hosts[j] })
-	b.hostIdx = make(map[dsps.HostID]int, len(b.hosts))
-	for i, h := range b.hosts {
-		b.hostIdx[h] = i
 	}
 }
 
@@ -319,67 +266,64 @@ func (b *builder) computeResiduals() {
 			b.resLink[i][j] = b.sys.LinkCap[h][m]
 		}
 	}
-	st := b.p.Assignment()
+	st := b.planner.Assignment()
 	for pl := range st.Ops {
-		if b.freeOpSet[pl.Op] {
-			continue
-		}
-		if i, ok := b.hostIdx[pl.Host]; ok {
+		if i := b.hSlot[pl.Host]; i >= 0 && !b.hasOp(pl.Op) {
 			b.resCPU[i] -= b.sys.Operators[pl.Op].Cost
 			b.resMem[i] -= b.sys.Operators[pl.Op].Mem
 		}
 	}
 	for f := range st.Flows {
-		if b.free[f.Stream] {
+		if b.hasStream(f.Stream) {
 			continue
 		}
 		rate := b.sys.Streams[f.Stream].Rate
-		if i, ok := b.hostIdx[f.From]; ok {
+		i, j := b.hSlot[f.From], b.hSlot[f.To]
+		if i >= 0 {
 			b.resOut[i] -= rate
-			if j, ok2 := b.hostIdx[f.To]; ok2 {
+			if j >= 0 {
 				b.resLink[i][j] -= rate
 			}
 		}
-		if j, ok := b.hostIdx[f.To]; ok {
+		if j >= 0 {
 			b.resIn[j] -= rate
 		}
 	}
 	for s, h := range st.Provides {
-		if b.free[s] {
-			continue
-		}
-		if i, ok := b.hostIdx[h]; ok {
+		if i := b.hSlot[h]; i >= 0 && !b.hasStream(s) {
 			b.resOut[i] -= b.sys.Streams[s].Rate
 		}
 	}
 }
 
-// addNoRelayRow emits the strengthened form of (III.5c) used by the relay
-// ablation: a host may only send streams it originates (base stream or
-// locally executed producer), never streams it merely received.
-func (b *builder) addNoRelayRow(fk flowKey, xv milp.Var) {
-	terms := []milp.Term{{Var: xv, Coef: 1}}
+// originAt states how host h can have stream s without receiving it: it
+// appends −z_ho for every free producer o of s to terms and returns, as the
+// row's right-hand side, 1[s ∈ S⁰_h] plus the fixed operators already
+// producing s at h.
+func (b *builder) originAt(h dsps.HostID, s dsps.StreamID, terms []milp.Term) ([]milp.Term, float64) {
 	rhs := 0.0
-	if b.sys.IsBaseAt(fk.from, fk.s) {
+	if b.sys.IsBaseAt(h, s) {
 		rhs += 1
 	}
-	for _, op := range b.sys.ProducersOf(fk.s) {
-		if zv, ok := b.zVar[zKey{fk.from, op}]; ok {
+	for _, op := range b.sys.ProducersOf(s) {
+		if zv, ok := b.z(h, op); ok {
 			terms = append(terms, milp.Term{Var: zv, Coef: -1})
-		} else if b.p.Assignment().Ops[dsps.Placement{Host: fk.from, Op: op}] {
+		} else if b.planner.Assignment().Ops[dsps.Placement{Host: h, Op: op}] {
 			rhs += 1
 		}
 	}
-	b.model.AddCons("no-relay", milp.LE, rhs, terms...)
+	return terms, rhs
 }
 
 // build assembles the MILP into the builder's pooled model.
 func (b *builder) build() *milp.Model {
 	m := b.model
 	sys := b.sys
-	st := b.p.Assignment()
+	st := b.planner.Assignment()
 
 	// --- Variables -----------------------------------------------------
+	// Created in layout order (each creation is checked against it), after
+	// which every row below addresses them through the layout's accessors.
 	// Variable names are static family tags: per-variable formatted names
 	// cost a Sprintf and a string allocation each on the hot submit path,
 	// and nothing reads them back.
@@ -389,57 +333,48 @@ func (b *builder) build() *milp.Model {
 	// as its objective weight is smallest and most x values follow from the
 	// other decisions anyway.
 	for _, s := range b.freeStreams {
-		stream := &sys.Streams[s]
 		for _, h := range b.hosts {
-			hk := hsKey{h, s}
-			yv := m.AddBinary("y")
-			m.SetBranchPriority(yv, 2)
-			b.yVar[hk] = yv
-			if stream.Requested && b.allowProvide(s) {
-				dv := m.AddBinary("d")
-				m.SetBranchPriority(dv, 3)
-				b.dVar[hk] = dv
+			b.expect(b.y(h, s))
+			m.SetBranchPriority(m.AddBinary("y"), 2)
+			if dv, ok := b.d(h, s); ok {
+				b.expect(dv, ok)
+				m.SetBranchPriority(m.AddBinary("d"), 3)
 			}
-			b.pVar[hk] = m.AddContinuous(0, b.bigM, "p")
+			b.expect(b.p(h, s))
+			m.AddContinuous(0, b.bigM, "p")
 		}
 		for _, h := range b.hosts {
 			for _, mm := range b.hosts {
-				if h == mm {
-					continue
+				if h != mm {
+					b.expect(b.x(h, mm, s))
+					m.AddBinary("x")
 				}
-				b.xVar[flowKey{h, mm, s}] = m.AddBinary("x")
 			}
 		}
 	}
 	for _, o := range b.freeOps {
 		for _, h := range b.hosts {
-			zv := m.AddBinary("z")
-			m.SetBranchPriority(zv, 1)
-			b.zVar[zKey{h, o}] = zv
+			b.expect(b.z(h, o))
+			m.SetBranchPriority(m.AddBinary("z"), 1)
 		}
 	}
-	maxCPU := 0.0
-	for _, h := range sys.Hosts {
-		if h.CPU > maxCPU {
-			maxCPU = h.CPU
-		}
-	}
-	b.lVar = m.AddContinuous(0, math.Max(maxCPU, 1), "L")
+	b.expect(b.lVar, true)
+	m.AddContinuous(0, max(b.norm.MaxCPU, 1), "L") // a load never exceeds ζmax
 
 	// --- Demand constraints (III.4) -------------------------------------
-	for _, s := range b.freeStreams {
-		if !sys.Streams[s].Requested || !b.allowProvide(s) {
-			continue
+	for si, s := range b.freeStreams {
+		if b.stride[si] != 3 {
+			continue // no provide variables for s
 		}
 		var sum []milp.Term
 		for _, h := range b.hosts {
-			hk := hsKey{h, s}
-			d := b.dVar[hk]
+			d, _ := b.d(h, s)
+			y, _ := b.y(h, s)
 			// (III.4a) d_hs <= y_hs (δ_s = 1 since s is requested here).
-			m.AddCons("demand-avail", milp.LE, 0, milp.Term{Var: d, Coef: 1}, milp.Term{Var: b.yVar[hk], Coef: -1})
+			m.AddCons("demand-avail", milp.LE, 0, milp.Term{Var: d, Coef: 1}, milp.Term{Var: y, Coef: -1})
 			sum = append(sum, milp.Term{Var: d, Coef: 1})
 		}
-		if b.p.Admitted(s) {
+		if b.planner.Admitted(s) {
 			// (IV.9): already admitted queries must stay satisfied,
 			// though possibly from a different host.
 			m.AddCons("keep-admitted", milp.EQ, 1, sum...)
@@ -452,29 +387,15 @@ func (b *builder) build() *milp.Model {
 	// --- Availability constraints (III.5) --------------------------------
 	for _, s := range b.freeStreams {
 		for _, h := range b.hosts {
-			hk := hsKey{h, s}
-			terms := []milp.Term{{Var: b.yVar[hk], Coef: 1}}
-			rhs := 0.0
-			if sys.IsBaseAt(h, s) {
-				rhs += 1 // 1[s ∈ S⁰_h]
-			}
+			y, _ := b.y(h, s)
+			terms := []milp.Term{{Var: y, Coef: 1}}
 			for _, src := range b.hosts {
-				if src == h {
-					continue
-				}
-				if xv, ok := b.xVar[flowKey{src, h, s}]; ok {
+				if xv, ok := b.x(src, h, s); ok {
 					terms = append(terms, milp.Term{Var: xv, Coef: -1})
 				}
 			}
-			for _, op := range sys.ProducersOf(s) {
-				if zv, ok := b.zVar[zKey{h, op}]; ok {
-					terms = append(terms, milp.Term{Var: zv, Coef: -1})
-				} else if st.Ops[dsps.Placement{Host: h, Op: op}] {
-					// A fixed operator already produces s at h.
-					rhs += 1
-				}
-			}
 			// (III.5a): y_hs <= Σ x + Σ z + base indicator.
+			terms, rhs := b.originAt(h, s, terms)
 			m.AddCons("avail", milp.LE, rhs, terms...)
 		}
 	}
@@ -482,9 +403,9 @@ func (b *builder) build() *milp.Model {
 	for _, o := range b.freeOps {
 		op := &sys.Operators[o]
 		for _, h := range b.hosts {
-			zv := b.zVar[zKey{h, o}]
+			zv, _ := b.z(h, o)
 			for _, in := range op.Inputs {
-				yv, ok := b.yVar[hsKey{h, in}]
+				yv, ok := b.y(h, in)
 				if !ok {
 					// Input outside free set can only happen with
 					// reduction disabled inconsistencies; treat as fixed
@@ -499,14 +420,16 @@ func (b *builder) build() *milp.Model {
 			}
 		}
 	}
-	// (III.5c): x_hms <= y_hs, or the production-only variant when stream
-	// relaying is disabled for ablation.
-	b.eachFlowVar(func(fk flowKey, xv milp.Var) {
-		if b.p.cfg.DisableRelay {
-			b.addNoRelayRow(fk, xv)
+	// (III.5c): x_hms <= y_hs. The relay ablation strengthens it: a host may
+	// only send streams it originates (base stream or locally executed
+	// producer), never streams it merely received.
+	b.eachFlowVar(func(from, _ dsps.HostID, s dsps.StreamID, xv milp.Var) {
+		if b.planner.cfg.DisableRelay {
+			terms, rhs := b.originAt(from, s, []milp.Term{{Var: xv, Coef: 1}})
+			m.AddCons("no-relay", milp.LE, rhs, terms...)
 			return
 		}
-		yv := b.yVar[hsKey{fk.from, fk.s}]
+		yv, _ := b.y(from, s)
 		m.AddCons("send-avail", milp.LE, 0, milp.Term{Var: xv, Coef: 1}, milp.Term{Var: yv, Coef: -1})
 	})
 
@@ -519,9 +442,9 @@ func (b *builder) build() *milp.Model {
 	b.addResourceRows()
 
 	// --- Acyclicity constraints (III.7) ----------------------------------
-	b.eachFlowVar(func(fk flowKey, xv milp.Var) {
-		ph := b.pVar[hsKey{fk.from, fk.s}]
-		pm := b.pVar[hsKey{fk.to, fk.s}]
+	b.eachFlowVar(func(from, to dsps.HostID, s dsps.StreamID, xv milp.Var) {
+		ph, _ := b.p(from, s)
+		pm, _ := b.p(to, s)
 		// p_hs >= p_ms + 1 − M(1 − x) ⇔ p_h − p_m − M·x >= 1 − M.
 		m.AddCons("acyclic", milp.GE, 1-b.bigM,
 			milp.Term{Var: ph, Coef: 1}, milp.Term{Var: pm, Coef: -1}, milp.Term{Var: xv, Coef: -b.bigM})
@@ -533,44 +456,31 @@ func (b *builder) build() *milp.Model {
 }
 
 // addPreservationRows forces y_hs = 1 wherever a fixed (non-free) element
-// of the current allocation depends on free stream s at host h.
+// of the current allocation depends on free stream s at host h. A consuming
+// host outside the candidate set has no y variable and is skipped; forced
+// hosts should prevent that.
 func (b *builder) addPreservationRows() {
-	need := make(map[hsKey]bool)
-	for pl := range b.p.Assignment().Ops {
-		if b.freeOpSet[pl.Op] {
+	var need []bool // by y variable
+	for pl := range b.planner.Assignment().Ops {
+		if b.hasOp(pl.Op) {
 			continue
 		}
 		for _, in := range b.sys.Operators[pl.Op].Inputs {
-			if b.free[in] {
-				need[hsKey{pl.Host, in}] = true
-			}
-		}
-	}
-	// Rows go out in (stream, host) order, not map order: the row order
-	// decides the LP's pivots, so it must be the same for the same input.
-	for _, s := range b.freeStreams {
-		for _, h := range b.hosts {
-			// A consuming host outside the candidate set has no y variable
-			// and is skipped; forced hosts should prevent that.
-			if hk := (hsKey{h, s}); need[hk] {
-				b.model.AddCons("preserve-avail", milp.GE, 1, milp.Term{Var: b.yVar[hk], Coef: 1})
-			}
-		}
-	}
-}
-
-// eachFlowVar visits the x variables in the order build created them.
-// Ranging over b.xVar would visit them in map order, and the order rows are
-// emitted in decides the LP's pivots: identical inputs have to compile to
-// the identical model.
-func (b *builder) eachFlowVar(visit func(flowKey, milp.Var)) {
-	for _, s := range b.freeStreams {
-		for _, h := range b.hosts {
-			for _, mm := range b.hosts {
-				if h != mm {
-					fk := flowKey{h, mm, s}
-					visit(fk, b.xVar[fk])
+			if yv, ok := b.y(pl.Host, in); ok {
+				if need == nil {
+					need = make([]bool, b.zBase)
 				}
+				need[yv] = true
+			}
+		}
+	}
+	if need == nil {
+		return
+	}
+	for _, s := range b.freeStreams {
+		for _, h := range b.hosts {
+			if yv, _ := b.y(h, s); need[yv] {
+				b.model.AddCons("preserve-avail", milp.GE, 1, milp.Term{Var: yv, Coef: 1})
 			}
 		}
 	}
@@ -585,7 +495,8 @@ func (b *builder) addResourceRows() {
 		// (III.6d) CPU.
 		var cpu []milp.Term
 		for _, o := range b.freeOps {
-			cpu = append(cpu, milp.Term{Var: b.zVar[zKey{h, o}], Coef: sys.Operators[o].Cost})
+			zv, _ := b.z(h, o)
+			cpu = append(cpu, milp.Term{Var: zv, Coef: sys.Operators[o].Cost})
 		}
 		if len(cpu) > 0 {
 			m.AddCons("cpu", milp.LE, b.resCPU[i], cpu...)
@@ -595,7 +506,8 @@ func (b *builder) addResourceRows() {
 			var mem []milp.Term
 			for _, o := range b.freeOps {
 				if mu := sys.Operators[o].Mem; mu > 0 {
-					mem = append(mem, milp.Term{Var: b.zVar[zKey{h, o}], Coef: mu})
+					zv, _ := b.z(h, o)
+					mem = append(mem, milp.Term{Var: zv, Coef: mu})
 				}
 			}
 			if len(mem) > 0 {
@@ -615,11 +527,11 @@ func (b *builder) addResourceRows() {
 		for _, s := range b.freeStreams {
 			rate := sys.Streams[s].Rate
 			for _, mm := range b.hosts {
-				if xv, ok := b.xVar[flowKey{h, mm, s}]; ok {
+				if xv, ok := b.x(h, mm, s); ok {
 					out = append(out, milp.Term{Var: xv, Coef: rate})
 				}
 			}
-			if dv, ok := b.dVar[hsKey{h, s}]; ok {
+			if dv, ok := b.d(h, s); ok {
 				out = append(out, milp.Term{Var: dv, Coef: rate})
 			}
 		}
@@ -632,7 +544,7 @@ func (b *builder) addResourceRows() {
 		for _, s := range b.freeStreams {
 			rate := sys.Streams[s].Rate
 			for _, src := range b.hosts {
-				if xv, ok := b.xVar[flowKey{src, h, s}]; ok {
+				if xv, ok := b.x(src, h, s); ok {
 					in = append(in, milp.Term{Var: xv, Coef: rate})
 				}
 			}
@@ -648,9 +560,8 @@ func (b *builder) addResourceRows() {
 			}
 			var link []milp.Term
 			for _, s := range b.freeStreams {
-				if xv, ok := b.xVar[flowKey{h, mm, s}]; ok {
-					link = append(link, milp.Term{Var: xv, Coef: sys.Streams[s].Rate})
-				}
+				xv, _ := b.x(h, mm, s)
+				link = append(link, milp.Term{Var: xv, Coef: sys.Streams[s].Rate})
 			}
 			if len(link) > 0 {
 				m.AddCons("link", milp.LE, b.resLink[i][j], link...)
@@ -661,37 +572,48 @@ func (b *builder) addResourceRows() {
 
 // setObjective installs λ1·O1 − λ2·O2 − λ3·O3 − λ4·O4 (maximisation).
 func (b *builder) setObjective() {
-	w := b.p.cfg.Weights
+	w := b.planner.cfg.Weights
 	sys := b.sys
 	var terms []milp.Term
-	for hk, dv := range b.dVar {
-		coef := w.L1
-		// Draining hosts should shed their client delivery points too:
-		// the reduced reward still dwarfs every other term, so admission
-		// is never sacrificed, but a provider that can move off moves.
-		if sys.Hosts[hk.h].State == dsps.HostDraining {
-			coef -= migrationWeight
+	for _, s := range b.freeStreams {
+		for _, h := range b.hosts {
+			dv, ok := b.d(h, s)
+			if !ok {
+				break // no provide variables for s
+			}
+			coef := w.L1
+			// Draining hosts should shed their client delivery points too:
+			// the reduced reward still dwarfs every other term, so admission
+			// is never sacrificed, but a provider that can move off moves.
+			if sys.Hosts[h].State == dsps.HostDraining {
+				coef -= migrationWeight
+			}
+			terms = append(terms, milp.Term{Var: dv, Coef: coef})
 		}
-		terms = append(terms, milp.Term{Var: dv, Coef: coef})
 	}
-	for fk, xv := range b.xVar {
-		terms = append(terms, milp.Term{Var: xv, Coef: -w.L2 * sys.Streams[fk.s].Rate / b.norm.Link})
-	}
-	for zk, zv := range b.zVar {
-		coef := -w.L3 * sys.Operators[zk.o].Cost / b.norm.CPU
-		// Repair's migration cost: moving a surviving operator off its
-		// incumbent host forfeits the stay bonus, so migration only happens
-		// when it buys admission or substantial placement quality.
-		coef += b.stayBonus[zk]
-		// Draining hosts repel load at the same magnitude a migration
-		// costs (and the stay bonus never applies to them), so evacuation
-		// is preferred whenever it is feasible — the penalty must exceed
-		// the solver's repair gap tolerance or evacuations would sit
-		// inside the allowed slack.
-		if sys.Hosts[zk.h].State == dsps.HostDraining {
-			coef -= migrationWeight
+	b.eachFlowVar(func(_, _ dsps.HostID, s dsps.StreamID, xv milp.Var) {
+		terms = append(terms, milp.Term{Var: xv, Coef: -w.L2 * sys.Streams[s].Rate / b.norm.Link})
+	})
+	for _, o := range b.freeOps {
+		for _, h := range b.hosts {
+			zv, _ := b.z(h, o)
+			coef := -w.L3 * sys.Operators[o].Cost / b.norm.CPU
+			// Repair's migration cost: moving a surviving operator off its
+			// incumbent host forfeits the stay bonus, so migration only happens
+			// when it buys admission or substantial placement quality.
+			if b.stay[zv-b.zBase] {
+				coef += migrationWeight
+			}
+			// Draining hosts repel load at the same magnitude a migration
+			// costs (and the stay bonus never applies to them), so evacuation
+			// is preferred whenever it is feasible — the penalty must exceed
+			// the solver's repair gap tolerance or evacuations would sit
+			// inside the allowed slack.
+			if sys.Hosts[h].State == dsps.HostDraining {
+				coef -= migrationWeight
+			}
+			terms = append(terms, milp.Term{Var: zv, Coef: coef})
 		}
-		terms = append(terms, milp.Term{Var: zv, Coef: coef})
 	}
 	terms = append(terms, milp.Term{Var: b.lVar, Coef: -w.L4 / b.norm.MaxCPU})
 	b.model.SetObjective(true, terms...)

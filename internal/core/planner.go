@@ -68,8 +68,6 @@ type Config struct {
 	// plan.WithTimeout submit option overrides it per call, and a ctx
 	// deadline always wins when earlier.
 	SolveTimeout time.Duration
-	// MaxNodes caps branch-and-bound nodes per call (0 = default).
-	MaxNodes int
 	// SolveWorkers is ignored; kept only for bench/harness.go, which still
 	// assigns it (the branch and bound runs on the calling goroutine).
 	SolveWorkers int
@@ -126,6 +124,10 @@ const (
 // small relative gap never sacrifices admissions.
 const submitGapTol = 0.01
 
+// submitMaxNodes caps the branch-and-bound nodes of one solve; drain and
+// drift repairs search eight times as deep (see repairChunk).
+const submitMaxNodes = 80
+
 // migrationWeight is the objective reward Repair grants for keeping a
 // surviving operator on its incumbent host (equivalently, the cost of
 // migrating it). It exceeds the normalised quality terms (λ2–λ4
@@ -180,9 +182,6 @@ func NewPlanner(sys *dsps.System, cfg Config) *Planner {
 	}
 	if cfg.MaxFreeStreams <= 0 {
 		cfg.MaxFreeStreams = 24
-	}
-	if cfg.MaxNodes <= 0 {
-		cfg.MaxNodes = 80
 	}
 	if cfg.SolveTimeout <= 0 {
 		cfg.SolveTimeout = 500 * time.Millisecond
@@ -262,34 +261,13 @@ func (p *Planner) submit(ctx context.Context, qs []dsps.StreamID, timeout time.D
 
 	// Effective deadline: the earlier of the solver budget and the ctx
 	// deadline, so a ctx deadline also bounds individual node LPs.
-	finalDeadline := plan.Deadline(ctx, start, timeout)
+	deadline := plan.Deadline(ctx, start, timeout)
 
-	// The whole batch is one joint solve. Earlier revisions split batches
-	// whose closure unions outgrew Config.MaxFreeStreams into sub-batches
-	// solved under deadline shares — a tractability concession to the dense
-	// LP substrate, whose tableau cost grew superlinearly with model size
-	// (multi-gigabyte tableaus on scrambled batches of eight). The sparse
-	// revised-simplex engine prices those unions at their nonzero count, so
-	// the split and its contract compromises (per-group deadline shares,
-	// mid-sequence rollback, admissions diverging from the joint optimum on
-	// related batches) are gone. MaxFreeStreams still bounds closure growth
-	// where it always did: sharing-query merges (closure.go) and repair
-	// chunking (repair.go).
-	r, err := p.submitGroup(ctx, fresh, start, finalDeadline, &res)
-	if err == nil {
-		p.Record(r)
-	}
-	return r, err
-}
-
-// submitGroup is the single-joint-solve body of submit: build the reduced
-// model for the fresh queries, solve it under the deadline, and commit the
-// produced allocation. res carries pre-filled telemetry and is completed
-// here.
-func (p *Planner) submitGroup(ctx context.Context, fresh []dsps.StreamID, start time.Time, deadline time.Time, resIn *Result) (Result, error) {
-	res := *resIn
-
-	b := p.newBuilder(fresh)
+	// The whole batch is one joint solve over the union of the closures:
+	// the sparse LP prices it at its nonzero count. MaxFreeStreams bounds
+	// closure growth only where sharing queries are merged (closure.go) and
+	// repairs are chunked (repair.go).
+	b := p.newBuilder(fresh, false)
 	res.FreeStreams = len(b.freeStreams)
 	res.FreeOps = len(b.freeOps)
 	res.CandidateHosts = len(b.hosts)
@@ -299,7 +277,7 @@ func (p *Planner) submitGroup(ctx context.Context, fresh []dsps.StreamID, start 
 	opts := milp.Options{
 		Ctx:                  ctx,
 		Deadline:             deadline,
-		MaxNodes:             p.cfg.MaxNodes,
+		MaxNodes:             submitMaxNodes,
 		GapTol:               submitGapTol,
 		DisableTreeReduction: p.cfg.DisableTreeReduction,
 		// λ1 dominates: any absolute gap well below λ1 cannot hide a
@@ -318,27 +296,26 @@ func (p *Planner) submitGroup(ctx context.Context, fresh []dsps.StreamID, start 
 	// improving its incumbent is burning deadline on nothing. Small models
 	// search their full budget — on them a late admission find is cheap
 	// and real (the Fig. 2 shared-chain and relay scenarios need more than
-	// 48 nodes; the default MaxNodes of 80 covers them).
+	// 48 nodes; submitMaxNodes covers them).
 	if model.NumVars() >= stallVarThreshold {
 		opts.StallNodes = stallNodesLarge
 	}
 	next, err := p.solve(ctx, b, model, opts, &res)
-	if next == nil {
-		// Cancelled, no feasible plan within the budget, or unusable solver
-		// output: the query is not admitted and the state is unchanged
-		// (Algorithm 1 keeps the previous solution).
-		res.PlanTime = time.Since(start)
-		return res, err
+	if next != nil {
+		// Accept the new allocation; with several fresh queries, Admitted
+		// reports "all admitted".
+		if res.Admitted = p.Commit(next, fresh...); !res.Admitted {
+			res.Reason = plan.ReasonNoFeasiblePlan
+		}
 	}
-
-	// Accept the new allocation; with several fresh queries, Admitted
-	// reports "all admitted".
-	res.Admitted = p.Commit(next, fresh...)
-	if !res.Admitted {
-		res.Reason = plan.ReasonNoFeasiblePlan
-	}
+	// Otherwise — cancelled, no feasible plan within the budget, or unusable
+	// solver output — the query is not admitted and the state is unchanged
+	// (Algorithm 1 keeps the previous solution).
 	res.PlanTime = time.Since(start)
-	return res, nil
+	if err == nil {
+		p.Record(res)
+	}
+	return res, err
 }
 
 // solve runs the built model and decodes the solver's answer into the next

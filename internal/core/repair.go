@@ -44,20 +44,9 @@ func (p *Planner) Repair(ctx context.Context, events []plan.Event, opts ...plan.
 	hard := p.Assignment().AffectedQueries(p.sys, func(h dsps.HostID) bool { return !p.sys.HostUsable(h) })
 	hard = append(hard, plan.DriftedEventQueries(events, hard, p.Admitted)...)
 	slices.Sort(hard)
-	hardSet := make(map[dsps.StreamID]bool, len(hard))
-	for _, q := range hard {
-		hardSet[q] = true
-	}
 	affected := p.Assignment().AffectedQueries(p.sys, func(h dsps.HostID) bool { return !p.sys.HostPlaceable(h) })
 	for _, q := range hard {
-		found := false
-		for _, a := range affected {
-			if a == q {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(affected, q) {
 			affected = append(affected, q)
 		}
 	}
@@ -103,9 +92,9 @@ func (p *Planner) Repair(ctx context.Context, events []plan.Event, opts ...plan.
 	// that actually demoted an admitted query count — the set is
 	// intersected with each chunk's free operators, so a drift repair
 	// never slows the fast path of an unrelated failure chunk.
-	noBonus := make(map[dsps.OperatorID]bool)
+	noBonus := make([]bool, len(p.sys.Operators)) // by OperatorID
 	for _, ev := range events {
-		if ev.Kind != plan.QueryDrifted || !hardSet[ev.Query] {
+		if _, isHard := slices.BinarySearch(hard, ev.Query); ev.Kind != plan.QueryDrifted || !isHard {
 			continue
 		}
 		for _, s := range p.closures.streamsOf(ev.Query) {
@@ -173,51 +162,32 @@ func (p *Planner) producibleCheck() func(s dsps.StreamID) bool {
 		unknown int8 = iota
 		yes
 		no
+		visiting
 	)
-	memo := make(map[dsps.StreamID]int8)
-	visiting := make(map[dsps.StreamID]bool)
+	state := make([]int8, len(p.sys.Streams))
 	var rec func(s dsps.StreamID) bool
 	rec = func(s dsps.StreamID) bool {
-		switch memo[s] {
+		switch state[s] {
 		case yes:
 			return true
-		case no:
+		case no, visiting:
 			return false
 		}
+		state[s] = no
 		if p.sys.Streams[s].IsBase() {
-			ok := false
-			for _, h := range p.sys.BaseHosts(s) {
-				if p.sys.HostUsable(h) {
-					ok = true
-					break
-				}
+			if slices.ContainsFunc(p.sys.BaseHosts(s), p.sys.HostUsable) {
+				state[s] = yes
 			}
-			if ok {
-				memo[s] = yes
-			} else {
-				memo[s] = no
-			}
-			return ok
+			return state[s] == yes
 		}
-		if visiting[s] {
-			return false
-		}
-		visiting[s] = true
-		defer delete(visiting, s)
+		state[s] = visiting
 		for _, op := range p.sys.ProducersOf(s) {
-			ok := true
-			for _, in := range p.sys.Operators[op].Inputs {
-				if !rec(in) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				memo[s] = yes
+			if !slices.ContainsFunc(p.sys.Operators[op].Inputs, func(in dsps.StreamID) bool { return !rec(in) }) {
+				state[s] = yes
 				return true
 			}
 		}
-		memo[s] = no
+		state[s] = no
 		return false
 	}
 	return rec
@@ -232,27 +202,19 @@ func (p *Planner) producibleCheck() func(s dsps.StreamID) bool {
 func (p *Planner) repairChunks(affected []dsps.StreamID) [][]dsps.StreamID {
 	var chunks [][]dsps.StreamID
 	var cur []dsps.StreamID
-	free := make(map[dsps.StreamID]bool)
+	b := p.builder() // its free set accumulates the current chunk's closures
 	for _, q := range affected {
 		cl := p.closures.streamsOf(q)
-		fresh := 0
-		for _, s := range cl {
-			if !free[s] {
-				fresh++
-			}
-		}
+		b.addFree(cl)
 		if len(cur) > 0 &&
-			(len(free)+fresh > p.cfg.MaxFreeStreams ||
-				p.hostsTouched(free, cl) > p.cfg.MaxCandidateHosts) {
+			(len(b.freeStreams) > p.cfg.MaxFreeStreams ||
+				b.hostsTouched() > p.cfg.MaxCandidateHosts) {
 			chunks = append(chunks, cur)
 			cur = nil
-			free = make(map[dsps.StreamID]bool)
+			b.truncFree(0)
+			b.addFree(cl)
 		}
 		cur = append(cur, q)
-		for _, s := range cl {
-			free[s] = true
-		}
-		free[q] = true
 	}
 	if len(cur) > 0 {
 		chunks = append(chunks, cur)
@@ -267,16 +229,11 @@ func (p *Planner) repairChunks(affected []dsps.StreamID) [][]dsps.StreamID {
 // candidate host should be evacuated, when drift asks for re-placement of
 // an operator in this chunk, or when the warm start is disabled (its
 // ablation must also ablate this).
-func (b *builder) greedyRepair(chunkDrift bool, deadline time.Time) (*dsps.Assignment, bool) {
-	if b.p.cfg.DisableWarmStart || chunkDrift {
+func (b *builder) greedyRepair(thorough bool, deadline time.Time) (*dsps.Assignment, bool) {
+	if b.planner.cfg.DisableWarmStart || thorough {
 		return nil, false
 	}
-	for _, h := range b.hosts {
-		if b.sys.Hosts[h].State == dsps.HostDraining {
-			return nil, false
-		}
-	}
-	cand := b.p.Assignment().Clone()
+	cand := b.planner.Assignment().Clone()
 	b.track.Reset(b.sys, cand)
 	b.seedArm(deadline)
 	for _, q := range b.queries {
@@ -291,7 +248,7 @@ func (b *builder) greedyRepair(chunkDrift bool, deadline time.Time) (*dsps.Assig
 }
 
 // repairChunk runs one delta solve over the chunk's pinned free set.
-func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before *dsps.Assignment, noBonus map[dsps.OperatorID]bool, deadline time.Time) (Result, error) {
+func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before *dsps.Assignment, noBonus []bool, deadline time.Time) (Result, error) {
 	start := time.Now()
 	var res Result
 	if err := ctx.Err(); err != nil {
@@ -299,18 +256,7 @@ func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before
 	}
 
 	// Pinned free set: the closures of the chunk's queries, nothing else.
-	free := make(map[dsps.StreamID]bool)
-	for _, q := range chunk {
-		for _, s := range p.closures.streamsOf(q) {
-			free[s] = true
-		}
-		free[q] = true
-	}
-	b := p.newBuilderWith(chunk, free)
-	b.dAllowed = make(map[dsps.StreamID]bool, len(chunk))
-	for _, q := range chunk {
-		b.dAllowed[q] = true
-	}
+	b := p.newBuilder(chunk, true)
 	res.FreeStreams = len(b.freeStreams)
 	res.FreeOps = len(b.freeOps)
 	res.CandidateHosts = len(b.hosts)
@@ -324,27 +270,21 @@ func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before
 		deadline = d
 	}
 
-	// Does this chunk actually touch a drifted operator? Only then must
-	// the re-optimisation machinery below treat it as a drift repair.
-	chunkDrift := false
-	for op := range noBonus {
-		if b.freeOpSet[op] {
-			chunkDrift = true
-			break
-		}
-	}
+	// Does this chunk actually touch a drifted operator, or a draining
+	// host? Only then must the re-optimisation machinery below treat it as
+	// a drift or drain repair.
+	drifted := func(op dsps.OperatorID) bool { return noBonus[op] }
+	draining := func(h dsps.HostID) bool { return p.sys.Hosts[h].State == dsps.HostDraining }
+	thorough := slices.ContainsFunc(b.freeOps, drifted) || slices.ContainsFunc(b.hosts, draining)
 
 	// Migration costs: keeping a surviving free operator on the placeable
 	// host it already runs on earns the stay bonus; placements on draining
 	// hosts earn nothing, so evacuation is free and staying is not.
 	for pl := range before.Ops {
-		if !b.freeOpSet[pl.Op] || noBonus[pl.Op] {
-			continue
-		}
-		if _, cand := b.hostIdx[pl.Host]; cand && p.sys.HostPlaceable(pl.Host) {
-			b.stayBonus[zKey{pl.Host, pl.Op}] = migrationWeight
-			if prev, ok := b.preferHost[pl.Op]; !ok || pl.Host < prev {
-				b.preferHost[pl.Op] = pl.Host
+		if zv, ok := b.z(pl.Host, pl.Op); ok && !drifted(pl.Op) && p.sys.HostPlaceable(pl.Host) {
+			b.stay[zv-b.zBase] = true
+			if prev := &b.prefer[b.oSlot[pl.Op]]; *prev < 0 || pl.Host < *prev {
+				*prev = pl.Host
 			}
 		}
 	}
@@ -357,7 +297,7 @@ func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before
 	// fewer survivors — so the MILP is skipped. Drain chunks (a draining
 	// candidate host needs evacuating) and drift chunks (re-placement is
 	// the goal) always take the full solve.
-	if fast, ok := b.greedyRepair(chunkDrift, deadline); ok {
+	if fast, ok := b.greedyRepair(thorough, deadline); ok {
 		res.Admitted = p.Commit(fast, chunk...)
 		res.PlanTime = time.Since(start)
 		p.Record(res)
@@ -369,7 +309,7 @@ func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before
 	opts := milp.Options{
 		Ctx:                  ctx,
 		Deadline:             deadline,
-		MaxNodes:             p.cfg.MaxNodes,
+		MaxNodes:             submitMaxNodes,
 		DisableTreeReduction: p.cfg.DisableTreeReduction,
 		// Submit's gap tolerances are calibrated to admission counts (λ1
 		// multiples); repair additionally optimises migration terms of
@@ -388,15 +328,8 @@ func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before
 	// warm start still carries the placements those chunks must undo, so
 	// the evacuation optimum only surfaces once the search has re-derived
 	// it node by node, which a Submit-sized node cap routinely cuts short.
-	thorough := chunkDrift
-	for _, h := range b.hosts {
-		if b.sys.Hosts[h].State == dsps.HostDraining {
-			thorough = true
-			break
-		}
-	}
 	if thorough {
-		opts.MaxNodes = 8 * p.cfg.MaxNodes
+		opts.MaxNodes = 8 * submitMaxNodes
 	} else {
 		opts.StallNodes = stallNodesLarge
 	}

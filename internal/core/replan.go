@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"sqpr/internal/dsps"
 )
@@ -88,24 +89,15 @@ const driftEps = 1e-9
 // ignored, and a zero-cost operator observed at (effectively) zero cost is
 // not drift.
 func (p *Planner) DriftedQueries(observed map[dsps.OperatorID]float64, threshold float64) []dsps.StreamID {
-	drifted := make(map[dsps.OperatorID]bool)
+	drifted := make([]bool, len(p.sys.Operators))
 	for op, got := range observed {
 		if int(op) < 0 || int(op) >= len(p.sys.Operators) {
 			continue
 		}
-		want := p.sys.Operators[op].Cost
-		if want == 0 {
-			if got > driftEps {
-				drifted[op] = true
-			}
-			continue
-		}
-		rel := (got - want) / want
-		if rel < 0 {
-			rel = -rel
-		}
-		if rel > threshold {
-			drifted[op] = true
+		if want := p.sys.Operators[op].Cost; want == 0 {
+			drifted[op] = got > driftEps
+		} else {
+			drifted[op] = math.Abs((got-want)/want) > threshold
 		}
 	}
 	// A query drifted if the walk over its support stops at a drifted

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"sqpr/internal/dsps"
+	"sqpr/internal/milp"
 )
 
 // incumbent produces a warm-start vector for the MILP: the current
@@ -28,7 +29,7 @@ import (
 // extended with however many queries were admitted before the brake, still
 // a feasible warm start for the solver to improve on.
 func (b *builder) incumbent(deadline time.Time) []float64 {
-	cand := b.p.Assignment().Clone()
+	cand := b.planner.Assignment().Clone()
 	b.track.Reset(b.sys, cand)
 	b.seedArm(deadline)
 	for _, q := range b.queries {
@@ -262,7 +263,7 @@ func (b *builder) greedyAdmit(cand *dsps.Assignment, q dsps.StreamID) bool {
 //
 //sqpr:hotpath
 func (b *builder) scoreResources() float64 {
-	return b.p.cfg.Weights.Objective(b.norm, 0, b.track.Network, b.track.CPUSum, b.track.MaxCPU())
+	return b.planner.cfg.Weights.Objective(b.norm, 0, b.track.Network, b.track.CPUSum, b.track.MaxCPU())
 }
 
 // planStreamAt makes stream s available at host h inside trial, adding
@@ -305,7 +306,7 @@ func (b *builder) planStreamAt(trial *dsps.Assignment, s dsps.StreamID, h dsps.H
 			if m == h {
 				return true // available locally; Available would have caught it
 			}
-			if _, ok := b.hostIdx[m]; ok && b.fetchFlow(trial, m, h, s) {
+			if b.hasHost(m) && b.fetchFlow(trial, m, h, s) {
 				return true
 			}
 		}
@@ -315,7 +316,7 @@ func (b *builder) planStreamAt(trial *dsps.Assignment, s dsps.StreamID, h dsps.H
 	// itself — and, if produced remotely, flow the output over. The host
 	// lists live in depth-indexed scratch stacks pooled on the builder:
 	// planStreamAt recurses through operator inputs, so each level owns its
-	// buffers. During repair, an operator's pre-event host (preferHost) is
+	// buffers. During repair, an operator's pre-event host (prefer) is
 	// tried before everything else, so the warm start rebuilds severed
 	// queries with minimal migration.
 	tryBuf, auxBuf := b.seedHostsAt(depth)
@@ -337,12 +338,12 @@ func (b *builder) planStreamAt(trial *dsps.Assignment, s dsps.StreamID, h dsps.H
 	*tryBuf = hostsTry
 
 	for _, op := range b.sys.ProducersOf(s) {
-		if !b.freeOpSet[op] {
+		if !b.hasOp(op) {
 			continue
 		}
 		o := &b.sys.Operators[op]
 		try := hostsTry
-		if pref, ok := b.preferHost[op]; ok && pref != h {
+		if pref := b.prefer[b.oSlot[op]]; pref >= 0 && pref != h {
 			// The ranking buffer is dead once hostsTry is built; reuse it
 			// for the preferHost reorder.
 			withPref := (*auxBuf)[:0]
@@ -400,24 +401,29 @@ func (b *builder) fetchFlow(trial *dsps.Assignment, from, to dsps.HostID, s dsps
 // vectorOf encodes an assignment as a point in the model's variable space.
 func (b *builder) vectorOf(a *dsps.Assignment) []float64 {
 	vec := make([]float64, b.model.NumVars())
-	for hk, dv := range b.dVar {
-		if h, ok := a.Provides[hk.s]; ok && h == hk.h {
-			vec[dv] = 1
+	for _, s := range b.freeStreams {
+		prov, provided := a.Provides[s]
+		for _, h := range b.hosts {
+			if dv, ok := b.d(h, s); ok && provided && prov == h {
+				vec[dv] = 1
+			}
+			if a.Available(b.sys, h, s) {
+				yv, _ := b.y(h, s)
+				vec[yv] = 1
+			}
 		}
 	}
-	for fk, xv := range b.xVar {
-		if a.Flows[dsps.Flow{From: fk.from, To: fk.to, Stream: fk.s}] {
+	b.eachFlowVar(func(from, to dsps.HostID, s dsps.StreamID, xv milp.Var) {
+		if a.Flows[dsps.Flow{From: from, To: to, Stream: s}] {
 			vec[xv] = 1
 		}
-	}
-	for zk, zv := range b.zVar {
-		if a.Ops[dsps.Placement{Host: zk.h, Op: zk.o}] {
-			vec[zv] = 1
-		}
-	}
-	for hk, yv := range b.yVar {
-		if a.Available(b.sys, hk.h, hk.s) {
-			vec[yv] = 1
+	})
+	for _, o := range b.freeOps {
+		for _, h := range b.hosts {
+			if a.Ops[dsps.Placement{Host: h, Op: o}] {
+				zv, _ := b.z(h, o)
+				vec[zv] = 1
+			}
 		}
 	}
 	b.fillPotentials(a, vec)
@@ -438,15 +444,13 @@ func (b *builder) vectorOf(a *dsps.Assignment) []float64 {
 // Active flows are acyclic (the assignment is validated), so |C| rounds of
 // Bellman-Ford relaxation converge.
 func (b *builder) fillPotentials(a *dsps.Assignment, vec []float64) {
+	var flows []dsps.Flow
+	pot := make([]float64, len(b.hosts)) // by host slot
 	for _, s := range b.freeStreams {
-		var flows []dsps.Flow
+		flows = flows[:0]
 		for _, h := range b.hosts {
 			for _, m := range b.hosts {
-				if h == m {
-					continue
-				}
-				f := dsps.Flow{From: h, To: m, Stream: s}
-				if a.Flows[f] {
+				if f := (dsps.Flow{From: h, To: m, Stream: s}); h != m && a.Flows[f] {
 					flows = append(flows, f)
 				}
 			}
@@ -454,21 +458,17 @@ func (b *builder) fillPotentials(a *dsps.Assignment, vec []float64) {
 		if len(flows) == 0 {
 			continue
 		}
-		pot := make(map[dsps.HostID]float64)
+		clear(pot)
 		for range b.hosts {
 			for _, f := range flows {
-				if need := pot[f.To] + 1; pot[f.From] < need {
-					pot[f.From] = need
+				if need := pot[b.hSlot[f.To]] + 1; pot[b.hSlot[f.From]] < need {
+					pot[b.hSlot[f.From]] = need
 				}
 			}
 		}
-		for h, v := range pot {
-			if pv, ok := b.pVar[hsKey{h, s}]; ok {
-				if v > b.bigM {
-					v = b.bigM
-				}
-				vec[pv] = v
-			}
+		for i, h := range b.hosts {
+			pv, _ := b.p(h, s)
+			vec[pv] = min(pot[i], b.bigM)
 		}
 	}
 }

@@ -170,3 +170,21 @@ func (r *recordingPlanner) events() int {
 	defer r.mu.Unlock()
 	return r.n
 }
+
+func TestEngineHostStates(t *testing.T) {
+	hosts := []dsps.Host{{ID: 0, CPU: 1}, {ID: 1, CPU: 1}, {ID: 2, CPU: 1}}
+	sys := dsps.NewSystem(hosts, 10)
+	eng := New(sys, DefaultConfig())
+	eng.FailHost(1)
+	got := eng.HostStates()
+	want := []dsps.HostState{dsps.HostUp, dsps.HostDown, dsps.HostUp}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("HostStates[%d] = %v, want %v", i, got[i], want[i])
+		}
+	}
+	eng.RecoverHost(1)
+	if st := eng.HostStates(); st[1] != dsps.HostUp {
+		t.Fatalf("recovered host still %v", st[1])
+	}
+}

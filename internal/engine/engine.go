@@ -50,10 +50,6 @@ type Config struct {
 	KeyDomain int64
 	// InboxDepth is the per-host network queue length.
 	InboxDepth int
-	// Transport selects how tuples cross host boundaries; nil uses the
-	// in-process channel transport. NewTCPTransport() runs every flow over
-	// loopback TCP, as the DISSP prototype does.
-	Transport Transport
 }
 
 // DefaultConfig returns sensible demo settings.
@@ -71,15 +67,14 @@ type Engine struct {
 	sys *dsps.System
 	cfg Config
 
-	hosts     []*host
-	down      []atomic.Bool // host failure flags (index = HostID)
-	mon       *Monitor
-	transport Transport
-	kernels   map[dsps.OperatorID]UnaryKernel
-	results   chan Tuple
-	ctx       context.Context
-	cancel    context.CancelFunc
-	wg        sync.WaitGroup
+	hosts   []*host
+	down    []atomic.Bool // host failure flags (index = HostID)
+	mon     *Monitor
+	kernels map[dsps.OperatorID]UnaryKernel
+	results chan Tuple
+	ctx     context.Context
+	cancel  context.CancelFunc
+	wg      sync.WaitGroup
 
 	// mu guards the deploy/stop lifecycle: running flips on Deploy and off
 	// only after Stop has joined every goroutine and closed results, so a
@@ -109,16 +104,11 @@ func New(sys *dsps.System, cfg Config) *Engine {
 	if cfg.InboxDepth <= 0 {
 		cfg.InboxDepth = 1024
 	}
-	tr := cfg.Transport
-	if tr == nil {
-		tr = &inprocTransport{}
-	}
 	return &Engine{
-		sys:       sys,
-		cfg:       cfg,
-		down:      make([]atomic.Bool, sys.NumHosts()),
-		mon:       NewMonitor(sys),
-		transport: tr,
+		sys:  sys,
+		cfg:  cfg,
+		down: make([]atomic.Bool, sys.NumHosts()),
+		mon:  NewMonitor(sys),
 	}
 }
 
@@ -250,10 +240,6 @@ func (e *Engine) Deploy(ctx context.Context, a *dsps.Assignment) error {
 	for h := 0; h < n; h++ {
 		e.hosts[h] = newHost(e, dsps.HostID(h))
 	}
-	if err := e.transport.Start(e); err != nil {
-		e.cancel()
-		return err
-	}
 
 	// Routing tables from the assignment.
 	for f, on := range a.Flows {
@@ -363,20 +349,25 @@ func (e *Engine) Stop() {
 		return
 	}
 	e.cancel()
-	e.transport.Stop()
 	e.wg.Wait()
 	close(e.results)
 	e.running = false
 }
 
-// send crosses the network via the configured transport; the monitor
-// accounts the transfer either way. Tuples to or from a failed host are
-// lost in flight and counted as drops at the sender.
+// send crosses the network — in process, straight into the destination
+// host's inbox — and the monitor accounts the transfer. Tuples to or from a
+// failed host are lost in flight and counted as drops at the sender; a full
+// inbox drops at the receiver.
 func (e *Engine) send(from, to dsps.HostID, t Tuple) {
 	if e.down[from].Load() || e.down[to].Load() {
 		e.mon.recordDrop(from)
 		return
 	}
 	e.mon.recordTransfer(from, to, e.sys.Streams[t.Stream].Rate)
-	e.transport.Send(from, to, t)
+	select {
+	case e.hosts[to].inbox <- t:
+	case <-e.ctx.Done():
+	default:
+		e.mon.recordDrop(to)
+	}
 }

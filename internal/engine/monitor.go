@@ -14,12 +14,10 @@ import (
 type Monitor struct {
 	sys *dsps.System
 
-	// The monitor's lock is a leaf: churn application and transport sends
-	// record into it while holding their own locks, and it must never nest
-	// around them.
+	// The monitor's lock is a leaf: churn application records into it
+	// while holding its own lock, and it must never nest around that.
 	//
 	//sqpr:lock-order Engine.churnMu < Monitor.mu
-	//sqpr:lock-order TCPTransport.mu < Monitor.mu
 	mu        sync.Mutex
 	cpuWork   []float64 // accumulated operator cost units per host
 	sent      []float64 // accumulated rate-weighted transfers out (network egress only)
@@ -34,9 +32,6 @@ type Monitor struct {
 
 	failures   int64
 	recoveries int64
-
-	reconnectAttempts int64
-	reconnectFailures int64
 }
 
 // NewMonitor creates a monitor for the system.
@@ -89,26 +84,6 @@ func (m *Monitor) recordHostEvent(failed bool) {
 		m.recoveries++
 	}
 	m.mu.Unlock()
-}
-
-func (m *Monitor) recordReconnectAttempt() {
-	m.mu.Lock()
-	m.reconnectAttempts++
-	m.mu.Unlock()
-}
-
-func (m *Monitor) recordReconnectFailure() {
-	m.mu.Lock()
-	m.reconnectFailures++
-	m.mu.Unlock()
-}
-
-// Reconnects returns how many times the transport redialled a previously
-// failed peer connection, and how many of those attempts failed again.
-func (m *Monitor) Reconnects() (attempts, failures int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.reconnectAttempts, m.reconnectFailures
 }
 
 // HostEvents returns the number of host failures and recoveries observed.

@@ -39,8 +39,6 @@ type EngineMetrics struct {
 	Snapshot                engine.Snapshot
 	LatencyMean, LatencyMax time.Duration
 	Failures, Recoveries    int64
-	ReconnectAttempts       int64
-	ReconnectFailures       int64
 }
 
 // WriteMetrics renders the snapshot in Prometheus text exposition format
@@ -109,8 +107,6 @@ func WriteMetrics(w io.Writer, d MetricsData) {
 		m.gauge("sqpr_engine_latency_max_seconds", "Maximum source-to-delivery latency.", e.LatencyMax.Seconds())
 		m.counter("sqpr_engine_host_failures_total", "Host failures observed by the monitor.", float64(e.Failures))
 		m.counter("sqpr_engine_host_recoveries_total", "Host recoveries observed by the monitor.", float64(e.Recoveries))
-		m.counter("sqpr_engine_reconnect_attempts_total", "Transport redials of previously failed peer connections.", float64(e.ReconnectAttempts))
-		m.counter("sqpr_engine_reconnect_failures_total", "Transport redials that failed again.", float64(e.ReconnectFailures))
 	}
 }
 

@@ -77,12 +77,10 @@ func goldenData() serve.MetricsData {
 				Drops:          []int64{0, 7},
 				ComputeSamples: 123,
 			},
-			LatencyMean:       3 * time.Millisecond,
-			LatencyMax:        90 * time.Millisecond,
-			Failures:          2,
-			Recoveries:        1,
-			ReconnectAttempts: 5,
-			ReconnectFailures: 2,
+			LatencyMean: 3 * time.Millisecond,
+			LatencyMax:  90 * time.Millisecond,
+			Failures:    2,
+			Recoveries:  1,
 		},
 	}
 }

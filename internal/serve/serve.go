@@ -288,7 +288,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		em := EngineMetrics{Snapshot: s.mon.Snapshot()}
 		em.LatencyMean, em.LatencyMax = s.mon.Latency()
 		em.Failures, em.Recoveries = s.mon.HostEvents()
-		em.ReconnectAttempts, em.ReconnectFailures = s.mon.Reconnects()
 		data.Engine = &em
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

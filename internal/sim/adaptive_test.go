@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"math"
 	"testing"
+
+	"sqpr/internal/dsps"
 )
 
 func TestAdaptiveExperiment(t *testing.T) {
@@ -41,5 +44,62 @@ func TestAdaptiveNoSurgeNoDrift(t *testing.T) {
 	}
 	if res.AdmittedAfter != res.AdmittedBefore {
 		t.Fatal("admissions changed without drift")
+	}
+}
+
+// driftSystem has one host and the chain ab = a⋈b, abc = ab⋈c.
+func driftSystem() (*dsps.System, *dsps.Operator, *dsps.Operator) {
+	hosts := []dsps.Host{{ID: 0, CPU: 100, OutBW: 100, InBW: 100}}
+	sys := dsps.NewSystem(hosts, 100)
+	a := sys.AddStream(10, dsps.NoOperator, "a")
+	b := sys.AddStream(20, dsps.NoOperator, "b")
+	c := sys.AddStream(5, dsps.NoOperator, "c")
+	sys.PlaceBase(0, a)
+	sys.PlaceBase(0, b)
+	sys.PlaceBase(0, c)
+	ab := sys.AddOperator([]dsps.StreamID{a, b}, 0, 0, "ab")
+	abc := sys.AddOperator([]dsps.StreamID{ab.Output, c}, 0, 0, "abc")
+	return sys, ab, abc
+}
+
+func TestDrift(t *testing.T) {
+	if Drift(10, 15) != 0.5 {
+		t.Fatal("drift wrong")
+	}
+	if Drift(0, 0) != 0 {
+		t.Fatal("zero drift wrong")
+	}
+	if !math.IsInf(Drift(0, 1), 1) {
+		t.Fatal("infinite drift wrong")
+	}
+}
+
+func TestDetectDriftOrdersBySeverity(t *testing.T) {
+	sys, ab, abc := driftSystem()
+	sys.Operators[ab.ID].Cost = 10
+	sys.Operators[abc.ID].Cost = 10
+	obs := []Observation{
+		{Op: ab.ID, Cost: 12},  // 20% drift
+		{Op: abc.ID, Cost: 30}, // 200% drift
+	}
+	got := DetectDrift(sys, obs, 0.1)
+	if len(got) != 2 || got[0].Op != abc.ID {
+		t.Fatalf("drift report: %+v", got)
+	}
+	got = DetectDrift(sys, obs, 0.5)
+	if len(got) != 1 || got[0].Op != abc.ID {
+		t.Fatalf("threshold filter failed: %+v", got)
+	}
+}
+
+func TestShortageHosts(t *testing.T) {
+	sys, _, _ := driftSystem()
+	u := &dsps.Usage{CPU: []float64{95}}
+	got := ShortageHosts(sys, u, 0.9)
+	if len(got) != 1 || got[0] != 0 {
+		t.Fatalf("shortage: %v", got)
+	}
+	if len(ShortageHosts(sys, &dsps.Usage{CPU: []float64{10}}, 0.9)) != 0 {
+		t.Fatal("false shortage")
 	}
 }

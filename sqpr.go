@@ -29,7 +29,6 @@ import (
 
 	"sqpr/internal/bound"
 	"sqpr/internal/core"
-	"sqpr/internal/costmodel"
 	"sqpr/internal/dsps"
 	"sqpr/internal/engine"
 	"sqpr/internal/heuristic"
@@ -121,11 +120,6 @@ type (
 	BoundPlanner = bound.Planner
 	// HierarchicalPlanner decomposes planning by host sites (§VII).
 	HierarchicalPlanner = hier.Planner
-	// CostModel estimates operator cost/memory and output rates (§II-B)
-	// and detects drift for adaptive replanning (§IV-B).
-	CostModel = costmodel.Model
-	// Observation is one monitoring sample for cost calibration.
-	Observation = costmodel.Observation
 )
 
 // Admission-service types: the goroutine-safe planner front-end.
@@ -322,9 +316,6 @@ func NewBoundPlanner(sys *System) *BoundPlanner { return bound.New(sys) }
 func NewHierarchicalPlanner(sys *System, cfg PlannerConfig, numSites int) *HierarchicalPlanner {
 	return hier.New(sys, cfg, numSites)
 }
-
-// NewCostModel returns the linear cost model with evaluation defaults.
-func NewCostModel() *CostModel { return costmodel.NewModel() }
 
 // GenerateWorkload populates sys with base streams, queries and the full
 // join-tree operator space, returning the submission sequence.
