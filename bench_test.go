@@ -784,77 +784,3 @@ func BenchmarkServiceThroughput(b *testing.B) {
 	b.ReportMetric(float64(satSvcAdm), "sat-svc-admitted")
 	b.ReportMetric(float64(satSerialAdm), "sat-serial-admitted")
 }
-
-// BenchmarkLPLargeModel solves a batch-union model in the size class that
-// forced the dense engine into tractability splits: the whole workload is
-// submitted as ONE WithBatch joint solve with the closure cap lifted, so the
-// planner compiles a single MILP over the union of every query's sharing
-// closure (~9k variables) instead of carving it into sub-batches. On the
-// dense tableau this model was a multi-gigabyte allocation before the first
-// pivot; the sparse revised simplex prices it at its nonzero count.
-//
-// The serialized one-at-a-time baseline (default closure cap) runs once
-// outside the timer as the admitted-set reference: capacity is ample at this
-// scale, so admission is order-independent and the joint solve must admit
-// exactly the same query set (set-equal). Metrics feed BENCH_5.json via
-// scripts/bench.sh, which fails when the sets differ, the model is smaller
-// than the size class claims, or memory per solve grows back toward dense
-// territory.
-func BenchmarkLPLargeModel(b *testing.B) {
-	sc := sim.DefaultScale()
-	sc.Hosts = 12
-	sc.CPUPerHost = 40 // ample: every query fits under any order
-	sc.OutBW = 600
-	sc.InBW = 600
-	sc.LinkCap = 300
-	sc.BaseStreams = 48
-	sc.Queries = 10
-	sc.Zipf = 0.8
-	sc.MaxCandHost = 10
-	sc.Timeout = 3 * time.Second
-
-	ctx := context.Background()
-	env := sim.BuildEnv(sc)
-
-	// Serialized reference: default per-call closure cap, one query at a
-	// time, workload order.
-	serialCfg := core.DefaultConfig()
-	serialCfg.SolveTimeout = sc.Timeout
-	serialCfg.MaxCandidateHosts = sc.MaxCandHost
-	serial := core.NewPlanner(env.Sys, serialCfg)
-	for _, q := range env.Queries {
-		if _, err := serial.Submit(ctx, q); err != nil {
-			b.Fatal(err)
-		}
-	}
-
-	jointCfg := core.DefaultConfig()
-	jointCfg.SolveTimeout = sc.Timeout
-	jointCfg.MaxCandidateHosts = sc.MaxCandHost
-	jointCfg.MaxFreeStreams = 1 << 20 // no closure cap: the union stays whole
-
-	var modelVars, jointAdm int
-	setEqual := 1.0
-	var joint *core.Planner
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		joint = core.NewPlanner(env.Sys, jointCfg)
-		res, err := joint.Submit(ctx, env.Queries[0], plan.WithBatch(env.Queries[1:]...))
-		if err != nil {
-			b.Fatal(err)
-		}
-		modelVars = res.ModelVars
-	}
-	b.StopTimer()
-	jointAdm = joint.AdmittedCount()
-	for _, q := range env.Queries {
-		if joint.Admitted(q) != serial.Admitted(q) {
-			setEqual = 0
-		}
-	}
-	b.ReportMetric(float64(modelVars), "model-vars")
-	b.ReportMetric(float64(jointAdm), "joint-admitted")
-	b.ReportMetric(float64(serial.AdmittedCount()), "serial-admitted")
-	b.ReportMetric(setEqual, "set-equal")
-}

@@ -63,7 +63,9 @@ func main() {
 		fmt.Printf("query %2d (stream %3d, %s): %-28s plan-time=%-8v reduced-model: %d streams / %d ops / %d hosts\n",
 			i, q, sys.Streams[q].Name, verdict, res.PlanTime.Round(time.Millisecond),
 			res.FreeStreams, res.FreeOps, res.CandidateHosts)
-		if *showStats {
+		if *showStats && res.SeedClosed {
+			fmt.Println("    solver: skipped (seed within gap of the a-priori bound)")
+		} else if *showStats {
 			fmt.Printf("    solver: %d nodes, %d presolve-fixed vars, %d LP iters\n",
 				res.Nodes, res.PresolveFixed, res.LPIters)
 			fmt.Printf("    basis:  %d refactorizations (%d drift-forced), %d eta updates (peak file %d), fill-in %.2f\n",
@@ -77,9 +79,9 @@ func main() {
 
 	if *showStats {
 		st := p.Stats()
-		fmt.Printf("cumulative solver effort: %d nodes, %d presolve-fixed, %d LP iters over %d submissions (%d timeouts, %d stalls)\n",
+		fmt.Printf("cumulative solver effort: %d nodes, %d presolve-fixed, %d LP iters over %d submissions (%d skipped, %d timeouts, %d stalls)\n",
 			st.TotalNodes, st.TotalPresolveFixed,
-			st.TotalLPIters, st.Submissions, st.Timeouts, st.Stalls)
+			st.TotalLPIters, st.Submissions, st.SeedClosed, st.Timeouts, st.Stalls)
 		fmt.Printf("cumulative basis effort:  %d refactorizations (%d drift-forced), %d eta updates, peak eta file %d, peak fill-in %.2f\n\n",
 			st.Factor.Refactors, st.Factor.DriftRebuilds, st.Factor.EtaAppends,
 			st.Factor.PeakEtas, st.Factor.FillRatio)

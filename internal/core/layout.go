@@ -113,6 +113,9 @@ func (l *layout) place(provide func(dsps.StreamID) bool) {
 	l.lVar = l.zBase + milp.Var(len(l.freeOps)*nh)
 }
 
+// numVars is the size of the model laid out: L is its last variable.
+func (l *layout) numVars() int { return int(l.lVar) + 1 }
+
 //sqpr:hotpath
 func (l *layout) hasStream(s dsps.StreamID) bool { return l.sSlot[s] >= 0 }
 

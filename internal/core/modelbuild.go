@@ -581,14 +581,7 @@ func (b *builder) setObjective() {
 			if !ok {
 				break // no provide variables for s
 			}
-			coef := w.L1
-			// Draining hosts should shed their client delivery points too:
-			// the reduced reward still dwarfs every other term, so admission
-			// is never sacrificed, but a provider that can move off moves.
-			if sys.Hosts[h].State == dsps.HostDraining {
-				coef -= migrationWeight
-			}
-			terms = append(terms, milp.Term{Var: dv, Coef: coef})
+			terms = append(terms, milp.Term{Var: dv, Coef: w.provide(sys, h)})
 		}
 	}
 	b.eachFlowVar(func(_, _ dsps.HostID, s dsps.StreamID, xv milp.Var) {

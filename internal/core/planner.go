@@ -8,9 +8,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"time"
 
 	"sqpr/internal/dsps"
+	"sqpr/internal/invariant"
 	"sqpr/internal/milp"
 	"sqpr/internal/plan"
 )
@@ -60,6 +62,44 @@ func (w Weights) Objective(n Norm, satisfied int, network, cpu, maxCPU float64) 
 	return w.L1*float64(satisfied) - w.L2*network/n.Link - w.L3*cpu/n.CPU - w.L4*maxCPU/n.MaxCPU
 }
 
+// provide is the (III.3) coefficient c_hs of provide variable d_hs. Draining
+// hosts should shed their delivery points too: the reduced reward still
+// dwarfs every other term, but a provider that can move off moves.
+func (w Weights) provide(sys *dsps.System, h dsps.HostID) float64 {
+	if sys.Hosts[h].State == dsps.HostDraining {
+		return w.L1 - migrationWeight
+	}
+	return w.L1
+}
+
+// seedGap bounds, without building the model, how far the seed just built
+// (b.track is still its ledger) can sit below the model's optimum. (III.3)
+// bounds itself: d is the only variable family with a positive coefficient
+// and Σ_h d_hs ≤ 1, every other variable has a non-positive coefficient and
+// lower bound 0, so no point scores above the ceiling Σ_s max_h c_hs over
+// the streams with provide variables. The seed collects c at its provider
+// for each one it serves and pays its λ2–λ4 terms, which the ledger's
+// system-wide usage over-estimates. Unpinned models only: stay bonuses are
+// positive coefficients outside the ceiling.
+func (b *builder) seedGap(seed *dsps.Assignment) float64 {
+	w := b.planner.cfg.Weights
+	var best float64
+	for _, h := range b.hosts {
+		best = max(best, w.provide(b.sys, h))
+	}
+	gap := -b.scoreResources()
+	for i, s := range b.freeStreams {
+		if b.stride[i] != 3 {
+			continue // no provide variables for s
+		}
+		gap += best
+		if h, ok := seed.Provides[s]; ok && b.hasHost(h) {
+			gap -= w.provide(b.sys, h)
+		}
+	}
+	return gap
+}
+
 // Config tunes the planner.
 type Config struct {
 	Weights Weights
@@ -89,8 +129,8 @@ type Config struct {
 	// only the new query's own placement is optimised (ablation of the
 	// replanning behind constraint (IV.9)).
 	DisableReplan bool
-	// DisableWarmStart withholds the greedy incumbent from the solver
-	// (ablation; the search then has to find its first feasible point).
+	// DisableWarmStart means no greedy seed (ablation): every call takes the
+	// full solve, whose search has to find its first feasible point.
 	DisableWarmStart bool
 	// DisableTreeReduction turns off MILP presolve and pseudo-cost
 	// branching, so the solver runs plain most-fractional branch and
@@ -272,8 +312,6 @@ func (p *Planner) submit(ctx context.Context, qs []dsps.StreamID, timeout time.D
 	res.FreeOps = len(b.freeOps)
 	res.CandidateHosts = len(b.hosts)
 
-	model := b.build()
-	res.ModelVars = model.NumVars()
 	opts := milp.Options{
 		Ctx:                  ctx,
 		Deadline:             deadline,
@@ -286,21 +324,33 @@ func (p *Planner) submit(ctx context.Context, qs []dsps.StreamID, timeout time.D
 		// still fathoming hopeless subtrees early.
 		AbsGapTol: 0.02 * p.cfg.Weights.L1,
 	}
-	if !p.cfg.DisableWarmStart {
-		opts.Incumbent = b.incumbent(deadline)
+	seed := b.seed(deadline)
+	var next *dsps.Assignment
+	var err error
+	// Bound before build: a seed within the tolerance of the a-priori ceiling
+	// is what the solve would return from its root (no LP bound is above the
+	// ceiling), so it takes the decoded point's tail and no model is built —
+	// unless ctx ended (solve reports that) or the relay ablation is on
+	// (its seed may relay, i.e. not be a point of the model).
+	if seed != nil && ctx.Err() == nil && !p.cfg.DisableRelay && b.seedGap(seed) <= opts.AbsGapTol {
+		if invariant.Enabled {
+			p.mustStopAtRoot(ctx, b, seed, opts)
+		}
+		b.pruneUnused(seed)
+		res.SeedClosed, res.SolveStatus = true, milp.FeasibleMIP
+		next, err = p.validated(seed, &res)
+	} else {
+		// Large reduced models get a stagnation stop: their LP bound carries
+		// fractional admissions of other unserved queries, a gap no realistic
+		// node budget closes (measured: tens of thousands of nodes leave the
+		// admissions unchanged). Small models search their full budget: on
+		// them a late admission find is cheap and real (the Fig. 2
+		// shared-chain and relay scenarios need more than 48 nodes).
+		if b.numVars() >= stallVarThreshold {
+			opts.StallNodes = stallNodesLarge
+		}
+		next, err = p.solve(ctx, b, seed, opts, &res)
 	}
-	// Large reduced models get a stagnation stop: their LP bound carries
-	// fractional admissions of other unserved queries, a gap no realistic
-	// node budget closes (measured: tens of thousands of nodes leave the
-	// admission decisions unchanged), so a search that has stopped
-	// improving its incumbent is burning deadline on nothing. Small models
-	// search their full budget — on them a late admission find is cheap
-	// and real (the Fig. 2 shared-chain and relay scenarios need more than
-	// 48 nodes; submitMaxNodes covers them).
-	if model.NumVars() >= stallVarThreshold {
-		opts.StallNodes = stallNodesLarge
-	}
-	next, err := p.solve(ctx, b, model, opts, &res)
 	if next != nil {
 		// Accept the new allocation; with several fresh queries, Admitted
 		// reports "all admitted".
@@ -318,12 +368,18 @@ func (p *Planner) submit(ctx context.Context, qs []dsps.StreamID, timeout time.D
 	return res, err
 }
 
-// solve runs the built model and decodes the solver's answer into the next
-// assignment, filling res's solver telemetry. It returns nil when there is
-// nothing to commit: with an error when ctx was cancelled mid-solve (any
-// incumbent is discarded) or the output fails to decode or validate, and
-// with res.Reason set when no feasible point was found within the budget.
-func (p *Planner) solve(ctx context.Context, b *builder, model *milp.Model, opts milp.Options, res *Result) (*dsps.Assignment, error) {
+// solve builds the model, runs it from the seed (when there is one) and
+// decodes the solver's answer into the next assignment, filling res's solver
+// telemetry. It returns nil when there is nothing to commit: with an error
+// when ctx was cancelled mid-solve (any incumbent is discarded) or the
+// output fails to decode or validate, and with res.Reason set when no
+// feasible point was found within the budget.
+func (p *Planner) solve(ctx context.Context, b *builder, seed *dsps.Assignment, opts milp.Options, res *Result) (*dsps.Assignment, error) {
+	model := b.build()
+	res.ModelVars = model.NumVars()
+	if seed != nil {
+		opts.Incumbent = b.vectorOf(seed)
+	}
 	sol := model.Solve(opts)
 	res.SolveStatus = sol.Status
 	res.Nodes = sol.Nodes
@@ -344,6 +400,11 @@ func (p *Planner) solve(ctx context.Context, b *builder, model *milp.Model, opts
 	if err != nil {
 		return nil, fmt.Errorf("core: decoding solver output: %w", err)
 	}
+	return p.validated(next, res)
+}
+
+// validated passes next through unless the call validates and it fails.
+func (p *Planner) validated(next *dsps.Assignment, res *Result) (*dsps.Assignment, error) {
 	if p.validate {
 		if err := next.Validate(p.sys); err != nil {
 			res.Reason = plan.ReasonValidationFailed
@@ -351,4 +412,17 @@ func (p *Planner) solve(ctx context.Context, b *builder, model *milp.Model, opts
 		}
 	}
 	return next, nil
+}
+
+// mustStopAtRoot is the checked-build proof that seedGap changes no output:
+// the skipped solve, run anyway, stops at its root and hands the seed back.
+func (p *Planner) mustStopAtRoot(ctx context.Context, b *builder, seed *dsps.Assignment, opts milp.Options) {
+	var full Result
+	got, err := p.solve(ctx, b, seed, opts, &full)
+	want := seed.Clone()
+	b.pruneUnused(want)
+	if ctx.Err() == nil && !full.BudgetHit && (full.Nodes != 1 || got == nil || !maps.Equal(got.Provides, want.Provides) ||
+		!maps.Equal(got.Ops, want.Ops) || !maps.Equal(got.Flows, want.Flows)) {
+		invariant.Failf("core: seed %g below the ceiling, yet the solve took %d nodes or moved the plan (%v)", b.seedGap(seed), full.Nodes, err)
+	}
 }

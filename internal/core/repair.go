@@ -222,31 +222,6 @@ func (p *Planner) repairChunks(affected []dsps.StreamID) [][]dsps.StreamID {
 	return chunks
 }
 
-// greedyRepair attempts the additive fast path for one chunk (see
-// repairChunk): re-admit every chunk query with the greedy planner on top
-// of the pinned surviving allocation. It reports ok=false — falling back
-// to the delta MILP — when any query stays unadmitted, when a draining
-// candidate host should be evacuated, when drift asks for re-placement of
-// an operator in this chunk, or when the warm start is disabled (its
-// ablation must also ablate this).
-func (b *builder) greedyRepair(thorough bool, deadline time.Time) (*dsps.Assignment, bool) {
-	if b.planner.cfg.DisableWarmStart || thorough {
-		return nil, false
-	}
-	cand := b.planner.Assignment().Clone()
-	b.track.Reset(b.sys, cand)
-	b.seedArm(deadline)
-	for _, q := range b.queries {
-		if _, ok := cand.Provides[q]; ok {
-			continue
-		}
-		if !b.greedyAdmit(cand, q) {
-			return nil, false
-		}
-	}
-	return cand, true
-}
-
 // repairChunk runs one delta solve over the chunk's pinned free set.
 func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before *dsps.Assignment, noBonus []bool, deadline time.Time) (Result, error) {
 	start := time.Now()
@@ -295,17 +270,18 @@ func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before
 	// query, the result is simultaneously admission-complete and
 	// migration-minimal — no delta solve can keep more queries or move
 	// fewer survivors — so the MILP is skipped. Drain chunks (a draining
-	// candidate host needs evacuating) and drift chunks (re-placement is
-	// the goal) always take the full solve.
-	if fast, ok := b.greedyRepair(thorough, deadline); ok {
-		res.Admitted = p.Commit(fast, chunk...)
+	// candidate host needs evacuating), drift chunks (re-placement is the
+	// goal) and the warm-start ablation (no seed) always take the full solve.
+	seed := b.seed(deadline)
+	unserved := func(q dsps.StreamID) bool { _, ok := seed.Provides[q]; return !ok }
+	if seed != nil && !thorough && !slices.ContainsFunc(chunk, unserved) {
+		res.Admitted = p.Commit(seed, chunk...)
+		res.SeedClosed = true
 		res.PlanTime = time.Since(start)
 		p.Record(res)
 		return res, nil
 	}
 
-	model := b.build()
-	res.ModelVars = model.NumVars()
 	opts := milp.Options{
 		Ctx:                  ctx,
 		Deadline:             deadline,
@@ -333,27 +309,19 @@ func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before
 	} else {
 		opts.StallNodes = stallNodesLarge
 	}
-	if !p.cfg.DisableWarmStart {
-		opts.Incumbent = b.incumbent(deadline)
-	}
-	next, err := p.solve(ctx, b, model, opts, &res)
-	if next == nil {
-		// The degraded state is already committed; the chunk simply stays
-		// un-repaired (its hard queries remain dropped) — on cancellation,
-		// on unusable solver output, or when no feasible point was found
-		// within the budget (only possible with the warm start disabled).
-		res.PlanTime = time.Since(start)
-		if err == nil {
-			p.Record(res)
+	next, err := p.solve(ctx, b, seed, opts, &res)
+	if next != nil {
+		if res.Admitted = p.Commit(next, chunk...); !res.Admitted {
+			res.Reason = plan.ReasonNoFeasiblePlan
 		}
-		return res, err
 	}
-
-	res.Admitted = p.Commit(next, chunk...)
-	if !res.Admitted {
-		res.Reason = plan.ReasonNoFeasiblePlan
-	}
+	// Otherwise the degraded state is already committed; the chunk simply
+	// stays un-repaired (its hard queries remain dropped) — on cancellation,
+	// on unusable solver output, or when no feasible point was found within
+	// the budget (only possible with the warm start disabled).
 	res.PlanTime = time.Since(start)
-	p.Record(res)
-	return res, nil
+	if err == nil {
+		p.Record(res)
+	}
+	return res, err
 }

@@ -7,28 +7,29 @@ import (
 	"sqpr/internal/milp"
 )
 
-// incumbent produces a warm-start vector for the MILP: the current
-// allocation (always feasible for the new model thanks to (IV.9)) extended,
-// when possible, with a greedy plan that admits the new queries. The greedy
-// plan mirrors what a simple planner would do — assemble each query on a
-// single host, reusing streams that already exist — and gives the branch
-// and bound an admission-positive incumbent to improve on.
+// seed produces the call's warm start: the current allocation (always
+// feasible for the new model thanks to (IV.9)) extended, when possible, with
+// a greedy plan that admits the new queries the way a simple planner would —
+// each assembled on a single host, reusing streams that already exist. It
+// needs the layout and the usage ledger, never the model, so submit and
+// repairChunk run it before deciding whether to build one; vectorOf turns it
+// into the solver's incumbent. nil under Config.DisableWarmStart.
 //
 // The greedy probes many partial plans per query; it tracks resource usage
 // incrementally and rolls trial placements back through an undo journal, so
-// probing never clones the assignment or recomputes usage from scratch
-// (both used to dominate the planning call on contended instances).
+// probing never clones the assignment or recomputes usage from scratch.
 //
 // planStreamAt is an exponential backtracking search (producers × hosts,
 // recursing through operator inputs), so the greedy runs under two brakes,
 // armed by seedArm: a probe budget shared across the call, and the solve
-// deadline, polled inside the recursion every 256 probes. On contended
-// joint (batch) models the unbraked search could take minutes — longer
-// than the whole solve budget — before the MILP even compiled. A truncated
-// greedy is harmless: the incumbent is simply the current allocation
-// extended with however many queries were admitted before the brake, still
-// a feasible warm start for the solver to improve on.
-func (b *builder) incumbent(deadline time.Time) []float64 {
+// deadline, polled inside the recursion every 256 probes (on contended
+// joint models the unbraked search could take minutes). A truncated greedy
+// is harmless: the seed is the current allocation extended with however many
+// queries were admitted before the brake, still a feasible warm start.
+func (b *builder) seed(deadline time.Time) *dsps.Assignment {
+	if b.planner.cfg.DisableWarmStart {
+		return nil
+	}
 	cand := b.planner.Assignment().Clone()
 	b.track.Reset(b.sys, cand)
 	b.seedArm(deadline)
@@ -41,7 +42,7 @@ func (b *builder) incumbent(deadline time.Time) []float64 {
 		}
 		b.greedyAdmit(cand, q)
 	}
-	return b.vectorOf(cand)
+	return cand
 }
 
 // seedProbeBudget caps planStreamAt invocations per armed greedy run — a
@@ -400,7 +401,7 @@ func (b *builder) fetchFlow(trial *dsps.Assignment, from, to dsps.HostID, s dsps
 
 // vectorOf encodes an assignment as a point in the model's variable space.
 func (b *builder) vectorOf(a *dsps.Assignment) []float64 {
-	vec := make([]float64, b.model.NumVars())
+	vec := make([]float64, b.numVars())
 	for _, s := range b.freeStreams {
 		prov, provided := a.Provides[s]
 		for _, h := range b.hosts {

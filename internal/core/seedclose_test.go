@@ -1,0 +1,316 @@
+package core
+
+import (
+	"context"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+	"time"
+
+	"sqpr/internal/dsps"
+	"sqpr/internal/milp"
+	"sqpr/internal/plan"
+	"sqpr/internal/workload"
+)
+
+// fullSolveOptions are the solver options submit hands to solve for the
+// model b lays out, without a deadline.
+func fullSolveOptions(p *Planner, b *builder) milp.Options {
+	opts := milp.Options{
+		Ctx:       context.Background(),
+		MaxNodes:  submitMaxNodes,
+		GapTol:    submitGapTol,
+		AbsGapTol: 0.02 * p.cfg.Weights.L1,
+	}
+	if b.numVars() >= stallVarThreshold {
+		opts.StallNodes = stallNodesLarge
+	}
+	return opts
+}
+
+// churnWalk is a seeded submit/remove walk over the benchmark's 15-host
+// substrate (population seed 7, the daemon's planner limits) under a
+// timeout no call comes near.
+type churnWalk struct {
+	p       *Planner
+	sys     *dsps.System
+	cfg     Config
+	queries []dsps.StreamID
+	rng     *rand.Rand
+}
+
+func newChurnWalk() *churnWalk {
+	sys := workload.BuildSystem(workload.SystemConfig{NumHosts: 15, CPUPerHost: 10, OutBW: 60, InBW: 60, LinkCap: 25})
+	w := workload.Generate(sys, workload.Config{
+		NumBaseStreams: 150, BaseRate: 10, Zipf: 1, Arities: []int{2, 3}, NumQueries: 150,
+		SelMin: 0.001, SelMax: 0.005, CostPerRate: 0.05, Seed: 7,
+	})
+	cfg := DefaultConfig()
+	cfg.SolveTimeout = time.Minute
+	cfg.MaxCandidateHosts = 8
+	cfg.MaxFreeStreams = 30
+	return &churnWalk{p: NewPlanner(sys, cfg), sys: sys, cfg: cfg, queries: w.Queries, rng: rand.New(rand.NewSource(23))}
+}
+
+// next removes admitted queries at random (one step in three once a third of
+// the population is in) and returns the next query to submit, not yet
+// admitted.
+func (w *churnWalk) next(t *testing.T) dsps.StreamID {
+	t.Helper()
+	for {
+		if adm := w.p.AdmittedQueries(); len(adm) > len(w.queries)/3 && w.rng.Intn(3) == 0 {
+			if err := w.p.Remove(adm[w.rng.Intn(len(adm))]); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if q := w.queries[w.rng.Intn(len(w.queries))]; !w.p.Admitted(q) {
+			return q
+		}
+	}
+}
+
+// TestSeedCloseCeilingIsABound checks, model by model, the argument Submit's
+// fast path stands on: (III.3)'s a-priori ceiling is above the LP bound and
+// above every incumbent, and seedGap never under-states the seed's distance
+// from it.
+func TestSeedCloseCeilingIsABound(t *testing.T) {
+	w := newChurnWalk()
+	p := w.p
+	ctx := context.Background()
+	closable := 0
+	for models := 0; models < 220; models++ {
+		q := w.next(t)
+		p.beginCall(plan.SubmitConfig{})
+		b := p.newBuilder([]dsps.StreamID{q}, false)
+		seed := b.seed(time.Time{})
+		gap := b.seedGap(seed)
+		model := b.build()
+
+		// The ceiling, restated: the best provide coefficient any candidate
+		// host offers, once per stream with provide variables.
+		var best, ceiling float64
+		for _, h := range b.hosts {
+			best = max(best, p.cfg.Weights.provide(b.sys, h))
+		}
+		for i := range b.freeStreams {
+			if b.stride[i] == 3 {
+				ceiling += best
+			}
+		}
+
+		opts := fullSolveOptions(p, b)
+		opts.Incumbent = b.vectorOf(seed)
+		// With an unbounded tolerance the search stops at its root on the
+		// warm start: Objective is the seed's, Bound the root LP's.
+		atSeed := opts
+		atSeed.AbsGapTol = math.Inf(1)
+		root := model.Solve(atSeed)
+		if root.Nodes != 1 || !slices.Equal(root.X, opts.Incumbent) {
+			t.Fatalf("model %d: the root stop did not return the seed (%d nodes, status %v)", models, root.Nodes, root.Status)
+		}
+		full := model.Solve(opts)
+		if full.X == nil {
+			t.Fatalf("model %d: full solve lost the incumbent", models)
+		}
+		for name, v := range map[string]float64{"root LP bound": root.Bound, "full-solve bound": full.Bound, "seed objective": root.Objective, "best incumbent": full.Objective} {
+			if ceiling < v-1e-9 {
+				t.Fatalf("model %d: ceiling %.12g below the %s %.12g", models, ceiling, name, v)
+			}
+		}
+		if root.Objective+gap < ceiling-1e-9 {
+			t.Fatalf("model %d: seedGap %.12g under-states the seed's distance to the ceiling (%.12g − %.12g)",
+				models, gap, ceiling, root.Objective)
+		}
+		if gap <= opts.AbsGapTol {
+			closable++
+		}
+		if _, err := p.Submit(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if closable < 40 {
+		t.Fatalf("only %d of 220 models had a seed within the tolerance of the ceiling: the walk no longer exercises the fast path", closable)
+	}
+}
+
+// TestSeedCloseMatchesFullSolve replays every submission the seed closed on
+// a planner cloned just before it, through the full path: the solve must
+// stop at its root and leave a byte-identical state.
+func TestSeedCloseMatchesFullSolve(t *testing.T) {
+	w := newChurnWalk()
+	ctx := context.Background()
+	closed := 0
+	for step := 0; step < 220; step++ {
+		q := w.next(t)
+		clone := NewPlanner(w.sys, w.cfg)
+		if err := clone.ImportState(w.p.ExportState()); err != nil {
+			t.Fatal(err)
+		}
+		res, err := w.p.Submit(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.SeedClosed {
+			if res.Nodes == 0 || res.ModelVars == 0 {
+				t.Fatalf("step %d: neither seed-closed nor solved: %+v", step, res)
+			}
+			continue
+		}
+		closed++
+		if !res.Admitted || res.Nodes != 0 || res.LPIters != 0 || res.ModelVars != 0 || res.SolveStatus != milp.FeasibleMIP {
+			t.Fatalf("step %d: seed-closed result carries solver effort or no admission: %+v", step, res)
+		}
+		clone.beginCall(plan.SubmitConfig{})
+		b := clone.newBuilder([]dsps.StreamID{q}, false)
+		var full Result
+		next, err := clone.solve(ctx, b, b.seed(time.Time{}), fullSolveOptions(clone, b), &full)
+		if err != nil || next == nil {
+			t.Fatalf("step %d: full path failed: %v (%+v)", step, err, full)
+		}
+		clone.Commit(next, q)
+		if full.Nodes != 1 {
+			t.Fatalf("step %d: the full path searched %d nodes where the seed closed the call", step, full.Nodes)
+		}
+		if !clone.ExportState().Equal(w.p.ExportState()) {
+			t.Fatalf("step %d: fast path and full path disagree on the state after query %d", step, q)
+		}
+	}
+	if st := w.p.Stats(); closed < 40 || st.SeedClosed != closed {
+		t.Fatalf("%d seed-closed submissions seen, Stats counts %d (want ≥ 40 and equal)", closed, st.SeedClosed)
+	}
+}
+
+// nestedSystem has a requested join ab = a⋈b feeding a second requested
+// join abc = ab⋈c, and a third query ac = a⋈c sharing base stream a; all
+// base streams sit on host 0 and every host could run everything.
+func nestedSystem(t *testing.T, cpu float64) (sys *dsps.System, ab, abc, ac dsps.StreamID) {
+	t.Helper()
+	hosts := make([]dsps.Host, 3)
+	for i := range hosts {
+		hosts[i] = dsps.Host{ID: dsps.HostID(i), CPU: cpu, OutBW: 100, InBW: 100}
+	}
+	sys = dsps.NewSystem(hosts, 100)
+	a := sys.AddStream(5, dsps.NoOperator, "a")
+	b := sys.AddStream(5, dsps.NoOperator, "b")
+	c := sys.AddStream(5, dsps.NoOperator, "c")
+	for _, s := range []dsps.StreamID{a, b, c} {
+		sys.PlaceBase(0, s)
+	}
+	ab = sys.AddOperator([]dsps.StreamID{a, b}, 1, 1, "a⋈b").Output
+	abc = sys.AddOperator([]dsps.StreamID{ab, c}, 1, 1, "ab⋈c").Output
+	ac = sys.AddOperator([]dsps.StreamID{a, c}, 1, 1, "a⋈c").Output
+	for _, s := range []dsps.StreamID{ab, abc, ac} {
+		sys.SetRequested(s, true)
+	}
+	if err := sys.Validate(); err != nil {
+		t.Fatalf("system invalid: %v", err)
+	}
+	return sys, ab, abc, ac
+}
+
+// mustSubmit submits q (with batch companions) and checks whether the seed
+// closed the call.
+func mustSubmit(t *testing.T, p *Planner, wantClosed bool, q dsps.StreamID, batch ...dsps.StreamID) Result {
+	t.Helper()
+	res, err := p.Submit(context.Background(), q, plan.WithBatch(batch...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SeedClosed != wantClosed {
+		t.Fatalf("Submit(%d, batch %v): SeedClosed = %v, want %v (%+v)", q, batch, res.SeedClosed, wantClosed, res)
+	}
+	if solved := res.ModelVars > 0 && res.Nodes > 0; solved == wantClosed {
+		t.Fatalf("Submit(%d, batch %v): seed-closed %v but solver effort %+v", q, batch, wantClosed, res)
+	}
+	if err := p.Assignment().Validate(p.sys); err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestSeedCloseMustNotFire pins the cases the ceiling leaves open, each next
+// to the control in which the same submission is closed by its seed.
+func TestSeedCloseMustNotFire(t *testing.T) {
+	t.Run("requested free stream left unprovided", func(t *testing.T) {
+		sys, ab, abc, _ := nestedSystem(t, 10)
+		p := NewPlanner(sys, testConfig())
+		// abc's closure frees ab, requested and never submitted: its provide
+		// variables keep λ1 of the ceiling out of the seed's reach.
+		if res := mustSubmit(t, p, false, abc); !res.Admitted {
+			t.Fatalf("abc rejected: %+v", res)
+		}
+		// Control: ab's model frees abc too, and the seed now serves both.
+		if res := mustSubmit(t, p, true, ab); !res.Admitted || p.AdmittedCount() != 2 {
+			t.Fatalf("ab not admitted beside abc: %+v", res)
+		}
+	})
+	t.Run("query the seed cannot place", func(t *testing.T) {
+		sys, ab, _, _ := nestedSystem(t, 0.5) // no host can run a cost-1 join
+		p := NewPlanner(sys, testConfig())
+		if res := mustSubmit(t, p, false, ab); res.Admitted {
+			t.Fatalf("ab admitted without CPU: %+v", res)
+		}
+	})
+	t.Run("provider on a draining host", func(t *testing.T) {
+		for _, drain := range []bool{false, true} {
+			sys, ab, _, ac := nestedSystem(t, 10)
+			p := NewPlanner(sys, testConfig())
+			mustSubmit(t, p, true, ab)
+			if drain {
+				// ac shares base stream a, so ab is freed with it; leaving ab's
+				// provider on the draining host forfeits migrationWeight.
+				sys.SetHostState(p.Assignment().Provides[ab], dsps.HostDraining)
+			}
+			if res := mustSubmit(t, p, !drain, ac); !res.Admitted || !p.Admitted(ab) {
+				t.Fatalf("drain=%v: ac or ab lost: %+v", drain, res)
+			}
+		}
+	})
+	t.Run("DisableWarmStart", func(t *testing.T) {
+		sys, ab, _, _ := nestedSystem(t, 10)
+		cfg := testConfig()
+		cfg.DisableWarmStart = true
+		if res := mustSubmit(t, NewPlanner(sys, cfg), false, ab); !res.Admitted {
+			t.Fatalf("cold solve rejected ab: %+v", res)
+		}
+	})
+	t.Run("DisableRelay", func(t *testing.T) {
+		sys, ab, _, _ := nestedSystem(t, 10)
+		cfg := testConfig()
+		cfg.DisableRelay = true
+		if res := mustSubmit(t, NewPlanner(sys, cfg), false, ab); !res.Admitted {
+			t.Fatalf("no-relay solve rejected ab: %+v", res)
+		}
+	})
+	t.Run("resource terms above the tolerance", func(t *testing.T) {
+		sys, ab, _, _ := nestedSystem(t, 10)
+		cfg := testConfig()
+		cfg.Weights = Weights{L1: 1, L2: 1, L3: 1, L4: 1} // AbsGapTol 0.02, one join's load terms 0.13
+		if res := mustSubmit(t, NewPlanner(sys, cfg), false, ab); !res.Admitted {
+			t.Fatalf("ab rejected under flat weights: %+v", res)
+		}
+	})
+}
+
+// TestSeedCloseJointBatch: a WithBatch submit is closed by its seed only when
+// the seed serves every query of the batch.
+func TestSeedCloseJointBatch(t *testing.T) {
+	sys, ab, _, ac := nestedSystem(t, 10)
+	p := NewPlanner(sys, testConfig())
+	if res := mustSubmit(t, p, true, ab, ac); !res.Admitted || p.AdmittedCount() != 2 {
+		t.Fatalf("ample batch not fully admitted: %+v", res)
+	}
+	if st := p.Stats(); st.Submissions != 1 || st.SeedClosed != 1 {
+		t.Fatalf("stats after one seed-closed batch: %+v", st)
+	}
+
+	// One host with CPU for a single join: the seed serves ab and leaves ac.
+	sys, ab, _, ac = nestedSystem(t, 0.5)
+	sys.Hosts[0].CPU = 1
+	p = NewPlanner(sys, testConfig())
+	if res := mustSubmit(t, p, false, ab, ac); res.Admitted || p.AdmittedCount() != 1 {
+		t.Fatalf("tight batch: want exactly one of two admitted, got %d (%+v)", p.AdmittedCount(), res)
+	}
+}

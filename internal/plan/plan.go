@@ -169,6 +169,12 @@ type Result struct {
 	// ModelVars is the variable count of the compiled MILP model solved by
 	// this call (core SQPR and hierarchical only; 0 when no solve ran).
 	ModelVars int
+	// SeedClosed reports that no solve ran because the greedy seed already
+	// closed the call: a Submit whose seed sits within the gap tolerance of
+	// (III.3)'s a-priori ceiling, or a Repair chunk whose seed re-admitted
+	// every query (core SQPR and hierarchical only). The solver-effort
+	// fields are then zero.
+	SeedClosed bool
 }
 
 // Stats aggregates planner telemetry across all planning calls.
@@ -203,6 +209,11 @@ type Stats struct {
 	Timeouts int
 	// Stalls counts calls ended by the solver's stagnation stop.
 	Stalls int
+	// SeedClosed counts calls the greedy seed closed without a solve (see
+	// Result.SeedClosed): the effort totals above are spread over at most
+	// Submissions − SeedClosed calls, which is what a per-solve average
+	// divides by.
+	SeedClosed int
 }
 
 // Record folds one call's outcome into the cumulative stats.
@@ -221,6 +232,9 @@ func (s *Stats) Record(res Result) {
 	}
 	if res.BudgetHit {
 		s.Timeouts++
+	}
+	if res.SeedClosed {
+		s.SeedClosed++
 	}
 }
 

@@ -35,6 +35,7 @@ func goldenData() serve.MetricsData {
 			TotalPresolveFixed: 54,
 			Timeouts:           2,
 			Stalls:             1,
+			SeedClosed:         17,
 			Factor: lp.FactorStats{
 				Refactors:     12,
 				DriftRebuilds: 1,

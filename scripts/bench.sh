@@ -14,10 +14,12 @@
 # against a serialized one-at-a-time baseline, on the pre-saturation prefix
 # (averaged over repeated passes, since one pass is a fifth of a second) and
 # on the full saturated workload. BENCH_5 adds the sparse revised-simplex
-# engine: BenchmarkLPLargeModel submits an entire workload as ONE joint
-# batch solve with the closure cap lifted — the ~9k-variable batch-union
-# size class that forced the dense engine into tractability splits — and
-# compares its admitted set against the serialized one-at-a-time baseline.
+# engine: BenchmarkLPLargeModel (internal/core) solves an entire workload
+# as ONE joint batch model with the closure cap lifted — the ~9k-variable
+# batch-union size class that forced the dense engine into tractability
+# splits — and compares its admitted set against the serialized
+# one-at-a-time baseline. It calls the solve step directly: Submit closes
+# this batch on its greedy seed and would build no model at all.
 #
 # The script FAILS if
 #   - the admitted count differs from BENCH_2.json (every perf change must
@@ -72,7 +74,7 @@ go test -run=NONE -bench='BenchmarkAblationBaseline' -benchtime=3x -count=1 . | 
 go test -run=NONE -bench='BenchmarkChurnRepair' -benchtime=3x -count=1 . | tee -a "$tmp"
 go test -run=NONE -bench='BenchmarkLPResolve|BenchmarkMILPNode' -benchtime=30x -count=1 . | tee -a "$tmp"
 go test -run=NONE -bench='BenchmarkServiceThroughput' -benchtime=3x -count=1 . | tee -a "$tmp"
-go test -run=NONE -bench='BenchmarkLPLargeModel' -benchtime=3x -count=1 . | tee -a "$tmp"
+go test -run=NONE -bench='BenchmarkLPLargeModel' -benchtime=3x -count=1 ./internal/core/ | tee -a "$tmp"
 
 awk -v pre="$pre_us_per_plan" -v base_us="$base_us" -v base_admitted="$base_admitted" \
 	-v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
