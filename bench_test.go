@@ -629,12 +629,12 @@ func BenchmarkMILPNode(b *testing.B) {
 	}
 }
 
-// --- Admission service: batched vs serialized concurrent submission --------
+// --- Admission service: concurrent submitters vs one serial caller ---------
 
 // serviceRun pushes the workload through a plan.Service with `submitters`
 // concurrent client goroutines and returns submissions/sec, the admitted
-// count, a per-query admitted lookup and the mean coalesced batch size.
-func serviceRun(b *testing.B, sc sim.Scale, svcCfg plan.ServiceConfig, submitters int) (sps float64, admitted int, isAdmitted func(dsps.StreamID) bool, meanBatch float64) {
+// count and a per-query admitted lookup.
+func serviceRun(b *testing.B, sc sim.Scale, submitters int) (sps float64, admitted int, isAdmitted func(dsps.StreamID) bool) {
 	b.Helper()
 	ctx := context.Background()
 	env := sim.BuildEnv(sc)
@@ -642,7 +642,7 @@ func serviceRun(b *testing.B, sc sim.Scale, svcCfg plan.ServiceConfig, submitter
 	cfg.SolveTimeout = sc.Timeout
 	cfg.MaxCandidateHosts = sc.MaxCandHost
 	cfg.MaxFreeStreams = 30
-	svc := plan.NewService(core.NewPlanner(env.Sys, cfg), svcCfg)
+	svc := plan.NewService(core.NewPlanner(env.Sys, cfg), plan.ServiceConfig{})
 	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < submitters; w++ {
@@ -659,11 +659,6 @@ func serviceRun(b *testing.B, sc sim.Scale, svcCfg plan.ServiceConfig, submitter
 	wg.Wait()
 	sps = float64(len(env.Queries)) / time.Since(start).Seconds()
 	admitted = svc.AdmittedCount()
-	ss := svc.ServiceStats()
-	meanBatch = 1
-	if ss.Solves > 0 {
-		meanBatch = float64(ss.BatchedSubmits) / float64(ss.Solves)
-	}
 	svc.Close()
 	adm := make(map[dsps.StreamID]bool, admitted)
 	for _, q := range env.Queries {
@@ -671,11 +666,11 @@ func serviceRun(b *testing.B, sc sim.Scale, svcCfg plan.ServiceConfig, submitter
 			adm[q] = true
 		}
 	}
-	return sps, admitted, func(q dsps.StreamID) bool { return adm[q] }, meanBatch
+	return sps, admitted, func(q dsps.StreamID) bool { return adm[q] }
 }
 
-// serialRun submits the workload one query at a time in workload order — the
-// serialized baseline a deployment without the coalescing service would run.
+// serialRun submits the workload one query at a time in workload order on a
+// bare planner: the service's cost and admitted set are read against it.
 func serialRun(b *testing.B, sc sim.Scale) (sps float64, admitted int, isAdmitted func(dsps.StreamID) bool) {
 	b.Helper()
 	ctx := context.Background()
@@ -700,26 +695,22 @@ func serialRun(b *testing.B, sc sim.Scale) (sps float64, admitted int, isAdmitte
 // concurrent submitters, at two operating points:
 //
 //   - the pre-saturation prefix of the workload (the serialized baseline
-//     admits every distinct query), with the straggler retry on. One pass
-//     is 40 queries in about a fifth of a second and its cost depends on
-//     how the submitters happened to coalesce, so each iteration averages
-//     preReps passes. set-equal is the share of passes whose admitted set
-//     matched the serialized baseline exactly. It is reported, not gated:
-//     the planner's admission is order-dependent at this scale with or
-//     without the service (submitting the 40 queries one at a time in a
-//     random order misses one or two in about a third of the orders), so
-//     a pass can end a query short of workload order. That coalescing
-//     itself loses nothing is pinned where it is deterministic, by
-//     TestServiceBatchMatchesSerialAdmissions and TestServiceConformance;
-//   - the full saturated workload, where joint batch solves legitimately
-//     admit a different (typically larger) query set than order-dependent
-//     one-at-a-time admission — the paper's own Fig. 4(b) batching effect —
-//     so only throughput and admitted counts are reported (sat-* metrics).
-//
-// The coalesced solves run under a flat BatchTimeout equal to the serial
-// per-query budget: the batch amortises the solver's fixed costs and its
-// deadline must not scale with the batch size, or the coalescing win is
-// handed straight back to the solver.
+//     admits every distinct query). One pass is 40 queries in well under a
+//     fifth of a second and its cost depends on the order the submitters
+//     happened to arrive in, so each iteration averages preReps passes.
+//     set-equal is the share of passes whose admitted set matched the
+//     serialized baseline exactly. It is gated loosely (bench.sh: >= 0.5),
+//     not at 1: the planner's admission is order-dependent at this scale
+//     (submitting the 40 queries one at a time in a random order misses one
+//     or two in about a third of the orders), so a pass can end a query
+//     short of workload order. That the service itself loses nothing is
+//     pinned where it is deterministic, by
+//     TestServiceConcurrentSubmittersMatchSerialAdmissions and
+//     TestServiceConformance;
+//   - the full saturated workload, where the arrival order of 64 racing
+//     submitters legitimately admits a different (typically larger) query
+//     set than workload order, so only throughput and admitted counts are
+//     reported (sat-* metrics).
 //
 // All metrics feed BENCH_4.json via scripts/bench.sh; scripts/perfcheck.sh
 // fails when either service throughput falls more than 25% below the
@@ -732,15 +723,14 @@ func BenchmarkServiceThroughput(b *testing.B) {
 
 	// Pre-saturation prefix of the Fig-4 workload. Both paths run under
 	// the same tightened 40ms per-solve budget (ample at this scale: the
-	// serial baseline admits the identical set at 40ms and 150ms), so the
-	// comparison isolates coalescing, not budget tuning.
+	// serial baseline admits the identical set at 40ms and 150ms).
 	pre := sim.DefaultScale()
 	pre.Queries = 40
 	pre.Timeout = 40 * time.Millisecond
 	// Full Fig-4 workload, saturated.
 	sat := sim.DefaultScale()
 
-	var preSvcSecs, preSerialSecs, preBatchSum float64
+	var preSvcSecs, preSerialSecs float64
 	var preSvcAdm, preSerialAdm, preEqual int
 	var satSvcSPS, satSerialSPS float64
 	var satSvcAdm, satSerialAdm int
@@ -748,12 +738,9 @@ func BenchmarkServiceThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for r := 0; r < preReps; r++ {
 			serialSPS, serialAdm, serialIs := serialRun(b, pre)
-			svcSPS, svcAdm, svcIs, meanBatch := serviceRun(b, pre, plan.ServiceConfig{
-				MaxBatch: 8, BatchTimeout: pre.Timeout, RetryRejected: true,
-			}, submitters)
+			svcSPS, svcAdm, svcIs := serviceRun(b, pre, submitters)
 			preSerialSecs += float64(pre.Queries) / serialSPS
 			preSvcSecs += float64(pre.Queries) / svcSPS
-			preBatchSum += meanBatch
 			preSerialAdm, preSvcAdm = serialAdm, svcAdm
 			equal := true
 			for _, q := range sim.BuildEnv(pre).Queries {
@@ -767,9 +754,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 		}
 
 		satSerialSPS, satSerialAdm, _ = serialRun(b, sat)
-		satSvcSPS, satSvcAdm, _, _ = serviceRun(b, sat, plan.ServiceConfig{
-			MaxBatch: 8, BatchTimeout: sat.Timeout,
-		}, submitters)
+		satSvcSPS, satSvcAdm, _ = serviceRun(b, sat, submitters)
 	}
 
 	passes := float64(b.N * preReps)
@@ -778,7 +763,6 @@ func BenchmarkServiceThroughput(b *testing.B) {
 	b.ReportMetric(float64(preSvcAdm), "svc-admitted")
 	b.ReportMetric(float64(preSerialAdm), "serial-admitted")
 	b.ReportMetric(float64(preEqual)/passes, "set-equal")
-	b.ReportMetric(preBatchSum/passes, "mean-batch")
 	b.ReportMetric(satSvcSPS, "sat-svc-subs-per-sec")
 	b.ReportMetric(satSerialSPS, "sat-serial-subs-per-sec")
 	b.ReportMetric(float64(satSvcAdm), "sat-svc-admitted")

@@ -195,15 +195,14 @@ func errorSummary(n int) {
 }
 
 func printArrivals(r sim.OpenLoopResult) {
-	header := []string{"rate/s", "mode", "submitted", "admitted", "shed",
-		"throughput/s", "p50", "p95", "p99", "max", "mean-batch", "max-batch"}
+	header := []string{"rate/s", "submitted", "admitted", "shed",
+		"throughput/s", "p50", "p95", "p99", "max"}
 	errs := 0
 	var rows [][]string
 	for _, p := range r.Points {
 		errs += p.Errors
 		rows = append(rows, []string{
 			fmt.Sprintf("%.0f", p.Rate),
-			p.Mode,
 			strconv.Itoa(p.Submitted),
 			strconv.Itoa(p.Admitted),
 			strconv.Itoa(p.Shed),
@@ -212,8 +211,6 @@ func printArrivals(r sim.OpenLoopResult) {
 			p.P95.Round(time.Millisecond).String(),
 			p.P99.Round(time.Millisecond).String(),
 			p.Max.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.2f", p.MeanBatch),
-			strconv.Itoa(p.MaxBatch),
 		})
 	}
 	fmt.Print(stats.Table(header, rows))

@@ -21,7 +21,7 @@ import (
 var ErrWALFailed = errors.New("admission journal failed")
 
 // walRecord is the journal record envelope: one deterministic state delta
-// per applied request group. Kind is informational (audit/debug); replay
+// per applied request. Kind is informational (audit/debug); replay
 // needs only the delta.
 type walRecord struct {
 	Kind  string `json:"kind"`
@@ -101,12 +101,11 @@ func OpenService(p QueryPlanner, cfg ServiceConfig, fs wal.FS, wopts wal.Options
 	return s, rs, nil
 }
 
-// journal writes the state delta of the request group the dispatcher just
-// applied, before any member is acknowledged. Diffing exported state makes
-// the journal planner-agnostic and self-correcting: rejected submissions
-// and failed calls produce an empty delta and cost nothing. Returns the
-// error the group's members must be answered with (nil when clean).
-// Callers hold pmu.
+// journal writes the state delta of the request the dispatcher just
+// applied, before it is acknowledged. Diffing exported state makes the
+// journal planner-agnostic and self-correcting: rejected submissions and
+// failed calls produce an empty delta and cost nothing. Returns the error
+// the request must be answered with (nil when clean). Callers hold pmu.
 //
 //sqpr:locked pmu
 //sqpr:journal-point

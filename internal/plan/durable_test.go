@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"sqpr/internal/dsps"
 	"sqpr/internal/plan"
@@ -25,11 +24,6 @@ type durableFake struct {
 	state    *dsps.Assignment
 	admitted map[dsps.StreamID]bool
 	stats    plan.Stats
-	// gate, when set, holds every Submit until it is closed, so a test can
-	// pile requests up behind the dispatcher; lastBatch is the number of
-	// queries the latest Submit carried.
-	gate      chan struct{}
-	lastBatch int
 }
 
 func newDurableFake(nHosts, nStreams int) *durableFake {
@@ -51,14 +45,10 @@ func newDurableFake(nHosts, nStreams int) *durableFake {
 }
 
 func (f *durableFake) Submit(ctx context.Context, q dsps.StreamID, opts ...plan.SubmitOption) (plan.Result, error) {
-	if f.gate != nil {
-		<-f.gate
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.stats.Submissions++
 	cfg := plan.Apply(opts)
-	f.lastBatch = len(cfg.Queries(q))
 	res := plan.Result{Admitted: true}
 	for _, s := range cfg.Queries(q) {
 		if err := plan.CheckStream(f.sys, s); err != nil {
@@ -210,63 +200,6 @@ func TestDurableServiceJournalsAndRecovers(t *testing.T) {
 	defer s3.Close()
 	if got := f3.ExportState(); !got.Equal(f2.ExportState()) {
 		t.Fatal("state after second recovery diverged")
-	}
-}
-
-// TestDurableServiceJournalsCoalescedGroup pins the journal call of the
-// coalesced path: submits acknowledged out of one WithBatch group must
-// survive a restart. The group is the last thing the service does — the
-// journal diffs exported state, so any later journaled request would
-// write the group's admissions too and hide a missing call.
-func TestDurableServiceJournalsCoalescedGroup(t *testing.T) {
-	const n = 6
-	fs := walfault.New()
-	f := newDurableFake(3, n+1)
-	f.gate = make(chan struct{})
-	s, _, err := plan.OpenService(f, plan.ServiceConfig{MaxBatch: n + 1}, fs, wal.Options{})
-	if err != nil {
-		t.Fatalf("OpenService: %v", err)
-	}
-	// One submit holds the dispatcher inside the planner while the others
-	// queue up behind it, then all of those go out as one group.
-	var wg sync.WaitGroup
-	var started sync.WaitGroup
-	acked := make([]bool, n+1)
-	for q := 0; q <= n; q++ {
-		wg.Add(1)
-		started.Add(1)
-		go func(q dsps.StreamID) {
-			defer wg.Done()
-			started.Done()
-			res, err := s.Submit(context.Background(), q)
-			if err != nil {
-				t.Errorf("Submit(%d): %v", q, err)
-			}
-			acked[q] = res.Admitted
-		}(dsps.StreamID(q))
-	}
-	started.Wait()
-	time.Sleep(50 * time.Millisecond)
-	close(f.gate)
-	wg.Wait()
-	if f.lastBatch < 2 {
-		t.Fatalf("the last planner call carried %d queries: nothing was coalesced", f.lastBatch)
-	}
-	s.Close()
-
-	f2 := newDurableFake(3, n+1)
-	s2, _, err := plan.OpenService(f2, plan.ServiceConfig{}, fs, wal.Options{})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer s2.Close()
-	for q, ok := range acked {
-		if got := f2.Admitted(dsps.StreamID(q)); got != ok {
-			t.Errorf("query %d: acknowledged admitted=%v, recovered admitted=%v", q, ok, got)
-		}
-	}
-	if got := f2.Stats().Submissions; got != 0 {
-		t.Fatalf("recovery ran %d planner submissions, want 0", got)
 	}
 }
 

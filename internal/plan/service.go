@@ -29,26 +29,8 @@ type ServiceConfig struct {
 	// queue holds QueueDepth entries fails fast with ErrQueueFull. 0
 	// selects 256.
 	QueueDepth int
-	// MaxBatch caps how many coalescible submits the dispatcher folds into
-	// one WithBatch joint solve. 0 selects 8; 1 disables coalescing.
-	MaxBatch int
-	// BatchTimeout, when positive, bounds each coalesced joint solve by
-	// this budget instead of the planner's default batch-scaled deadline
-	// (which multiplies the per-query budget by the batch size, as in the
-	// paper's "timeout of 30n secs"). A service optimising for admission
-	// throughput wants this: the batch amortises the solver's fixed costs,
-	// and letting its deadline grow linearly with the batch size would give
-	// back exactly the wall-clock the coalescing won.
-	BatchTimeout time.Duration
-	// RetryRejected re-submits individually every coalesced member the
-	// joint solve did not admit, so riding in a batch never costs a client
-	// an admission it would have received submitting alone. Off by
-	// default: below saturation stragglers are rare and the retry is
-	// almost free, but on a saturated system most rejections are genuine
-	// and each one would pay a full solo solve.
-	RetryRejected bool
 	// OnTrace, when non-nil, is invoked synchronously from the dispatcher
-	// goroutine after every applied request group, in application order. It
+	// goroutine after every applied request, in application order. It
 	// is the service's audit stream: tests replay it to check serial
 	// equivalence, harnesses log it. The callback must not call back into
 	// the service.
@@ -65,7 +47,7 @@ type TraceKind int8
 // Dispatcher step kinds.
 const (
 	// TraceSubmit is one planning call: Queries[0] is the primary query and
-	// Queries[1:] are the batch companions coalesced into the joint solve.
+	// Queries[1:] are the client's WithBatch companions.
 	TraceSubmit TraceKind = iota
 	// TraceRemove is one Remove; Queries holds the single removed query.
 	TraceRemove
@@ -86,7 +68,7 @@ func (k TraceKind) String() string {
 	return fmt.Sprintf("TraceKind(%d)", int8(k))
 }
 
-// Trace describes one request group the dispatcher applied to the wrapped
+// Trace describes one request the dispatcher applied to the wrapped
 // planner, in application order.
 type Trace struct {
 	Kind    TraceKind
@@ -128,7 +110,7 @@ func latencyBucket(d time.Duration) int {
 }
 
 // ServiceStats aggregates service-level telemetry, separate from the
-// planner's own Stats: queueing, coalescing and per-request latency.
+// planner's own Stats: queueing, planner calls and per-request latency.
 //
 // Every client call lands in exactly one of Requests, Expired or QueueFull,
 // and Replies == Requests + Expired (asserted in checked builds): shed
@@ -148,12 +130,11 @@ type ServiceStats struct {
 	// Expired counts requests whose ctx was done before the dispatcher
 	// reached them; they are answered with the ctx error, unapplied.
 	Expired int
-	// Solves counts joint planning calls; BatchedSubmits counts the
-	// submits they carried, so BatchedSubmits/Solves is the mean coalesced
-	// batch size and MaxBatch the largest one.
+	// Solves counts planner Submit calls; BatchedSubmits counts the queries
+	// they carried (the primary plus its WithBatch companions), so the two
+	// are equal unless clients submit explicit batches.
 	Solves         int
 	BatchedSubmits int
-	MaxBatch       int
 	// TotalLatency and MaxLatency aggregate per-request latency from
 	// arrival in the queue to reply; LatencyHist buckets the same samples
 	// by LatencyBuckets (last entry = overflow), so sum(LatencyHist) ==
@@ -188,13 +169,11 @@ type request struct {
 // Service is a goroutine-safe admission front-end over any QueryPlanner.
 // Clients call Submit, Remove and Repair from arbitrary goroutines; one
 // dispatcher goroutine drains the bounded request queue in arrival order and
-// applies the requests to the wrapped planner, coalescing runs of plain
-// submits that queued up while the previous solve ran into a single
-// WithBatch joint solve — amortising MILP compile and warm-start across the
-// batch (§V-A1), so thread safety and throughput come from the same
-// mechanism. Reads (Admitted, AdmittedCount, Assignment, Stats) synchronise
-// with the dispatcher through a planner mutex and may run concurrently with
-// queued work.
+// applies each request to the wrapped planner as one planner call, so the
+// service admits exactly what a serial caller issuing the same requests in
+// that order would. Reads (Admitted, AdmittedCount, Assignment, Stats)
+// synchronise with the dispatcher through a planner mutex and may run
+// concurrently with queued work.
 //
 // Service itself implements QueryPlanner, so it drops into every harness
 // that drives one.
@@ -260,9 +239,6 @@ func newService(p QueryPlanner, cfg ServiceConfig) *Service {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 256
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 8
-	}
 	return &Service{
 		p:    p,
 		cfg:  cfg,
@@ -313,11 +289,10 @@ func (s *Service) enqueue(r *request) error {
 }
 
 // Submit plans query q through the service. The call blocks until the
-// dispatcher has applied the request (possibly coalesced with concurrent
-// submits into one joint solve) or until ctx is done — but note a request
-// whose ctx expires after the dispatcher picked it up is still planned under
-// the solver deadline derived from that ctx. Returns ErrQueueFull
-// immediately when the queue is full.
+// dispatcher has applied the request or until ctx is done — but note a
+// request whose ctx expires after the dispatcher picked it up is still
+// planned under the solver deadline derived from that ctx. Returns
+// ErrQueueFull immediately when the queue is full.
 func (s *Service) Submit(ctx context.Context, q dsps.StreamID, opts ...SubmitOption) (Result, error) {
 	ctx = OrBackground(ctx)
 	r := &request{
@@ -394,12 +369,18 @@ func (s *Service) Assignment() *dsps.Assignment {
 }
 
 // AdmittedQueries returns the sorted list of currently admitted query
-// streams when the wrapped planner implements StatePorter (every planner in
-// this repository does); nil otherwise. The list is a copy.
+// streams: the wrapped planner's own AdmittedQueries when it has one (every
+// planner built on Ledger does), else the Admitted list of its exported
+// state when it is a StatePorter; nil only for a planner that can do
+// neither. The list is a copy.
 func (s *Service) AdmittedQueries() []dsps.StreamID {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
-	if p, ok := s.p.(StatePorter); ok {
+	switch p := s.p.(type) {
+	case interface{ AdmittedQueries() []dsps.StreamID }:
+		// Never nil: nil means "cannot list", not "none admitted".
+		return append([]dsps.StreamID{}, p.AdmittedQueries()...)
+	case StatePorter:
 		return p.ExportState().Admitted
 	}
 	return nil
@@ -419,92 +400,25 @@ func (s *Service) ServiceStats() ServiceStats {
 	return s.stats
 }
 
-// dispatch is the single dispatcher goroutine: it drains the queue, skips
-// requests whose ctx already expired, coalesces runs of plain submits and
-// applies everything else in arrival order.
+// dispatch is the single dispatcher goroutine: it applies the queued
+// requests one at a time, in arrival order, until Close closes the queue.
 func (s *Service) dispatch() {
 	defer close(s.done)
-	for {
-		r, ok := <-s.reqs
-		if !ok {
-			return
-		}
-		pending := s.drainAfter(r)
-		for len(pending) > 0 {
-			pending = s.applyNext(pending)
-		}
+	for r := range s.reqs {
+		s.apply(r)
 	}
 }
 
-// drainAfter collects the requests already queued behind first without
-// blocking, so one dispatcher pass sees everything that arrived while the
-// previous planner call ran.
-func (s *Service) drainAfter(first *request) []*request {
-	pending := []*request{first}
-	//sqpr:noctx non-blocking drain: the default case returns on the first empty poll
-	for {
-		select {
-		case r, ok := <-s.reqs:
-			if !ok {
-				return pending
-			}
-			pending = append(pending, r)
-		default:
-			return pending
-		}
-	}
-}
-
-// applyNext applies the head of pending — a coalesced run of plain submits,
-// or a single request — and returns the remaining tail.
-func (s *Service) applyNext(pending []*request) []*request {
-	head := pending[0]
-
-	// A dead ctx answers without touching the planner.
-	if err := head.ctx.Err(); err != nil {
-		head.err = err
-		s.finishExpired(head)
-		return pending[1:]
-	}
-
-	if head.kind != TraceSubmit || !coalescible(head) {
-		s.applySingle(head)
-		return pending[1:]
-	}
-
-	// Coalesce the leading run of live, plain submits into one joint solve.
-	group := []*request{head}
-	rest := pending[1:]
-	for len(rest) > 0 && len(group) < s.cfg.MaxBatch {
-		r := rest[0]
-		if r.kind != TraceSubmit || !coalescible(r) || r.ctx.Err() != nil {
-			break
-		}
-		group = append(group, r)
-		rest = rest[1:]
-	}
-	if invariant.Enabled && len(group) > s.cfg.MaxBatch {
-		invariant.Failf("service: coalesced %d submits past the MaxBatch cap %d", len(group), s.cfg.MaxBatch)
-	}
-	s.applySubmitGroup(group)
-	return rest
-}
-
-// coalescible reports whether a submit can join a coalesced batch: only
-// option-free submits qualify, so per-call host restrictions, explicit
-// batches, timeouts or validation overrides never leak across requests.
-func coalescible(r *request) bool {
-	if len(r.opts) == 0 {
-		return true
-	}
-	c := Apply(r.opts)
-	return c.Timeout == 0 && c.Hosts == nil && c.Batch == nil && c.Validate == nil
-}
-
-// applySingle applies one non-coalesced request to the planner. For a
+// apply answers one request. A ctx that died in the queue is answered
+// without touching the planner; everything else is one planner call. For a
 // durable service the outcome is journaled before finish acknowledges the
 // caller; a journal failure replaces the reply with the wedge error.
-func (s *Service) applySingle(r *request) {
+func (s *Service) apply(r *request) {
+	if err := r.ctx.Err(); err != nil {
+		r.err = err
+		s.finishExpired(r)
+		return
+	}
 	s.pmu.Lock()
 	if err := s.wedged(); err != nil {
 		s.pmu.Unlock()
@@ -515,8 +429,10 @@ func (s *Service) applySingle(r *request) {
 	switch r.kind {
 	case TraceSubmit:
 		r.res, r.err = s.p.Submit(r.ctx, r.q, r.opts...)
-		s.recordSolve(1)
-		s.trace(Trace{Kind: TraceSubmit, Queries: []dsps.StreamID{r.q}, Err: r.err})
+		cfg := Apply(r.opts)
+		qs := cfg.Queries(r.q)
+		s.recordSolve(len(qs))
+		s.trace(Trace{Kind: TraceSubmit, Queries: qs, Err: r.err})
 	case TraceRemove:
 		r.err = s.p.Remove(r.q)
 		s.trace(Trace{Kind: TraceRemove, Queries: []dsps.StreamID{r.q}, Err: r.err})
@@ -531,134 +447,15 @@ func (s *Service) applySingle(r *request) {
 	s.finish(r)
 }
 
-// applySubmitGroup plans a coalesced run of submits as one WithBatch joint
-// solve. The solve runs under the earliest ctx deadline of the group, so no
-// member's deadline is overrun by riding in a batch. On a planner error the
-// group falls back to individual submits in arrival order, so one poisoned
-// member (unknown stream, cancelled ctx) cannot fail its neighbours.
-func (s *Service) applySubmitGroup(group []*request) {
-	if len(group) == 1 {
-		s.applySingle(group[0])
-		return
-	}
-	qs := make([]dsps.StreamID, len(group))
-	for i, r := range group {
-		qs[i] = r.q
-	}
-
-	ctx, cancel := groupContext(group)
-	defer cancel()
-
-	opts := []SubmitOption{WithBatch(qs[1:]...)}
-	if s.cfg.BatchTimeout > 0 {
-		opts = append(opts, WithTimeout(s.cfg.BatchTimeout))
-	}
-
-	s.pmu.Lock()
-	if werr := s.wedged(); werr != nil {
-		s.pmu.Unlock()
-		for _, r := range group {
-			r.err = werr
-			s.finish(r)
-		}
-		return
-	}
-	res, err := s.p.Submit(ctx, qs[0], opts...)
-	if err != nil {
-		// Joint solve failed as a whole: re-run the members one by one so
-		// each request gets its own verdict under its own ctx.
-		for _, r := range group {
-			if e := r.ctx.Err(); e != nil {
-				r.err = e
-				continue
-			}
-			r.res, r.err = s.p.Submit(r.ctx, r.q, r.opts...)
-			s.recordSolve(1)
-		}
-		for _, r := range group {
-			s.trace(Trace{Kind: TraceSubmit, Queries: []dsps.StreamID{r.q}, Err: r.err})
-		}
-		if jerr := s.journal(TraceSubmit); jerr != nil {
-			for _, r := range group {
-				r.err = jerr
-			}
-		}
-		s.pmu.Unlock()
-		for _, r := range group {
-			s.finish(r)
-		}
-		return
-	}
-
-	// One joint result: fan the shared solver telemetry out to every
-	// member, with per-member admission looked up on the planner.
-	for _, r := range group {
-		r.res = res
-		r.res.Admitted = s.p.Admitted(r.q)
-		if r.res.Admitted {
-			r.res.Reason = ReasonNone
-		} else if r.res.Reason == ReasonNone {
-			r.res.Reason = ReasonNoFeasiblePlan
-		}
-	}
-	s.recordSolve(len(group))
-	s.trace(Trace{Kind: TraceSubmit, Queries: qs, Err: nil})
-	if s.cfg.RetryRejected {
-		// Straggler retry: members the joint solve left out get the solo
-		// submission they would have issued without the service.
-		for _, r := range group {
-			if r.res.Admitted || r.ctx.Err() != nil {
-				continue
-			}
-			r.res, r.err = s.p.Submit(r.ctx, r.q, r.opts...)
-			s.recordSolve(1)
-			s.trace(Trace{Kind: TraceSubmit, Queries: []dsps.StreamID{r.q}, Err: r.err})
-		}
-	}
-	if jerr := s.journal(TraceSubmit); jerr != nil {
-		for _, r := range group {
-			r.err = jerr
-		}
-	}
-	s.pmu.Unlock()
-	for _, r := range group {
-		s.finish(r)
-	}
-}
-
-// groupContext derives the joint solve's context: no member's cancellation
-// alone aborts the batch, but the earliest deadline bounds it.
-func groupContext(group []*request) (context.Context, context.CancelFunc) {
-	var earliest time.Time
-	for _, r := range group {
-		if d, ok := r.ctx.Deadline(); ok && (earliest.IsZero() || d.Before(earliest)) {
-			earliest = d
-		}
-	}
-	if earliest.IsZero() {
-		//sqpr:ctxroot batch ctx is deliberately detached: no single member's cancellation may abort the joint solve
-		return context.WithCancel(context.Background())
-	}
-	//sqpr:ctxroot batch ctx is deliberately detached: no single member's cancellation may abort the joint solve
-	return context.WithDeadline(context.Background(), earliest)
-}
-
-// recordSolve folds one joint planning call over n submits into the batch
-// stats. Callers hold pmu; the stats mutex still applies because readers
-// don't.
+// recordSolve counts one planner Submit call carrying n queries. Callers
+// hold pmu; the stats mutex still applies because readers don't.
 func (s *Service) recordSolve(n int) {
-	if invariant.Enabled && (n < 1 || n > s.cfg.MaxBatch) {
-		invariant.Failf("service: solve batch size %d outside [1, %d]", n, s.cfg.MaxBatch)
-	}
 	s.smu.Lock()
 	s.stats.Solves++
 	s.stats.BatchedSubmits += n
-	if n > s.stats.MaxBatch {
-		s.stats.MaxBatch = n
-	}
-	if invariant.Enabled && (s.stats.BatchedSubmits < s.stats.Solves || s.stats.MaxBatch > s.cfg.MaxBatch) {
-		invariant.Failf("service: stats accounting drifted: %d batched submits over %d solves, max batch %d (cap %d)",
-			s.stats.BatchedSubmits, s.stats.Solves, s.stats.MaxBatch, s.cfg.MaxBatch)
+	if invariant.Enabled && s.stats.BatchedSubmits < s.stats.Solves {
+		invariant.Failf("service: stats accounting drifted: %d batched submits over %d solves",
+			s.stats.BatchedSubmits, s.stats.Solves)
 	}
 	s.smu.Unlock()
 }

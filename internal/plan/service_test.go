@@ -3,6 +3,8 @@ package plan_test
 import (
 	"context"
 	"errors"
+	"maps"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -13,10 +15,15 @@ import (
 
 // fakePlanner is a deterministic, single-threaded QueryPlanner for service
 // unit tests: it admits everything, records every call it receives, and can
-// be slowed down to force requests to pile up behind the dispatcher.
+// be slowed down or blocked to force requests to pile up behind the
+// dispatcher.
 type fakePlanner struct {
-	mu       sync.Mutex
-	delay    time.Duration
+	mu    sync.Mutex
+	delay time.Duration
+	// gate, when set, holds every Submit until it is closed; entered is
+	// signalled each time a Submit reaches the gate.
+	gate     chan struct{}
+	entered  chan struct{}
 	calls    [][]dsps.StreamID // one entry per Submit, primary first
 	removed  []dsps.StreamID
 	repairs  int
@@ -49,6 +56,10 @@ func (f *fakePlanner) Submit(ctx context.Context, q dsps.StreamID, opts ...plan.
 	defer f.exit()
 	if f.delay > 0 {
 		time.Sleep(f.delay)
+	}
+	if f.gate != nil {
+		f.entered <- struct{}{}
+		<-f.gate
 	}
 	if err := ctx.Err(); err != nil {
 		return plan.Result{}, err
@@ -102,48 +113,101 @@ func (f *fakePlanner) AdmittedCount() int {
 
 func (f *fakePlanner) Stats() plan.Stats { return plan.Stats{} }
 
-// TestServiceCoalescesConcurrentSubmits checks the core throughput
-// mechanism: submits that queue up while a solve runs are folded into one
-// joint WithBatch call, and the planner is never entered concurrently.
-func TestServiceCoalescesConcurrentSubmits(t *testing.T) {
-	f := newFakePlanner(20 * time.Millisecond)
-	s := plan.NewService(f, plan.ServiceConfig{MaxBatch: 8})
-	defer s.Close()
+// TestServiceAppliesOneRequestPerCall pins the dispatcher's contract:
+// requests parked behind a blocked planner are applied one per planner call,
+// in enqueue order, with a Remove landing in its arrival slot and a request
+// whose ctx died in the queue answered unapplied without disturbing its
+// neighbours.
+func TestServiceAppliesOneRequestPerCall(t *testing.T) {
+	f := newFakePlanner(0)
+	f.gate = make(chan struct{})
+	f.entered = make(chan struct{}, 8) // one slot per submit of the test
+	var trace []plan.Trace             // appended by the dispatcher, read after Close
+	s := plan.NewService(f, plan.ServiceConfig{
+		OnTrace: func(tr plan.Trace) { trace = append(trace, tr) },
+	})
 
-	const n = 16
+	// park starts call on its own goroutine and returns once its request
+	// sits in the queue as the queued-th entry.
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	park := func(queued int, call func()) {
+		t.Helper()
 		wg.Add(1)
-		go func(q dsps.StreamID) {
+		go func() {
 			defer wg.Done()
-			res, err := s.Submit(context.Background(), q)
-			if err != nil {
-				t.Errorf("Submit(%d): %v", q, err)
-			} else if !res.Admitted {
-				t.Errorf("Submit(%d): not admitted", q)
+			call()
+		}()
+		deadline := time.Now().Add(5 * time.Second)
+		for s.QueueLen() != queued {
+			if time.Now().After(deadline) {
+				t.Fatalf("queue holds %d requests, want %d", s.QueueLen(), queued)
 			}
-		}(dsps.StreamID(i))
+			time.Sleep(100 * time.Microsecond)
+		}
 	}
-	wg.Wait()
+	submit := func(ctx context.Context, q dsps.StreamID, want error) func() {
+		return func() {
+			if _, err := s.Submit(ctx, q); !errors.Is(err, want) {
+				t.Errorf("Submit(%d): err = %v, want %v", q, err, want)
+			}
+		}
+	}
+	bg := context.Background()
 
-	f.mu.Lock()
-	calls, maxAct := len(f.calls), f.maxAct
-	f.mu.Unlock()
-	if maxAct > 1 {
-		t.Fatalf("planner entered concurrently (%d at once)", maxAct)
+	// Query 0 holds the dispatcher inside the planner; everything else
+	// queues behind it in a known order.
+	park(0, submit(bg, 0, nil))
+	<-f.entered
+	park(1, submit(bg, 1, nil))
+	park(2, submit(bg, 2, nil))
+	park(3, func() {
+		if err := s.Remove(1); err != nil {
+			t.Errorf("Remove(1): %v", err)
+		}
+	})
+	dying, cancel := context.WithCancel(bg)
+	park(4, submit(dying, 3, context.Canceled))
+	park(5, submit(bg, 4, nil))
+	park(6, submit(bg, 5, nil))
+	cancel()
+	close(f.gate)
+	wg.Wait()
+	s.Close()
+
+	type step struct {
+		kind plan.TraceKind
+		q    dsps.StreamID
 	}
-	if calls >= n {
-		t.Fatalf("no coalescing: %d solves for %d submits", calls, n)
+	want := []step{
+		{plan.TraceSubmit, 0}, {plan.TraceSubmit, 1}, {plan.TraceSubmit, 2},
+		{plan.TraceRemove, 1}, {plan.TraceSubmit, 4}, {plan.TraceSubmit, 5},
+	}
+	if len(trace) != len(want) {
+		t.Fatalf("trace has %d entries, want %d: %+v", len(trace), len(want), trace)
+	}
+	for i, w := range want {
+		if trace[i].Kind != w.kind || len(trace[i].Queries) != 1 || trace[i].Queries[0] != w.q {
+			t.Fatalf("trace[%d] = %v %v, want %v [%d]", i, trace[i].Kind, trace[i].Queries, w.kind, w.q)
+		}
+	}
+	wantCalls := []dsps.StreamID{0, 1, 2, 4, 5}
+	if len(f.calls) != len(wantCalls) {
+		t.Fatalf("planner saw %d Submit calls, want %d: %v", len(f.calls), len(wantCalls), f.calls)
+	}
+	for i, q := range wantCalls {
+		if len(f.calls[i]) != 1 || f.calls[i][0] != q {
+			t.Fatalf("planner call %d carried %v, want [%d]", i, f.calls[i], q)
+		}
+	}
+	if f.maxAct > 1 {
+		t.Fatalf("planner entered concurrently (%d at once)", f.maxAct)
+	}
+	if f.Admitted(3) {
+		t.Fatal("planner planned a request whose ctx died in the queue")
 	}
 	ss := s.ServiceStats()
-	if ss.MaxBatch < 2 {
-		t.Fatalf("stats recorded no batch > 1: %+v", ss)
-	}
-	if ss.Requests != n {
-		t.Fatalf("requests = %d, want %d", ss.Requests, n)
-	}
-	if s.AdmittedCount() != n {
-		t.Fatalf("admitted = %d, want %d", s.AdmittedCount(), n)
+	if ss.Solves != 5 || ss.BatchedSubmits != 5 || ss.Expired != 1 || ss.Requests != 6 || ss.Replies != 7 {
+		t.Fatalf("stats = %+v, want 5 solves, 5 batched submits, 1 expired, 6 requests, 7 replies", ss)
 	}
 }
 
@@ -151,7 +215,7 @@ func TestServiceCoalescesConcurrentSubmits(t *testing.T) {
 // planner, excess submits fail fast with ErrQueueFull instead of blocking.
 func TestServiceQueueFull(t *testing.T) {
 	f := newFakePlanner(50 * time.Millisecond)
-	s := plan.NewService(f, plan.ServiceConfig{QueueDepth: 2, MaxBatch: 1})
+	s := plan.NewService(f, plan.ServiceConfig{QueueDepth: 2})
 	defer s.Close()
 
 	const n = 32
@@ -207,7 +271,7 @@ func TestServiceCloseIdempotent(t *testing.T) {
 // reaches the planner.
 func TestServiceExpiredContextSkipped(t *testing.T) {
 	f := newFakePlanner(30 * time.Millisecond)
-	s := plan.NewService(f, plan.ServiceConfig{MaxBatch: 1})
+	s := plan.NewService(f, plan.ServiceConfig{})
 	defer s.Close()
 
 	// Occupy the dispatcher, then enqueue a request that expires while
@@ -237,13 +301,12 @@ func TestServiceExpiredContextSkipped(t *testing.T) {
 
 // TestServiceOrderAndTrace checks the ordering guarantee: requests are
 // applied in arrival order, the trace reports them in application order, and
-// a Remove between two submit runs splits the coalesced batches.
+// a client's explicit batch is traced and counted with all its queries.
 func TestServiceOrderAndTrace(t *testing.T) {
 	f := newFakePlanner(0)
 	var mu sync.Mutex
 	var trace []plan.Trace
 	s := plan.NewService(f, plan.ServiceConfig{
-		MaxBatch: 8,
 		OnTrace: func(tr plan.Trace) {
 			mu.Lock()
 			trace = append(trace, tr)
@@ -264,9 +327,12 @@ func TestServiceOrderAndTrace(t *testing.T) {
 	if _, err := s.Repair(ctx, []plan.Event{plan.FailHost(0)}); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := s.Submit(ctx, 3, plan.WithBatch(4, 5)); err != nil {
+		t.Fatal(err)
+	}
 	s.Close()
 
-	want := []plan.TraceKind{plan.TraceSubmit, plan.TraceSubmit, plan.TraceRemove, plan.TraceRepair}
+	want := []plan.TraceKind{plan.TraceSubmit, plan.TraceSubmit, plan.TraceRemove, plan.TraceRepair, plan.TraceSubmit}
 	if len(trace) != len(want) {
 		t.Fatalf("trace has %d entries, want %d: %+v", len(trace), len(want), trace)
 	}
@@ -278,33 +344,11 @@ func TestServiceOrderAndTrace(t *testing.T) {
 	if trace[2].Queries[0] != 1 {
 		t.Fatalf("trace remove query = %d, want 1", trace[2].Queries[0])
 	}
-}
-
-// TestServiceNonCoalescibleOptionsRunSolo checks that submits carrying
-// per-call options are never folded into a shared batch.
-func TestServiceNonCoalescibleOptionsRunSolo(t *testing.T) {
-	f := newFakePlanner(20 * time.Millisecond)
-	s := plan.NewService(f, plan.ServiceConfig{MaxBatch: 8})
-	defer s.Close()
-
-	var wg sync.WaitGroup
-	for i := 0; i < 6; i++ {
-		wg.Add(1)
-		go func(q dsps.StreamID) {
-			defer wg.Done()
-			if _, err := s.Submit(context.Background(), q, plan.WithCandidateHosts(0)); err != nil {
-				t.Errorf("Submit(%d): %v", q, err)
-			}
-		}(dsps.StreamID(i))
+	if got := trace[4].Queries; !slices.Equal(got, []dsps.StreamID{3, 4, 5}) {
+		t.Fatalf("explicit-batch trace lists %v, want [3 4 5]", got)
 	}
-	wg.Wait()
-
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, call := range f.calls {
-		if len(call) != 1 {
-			t.Fatalf("host-restricted submit was coalesced into batch %v", call)
-		}
+	if ss := s.ServiceStats(); ss.Solves != 3 || ss.BatchedSubmits != 5 {
+		t.Fatalf("%d solves carried %d queries, want 3 and 5", ss.Solves, ss.BatchedSubmits)
 	}
 }
 
@@ -314,7 +358,7 @@ func TestServiceNonCoalescibleOptionsRunSolo(t *testing.T) {
 // that reached the application step.
 func TestServiceReplyAccounting(t *testing.T) {
 	f := newFakePlanner(30 * time.Millisecond)
-	s := plan.NewService(f, plan.ServiceConfig{MaxBatch: 1})
+	s := plan.NewService(f, plan.ServiceConfig{})
 	defer s.Close()
 
 	// Occupy the dispatcher, then enqueue a request that expires behind it.
@@ -367,5 +411,67 @@ func TestServiceLatencyHistogram(t *testing.T) {
 	}
 	if ss.MaxLatency <= 0 || ss.TotalLatency < ss.MaxLatency {
 		t.Fatalf("latency aggregates inconsistent: total=%v max=%v", ss.TotalLatency, ss.MaxLatency)
+	}
+}
+
+// listingFake is a StatePorter that can also list its admitted queries; it
+// counts the state exports it is asked for.
+type listingFake struct {
+	*durableFake
+	exports int
+}
+
+func (f *listingFake) ExportState() plan.State {
+	f.exports++
+	return f.durableFake.ExportState()
+}
+
+func (f *listingFake) AdmittedQueries() []dsps.StreamID {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return slices.Sorted(maps.Keys(f.admitted))
+}
+
+// TestServiceAdmittedQueriesAsksThePlanner checks that listing the admitted
+// queries does not clone the planner's whole state when the planner can list
+// them itself, and that the StatePorter fallback still answers for one that
+// cannot.
+func TestServiceAdmittedQueriesAsksThePlanner(t *testing.T) {
+	ctx := context.Background()
+	want := []dsps.StreamID{1, 3, 4}
+	fill := func(s *plan.Service) {
+		t.Helper()
+		for _, q := range []dsps.StreamID{4, 1, 3} {
+			if _, err := s.Submit(ctx, q); err != nil {
+				t.Fatalf("Submit(%d): %v", q, err)
+			}
+		}
+	}
+
+	lf := &listingFake{durableFake: newDurableFake(2, 6)}
+	s := plan.NewService(lf, plan.ServiceConfig{})
+	defer s.Close()
+	if got := s.AdmittedQueries(); got == nil || len(got) != 0 {
+		t.Fatalf("empty planner lists %#v, want a non-nil empty list", got)
+	}
+	fill(s)
+	if got := s.AdmittedQueries(); !slices.Equal(got, want) {
+		t.Fatalf("AdmittedQueries = %v, want %v", got, want)
+	}
+	if lf.exports != 0 {
+		t.Fatalf("listing the admitted queries exported the planner state %d times, want 0", lf.exports)
+	}
+
+	porter := plan.NewService(newDurableFake(2, 6), plan.ServiceConfig{})
+	defer porter.Close()
+	fill(porter)
+	if got := porter.AdmittedQueries(); !slices.Equal(got, want) {
+		t.Fatalf("StatePorter fallback lists %v, want %v", got, want)
+	}
+
+	bare := plan.NewService(newFakePlanner(0), plan.ServiceConfig{})
+	defer bare.Close()
+	if got := bare.AdmittedQueries(); got != nil {
+		t.Fatalf("a planner that cannot list its queries answered %v, want nil", got)
 	}
 }

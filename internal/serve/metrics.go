@@ -19,8 +19,8 @@ type MetricsData struct {
 	// Planner is the wrapped planner's cumulative Stats (which embeds the
 	// LP engine's FactorStats).
 	Planner plan.Stats
-	// Service is the admission-service telemetry: queueing, coalescing and
-	// the request-latency histogram.
+	// Service is the admission-service telemetry: queueing, planner calls
+	// and the request-latency histogram.
 	Service plan.ServiceStats
 	// WAL is the admission journal's telemetry (zero for a non-durable
 	// service).
@@ -76,8 +76,7 @@ func WriteMetrics(w io.Writer, d MetricsData) {
 	m.counter("sqpr_service_queue_full_total", "Requests shed with queue-full backpressure.", float64(s.QueueFull))
 	m.counter("sqpr_service_expired_total", "Requests whose context expired while queued.", float64(s.Expired))
 	m.counter("sqpr_service_solves_total", "Joint planning calls issued by the dispatcher.", float64(s.Solves))
-	m.counter("sqpr_service_batched_submits_total", "Submits carried by joint solves.", float64(s.BatchedSubmits))
-	m.gauge("sqpr_service_max_batch", "Largest coalesced batch observed.", float64(s.MaxBatch))
+	m.counter("sqpr_service_batched_submits_total", "Queries carried by planning calls (primary plus explicit batch companions).", float64(s.BatchedSubmits))
 	m.gauge("sqpr_service_max_request_seconds", "Largest request latency observed.", s.MaxLatency.Seconds())
 	m.histogram("sqpr_service_request_seconds", "Per-request latency from queue arrival to reply.",
 		s.LatencyHist[:], s.TotalLatency.Seconds())

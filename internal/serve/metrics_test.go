@@ -52,7 +52,6 @@ func goldenData() serve.MetricsData {
 			Expired:        2,
 			Solves:         20,
 			BatchedSubmits: 35,
-			MaxBatch:       6,
 			TotalLatency:   900 * time.Millisecond,
 			MaxLatency:     250 * time.Millisecond,
 			LatencyHist:    hist,

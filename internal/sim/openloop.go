@@ -14,11 +14,7 @@ import (
 
 // OpenLoopScale parameterises the open-loop arrival experiment: Poisson
 // query arrivals at increasing rates are pushed through the admission path
-// by a pool of concurrent submitters, once through a plan.Service (which
-// coalesces the submits that pile up while a solve runs into joint batch
-// solves) and once through a serialized one-at-a-time baseline (a mutex
-// around a bare planner — the thread-safety floor a deployment would
-// otherwise ship).
+// by a pool of concurrent submitters through a plan.Service.
 type OpenLoopScale struct {
 	Scale
 	// Rates lists offered loads in queries/second. The arrival generator
@@ -31,13 +27,8 @@ type OpenLoopScale struct {
 	Rates []float64
 	// Submitters is the number of concurrent client goroutines.
 	Submitters int
-	// QueueDepth and MaxBatch tune the service under test (0 = defaults).
+	// QueueDepth bounds the queue of the service under test (0 = default).
 	QueueDepth int
-	MaxBatch   int
-	// BatchTimeout bounds each coalesced joint solve (see
-	// plan.ServiceConfig.BatchTimeout); 0 keeps the planner's batch-scaled
-	// default, which gives the coalescing win back to the solver.
-	BatchTimeout time.Duration
 }
 
 // DefaultOpenLoopScale exercises the Fig-4 workload under increasing
@@ -45,26 +36,22 @@ type OpenLoopScale struct {
 func DefaultOpenLoopScale() OpenLoopScale {
 	sc := DefaultScale()
 	// Per-solve budget low enough that the offered rates straddle the
-	// serialized planner's capacity, so the batching win is visible.
+	// planner's capacity, so queueing and shedding are visible.
 	sc.Timeout = 40 * time.Millisecond
 	return OpenLoopScale{
-		Scale:        sc,
-		Rates:        []float64{20, 50, 100, 200},
-		Submitters:   64,
-		QueueDepth:   48, // < Submitters, so overload sheds instead of parking
-		MaxBatch:     8,
-		BatchTimeout: sc.Timeout,
+		Scale:      sc,
+		Rates:      []float64{20, 50, 100, 200},
+		Submitters: 64,
+		QueueDepth: 48, // < Submitters, so overload sheds instead of parking
 	}
 }
 
-// OpenLoopPoint is one (mode, rate) measurement.
+// OpenLoopPoint is the measurement at one offered rate.
 type OpenLoopPoint struct {
-	// Mode is "service" (coalescing front-end) or "serial" (mutex).
-	Mode string
 	// Rate is the offered load in queries/second.
 	Rate float64
 	// Submitted counts arrivals; Admitted of those were admitted, Shed were
-	// rejected with ErrQueueFull before planning (service mode only).
+	// rejected with ErrQueueFull before planning.
 	Submitted, Admitted, Shed int
 	// Errors counts submissions that failed with a non-queue-full error;
 	// their latencies stay in the distribution (the caller waited), but
@@ -76,36 +63,19 @@ type OpenLoopPoint struct {
 	// P50, P95, P99 and Max summarise per-request latency (arrival to
 	// admission verdict, including queueing).
 	P50, P95, P99, Max time.Duration
-	// MeanBatch and MaxBatch report the coalescing achieved (service mode;
-	// the serial baseline is always 1).
-	MeanBatch float64
-	MaxBatch  int
 }
 
-// OpenLoopResult pairs the service and serial series across rates.
+// OpenLoopResult is the series across rates.
 type OpenLoopResult struct {
 	Points []OpenLoopPoint
 }
 
-// serialFrontEnd is the baseline admission path: a mutex around a bare
-// planner, one solve per submission, no coalescing.
-type serialFrontEnd struct {
-	mu sync.Mutex
-	p  plan.QueryPlanner
-}
-
-func (s *serialFrontEnd) submit(ctx context.Context, q dsps.StreamID) (plan.Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.p.Submit(ctx, q)
-}
-
 // OpenLoop runs the open-loop arrival experiment: for each offered rate it
 // replays the same generated workload as a Poisson arrival process against
-// both admission paths and reports throughput, latency percentiles and the
-// coalesced batch sizes. Cancelling ctx stops the arrival generator; the
-// submitter pool drains the queries already queued (a graceful drain, not
-// an abort), and the partial series collected so far is returned.
+// a fresh service and reports throughput, shedding and latency percentiles.
+// Cancelling ctx stops the arrival generator; the submitter pool drains the
+// queries already queued (a graceful drain, not an abort), and the partial
+// series collected so far is returned.
 func OpenLoop(ctx context.Context, sc OpenLoopScale) OpenLoopResult {
 	if sc.Submitters <= 0 {
 		sc.Submitters = 64
@@ -115,25 +85,15 @@ func OpenLoop(ctx context.Context, sc OpenLoopScale) OpenLoopResult {
 		if ctx.Err() != nil {
 			break
 		}
-		res.Points = append(res.Points, runOpenLoop(ctx, sc, rate, "service"))
-		res.Points = append(res.Points, runOpenLoop(ctx, sc, rate, "serial"))
+		res.Points = append(res.Points, runOpenLoop(ctx, sc, rate))
 	}
 	return res
 }
 
-func runOpenLoop(ctx context.Context, sc OpenLoopScale, rate float64, mode string) OpenLoopPoint {
+func runOpenLoop(ctx context.Context, sc OpenLoopScale, rate float64) OpenLoopPoint {
 	env := BuildEnv(sc.Scale)
-	rec := env.NewSQPR(sc.Scale, sc.Timeout)
-
-	var svc *plan.Service
-	serial := &serialFrontEnd{p: rec}
-	if mode == "service" {
-		svc = plan.NewService(rec, plan.ServiceConfig{
-			QueueDepth:   sc.QueueDepth,
-			MaxBatch:     sc.MaxBatch,
-			BatchTimeout: sc.BatchTimeout,
-		})
-	}
+	svc := plan.NewService(env.NewSQPR(sc.Scale, sc.Timeout), plan.ServiceConfig{QueueDepth: sc.QueueDepth})
+	defer svc.Close()
 
 	// The arrival process: one generator goroutine hands queries to the
 	// submitter pool with exponential inter-arrival gaps (Poisson arrivals
@@ -185,15 +145,7 @@ func runOpenLoop(ctx context.Context, sc OpenLoopScale, rate float64, mode strin
 		go func() {
 			defer wg.Done()
 			for a := range arrivals {
-				var (
-					r   plan.Result
-					err error
-				)
-				if svc != nil {
-					r, err = svc.Submit(submitCtx, a.q)
-				} else {
-					r, err = serial.submit(submitCtx, a.q)
-				}
+				r, err := svc.Submit(submitCtx, a.q)
 				lat := time.Since(a.born)
 				mu.Lock()
 				if err != nil && isQueueFull(err) {
@@ -219,10 +171,9 @@ func runOpenLoop(ctx context.Context, sc OpenLoopScale, rate float64, mode strin
 	offered := <-generated
 
 	pt := OpenLoopPoint{
-		Mode: mode, Rate: rate,
+		Rate:      rate,
 		Submitted: offered, Admitted: admitted, Shed: shed,
-		Errors:    errCount,
-		MeanBatch: 1, MaxBatch: 1,
+		Errors: errCount,
 	}
 	if elapsed > 0 {
 		// Shed requests never reached the planner; counting them would
@@ -235,14 +186,6 @@ func runOpenLoop(ctx context.Context, sc OpenLoopScale, rate float64, mode strin
 	pt.P95 = secs(cdf.Quantile(0.95))
 	pt.P99 = secs(cdf.Quantile(0.99))
 	pt.Max = secs(cdf.Quantile(1))
-	if svc != nil {
-		svc.Close()
-		ss := svc.ServiceStats()
-		if ss.Solves > 0 {
-			pt.MeanBatch = float64(ss.BatchedSubmits) / float64(ss.Solves)
-		}
-		pt.MaxBatch = ss.MaxBatch
-	}
 	return pt
 }
 

@@ -7,43 +7,33 @@ import (
 )
 
 // TestOpenLoopSmoke runs the arrival experiment at a tiny scale and checks
-// the series is well-formed: both modes present per rate, all submissions
-// accounted for, coalescing observed in service mode.
+// the series is well-formed: one point per rate, all submissions accounted
+// for.
 func TestOpenLoopSmoke(t *testing.T) {
 	ol := DefaultOpenLoopScale()
 	ol.Hosts = 6
 	ol.BaseStreams = 24
 	ol.Queries = 24
 	ol.Timeout = 20 * time.Millisecond
-	ol.BatchTimeout = 20 * time.Millisecond
 	ol.Rates = []float64{200}
 	ol.Submitters = 16
 
 	res := OpenLoop(context.Background(), ol)
-	if len(res.Points) != 2 {
-		t.Fatalf("got %d points, want 2 (service+serial)", len(res.Points))
+	if len(res.Points) != len(ol.Rates) {
+		t.Fatalf("got %d points, want one per rate (%d)", len(res.Points), len(ol.Rates))
 	}
 	for _, p := range res.Points {
-		if p.Mode != "service" && p.Mode != "serial" {
-			t.Fatalf("unexpected mode %q", p.Mode)
-		}
 		if p.Submitted != ol.Queries {
-			t.Fatalf("%s: submitted %d, want %d", p.Mode, p.Submitted, ol.Queries)
+			t.Fatalf("rate %.0f: submitted %d, want %d", p.Rate, p.Submitted, ol.Queries)
 		}
 		if p.Admitted <= 0 {
-			t.Fatalf("%s: admitted nothing", p.Mode)
+			t.Fatalf("rate %.0f: admitted nothing", p.Rate)
 		}
 		if p.Throughput <= 0 {
-			t.Fatalf("%s: zero throughput", p.Mode)
+			t.Fatalf("rate %.0f: zero throughput", p.Rate)
 		}
 		if p.P50 < 0 || p.Max < p.P50 {
-			t.Fatalf("%s: broken latency percentiles p50=%v max=%v", p.Mode, p.P50, p.Max)
-		}
-		if p.Mode == "serial" && (p.MeanBatch != 1 || p.MaxBatch != 1) {
-			t.Fatalf("serial mode reported batching: %+v", p)
-		}
-		if p.Mode == "service" && p.MaxBatch < 1 {
-			t.Fatalf("service mode reported no batches: %+v", p)
+			t.Fatalf("rate %.0f: broken latency percentiles p50=%v max=%v", p.Rate, p.P50, p.Max)
 		}
 	}
 }

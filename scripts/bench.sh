@@ -10,10 +10,10 @@
 # busiest host against a remove-and-resubmit fallback and a cold full
 # re-solve of the entire workload on the degraded system. BENCH_4 adds the
 # concurrent admission service: BenchmarkServiceThroughput pushes the Fig-4
-# workload through a coalescing plan.Service with 64 concurrent submitters
-# against a serialized one-at-a-time baseline, on the pre-saturation prefix
-# (averaged over repeated passes, since one pass is a fifth of a second) and
-# on the full saturated workload. BENCH_5 adds the sparse revised-simplex
+# workload through a plan.Service with 64 concurrent submitters against a
+# serialized one-at-a-time baseline, on the pre-saturation prefix (averaged
+# over repeated passes, since one pass is a fraction of a second) and on
+# the full saturated workload. BENCH_5 adds the sparse revised-simplex
 # engine: BenchmarkLPLargeModel (internal/core) solves an entire workload
 # as ONE joint batch model with the closure cap lifted — the ~9k-variable
 # batch-union size class that forced the dense engine into tractability
@@ -152,7 +152,7 @@ function val(name,    i) {
 /^BenchmarkServiceThroughput/ {
 	svc_sps = val("svc-subs-per-sec"); serial_sps = val("serial-subs-per-sec")
 	svc_adm = val("svc-admitted"); serial_adm = val("serial-admitted")
-	set_equal = val("set-equal"); mean_batch = val("mean-batch")
+	set_equal = val("set-equal")
 	sat_svc_sps = val("sat-svc-subs-per-sec"); sat_serial_sps = val("sat-serial-subs-per-sec")
 	sat_svc_adm = val("sat-svc-admitted"); sat_serial_adm = val("sat-serial-admitted")
 }
@@ -170,7 +170,6 @@ END {
 	printf "  \"svc_admitted\": %s,\n", svc_adm
 	printf "  \"serial_admitted\": %s,\n", serial_adm
 	printf "  \"admitted_set_equal\": %s,\n", set_equal
-	printf "  \"mean_coalesced_batch\": %s,\n", mean_batch
 	printf "  \"saturated_svc_subs_per_sec\": %s,\n", sat_svc_sps
 	printf "  \"saturated_serial_subs_per_sec\": %s,\n", sat_serial_sps
 	printf "  \"saturated_svc_speedup_vs_serial\": %.2f,\n", sat_svc_sps / sat_serial_sps

@@ -3,7 +3,7 @@
 // trace is its serialisation certificate — after a concurrent run of
 // Submit/Remove/Repair, replaying the recorded schedule serially on a fresh
 // planner must reproduce exactly the same admitted set, proving that the
-// dispatcher's locking and batch coalescing never corrupt planner state.
+// dispatcher's queueing and locking never corrupt planner state.
 // CI runs this file under -race (the race-service step).
 package sqpr_test
 
@@ -17,7 +17,7 @@ import (
 )
 
 // serviceEnv builds the conformance system and workload at a slightly larger
-// scale than conformanceEnv, so coalesced batches and rejections both occur.
+// scale than conformanceEnv, so rejections occur.
 func serviceEnv() (*sqpr.System, []sqpr.StreamID) {
 	sys := sqpr.BuildSystem(sqpr.SystemConfig{
 		NumHosts: 4, CPUPerHost: 8, OutBW: 80, InBW: 80, LinkCap: 40,
@@ -58,7 +58,6 @@ func TestServiceConformance(t *testing.T) {
 			var mu sync.Mutex
 			var trace []sqpr.ServiceTrace
 			svc := sqpr.NewService(tc.make(sys), sqpr.ServiceConfig{
-				MaxBatch: 4,
 				OnTrace: func(tr sqpr.ServiceTrace) {
 					mu.Lock()
 					trace = append(trace, tr)
@@ -70,11 +69,18 @@ func TestServiceConformance(t *testing.T) {
 			var wg sync.WaitGroup
 
 			// Concurrent submitters: every query submitted once, spread
-			// over the pool.
+			// over the pool. Submitter 0 sends its share as one explicit
+			// batch, so the trace carries a multi-query submit to replay.
 			for w := 0; w < 8; w++ {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
+					if w == 0 {
+						if _, err := svc.Submit(ctx, queries[0], sqpr.WithBatch(queries[8])); err != nil {
+							t.Errorf("Submit(%d, batch %d): %v", queries[0], queries[8], err)
+						}
+						return
+					}
 					for i := w; i < len(queries); i += 8 {
 						if _, err := svc.Submit(ctx, queries[i]); err != nil {
 							t.Errorf("Submit(%d): %v", queries[i], err)
@@ -109,6 +115,7 @@ func TestServiceConformance(t *testing.T) {
 			// a fresh (identically seeded) system.
 			replaySys, _ := serviceEnv()
 			replay := tc.make(replaySys)
+			batches := 0
 			for i, tr := range trace {
 				switch tr.Kind {
 				case sqpr.TraceSubmit:
@@ -117,6 +124,7 @@ func TestServiceConformance(t *testing.T) {
 					}
 					var err error
 					if len(tr.Queries) > 1 {
+						batches++
 						_, err = replay.Submit(ctx, tr.Queries[0], sqpr.WithBatch(tr.Queries[1:]...))
 					} else {
 						_, err = replay.Submit(ctx, tr.Queries[0])
@@ -140,6 +148,10 @@ func TestServiceConformance(t *testing.T) {
 				}
 			}
 
+			if batches != 1 {
+				t.Fatalf("trace replayed %d multi-query submits, want submitter 0's explicit batch", batches)
+			}
+
 			// The concurrent run and its serial replay must agree exactly.
 			if got, want := svc.AdmittedCount(), replay.AdmittedCount(); got != want {
 				t.Fatalf("admitted count: service %d, serial replay %d", got, want)
@@ -158,11 +170,11 @@ func TestServiceConformance(t *testing.T) {
 	}
 }
 
-// TestServiceBatchMatchesSerialAdmissions pins the acceptance criterion at
-// test scale: 64 concurrent submitters pushing the workload through a
-// coalescing service admit exactly the query set a serialized one-at-a-time
-// baseline admits.
-func TestServiceBatchMatchesSerialAdmissions(t *testing.T) {
+// TestServiceConcurrentSubmittersMatchSerialAdmissions checks that 64
+// concurrent submitters pushing the workload through a service admit exactly
+// the query set a serial caller admits in workload order: at this scale
+// admission does not depend on the order the submitters happen to arrive in.
+func TestServiceConcurrentSubmittersMatchSerialAdmissions(t *testing.T) {
 	cfg := sqpr.DefaultPlannerConfig()
 	cfg.SolveTimeout = 5 * time.Second
 
@@ -178,7 +190,7 @@ func TestServiceBatchMatchesSerialAdmissions(t *testing.T) {
 
 	// Concurrent service run.
 	svcSys, _ := serviceEnv()
-	svc := sqpr.NewService(sqpr.NewPlanner(svcSys, cfg), sqpr.ServiceConfig{MaxBatch: 8})
+	svc := sqpr.NewService(sqpr.NewPlanner(svcSys, cfg), sqpr.ServiceConfig{})
 	var wg sync.WaitGroup
 	for w := 0; w < 64; w++ {
 		wg.Add(1)

@@ -125,18 +125,18 @@ type (
 // Admission-service types: the goroutine-safe planner front-end.
 type (
 	// Service is a goroutine-safe admission front-end over any
-	// QueryPlanner: requests from arbitrary goroutines are serialised by a
-	// dispatcher that coalesces concurrent submits into joint batch solves.
-	// It implements QueryPlanner itself.
+	// QueryPlanner: requests from arbitrary goroutines are queued and
+	// applied by one dispatcher in arrival order, one planner call per
+	// request. It implements QueryPlanner itself.
 	Service = plan.Service
-	// ServiceConfig tunes a Service (queue depth, coalescing cap, trace
-	// hook).
+	// ServiceConfig tunes a Service (queue depth, trace hook, journal
+	// snapshot interval).
 	ServiceConfig = plan.ServiceConfig
-	// ServiceStats is the service-level telemetry: queueing, coalesced
-	// batch sizes and per-request latency.
+	// ServiceStats is the service-level telemetry: queueing, planner calls
+	// and per-request latency.
 	ServiceStats = plan.ServiceStats
-	// ServiceTrace describes one request group the dispatcher applied, in
-	// order (the service's audit stream).
+	// ServiceTrace describes one request the dispatcher applied, in order
+	// (the service's audit stream).
 	ServiceTrace = plan.Trace
 )
 
@@ -327,8 +327,8 @@ func DefaultWorkloadConfig() WorkloadConfig { return workload.DefaultConfig() }
 
 // NewService wraps any planner in a goroutine-safe admission service and
 // starts its dispatcher: clients Submit/Remove/Repair from arbitrary
-// goroutines, and submits that arrive while a solve is running are coalesced
-// into one joint batch solve. Call Close to stop it.
+// goroutines, and the dispatcher applies their requests one at a time in
+// arrival order. Call Close to stop it.
 func NewService(p QueryPlanner, cfg ServiceConfig) *Service { return plan.NewService(p, cfg) }
 
 // DirFS opens (creating if needed) a directory for the write-ahead journal.
