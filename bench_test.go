@@ -362,10 +362,8 @@ func BenchmarkChurnRepair(b *testing.B) {
 	}
 	busiest := func(a *dsps.Assignment) dsps.HostID {
 		counts := map[dsps.HostID]int{}
-		for pl, on := range a.Ops {
-			if on {
-				counts[pl.Host]++
-			}
+		for _, pl := range a.Ops {
+			counts[pl.Host]++
 		}
 		best, bestN := dsps.HostID(0), -1
 		for h, n := range counts {

@@ -57,10 +57,8 @@ func submitWorkload(t *testing.T, p plan.QueryPlanner, queries []dsps.StreamID) 
 // placements (ties to the lowest ID), the most disruptive single failure.
 func busiestPlannedHost(a *dsps.Assignment) dsps.HostID {
 	counts := map[dsps.HostID]int{}
-	for pl, on := range a.Ops {
-		if on {
-			counts[pl.Host]++
-		}
+	for _, pl := range a.Ops {
+		counts[pl.Host]++
 	}
 	best, bestN := dsps.HostID(0), -1
 	for h, n := range counts {
@@ -73,19 +71,19 @@ func busiestPlannedHost(a *dsps.Assignment) dsps.HostID {
 
 func assertNoDownHostUsage(t *testing.T, sys *dsps.System, a *dsps.Assignment, seed int) {
 	t.Helper()
-	for pl, on := range a.Ops {
-		if on && !sys.HostUsable(pl.Host) {
+	for _, pl := range a.Ops {
+		if !sys.HostUsable(pl.Host) {
 			t.Fatalf("seed %d: operator %d still on down host %d", seed, pl.Op, pl.Host)
 		}
 	}
-	for f, on := range a.Flows {
-		if on && (!sys.HostUsable(f.From) || !sys.HostUsable(f.To)) {
+	for _, f := range a.Flows {
+		if !sys.HostUsable(f.From) || !sys.HostUsable(f.To) {
 			t.Fatalf("seed %d: flow %+v touches a down host", seed, f)
 		}
 	}
-	for s, h := range a.Provides {
-		if !sys.HostUsable(h) {
-			t.Fatalf("seed %d: stream %d still provided by down host %d", seed, s, h)
+	for _, p := range a.Provides {
+		if !sys.HostUsable(p.Host) {
+			t.Fatalf("seed %d: stream %d still provided by down host %d", seed, p.Stream, p.Host)
 		}
 	}
 }

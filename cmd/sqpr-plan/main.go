@@ -88,13 +88,13 @@ func main() {
 	}
 
 	fmt.Println("operator placements:")
-	for _, pl := range a.SortedOps() {
+	for _, pl := range a.Ops {
 		op := sys.Operators[pl.Op]
 		fmt.Printf("  host %d runs op %d (%s -> stream %d, cost %.2f)\n",
 			pl.Host, pl.Op, op.Name, op.Output, op.Cost)
 	}
 	fmt.Println("\nstream flows (including relays):")
-	for _, f := range a.SortedFlows() {
+	for _, f := range a.Flows {
 		fmt.Printf("  stream %3d: host %d -> host %d (rate %.2f)\n",
 			f.Stream, f.From, f.To, sys.Streams[f.Stream].Rate)
 	}

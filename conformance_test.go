@@ -254,7 +254,7 @@ func checkLedgerAgrees(t *testing.T, step string, p sqpr.QueryPlanner, places bo
 		t.Fatalf("%s: ExportState lists %d admitted queries, AdmittedCount = %d", step, len(exported), p.AdmittedCount())
 	}
 	for _, q := range queries {
-		_, provided := p.Assignment().Provides[q]
+		_, provided := p.Assignment().Provider(q)
 		if in := slices.Contains(exported, q); in != p.Admitted(q) || (places && provided != in) {
 			t.Fatalf("%s: query %d: Admitted = %v, in ExportState = %v, provided = %v", step, q, p.Admitted(q), in, provided)
 		}

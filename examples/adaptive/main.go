@@ -47,11 +47,8 @@ func main() {
 	// Simulate monitoring feedback: one heavily shared operator now costs
 	// 2.5x its estimate (the resource monitor of Fig. 3 reports this).
 	var drifted sqpr.OperatorID = -1
-	for pl, on := range planner.Assignment().Ops {
-		if on {
-			drifted = pl.Op
-			break
-		}
+	if ops := planner.Assignment().Ops; len(ops) > 0 {
+		drifted = ops[0].Op
 	}
 	if drifted < 0 {
 		log.Fatal("no operators placed")

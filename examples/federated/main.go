@@ -73,21 +73,18 @@ func main() {
 
 	// Show how many operators stayed inside their site.
 	inSite, crossSite := 0, 0
-	for s, h := range hier.Assignment().Provides {
+	for _, p := range hier.Assignment().Provides {
 		site := 0
-		if h >= 4 {
+		if p.Host >= 4 {
 			site = 1
 		}
 		local := true
-		for pl, on := range hier.Assignment().Ops {
-			if !on {
-				continue
-			}
+		for _, pl := range hier.Assignment().Ops {
 			plSite := 0
 			if pl.Host >= 4 {
 				plSite = 1
 			}
-			if sysH.Operators[pl.Op].Output == s && plSite != site {
+			if sysH.Operators[pl.Op].Output == p.Stream && plSite != site {
 				local = false
 			}
 		}
@@ -96,7 +93,6 @@ func main() {
 		} else {
 			crossSite++
 		}
-		_ = s
 	}
 	fmt.Printf("\nresult providers with fully in-site final operators: %d, cross-site: %d\n", inSite, crossSite)
 }

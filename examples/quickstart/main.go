@@ -52,18 +52,18 @@ func main() {
 
 	a := planner.Assignment()
 	fmt.Println("\nplacements:")
-	for _, pl := range a.SortedOps() {
+	for _, pl := range a.Ops {
 		fmt.Printf("  %s on host %d\n", sys.Operators[pl.Op].Name, pl.Host)
 	}
 	fmt.Println("flows:")
-	for _, f := range a.SortedFlows() {
+	for _, f := range a.Flows {
 		fmt.Printf("  %s: host %d -> host %d\n", sys.Streams[f.Stream].Name, f.From, f.To)
 	}
 
 	// The shared join runs once: both queries reuse its output stream.
 	count := 0
-	for pl, on := range a.Ops {
-		if on && pl.Op == tq.ID {
+	for _, pl := range a.Ops {
+		if pl.Op == tq.ID {
 			count++
 		}
 	}

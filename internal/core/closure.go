@@ -107,13 +107,13 @@ func (b *builder) hostsTouched() int {
 		}
 	}
 	st := b.planner.Assignment()
-	for f := range st.Flows {
+	for _, f := range st.Flows {
 		if b.hasStream(f.Stream) {
 			touch(f.From)
 			touch(f.To)
 		}
 	}
-	for pl := range st.Ops {
+	for _, pl := range st.Ops {
 		if b.hasStream(b.sys.Operators[pl.Op].Output) {
 			touch(pl.Host)
 		}

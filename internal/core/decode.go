@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 
 	"sqpr/internal/dsps"
 	"sqpr/internal/milp"
@@ -16,34 +15,42 @@ func (b *builder) decode(x []float64) (*dsps.Assignment, error) {
 	}
 	next := b.planner.Assignment().Clone()
 
-	// Remove all previous allocation pieces covered by free variables.
-	maps.DeleteFunc(next.Provides, func(s dsps.StreamID, _ dsps.HostID) bool { return b.hasStream(s) })
-	maps.DeleteFunc(next.Flows, func(f dsps.Flow, _ bool) bool { return b.hasStream(f.Stream) })
-	maps.DeleteFunc(next.Ops, func(pl dsps.Placement, _ bool) bool { return b.hasOp(pl.Op) })
+	// Remove all previous allocation pieces covered by free variables, then
+	// add the solved ones in bulk: one merge per slice.
+	next.DeleteProvidesFunc(func(p dsps.Provide) bool { return b.hasStream(p.Stream) })
+	next.DeleteFlowsFunc(func(f dsps.Flow) bool { return b.hasStream(f.Stream) })
+	next.DeleteOpsFunc(func(pl dsps.Placement) bool { return b.hasOp(pl.Op) })
 
 	on := func(v milp.Var) bool { return x[v] > 0.5 }
+	var provides []dsps.Provide
 	for _, s := range b.freeStreams {
+		first := len(provides)
 		for _, h := range b.hosts {
 			if dv, ok := b.d(h, s); ok && on(dv) {
-				if prev, ok := next.Provides[s]; ok {
-					return nil, fmt.Errorf("core: stream %d provided by two hosts (%d, %d)", s, prev, h)
+				if len(provides) > first {
+					return nil, fmt.Errorf("core: stream %d provided by two hosts (%d, %d)", s, provides[first].Host, h)
 				}
-				next.Provides[s] = h
+				provides = append(provides, dsps.Provide{Stream: s, Host: h})
 			}
 		}
 	}
+	var flows []dsps.Flow
 	b.eachFlowVar(func(from, to dsps.HostID, s dsps.StreamID, xv milp.Var) {
 		if on(xv) {
-			next.Flows[dsps.Flow{From: from, To: to, Stream: s}] = true
+			flows = append(flows, dsps.Flow{From: from, To: to, Stream: s})
 		}
 	})
+	var ops []dsps.Placement
 	for _, o := range b.freeOps {
 		for _, h := range b.hosts {
 			if zv, _ := b.z(h, o); on(zv) {
-				next.Ops[dsps.Placement{Host: h, Op: o}] = true
+				ops = append(ops, dsps.Placement{Host: h, Op: o})
 			}
 		}
 	}
+	next.EditProvides(nil, provides)
+	next.EditFlows(nil, flows)
+	next.EditOps(nil, ops)
 
 	b.pruneUnused(next)
 	return next, nil
@@ -59,12 +66,15 @@ func (b *builder) decode(x []float64) (*dsps.Assignment, error) {
 // suffices).
 func (b *builder) pruneUnused(a *dsps.Assignment) {
 	// via marks each needed availability (h, s): 1, or 2+m when its support
-	// is the inflow from host m.
-	via := dsps.NewSeen(b.sys)
+	// is the inflow from host m. It lives beside the stamps that say which
+	// availabilities are needed at all.
+	seen := dsps.GetStamps(b.sys)
+	defer seen.Release()
+	via := seen.Vals()
 	var visit func(h dsps.HostID, s dsps.StreamID)
 	visit = func(h dsps.HostID, s dsps.StreamID) {
 		i := b.sys.HSIndex(h, s)
-		if via[i] != 0 {
+		if !seen.Stamp(i) {
 			return
 		}
 		via[i] = 1
@@ -73,7 +83,7 @@ func (b *builder) pruneUnused(a *dsps.Assignment) {
 		}
 		produced := false
 		for _, op := range b.sys.ProducersOf(s) {
-			if a.Ops[dsps.Placement{Host: h, Op: op}] {
+			if a.HasOp(dsps.Placement{Host: h, Op: op}) {
 				produced = true
 				for _, in := range b.sys.Operators[op].Inputs {
 					visit(h, in)
@@ -83,31 +93,32 @@ func (b *builder) pruneUnused(a *dsps.Assignment) {
 		if produced {
 			return
 		}
-		for m := range b.sys.Hosts {
-			if a.Flows[dsps.Flow{From: dsps.HostID(m), To: h, Stream: s}] {
-				via[i] = 2 + uint32(m)
-				visit(dsps.HostID(m), s)
+		for _, f := range a.FlowsOf(s) {
+			if f.To == h {
+				via[i] = 2 + uint32(f.From)
+				visit(f.From, s)
 				return
 			}
 		}
 	}
-	for s, h := range a.Provides {
-		visit(h, s)
+	for _, p := range a.Provides {
+		visit(p.Host, p.Stream)
 	}
 	// Allocation pieces of fixed (non-free) queries stay, and so does what
 	// fixed consumers of free streams read.
-	for pl := range a.Ops {
+	for _, pl := range a.Ops {
 		if !b.hasOp(pl.Op) {
 			for _, in := range b.sys.Operators[pl.Op].Inputs {
 				visit(pl.Host, in)
 			}
 		}
 	}
-	maps.DeleteFunc(a.Ops, func(pl dsps.Placement, _ bool) bool {
+	a.DeleteOpsFunc(func(pl dsps.Placement) bool {
 		out := b.sys.Operators[pl.Op].Output
-		return b.hasOp(pl.Op) && (via[b.sys.HSIndex(pl.Host, out)] == 0 || b.sys.IsBaseAt(pl.Host, out))
+		return b.hasOp(pl.Op) && (!seen.Stamped(b.sys.HSIndex(pl.Host, out)) || b.sys.IsBaseAt(pl.Host, out))
 	})
-	maps.DeleteFunc(a.Flows, func(f dsps.Flow, _ bool) bool {
-		return b.hasStream(f.Stream) && via[b.sys.HSIndex(f.To, f.Stream)] != 2+uint32(f.From)
+	a.DeleteFlowsFunc(func(f dsps.Flow) bool {
+		to := b.sys.HSIndex(f.To, f.Stream)
+		return b.hasStream(f.Stream) && (!seen.Stamped(to) || via[to] != 2+uint32(f.From))
 	})
 }

@@ -33,20 +33,20 @@ func TestPruneUnusedKeepsOneSupport(t *testing.T) {
 		return dsps.Flow{From: from, To: to, Stream: s}
 	}
 	a := dsps.NewAssignment()
-	a.Provides[xy.Output] = 3
-	a.Ops[dsps.Placement{Host: 3, Op: xy.ID}] = true
-	a.Ops[dsps.Placement{Host: 2, Op: xy.ID}] = true // produced where nobody reads it
-	a.Flows[flow(2, 3, xy.Output)] = true            // redundant: xy is produced at 3
-	a.Flows[flow(0, 3, y)] = true                    // two inflows of y into 3:
-	a.Flows[flow(1, 3, y)] = true                    // one suffices
-	a.Flows[flow(0, 2, y)] = true                    // fed only the unread producer
-	a.Flows[flow(0, 1, fixed)] = true                // not free: untouched
+	a.SetProvide(xy.Output, 3)
+	a.AddOp(dsps.Placement{Host: 3, Op: xy.ID})
+	a.AddOp(dsps.Placement{Host: 2, Op: xy.ID}) // produced where nobody reads it
+	a.AddFlow(flow(2, 3, xy.Output))            // redundant: xy is produced at 3
+	a.AddFlow(flow(0, 3, y))                    // two inflows of y into 3:
+	a.AddFlow(flow(1, 3, y))                    // one suffices
+	a.AddFlow(flow(0, 2, y))                    // fed only the unread producer
+	a.AddFlow(flow(0, 1, fixed))                // not free: untouched
 
 	want := dsps.NewAssignment()
-	want.Provides[xy.Output] = 3
-	want.Ops[dsps.Placement{Host: 3, Op: xy.ID}] = true
-	want.Flows[flow(0, 3, y)] = true
-	want.Flows[flow(0, 1, fixed)] = true
+	want.SetProvide(xy.Output, 3)
+	want.AddOp(dsps.Placement{Host: 3, Op: xy.ID})
+	want.AddFlow(flow(0, 3, y))
+	want.AddFlow(flow(0, 1, fixed))
 
 	// Free: the closure of xy — x, y and xy itself, with its one operator.
 	b := NewPlanner(sys, Config{}).newBuilder([]dsps.StreamID{xy.Output}, false)

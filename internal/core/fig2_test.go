@@ -69,8 +69,8 @@ func TestFig2BothQueriesAdmittedWithSharedChain(t *testing.T) {
 	}
 	// The producer of s3 (operator o3) runs exactly once system-wide.
 	count := 0
-	for pl, on := range p.Assignment().Ops {
-		if on && sys.Operators[pl.Op].Output == s3 {
+	for _, pl := range p.Assignment().Ops {
+		if sys.Operators[pl.Op].Output == s3 {
 			count++
 		}
 	}

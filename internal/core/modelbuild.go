@@ -152,13 +152,13 @@ func (b *builder) selectHosts() {
 			choose(h)
 		}
 	}
-	for f := range st.Flows {
+	for _, f := range st.Flows {
 		if b.hasStream(f.Stream) {
 			force(f.From)
 			force(f.To)
 		}
 	}
-	for pl := range st.Ops {
+	for _, pl := range st.Ops {
 		if b.hasOp(pl.Op) {
 			force(pl.Host)
 			continue
@@ -172,9 +172,9 @@ func (b *builder) selectHosts() {
 			}
 		}
 	}
-	for s, h := range st.Provides {
-		if b.hasStream(s) {
-			force(h)
+	for _, p := range st.Provides {
+		if b.hasStream(p.Stream) {
+			force(p.Host)
 		}
 	}
 
@@ -267,13 +267,13 @@ func (b *builder) computeResiduals() {
 		}
 	}
 	st := b.planner.Assignment()
-	for pl := range st.Ops {
+	for _, pl := range st.Ops {
 		if i := b.hSlot[pl.Host]; i >= 0 && !b.hasOp(pl.Op) {
 			b.resCPU[i] -= b.sys.Operators[pl.Op].Cost
 			b.resMem[i] -= b.sys.Operators[pl.Op].Mem
 		}
 	}
-	for f := range st.Flows {
+	for _, f := range st.Flows {
 		if b.hasStream(f.Stream) {
 			continue
 		}
@@ -289,9 +289,9 @@ func (b *builder) computeResiduals() {
 			b.resIn[j] -= rate
 		}
 	}
-	for s, h := range st.Provides {
-		if i := b.hSlot[h]; i >= 0 && !b.hasStream(s) {
-			b.resOut[i] -= b.sys.Streams[s].Rate
+	for _, p := range st.Provides {
+		if i := b.hSlot[p.Host]; i >= 0 && !b.hasStream(p.Stream) {
+			b.resOut[i] -= b.sys.Streams[p.Stream].Rate
 		}
 	}
 }
@@ -308,7 +308,7 @@ func (b *builder) originAt(h dsps.HostID, s dsps.StreamID, terms []milp.Term) ([
 	for _, op := range b.sys.ProducersOf(s) {
 		if zv, ok := b.z(h, op); ok {
 			terms = append(terms, milp.Term{Var: zv, Coef: -1})
-		} else if b.planner.Assignment().Ops[dsps.Placement{Host: h, Op: op}] {
+		} else if b.planner.Assignment().HasOp(dsps.Placement{Host: h, Op: op}) {
 			rhs += 1
 		}
 	}
@@ -461,7 +461,7 @@ func (b *builder) build() *milp.Model {
 // hosts should prevent that.
 func (b *builder) addPreservationRows() {
 	var need []bool // by y variable
-	for pl := range b.planner.Assignment().Ops {
+	for _, pl := range b.planner.Assignment().Ops {
 		if b.hasOp(pl.Op) {
 			continue
 		}

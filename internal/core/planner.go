@@ -8,7 +8,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"maps"
+	"slices"
 	"time"
 
 	"sqpr/internal/dsps"
@@ -93,7 +93,7 @@ func (b *builder) seedGap(seed *dsps.Assignment) float64 {
 			continue // no provide variables for s
 		}
 		gap += best
-		if h, ok := seed.Provides[s]; ok && b.hasHost(h) {
+		if h, ok := seed.Provider(s); ok && b.hasHost(h) {
 			gap -= w.provide(b.sys, h)
 		}
 	}
@@ -421,8 +421,8 @@ func (p *Planner) mustStopAtRoot(ctx context.Context, b *builder, seed *dsps.Ass
 	got, err := p.solve(ctx, b, seed, opts, &full)
 	want := seed.Clone()
 	b.pruneUnused(want)
-	if ctx.Err() == nil && !full.BudgetHit && (full.Nodes != 1 || got == nil || !maps.Equal(got.Provides, want.Provides) ||
-		!maps.Equal(got.Ops, want.Ops) || !maps.Equal(got.Flows, want.Flows)) {
+	if ctx.Err() == nil && !full.BudgetHit && (full.Nodes != 1 || got == nil || !slices.Equal(got.Provides, want.Provides) ||
+		!slices.Equal(got.Ops, want.Ops) || !slices.Equal(got.Flows, want.Flows)) {
 		invariant.Failf("core: seed %g below the ceiling, yet the solve took %d nodes or moved the plan (%v)", b.seedGap(seed), full.Nodes, err)
 	}
 }

@@ -156,8 +156,8 @@ func TestReuseSharedSubQuery(t *testing.T) {
 	}
 	// The shared operator runs exactly once system-wide.
 	count := 0
-	for pl, on := range p.Assignment().Ops {
-		if on && pl.Op == shared.ID {
+	for _, pl := range p.Assignment().Ops {
+		if pl.Op == shared.ID {
 			count++
 		}
 	}
@@ -193,7 +193,7 @@ func TestKeepAdmittedAcrossSubmissions(t *testing.T) {
 			if !p.Admitted(prev) {
 				t.Fatalf("query %d dropped after later submission", prev)
 			}
-			if _, ok := p.Assignment().Provides[prev]; !ok {
+			if _, ok := p.Assignment().Provider(prev); !ok {
 				t.Fatalf("query %d lost its provider", prev)
 			}
 		}
@@ -218,15 +218,8 @@ func TestRemoveGarbageCollects(t *testing.T) {
 	if p.AdmittedCount() != 0 {
 		t.Fatalf("admitted count %d after removal", p.AdmittedCount())
 	}
-	for pl, on := range p.Assignment().Ops {
-		if on {
-			t.Fatalf("operator %v not garbage-collected", pl)
-		}
-	}
-	for f, on := range p.Assignment().Flows {
-		if on {
-			t.Fatalf("flow %v not garbage-collected", f)
-		}
+	if a := p.Assignment(); len(a.Ops)+len(a.Flows) != 0 {
+		t.Fatalf("operators %v and flows %v not garbage-collected", a.Ops, a.Flows)
 	}
 }
 
@@ -263,8 +256,8 @@ func TestRemoveKeepsSharedSupport(t *testing.T) {
 		t.Fatalf("state infeasible after removal: %v", err)
 	}
 	found := false
-	for pl, on := range p.Assignment().Ops {
-		if on && pl.Op == shared.ID {
+	for _, pl := range p.Assignment().Ops {
+		if pl.Op == shared.ID {
 			found = true
 		}
 	}

@@ -72,7 +72,7 @@ func (p *Planner) Repair(ctx context.Context, events []plan.Event, opts ...plan.
 	// removes whatever the re-plan leaves unused.
 	stripped := before.Clone()
 	for _, q := range hard {
-		delete(stripped.Provides, q)
+		stripped.DeleteProvide(q)
 	}
 	stripped.StripFailed(p.sys)
 	stripped.PruneAcausal(p.sys)
@@ -255,7 +255,7 @@ func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before
 	// Migration costs: keeping a surviving free operator on the placeable
 	// host it already runs on earns the stay bonus; placements on draining
 	// hosts earn nothing, so evacuation is free and staying is not.
-	for pl := range before.Ops {
+	for _, pl := range before.Ops {
 		if zv, ok := b.z(pl.Host, pl.Op); ok && !drifted(pl.Op) && p.sys.HostPlaceable(pl.Host) {
 			b.stay[zv-b.zBase] = true
 			if prev := &b.prefer[b.oSlot[pl.Op]]; *prev < 0 || pl.Host < *prev {
@@ -273,7 +273,7 @@ func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before
 	// candidate host needs evacuating), drift chunks (re-placement is the
 	// goal) and the warm-start ablation (no seed) always take the full solve.
 	seed := b.seed(deadline)
-	unserved := func(q dsps.StreamID) bool { _, ok := seed.Provides[q]; return !ok }
+	unserved := func(q dsps.StreamID) bool { _, ok := seed.Provider(q); return !ok }
 	if seed != nil && !thorough && !slices.ContainsFunc(chunk, unserved) {
 		res.Admitted = p.Commit(seed, chunk...)
 		res.SeedClosed = true

@@ -50,13 +50,11 @@ func submitAll(t *testing.T, p *Planner, qs []dsps.StreamID) {
 // hostsUsed collects the hosts carrying any operator or provide.
 func hostsUsed(a *dsps.Assignment) map[dsps.HostID]bool {
 	used := map[dsps.HostID]bool{}
-	for pl, on := range a.Ops {
-		if on {
-			used[pl.Host] = true
-		}
+	for _, pl := range a.Ops {
+		used[pl.Host] = true
 	}
-	for _, h := range a.Provides {
-		used[h] = true
+	for _, p := range a.Provides {
+		used[p.Host] = true
 	}
 	return used
 }

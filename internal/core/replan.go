@@ -103,13 +103,13 @@ func (p *Planner) DriftedQueries(observed map[dsps.OperatorID]float64, threshold
 	// A query drifted if the walk over its support stops at a drifted
 	// operator.
 	var out []dsps.StreamID
-	seen := dsps.NewSeen(p.sys)
+	seen := dsps.GetStamps(p.sys)
+	defer seen.Release()
 	stable := func(pl dsps.Placement) bool { return !drifted[pl.Op] }
-	epoch := uint32(0)
 	st := p.Assignment()
 	for _, q := range p.AdmittedQueries() {
-		epoch++
-		if h, ok := st.Provides[q]; ok && !st.WalkSupport(p.sys, h, q, seen, epoch, stable, nil) {
+		seen.Next()
+		if h, ok := st.Provider(q); ok && !st.WalkSupport(p.sys, h, q, seen, stable, nil) {
 			out = append(out, q)
 		}
 	}

@@ -77,8 +77,8 @@ func TestDriftedQueriesEdgeCases(t *testing.T) {
 
 	// Find an operator actually supporting qs[0].
 	var supportOp dsps.OperatorID = -1
-	for pl, on := range p.Assignment().Ops {
-		if on && sys.Operators[pl.Op].Output == qs[0] {
+	for _, pl := range p.Assignment().Ops {
+		if sys.Operators[pl.Op].Output == qs[0] {
 			supportOp = pl.Op
 			break
 		}

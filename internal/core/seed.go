@@ -34,7 +34,7 @@ func (b *builder) seed(deadline time.Time) *dsps.Assignment {
 	b.track.Reset(b.sys, cand)
 	b.seedArm(deadline)
 	for _, q := range b.queries {
-		if _, ok := cand.Provides[q]; ok {
+		if _, ok := cand.Provider(q); ok {
 			continue
 		}
 		if b.seedProbes <= 0 {
@@ -166,7 +166,7 @@ type journalEntry struct {
 //
 //sqpr:hotpath
 func (b *builder) applyFlow(trial *dsps.Assignment, f dsps.Flow) {
-	trial.Flows[f] = true
+	trial.AddFlow(f)
 	b.track.AddFlow(f)
 	b.journal = append(b.journal, journalEntry{flow: f}) //sqpr:amortized pooled
 }
@@ -175,7 +175,7 @@ func (b *builder) applyFlow(trial *dsps.Assignment, f dsps.Flow) {
 //
 //sqpr:hotpath
 func (b *builder) applyOp(trial *dsps.Assignment, pl dsps.Placement) {
-	trial.Ops[pl] = true
+	trial.AddOp(pl)
 	b.track.AddOp(pl)
 	b.journal = append(b.journal, journalEntry{isOp: true, op: pl}) //sqpr:amortized pooled
 }
@@ -187,10 +187,10 @@ func (b *builder) rollback(trial *dsps.Assignment, mark int) {
 	for i := len(b.journal) - 1; i >= mark; i-- {
 		e := b.journal[i]
 		if e.isOp {
-			delete(trial.Ops, e.op)
+			trial.DeleteOp(e.op)
 			b.track.RemoveOp(e.op)
 		} else {
-			delete(trial.Flows, e.flow)
+			trial.DeleteFlow(e.flow)
 			b.track.RemoveFlow(e.flow)
 		}
 	}
@@ -246,13 +246,13 @@ func (b *builder) greedyAdmit(cand *dsps.Assignment, q dsps.StreamID) bool {
 			b.rollback(cand, mark)
 			continue
 		}
-		cand.Provides[q] = r.h
+		cand.SetProvide(q, r.h)
 		b.track.AddProvide(r.h, q)
 		if cand.Validate(b.sys) == nil {
 			b.journal = b.journal[:0]
 			return true
 		}
-		delete(cand.Provides, q)
+		cand.DeleteProvide(q)
 		b.track.RemoveProvide(r.h, q)
 		b.rollback(cand, mark)
 	}
@@ -403,7 +403,7 @@ func (b *builder) fetchFlow(trial *dsps.Assignment, from, to dsps.HostID, s dsps
 func (b *builder) vectorOf(a *dsps.Assignment) []float64 {
 	vec := make([]float64, b.numVars())
 	for _, s := range b.freeStreams {
-		prov, provided := a.Provides[s]
+		prov, provided := a.Provider(s)
 		for _, h := range b.hosts {
 			if dv, ok := b.d(h, s); ok && provided && prov == h {
 				vec[dv] = 1
@@ -415,13 +415,13 @@ func (b *builder) vectorOf(a *dsps.Assignment) []float64 {
 		}
 	}
 	b.eachFlowVar(func(from, to dsps.HostID, s dsps.StreamID, xv milp.Var) {
-		if a.Flows[dsps.Flow{From: from, To: to, Stream: s}] {
+		if a.HasFlow(dsps.Flow{From: from, To: to, Stream: s}) {
 			vec[xv] = 1
 		}
 	})
 	for _, o := range b.freeOps {
 		for _, h := range b.hosts {
-			if a.Ops[dsps.Placement{Host: h, Op: o}] {
+			if a.HasOp(dsps.Placement{Host: h, Op: o}) {
 				zv, _ := b.z(h, o)
 				vec[zv] = 1
 			}
@@ -449,11 +449,9 @@ func (b *builder) fillPotentials(a *dsps.Assignment, vec []float64) {
 	pot := make([]float64, len(b.hosts)) // by host slot
 	for _, s := range b.freeStreams {
 		flows = flows[:0]
-		for _, h := range b.hosts {
-			for _, m := range b.hosts {
-				if f := (dsps.Flow{From: h, To: m, Stream: s}); h != m && a.Flows[f] {
-					flows = append(flows, f)
-				}
+		for _, f := range a.FlowsOf(s) {
+			if b.hasHost(f.From) && b.hasHost(f.To) {
+				flows = append(flows, f)
 			}
 		}
 		if len(flows) == 0 {

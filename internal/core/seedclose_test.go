@@ -261,7 +261,8 @@ func TestSeedCloseMustNotFire(t *testing.T) {
 			if drain {
 				// ac shares base stream a, so ab is freed with it; leaving ab's
 				// provider on the draining host forfeits migrationWeight.
-				sys.SetHostState(p.Assignment().Provides[ab], dsps.HostDraining)
+				h, _ := p.Assignment().Provider(ab)
+				sys.SetHostState(h, dsps.HostDraining)
 			}
 			if res := mustSubmit(t, p, !drain, ac); !res.Admitted || !p.Admitted(ab) {
 				t.Fatalf("drain=%v: ac or ab lost: %+v", drain, res)

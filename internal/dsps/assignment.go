@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+
+	"sqpr/internal/invariant"
 )
 
 // Flow identifies one stream transfer between two hosts (variable x_hms).
@@ -18,43 +20,340 @@ type Placement struct {
 	Op   OperatorID
 }
 
+// Provide binds a requested stream to the host serving it to clients
+// (d_hs = 1).
+type Provide struct {
+	Stream StreamID `json:"stream"`
+	Host   HostID   `json:"host"`
+}
+
 // Assignment is a complete allocation state of the DSPS: the (d, x, y, z)
 // variables of the optimisation model in sparse form. The potentials p are
 // not stored; causality is re-derivable (see Validate).
+//
+// Each slice is kept sorted in wire order and free of duplicates, so every
+// lookup is a binary search, the pieces touching one stream or operator are
+// contiguous, and two assignments compare by a linear merge. Code outside
+// this package only ranges over the slices or takes their len; the methods
+// below are the only writers, and each keeps the order.
 type Assignment struct {
-	// Provides maps a requested stream to the host serving it to clients
-	// (d_hs = 1). At most one host serves each stream (III.4b).
-	Provides map[StreamID]HostID
-	// Flows holds every active inter-host transfer (x_hms = 1). A present
-	// key is on: entries are written as true or deleted, never set false.
-	Flows map[Flow]bool
-	// Ops holds every operator placement (z_ho = 1); a present key is on.
-	Ops map[Placement]bool
+	// Provides lists, by stream, the host serving each requested stream to
+	// clients. At most one host serves each stream (III.4b).
+	Provides []Provide
+	// Flows holds every active inter-host transfer (x_hms = 1), in
+	// CompareFlows order: (Stream, From, To).
+	Flows []Flow
+	// Ops holds every operator placement (z_ho = 1), in ComparePlacements
+	// order: (Op, Host).
+	Ops []Placement
 }
 
 // NewAssignment returns an empty allocation (the initial solution of
 // Algorithm 1, line 1).
-func NewAssignment() *Assignment {
-	return &Assignment{
-		Provides: make(map[StreamID]HostID),
-		Flows:    make(map[Flow]bool),
-		Ops:      make(map[Placement]bool),
-	}
-}
+func NewAssignment() *Assignment { return new(Assignment) }
 
 // Clone deep-copies the assignment.
 func (a *Assignment) Clone() *Assignment {
-	b := NewAssignment()
-	for k, v := range a.Provides {
-		b.Provides[k] = v
+	return &Assignment{
+		Provides: slices.Clone(a.Provides),
+		Flows:    slices.Clone(a.Flows),
+		Ops:      slices.Clone(a.Ops),
 	}
-	for k := range a.Flows {
-		b.Flows[k] = true
+}
+
+// CompareFlows orders flows by (Stream, From, To), ComparePlacements orders
+// placements by (Op, Host) and CompareProvides orders provides by stream:
+// the order Assignment keeps and the wire order of assignment files,
+// snapshots and journal deltas.
+func CompareFlows(a, b Flow) int {
+	return cmp.Or(cmp.Compare(a.Stream, b.Stream), cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+}
+
+// ComparePlacements: see CompareFlows.
+func ComparePlacements(a, b Placement) int {
+	return cmp.Or(cmp.Compare(a.Op, b.Op), cmp.Compare(a.Host, b.Host))
+}
+
+// CompareProvides: see CompareFlows.
+func CompareProvides(a, b Provide) int { return cmp.Compare(a.Stream, b.Stream) }
+
+// The lookups below compare ids inline: a range search by the leading key
+// (stream, operator), then a search of that short run by the full key.
+
+// flowSpan returns the bounds of stream s's run of a.Flows.
+func (a *Assignment) flowSpan(s StreamID) (int, int) {
+	fs := a.Flows
+	lo, hi := 0, len(fs)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); fs[m].Stream < s {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	for k := range a.Ops {
-		b.Ops[k] = true
+	end := lo
+	for hi = len(fs); end < hi; {
+		if m := int(uint(end+hi) >> 1); fs[m].Stream <= s {
+			end = m + 1
+		} else {
+			hi = m
+		}
 	}
-	return b
+	return lo, end
+}
+
+// opSpan returns the bounds of operator op's run of a.Ops.
+func (a *Assignment) opSpan(op OperatorID) (int, int) {
+	ops := a.Ops
+	lo, hi := 0, len(ops)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); ops[m].Op < op {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	end := lo
+	for hi = len(ops); end < hi; {
+		if m := int(uint(end+hi) >> 1); ops[m].Op <= op {
+			end = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, end
+}
+
+// provideIndex returns where stream s's provide is or would go in
+// a.Provides, and whether it is there.
+func (a *Assignment) provideIndex(s StreamID) (int, bool) {
+	ps := a.Provides
+	lo, hi := 0, len(ps)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); ps[m].Stream < s {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(ps) && ps[lo].Stream == s
+}
+
+// flowIndex returns where f is or would go in a.Flows, and whether it is
+// there.
+func (a *Assignment) flowIndex(f Flow) (int, bool) {
+	lo, hi := a.flowSpan(f.Stream)
+	i, ok := slices.BinarySearchFunc(a.Flows[lo:hi], f, CompareFlows)
+	return lo + i, ok
+}
+
+// opIndex returns where pl is or would go in a.Ops, and whether it is there.
+func (a *Assignment) opIndex(pl Placement) (int, bool) {
+	lo, hi := a.opSpan(pl.Op)
+	i, ok := slices.BinarySearchFunc(a.Ops[lo:hi], pl, ComparePlacements)
+	return lo + i, ok
+}
+
+// Provider returns the host serving stream s, if any.
+func (a *Assignment) Provider(s StreamID) (HostID, bool) {
+	i, ok := a.provideIndex(s)
+	if !ok {
+		return 0, false
+	}
+	return a.Provides[i].Host, true
+}
+
+// HasFlow reports whether transfer f is active.
+func (a *Assignment) HasFlow(f Flow) bool {
+	_, ok := a.flowIndex(f)
+	return ok
+}
+
+// HasOp reports whether placement pl is active.
+func (a *Assignment) HasOp(pl Placement) bool {
+	_, ok := a.opIndex(pl)
+	return ok
+}
+
+// FlowsOf returns the active transfers of stream s, ordered by (From, To).
+// The result aliases the assignment: it is valid until the next mutation
+// and must not be appended to.
+func (a *Assignment) FlowsOf(s StreamID) []Flow {
+	lo, hi := a.flowSpan(s)
+	return a.Flows[lo:hi:hi]
+}
+
+// PlacementsOf returns the hosts running operator op as placements ordered
+// by host. The result aliases the assignment like FlowsOf's.
+func (a *Assignment) PlacementsOf(op OperatorID) []Placement {
+	lo, hi := a.opSpan(op)
+	return a.Ops[lo:hi:hi]
+}
+
+// SetProvide makes h the provider of stream s, replacing any previous one.
+//
+//sqpr:hotpath
+func (a *Assignment) SetProvide(s StreamID, h HostID) {
+	i, ok := a.provideIndex(s)
+	if ok {
+		a.Provides[i].Host = h
+	} else {
+		a.Provides = insertAt(a.Provides, i, Provide{Stream: s, Host: h})
+	}
+	if invariant.Enabled {
+		a.mustBeOrdered()
+	}
+}
+
+// DeleteProvide withdraws the provide of s and reports whether there was one.
+//
+//sqpr:hotpath
+func (a *Assignment) DeleteProvide(s StreamID) bool {
+	i, ok := a.provideIndex(s)
+	if ok {
+		a.Provides = slices.Delete(a.Provides, i, i+1)
+	}
+	if invariant.Enabled {
+		a.mustBeOrdered()
+	}
+	return ok
+}
+
+// AddFlow turns transfer f on and reports whether it was off.
+//
+//sqpr:hotpath
+func (a *Assignment) AddFlow(f Flow) bool {
+	i, ok := a.flowIndex(f)
+	if !ok {
+		a.Flows = insertAt(a.Flows, i, f)
+	}
+	if invariant.Enabled {
+		a.mustBeOrdered()
+	}
+	return !ok
+}
+
+// DeleteFlow turns transfer f off and reports whether it was on.
+//
+//sqpr:hotpath
+func (a *Assignment) DeleteFlow(f Flow) bool {
+	i, ok := a.flowIndex(f)
+	if ok {
+		a.Flows = slices.Delete(a.Flows, i, i+1)
+	}
+	if invariant.Enabled {
+		a.mustBeOrdered()
+	}
+	return ok
+}
+
+// AddOp turns placement pl on and reports whether it was off.
+//
+//sqpr:hotpath
+func (a *Assignment) AddOp(pl Placement) bool {
+	i, ok := a.opIndex(pl)
+	if !ok {
+		a.Ops = insertAt(a.Ops, i, pl)
+	}
+	if invariant.Enabled {
+		a.mustBeOrdered()
+	}
+	return !ok
+}
+
+// DeleteOp turns placement pl off and reports whether it was on.
+//
+//sqpr:hotpath
+func (a *Assignment) DeleteOp(pl Placement) bool {
+	i, ok := a.opIndex(pl)
+	if ok {
+		a.Ops = slices.Delete(a.Ops, i, i+1)
+	}
+	if invariant.Enabled {
+		a.mustBeOrdered()
+	}
+	return ok
+}
+
+// DeleteProvidesFunc withdraws every provide for which del reports true.
+func (a *Assignment) DeleteProvidesFunc(del func(Provide) bool) {
+	a.Provides = slices.DeleteFunc(a.Provides, del)
+	if invariant.Enabled {
+		a.mustBeOrdered()
+	}
+}
+
+// DeleteFlowsFunc turns off every transfer for which del reports true.
+func (a *Assignment) DeleteFlowsFunc(del func(Flow) bool) {
+	a.Flows = slices.DeleteFunc(a.Flows, del)
+	if invariant.Enabled {
+		a.mustBeOrdered()
+	}
+}
+
+// DeleteOpsFunc turns off every placement for which del reports true.
+func (a *Assignment) DeleteOpsFunc(del func(Placement) bool) {
+	a.Ops = slices.DeleteFunc(a.Ops, del)
+	if invariant.Enabled {
+		a.mustBeOrdered()
+	}
+}
+
+// EditProvides withdraws the provides of del, then binds each of set,
+// replacing a previous provider. EditFlows and EditOps delete del, then add
+// add. They are the bulk writers (a journal delta, a decoded solve): the
+// lists may come in any order and repeat keys (the last binding of a stream
+// wins), and an edit costs one merge with the assignment — plus one sort of
+// a list that is not already in order.
+func (a *Assignment) EditProvides(del []StreamID, set []Provide) {
+	if len(del) == 0 && len(set) == 0 {
+		return
+	}
+	dels := make([]Provide, len(del))
+	for i, s := range del {
+		dels[i].Stream = s
+	}
+	a.Provides = EditSorted(a.Provides, dels, set, CompareProvides)
+	if invariant.Enabled {
+		a.mustBeOrdered()
+	}
+}
+
+// EditFlows: see EditProvides.
+func (a *Assignment) EditFlows(del, add []Flow) {
+	a.Flows = EditSorted(a.Flows, del, add, CompareFlows)
+	if invariant.Enabled {
+		a.mustBeOrdered()
+	}
+}
+
+// EditOps: see EditProvides.
+func (a *Assignment) EditOps(del, add []Placement) {
+	a.Ops = EditSorted(a.Ops, del, add, ComparePlacements)
+	if invariant.Enabled {
+		a.mustBeOrdered()
+	}
+}
+
+// checkOrder reports the first slice of a that is out of order or repeats a
+// key.
+func (a *Assignment) checkOrder() error {
+	switch {
+	case !strictlyOrdered(a.Provides, CompareProvides):
+		return fmt.Errorf("dsps: provides are not sorted by stream without repeats")
+	case !strictlyOrdered(a.Flows, CompareFlows):
+		return fmt.Errorf("dsps: flows are not sorted by (stream, from, to) without repeats")
+	case !strictlyOrdered(a.Ops, ComparePlacements):
+		return fmt.Errorf("dsps: placements are not sorted by (op, host) without repeats")
+	}
+	return nil
+}
+
+// mustBeOrdered is the checked-build assertion every mutator ends with.
+func (a *Assignment) mustBeOrdered() {
+	if err := a.checkOrder(); err != nil {
+		invariant.Failf("%v", err)
+	}
 }
 
 // Available reports whether stream s is available at host h (the derived
@@ -64,13 +363,13 @@ func (a *Assignment) Available(sys *System, h HostID, s StreamID) bool {
 	if sys.IsBaseAt(h, s) {
 		return true
 	}
-	for m := 0; m < sys.NumHosts(); m++ {
-		if a.Flows[Flow{HostID(m), h, s}] {
+	for _, f := range a.FlowsOf(s) {
+		if f.To == h {
 			return true
 		}
 	}
 	for _, op := range sys.ProducersOf(s) {
-		if a.Ops[Placement{h, op}] {
+		if a.HasOp(Placement{Host: h, Op: op}) {
 			return true
 		}
 	}
@@ -111,14 +410,14 @@ func (u *Usage) Reset(sys *System, a *Assignment) {
 		u.Link[i] = resizeZero(u.Link[i], n)
 	}
 	u.Network, u.CPUSum = 0, 0
-	for pl := range a.Ops {
+	for _, pl := range a.Ops {
 		u.AddOp(pl)
 	}
-	for f := range a.Flows {
+	for _, f := range a.Flows {
 		u.AddFlow(f)
 	}
-	for s, h := range a.Provides {
-		u.AddProvide(h, s)
+	for _, p := range a.Provides {
+		u.AddProvide(p.Host, p.Stream)
 	}
 }
 
@@ -253,29 +552,30 @@ func (u *Usage) TotalCPU() float64 {
 }
 
 // CheckIDs reports the first host, stream or operator id of the assignment
-// that lies outside sys. Assignments decoded from journals, snapshots and
-// files carry whatever ids the bytes held; everything below indexes the
-// system's tables with them, so this is the gate that turns a bad id into
-// an error instead of a panic.
+// that lies outside sys, or the first slice out of order or repeating a
+// key. Assignments decoded from journals, snapshots and files carry
+// whatever ids the bytes held; everything below indexes the system's tables
+// with them and binary-searches the slices, so this is the gate that turns
+// bad input into an error instead of a panic or a wrong answer.
 func (a *Assignment) CheckIDs(sys *System) error {
 	host := func(h HostID) bool { return h >= 0 && int(h) < len(sys.Hosts) }
 	stream := func(s StreamID) bool { return s >= 0 && int(s) < len(sys.Streams) }
-	for s, h := range a.Provides {
-		if !stream(s) || !host(h) {
-			return fmt.Errorf("dsps: provide of stream %d at host %d is outside the system", s, h)
+	for _, p := range a.Provides {
+		if !stream(p.Stream) || !host(p.Host) {
+			return fmt.Errorf("dsps: provide of stream %d at host %d is outside the system", p.Stream, p.Host)
 		}
 	}
-	for f := range a.Flows {
+	for _, f := range a.Flows {
 		if !stream(f.Stream) || !host(f.From) || !host(f.To) {
 			return fmt.Errorf("dsps: flow of stream %d from host %d to host %d is outside the system", f.Stream, f.From, f.To)
 		}
 	}
-	for pl := range a.Ops {
+	for _, pl := range a.Ops {
 		if pl.Op < 0 || int(pl.Op) >= len(sys.Operators) || !host(pl.Host) {
 			return fmt.Errorf("dsps: placement of operator %d on host %d is outside the system", pl.Op, pl.Host)
 		}
 	}
-	return nil
+	return a.checkOrder()
 }
 
 // HSIndex is the dense index of availability (h, s): host and stream ids
@@ -285,48 +585,45 @@ func (sys *System) HSIndex(h HostID, s StreamID) int {
 	return int(h)*len(sys.Streams) + int(s)
 }
 
-// derive is the availability fixed point of the causality rule (III.7),
-// indexed by HSIndex: a stream is derived at a host if it is a base stream
-// there and the host is usable, if a placed operator with all inputs
-// already derived outputs it there, or if a flow carries it from a host
-// where it is already derived. What is never derived has no real source:
-// a missing input, or the self-sustaining feedback loop the potentials p
-// exclude.
-func (a *Assignment) derive(sys *System) []bool {
-	derived := make([]bool, len(sys.Hosts)*len(sys.Streams))
-	for s, hosts := range sys.baseHosts {
-		for _, h := range hosts {
-			if sys.HostUsable(h) {
-				derived[sys.HSIndex(h, s)] = true
-			}
-		}
-	}
+// derive is the availability fixed point of the causality rule (III.7): a
+// stream is derived at a host if it is a base stream there and the host is
+// usable, if a placed operator with all inputs already derived outputs it
+// there, or if a flow carries it from a host where it is already derived.
+// What is never derived has no real source: a missing input, or the
+// self-sustaining feedback loop the potentials p exclude. derive stamps
+// seen, under its current epoch, at every availability it reaches beyond
+// the base placements; derived reads the result.
+func (a *Assignment) derive(sys *System, seen *Stamps) {
 	for changed := true; changed; {
 		changed = false
-		for pl := range a.Ops {
-			out := sys.HSIndex(pl.Host, sys.Operators[pl.Op].Output)
-			if derived[out] {
+		for _, pl := range a.Ops {
+			out := sys.Operators[pl.Op].Output
+			if derived(sys, seen, pl.Host, out) {
 				continue
 			}
-			if _, missing := underivedInput(sys, derived, pl); !missing {
-				derived[out] = true
+			if _, missing := underivedInput(sys, seen, pl); !missing {
+				seen.Stamp(sys.HSIndex(pl.Host, out))
 				changed = true
 			}
 		}
-		for f := range a.Flows {
-			if to := sys.HSIndex(f.To, f.Stream); !derived[to] && derived[sys.HSIndex(f.From, f.Stream)] {
-				derived[to] = true
+		for _, f := range a.Flows {
+			if !derived(sys, seen, f.To, f.Stream) && derived(sys, seen, f.From, f.Stream) {
+				seen.Stamp(sys.HSIndex(f.To, f.Stream))
 				changed = true
 			}
 		}
 	}
-	return derived
+}
+
+// derived reports whether derive reached availability (h, s).
+func derived(sys *System, seen *Stamps, h HostID, s StreamID) bool {
+	return seen.Stamped(sys.HSIndex(h, s)) || sys.IsBaseAt(h, s) && sys.HostUsable(h)
 }
 
 // underivedInput returns an input of pl that is not derived at its host.
-func underivedInput(sys *System, derived []bool, pl Placement) (StreamID, bool) {
+func underivedInput(sys *System, seen *Stamps, pl Placement) (StreamID, bool) {
 	for _, in := range sys.Operators[pl.Op].Inputs {
-		if !derived[sys.HSIndex(pl.Host, in)] {
+		if !derived(sys, seen, pl.Host, in) {
 			return in, true
 		}
 	}
@@ -344,31 +641,34 @@ func (a *Assignment) Validate(sys *System) error {
 	// (draining hosts remain valid for existing allocations), and every
 	// availability an allocation relies on must be derived. Possession
 	// (III.4a, III.5b, III.5c) is the weaker form of derivation, so the one
-	// check covers it and acyclicity (III.7) both. derive seeds usable
-	// hosts only; that cannot hide an error, because every piece touching
-	// a down host is rejected here by itself.
-	derived := a.derive(sys)
-	for s, h := range a.Provides {
+	// check covers it and acyclicity (III.7) both. Base streams count at
+	// usable hosts only; that cannot hide an error, because every piece
+	// touching a down host is rejected here by itself.
+	seen := GetStamps(sys)
+	defer seen.Release()
+	a.derive(sys, seen)
+	for _, p := range a.Provides {
+		s, h := p.Stream, p.Host
 		if !sys.HostUsable(h) {
 			return fmt.Errorf("dsps: stream %d provided by down host %d", s, h)
 		}
-		// (III.4b) one host per stream is enforced by the map type.
+		// (III.4b) one host per stream: CheckIDs rejected repeated streams.
 		if !sys.Streams[s].Requested {
 			return fmt.Errorf("dsps: host %d provides unrequested stream %d", h, s)
 		}
-		if !derived[sys.HSIndex(h, s)] {
+		if !derived(sys, seen, h, s) {
 			return fmt.Errorf("dsps: provided stream %d at host %d is acausal", s, h)
 		}
 	}
-	for pl := range a.Ops {
+	for _, pl := range a.Ops {
 		if !sys.HostUsable(pl.Host) {
 			return fmt.Errorf("dsps: operator %d placed on down host %d", pl.Op, pl.Host)
 		}
-		if in, missing := underivedInput(sys, derived, pl); missing {
+		if in, missing := underivedInput(sys, seen, pl); missing {
 			return fmt.Errorf("dsps: operator %d on host %d has acausal input stream %d", pl.Op, pl.Host, in)
 		}
 	}
-	for f := range a.Flows {
+	for _, f := range a.Flows {
 		if !sys.HostUsable(f.From) {
 			return fmt.Errorf("dsps: flow of stream %d from down host %d", f.Stream, f.From)
 		}
@@ -378,7 +678,7 @@ func (a *Assignment) Validate(sys *System) error {
 		if f.From == f.To {
 			return fmt.Errorf("dsps: self-flow of stream %d at host %d", f.Stream, f.From)
 		}
-		if !derived[sys.HSIndex(f.From, f.Stream)] {
+		if !derived(sys, seen, f.From, f.Stream) {
 			return fmt.Errorf("dsps: acausal flow of stream %d from host %d (no real source)", f.Stream, f.From)
 		}
 	}
@@ -413,9 +713,6 @@ func (a *Assignment) Validate(sys *System) error {
 // (objective O1), i.e. Σ d_hs.
 func (a *Assignment) SatisfiedQueries() int { return len(a.Provides) }
 
-// NewSeen returns the visited array WalkSupport stamps, sized for sys.
-func NewSeen(sys *System) []uint32 { return make([]uint32, len(sys.Hosts)*len(sys.Streams)) }
-
 // WalkSupport visits everything availability (h, s) rests on, backwards
 // and through every alternative: each operator placed at h that outputs s
 // (then its inputs at h) and each flow bringing s into h (then s at the
@@ -423,42 +720,35 @@ func NewSeen(sys *System) []uint32 { return make([]uint32, len(sys.Hosts)*len(sy
 // each such placement and flow once and stop the walk by returning false;
 // WalkSupport reports whether it ran to completion.
 //
-// seen (from NewSeen) is stamped with epoch at every availability reached.
-// Walks under one epoch share what they have visited, so many roots cost
-// one traversal; a fresh non-zero epoch starts an independent walk on the
-// same array without clearing it.
-func (a *Assignment) WalkSupport(sys *System, h HostID, s StreamID, seen []uint32, epoch uint32, onOp func(Placement) bool, onFlow func(Flow) bool) bool {
-	i := sys.HSIndex(h, s)
-	if seen[i] == epoch {
-		return true
-	}
-	seen[i] = epoch
-	if sys.IsBaseAt(h, s) {
+// seen (from GetStamps) is stamped at every availability reached. Walks
+// under one epoch share what they have visited, so many roots cost one
+// traversal; seen.Next starts an independent walk.
+func (a *Assignment) WalkSupport(sys *System, h HostID, s StreamID, seen *Stamps, onOp func(Placement) bool, onFlow func(Flow) bool) bool {
+	if !seen.Stamp(sys.HSIndex(h, s)) || sys.IsBaseAt(h, s) {
 		return true
 	}
 	for _, op := range sys.ProducersOf(s) {
 		pl := Placement{Host: h, Op: op}
-		if !a.Ops[pl] {
+		if !a.HasOp(pl) {
 			continue
 		}
 		if onOp != nil && !onOp(pl) {
 			return false
 		}
 		for _, in := range sys.Operators[op].Inputs {
-			if !a.WalkSupport(sys, h, in, seen, epoch, onOp, onFlow) {
+			if !a.WalkSupport(sys, h, in, seen, onOp, onFlow) {
 				return false
 			}
 		}
 	}
-	for m := range sys.Hosts {
-		f := Flow{From: HostID(m), To: h, Stream: s}
-		if !a.Flows[f] {
+	for _, f := range a.FlowsOf(s) {
+		if f.To != h {
 			continue
 		}
 		if onFlow != nil && !onFlow(f) {
 			return false
 		}
-		if !a.WalkSupport(sys, f.From, s, seen, epoch, onOp, onFlow) {
+		if !a.WalkSupport(sys, f.From, s, seen, onOp, onFlow) {
 			return false
 		}
 	}
@@ -471,25 +761,18 @@ func (a *Assignment) WalkSupport(sys *System, h HostID, s StreamID, seen []uint3
 // the shared second half of query removal (§IV-B "conceptually removing
 // and re-adding queries") used by every planner's Remove.
 func (a *Assignment) GarbageCollect(sys *System) {
-	seen := NewSeen(sys)
-	for s, h := range a.Provides {
-		a.WalkSupport(sys, h, s, seen, 1, nil, nil)
+	seen := GetStamps(sys)
+	defer seen.Release()
+	for _, p := range a.Provides {
+		a.WalkSupport(sys, p.Host, p.Stream, seen, nil, nil)
 	}
 	// The walk keeps every producer and every inflow of each availability
 	// it reaches, so a piece is needed exactly when its target was reached.
 	needed := func(h HostID, s StreamID) bool {
-		return seen[sys.HSIndex(h, s)] == 1 && !sys.IsBaseAt(h, s)
+		return seen.Stamped(sys.HSIndex(h, s)) && !sys.IsBaseAt(h, s)
 	}
-	for pl := range a.Ops {
-		if !needed(pl.Host, sys.Operators[pl.Op].Output) {
-			delete(a.Ops, pl)
-		}
-	}
-	for f := range a.Flows {
-		if !needed(f.To, f.Stream) {
-			delete(a.Flows, f)
-		}
-	}
+	a.DeleteOpsFunc(func(pl Placement) bool { return !needed(pl.Host, sys.Operators[pl.Op].Output) })
+	a.DeleteFlowsFunc(func(f Flow) bool { return !needed(f.To, f.Stream) })
 }
 
 // AffectedQueries returns the provided streams whose current support — the
@@ -501,18 +784,17 @@ func (a *Assignment) GarbageCollect(sys *System) {
 // graceful decommission should migrate.
 func (a *Assignment) AffectedQueries(sys *System, affected func(HostID) bool) []StreamID {
 	var out []StreamID
-	seen := NewSeen(sys)
+	seen := GetStamps(sys)
+	defer seen.Release()
 	// Operators run where their output is needed, so beyond the providing
 	// host only a flow's sender adds a new host to a query's support.
 	untouched := func(f Flow) bool { return !affected(f.From) }
-	epoch := uint32(0)
-	for q, h := range a.Provides {
-		epoch++
-		if affected(h) || !a.WalkSupport(sys, h, q, seen, epoch, nil, untouched) {
-			out = append(out, q)
+	for _, p := range a.Provides {
+		seen.Next()
+		if affected(p.Host) || !a.WalkSupport(sys, p.Host, p.Stream, seen, nil, untouched) {
+			out = append(out, p.Stream)
 		}
 	}
-	slices.Sort(out)
 	return out
 }
 
@@ -521,21 +803,9 @@ func (a *Assignment) AffectedQueries(sys *System, affected func(HostID) bool) []
 // used to supply; callers re-plan the affected queries (see AffectedQueries)
 // and garbage-collect before validating.
 func (a *Assignment) StripFailed(sys *System) {
-	for pl := range a.Ops {
-		if !sys.HostUsable(pl.Host) {
-			delete(a.Ops, pl)
-		}
-	}
-	for f := range a.Flows {
-		if !sys.HostUsable(f.From) || !sys.HostUsable(f.To) {
-			delete(a.Flows, f)
-		}
-	}
-	for s, h := range a.Provides {
-		if !sys.HostUsable(h) {
-			delete(a.Provides, s)
-		}
-	}
+	a.DeleteOpsFunc(func(pl Placement) bool { return !sys.HostUsable(pl.Host) })
+	a.DeleteFlowsFunc(func(f Flow) bool { return !sys.HostUsable(f.From) || !sys.HostUsable(f.To) })
+	a.DeleteProvidesFunc(func(p Provide) bool { return !sys.HostUsable(p.Host) })
 }
 
 // PruneAcausal removes every operator placement and flow that is no longer
@@ -548,22 +818,15 @@ func (a *Assignment) StripFailed(sys *System) {
 // them. Provides whose stream became underivable at their host are removed
 // too (callers treat those queries as affected).
 func (a *Assignment) PruneAcausal(sys *System) {
-	derived := a.derive(sys)
-	for pl := range a.Ops {
-		if _, missing := underivedInput(sys, derived, pl); missing {
-			delete(a.Ops, pl)
-		}
-	}
-	for f := range a.Flows {
-		if !derived[sys.HSIndex(f.From, f.Stream)] {
-			delete(a.Flows, f)
-		}
-	}
-	for s, h := range a.Provides {
-		if !derived[sys.HSIndex(h, s)] {
-			delete(a.Provides, s)
-		}
-	}
+	seen := GetStamps(sys)
+	defer seen.Release()
+	a.derive(sys, seen)
+	a.DeleteOpsFunc(func(pl Placement) bool {
+		_, missing := underivedInput(sys, seen, pl)
+		return missing
+	})
+	a.DeleteFlowsFunc(func(f Flow) bool { return !derived(sys, seen, f.From, f.Stream) })
+	a.DeleteProvidesFunc(func(p Provide) bool { return !derived(sys, seen, p.Host, p.Stream) })
 }
 
 // CountMigrations counts the operators that survived a repair but moved: o
@@ -574,63 +837,20 @@ func (a *Assignment) PruneAcausal(sys *System) {
 // operators whose only former hosts went down (re-placing those is forced,
 // not chosen).
 func CountMigrations(sys *System, before, after *Assignment) int {
-	beforeHosts := make(map[OperatorID][]HostID)
-	for pl := range before.Ops {
-		if sys.HostUsable(pl.Host) {
-			beforeHosts[pl.Op] = append(beforeHosts[pl.Op], pl.Host)
-		}
-	}
-	afterAny := make(map[OperatorID]bool)
-	for pl := range after.Ops {
-		afterAny[pl.Op] = true
-	}
 	migrated := 0
-	for op, hosts := range beforeHosts {
-		if !afterAny[op] {
-			continue
-		}
-		stayed := false
-		for _, h := range hosts {
-			if after.Ops[Placement{Host: h, Op: op}] {
-				stayed = true
-				break
+	for rest := before.Ops; len(rest) > 0; {
+		was := before.PlacementsOf(rest[0].Op)
+		rest = rest[len(was):]
+		survived, stayed := false, false
+		for _, pl := range was {
+			if sys.HostUsable(pl.Host) {
+				survived = true
+				stayed = stayed || after.HasOp(pl)
 			}
 		}
-		if !stayed {
+		if survived && !stayed && len(after.PlacementsOf(was[0].Op)) > 0 {
 			migrated++
 		}
 	}
 	return migrated
-}
-
-// CompareFlows orders flows by (Stream, From, To) and ComparePlacements
-// orders placements by (Op, Host): the wire order of assignment files,
-// snapshots and journal deltas.
-func CompareFlows(a, b Flow) int {
-	return cmp.Or(cmp.Compare(a.Stream, b.Stream), cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
-}
-
-// ComparePlacements: see CompareFlows.
-func ComparePlacements(a, b Placement) int {
-	return cmp.Or(cmp.Compare(a.Op, b.Op), cmp.Compare(a.Host, b.Host))
-}
-
-// SortedFlows returns the active flows in wire order.
-func (a *Assignment) SortedFlows() []Flow {
-	out := make([]Flow, 0, len(a.Flows))
-	for f := range a.Flows {
-		out = append(out, f)
-	}
-	slices.SortFunc(out, CompareFlows)
-	return out
-}
-
-// SortedOps returns the active placements in wire order.
-func (a *Assignment) SortedOps() []Placement {
-	out := make([]Placement, 0, len(a.Ops))
-	for p := range a.Ops {
-		out = append(out, p)
-	}
-	slices.SortFunc(out, ComparePlacements)
-	return out
 }

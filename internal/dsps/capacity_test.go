@@ -37,9 +37,9 @@ func newCapacityFixture() capacityFixture {
 	op.Mem = 2
 
 	a := dsps.NewAssignment()
-	a.Ops[dsps.Placement{Host: 0, Op: bgOp.ID}] = true
-	a.Flows[dsps.Flow{From: 0, To: 1, Stream: bg}] = true
-	a.Provides[bg] = 0
+	a.AddOp(dsps.Placement{Host: 0, Op: bgOp.ID})
+	a.AddFlow(dsps.Flow{From: 0, To: 1, Stream: bg})
+	a.SetProvide(bg, 0)
 	return capacityFixture{
 		sys:     sys,
 		a:       a,
@@ -92,13 +92,13 @@ func TestFitsAgreesWithValidateAtTheBoundary(t *testing.T) {
 			switch b.piece {
 			case anOp:
 				fits = u.FitsOp(fx.op, tol)
-				fx.a.Ops[fx.op] = true
+				fx.a.AddOp(fx.op)
 			case aFlow:
 				fits = u.FitsFlow(fx.flow, tol)
-				fx.a.Flows[fx.flow] = true
+				fx.a.AddFlow(fx.flow)
 			case aProvide:
 				fits = u.FitsProvide(0, fx.provide, tol)
-				fx.a.Provides[fx.provide] = 0
+				fx.a.SetProvide(fx.provide, 0)
 			}
 			err := fx.a.Validate(fx.sys)
 			if fits != lv.fits || (err == nil) != lv.fits {
@@ -145,7 +145,7 @@ func TestFitsThenAddNeverBreaksValidate(t *testing.T) {
 			switch kind {
 			case 0: // an operator whose inputs are all at h
 				pl := dsps.Placement{Host: h, Op: dsps.OperatorID(rng.Intn(len(sys.Operators)))}
-				causal := !a.Ops[pl]
+				causal := !a.HasOp(pl)
 				for _, in := range sys.Operators[pl.Op].Inputs {
 					causal = causal && a.Available(sys, h, in)
 				}
@@ -153,25 +153,25 @@ func TestFitsThenAddNeverBreaksValidate(t *testing.T) {
 					continue
 				}
 				if ok = u.FitsOp(pl, dsps.FitTol); ok {
-					a.Ops[pl] = true
+					a.AddOp(pl)
 					u.AddOp(pl)
 				}
 			case 1: // a flow out of a host that has the stream
 				f := dsps.Flow{From: dsps.HostID(rng.Intn(sys.NumHosts())), To: h, Stream: dsps.StreamID(rng.Intn(len(sys.Streams)))}
-				if f.From == f.To || a.Flows[f] || a.Available(sys, f.To, f.Stream) || !a.Available(sys, f.From, f.Stream) {
+				if f.From == f.To || a.HasFlow(f) || a.Available(sys, f.To, f.Stream) || !a.Available(sys, f.From, f.Stream) {
 					continue
 				}
 				if ok = u.FitsFlow(f, dsps.FitTol); ok {
-					a.Flows[f] = true
+					a.AddFlow(f)
 					u.AddFlow(f)
 				}
 			case 2: // a provide where the query is available
 				q := dsps.StreamID(rng.Intn(len(sys.Streams)))
-				if _, served := a.Provides[q]; served || !sys.Streams[q].Requested || !a.Available(sys, h, q) {
+				if _, served := a.Provider(q); served || !sys.Streams[q].Requested || !a.Available(sys, h, q) {
 					continue
 				}
 				if ok = u.FitsProvide(h, q, dsps.FitTol); ok {
-					a.Provides[q] = h
+					a.SetProvide(q, h)
 					u.AddProvide(h, q)
 				}
 			}

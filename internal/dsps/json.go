@@ -61,9 +61,13 @@ func (sys *System) UnmarshalJSON(data []byte) error {
 	rebuilt.LinkCap = in.LinkCap
 	rebuilt.Streams = in.Streams
 	rebuilt.Operators = in.Operators
+	rebuilt.baseHosts = make([][]HostID, len(in.Streams))
+	rebuilt.producersOf = make([][]OperatorID, len(in.Streams))
 	for i := range rebuilt.Operators {
-		op := &rebuilt.Operators[i]
-		rebuilt.producersOf[op.Output] = append(rebuilt.producersOf[op.Output], op.ID)
+		// An output outside the stream table is left for Validate to report.
+		if op := &rebuilt.Operators[i]; op.Output >= 0 && int(op.Output) < len(in.Streams) {
+			rebuilt.producersOf[op.Output] = append(rebuilt.producersOf[op.Output], op.ID)
+		}
 	}
 	for _, b := range in.Bases {
 		if int(b.Host) < 0 || int(b.Host) >= len(rebuilt.Hosts) {
@@ -96,38 +100,33 @@ func ReadSystem(r io.Reader) (*System, error) {
 
 // assignmentJSON is the wire form of an Assignment.
 type assignmentJSON struct {
-	Provides []provideJSON `json:"provides"`
-	Flows    []Flow        `json:"flows"`
-	Ops      []Placement   `json:"placements"`
-	Version  int           `json:"version"`
+	Provides []Provide   `json:"provides"`
+	Flows    []Flow      `json:"flows"`
+	Ops      []Placement `json:"placements"`
+	Version  int         `json:"version"`
 }
 
-type provideJSON struct {
-	Stream StreamID `json:"stream"`
-	Host   HostID   `json:"host"`
-}
-
-// MarshalJSON implements json.Marshaler for Assignment with deterministic
-// ordering (sorted flows/placements).
+// MarshalJSON implements json.Marshaler for Assignment. The slices are
+// already in wire order and go out as they are; only the empty forms are
+// pinned, to the bytes every journal and snapshot has carried: null
+// provides and flows, an empty placement list.
 func (a *Assignment) MarshalJSON() ([]byte, error) {
-	out := assignmentJSON{Version: wireVersion}
-	for _, f := range a.SortedFlows() {
-		out.Flows = append(out.Flows, f)
+	out := assignmentJSON{Provides: a.Provides, Flows: a.Flows, Ops: a.Ops, Version: wireVersion}
+	if len(out.Provides) == 0 {
+		out.Provides = nil
 	}
-	out.Ops = a.SortedOps()
-	// Provides sorted by stream for determinism.
-	streams := make([]StreamID, 0, len(a.Provides))
-	for s := range a.Provides {
-		streams = append(streams, s)
+	if len(out.Flows) == 0 {
+		out.Flows = nil
 	}
-	slices.Sort(streams)
-	for _, s := range streams {
-		out.Provides = append(out.Provides, provideJSON{s, a.Provides[s]})
+	if out.Ops == nil {
+		out.Ops = []Placement{}
 	}
 	return json.Marshal(out)
 }
 
-// UnmarshalJSON implements json.Unmarshaler for Assignment.
+// UnmarshalJSON implements json.Unmarshaler for Assignment. Lists in any
+// order are accepted and sorted; a stream provided twice, or a flow or
+// placement listed twice, is an error.
 func (a *Assignment) UnmarshalJSON(data []byte) error {
 	var in assignmentJSON
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -136,20 +135,25 @@ func (a *Assignment) UnmarshalJSON(data []byte) error {
 	if in.Version != wireVersion {
 		return fmt.Errorf("dsps: unsupported assignment version %d", in.Version)
 	}
-	fresh := NewAssignment()
-	for _, p := range in.Provides {
-		if prev, dup := fresh.Provides[p.Stream]; dup {
-			return fmt.Errorf("dsps: stream %d provided twice (hosts %d, %d)", p.Stream, prev, p.Host)
+	slices.SortStableFunc(in.Provides, CompareProvides)
+	for i := 1; i < len(in.Provides); i++ {
+		if prev, p := in.Provides[i-1], in.Provides[i]; prev.Stream == p.Stream {
+			return fmt.Errorf("dsps: stream %d provided twice (hosts %d, %d)", p.Stream, prev.Host, p.Host)
 		}
-		fresh.Provides[p.Stream] = p.Host
 	}
-	for _, f := range in.Flows {
-		fresh.Flows[f] = true
+	slices.SortFunc(in.Flows, CompareFlows)
+	for i := 1; i < len(in.Flows); i++ {
+		if f := in.Flows[i]; f == in.Flows[i-1] {
+			return fmt.Errorf("dsps: flow of stream %d from host %d to host %d listed twice", f.Stream, f.From, f.To)
+		}
 	}
-	for _, pl := range in.Ops {
-		fresh.Ops[pl] = true
+	slices.SortFunc(in.Ops, ComparePlacements)
+	for i := 1; i < len(in.Ops); i++ {
+		if pl := in.Ops[i]; pl == in.Ops[i-1] {
+			return fmt.Errorf("dsps: placement of operator %d on host %d listed twice", pl.Op, pl.Host)
+		}
 	}
-	*a = *fresh
+	*a = Assignment{Provides: in.Provides, Flows: in.Flows, Ops: in.Ops}
 	return nil
 }
 

@@ -63,9 +63,9 @@ func TestAssignmentJSONRoundTrip(t *testing.T) {
 	sys.SetRequested(op.Output, true)
 
 	asg := NewAssignment()
-	asg.Flows[Flow{From: 1, To: 0, Stream: b}] = true
-	asg.Ops[Placement{Host: 0, Op: op.ID}] = true
-	asg.Provides[op.Output] = 0
+	asg.AddFlow(Flow{From: 1, To: 0, Stream: b})
+	asg.AddOp(Placement{Host: 0, Op: op.ID})
+	asg.SetProvide(op.Output, 0)
 
 	var buf bytes.Buffer
 	if err := WriteAssignment(&buf, asg); err != nil {
@@ -75,13 +75,13 @@ func TestAssignmentJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Flows[Flow{From: 1, To: 0, Stream: b}] {
+	if !got.HasFlow(Flow{From: 1, To: 0, Stream: b}) {
 		t.Fatal("flow lost")
 	}
-	if !got.Ops[Placement{Host: 0, Op: op.ID}] {
+	if !got.HasOp(Placement{Host: 0, Op: op.ID}) {
 		t.Fatal("placement lost")
 	}
-	if got.Provides[op.Output] != 0 {
+	if h, ok := got.Provider(op.Output); !ok || h != 0 {
 		t.Fatal("provider lost")
 	}
 	// The round-tripped assignment must still validate.
@@ -92,10 +92,10 @@ func TestAssignmentJSONRoundTrip(t *testing.T) {
 
 func TestAssignmentJSONDeterministic(t *testing.T) {
 	asg := NewAssignment()
-	asg.Flows[Flow{From: 2, To: 0, Stream: 5}] = true
-	asg.Flows[Flow{From: 0, To: 1, Stream: 3}] = true
-	asg.Ops[Placement{Host: 1, Op: 9}] = true
-	asg.Ops[Placement{Host: 0, Op: 2}] = true
+	asg.AddFlow(Flow{From: 2, To: 0, Stream: 5})
+	asg.AddFlow(Flow{From: 0, To: 1, Stream: 3})
+	asg.AddOp(Placement{Host: 1, Op: 9})
+	asg.AddOp(Placement{Host: 0, Op: 2})
 	j1, err := json.Marshal(asg)
 	if err != nil {
 		t.Fatal(err)
@@ -126,5 +126,73 @@ func TestSystemJSONValidatesOnLoad(t *testing.T) {
 	var sys System
 	if err := json.Unmarshal(raw, &sys); err == nil {
 		t.Fatal("expected validation error on load")
+	}
+}
+
+// TestAssignmentJSONRejectsDuplicatePieces: a flow or placement listed twice
+// is an error, like a stream provided twice; the maps used to merge them
+// silently.
+func TestAssignmentJSONRejectsDuplicatePieces(t *testing.T) {
+	for _, raw := range []string{
+		`{"version":1,"flows":[{"From":0,"To":1,"Stream":3},{"From":2,"To":0,"Stream":1},{"From":0,"To":1,"Stream":3}]}`,
+		`{"version":1,"placements":[{"Host":1,"Op":4},{"Host":1,"Op":4}]}`,
+	} {
+		var a Assignment
+		if err := json.Unmarshal([]byte(raw), &a); err == nil {
+			t.Errorf("%s: accepted a repeated piece", raw)
+		}
+	}
+}
+
+// TestAssignmentJSONSortsOnDecode: lists in any order are accepted and come
+// out in wire order, so the bytes re-encode sorted.
+func TestAssignmentJSONSortsOnDecode(t *testing.T) {
+	raw := `{"version":1,"provides":[{"stream":9,"host":1},{"stream":2,"host":0}],` +
+		`"flows":[{"From":2,"To":0,"Stream":5},{"From":0,"To":1,"Stream":3},{"From":0,"To":2,"Stream":3}],` +
+		`"placements":[{"Host":1,"Op":9},{"Host":0,"Op":9},{"Host":3,"Op":2}]}`
+	want := `{"provides":[{"stream":2,"host":0},{"stream":9,"host":1}],` +
+		`"flows":[{"From":0,"To":1,"Stream":3},{"From":0,"To":2,"Stream":3},{"From":2,"To":0,"Stream":5}],` +
+		`"placements":[{"Host":3,"Op":2},{"Host":0,"Op":9},{"Host":1,"Op":9}],"version":1}`
+	var a Assignment
+	if err := json.Unmarshal([]byte(raw), &a); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.checkOrder(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(&a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Fatalf("re-encoded\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestCheckIDsRejectsDisorder: an in-process assignment whose slices were
+// written out of order or with a repeat fails CheckIDs (and so
+// plan.CheckState), even when every id is in range.
+func TestCheckIDsRejectsDisorder(t *testing.T) {
+	sys := smallSystem()
+	for i := 0; i < 3; i++ {
+		sys.PlaceBase(HostID(i), sys.AddStream(1, NoOperator, "s"))
+	}
+	op := sys.AddOperator([]StreamID{0}, 1, 1, "o")
+	sys.SetRequested(op.Output, true)
+	for name, corrupt := range map[string]func(a *Assignment){
+		"provides out of order": func(a *Assignment) { a.Provides = []Provide{{Stream: 2, Host: 0}, {Stream: 1, Host: 0}} },
+		"stream provided twice": func(a *Assignment) { a.Provides = []Provide{{Stream: 1, Host: 0}, {Stream: 1, Host: 2}} },
+		"flows out of order":    func(a *Assignment) { a.Flows = []Flow{{From: 1, To: 0, Stream: 0}, {From: 0, To: 1, Stream: 0}} },
+		"flow listed twice":     func(a *Assignment) { a.Flows = []Flow{{From: 0, To: 1, Stream: 0}, {From: 0, To: 1, Stream: 0}} },
+		"placements out of order": func(a *Assignment) {
+			a.Ops = []Placement{{Host: 0, Op: op.ID}, {Host: 1, Op: 0}, {Host: 0, Op: 0}}
+		},
+		"placement listed twice": func(a *Assignment) { a.Ops = []Placement{{Host: 0, Op: 0}, {Host: 0, Op: 0}} },
+	} {
+		a := NewAssignment()
+		corrupt(a)
+		if a.CheckIDs(sys) == nil {
+			t.Errorf("%s: CheckIDs accepted it", name)
+		}
 	}
 }

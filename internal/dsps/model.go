@@ -115,27 +115,23 @@ type System struct {
 	// LinkCap[h][m] is the network capacity κ_hm between hosts h and m.
 	LinkCap [][]float64
 
-	// baseAt[h] is the set S⁰_h of base streams available at host h.
-	baseAt []map[StreamID]bool
+	// baseAt[h] is the set S⁰_h of base streams available at host h, as a
+	// bitset over stream ids.
+	baseAt [][]uint64
 	// baseHosts[s] lists the hosts providing base stream s.
-	baseHosts map[StreamID][]HostID
+	baseHosts [][]HostID
 
 	// producersOf[s] lists every operator with output s (alternative ways
 	// to produce the same composite stream, e.g. different join orders).
-	producersOf map[StreamID][]OperatorID
+	producersOf [][]OperatorID
 }
 
 // NewSystem creates a system with the given hosts, all pairwise link
 // capacities set to linkCap, and no streams or operators yet.
 func NewSystem(hosts []Host, linkCap float64) *System {
 	s := &System{
-		Hosts:       hosts,
-		baseAt:      make([]map[StreamID]bool, len(hosts)),
-		baseHosts:   make(map[StreamID][]HostID),
-		producersOf: make(map[StreamID][]OperatorID),
-	}
-	for i := range s.baseAt {
-		s.baseAt[i] = make(map[StreamID]bool)
+		Hosts:  hosts,
+		baseAt: make([][]uint64, len(hosts)),
 	}
 	s.LinkCap = make([][]float64, len(hosts))
 	for i := range s.LinkCap {
@@ -153,6 +149,8 @@ func NewSystem(hosts []Host, linkCap float64) *System {
 func (sys *System) AddStream(rate float64, producer OperatorID, name string) StreamID {
 	id := StreamID(len(sys.Streams))
 	sys.Streams = append(sys.Streams, Stream{ID: id, Rate: rate, Producer: producer, Name: name})
+	sys.baseHosts = append(sys.baseHosts, nil)
+	sys.producersOf = append(sys.producersOf, nil)
 	return id
 }
 
@@ -182,20 +180,38 @@ func (sys *System) AddProducerFor(out StreamID, inputs []StreamID, cost float64,
 
 // PlaceBase marks base stream s as available at host h (s ∈ S⁰_h).
 func (sys *System) PlaceBase(h HostID, s StreamID) {
-	if !sys.baseAt[h][s] {
-		sys.baseAt[h][s] = true
-		sys.baseHosts[s] = append(sys.baseHosts[s], h)
+	if sys.IsBaseAt(h, s) {
+		return
 	}
+	w := int(s) / 64
+	for len(sys.baseAt[h]) <= w {
+		sys.baseAt[h] = append(sys.baseAt[h], 0)
+	}
+	sys.baseAt[h][w] |= 1 << (s % 64)
+	sys.baseHosts[s] = append(sys.baseHosts[s], h)
 }
 
 // IsBaseAt reports whether base stream s is available at host h.
-func (sys *System) IsBaseAt(h HostID, s StreamID) bool { return sys.baseAt[h][s] }
+func (sys *System) IsBaseAt(h HostID, s StreamID) bool {
+	set := sys.baseAt[h]
+	return s >= 0 && int(s)/64 < len(set) && set[s/64]&(1<<(s%64)) != 0
+}
 
 // BaseHosts returns the hosts at which base stream s is available.
-func (sys *System) BaseHosts(s StreamID) []HostID { return sys.baseHosts[s] }
+func (sys *System) BaseHosts(s StreamID) []HostID {
+	if s < 0 || int(s) >= len(sys.baseHosts) {
+		return nil
+	}
+	return sys.baseHosts[s]
+}
 
 // ProducersOf returns the operators whose output is stream s.
-func (sys *System) ProducersOf(s StreamID) []OperatorID { return sys.producersOf[s] }
+func (sys *System) ProducersOf(s StreamID) []OperatorID {
+	if s < 0 || int(s) >= len(sys.producersOf) {
+		return nil
+	}
+	return sys.producersOf[s]
+}
 
 // SetRequested marks stream s as a requested query result (δ_s = 1).
 func (sys *System) SetRequested(s StreamID, v bool) { sys.Streams[s].Requested = v }

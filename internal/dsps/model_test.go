@@ -2,6 +2,8 @@ package dsps
 
 import (
 	"testing"
+
+	"sqpr/internal/invariant"
 )
 
 func smallSystem() *System {
@@ -93,9 +95,9 @@ func TestAssignmentValidateHappyPath(t *testing.T) {
 	sys.SetRequested(op.Output, true)
 
 	asg := NewAssignment()
-	asg.Flows[Flow{From: 1, To: 0, Stream: b}] = true
-	asg.Ops[Placement{Host: 0, Op: op.ID}] = true
-	asg.Provides[op.Output] = 0
+	asg.AddFlow(Flow{From: 1, To: 0, Stream: b})
+	asg.AddOp(Placement{Host: 0, Op: op.ID})
+	asg.SetProvide(op.Output, 0)
 	if err := asg.Validate(sys); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +113,7 @@ func TestValidateRejectsMissingInput(t *testing.T) {
 	sys.SetRequested(op.Output, true)
 
 	asg := NewAssignment()
-	asg.Ops[Placement{Host: 0, Op: op.ID}] = true // b never brought to host 0
+	asg.AddOp(Placement{Host: 0, Op: op.ID}) // b never brought to host 0
 	if err := asg.Validate(sys); err == nil {
 		t.Fatal("expected missing-input error")
 	}
@@ -122,7 +124,7 @@ func TestValidateRejectsUnrequestedProvide(t *testing.T) {
 	a := sys.AddStream(5, NoOperator, "a")
 	sys.PlaceBase(0, a)
 	asg := NewAssignment()
-	asg.Provides[a] = 0
+	asg.SetProvide(a, 0)
 	if err := asg.Validate(sys); err == nil {
 		t.Fatal("expected unrequested-provide error")
 	}
@@ -137,8 +139,8 @@ func TestValidateRejectsCPUOverflow(t *testing.T) {
 	op := sys.AddOperator([]StreamID{a, b}, 1, 100, "heavy") // cost 100 > 10
 	sys.SetRequested(op.Output, true)
 	asg := NewAssignment()
-	asg.Ops[Placement{Host: 0, Op: op.ID}] = true
-	asg.Provides[op.Output] = 0
+	asg.AddOp(Placement{Host: 0, Op: op.ID})
+	asg.SetProvide(op.Output, 0)
 	if err := asg.Validate(sys); err == nil {
 		t.Fatal("expected CPU overflow error")
 	}
@@ -155,7 +157,7 @@ func TestValidateRejectsLinkOverflow(t *testing.T) {
 	}
 	asg := NewAssignment()
 	for _, s := range streams {
-		asg.Flows[Flow{From: 0, To: 1, Stream: s}] = true
+		asg.AddFlow(Flow{From: 0, To: 1, Stream: s})
 	}
 	if err := asg.Validate(sys); err == nil {
 		t.Fatal("expected link overflow error")
@@ -170,8 +172,8 @@ func TestValidateRejectsAcausalCycle(t *testing.T) {
 	s := sys.AddStream(5, NoOperator, "phantom")
 	sys.PlaceBase(2, s) // base exists only at host 2, which is not involved
 	asg := NewAssignment()
-	asg.Flows[Flow{From: 0, To: 1, Stream: s}] = true
-	asg.Flows[Flow{From: 1, To: 0, Stream: s}] = true
+	asg.AddFlow(Flow{From: 0, To: 1, Stream: s})
+	asg.AddFlow(Flow{From: 1, To: 0, Stream: s})
 	if err := asg.Validate(sys); err == nil {
 		t.Fatal("expected acausality error")
 	}
@@ -187,10 +189,10 @@ func TestValidateAcceptsRelayChain(t *testing.T) {
 	op := sys.AddOperator([]StreamID{a, b}, 1, 1, "ab")
 	sys.SetRequested(op.Output, true)
 	asg := NewAssignment()
-	asg.Flows[Flow{From: 0, To: 1, Stream: a}] = true
-	asg.Flows[Flow{From: 1, To: 2, Stream: a}] = true
-	asg.Ops[Placement{Host: 2, Op: op.ID}] = true
-	asg.Provides[op.Output] = 2
+	asg.AddFlow(Flow{From: 0, To: 1, Stream: a})
+	asg.AddFlow(Flow{From: 1, To: 2, Stream: a})
+	asg.AddOp(Placement{Host: 2, Op: op.ID})
+	asg.SetProvide(op.Output, 2)
 	if err := asg.Validate(sys); err != nil {
 		t.Fatal(err)
 	}
@@ -205,10 +207,10 @@ func TestComputeUsage(t *testing.T) {
 	op := sys.AddOperator([]StreamID{a, b}, 2, 4, "ab")
 	sys.SetRequested(op.Output, true)
 	asg := NewAssignment()
-	asg.Flows[Flow{From: 0, To: 1, Stream: a}] = true
-	asg.Flows[Flow{From: 0, To: 1, Stream: b}] = true
-	asg.Ops[Placement{Host: 1, Op: op.ID}] = true
-	asg.Provides[op.Output] = 1
+	asg.AddFlow(Flow{From: 0, To: 1, Stream: a})
+	asg.AddFlow(Flow{From: 0, To: 1, Stream: b})
+	asg.AddOp(Placement{Host: 1, Op: op.ID})
+	asg.SetProvide(op.Output, 1)
 
 	u := asg.ComputeUsage(sys)
 	if u.CPU[1] != 4 {
@@ -236,9 +238,9 @@ func TestCloneIndependence(t *testing.T) {
 	a := sys.AddStream(5, NoOperator, "a")
 	sys.PlaceBase(0, a)
 	asg := NewAssignment()
-	asg.Flows[Flow{From: 0, To: 1, Stream: a}] = true
+	asg.AddFlow(Flow{From: 0, To: 1, Stream: a})
 	cl := asg.Clone()
-	cl.Flows[Flow{From: 0, To: 2, Stream: a}] = true
+	cl.AddFlow(Flow{From: 0, To: 2, Stream: a})
 	if len(asg.Flows) != 1 {
 		t.Fatal("clone mutated original")
 	}
@@ -249,10 +251,9 @@ func TestSortedAccessorsDeterministic(t *testing.T) {
 	a := sys.AddStream(5, NoOperator, "a")
 	sys.PlaceBase(0, a)
 	asg := NewAssignment()
-	asg.Flows[Flow{From: 2, To: 1, Stream: a}] = true
-	asg.Flows[Flow{From: 0, To: 1, Stream: a}] = true
-	f := asg.SortedFlows()
-	if len(f) != 2 || f[0].From != 0 || f[1].From != 2 {
+	asg.AddFlow(Flow{From: 2, To: 1, Stream: a})
+	asg.AddFlow(Flow{From: 0, To: 1, Stream: a})
+	if f := asg.Flows; len(f) != 2 || f[0].From != 0 || f[1].From != 2 {
 		t.Fatalf("sorted flows: %v", f)
 	}
 }
@@ -265,11 +266,39 @@ func TestAvailableViaProducer(t *testing.T) {
 	sys.PlaceBase(0, b)
 	op := sys.AddOperator([]StreamID{a, b}, 2, 1, "ab")
 	asg := NewAssignment()
-	asg.Ops[Placement{Host: 0, Op: op.ID}] = true
+	asg.AddOp(Placement{Host: 0, Op: op.ID})
 	if !asg.Available(sys, 0, op.Output) {
 		t.Fatal("output should be available at producing host")
 	}
 	if asg.Available(sys, 1, op.Output) {
 		t.Fatal("output should not be available elsewhere")
+	}
+}
+
+// TestMutatorsAssertOrder: under sqprdebug every mutator re-checks that the
+// slices are sorted and free of repeats, so a write that went around the
+// methods panics at the next one.
+func TestMutatorsAssertOrder(t *testing.T) {
+	if !invariant.Enabled {
+		t.Skip("assertions are compiled in under -tags sqprdebug only")
+	}
+	for name, mutate := range map[string]func(a *Assignment){
+		"SetProvide": func(a *Assignment) { a.SetProvide(0, 0) },
+		"AddFlow":    func(a *Assignment) { a.AddFlow(Flow{From: 0, To: 2, Stream: 1}) },
+		"DeleteOp":   func(a *Assignment) { a.DeleteOp(Placement{Host: 1, Op: 1}) },
+		"DeleteOpsFunc": func(a *Assignment) {
+			a.DeleteOpsFunc(func(Placement) bool { return false })
+		},
+	} {
+		a := NewAssignment()
+		a.Flows = []Flow{{From: 1, To: 0, Stream: 4}, {From: 0, To: 1, Stream: 4}}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on an unsorted assignment did not panic", name)
+				}
+			}()
+			mutate(a)
+		}()
 	}
 }

@@ -2,7 +2,6 @@ package dsps_test
 
 import (
 	"context"
-	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -48,19 +47,19 @@ func TestAllocationRulesUnderPerturbation(t *testing.T) {
 			t.Helper()
 			before := a.Clone()
 			mutate()
-			for pl := range before.Ops {
-				if !a.Ops[pl] {
+			for _, pl := range before.Ops {
+				if !a.HasOp(pl) {
 					u.RemoveOp(pl)
 				}
 			}
-			for f := range before.Flows {
-				if !a.Flows[f] {
+			for _, f := range before.Flows {
+				if !a.HasFlow(f) {
 					u.RemoveFlow(f)
 				}
 			}
-			for q, h := range before.Provides {
-				if _, ok := a.Provides[q]; !ok {
-					u.Out[h] -= sys.Streams[q].Rate
+			for _, p := range before.Provides {
+				if _, ok := a.Provider(p.Stream); !ok {
+					u.RemoveProvide(p.Host, p.Stream)
 				}
 			}
 			if err := a.Validate(sys); err != nil {
@@ -70,9 +69,9 @@ func TestAllocationRulesUnderPerturbation(t *testing.T) {
 		}
 		collect := func(step string) {
 			t.Helper()
-			provides := maps.Clone(a.Provides)
+			provides := slices.Clone(a.Provides)
 			settle(step, func() { a.GarbageCollect(sys) })
-			if !maps.Equal(a.Provides, provides) {
+			if !slices.Equal(a.Provides, provides) {
 				t.Fatalf("seed %d, %s: GarbageCollect changed Provides", seed, step)
 			}
 			once := a.Clone()
@@ -89,34 +88,33 @@ func TestAllocationRulesUnderPerturbation(t *testing.T) {
 				down := up[rng.Intn(len(up))]
 				sys.SetHostState(down, dsps.HostDown)
 				affected := a.AffectedQueries(sys, func(h dsps.HostID) bool { return h == down })
-				provides := maps.Clone(a.Provides)
+				provides := slices.Clone(a.Provides)
 				settle("strip+prune", func() {
 					a.StripFailed(sys)
 					a.PruneAcausal(sys)
 				})
-				for q, h := range provides {
-					if got, ok := a.Provides[q]; !slices.Contains(affected, q) && (!ok || got != h) {
-						t.Fatalf("seed %d: query %d not named by AffectedQueries(host %d) lost its provide", seed, q, down)
+				for _, p := range provides {
+					if got, ok := a.Provider(p.Stream); !slices.Contains(affected, p.Stream) && (!ok || got != p.Host) {
+						t.Fatalf("seed %d: query %d not named by AffectedQueries(host %d) lost its provide", seed, p.Stream, down)
 					}
 				}
 				for _, q := range affected {
-					if _, ok := a.Provides[q]; ok {
-						settle("demote", func() { delete(a.Provides, q) })
+					if _, ok := a.Provider(q); ok {
+						settle("demote", func() { a.DeleteProvide(q) })
 					}
 				}
 				collect("collect after failure")
 			case step%2 == 0: // a stray relay nothing needs
 				s := w.BaseStreams[rng.Intn(len(w.BaseStreams))]
 				f := dsps.Flow{From: sys.BaseHosts(s)[0], To: up[rng.Intn(len(up))], Stream: s}
-				if sys.HostUsable(f.From) && f.From != f.To && !a.Flows[f] {
-					a.Flows[f] = true
+				if sys.HostUsable(f.From) && f.From != f.To && !a.HasFlow(f) {
+					a.AddFlow(f)
 					u.AddFlow(f)
 					sameUsage(t, u, a.ComputeUsage(sys))
 				}
 			default: // a query leaves
-				qs := slices.Sorted(maps.Keys(a.Provides))
-				q := qs[rng.Intn(len(qs))]
-				settle("remove", func() { delete(a.Provides, q) })
+				q := a.Provides[rng.Intn(len(a.Provides))].Stream
+				settle("remove", func() { a.DeleteProvide(q) })
 				collect("collect after remove")
 			}
 		}

@@ -43,8 +43,8 @@ func supportCases() []supportCase {
 				sys.PlaceBase(0, y)
 				op1 := sys.AddOperator([]StreamID{x, y}, 1, 1, "xy")
 				op2 := sys.AddProducerFor(op1.Output, []StreamID{y, x}, 1, "yx")
-				a.Ops[Placement{Host: 0, Op: op1.ID}] = true
-				a.Ops[Placement{Host: 0, Op: op2.ID}] = true
+				a.AddOp(Placement{Host: 0, Op: op1.ID})
+				a.AddOp(Placement{Host: 0, Op: op2.ID})
 				return avail{0, op1.Output}, map[string]StreamID{"xy": op1.Output}
 			},
 			derived:  []named{{0, "xy"}},
@@ -56,8 +56,8 @@ func supportCases() []supportCase {
 			build: func(sys *System, a *Assignment) (avail, map[string]StreamID) {
 				x := sys.AddStream(5, NoOperator, "x")
 				sys.PlaceBase(0, x)
-				a.Flows[Flow{From: 0, To: 1, Stream: x}] = true
-				a.Flows[Flow{From: 1, To: 2, Stream: x}] = true
+				a.AddFlow(Flow{From: 0, To: 1, Stream: x})
+				a.AddFlow(Flow{From: 1, To: 2, Stream: x})
 				return avail{2, x}, map[string]StreamID{"x": x}
 			},
 			derived:   []named{{1, "x"}, {2, "x"}},
@@ -69,8 +69,8 @@ func supportCases() []supportCase {
 			build: func(sys *System, a *Assignment) (avail, map[string]StreamID) {
 				x := sys.AddStream(5, NoOperator, "x")
 				sys.PlaceBase(2, x) // the only real source is not involved
-				a.Flows[Flow{From: 0, To: 1, Stream: x}] = true
-				a.Flows[Flow{From: 1, To: 0, Stream: x}] = true
+				a.AddFlow(Flow{From: 0, To: 1, Stream: x})
+				a.AddFlow(Flow{From: 1, To: 0, Stream: x})
 				return avail{0, x}, map[string]StreamID{"x": x}
 			},
 			derived:   nil, // neither end of the loop has a real source
@@ -83,7 +83,7 @@ func supportCases() []supportCase {
 				x := sys.AddStream(5, NoOperator, "x")
 				sys.PlaceBase(2, x)
 				sys.SetHostState(2, HostDown)
-				a.Flows[Flow{From: 2, To: 0, Stream: x}] = true
+				a.AddFlow(Flow{From: 2, To: 0, Stream: x})
 				return avail{0, x}, map[string]StreamID{"x": x}
 			},
 			derived:   nil, // not even at host 2 itself
@@ -98,9 +98,9 @@ func supportCases() []supportCase {
 				sys.PlaceBase(0, x)
 				sys.PlaceBase(1, y)
 				op := sys.AddOperator([]StreamID{x, y}, 1, 1, "xy")
-				a.Flows[Flow{From: 0, To: 2, Stream: x}] = true
-				a.Flows[Flow{From: 1, To: 2, Stream: y}] = true
-				a.Ops[Placement{Host: 2, Op: op.ID}] = true
+				a.AddFlow(Flow{From: 0, To: 2, Stream: x})
+				a.AddFlow(Flow{From: 1, To: 2, Stream: y})
+				a.AddOp(Placement{Host: 2, Op: op.ID})
 				return avail{2, op.Output}, map[string]StreamID{"x": x, "y": y, "xy": op.Output}
 			},
 			derived:   []named{{2, "x"}, {2, "y"}, {2, "xy"}},
@@ -127,14 +127,24 @@ func TestDeriveAndWalkSupport(t *testing.T) {
 			for _, d := range tc.derived {
 				want[sys.HSIndex(d.h, streams[d.s])] = true
 			}
-			if got := a.derive(sys); !reflect.DeepEqual(got, want) {
+			seen := GetStamps(sys)
+			defer seen.Release()
+			a.derive(sys, seen)
+			got := make([]bool, len(want))
+			for h := range sys.Hosts {
+				for s := range sys.Streams {
+					got[sys.HSIndex(HostID(h), StreamID(s))] = derived(sys, seen, HostID(h), StreamID(s))
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
 				t.Errorf("derive = %v, want %v", got, want)
 			}
 
 			var ops []Placement
 			var flows []Flow
 			more := func() bool { return tc.stopAfter == 0 || len(ops)+len(flows) < tc.stopAfter }
-			done := a.WalkSupport(sys, root.h, root.s, NewSeen(sys), 1,
+			seen.Next()
+			done := a.WalkSupport(sys, root.h, root.s, seen,
 				func(pl Placement) bool { ops = append(ops, pl); return more() },
 				func(f Flow) bool { flows = append(flows, f); return more() })
 			if done != tc.wantDone {
@@ -151,35 +161,49 @@ func TestDeriveAndWalkSupport(t *testing.T) {
 }
 
 // TestWalkSupportEpochs: roots walked under one epoch share what they have
-// visited; a new epoch on the same array starts over without clearing it.
+// visited; a new epoch on the same array starts over without clearing it,
+// and so does one on an array handed back to the pool and taken again.
 func TestWalkSupportEpochs(t *testing.T) {
 	sys, a := smallSystem(), NewAssignment()
 	x := sys.AddStream(5, NoOperator, "x")
 	sys.PlaceBase(0, x)
-	a.Flows[Flow{From: 0, To: 1, Stream: x}] = true
-	a.Flows[Flow{From: 1, To: 2, Stream: x}] = true
+	a.AddFlow(Flow{From: 0, To: 1, Stream: x})
+	a.AddFlow(Flow{From: 1, To: 2, Stream: x})
 
-	seen := NewSeen(sys)
+	seen := GetStamps(sys)
 	count := 0
 	onFlow := func(Flow) bool { count++; return true }
-	for _, step := range []struct {
+	for i, step := range []struct {
 		root      HostID
-		epoch     uint32
+		start     string // "next": a fresh epoch; "pool": back to the pool and out again; "wrap": the epoch wraps
 		wantFlows int
 	}{
-		{root: 1, epoch: 1, wantFlows: 1}, // 0→1
-		{root: 2, epoch: 1, wantFlows: 1}, // only 1→2 is new: (1, x) was reached by the first root
-		{root: 2, epoch: 1, wantFlows: 0}, // nothing is new
-		{root: 2, epoch: 2, wantFlows: 2}, // a fresh epoch forgets all of it
+		{root: 1, wantFlows: 1},                // 0→1
+		{root: 2, wantFlows: 1},                // only 1→2 is new: (1, x) was reached by the first root
+		{root: 2, wantFlows: 0},                // nothing is new
+		{root: 2, start: "next", wantFlows: 2}, // a fresh epoch forgets all of it
+		{root: 2, start: "pool", wantFlows: 2}, // so does a pooled array taken again
+		{root: 2, start: "wrap", wantFlows: 2}, // and one whose epoch wraps to zero
 	} {
+		switch step.start {
+		case "next":
+			seen.Next()
+		case "pool":
+			seen.Release()
+			seen = GetStamps(sys)
+		case "wrap":
+			seen.epoch = ^uint32(0)
+			seen.Next()
+		}
 		count = 0
-		if !a.WalkSupport(sys, step.root, x, seen, step.epoch, nil, onFlow) {
-			t.Fatalf("root %d epoch %d: walk stopped", step.root, step.epoch)
+		if !a.WalkSupport(sys, step.root, x, seen, nil, onFlow) {
+			t.Fatalf("step %d: walk stopped", i)
 		}
 		if count != step.wantFlows {
-			t.Errorf("root %d epoch %d: saw %d flows, want %d", step.root, step.epoch, count, step.wantFlows)
+			t.Errorf("step %d (root %d, start %q): saw %d flows, want %d", i, step.root, step.start, count, step.wantFlows)
 		}
 	}
+	seen.Release()
 }
 
 // TestGarbageCollectKeepsEveryAlternative pins the rule that separates
@@ -198,16 +222,16 @@ func TestGarbageCollectKeepsEveryAlternative(t *testing.T) {
 	sys.SetRequested(op1.Output, true)
 
 	keep := NewAssignment()
-	keep.Flows[Flow{From: 0, To: 2, Stream: x}] = true
-	keep.Flows[Flow{From: 1, To: 2, Stream: x}] = true
-	keep.Ops[Placement{Host: 2, Op: op1.ID}] = true
-	keep.Ops[Placement{Host: 2, Op: op2.ID}] = true
-	keep.Provides[op1.Output] = 2
+	keep.AddFlow(Flow{From: 0, To: 2, Stream: x})
+	keep.AddFlow(Flow{From: 1, To: 2, Stream: x})
+	keep.AddOp(Placement{Host: 2, Op: op1.ID})
+	keep.AddOp(Placement{Host: 2, Op: op2.ID})
+	keep.SetProvide(op1.Output, 2)
 
 	*a = *keep.Clone()
-	a.Ops[Placement{Host: 2, Op: orphan.ID}] = true
-	a.Flows[Flow{From: 2, To: 0, Stream: y}] = true
-	a.Flows[Flow{From: 1, To: 0, Stream: x}] = true // into a needed host that has x as a base stream
+	a.AddOp(Placement{Host: 2, Op: orphan.ID})
+	a.AddFlow(Flow{From: 2, To: 0, Stream: y})
+	a.AddFlow(Flow{From: 1, To: 0, Stream: x}) // into a needed host that has x as a base stream
 	a.GarbageCollect(sys)
 	if !reflect.DeepEqual(a, keep) {
 		t.Fatalf("after GarbageCollect:\n got %+v\nwant %+v", a, keep)

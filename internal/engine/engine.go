@@ -242,19 +242,14 @@ func (e *Engine) Deploy(ctx context.Context, a *dsps.Assignment) error {
 	}
 
 	// Routing tables from the assignment.
-	for f, on := range a.Flows {
-		if on {
-			e.hosts[f.From].fwd[f.Stream] = append(e.hosts[f.From].fwd[f.Stream], f.To)
-		}
+	for _, f := range a.Flows {
+		e.hosts[f.From].fwd[f.Stream] = append(e.hosts[f.From].fwd[f.Stream], f.To)
 	}
-	for pl, on := range a.Ops {
-		if !on {
-			continue
-		}
+	for _, pl := range a.Ops {
 		e.hosts[pl.Host].installOperator(pl.Op)
 	}
-	for s, h := range a.Provides {
-		e.hosts[h].dlv[s] = true
+	for _, p := range a.Provides {
+		e.hosts[p.Host].dlv[p.Stream] = true
 	}
 
 	// Start hosts.
@@ -279,24 +274,21 @@ func (e *Engine) Deploy(ctx context.Context, a *dsps.Assignment) error {
 // forwarded by flows.
 func (e *Engine) neededBaseStreams(a *dsps.Assignment) map[dsps.StreamID]bool {
 	need := make(map[dsps.StreamID]bool)
-	for pl, on := range a.Ops {
-		if !on {
-			continue
-		}
+	for _, pl := range a.Ops {
 		for _, in := range e.sys.Operators[pl.Op].Inputs {
 			if e.sys.Streams[in].IsBase() {
 				need[in] = true
 			}
 		}
 	}
-	for f, on := range a.Flows {
-		if on && e.sys.Streams[f.Stream].IsBase() {
+	for _, f := range a.Flows {
+		if e.sys.Streams[f.Stream].IsBase() {
 			need[f.Stream] = true
 		}
 	}
-	for s := range a.Provides {
-		if e.sys.Streams[s].IsBase() {
-			need[s] = true
+	for _, p := range a.Provides {
+		if e.sys.Streams[p.Stream].IsBase() {
+			need[p.Stream] = true
 		}
 	}
 	return need

@@ -27,9 +27,9 @@ func joinSetup(t *testing.T) (*dsps.System, *dsps.Assignment, dsps.StreamID) {
 	sys.SetRequested(op.Output, true)
 
 	asg := dsps.NewAssignment()
-	asg.Ops[dsps.Placement{Host: 0, Op: op.ID}] = true
-	asg.Flows[dsps.Flow{From: 0, To: 1, Stream: op.Output}] = true
-	asg.Provides[op.Output] = 1
+	asg.AddOp(dsps.Placement{Host: 0, Op: op.ID})
+	asg.AddFlow(dsps.Flow{From: 0, To: 1, Stream: op.Output})
+	asg.SetProvide(op.Output, 1)
 	if err := asg.Validate(sys); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestDeployRejectsInfeasiblePlan(t *testing.T) {
 	// Corrupt the plan: flow of a stream the sender does not possess.
 	phantom := sys.AddStream(5, dsps.NoOperator, "phantom")
 	sys.PlaceBase(1, phantom)
-	asg.Flows[dsps.Flow{From: 0, To: 1, Stream: phantom}] = true
+	asg.AddFlow(dsps.Flow{From: 0, To: 1, Stream: phantom})
 	eng := New(sys, DefaultConfig())
 	if err := eng.Deploy(context.Background(), asg); err == nil {
 		eng.Stop()
@@ -105,9 +105,9 @@ func TestRelayChainDelivers(t *testing.T) {
 	sys.PlaceBase(0, a)
 	sys.SetRequested(a, true)
 	asg := dsps.NewAssignment()
-	asg.Flows[dsps.Flow{From: 0, To: 1, Stream: a}] = true
-	asg.Flows[dsps.Flow{From: 1, To: 2, Stream: a}] = true
-	asg.Provides[a] = 2
+	asg.AddFlow(dsps.Flow{From: 0, To: 1, Stream: a})
+	asg.AddFlow(dsps.Flow{From: 1, To: 2, Stream: a})
+	asg.SetProvide(a, 2)
 	if err := asg.Validate(sys); err != nil {
 		t.Fatal(err)
 	}

@@ -76,8 +76,8 @@ func TestFilterOperatorEndToEnd(t *testing.T) {
 	sys.SetRequested(filt.Output, true)
 
 	asg := dsps.NewAssignment()
-	asg.Ops[dsps.Placement{Host: 0, Op: filt.ID}] = true
-	asg.Provides[filt.Output] = 0
+	asg.AddOp(dsps.Placement{Host: 0, Op: filt.ID})
+	asg.SetProvide(filt.Output, 0)
 	if err := asg.Validate(sys); err != nil {
 		t.Fatal(err)
 	}

@@ -99,7 +99,7 @@ func (p *Planner) submitOne(ctx context.Context, q dsps.StreamID, cfg *plan.Subm
 	if best == nil {
 		return false, plan.ReasonNoFeasiblePlan, nil
 	}
-	best.Provides[q] = bestHost
+	best.SetProvide(q, bestHost)
 	if cfg.Validate == nil || *cfg.Validate {
 		if best.Validate(p.sys) != nil {
 			return false, plan.ReasonValidationFailed, nil
@@ -215,7 +215,7 @@ func (p *Planner) realise(cand *dsps.Assignment, plan *abstractPlan, h dsps.Host
 			return false
 		}
 	}
-	cand.Ops[pl] = true
+	cand.AddOp(pl)
 	p.track.AddOp(pl)
 	return true
 }
@@ -231,7 +231,7 @@ func (p *Planner) fetch(cand *dsps.Assignment, s dsps.StreamID, h dsps.HostID) b
 		if m == h || !p.sys.HostUsable(m) || !p.track.FitsFlow(f, dsps.FitTol) {
 			return false
 		}
-		cand.Flows[f] = true
+		cand.AddFlow(f)
 		p.track.AddFlow(f)
 		return true
 	}

@@ -95,8 +95,8 @@ func TestReusesExistingSubQuery(t *testing.T) {
 		t.Fatal("queries rejected")
 	}
 	count := 0
-	for pl, on := range p.Assignment().Ops {
-		if on && pl.Op == shared.ID {
+	for _, pl := range p.Assignment().Ops {
+		if pl.Op == shared.ID {
 			count++
 		}
 	}
@@ -171,7 +171,7 @@ func TestSkipsHostShortOfMemory(t *testing.T) {
 	if err != nil || !res.Admitted {
 		t.Fatalf("Submit = %+v, %v; host 1 fits the query", res, err)
 	}
-	if !p.Assignment().Ops[dsps.Placement{Host: 1, Op: op.ID}] {
+	if !p.Assignment().HasOp(dsps.Placement{Host: 1, Op: op.ID}) {
 		t.Fatalf("join not on host 1: %v", p.Assignment().Ops)
 	}
 }

@@ -131,8 +131,8 @@ func TestSiteRoutingPrefersCoverage(t *testing.T) {
 		t.Fatal("query rejected")
 	}
 	// The operator should be placed inside site 1.
-	for pl, on := range p.Assignment().Ops {
-		if on && pl.Op == op.ID && pl.Host < 3 {
+	for _, pl := range p.Assignment().Ops {
+		if pl.Op == op.ID && pl.Host < 3 {
 			t.Fatalf("operator placed at host %d outside its site", pl.Host)
 		}
 	}

@@ -78,7 +78,9 @@ func OpenService(p QueryPlanner, cfg ServiceConfig, fs wal.FS, wopts wal.Options
 		if err := json.Unmarshal(e.Data, &r); err != nil {
 			return nil, rs, fmt.Errorf("plan: decoding journal record %d: %w", e.Seq, err)
 		}
-		st.Apply(r.Delta)
+		if err := st.Apply(r.Delta); err != nil {
+			return nil, rs, fmt.Errorf("plan: replaying journal record %d: %w", e.Seq, err)
+		}
 		rs.Records++
 	}
 	if rs.UsedSnapshot || rs.Records > 0 {

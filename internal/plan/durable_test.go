@@ -61,7 +61,7 @@ func (f *durableFake) Submit(ctx context.Context, q dsps.StreamID, opts ...plan.
 		placed := false
 		for h := range f.sys.Hosts {
 			if f.sys.HostPlaceable(dsps.HostID(h)) {
-				f.state.Provides[s] = dsps.HostID(h)
+				f.state.SetProvide(s, dsps.HostID(h))
 				f.admitted[s] = true
 				placed = true
 				break
@@ -82,7 +82,7 @@ func (f *durableFake) Remove(q dsps.StreamID) error {
 		return plan.ErrNotAdmitted
 	}
 	delete(f.admitted, q)
-	delete(f.state.Provides, q)
+	f.state.DeleteProvide(q)
 	return nil
 }
 
@@ -95,7 +95,7 @@ func (f *durableFake) Repair(ctx context.Context, events []plan.Event, opts ...p
 	}
 	f.state.StripFailed(f.sys)
 	for q := range f.admitted {
-		if _, ok := f.state.Provides[q]; !ok {
+		if _, ok := f.state.Provider(q); !ok {
 			delete(f.admitted, q)
 			rr.Dropped = append(rr.Dropped, q)
 		}

@@ -63,7 +63,7 @@ func (l *Ledger) Commit(next *dsps.Assignment, queries ...dsps.StreamID) bool {
 	l.state = next
 	all := true
 	for _, q := range queries {
-		if _, ok := next.Provides[q]; ok {
+		if _, ok := next.Provider(q); ok {
 			l.admitted[q] = true
 		} else {
 			delete(l.admitted, q)
@@ -98,7 +98,7 @@ func (l *Ledger) Remove(q dsps.StreamID) error {
 		return fmt.Errorf("%s: query %d: %w", l.name, q, ErrNotAdmitted)
 	}
 	delete(l.admitted, q)
-	delete(l.state.Provides, q)
+	l.state.DeleteProvide(q)
 	l.GarbageCollect()
 	return nil
 }

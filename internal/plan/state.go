@@ -126,12 +126,6 @@ func (s State) AdmittedSet() map[dsps.StreamID]bool {
 	return m
 }
 
-// ProvideChange records one provider (re)binding in a Delta.
-type ProvideChange struct {
-	Stream dsps.StreamID `json:"stream"`
-	Host   dsps.HostID   `json:"host"`
-}
-
 // HostChange records one host availability transition in a Delta.
 type HostChange struct {
 	Host  dsps.HostID    `json:"host"`
@@ -145,7 +139,7 @@ type HostChange struct {
 type Delta struct {
 	AdmitAdd   []dsps.StreamID  `json:"admit_add,omitempty"`
 	AdmitDel   []dsps.StreamID  `json:"admit_del,omitempty"`
-	ProvideSet []ProvideChange  `json:"provide_set,omitempty"`
+	ProvideSet []dsps.Provide   `json:"provide_set,omitempty"`
 	ProvideDel []dsps.StreamID  `json:"provide_del,omitempty"`
 	FlowAdd    []dsps.Flow      `json:"flow_add,omitempty"`
 	FlowDel    []dsps.Flow      `json:"flow_del,omitempty"`
@@ -167,62 +161,20 @@ func (d Delta) IsEmpty() bool {
 		len(d.Hosts) == 0 && !d.AuxSet
 }
 
-// Diff computes the delta that transforms before into after.
+// Diff computes the delta that transforms before into after. Every list
+// of both states is sorted, so each part of the delta is one merge.
 func Diff(before, after State) Delta {
 	var d Delta
-
-	beforeAdm := before.AdmittedSet()
-	afterAdm := after.AdmittedSet()
-	for _, q := range after.Admitted {
-		if !beforeAdm[q] {
-			d.AdmitAdd = append(d.AdmitAdd, q)
-		}
-	}
-	for _, q := range before.Admitted {
-		if !afterAdm[q] {
-			d.AdmitDel = append(d.AdmitDel, q)
-		}
-	}
+	d.AdmitAdd, d.AdmitDel = dsps.DiffSorted(before.Admitted, after.Admitted, cmp.Compare[dsps.StreamID])
 
 	ba, aa := before.Assignment, after.Assignment
-	for s, h := range aa.Provides {
-		if ph, ok := ba.Provides[s]; !ok || ph != h {
-			d.ProvideSet = append(d.ProvideSet, ProvideChange{Stream: s, Host: h})
-		}
+	var provideDel []dsps.Provide
+	d.ProvideSet, provideDel = dsps.DiffSorted(ba.Provides, aa.Provides, dsps.CompareProvides)
+	for _, p := range provideDel {
+		d.ProvideDel = append(d.ProvideDel, p.Stream)
 	}
-	for s := range ba.Provides {
-		if _, ok := aa.Provides[s]; !ok {
-			d.ProvideDel = append(d.ProvideDel, s)
-		}
-	}
-	slices.SortFunc(d.ProvideSet, func(a, b ProvideChange) int { return cmp.Compare(a.Stream, b.Stream) })
-	slices.Sort(d.ProvideDel)
-
-	for f := range aa.Flows {
-		if !ba.Flows[f] {
-			d.FlowAdd = append(d.FlowAdd, f)
-		}
-	}
-	for f := range ba.Flows {
-		if !aa.Flows[f] {
-			d.FlowDel = append(d.FlowDel, f)
-		}
-	}
-	slices.SortFunc(d.FlowAdd, dsps.CompareFlows)
-	slices.SortFunc(d.FlowDel, dsps.CompareFlows)
-
-	for p := range aa.Ops {
-		if !ba.Ops[p] {
-			d.OpAdd = append(d.OpAdd, p)
-		}
-	}
-	for p := range ba.Ops {
-		if !aa.Ops[p] {
-			d.OpDel = append(d.OpDel, p)
-		}
-	}
-	slices.SortFunc(d.OpAdd, dsps.ComparePlacements)
-	slices.SortFunc(d.OpDel, dsps.ComparePlacements)
+	d.FlowAdd, d.FlowDel = dsps.DiffSorted(ba.Flows, aa.Flows, dsps.CompareFlows)
+	d.OpAdd, d.OpDel = dsps.DiffSorted(ba.Ops, aa.Ops, dsps.ComparePlacements)
 
 	for h := range after.Hosts {
 		if h >= len(before.Hosts) || before.Hosts[h] != after.Hosts[h] {
@@ -239,50 +191,31 @@ func Diff(before, after State) Delta {
 
 // Apply applies the delta to s in place (s must be a mutable copy, e.g.
 // from Clone). Sequence matters only between deletion and addition of the
-// same key; deletions run first.
-func (s *State) Apply(d Delta) {
+// same key; deletions run first. Each list is merged into its sorted
+// counterpart; a delta read off a damaged journal may hold unsorted or
+// repeated entries and still leaves s sorted. A host change may name a
+// recorded host or extend the list by one (Diff emits new hosts in order);
+// any other host is an error, and s is then left partly applied.
+func (s *State) Apply(d Delta) error {
 	if s.Assignment == nil {
 		s.Assignment = dsps.NewAssignment()
 	}
-	if len(d.AdmitDel) > 0 || len(d.AdmitAdd) > 0 {
-		adm := s.AdmittedSet()
-		for _, q := range d.AdmitDel {
-			delete(adm, q)
-		}
-		for _, q := range d.AdmitAdd {
-			adm[q] = true
-		}
-		s.Admitted = s.Admitted[:0]
-		for q := range adm {
-			s.Admitted = append(s.Admitted, q)
-		}
-		slices.Sort(s.Admitted)
-	}
-	for _, q := range d.ProvideDel {
-		delete(s.Assignment.Provides, q)
-	}
-	for _, pc := range d.ProvideSet {
-		s.Assignment.Provides[pc.Stream] = pc.Host
-	}
-	for _, f := range d.FlowDel {
-		delete(s.Assignment.Flows, f)
-	}
-	for _, f := range d.FlowAdd {
-		s.Assignment.Flows[f] = true
-	}
-	for _, p := range d.OpDel {
-		delete(s.Assignment.Ops, p)
-	}
-	for _, p := range d.OpAdd {
-		s.Assignment.Ops[p] = true
-	}
+	s.Admitted = dsps.EditSorted(s.Admitted, d.AdmitDel, d.AdmitAdd, cmp.Compare[dsps.StreamID])
+	s.Assignment.EditProvides(d.ProvideDel, d.ProvideSet)
+	s.Assignment.EditFlows(d.FlowDel, d.FlowAdd)
+	s.Assignment.EditOps(d.OpDel, d.OpAdd)
 	for _, hc := range d.Hosts {
-		for len(s.Hosts) <= int(hc.Host) {
-			s.Hosts = append(s.Hosts, dsps.HostUp)
+		switch {
+		case hc.Host < 0 || int(hc.Host) > len(s.Hosts):
+			return fmt.Errorf("plan: delta changes host %d of a state with %d hosts", hc.Host, len(s.Hosts))
+		case int(hc.Host) == len(s.Hosts):
+			s.Hosts = append(s.Hosts, hc.State)
+		default:
+			s.Hosts[hc.Host] = hc.State
 		}
-		s.Hosts[hc.Host] = hc.State
 	}
 	if d.AuxSet {
 		s.Aux = append(json.RawMessage(nil), d.Aux...)
 	}
+	return nil
 }

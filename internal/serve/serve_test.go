@@ -74,7 +74,7 @@ func (f *fakePlanner) Submit(ctx context.Context, q dsps.StreamID, opts ...plan.
 			res.AlreadyAdmitted = true
 			continue
 		}
-		f.state.Provides[s] = dsps.HostID(0)
+		f.state.SetProvide(s, dsps.HostID(0))
 		f.admitted[s] = true
 	}
 	return res, nil
@@ -87,7 +87,7 @@ func (f *fakePlanner) Remove(q dsps.StreamID) error {
 		return plan.ErrNotAdmitted
 	}
 	delete(f.admitted, q)
-	delete(f.state.Provides, q)
+	f.state.DeleteProvide(q)
 	return nil
 }
 
@@ -100,7 +100,7 @@ func (f *fakePlanner) Repair(ctx context.Context, events []plan.Event, opts ...p
 	}
 	f.state.StripFailed(f.sys)
 	for q := range f.admitted {
-		if _, ok := f.state.Provides[q]; !ok {
+		if _, ok := f.state.Provider(q); !ok {
 			delete(f.admitted, q)
 			rr.Dropped = append(rr.Dropped, q)
 		}

@@ -55,8 +55,8 @@ func Adaptive(sc Scale, surgeFactor float64, surgeOps int) (AdaptiveResult, erro
 	}
 	var candidates []placed
 	seen := map[dsps.OperatorID]bool{}
-	for pl, on := range p.Assignment().Ops {
-		if on && !seen[pl.Op] {
+	for _, pl := range p.Assignment().Ops {
+		if !seen[pl.Op] {
 			seen[pl.Op] = true
 			candidates = append(candidates, placed{pl.Op, env.Sys.Operators[pl.Op].Cost})
 		}

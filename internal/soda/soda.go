@@ -63,11 +63,8 @@ func (p *Planner) Repair(ctx context.Context, events []plan.Event, opts ...plan.
 // opHost returns the host template operator op runs on, if it is placed
 // (each template operator is placed on at most one host).
 func (p *Planner) opHost(op dsps.OperatorID) (dsps.HostID, bool) {
-	st := p.Assignment()
-	for h := range p.sys.Hosts {
-		if st.Ops[dsps.Placement{Host: dsps.HostID(h), Op: op}] {
-			return dsps.HostID(h), true
-		}
+	if on := p.Assignment().PlacementsOf(op); len(on) > 0 {
+		return on[0].Host, true
 	}
 	return 0, false
 }
@@ -107,7 +104,7 @@ func (p *Planner) submitOne(ctx context.Context, q dsps.StreamID, cfg *plan.Subm
 	if !u.FitsProvide(last, q, dsps.FitTol) {
 		return false, plan.ReasonNoFeasiblePlan, nil
 	}
-	cand.Provides[q] = last
+	cand.SetProvide(q, last)
 	if cfg.Validate == nil || *cfg.Validate {
 		if cand.Validate(p.sys) != nil {
 			return false, plan.ReasonValidationFailed, nil
@@ -244,7 +241,7 @@ func (p *Planner) placeOp(cand *dsps.Assignment, u *dsps.Usage, opID dsps.Operat
 		if !ok {
 			continue
 		}
-		trial.Ops[pl] = true
+		trial.AddOp(pl)
 		tu.AddOp(pl)
 		score := tu.MaxCPU() // SODA's placement objective here: balance load
 		if score < bestScore {
@@ -272,7 +269,7 @@ func (p *Planner) fetchDirect(cand *dsps.Assignment, u *dsps.Usage, s dsps.Strea
 		if m == h || !p.sys.HostUsable(m) || !u.FitsFlow(f, dsps.FitTol) {
 			return false
 		}
-		cand.Flows[f] = true
+		cand.AddFlow(f)
 		u.AddFlow(f)
 		return true
 	}
@@ -287,8 +284,8 @@ func (p *Planner) fetchDirect(cand *dsps.Assignment, u *dsps.Usage, s dsps.Strea
 	// Composite: only the host executing its producer may send it
 	// (original host rule — no relaying).
 	for _, opID := range p.sys.ProducersOf(s) {
-		for m := 0; m < p.sys.NumHosts(); m++ {
-			if cand.Ops[dsps.Placement{Host: dsps.HostID(m), Op: opID}] && try(dsps.HostID(m)) {
+		for _, pl := range cand.PlacementsOf(opID) {
+			if try(pl.Host) {
 				return true
 			}
 		}

@@ -1,7 +1,9 @@
 package soda
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 
 	"sqpr/internal/core"
@@ -74,10 +76,8 @@ func TestReuseByGluingTemplates(t *testing.T) {
 	// Count operator placements vs distinct placed operators: each op may
 	// run at most once (gluing means no duplicates).
 	seen := map[dsps.OperatorID]int{}
-	for pl, on := range p.Assignment().Ops {
-		if on {
-			seen[pl.Op]++
-		}
+	for _, pl := range p.Assignment().Ops {
+		seen[pl.Op]++
 	}
 	for op, n := range seen {
 		if n > 1 {
@@ -160,7 +160,35 @@ func TestSkipsHostShortOfMemory(t *testing.T) {
 	if err != nil || !res.Admitted {
 		t.Fatalf("Submit = %+v, %v; host 1 fits the query", res, err)
 	}
-	if !p.Assignment().Ops[dsps.Placement{Host: 1, Op: op.ID}] {
+	if !p.Assignment().HasOp(dsps.Placement{Host: 1, Op: op.ID}) {
 		t.Fatalf("join not on host 1: %v", p.Assignment().Ops)
+	}
+}
+
+// TestSODAIsDeterministic: two fresh planners fed the same system and query
+// sequence end in byte-identical states. miniW ranks hosts by the MaxCPU of
+// a ledger summed over the allocation, so the allocation's iteration order
+// reaches the float sums that break its load-balance ties. The workload is
+// the two waves of sqpr-cluster's Fig. 7a, which saturate the cluster, so
+// those ties decide admissions.
+func TestSODAIsDeterministic(t *testing.T) {
+	sys := workload.BuildSystem(workload.SystemConfig{NumHosts: 15, CPUPerHost: 10, OutBW: 60, InBW: 60, LinkCap: 25})
+	queries := workload.Generate(sys, workload.Config{
+		NumBaseStreams: 150, BaseRate: 10, Zipf: 1, Arities: []int{2, 3}, NumQueries: 100,
+		SelMin: 0.001, SelMax: 0.005, CostPerRate: 0.05, Seed: 7,
+	}).Queries
+	var states [2][]byte
+	for i := range states {
+		p := New(sys, core.PaperWeights())
+		for _, q := range queries {
+			submitOK(p, q)
+		}
+		var err error
+		if states[i], err = json.Marshal(p.ExportState()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(states[0], states[1]) {
+		t.Fatalf("two runs of one sequence diverged:\n%s\nvs\n%s", states[0], states[1])
 	}
 }

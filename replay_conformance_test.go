@@ -227,9 +227,10 @@ func TestServiceCrashRecoveryAtEveryPoint(t *testing.T) {
 }
 
 // TestImportStateRejectsOutOfRangeIDs: a snapshot or replayed delta may name
-// hosts, streams and operators the system does not have. Every planner must
-// refuse such a state with an error — neither importing it silently nor
-// panicking on it later — and stay as it was.
+// hosts, streams and operators the system does not have, and an in-process
+// state may hold lists out of order or repeated. Every planner must refuse
+// such a state with an error — neither importing it silently nor panicking
+// on it later — and stay as it was.
 func TestImportStateRejectsOutOfRangeIDs(t *testing.T) {
 	for _, tc := range conformanceCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -238,13 +239,18 @@ func TestImportStateRejectsOutOfRangeIDs(t *testing.T) {
 			porter := p.(sqpr.StatePorter)
 			hosts, streams, ops := sqpr.HostID(sys.NumHosts()), sqpr.StreamID(len(sys.Streams)), sqpr.OperatorID(len(sys.Operators))
 			for name, corrupt := range map[string]func(a *sqpr.Assignment){
-				"flow from a host past the end": func(a *sqpr.Assignment) { a.Flows[sqpr.Flow{From: hosts + 3, To: 0, Stream: 0}] = true },
-				"flow to a negative host":       func(a *sqpr.Assignment) { a.Flows[sqpr.Flow{From: 0, To: -1, Stream: 0}] = true },
-				"flow of an unknown stream":     func(a *sqpr.Assignment) { a.Flows[sqpr.Flow{From: 0, To: 1, Stream: streams}] = true },
-				"provide of an unknown stream":  func(a *sqpr.Assignment) { a.Provides[streams+5] = 0 },
-				"provide at an unknown host":    func(a *sqpr.Assignment) { a.Provides[0] = hosts },
-				"placement of an unknown op":    func(a *sqpr.Assignment) { a.Ops[sqpr.Placement{Host: 0, Op: ops + 9}] = true },
-				"placement on an unknown host":  func(a *sqpr.Assignment) { a.Ops[sqpr.Placement{Host: hosts, Op: 0}] = true },
+				"flow from a host past the end": func(a *sqpr.Assignment) { a.AddFlow(sqpr.Flow{From: hosts + 3, To: 0, Stream: 0}) },
+				"flow to a negative host":       func(a *sqpr.Assignment) { a.AddFlow(sqpr.Flow{From: 0, To: -1, Stream: 0}) },
+				"flow of an unknown stream":     func(a *sqpr.Assignment) { a.AddFlow(sqpr.Flow{From: 0, To: 1, Stream: streams}) },
+				"provide of an unknown stream":  func(a *sqpr.Assignment) { a.SetProvide(streams+5, 0) },
+				"provide at an unknown host":    func(a *sqpr.Assignment) { a.SetProvide(0, hosts) },
+				"placement of an unknown op":    func(a *sqpr.Assignment) { a.AddOp(sqpr.Placement{Host: 0, Op: ops + 9}) },
+				"placement on an unknown host":  func(a *sqpr.Assignment) { a.AddOp(sqpr.Placement{Host: hosts, Op: 0}) },
+				// In range, but written around the methods that keep order.
+				"flows out of order": func(a *sqpr.Assignment) {
+					a.Flows = []sqpr.Flow{{From: 1, To: 0, Stream: 0}, {From: 0, To: 1, Stream: 0}}
+				},
+				"placement listed twice": func(a *sqpr.Assignment) { a.Ops = []sqpr.Placement{{Host: 0, Op: 0}, {Host: 0, Op: 0}} },
 			} {
 				st := porter.ExportState()
 				corrupt(st.Assignment)

@@ -90,6 +90,8 @@ type (
 	Flow = dsps.Flow
 	// Placement is one operator-on-host assignment.
 	Placement = dsps.Placement
+	// Provide is one requested stream served to clients from a host.
+	Provide = dsps.Provide
 	// Usage is a resource-consumption snapshot of an assignment.
 	Usage = dsps.Usage
 )
