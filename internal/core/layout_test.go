@@ -48,11 +48,12 @@ func TestLayoutMatchesCreationOrder(t *testing.T) {
 		cfg        func(*Config)
 		free, with int // free streams, and how many of them have d
 	}{
-		// abc's closure {a,b,c,ab,abc}; ab and abc are requested.
-		{name: "submit", free: 5, with: 2},
-		// Pinned: ab is requested but neither admitted nor the chunk's query.
+		// abc's closure {a,b,c,ab,abc}; ab is requested but neither admitted
+		// nor the call's query, so only abc has d.
+		{name: "submit", free: 5, with: 1},
 		{name: "repair chunk", pinned: true, free: 5, with: 1},
-		{name: "no reduction", cfg: func(c *Config) { c.DisableReduction = true }, free: 8, with: 3},
+		// Every stream is free; d goes to abc and the admitted uv.
+		{name: "no reduction", cfg: func(c *Config) { c.DisableReduction = true }, free: 8, with: 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys, _, abc, uv := layoutSystem(t)

@@ -21,15 +21,6 @@ type builder struct {
 	// addressing derived from them.
 	layout
 
-	// pinned marks a Repair chunk model: the free set is the closures of
-	// the chunk's queries only (no sharing-merge), and of the requested free
-	// streams only those queries and the already admitted ones get provide
-	// (d) variables. Opportunistically admitting unrelated queries is
-	// Submit's job, and their λ1-rewarded fractional admissions would
-	// otherwise keep the delta solve's bound open for the entire node
-	// budget.
-	pinned bool
-
 	// Residual budgets on candidate hosts after subtracting consumption of
 	// fixed (non-free) flows, provides and operators.
 	resCPU, resMem, resOut, resIn []float64
@@ -85,7 +76,6 @@ func (p *Planner) builder() *builder {
 	b.planner = p
 	b.sys = p.sys
 	b.queries = nil
-	b.pinned = false
 	b.reset(p.sys)
 	b.journal = b.journal[:0]
 	b.model.Reset()
@@ -99,7 +89,6 @@ func (p *Planner) builder() *builder {
 func (p *Planner) newBuilder(queries []dsps.StreamID, pinned bool) *builder {
 	b := p.builder()
 	b.queries = queries
-	b.pinned = pinned
 	for _, q := range queries {
 		b.addFree(p.closures.streamsOf(q))
 	}
@@ -121,10 +110,14 @@ func (p *Planner) newBuilder(queries []dsps.StreamID, pinned bool) *builder {
 }
 
 // allowProvide reports whether free stream s gets d variables in this
-// model (see pinned).
+// model: (III.4)'s δ_s holds for the queries of the call and the admitted
+// set, the streams a call can end up serving. A requested stream a closure
+// merely sweeps in — never submitted, or rejected — gets none: its λ1 would
+// hold the bound open over an admission nobody asked this call for, and a
+// provide the call installed for it would be an allocation the ledger does
+// not count as admitted.
 func (b *builder) allowProvide(s dsps.StreamID) bool {
-	return b.sys.Streams[s].Requested &&
-		(!b.pinned || slices.Contains(b.queries, s) || b.planner.Admitted(s))
+	return slices.Contains(b.queries, s) || b.planner.Admitted(s)
 }
 
 // selectHosts picks the candidate host set: every host already touching a

@@ -79,8 +79,8 @@ func (w Weights) provide(sys *dsps.System, h dsps.HostID) float64 {
 // lower bound 0, so no point scores above the ceiling Σ_s max_h c_hs over
 // the streams with provide variables. The seed collects c at its provider
 // for each one it serves and pays its λ2–λ4 terms, which the ledger's
-// system-wide usage over-estimates. Unpinned models only: stay bonuses are
-// positive coefficients outside the ceiling.
+// system-wide usage over-estimates. Submit models only: Repair's stay
+// bonuses are positive coefficients outside the ceiling.
 func (b *builder) seedGap(seed *dsps.Assignment) float64 {
 	w := b.planner.cfg.Weights
 	var best float64
@@ -340,12 +340,17 @@ func (p *Planner) submit(ctx context.Context, qs []dsps.StreamID, timeout time.D
 		res.SeedClosed, res.SolveStatus = true, milp.FeasibleMIP
 		next, err = p.validated(seed, &res)
 	} else {
-		// Large reduced models get a stagnation stop: their LP bound carries
-		// fractional admissions of other unserved queries, a gap no realistic
-		// node budget closes (measured: tens of thousands of nodes leave the
-		// admissions unchanged). Small models search their full budget: on
-		// them a late admission find is cheap and real (the Fig. 2
-		// shared-chain and relay scenarios need more than 48 nodes).
+		// Large reduced models get a stagnation stop. A call that reaches
+		// this branch is almost always a rejection in the making (on the
+		// benchmark's churn workloads every one is): the seed could not
+		// place the fresh query, and the query's own fractional d keeps the
+		// LP bound up to λ1 above the incumbent, which branching refutes
+		// only slowly. Without the stop, `go run ./bench` (seed 1, 2-core
+		// VM) falls from 587 to 193 ops/s on steady_churn and from 325 to
+		// 106 on fill_to_saturation, at the same admissions. Small models
+		// search their full budget: on them a late admission find is cheap
+		// and real (the Fig. 2 shared-chain and relay scenarios need more
+		// than 48 nodes).
 		if b.numVars() >= stallVarThreshold {
 			opts.StallNodes = stallNodesLarge
 		}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sqpr/internal/dsps"
+	"sqpr/internal/invariant"
 )
 
 // Ledger is the bookkeeping every planner keeps around its placement
@@ -58,8 +59,17 @@ func (l *Ledger) Record(res Result) { l.stats.Record(res) }
 
 // Commit installs next as the allocation and marks each of the given
 // queries admitted exactly when next provides it. It reports whether next
-// provides all of them.
+// provides all of them. Every provide in next must be of an admitted query
+// or of one of queries: a provide the admitted set does not count would
+// hold bandwidth no Remove can release.
 func (l *Ledger) Commit(next *dsps.Assignment, queries ...dsps.StreamID) bool {
+	if invariant.Enabled {
+		for _, p := range next.Provides {
+			if !l.admitted[p.Stream] && !slices.Contains(queries, p.Stream) {
+				invariant.Failf("%s: commit provides query %d at host %d, which is neither admitted nor committed", l.name, p.Stream, p.Host)
+			}
+		}
+	}
 	l.state = next
 	all := true
 	for _, q := range queries {
