@@ -20,9 +20,10 @@
 //     state (the journal/scratch pattern).
 //
 // The check is intentionally per-body: callees are not followed. The
-// benchmark (BenchmarkLPResolve) remains the ground truth for the whole
+// allocation-count tests (lp's TestReSolveSteadyStateAllocationFree, milp's
+// TestSolveAllocationsPerSolveBounded) remain the ground truth for the whole
 // call tree; hotalloc catches the regressions a reviewer would otherwise
-// only see as a benchmark diff.
+// only see as a failing count.
 package hotalloc
 
 import (

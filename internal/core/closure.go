@@ -61,11 +61,6 @@ func (b *builder) mergeSharers() {
 		}
 		return
 	}
-	if p.cfg.DisableReplan {
-		// Ablation: do not pull in sharing queries; their variables stay
-		// fixed and only availability-preservation constraints are added.
-		return
-	}
 	// Merge the closures of sharing queries in deterministic order until
 	// the free-set budget is exhausted; remaining sharers stay fixed and
 	// are protected by availability-preservation rows. A merge that would

@@ -94,25 +94,6 @@ func TestFreeSetRespectsCap(t *testing.T) {
 	}
 }
 
-func TestFreeSetDisableReplanSkipsSharing(t *testing.T) {
-	sys, ab, abc := chainSystem()
-	cfg := DefaultConfig()
-	cfg.SolveTimeout = time.Second
-	cfg.DisableReplan = true
-	p := NewPlanner(sys, cfg)
-	if _, err := p.Submit(context.Background(), ab); err != nil {
-		t.Fatal(err)
-	}
-	b := p.newBuilder([]dsps.StreamID{abc}, false)
-	// abc's own closure includes ab (it is an input stream), but the
-	// merge of ab *as an admitted query* is skipped; since ab is inside
-	// abc's closure anyway here, just verify the call works and the set
-	// is exactly the closure.
-	if len(b.freeStreams) != 5 {
-		t.Fatalf("free set %d, want closure-only 5", len(b.freeStreams))
-	}
-}
-
 func TestHostsTouched(t *testing.T) {
 	sys, ab, _ := chainSystem()
 	cfg := DefaultConfig()

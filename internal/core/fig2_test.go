@@ -87,8 +87,7 @@ func TestFig2BothQueriesAdmittedWithSharedChain(t *testing.T) {
 // TestFig2RelayRemovesBottleneck reproduces the §II-C observation: when the
 // shared stream s3 lives on a network-saturated host, relaying it through
 // the other host keeps the system feasible. We verify that with relaying
-// enabled both queries are admitted even under a tight bandwidth budget
-// that defeats the no-relay ablation.
+// enabled both queries are admitted even under a tight bandwidth budget.
 func TestFig2RelayRemovesBottleneck(t *testing.T) {
 	build := func() (*dsps.System, dsps.StreamID, dsps.StreamID) {
 		hosts := []dsps.Host{

@@ -156,9 +156,9 @@ func (b *builder) selectHosts() {
 			force(pl.Host)
 			continue
 		}
-		// Fixed operator consuming a free stream (only possible with the
-		// replanning ablation): its host must stay in scope so that the
-		// availability-preservation constraint can be expressed.
+		// Fixed operator consuming a free stream (a sharing query the
+		// MaxFreeStreams cap left fixed): its host must stay in scope so
+		// that the availability-preservation constraint can be expressed.
 		for _, in := range b.sys.Operators[pl.Op].Inputs {
 			if b.hasStream(in) {
 				force(pl.Host)
@@ -413,22 +413,16 @@ func (b *builder) build() *milp.Model {
 			}
 		}
 	}
-	// (III.5c): x_hms <= y_hs. The relay ablation strengthens it: a host may
-	// only send streams it originates (base stream or locally executed
-	// producer), never streams it merely received.
+	// (III.5c): x_hms <= y_hs.
 	b.eachFlowVar(func(from, _ dsps.HostID, s dsps.StreamID, xv milp.Var) {
-		if b.planner.cfg.DisableRelay {
-			terms, rhs := b.originAt(from, s, []milp.Term{{Var: xv, Coef: 1}})
-			m.AddCons("no-relay", milp.LE, rhs, terms...)
-			return
-		}
 		yv, _ := b.y(from, s)
 		m.AddCons("send-avail", milp.LE, 0, milp.Term{Var: xv, Coef: 1}, milp.Term{Var: yv, Coef: -1})
 	})
 
 	// Availability preservation: fixed operators and fixed provides that
 	// consume a free stream on a candidate host require the new plan to
-	// keep the stream available there (arises under the replan ablation).
+	// keep the stream available there (arises when the MaxFreeStreams cap
+	// leaves a sharing query fixed).
 	b.addPreservationRows()
 
 	// --- Resource constraints (III.6) ------------------------------------

@@ -119,22 +119,12 @@ type Config struct {
 	// one call; beyond the cap further sharing queries stay fixed (their
 	// availability is preserved by explicit rows). 0 selects 24.
 	MaxFreeStreams int
-	// DisableReduction plans over all streams and operators (ablation;
-	// the paper shows the full problem is intractable).
+	// DisableReduction plans over all streams and operators (a test
+	// reference; the paper shows the full problem is intractable).
 	DisableReduction bool
-	// DisableRelay forbids forwarding a stream through hosts that neither
-	// produce nor originate it (ablation of §II-C relaying).
-	DisableRelay bool
-	// DisableReplan freezes all previously placed operators and flows, so
-	// only the new query's own placement is optimised (ablation of the
-	// replanning behind constraint (IV.9)).
-	DisableReplan bool
-	// DisableWarmStart means no greedy seed (ablation): every call takes the
-	// full solve, whose search has to find its first feasible point.
-	DisableWarmStart bool
 	// DisableTreeReduction turns off MILP presolve and pseudo-cost
 	// branching, so the solver runs plain most-fractional branch and
-	// bound (ablation; conformance tests compare both modes).
+	// bound (conformance tests compare both modes).
 	DisableTreeReduction bool
 	// Validate re-checks every produced assignment against the dsps
 	// feasibility validator. DefaultConfig sets it; the zero Config does
@@ -330,9 +320,8 @@ func (p *Planner) submit(ctx context.Context, qs []dsps.StreamID, timeout time.D
 	// Bound before build: a seed within the tolerance of the a-priori ceiling
 	// is what the solve would return from its root (no LP bound is above the
 	// ceiling), so it takes the decoded point's tail and no model is built —
-	// unless ctx ended (solve reports that) or the relay ablation is on
-	// (its seed may relay, i.e. not be a point of the model).
-	if seed != nil && ctx.Err() == nil && !p.cfg.DisableRelay && b.seedGap(seed) <= opts.AbsGapTol {
+	// unless ctx ended (solve reports that).
+	if ctx.Err() == nil && b.seedGap(seed) <= opts.AbsGapTol {
 		if invariant.Enabled {
 			p.mustStopAtRoot(ctx, b, seed, opts)
 		}
@@ -373,8 +362,7 @@ func (p *Planner) submit(ctx context.Context, qs []dsps.StreamID, timeout time.D
 	return res, err
 }
 
-// solve builds the model, runs it from the seed (when there is one) and
-// decodes the solver's answer into the next assignment, filling res's solver
+// solve builds the model, runs it from the seed and decodes the solver's answer into the next assignment, filling res's solver
 // telemetry. It returns nil when there is nothing to commit: with an error
 // when ctx was cancelled mid-solve (any incumbent is discarded) or the
 // output fails to decode or validate, and with res.Reason set when no
@@ -382,9 +370,7 @@ func (p *Planner) submit(ctx context.Context, qs []dsps.StreamID, timeout time.D
 func (p *Planner) solve(ctx context.Context, b *builder, seed *dsps.Assignment, opts milp.Options, res *Result) (*dsps.Assignment, error) {
 	model := b.build()
 	res.ModelVars = model.NumVars()
-	if seed != nil {
-		opts.Incumbent = b.vectorOf(seed)
-	}
+	opts.Incumbent = b.vectorOf(seed)
 	sol := model.Solve(opts)
 	res.SolveStatus = sol.Status
 	res.Nodes = sol.Nodes

@@ -270,11 +270,11 @@ func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before
 	// query, the result is simultaneously admission-complete and
 	// migration-minimal — no delta solve can keep more queries or move
 	// fewer survivors — so the MILP is skipped. Drain chunks (a draining
-	// candidate host needs evacuating), drift chunks (re-placement is the
-	// goal) and the warm-start ablation (no seed) always take the full solve.
+	// candidate host needs evacuating) and drift chunks (re-placement is the
+	// goal) always take the full solve.
 	seed := b.seed(deadline)
 	unserved := func(q dsps.StreamID) bool { _, ok := seed.Provider(q); return !ok }
-	if seed != nil && !thorough && !slices.ContainsFunc(chunk, unserved) {
+	if !thorough && !slices.ContainsFunc(chunk, unserved) {
 		res.Admitted = p.Commit(seed, chunk...)
 		res.SeedClosed = true
 		res.PlanTime = time.Since(start)
@@ -318,7 +318,7 @@ func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before
 	// Otherwise the degraded state is already committed; the chunk simply
 	// stays un-repaired (its hard queries remain dropped) — on cancellation,
 	// on unusable solver output, or when no feasible point was found within
-	// the budget (only possible with the warm start disabled).
+	// the budget.
 	res.PlanTime = time.Since(start)
 	if err == nil {
 		p.Record(res)

@@ -13,7 +13,7 @@ import (
 // each assembled on a single host, reusing streams that already exist. It
 // needs the layout and the usage ledger, never the model, so submit and
 // repairChunk run it before deciding whether to build one; vectorOf turns it
-// into the solver's incumbent. nil under Config.DisableWarmStart.
+// into the solver's incumbent.
 //
 // The greedy probes many partial plans per query; it tracks resource usage
 // incrementally and rolls trial placements back through an undo journal, so
@@ -27,9 +27,6 @@ import (
 // is harmless: the seed is the current allocation extended with however many
 // queries were admitted before the brake, still a feasible warm start.
 func (b *builder) seed(deadline time.Time) *dsps.Assignment {
-	if b.planner.cfg.DisableWarmStart {
-		return nil
-	}
 	cand := b.planner.Assignment().Clone()
 	b.track.Reset(b.sys, cand)
 	b.seedArm(deadline)

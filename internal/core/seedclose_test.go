@@ -339,22 +339,6 @@ func TestSeedCloseMustNotFire(t *testing.T) {
 			}
 		}
 	})
-	t.Run("DisableWarmStart", func(t *testing.T) {
-		sys, ab, _, _ := nestedSystem(t, 10)
-		cfg := testConfig()
-		cfg.DisableWarmStart = true
-		if res := mustSubmit(t, NewPlanner(sys, cfg), false, ab); !res.Admitted {
-			t.Fatalf("cold solve rejected ab: %+v", res)
-		}
-	})
-	t.Run("DisableRelay", func(t *testing.T) {
-		sys, ab, _, _ := nestedSystem(t, 10)
-		cfg := testConfig()
-		cfg.DisableRelay = true
-		if res := mustSubmit(t, NewPlanner(sys, cfg), false, ab); !res.Admitted {
-			t.Fatalf("no-relay solve rejected ab: %+v", res)
-		}
-	})
 	t.Run("resource terms above the tolerance", func(t *testing.T) {
 		sys, ab, _, _ := nestedSystem(t, 10)
 		cfg := testConfig()

@@ -1,4 +1,4 @@
-// Package lp implements a dense primal simplex solver for linear programs
+// Package lp implements a sparse revised-simplex solver for linear programs
 // with variable upper bounds.
 //
 // The solver handles problems of the form
@@ -8,10 +8,14 @@
 //	            0 <= x_j <= u_j      for every variable j (u_j may be +Inf)
 //
 // Upper bounds are handled inside the simplex via complement substitution
-// (x̄ = u − x), so they do not add rows. Feasibility is established with a
-// standard two-phase method using artificial variables. The solver is the
-// substrate for the branch-and-bound MILP solver in internal/milp, which in
-// turn stands in for the CPLEX dependency of the SQPR paper.
+// (x̄ = u − x), so they do not add rows. The basis inverse is an LU
+// factorization plus an eta file (see Solver). A cold solve is a two-phase
+// primal simplex with artificial variables; a warm re-solve after bound
+// changes starts from the previous basis and repairs it with dual simplex.
+// In lazy mode rows join the basis only once a solution violates them. The
+// solver is the substrate for the branch-and-bound MILP solver in
+// internal/milp, which in turn stands in for the CPLEX dependency of the
+// SQPR paper.
 package lp
 
 import (
@@ -125,7 +129,7 @@ type Options struct {
 	MaxIters int
 }
 
-// Upper returns the upper bound of variable j.
+// upper returns the upper bound of variable j.
 func (p *Problem) upper(j int) float64 {
 	if j < len(p.Upper) {
 		return p.Upper[j]

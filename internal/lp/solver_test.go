@@ -213,7 +213,8 @@ func TestUnfixRestoresOriginalOptimum(t *testing.T) {
 }
 
 // TestReSolveSteadyStateAllocationFree asserts the warm re-solve path does
-// not allocate: the acceptance criterion behind BenchmarkLPResolve.
+// not allocate: a bound fix, a re-solve, the undo and a second re-solve,
+// the branch-and-bound inner loop.
 func TestReSolveSteadyStateAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	p := randomBoundedLP(rng, 12, 8)

@@ -259,7 +259,7 @@ type Options struct {
 	StallNodes int
 	// DisableTreeReduction turns off presolve and pseudo-cost branching,
 	// falling back to plain most-fractional branch and bound over the
-	// unreduced model (ablation and conformance testing).
+	// unreduced model (conformance testing).
 	DisableTreeReduction bool
 }
 
@@ -535,13 +535,9 @@ func (m *Model) compile(presolveOn bool) (*compiled, error) {
 	return c, nil
 }
 
-// toModelX expands an LP point back to full model-variable space.
-func (c *compiled) toModelX(x []float64) []float64 {
-	return c.toModelXInto(x, make([]float64, len(c.m.vars)))
-}
-
-// toModelXInto expands an LP point into the caller's buffer (grown as
-// needed), so the branch-and-bound's candidate paths stay allocation-free.
+// toModelXInto expands an LP point back to full model-variable space, into
+// the caller's buffer (grown as needed), so the branch-and-bound's candidate
+// paths stay allocation-free.
 func (c *compiled) toModelXInto(x, buf []float64) []float64 {
 	buf = growFloats(buf, len(c.m.vars))
 	copy(buf, c.fixed)

@@ -3,9 +3,13 @@ package milp
 import (
 	"math"
 	"math/rand"
+	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+
+	"sqpr/internal/invariant"
 )
 
 func TestKnapsack(t *testing.T) {
@@ -298,6 +302,35 @@ func randomKnapsackModel(rng *rand.Rand, n int) *Model {
 		m.AddCons("pair", LE, 1, Term{vars[i], 1}, Term{vars[i+1], 1})
 	}
 	return m
+}
+
+// TestSolveAllocationsPerSolveBounded: on a 40-binary knapsack with conflicts
+// (a search of about 500 nodes), a warm Solve allocates a handful of times in
+// all, not per node: the pooled worker keeps its LP arenas and node scratch
+// across calls, and the node re-solves allocate nothing.
+func TestSolveAllocationsPerSolveBounded(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("checked builds allocate scratch in their invariant checks")
+	}
+	if raceEnabled() {
+		t.Skip("the race detector drops a quarter of what goes back into a sync.Pool, the worker pool included")
+	}
+	m := randomKnapsackModel(rand.New(rand.NewSource(9)), 40)
+	var res Result
+	solve := func() { res = m.Solve(Options{MaxNodes: 100000}) }
+	solve() // the first solve compiles the model and sizes the pooled worker
+	if allocs := testing.AllocsPerRun(5, solve); allocs > 4 {
+		t.Fatalf("warm Solve allocated %v times over %d nodes, want <= 4", allocs, res.Nodes)
+	}
+	if res.Status != OptimalMIP {
+		t.Fatalf("status %v after %d nodes, want optimal", res.Status, res.Nodes)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }
 
 // TestSerialDeterministic builds the identical model twice and expects bit-identical node counts and objectives.

@@ -1,8 +1,10 @@
 package wal_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -338,4 +340,114 @@ func TestClosedLogRefusesWrites(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
 	}
+}
+
+// fuzzOpts rotates after two records, so fuzzImage spreads its log over
+// two segments.
+var fuzzOpts = wal.Options{SegmentBytes: 40}
+
+// fuzzImage writes a real log: snapshot 3, then wal-3 holding records 3 (folded
+// into the snapshot) and 4, and wal-5 holding records 5 and 6. It returns the
+// image and its file names in sorted order.
+func fuzzImage(t testing.TB) (*walfault.FS, []string) {
+	fs := walfault.New()
+	l, _, err := wal.Open(fs, fuzzOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := 1; seq <= 6; seq++ {
+		if _, err := l.Append(fmt.Appendf(nil, "record-%d", seq)); err != nil {
+			t.Fatal(err)
+		}
+		if seq == 3 {
+			if err := l.WriteSnapshot([]byte("state-3")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := fs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs, names
+}
+
+// FuzzWALRecover is the log's byte boundary: whatever bytes one file of a
+// real log holds, Open must not panic, and must either fail with ErrCorrupt
+// or recover records contiguous from the snapshot. A log it recovers must
+// take an append and hand back the same records plus the new one on the next
+// Open.
+func FuzzWALRecover(f *testing.F) {
+	fs, names := fuzzImage(f)
+	if len(names) != 3 {
+		f.Fatalf("seed image holds %v, want one snapshot and two segments", names)
+	}
+	for i, name := range names {
+		data, err := fs.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(i), data)
+		f.Add(uint8(i), data[:len(data)-3])
+		f.Add(uint8(i), []byte{})
+		flipped := slices.Clone(data)
+		flipped[len(flipped)/2] ^= 0x40
+		f.Add(uint8(i), flipped)
+	}
+	f.Fuzz(func(t *testing.T, file uint8, data []byte) {
+		fs, names := fuzzImage(t)
+		name := names[int(file)%len(names)]
+		w, err := fs.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.SyncDir(); err != nil {
+			t.Fatal(err)
+		}
+
+		l, rec, err := wal.Open(fs, fuzzOpts)
+		if err != nil {
+			if !errors.Is(err, wal.ErrCorrupt) {
+				t.Fatalf("%s replaced: Open failed with %v, want ErrCorrupt", name, err)
+			}
+			return
+		}
+		for i, e := range rec.Entries {
+			if want := rec.SnapshotSeq + 1 + uint64(i); e.Seq != want {
+				t.Fatalf("%s replaced: entry %d has seq %d, want %d", name, i, e.Seq, want)
+			}
+		}
+		next := rec.SnapshotSeq + uint64(len(rec.Entries)) + 1
+		if l.LastSeq() != next-1 {
+			t.Fatalf("%s replaced: LastSeq %d, want %d", name, l.LastSeq(), next-1)
+		}
+		payload := fmt.Appendf(nil, "record-%d", next)
+		if seq, err := l.Append(payload); err != nil || seq != next {
+			t.Fatalf("%s replaced: Append returned (%d, %v), want (%d, nil)", name, seq, err, next)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		_, again, err := wal.Open(fs, fuzzOpts)
+		if err != nil {
+			t.Fatalf("%s replaced: reopening after an append: %v", name, err)
+		}
+		want := append(slices.Clone(rec.Entries), wal.Entry{Seq: next, Data: payload})
+		sameEntry := func(a, b wal.Entry) bool { return a.Seq == b.Seq && bytes.Equal(a.Data, b.Data) }
+		if again.SnapshotSeq != rec.SnapshotSeq || !bytes.Equal(again.Snapshot, rec.Snapshot) ||
+			!slices.EqualFunc(again.Entries, want, sameEntry) {
+			t.Fatalf("%s replaced: reopened snapshot %d with %d entries, want snapshot %d with %d",
+				name, again.SnapshotSeq, len(again.Entries), rec.SnapshotSeq, len(want))
+		}
+	})
 }
