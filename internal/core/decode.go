@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"sqpr/internal/dsps"
+	"sqpr/internal/invariant"
 	"sqpr/internal/milp"
 )
 
@@ -64,12 +66,88 @@ func (b *builder) decode(x []float64) (*dsps.Assignment, error) {
 // every alternative support, it keeps the local producers of a needed
 // stream when there are any and otherwise one inflow (any causal source
 // suffices).
+//
+// Only free pieces are candidates, and whether one stays depends only on
+// the roots its target is reachable from, so the walk starts from just the
+// roots that reach the free pieces' targets (neighbourRoots), not from
+// every provide and fixed placement of the allocation.
 func (b *builder) pruneUnused(a *dsps.Assignment) {
+	var full *dsps.Assignment
+	if invariant.Enabled {
+		full = a.Clone()
+		b.prune(full, b.allRoots)
+	}
+	b.prune(a, b.neighbourRoots)
+	if invariant.Enabled && !(slices.Equal(a.Flows, full.Flows) && slices.Equal(a.Ops, full.Ops)) {
+		invariant.Failf("core: pruning from the free pieces' roots kept %d flows and %d placements, from every root %d and %d",
+			len(a.Flows), len(a.Ops), len(full.Flows), len(full.Ops))
+	}
+}
+
+// allRoots lists every root of pruneUnused's walk: each provide, and each
+// input of a fixed placement (what fixed consumers of free streams read).
+func (b *builder) allRoots(a *dsps.Assignment, _ *dsps.Stamps) {
+	for _, p := range a.Provides {
+		b.roots = append(b.roots, b.sys.HSIndex(p.Host, p.Stream))
+	}
+	for _, pl := range a.Ops {
+		if !b.hasOp(pl.Op) {
+			for _, in := range b.sys.Operators[pl.Op].Inputs {
+				b.roots = append(b.roots, b.sys.HSIndex(pl.Host, in))
+			}
+		}
+	}
+}
+
+// neighbourRoots lists the roots of allRoots whose walk can reach a free
+// piece's target. Those targets carry free streams, so a walk from outside
+// can only enter them through a fixed placement reading one: the producer
+// of a free stream, or the sender of its flow, would be a free piece, and
+// its target one of them already. The roots needed are therefore the
+// targets that are provided, and the targets a fixed placement reads where
+// it runs — found by one pass over the placements, without a walk.
+func (b *builder) neighbourRoots(a *dsps.Assignment, seen *dsps.Stamps) {
+	sys := b.sys
+	target := func(h dsps.HostID, s dsps.StreamID) {
+		if i := sys.HSIndex(h, s); seen.Stamp(i) {
+			if p, ok := a.Provider(s); ok && p == h {
+				b.roots = append(b.roots, i)
+			}
+		}
+	}
+	for _, o := range b.freeOps {
+		for _, pl := range a.PlacementsOf(o) {
+			target(pl.Host, sys.Operators[o].Output)
+		}
+	}
+	for _, s := range b.freeStreams {
+		for _, f := range a.FlowsOf(s) {
+			target(f.To, s)
+		}
+	}
+	for _, pl := range a.Ops {
+		if b.hasOp(pl.Op) {
+			continue
+		}
+		for _, in := range sys.Operators[pl.Op].Inputs {
+			if i := sys.HSIndex(pl.Host, in); seen.Stamped(i) {
+				b.roots = append(b.roots, i)
+			}
+		}
+	}
+	seen.Next()
+}
+
+// prune walks back from the roots listRoots appends to b.roots under
+// pruneUnused's policy and deletes the free pieces it does not keep.
+func (b *builder) prune(a *dsps.Assignment, listRoots func(*dsps.Assignment, *dsps.Stamps)) {
 	// via marks each needed availability (h, s): 1, or 2+m when its support
 	// is the inflow from host m. It lives beside the stamps that say which
 	// availabilities are needed at all.
 	seen := dsps.GetStamps(b.sys)
 	defer seen.Release()
+	b.roots = b.roots[:0]
+	listRoots(a, seen)
 	via := seen.Vals()
 	var visit func(h dsps.HostID, s dsps.StreamID)
 	visit = func(h dsps.HostID, s dsps.StreamID) {
@@ -101,24 +179,22 @@ func (b *builder) pruneUnused(a *dsps.Assignment) {
 			}
 		}
 	}
-	for _, p := range a.Provides {
-		visit(p.Host, p.Stream)
+	ns := len(b.sys.Streams)
+	for _, i := range b.roots {
+		visit(dsps.HostID(i/ns), dsps.StreamID(i%ns))
 	}
-	// Allocation pieces of fixed (non-free) queries stay, and so does what
-	// fixed consumers of free streams read.
-	for _, pl := range a.Ops {
-		if !b.hasOp(pl.Op) {
-			for _, in := range b.sys.Operators[pl.Op].Inputs {
-				visit(pl.Host, in)
-			}
-		}
+	// Allocation pieces of fixed (non-free) queries stay: only the runs of
+	// free operators and streams are swept.
+	for _, o := range b.freeOps {
+		out := b.sys.Operators[o].Output
+		a.DeletePlacementsOfFunc(o, func(pl dsps.Placement) bool {
+			return !seen.Stamped(b.sys.HSIndex(pl.Host, out)) || b.sys.IsBaseAt(pl.Host, out)
+		})
 	}
-	a.DeleteOpsFunc(func(pl dsps.Placement) bool {
-		out := b.sys.Operators[pl.Op].Output
-		return b.hasOp(pl.Op) && (!seen.Stamped(b.sys.HSIndex(pl.Host, out)) || b.sys.IsBaseAt(pl.Host, out))
-	})
-	a.DeleteFlowsFunc(func(f dsps.Flow) bool {
-		to := b.sys.HSIndex(f.To, f.Stream)
-		return b.hasStream(f.Stream) && (!seen.Stamped(to) || via[to] != 2+uint32(f.From))
-	})
+	for _, s := range b.freeStreams {
+		a.DeleteFlowsOfFunc(s, func(f dsps.Flow) bool {
+			to := b.sys.HSIndex(f.To, f.Stream)
+			return !seen.Stamped(to) || via[to] != 2+uint32(f.From)
+		})
+	}
 }

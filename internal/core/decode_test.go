@@ -1,10 +1,14 @@
 package core
 
 import (
+	"context"
+	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"sqpr/internal/dsps"
+	"sqpr/internal/plan"
 )
 
 // TestPruneUnusedKeepsOneSupport pins the rule that separates decode's
@@ -56,5 +60,63 @@ func TestPruneUnusedKeepsOneSupport(t *testing.T) {
 	}
 	if err := a.Validate(sys); err != nil {
 		t.Fatal(err)
+	}
+
+	// A fixed placement reading a free stream is a root too: g(xy) runs at
+	// host 1, served from nowhere, and keeps the inflow of xy it reads and,
+	// through it, the producer at host 0 — which the root search over the
+	// free pieces must find, since no provide reaches them.
+	g := sys.AddOperator([]dsps.StreamID{xy.Output}, 1, 1, "g")
+	a = dsps.NewAssignment()
+	a.AddOp(dsps.Placement{Host: 0, Op: xy.ID})
+	a.AddOp(dsps.Placement{Host: 2, Op: xy.ID}) // read by no one
+	a.AddFlow(flow(0, 1, xy.Output))
+	a.AddFlow(flow(0, 1, y))
+	a.AddOp(dsps.Placement{Host: 1, Op: g.ID})
+	want = a.Clone()
+	want.DeleteOp(dsps.Placement{Host: 2, Op: xy.ID})
+	want.DeleteFlow(flow(0, 1, y))
+	b = NewPlanner(sys, Config{}).newBuilder([]dsps.StreamID{xy.Output}, false)
+	full := a.Clone()
+	b.prune(full, b.allRoots)
+	b.prune(a, b.neighbourRoots)
+	if !reflect.DeepEqual(a, want) || !reflect.DeepEqual(full, want) {
+		t.Fatalf("pruning around a fixed consumer:\n  from neighbour roots %+v\n  from every root %+v\nwant %+v", a, full, want)
+	}
+}
+
+// TestPruneFromNeighbourRootsMatchesAllRoots: on the seeds of a seeded S15
+// walk, strewn with free placements and flows at random (the leftovers a
+// solver point can carry), pruning from the roots the free pieces reach
+// leaves exactly what pruning from every root does. The walk leaves most
+// sharers fixed, so fixed consumers of free streams are common.
+func TestPruneFromNeighbourRootsMatchesAllRoots(t *testing.T) {
+	w := newChurnWalk()
+	w.p.cfg.MaxFreeStreams = 8
+	rng := rand.New(rand.NewSource(5))
+	ctx := context.Background()
+	for step := 0; step < 80; step++ {
+		q := w.next(t)
+		w.p.beginCall(plan.SubmitConfig{})
+		b := w.p.newBuilder([]dsps.StreamID{q}, false)
+		seed := b.seed(time.Time{})
+		for range 6 {
+			h, m := b.hosts[rng.Intn(len(b.hosts))], b.hosts[rng.Intn(len(b.hosts))]
+			if s := b.freeStreams[rng.Intn(len(b.freeStreams))]; h != m {
+				seed.AddFlow(dsps.Flow{From: h, To: m, Stream: s})
+			}
+			if len(b.freeOps) > 0 {
+				seed.AddOp(dsps.Placement{Host: h, Op: b.freeOps[rng.Intn(len(b.freeOps))]})
+			}
+		}
+		full := seed.Clone()
+		b.prune(full, b.allRoots)
+		b.prune(seed, b.neighbourRoots)
+		if !reflect.DeepEqual(seed, full) {
+			t.Fatalf("step %d: from neighbour roots %+v\nfrom every root %+v", step, seed, full)
+		}
+		if _, err := w.p.Submit(ctx, q); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

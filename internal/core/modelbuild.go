@@ -44,7 +44,9 @@ type builder struct {
 	// and a host-ordering buffer, all pooled across submissions.
 	track       dsps.Usage
 	journal     []journalEntry
-	visiting    []bool // by System.HSIndex; all false between runs
+	ext         dsps.Extension // accepts' view of the journal
+	roots       []int          // pruneUnused's roots, by System.HSIndex
+	visiting    []bool         // by System.HSIndex; all false between runs
 	hostScratch []dsps.HostID
 	// scoredScratch holds greedyAdmit's candidate ranking; tryStack and
 	// auxStack are depth-indexed host buffers for planStreamAt's recursion

@@ -69,14 +69,16 @@ func (p *Planner) Repair(ctx context.Context, events []plan.Event, opts ...plan.
 	// state — even where a lost provide orphaned it — so the delta solve's
 	// warm start and stay bonuses can pin it in place instead of
 	// rebuilding it from scratch; the final garbage collection below
-	// removes whatever the re-plan leaves unused.
+	// removes whatever the re-plan leaves unused. Until then every
+	// allocation is staged, not committed: it holds support no provide
+	// rests on.
 	stripped := before.Clone()
 	for _, q := range hard {
 		stripped.DeleteProvide(q)
 	}
 	stripped.StripFailed(p.sys)
 	stripped.PruneAcausal(p.sys)
-	p.Commit(stripped, hard...)
+	p.Stage(stripped, hard...)
 
 	// Per-call options, mirroring Submit.
 	cfg := plan.Apply(opts)
@@ -275,7 +277,7 @@ func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before
 	seed := b.seed(deadline)
 	unserved := func(q dsps.StreamID) bool { _, ok := seed.Provider(q); return !ok }
 	if !thorough && !slices.ContainsFunc(chunk, unserved) {
-		res.Admitted = p.Commit(seed, chunk...)
+		res.Admitted = p.Stage(seed, chunk...)
 		res.SeedClosed = true
 		res.PlanTime = time.Since(start)
 		p.Record(res)
@@ -311,7 +313,7 @@ func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before
 	}
 	next, err := p.solve(ctx, b, seed, opts, &res)
 	if next != nil {
-		if res.Admitted = p.Commit(next, chunk...); !res.Admitted {
+		if res.Admitted = p.Stage(next, chunk...); !res.Admitted {
 			res.Reason = plan.ReasonNoFeasiblePlan
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"sqpr/internal/dsps"
+	"sqpr/internal/invariant"
 	"sqpr/internal/milp"
 )
 
@@ -245,7 +246,7 @@ func (b *builder) greedyAdmit(cand *dsps.Assignment, q dsps.StreamID) bool {
 		}
 		cand.SetProvide(q, r.h)
 		b.track.AddProvide(r.h, q)
-		if cand.Validate(b.sys) == nil {
+		if b.accepts(cand, mark, dsps.Provide{Stream: q, Host: r.h}) {
 			b.journal = b.journal[:0]
 			return true
 		}
@@ -254,6 +255,45 @@ func (b *builder) greedyAdmit(cand *dsps.Assignment, q dsps.StreamID) bool {
 		b.rollback(cand, mark)
 	}
 	return false
+}
+
+// accepts reports whether Validate would accept cand: the allocation the
+// greedy run started from, valid by the ledger's invariant, extended by
+// the journal's entries beyond mark and the provide p. Only those pieces
+// and the budgets they touch are checked (dsps.ValidateExtension).
+//
+//sqpr:hotpath
+func (b *builder) accepts(cand *dsps.Assignment, mark int, p dsps.Provide) bool {
+	b.ext.Reset()
+	for _, e := range b.journal[mark:] {
+		if e.isOp {
+			b.ext.Ops = append(b.ext.Ops, e.op) //sqpr:amortized pooled on the builder
+		} else {
+			b.ext.Flows = append(b.ext.Flows, e.flow) //sqpr:amortized
+		}
+	}
+	b.ext.Provides = append(b.ext.Provides, p) //sqpr:amortized
+	ok := cand.ValidateExtension(b.sys, &b.ext) == nil
+	if invariant.Enabled {
+		b.mustAgreeWithValidate(cand, ok)
+	}
+	return ok
+}
+
+// mustAgreeWithValidate is the checked-build proof that accepts decides as
+// a full Validate does, wherever the allocation it extends is valid.
+func (b *builder) mustAgreeWithValidate(cand *dsps.Assignment, ok bool) {
+	err := cand.Validate(b.sys)
+	if ok == (err == nil) {
+		return
+	}
+	before := cand.Clone()
+	before.DeleteProvide(b.ext.Provides[0].Stream)
+	before.EditFlows(b.ext.Flows, nil)
+	before.EditOps(b.ext.Ops, nil)
+	if before.Validate(b.sys) == nil {
+		invariant.Failf("core: seed acceptance says %v, Validate says %v", ok, err)
+	}
 }
 
 // scoreResources evaluates the resource part of the weighted objective

@@ -558,24 +558,33 @@ func (u *Usage) TotalCPU() float64 {
 // with them and binary-searches the slices, so this is the gate that turns
 // bad input into an error instead of a panic or a wrong answer.
 func (a *Assignment) CheckIDs(sys *System) error {
+	if err := checkRanges(sys, a.Provides, a.Flows, a.Ops); err != nil {
+		return err
+	}
+	return a.checkOrder()
+}
+
+// checkRanges reports the first piece naming a host, stream or operator
+// outside sys.
+func checkRanges(sys *System, provides []Provide, flows []Flow, ops []Placement) error {
 	host := func(h HostID) bool { return h >= 0 && int(h) < len(sys.Hosts) }
 	stream := func(s StreamID) bool { return s >= 0 && int(s) < len(sys.Streams) }
-	for _, p := range a.Provides {
+	for _, p := range provides {
 		if !stream(p.Stream) || !host(p.Host) {
 			return fmt.Errorf("dsps: provide of stream %d at host %d is outside the system", p.Stream, p.Host)
 		}
 	}
-	for _, f := range a.Flows {
+	for _, f := range flows {
 		if !stream(f.Stream) || !host(f.From) || !host(f.To) {
 			return fmt.Errorf("dsps: flow of stream %d from host %d to host %d is outside the system", f.Stream, f.From, f.To)
 		}
 	}
-	for _, pl := range a.Ops {
+	for _, pl := range ops {
 		if pl.Op < 0 || int(pl.Op) >= len(sys.Operators) || !host(pl.Host) {
 			return fmt.Errorf("dsps: placement of operator %d on host %d is outside the system", pl.Op, pl.Host)
 		}
 	}
-	return a.checkOrder()
+	return nil
 }
 
 // HSIndex is the dense index of availability (h, s): host and stream ids
@@ -647,7 +656,31 @@ func (a *Assignment) Validate(sys *System) error {
 	seen := GetStamps(sys)
 	defer seen.Release()
 	a.derive(sys, seen)
-	for _, p := range a.Provides {
+	if err := pieceError(sys, seen, a.Provides, a.Ops, a.Flows); err != nil {
+		return err
+	}
+
+	// (III.6) resource budgets.
+	n := sys.NumHosts()
+	u := a.ComputeUsage(sys)
+	for h := 0; h < n; h++ {
+		if err := hostBudgetError(sys, HostID(h), u.CPU[h], u.Mem[h], u.Out[h], u.In[h]); err != nil {
+			return err
+		}
+		for m := 0; m < n; m++ {
+			if over(u.Link[h][m], sys.LinkCap[h][m], ValidateTol) {
+				return linkBudgetError(sys, HostID(h), HostID(m), u.Link[h][m])
+			}
+		}
+	}
+	return nil
+}
+
+// pieceError reports the first rule of (III.4), (III.5) and (III.7) one of
+// the pieces breaks, given the availabilities derivation stamped in seen.
+// Validate asks it of every piece; ValidateExtension of the new ones.
+func pieceError(sys *System, seen *Stamps, provides []Provide, ops []Placement, flows []Flow) error {
+	for _, p := range provides {
 		s, h := p.Stream, p.Host
 		if !sys.HostUsable(h) {
 			return fmt.Errorf("dsps: stream %d provided by down host %d", s, h)
@@ -660,7 +693,7 @@ func (a *Assignment) Validate(sys *System) error {
 			return fmt.Errorf("dsps: provided stream %d at host %d is acausal", s, h)
 		}
 	}
-	for _, pl := range a.Ops {
+	for _, pl := range ops {
 		if !sys.HostUsable(pl.Host) {
 			return fmt.Errorf("dsps: operator %d placed on down host %d", pl.Op, pl.Host)
 		}
@@ -668,7 +701,7 @@ func (a *Assignment) Validate(sys *System) error {
 			return fmt.Errorf("dsps: operator %d on host %d has acausal input stream %d", pl.Op, pl.Host, in)
 		}
 	}
-	for _, f := range a.Flows {
+	for _, f := range flows {
 		if !sys.HostUsable(f.From) {
 			return fmt.Errorf("dsps: flow of stream %d from down host %d", f.Stream, f.From)
 		}
@@ -682,31 +715,30 @@ func (a *Assignment) Validate(sys *System) error {
 			return fmt.Errorf("dsps: acausal flow of stream %d from host %d (no real source)", f.Stream, f.From)
 		}
 	}
+	return nil
+}
 
-	// (III.6) resource budgets.
-	n := sys.NumHosts()
-	u := a.ComputeUsage(sys)
+// hostBudgetError checks host h's uses against its (III.6) budgets.
+func hostBudgetError(sys *System, h HostID, cpu, mem, out, in float64) error {
 	const tol = ValidateTol
-	for h := 0; h < n; h++ {
-		if over(u.CPU[h], sys.Hosts[h].CPU, tol) {
-			return fmt.Errorf("dsps: host %d CPU %.3f exceeds budget %.3f", h, u.CPU[h], sys.Hosts[h].CPU)
-		}
-		if sys.Hosts[h].Mem > 0 && over(u.Mem[h], sys.Hosts[h].Mem, tol) {
-			return fmt.Errorf("dsps: host %d memory %.3f exceeds budget %.3f", h, u.Mem[h], sys.Hosts[h].Mem)
-		}
-		if over(u.Out[h], sys.Hosts[h].OutBW, tol) {
-			return fmt.Errorf("dsps: host %d out-bandwidth %.3f exceeds budget %.3f", h, u.Out[h], sys.Hosts[h].OutBW)
-		}
-		if over(u.In[h], sys.Hosts[h].InBW, tol) {
-			return fmt.Errorf("dsps: host %d in-bandwidth %.3f exceeds budget %.3f", h, u.In[h], sys.Hosts[h].InBW)
-		}
-		for m := 0; m < n; m++ {
-			if over(u.Link[h][m], sys.LinkCap[h][m], tol) {
-				return fmt.Errorf("dsps: link %d->%d usage %.3f exceeds capacity %.3f", h, m, u.Link[h][m], sys.LinkCap[h][m])
-			}
-		}
+	host := &sys.Hosts[h]
+	switch {
+	case over(cpu, host.CPU, tol):
+		return fmt.Errorf("dsps: host %d CPU %.3f exceeds budget %.3f", h, cpu, host.CPU)
+	case host.Mem > 0 && over(mem, host.Mem, tol):
+		return fmt.Errorf("dsps: host %d memory %.3f exceeds budget %.3f", h, mem, host.Mem)
+	case over(out, host.OutBW, tol):
+		return fmt.Errorf("dsps: host %d out-bandwidth %.3f exceeds budget %.3f", h, out, host.OutBW)
+	case over(in, host.InBW, tol):
+		return fmt.Errorf("dsps: host %d in-bandwidth %.3f exceeds budget %.3f", h, in, host.InBW)
 	}
 	return nil
+}
+
+// linkBudgetError is the error of a link h→m whose use is over its
+// capacity. Callers compare in line: Validate does so H² times.
+func linkBudgetError(sys *System, h, m HostID, use float64) error {
+	return fmt.Errorf("dsps: link %d->%d usage %.3f exceeds capacity %.3f", h, m, use, sys.LinkCap[h][m])
 }
 
 // SatisfiedQueries returns the number of requested streams currently served

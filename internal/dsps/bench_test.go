@@ -69,6 +69,20 @@ func BenchmarkAssignmentGarbageCollect(b *testing.B) {
 	}
 }
 
+// BenchmarkAssignmentWithdrawAndCollect is BenchmarkAssignmentGarbageCollect
+// through the scoped collection Remove uses: the withdrawal and the walks
+// of the withdrawn query's support, not of the whole allocation.
+func BenchmarkAssignmentWithdrawAndCollect(b *testing.B) {
+	sys, a := largeState()
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		b.StopTimer()
+		c := a.Clone()
+		b.StartTimer()
+		c.WithdrawAndCollect(sys, a.Provides[i%len(a.Provides)].Stream)
+	}
+}
+
 // BenchmarkAssignmentDiff diffs the journal's two states around one remove.
 func BenchmarkAssignmentDiff(b *testing.B) {
 	sys, a := largeState()
@@ -76,9 +90,9 @@ func BenchmarkAssignmentDiff(b *testing.B) {
 	q := a.Provides[len(a.Provides)/2].Stream
 	after.DeleteProvide(q)
 	after.GarbageCollect(sys)
-	admitted := make(map[dsps.StreamID]bool)
+	var admitted []dsps.StreamID
 	for _, p := range after.Provides {
-		admitted[p.Stream] = true
+		admitted = append(admitted, p.Stream)
 	}
 	s1, s2 := plan.ExportedState(sys, a, admitted), plan.ExportedState(sys, after, admitted)
 	s1.Admitted = append(s1.Admitted, q)
@@ -89,17 +103,43 @@ func BenchmarkAssignmentDiff(b *testing.B) {
 	}
 }
 
-// TestLargeStatePassesStayOffHS: GarbageCollect, Validate and WalkSupport
-// stamp a pooled array instead of allocating one of H·S entries per call,
-// so on the large state each allocates less than H·S bytes. The median of
-// several calls is taken: the race detector drops a quarter of what goes
-// back into a sync.Pool on purpose.
+// TestLargeStatePassesStayOffHS: GarbageCollect, Validate, WalkSupport and
+// the scoped passes WithdrawAndCollect and ValidateExtension stamp a pooled
+// array instead of allocating one of H·S entries per call, so on the large
+// state each allocates less than H·S bytes. The median of several calls is
+// taken: the race detector drops a quarter of what goes back into a
+// sync.Pool on purpose.
 func TestLargeStatePassesStayOffHS(t *testing.T) {
 	sys, a := largeState()
 	hs := uint64(len(sys.Hosts) * len(sys.Streams))
 	c := a.Clone()
 	c.GarbageCollect(sys) // collected already, so each call below is a full pass that deletes nothing
+
+	// Each withdrawal runs on a clone made before the count starts. The
+	// extension is the support one query's withdrawal frees, added back.
+	var clones []*dsps.Assignment
+	for range 10 {
+		clones = append(clones, a.Clone())
+	}
+	q := a.Provides[len(a.Provides)/2]
+	without := a.Clone()
+	without.WithdrawAndCollect(sys, q.Stream)
+	ext := dsps.Extension{Provides: []dsps.Provide{q}}
+	ext.Flows, _ = dsps.DiffSorted(without.Flows, a.Flows, dsps.CompareFlows)
+	ext.Ops, _ = dsps.DiffSorted(without.Ops, a.Ops, dsps.ComparePlacements)
+	if len(ext.Ops) == 0 {
+		t.Fatal("the withdrawn query freed no placement")
+	}
 	for name, pass := range map[string]func(){
+		"WithdrawAndCollect": func() {
+			clones[0].WithdrawAndCollect(sys, q.Stream)
+			clones = clones[1:]
+		},
+		"ValidateExtension": func() {
+			if err := c.ValidateExtension(sys, &ext); err != nil {
+				t.Fatal(err)
+			}
+		},
 		"GarbageCollect": func() { c.GarbageCollect(sys) },
 		"Validate": func() {
 			if err := c.Validate(sys); err != nil {

@@ -63,11 +63,9 @@ func (sys *System) UnmarshalJSON(data []byte) error {
 	rebuilt.Operators = in.Operators
 	rebuilt.baseHosts = make([][]HostID, len(in.Streams))
 	rebuilt.producersOf = make([][]OperatorID, len(in.Streams))
+	rebuilt.consumersOf = make([][]OperatorID, len(in.Streams))
 	for i := range rebuilt.Operators {
-		// An output outside the stream table is left for Validate to report.
-		if op := &rebuilt.Operators[i]; op.Output >= 0 && int(op.Output) < len(in.Streams) {
-			rebuilt.producersOf[op.Output] = append(rebuilt.producersOf[op.Output], op.ID)
-		}
+		rebuilt.index(OperatorID(i))
 	}
 	for _, b := range in.Bases {
 		if int(b.Host) < 0 || int(b.Host) >= len(rebuilt.Hosts) {

@@ -124,6 +124,9 @@ type System struct {
 	// producersOf[s] lists every operator with output s (alternative ways
 	// to produce the same composite stream, e.g. different join orders).
 	producersOf [][]OperatorID
+	// consumersOf[s] lists every operator with s among its inputs, once
+	// each: the forward edges the scoped passes walk.
+	consumersOf [][]OperatorID
 }
 
 // NewSystem creates a system with the given hosts, all pairwise link
@@ -151,6 +154,7 @@ func (sys *System) AddStream(rate float64, producer OperatorID, name string) Str
 	sys.Streams = append(sys.Streams, Stream{ID: id, Rate: rate, Producer: producer, Name: name})
 	sys.baseHosts = append(sys.baseHosts, nil)
 	sys.producersOf = append(sys.producersOf, nil)
+	sys.consumersOf = append(sys.consumersOf, nil)
 	return id
 }
 
@@ -158,13 +162,8 @@ func (sys *System) AddStream(rate float64, producer OperatorID, name string) Str
 // the given rate, and returns the operator. Alternative producers for an
 // existing stream can be registered with AddProducerFor.
 func (sys *System) AddOperator(inputs []StreamID, outRate, cost float64, name string) *Operator {
-	oid := OperatorID(len(sys.Operators))
-	out := sys.AddStream(outRate, oid, name)
-	in := make([]StreamID, len(inputs))
-	copy(in, inputs)
-	sys.Operators = append(sys.Operators, Operator{ID: oid, Inputs: in, Output: out, Cost: cost, Name: name})
-	sys.producersOf[out] = append(sys.producersOf[out], oid)
-	return &sys.Operators[oid]
+	out := sys.AddStream(outRate, OperatorID(len(sys.Operators)), name)
+	return sys.AddProducerFor(out, inputs, cost, name)
 }
 
 // AddProducerFor registers an additional operator that produces an existing
@@ -174,8 +173,26 @@ func (sys *System) AddProducerFor(out StreamID, inputs []StreamID, cost float64,
 	in := make([]StreamID, len(inputs))
 	copy(in, inputs)
 	sys.Operators = append(sys.Operators, Operator{ID: oid, Inputs: in, Output: out, Cost: cost, Name: name})
-	sys.producersOf[out] = append(sys.producersOf[out], oid)
+	sys.index(oid)
 	return &sys.Operators[oid]
+}
+
+// index enters operator oid in the producer list of its output and the
+// consumer list of each distinct input. Ids outside the stream table are
+// left for Validate to report.
+func (sys *System) index(oid OperatorID) {
+	op := &sys.Operators[oid]
+	if op.Output >= 0 && int(op.Output) < len(sys.producersOf) {
+		sys.producersOf[op.Output] = append(sys.producersOf[op.Output], oid)
+	}
+	for _, in := range op.Inputs {
+		if in < 0 || int(in) >= len(sys.consumersOf) {
+			continue
+		}
+		if c := sys.consumersOf[in]; len(c) == 0 || c[len(c)-1] != oid {
+			sys.consumersOf[in] = append(c, oid)
+		}
+	}
 }
 
 // PlaceBase marks base stream s as available at host h (s ∈ S⁰_h).

@@ -14,6 +14,9 @@ import "sync"
 type Stamps struct {
 	stamp []uint32
 	val   []uint32
+	// list is a work list of availabilities for the walks of this package,
+	// empty on GetStamps, its capacity pooled with the arrays.
+	list  []int
 	epoch uint32
 }
 
@@ -29,6 +32,7 @@ func GetStamps(sys *System) *Stamps {
 		st.stamp = make([]uint32, n)
 	}
 	st.stamp = st.stamp[:n]
+	st.list = st.list[:0]
 	st.Next()
 	return st
 }

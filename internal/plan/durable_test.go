@@ -3,6 +3,8 @@ package plan_test
 import (
 	"context"
 	"errors"
+	"maps"
+	"slices"
 	"sync"
 	"testing"
 
@@ -127,7 +129,7 @@ func (f *durableFake) Stats() plan.Stats {
 func (f *durableFake) ExportState() plan.State {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return plan.ExportedState(f.sys, f.state, f.admitted)
+	return plan.ExportedState(f.sys, f.state, slices.Sorted(maps.Keys(f.admitted)))
 }
 
 func (f *durableFake) ImportState(s plan.State) error {
@@ -138,7 +140,10 @@ func (f *durableFake) ImportState(s plan.State) error {
 	}
 	plan.ApplyHostStates(f.sys, s.Hosts)
 	f.state = s.Assignment.Clone()
-	f.admitted = s.AdmittedSet()
+	f.admitted = make(map[dsps.StreamID]bool, len(s.Admitted))
+	for _, q := range s.Admitted {
+		f.admitted[q] = true
+	}
 	return nil
 }
 

@@ -3,7 +3,6 @@ package plan
 import (
 	"context"
 	"fmt"
-	"maps"
 	"slices"
 	"time"
 
@@ -18,11 +17,17 @@ import (
 // left in the planner's own package is how it places a query. The methods
 // below are the only code that writes the allocation pointer or the
 // admitted set, so an admitted query and its provide change together.
+//
+// Between calls the allocation is collected — GarbageCollect would delete
+// nothing — and, for a planner that validates what it commits, valid. The
+// per-request passes that look only at what a request touched rely on it
+// (DESIGN.md, "The ledger invariant"); under sqprdebug every mutator
+// asserts the first half.
 type Ledger struct {
 	name     string // error prefix, the planner's package name
 	sys      *dsps.System
 	state    *dsps.Assignment
-	admitted map[dsps.StreamID]bool
+	admitted []dsps.StreamID // ascending, without repeats
 	stats    Stats
 }
 
@@ -30,10 +35,9 @@ type Ledger struct {
 // solution of Algorithm 1, line 1).
 func NewLedger(name string, sys *dsps.System) Ledger {
 	return Ledger{
-		name:     name,
-		sys:      sys,
-		state:    dsps.NewAssignment(),
-		admitted: make(map[dsps.StreamID]bool),
+		name:  name,
+		sys:   sys,
+		state: dsps.NewAssignment(),
 	}
 }
 
@@ -41,14 +45,26 @@ func NewLedger(name string, sys *dsps.System) Ledger {
 func (l *Ledger) Assignment() *dsps.Assignment { return l.state }
 
 // Admitted reports whether query stream q is currently served.
-func (l *Ledger) Admitted(q dsps.StreamID) bool { return l.admitted[q] }
+func (l *Ledger) Admitted(q dsps.StreamID) bool {
+	_, ok := slices.BinarySearch(l.admitted, q)
+	return ok
+}
 
 // AdmittedCount returns the number of admitted queries.
 func (l *Ledger) AdmittedCount() int { return len(l.admitted) }
 
 // AdmittedQueries lists the admitted queries in ascending order.
-func (l *Ledger) AdmittedQueries() []dsps.StreamID {
-	return slices.Sorted(maps.Keys(l.admitted))
+func (l *Ledger) AdmittedQueries() []dsps.StreamID { return slices.Clone(l.admitted) }
+
+// admit marks q admitted or not.
+func (l *Ledger) admit(q dsps.StreamID, on bool) {
+	i, ok := slices.BinarySearch(l.admitted, q)
+	switch {
+	case on && !ok:
+		l.admitted = slices.Insert(l.admitted, i, q)
+	case !on && ok:
+		l.admitted = slices.Delete(l.admitted, i, i+1)
+	}
 }
 
 // Stats returns cumulative planner telemetry.
@@ -61,11 +77,22 @@ func (l *Ledger) Record(res Result) { l.stats.Record(res) }
 // queries admitted exactly when next provides it. It reports whether next
 // provides all of them. Every provide in next must be of an admitted query
 // or of one of queries: a provide the admitted set does not count would
-// hold bandwidth no Remove can release.
+// hold bandwidth no Remove can release. next must be collected.
 func (l *Ledger) Commit(next *dsps.Assignment, queries ...dsps.StreamID) bool {
+	all := l.Stage(next, queries...)
+	if invariant.Enabled {
+		l.mustBeCollected("commit")
+	}
+	return all
+}
+
+// Stage is Commit for a repair in progress, whose allocation may keep
+// support no provide rests on: the survivors of a failure, pinned so the
+// re-plan can reuse them. The repair ends with GarbageCollect.
+func (l *Ledger) Stage(next *dsps.Assignment, queries ...dsps.StreamID) bool {
 	if invariant.Enabled {
 		for _, p := range next.Provides {
-			if !l.admitted[p.Stream] && !slices.Contains(queries, p.Stream) {
+			if !l.Admitted(p.Stream) && !slices.Contains(queries, p.Stream) {
 				invariant.Failf("%s: commit provides query %d at host %d, which is neither admitted nor committed", l.name, p.Stream, p.Host)
 			}
 		}
@@ -73,12 +100,9 @@ func (l *Ledger) Commit(next *dsps.Assignment, queries ...dsps.StreamID) bool {
 	l.state = next
 	all := true
 	for _, q := range queries {
-		if _, ok := next.Provider(q); ok {
-			l.admitted[q] = true
-		} else {
-			delete(l.admitted, q)
-			all = false
-		}
+		_, ok := next.Provider(q)
+		l.admit(q, ok)
+		all = all && ok
 	}
 	return all
 }
@@ -87,30 +111,59 @@ func (l *Ledger) Commit(next *dsps.Assignment, queries ...dsps.StreamID) bool {
 // is for the aggregate bound, which admits without placing; placing
 // planners change admission through Commit and Remove.
 func (l *Ledger) SetAdmitted(q dsps.StreamID, on bool) {
-	if on {
-		l.admitted[q] = true
-	} else {
-		delete(l.admitted, q)
+	l.admit(q, on)
+	if invariant.Enabled {
+		l.mustBeCollected("set-admitted")
 	}
 }
 
 // GarbageCollect drops every operator and flow no provide rests on.
-func (l *Ledger) GarbageCollect() { l.state.GarbageCollect(l.sys) }
+func (l *Ledger) GarbageCollect() {
+	l.state.GarbageCollect(l.sys)
+	if invariant.Enabled {
+		l.mustBeCollected("garbage-collect")
+	}
+}
 
-// Remove withdraws an admitted query and garbage-collects what only it
-// needed — the first half of the paper's adaptive replanning (§IV-B):
-// "conceptually removing and re-adding queries".
+// Remove withdraws an admitted query and collects what only it needed —
+// the first half of the paper's adaptive replanning (§IV-B): "conceptually
+// removing and re-adding queries". The allocation is collected, so the
+// collection walks the query's support and what shares it
+// (dsps.WithdrawAndCollect), not the whole allocation.
 func (l *Ledger) Remove(q dsps.StreamID) error {
 	if err := CheckStream(l.sys, q); err != nil {
 		return fmt.Errorf("%s: %w", l.name, err)
 	}
-	if !l.admitted[q] {
+	if !l.Admitted(q) {
 		return fmt.Errorf("%s: query %d: %w", l.name, q, ErrNotAdmitted)
 	}
-	delete(l.admitted, q)
-	l.state.DeleteProvide(q)
-	l.GarbageCollect()
+	l.admit(q, false)
+	var full *dsps.Assignment
+	if invariant.Enabled {
+		l.mustBeCollected("remove")
+		full = l.state.Clone()
+		full.DeleteProvide(q)
+		full.GarbageCollect(l.sys)
+	}
+	l.state.WithdrawAndCollect(l.sys, q)
+	if invariant.Enabled && !(slices.Equal(l.state.Provides, full.Provides) &&
+		slices.Equal(l.state.Flows, full.Flows) && slices.Equal(l.state.Ops, full.Ops)) {
+		invariant.Failf("%s: removing query %d left %d flows and %d placements, a full collection %d and %d",
+			l.name, q, len(l.state.Flows), len(l.state.Ops), len(full.Flows), len(full.Ops))
+	}
 	return nil
+}
+
+// mustBeCollected is the checked-build assertion of the invariant the
+// scoped passes rest on: a full collection of the allocation deletes
+// nothing.
+func (l *Ledger) mustBeCollected(after string) {
+	c := l.state.Clone()
+	c.GarbageCollect(l.sys)
+	if len(c.Flows) != len(l.state.Flows) || len(c.Ops) != len(l.state.Ops) {
+		invariant.Failf("%s: after %s the allocation holds %d flows and %d placements no provide rests on",
+			l.name, after, len(l.state.Flows)-len(c.Flows), len(l.state.Ops)-len(c.Ops))
+	}
 }
 
 // ExportState snapshots the durable state (see StatePorter): allocation,
@@ -123,7 +176,9 @@ func (l *Ledger) ImportState(s State) error { return l.ImportStateIf(s, nil) }
 
 // ImportStateIf is ImportState with a planner's own acceptance test, run on
 // the incoming allocation under the incoming host states before anything
-// else is replaced.
+// else is replaced. The accepted allocation is collected: a state this
+// package exported already is, so for a journal it wrote this changes
+// nothing, and for any other it establishes the ledger's invariant.
 func (l *Ledger) ImportStateIf(s State, accept func(next *dsps.Assignment) error) error {
 	if err := CheckState(l.sys, s); err != nil {
 		return fmt.Errorf("%s: %w", l.name, err)
@@ -135,8 +190,12 @@ func (l *Ledger) ImportStateIf(s State, accept func(next *dsps.Assignment) error
 			return fmt.Errorf("%s: %w", l.name, err)
 		}
 	}
+	next.GarbageCollect(l.sys)
 	l.state = next
-	l.admitted = s.AdmittedSet()
+	l.admitted = slices.Compact(slices.Sorted(slices.Values(s.Admitted)))
+	if invariant.Enabled {
+		l.mustBeCollected("import")
+	}
 	return nil
 }
 
@@ -178,22 +237,25 @@ func (l *Ledger) SubmitEach(ctx context.Context, q dsps.StreamID, opts []SubmitO
 	// old pointer is a snapshot. A single query needs none at all: one
 	// only errors before it commits.
 	prevState := l.state
-	var prevAdmitted map[dsps.StreamID]bool
+	var prevAdmitted []dsps.StreamID
 	if len(qs) > 1 {
-		prevAdmitted = maps.Clone(l.admitted)
+		prevAdmitted = slices.Clone(l.admitted)
 	}
 
 	var res Result
 	res.Admitted = true
 	for _, query := range qs {
-		if l.admitted[query] {
+		if l.Admitted(query) {
 			res.AlreadyAdmitted = true
 			continue
 		}
 		ok, reason, err := one(ctx, query, &cfg, deadline)
 		if err != nil {
-			if prevAdmitted != nil {
+			if len(qs) > 1 {
 				l.state, l.admitted = prevState, prevAdmitted
+				if invariant.Enabled {
+					l.mustBeCollected("rollback")
+				}
 			}
 			return Result{}, err
 		}

@@ -5,7 +5,6 @@ import (
 	"cmp"
 	"encoding/json"
 	"fmt"
-	"slices"
 
 	"sqpr/internal/dsps"
 )
@@ -69,20 +68,15 @@ func (s State) Equal(o State) bool {
 }
 
 // ExportedState assembles a State from the fields every planner keeps:
-// its assignment, admitted set and system. Planner-private extras go in
-// Aux afterwards.
-func ExportedState(sys *dsps.System, a *dsps.Assignment, admitted map[dsps.StreamID]bool) State {
+// its assignment, admitted set (ascending, without repeats) and system.
+// Planner-private extras go in Aux afterwards.
+func ExportedState(sys *dsps.System, a *dsps.Assignment, admitted []dsps.StreamID) State {
 	s := State{
 		Assignment: a.Clone(),
-		Admitted:   make([]dsps.StreamID, 0, len(admitted)),
-		Hosts:      make([]dsps.HostState, sys.NumHosts()),
+		// Never nil: an empty set is written as [], not null.
+		Admitted: append(make([]dsps.StreamID, 0, len(admitted)), admitted...),
+		Hosts:    make([]dsps.HostState, sys.NumHosts()),
 	}
-	for q, ok := range admitted {
-		if ok {
-			s.Admitted = append(s.Admitted, q)
-		}
-	}
-	slices.Sort(s.Admitted)
 	for h := range sys.Hosts {
 		s.Hosts[h] = sys.Hosts[h].State
 	}
@@ -115,15 +109,6 @@ func ApplyHostStates(sys *dsps.System, states []dsps.HostState) {
 	for h, st := range states {
 		sys.SetHostState(dsps.HostID(h), st)
 	}
-}
-
-// AdmittedSet converts the sorted admitted list back to set form.
-func (s State) AdmittedSet() map[dsps.StreamID]bool {
-	m := make(map[dsps.StreamID]bool, len(s.Admitted))
-	for _, q := range s.Admitted {
-		m[q] = true
-	}
-	return m
 }
 
 // HostChange records one host availability transition in a Delta.

@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -132,7 +134,7 @@ func (f *fakePlanner) Stats() plan.Stats {
 func (f *fakePlanner) ExportState() plan.State {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return plan.ExportedState(f.sys, f.state, f.admitted)
+	return plan.ExportedState(f.sys, f.state, slices.Sorted(maps.Keys(f.admitted)))
 }
 
 func (f *fakePlanner) ImportState(s plan.State) error {
@@ -143,7 +145,10 @@ func (f *fakePlanner) ImportState(s plan.State) error {
 	}
 	plan.ApplyHostStates(f.sys, s.Hosts)
 	f.state = s.Assignment.Clone()
-	f.admitted = s.AdmittedSet()
+	f.admitted = make(map[dsps.StreamID]bool, len(s.Admitted))
+	for _, q := range s.Admitted {
+		f.admitted[q] = true
+	}
 	return nil
 }
 
