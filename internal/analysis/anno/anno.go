@@ -8,10 +8,10 @@
 // the line immediately above). DESIGN.md §"Static contracts" documents the
 // vocabulary:
 //
-//	guarded-by <mu>   field is protected by the named mutex (lockguard)
-//	locked <mu> [why] function runs with <mu> already held (lockguard)
+//	guarded-by <mu>   field is protected by the named mutex (locks)
+//	locked <mu> [why] method runs with its receiver's <mu> held (locks)
+//	lock-order A < B  sanctioned lock acquisition hierarchy (locks)
 //	hotpath           function must not allocate (hotalloc)
-//	coldpath          statement is off the hot path (hotalloc)
 //	amortized         pooled append with amortized O(1) growth (hotalloc)
 //	noctx <reason>    loop is bounded/terminated without a ctx (ctxflow)
 //	ctxloop           loop must demonstrably poll ctx (ctxflow)
@@ -20,8 +20,6 @@
 //	ack-point         function acknowledges a request (walorder)
 //	journal-point     function makes prior mutations durable (walorder)
 //	mutates           function/interface method changes journaled state (walorder)
-//	ack-ok <why>      statement-level waiver for an unjournaled ack (walorder)
-//	lock-order A < B  sanctioned lock acquisition hierarchy (lockorder)
 package anno
 
 import (
@@ -114,25 +112,6 @@ func (l *Lines) At(fset *token.FileSet, pos token.Pos, verb string) bool {
 		}
 	}
 	return false
-}
-
-// ArgsAt returns the args of directives with the given verb at pos (same
-// line or line above); nil when none.
-func (l *Lines) ArgsAt(fset *token.FileSet, pos token.Pos, verb string) []string {
-	p := fset.Position(pos)
-	m := l.byLine[p.Filename]
-	if m == nil {
-		return nil
-	}
-	var out []string
-	for _, line := range []int{p.Line, p.Line - 1} {
-		for _, d := range m[line] {
-			if d.Verb == verb {
-				out = append(out, d.Args)
-			}
-		}
-	}
-	return out
 }
 
 // PackageHas reports whether any comment in the package carries the verb

@@ -21,9 +21,9 @@ import (
 // Analyzer is one static check. Run receives a fully type-checked package
 // and reports findings through pass.Report.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics (e.g. "lockguard").
+	// Name identifies the analyzer in diagnostics (e.g. "hotalloc").
 	Name string
-	// Doc is a one-paragraph description shown by `sqpr-vet -help`.
+	// Doc is a one-paragraph description of the check.
 	Doc string
 	// Run performs the check on one package.
 	Run func(*Pass) error
@@ -32,12 +32,11 @@ type Analyzer struct {
 // ModuleAnalyzer is one whole-program static check: unlike an Analyzer,
 // which sees one package at a time, its Run receives every loaded target
 // package at once, so it can build call graphs and propagate facts across
-// package boundaries (the interprocedural walorder/lockorder
-// contracts).
+// package boundaries (the interprocedural walorder and locks contracts).
 type ModuleAnalyzer struct {
 	// Name identifies the analyzer in diagnostics (e.g. "walorder").
 	Name string
-	// Doc is a one-paragraph description shown by `sqpr-vet -help`.
+	// Doc is a one-paragraph description of the check.
 	Doc string
 	// Run performs the check over the whole loaded module.
 	Run func(*ModulePass) error
@@ -56,13 +55,6 @@ type ModulePass struct {
 // Reportf formats and reports a diagnostic at pos.
 func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// ReportContext is Reportf with an annotation-context string attached: the
-// //sqpr: contract the finding enforces, carried into -json output so CI
-// archives can be filtered by contract, not just by analyzer.
-func (p *ModulePass) ReportContext(pos token.Pos, context, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...), Context: context})
 }
 
 // Pass carries one package through one analyzer.
@@ -85,9 +77,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 type Diagnostic struct {
 	Pos     token.Pos
 	Message string
-	// Context optionally names the //sqpr: annotation contract behind the
-	// finding (e.g. "ack-point (*Service).reply"); surfaced in -json output.
-	Context string
 }
 
 // Finding pairs a diagnostic with its analyzer and resolved position, the
@@ -96,7 +85,6 @@ type Finding struct {
 	Analyzer string
 	Pos      token.Position
 	Message  string
-	Context  string
 }
 
 func (f Finding) String() string {
@@ -126,7 +114,6 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 					Analyzer: name,
 					Pos:      pkg.Fset.Position(d.Pos),
 					Message:  d.Message,
-					Context:  d.Context,
 				})
 			}
 			if err := a.Run(pass); err != nil {
@@ -160,7 +147,6 @@ func RunModuleAnalyzers(pkgs []*Package, analyzers []*ModuleAnalyzer) ([]Finding
 				Analyzer: name,
 				Pos:      fset.Position(d.Pos),
 				Message:  d.Message,
-				Context:  d.Context,
 			})
 		}
 		if err := a.Run(pass); err != nil {
@@ -172,8 +158,7 @@ func RunModuleAnalyzers(pkgs []*Package, analyzers []*ModuleAnalyzer) ([]Finding
 }
 
 // SortFindings orders findings by file, line, column and message — the
-// stable order every consumer (terminal output, -json archives, the test
-// harness) relies on.
+// stable order terminal output and the test harness rely on.
 func SortFindings(out []Finding) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Pos, out[j].Pos

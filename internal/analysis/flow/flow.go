@@ -1,6 +1,6 @@
 // Package flow builds a whole-module call graph over the anz loader's
 // typed ASTs, the substrate of the interprocedural analyzers (walorder,
-// lockorder). Nodes are functions keyed by their
+// locks). Nodes are functions keyed by their
 // types.Func.FullName — a string key on purpose: the loader type-checks
 // each target package from source but resolves its imports from export
 // data, so the same function is represented by distinct types.Object

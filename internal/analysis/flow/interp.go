@@ -6,7 +6,7 @@ import (
 )
 
 // Effects parameterizes WalkBody over an abstract path state S: walorder
-// tracks a "mutated but unjournaled" bit, lockorder a held-lock set. The
+// tracks a "mutated but unjournaled" bit, locks a held-lock set. The
 // walker owns control flow (branch forking, merging, loop re-entry,
 // termination); the analyzer owns what a call does to the state.
 type Effects[S any] struct {
@@ -14,12 +14,16 @@ type Effects[S any] struct {
 	Clone func(S) S
 	// Merge joins the states of two paths that reconverge. Analyzers pick
 	// the direction of the approximation here: walorder merges with OR
-	// (may-be-dirty), lockorder with intersection (must-hold).
+	// (may-be-dirty), locks with intersection (must-hold).
 	Merge func(S, S) S
 	// Call applies one call/defer/go expression to the state and returns
 	// the state after it. Reporting happens inside; deduplicate by
 	// position, since loop bodies are walked twice.
 	Call func(S, *ast.CallExpr, CallKind) S
+	// Select, when non-nil, observes each selector expression the calls
+	// are interleaved with, in the same evaluation order, against the
+	// state at that point. Deduplicate reports as for Call.
+	Select func(S, *ast.SelectorExpr)
 }
 
 // WalkBody abstractly interprets a function body: statements in source
@@ -204,26 +208,36 @@ func walkClauses[S any](body *ast.BlockStmt, s S, withImplicit bool, fx Effects[
 }
 
 // exprCalls applies fx.Call to every call expression under n (excluding
-// nested function literals) in approximate evaluation order: a call
-// completes after its operands, so ordering by end offset visits g before
-// f in f(g()).
+// nested function literals), and fx.Select to every selector, in
+// approximate evaluation order: an expression completes after its
+// operands, so ordering by end offset visits g before f in f(g()), and
+// x.mu before the Lock call of x.mu.Lock().
 func exprCalls[S any](n ast.Node, s S, fx Effects[S]) S {
 	if n == nil {
 		return s
 	}
-	var calls []*ast.CallExpr
+	var nodes []ast.Node
 	ast.Inspect(n, func(c ast.Node) bool {
-		switch x := c.(type) {
+		switch c.(type) {
 		case *ast.FuncLit:
 			return false
 		case *ast.CallExpr:
-			calls = append(calls, x)
+			nodes = append(nodes, c)
+		case *ast.SelectorExpr:
+			if fx.Select != nil {
+				nodes = append(nodes, c)
+			}
 		}
 		return true
 	})
-	sort.Slice(calls, func(i, j int) bool { return calls[i].End() < calls[j].End() })
-	for _, c := range calls {
-		s = fx.Call(s, c, KindCall)
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].End() < nodes[j].End() })
+	for _, c := range nodes {
+		switch x := c.(type) {
+		case *ast.CallExpr:
+			s = fx.Call(s, x, KindCall)
+		case *ast.SelectorExpr:
+			fx.Select(s, x)
+		}
 	}
 	return s
 }

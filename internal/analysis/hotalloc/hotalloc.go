@@ -9,15 +9,13 @@
 // non-constant string concatenation, string<->[]byte/[]rune conversions,
 // and fmt.* calls.
 //
-// Escape valves, because hot functions legitimately have cold edges:
+// Two escape valves:
 //
 //   - statements inside `if invariant.Enabled { ... }` blocks are skipped
 //     (checked-build assertions only exist under -tags sqprdebug);
-//   - //sqpr:coldpath on the line (or the line above) marks a branch that
-//     runs off the steady state — first-call growth, error reporting;
-//   - //sqpr:amortized marks an append into a pooled buffer whose capacity
-//     is retained across calls, so growth is amortized away in steady
-//     state (the journal/scratch pattern).
+//   - //sqpr:amortized on the line (or the line above) marks an append into
+//     a pooled buffer whose capacity is retained across calls, so growth is
+//     amortized away in steady state (the journal/scratch pattern).
 //
 // The check is intentionally per-body: callees are not followed. The
 // allocation-count tests (lp's TestReSolveSteadyStateAllocationFree, milp's
@@ -73,29 +71,25 @@ func check(pass *anz.Pass, lines *anno.Lines, fd *ast.FuncDecl) {
 				return false
 			}
 		case *ast.FuncLit:
-			if !suppressed(pass, lines, x.Pos(), "coldpath") {
-				pass.Reportf(x.Pos(), "hotpath %s contains a closure literal (captures escape to the heap)", fd.Name.Name)
-			}
+			pass.Reportf(x.Pos(), "hotpath %s contains a closure literal (captures escape to the heap)", fd.Name.Name)
 			return false
 		case *ast.GoStmt:
-			if !suppressed(pass, lines, x.Pos(), "coldpath") {
-				pass.Reportf(x.Pos(), "hotpath %s starts a goroutine", fd.Name.Name)
-			}
+			pass.Reportf(x.Pos(), "hotpath %s starts a goroutine", fd.Name.Name)
 			return false
 		case *ast.CallExpr:
 			checkCall(pass, lines, fd, x)
 		case *ast.CompositeLit:
-			checkComposite(pass, lines, fd, x, false)
+			checkComposite(pass, fd, x, false)
 			return false // inner literals are part of the same allocation
 		case *ast.UnaryExpr:
 			if x.Op == token.AND {
 				if cl, ok := x.X.(*ast.CompositeLit); ok {
-					checkComposite(pass, lines, fd, cl, true)
+					checkComposite(pass, fd, cl, true)
 					return false
 				}
 			}
 		case *ast.BinaryExpr:
-			checkConcat(pass, lines, fd, x)
+			checkConcat(pass, fd, x)
 		}
 		return true
 	}
@@ -107,18 +101,18 @@ func checkCall(pass *anz.Pass, lines *anno.Lines, fd *ast.FuncDecl, call *ast.Ca
 	case *ast.Ident:
 		switch {
 		case isBuiltin(pass, fun, "make"):
-			report(pass, lines, call.Pos(), "coldpath", "hotpath %s calls make (allocates; move to setup or annotate //sqpr:coldpath)", fd.Name.Name)
+			pass.Reportf(call.Pos(), "hotpath %s calls make (allocates; move it to setup)", fd.Name.Name)
 		case isBuiltin(pass, fun, "new"):
-			report(pass, lines, call.Pos(), "coldpath", "hotpath %s calls new (allocates)", fd.Name.Name)
+			pass.Reportf(call.Pos(), "hotpath %s calls new (allocates)", fd.Name.Name)
 		case isBuiltin(pass, fun, "append"):
-			if !suppressed(pass, lines, call.Pos(), "amortized") {
-				report(pass, lines, call.Pos(), "coldpath", "hotpath %s appends (may grow; annotate //sqpr:amortized for pooled buffers or //sqpr:coldpath)", fd.Name.Name)
+			if !lines.At(pass.Fset, call.Pos(), "amortized") {
+				pass.Reportf(call.Pos(), "hotpath %s appends (may grow; annotate //sqpr:amortized for pooled buffers)", fd.Name.Name)
 			}
 		}
 	case *ast.SelectorExpr:
 		if id, ok := fun.X.(*ast.Ident); ok {
 			if obj, ok := pass.TypesInfo.Uses[id].(*types.PkgName); ok && obj.Imported().Path() == "fmt" {
-				report(pass, lines, call.Pos(), "coldpath", "hotpath %s calls fmt.%s (allocates)", fd.Name.Name, fun.Sel.Name)
+				pass.Reportf(call.Pos(), "hotpath %s calls fmt.%s (allocates)", fd.Name.Name, fun.Sel.Name)
 			}
 		}
 	}
@@ -128,30 +122,30 @@ func checkCall(pass *anz.Pass, lines *anno.Lines, fd *ast.FuncDecl, call *ast.Ca
 		if argTV, ok := pass.TypesInfo.Types[call.Args[0]]; ok {
 			from := argTV.Type.Underlying()
 			if isStringSliceConv(from, to) && argTV.Value == nil {
-				report(pass, lines, call.Pos(), "coldpath", "hotpath %s converts between string and slice (copies)", fd.Name.Name)
+				pass.Reportf(call.Pos(), "hotpath %s converts between string and slice (copies)", fd.Name.Name)
 			}
 		}
 	}
 }
 
-func checkComposite(pass *anz.Pass, lines *anno.Lines, fd *ast.FuncDecl, cl *ast.CompositeLit, addressed bool) {
+func checkComposite(pass *anz.Pass, fd *ast.FuncDecl, cl *ast.CompositeLit, addressed bool) {
 	tv, ok := pass.TypesInfo.Types[cl]
 	if !ok {
 		return
 	}
 	switch tv.Type.Underlying().(type) {
 	case *types.Map:
-		report(pass, lines, cl.Pos(), "coldpath", "hotpath %s builds a map literal (allocates)", fd.Name.Name)
+		pass.Reportf(cl.Pos(), "hotpath %s builds a map literal (allocates)", fd.Name.Name)
 	case *types.Slice:
-		report(pass, lines, cl.Pos(), "coldpath", "hotpath %s builds a slice literal (allocates)", fd.Name.Name)
+		pass.Reportf(cl.Pos(), "hotpath %s builds a slice literal (allocates)", fd.Name.Name)
 	default:
 		if addressed {
-			report(pass, lines, cl.Pos(), "coldpath", "hotpath %s takes the address of a composite literal (escapes)", fd.Name.Name)
+			pass.Reportf(cl.Pos(), "hotpath %s takes the address of a composite literal (escapes)", fd.Name.Name)
 		}
 	}
 }
 
-func checkConcat(pass *anz.Pass, lines *anno.Lines, fd *ast.FuncDecl, be *ast.BinaryExpr) {
+func checkConcat(pass *anz.Pass, fd *ast.FuncDecl, be *ast.BinaryExpr) {
 	if be.Op != token.ADD {
 		return
 	}
@@ -160,19 +154,8 @@ func checkConcat(pass *anz.Pass, lines *anno.Lines, fd *ast.FuncDecl, be *ast.Bi
 		return
 	}
 	if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
-		report(pass, lines, be.Pos(), "coldpath", "hotpath %s concatenates strings (allocates)", fd.Name.Name)
+		pass.Reportf(be.Pos(), "hotpath %s concatenates strings (allocates)", fd.Name.Name)
 	}
-}
-
-func report(pass *anz.Pass, lines *anno.Lines, pos token.Pos, suppressVerb, format string, args ...any) {
-	if suppressed(pass, lines, pos, suppressVerb) {
-		return
-	}
-	pass.Reportf(pos, format, args...)
-}
-
-func suppressed(pass *anz.Pass, lines *anno.Lines, pos token.Pos, verb string) bool {
-	return lines.At(pass.Fset, pos, verb)
 }
 
 func isBuiltin(pass *anz.Pass, id *ast.Ident, name string) bool {

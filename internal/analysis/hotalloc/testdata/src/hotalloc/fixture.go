@@ -34,15 +34,12 @@ func (p *pool) allocEverywhere(n int, name string) string {
 	return msg
 }
 
-// steadyState is the clean case: index arithmetic into pooled storage,
-// suppressed cold edges, and an invariant block that may allocate because
+// steadyState is the clean case: index arithmetic into pooled storage, an
+// amortized append, and an invariant block that may allocate because
 // release builds delete it.
 //
 //sqpr:hotpath
 func (p *pool) steadyState(i int, v float64) float64 {
-	if cap(p.scratch) == 0 {
-		p.scratch = make([]float64, 64) //sqpr:coldpath first call grows the pool
-	}
 	p.scratch[i%64] = v
 	//sqpr:amortized journal keeps its capacity across calls
 	p.journal = append(p.journal, i)

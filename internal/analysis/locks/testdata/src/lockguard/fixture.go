@@ -1,6 +1,6 @@
-// Package fixture is the lockguard corpus: guarded-field accesses with and
-// without the mutex held.
-package fixture
+// Package lockguard is the locks corpus for guarded fields: accesses with
+// and without their mutex held.
+package lockguard
 
 import "sync"
 
@@ -63,6 +63,26 @@ func (c *counter) earlyExitGood(bad bool) {
 	c.mu.RUnlock()
 }
 
+// branchRelease unlocks on one path only: after the merge the lock is not
+// held on every path.
+func (c *counter) branchRelease(fast bool) {
+	c.mu.Lock()
+	if fast {
+		c.mu.Unlock()
+	}
+	c.n++ // want `guarded by "mu"`
+	if !fast {
+		c.mu.Unlock()
+	}
+}
+
+// otherInstance holds c's lock, which does not guard d's field.
+func (c *counter) otherInstance(d *counter) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	d.n++ // want `guarded by "mu"`
+}
+
 // lockedHelper is called with mu already held.
 //
 //sqpr:locked mu
@@ -84,34 +104,8 @@ func (c *counter) closureBad() func() int {
 	}
 }
 
-func (c *counter) closureAnnotated(done func()) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	func() {
-		c.n++ //sqpr:locked mu
-		done()
-	}()
-}
-
-// tryGood touches the field only inside the TryLock success branch.
-func (c *counter) tryGood() {
-	if c.mu.TryLock() {
-		c.n++
-		c.mu.Unlock()
-	}
-}
-
-// tryRGood reads under a successful TryRLock.
-func (c *counter) tryRGood() int {
-	if c.mu.TryRLock() {
-		defer c.mu.RUnlock()
-		return c.n
-	}
-	return 0
-}
-
 // tryBadOutside accesses the field after the conditional block, where the
-// lock may never have been taken.
+// lock may never have been taken. TryLock never counts as holding.
 func (c *counter) tryBadOutside() int {
 	if c.mu.TryLock() {
 		c.mu.Unlock()
@@ -134,21 +128,14 @@ func (c *counter) deferredDirect() int {
 	return c.n
 }
 
-// deferredValue does the same through a method value.
-func (c *counter) deferredValue() {
-	u := c.mu.Unlock
-	defer u()
-	c.n++
-}
+type wrapper struct{ c *counter }
 
-type outer struct{ c *counter }
-
-func (o *outer) chainGood() int {
+func (o *wrapper) chainGood() int {
 	o.c.mu.Lock()
 	defer o.c.mu.Unlock()
 	return o.c.n
 }
 
-func (o *outer) chainBad() int {
+func (o *wrapper) chainBad() int {
 	return o.c.n // want `guarded by "mu"`
 }

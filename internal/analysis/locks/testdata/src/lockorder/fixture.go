@@ -1,5 +1,6 @@
-// Package lockorder fixtures: declared hierarchies, contradictions,
-// undeclared cycles, annotation-held entry states, and self-deadlocks.
+// Package lockorder is the locks corpus for acquisition order: declared
+// hierarchies, contradictions, undeclared cycles, annotation-held entry
+// states and self-deadlocks.
 package lockorder
 
 import "sync"
@@ -99,7 +100,7 @@ func selfDeadlock() {
 	gmu.Unlock()
 }
 
-// branches: a merge only keeps locks held on every path, so the b
+// branchy: a merge only keeps locks held on every path, so the b
 // acquisition after the conditional unlock records no edge.
 func branchy(o *outer, fast bool) {
 	o.a.Lock()

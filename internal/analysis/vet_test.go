@@ -1,9 +1,9 @@
 // Package analysis_test runs the full sqpr-vet analyzer suite against the
 // real module — the meta-check behind the CI gate: every package must stay
-// clean under the per-package analyzers (lockguard, ctxflow, hotalloc,
-// errflow) and the interprocedural module analyzers (walorder, lockorder)
-// at all times, so a regression in either the code or the
-// analyzers themselves fails here before it fails in CI.
+// clean under the per-package analyzers (ctxflow, hotalloc) and the
+// interprocedural module analyzers (walorder, locks) at all times, so a
+// regression in either the code or the analyzers themselves fails here
+// before it fails in CI.
 package analysis_test
 
 import (
@@ -14,15 +14,13 @@ import (
 
 	"sqpr/internal/analysis/anz"
 	"sqpr/internal/analysis/ctxflow"
-	"sqpr/internal/analysis/errflow"
 	"sqpr/internal/analysis/hotalloc"
-	"sqpr/internal/analysis/lockguard"
-	"sqpr/internal/analysis/lockorder"
+	"sqpr/internal/analysis/locks"
 	"sqpr/internal/analysis/walorder"
 )
 
 // TestModuleIsVetClean loads every package of the module and asserts all
-// seven analyzers report nothing. Fixture corpora under testdata are not
+// four analyzers report nothing. Fixture corpora under testdata are not
 // part of ./... and keep their deliberate violations. On failure the
 // findings print grouped by analyzer with file:line positions, so the
 // offending contract is readable straight off the test log.
@@ -38,19 +36,11 @@ func TestModuleIsVetClean(t *testing.T) {
 	if len(pkgs) < 10 {
 		t.Fatalf("loaded only %d packages, expected the whole module", len(pkgs))
 	}
-	findings, err := anz.RunAnalyzers(pkgs, []*anz.Analyzer{
-		lockguard.Analyzer,
-		ctxflow.Analyzer,
-		hotalloc.Analyzer,
-		errflow.Analyzer,
-	})
+	findings, err := anz.RunAnalyzers(pkgs, []*anz.Analyzer{ctxflow.Analyzer, hotalloc.Analyzer})
 	if err != nil {
 		t.Fatalf("running analyzers: %v", err)
 	}
-	modFindings, err := anz.RunModuleAnalyzers(pkgs, []*anz.ModuleAnalyzer{
-		walorder.Analyzer,
-		lockorder.Analyzer,
-	})
+	modFindings, err := anz.RunModuleAnalyzers(pkgs, []*anz.ModuleAnalyzer{walorder.Analyzer, locks.Analyzer})
 	if err != nil {
 		t.Fatalf("running module analyzers: %v", err)
 	}
@@ -72,11 +62,7 @@ func TestModuleIsVetClean(t *testing.T) {
 		group := byAnalyzer[name]
 		t.Errorf("%s: %d finding(s)", name, len(group))
 		for _, f := range group {
-			msg := f.Message
-			if f.Context != "" {
-				msg += " [" + f.Context + "]"
-			}
-			t.Errorf("  %s:%d:%d: %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, msg)
+			t.Errorf("  %s:%d:%d: %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Message)
 		}
 	}
 	t.Fatalf("sqpr-vet reported %d finding(s); the module must stay clean", len(findings))

@@ -99,13 +99,6 @@ func goodEarlyReturn(s *store, ok bool) {
 	s.ack()
 }
 
-// goodWaived documents a deliberate unjournaled acknowledgement.
-func goodWaived(s *store) {
-	s.mutate()
-	//sqpr:ack-ok rejection path reverts the mutation before replying
-	s.ack()
-}
-
 // goodAsync launches the acking loop; ordering inside the goroutine is the
 // goroutine's own concern.
 func goodAsync(s *store) {

@@ -13,18 +13,12 @@
 // ack-point (directly or transitively) while that bit is set is the exact
 // shape of the bug where a client observes an admission the WAL can still
 // lose.
-//
-// A deliberate unjournaled acknowledgement (e.g. a rejection that changed
-// nothing durable) is waived per statement with
-//
-//	//sqpr:ack-ok <why>
 package walorder
 
 import (
 	"go/ast"
 	"go/token"
 
-	"sqpr/internal/analysis/anno"
 	"sqpr/internal/analysis/anz"
 	"sqpr/internal/analysis/flow"
 )
@@ -47,17 +41,11 @@ func run(pass *anz.ModulePass) error {
 	mayJournal := g.ReachesAny(seeds(g.Annotated("journal-point")), summaryKinds...)
 	mayMutate := g.ReachesAny(seeds(g.Annotated("mutates")), summaryKinds...)
 
-	lines := make(map[*anz.Package]*anno.Lines)
-	for _, pkg := range pass.Pkgs {
-		lines[pkg] = anno.CollectLines(pkg.Fset, pkg.Syntax)
-	}
-
 	g.Each(func(f *flow.Func) {
 		body := f.Body()
 		if body == nil {
 			return
 		}
-		li := lines[f.Pkg]
 		reported := make(map[token.Pos]bool)
 		flow.WalkBody(body, false, flow.Effects[bool]{
 			Clone: func(d bool) bool { return d },
@@ -80,9 +68,9 @@ func run(pass *anz.ModulePass) error {
 					// own body carries the internal ordering check.
 					return false
 				case dirty && mayAck[key]:
-					if !reported[call.Lparen] && !li.At(g.Fset, call.Pos(), "ack-ok") {
+					if !reported[call.Lparen] {
 						reported[call.Lparen] = true
-						pass.ReportContext(call.Lparen, "ack-point via "+key,
+						pass.Reportf(call.Lparen,
 							"acknowledges before journaling: %s may reach an //sqpr:ack-point while state changes are not yet journaled", short(key))
 					}
 					return dirty

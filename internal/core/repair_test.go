@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"sqpr/internal/dsps"
@@ -232,6 +233,27 @@ func TestRepairDriftReplans(t *testing.T) {
 	}
 	if len(rr.Affected) != 0 {
 		t.Fatalf("drift of unadmitted query affected %v", rr.Affected)
+	}
+}
+
+// TestRepairHonoursCancelledContext: a repair whose ctx is already
+// cancelled still commits the event, re-plans nothing and reports the
+// cancellation; the chunk loop must hand the caller's ctx to every chunk.
+func TestRepairHonoursCancelledContext(t *testing.T) {
+	sys, qs := churnSystem(t)
+	p := NewPlanner(sys, testConfig())
+	submitAll(t, p, qs)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rr, err := p.Repair(ctx, []plan.Event{plan.DriftQuery(qs[0])})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Repair with a cancelled ctx: err = %v, want context.Canceled (result %+v)", err, rr)
+	}
+	if len(rr.Affected) == 0 {
+		t.Fatal("the drift event affected nothing, so no chunk saw the ctx")
+	}
+	if err := p.Assignment().Validate(sys); err != nil {
+		t.Fatalf("cancelled repair left an infeasible state: %v", err)
 	}
 }
 

@@ -1,0 +1,52 @@
+package core
+
+import (
+	"context"
+	"runtime/debug"
+	"slices"
+	"testing"
+	"time"
+
+	"sqpr/internal/dsps"
+	"sqpr/internal/invariant"
+	"sqpr/internal/plan"
+)
+
+// TestSeedAllocationsBounded: on a fixed S15-shaped state, a warm greedy
+// seed allocates only its clone of the current allocation. Ranking hosts, probing trial flows and placements, rolling them
+// back and accepting the winner all run on scratch pooled on the builder.
+func TestSeedAllocationsBounded(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("checked builds allocate scratch in their invariant checks")
+	}
+	if raceEnabled() {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	w := newChurnWalk()
+	ctx := context.Background()
+	for range 40 {
+		if _, err := w.p.Submit(ctx, w.next(t)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := w.next(t)
+	w.p.beginCall(plan.SubmitConfig{})
+	b := w.p.newBuilder([]dsps.StreamID{q}, false)
+	var seed *dsps.Assignment
+	run := func() { seed = b.seed(time.Time{}) }
+	run() // the first run sizes the builder's scratch
+	if _, ok := seed.Provider(q); !ok || len(seed.Flows) <= len(w.p.Assignment().Flows) {
+		t.Fatalf("the seed did not admit query %d over new flows; the state would not exercise the greedy", q)
+	}
+	// Four of them are the clone: the struct and its three slices.
+	const maxAllocs = 5
+	if allocs := testing.AllocsPerRun(10, run); allocs > maxAllocs {
+		t.Fatalf("a warm seed allocated %v times, want <= %d", allocs, maxAllocs)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
+}

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -25,6 +26,22 @@ func TestDeadlineAborts(t *testing.T) {
 	sol := Solve(p, Options{Deadline: time.Now().Add(-time.Second)})
 	if sol.Status != IterLimit {
 		t.Fatalf("status %v, want iteration-limit", sol.Status)
+	}
+}
+
+// TestCancelledContextAborts: with no deadline, an already-cancelled
+// Options.Ctx alone must stop a ReSolve with IterLimit.
+func TestCancelledContextAborts(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	p := randomBoundedLP(rng, 40, 40)
+	s := NewSolver()
+	if err := s.Load(p); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if sol := s.ReSolve(Options{Ctx: ctx}); sol.Status != IterLimit {
+		t.Fatalf("status %v after %d iterations, want iteration-limit", sol.Status, sol.Iters)
 	}
 }
 

@@ -194,7 +194,7 @@ type Service struct {
 	pmu sync.Mutex
 
 	// smu guards the service stats. The sanctioned acquisition hierarchy
-	// (enforced module-wide by the lockorder analyzer): the enqueue path
+	// (enforced module-wide by the locks analyzer): the enqueue path
 	// holds mu while bumping stats, the dispatcher holds pmu across solves
 	// and takes smu to record them, and nothing may nest the other way.
 	//

@@ -299,6 +299,55 @@ func TestServiceExpiredContextSkipped(t *testing.T) {
 	}
 }
 
+// blockingPlanner's Submit blocks until its ctx is done, or until a 2 s
+// fallback passes, and reports on ended which of the two ended it.
+type blockingPlanner struct {
+	*fakePlanner
+	entered chan struct{}
+	ended   chan error
+}
+
+var errFallback = errors.New("planner call outlived its 2 s fallback")
+
+func (b *blockingPlanner) Submit(ctx context.Context, q dsps.StreamID, opts ...plan.SubmitOption) (plan.Result, error) {
+	b.entered <- struct{}{}
+	err := errFallback
+	select {
+	case <-ctx.Done():
+		err = ctx.Err()
+	case <-time.After(2 * time.Second):
+	}
+	b.ended <- err
+	return plan.Result{}, err
+}
+
+// TestServiceCancelReachesThePlanner: cancelling a caller's ctx cancels the
+// planner call the dispatcher is making for it, so a long solve for a
+// caller that gave up stops instead of holding the dispatcher.
+func TestServiceCancelReachesThePlanner(t *testing.T) {
+	b := &blockingPlanner{fakePlanner: newFakePlanner(0), entered: make(chan struct{}, 1), ended: make(chan error, 1)}
+	s := plan.NewService(b, plan.ServiceConfig{})
+	defer s.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	replied := make(chan error, 1)
+	go func() {
+		_, err := s.Submit(ctx, 1)
+		replied <- err
+	}()
+	<-b.entered
+	start := time.Now()
+	cancel()
+	if err := <-b.ended; !errors.Is(err, context.Canceled) {
+		t.Fatalf("the planner call ended with %v, want context.Canceled", err)
+	}
+	if waited := time.Since(start); waited > time.Second {
+		t.Fatalf("the planner call ended %v after the cancel", waited)
+	}
+	if err := <-replied; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Submit: err = %v, want context.Canceled", err)
+	}
+}
+
 // TestServiceOrderAndTrace checks the ordering guarantee: requests are
 // applied in arrival order, the trace reports them in application order, and
 // a client's explicit batch is traced and counted with all its queries.
