@@ -425,10 +425,13 @@ func TestSubmitIsDeterministic(t *testing.T) {
 // TestRefactorsPerSolveBudget fills the 15-host daemon substrate (the
 // benchmark's s15: population seed 7, the daemon's planner limits) with its
 // first 80 queries under a timeout no call comes near, and bounds the LU
-// factorizations each solve costs. Lazy-row activation borders the
-// factors instead of discarding them, which took this ratio from 36 to 11;
-// the bound is a count, so a change that goes back to refactorizing per
-// activation wave fails here on any machine.
+// factorizations and simplex iterations each solve costs. Lazy-row
+// activation borders the factors instead of discarding them, which took
+// the refactorization ratio from 36 to 11; presolve run to its fixpoint
+// hands the LP fewer free binaries, which took the iteration ratio from 348
+// to 255. Both bounds are counts, so a change that goes back to
+// refactorizing per activation wave, or to stopping presolve early, fails
+// here on any machine.
 func TestRefactorsPerSolveBudget(t *testing.T) {
 	sys := sqpr.BuildSystem(sqpr.SystemConfig{NumHosts: 15, CPUPerHost: 10, OutBW: 60, InBW: 60, LinkCap: 25})
 	w := sqpr.GenerateWorkload(sys, sqpr.WorkloadConfig{
@@ -452,11 +455,15 @@ func TestRefactorsPerSolveBudget(t *testing.T) {
 	if solves <= 0 || st.Factor.RowEtas == 0 {
 		t.Fatalf("nothing measured: %d submissions, %d seed-closed, %d row etas", st.Submissions, st.SeedClosed, st.Factor.RowEtas)
 	}
-	const budget = 20
+	const budget, itersBudget = 20, 300
 	per := float64(st.Factor.Refactors) / float64(solves)
-	t.Logf("%d refactorizations, %d row etas, %d LP iterations over %d solves (%d submissions, %d seed-closed): %.1f refactorizations per solve",
-		st.Factor.Refactors, st.Factor.RowEtas, st.TotalLPIters, solves, st.Submissions, st.SeedClosed, per)
+	iters := float64(st.TotalLPIters) / float64(solves)
+	t.Logf("%d refactorizations, %d row etas, %d LP iterations over %d solves (%d submissions, %d seed-closed): %.1f refactorizations and %.1f iterations per solve",
+		st.Factor.Refactors, st.Factor.RowEtas, st.TotalLPIters, solves, st.Submissions, st.SeedClosed, per, iters)
 	if per > budget {
 		t.Fatalf("%.1f refactorizations per solve, budget %d", per, budget)
+	}
+	if iters > itersBudget {
+		t.Fatalf("%.1f LP iterations per solve, budget %d", iters, itersBudget)
 	}
 }

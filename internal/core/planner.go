@@ -335,8 +335,9 @@ func (p *Planner) submit(ctx context.Context, qs []dsps.StreamID, timeout time.D
 		// place the fresh query, and the query's own fractional d keeps the
 		// LP bound up to λ1 above the incumbent, which branching refutes
 		// only slowly. Without the stop, `go run ./bench` (seed 1, 2-core
-		// VM) falls from 587 to 193 ops/s on steady_churn and from 325 to
-		// 106 on fill_to_saturation, at the same admissions. Small models
+		// VM, measured before presolve ran to its fixpoint) fell from 587
+		// to 193 ops/s on steady_churn and from 325 to 106 on
+		// fill_to_saturation, at the same admissions. Small models
 		// search their full budget: on them a late admission find is cheap
 		// and real (the Fig. 2 shared-chain and relay scenarios need more
 		// than 48 nodes).

@@ -74,20 +74,6 @@ func (w *churnWalk) next(t *testing.T) dsps.StreamID {
 // walkSteps is the length of the seed-close walks.
 const walkSteps = 220
 
-// checkedSteps is how many of a walk's steps the seed-close tests check in
-// full: all of them, or 60 under -short. The walk itself always runs to its
-// end.
-func checkedSteps() int {
-	if testing.Short() {
-		return 60
-	}
-	return walkSteps
-}
-
-// stepChecked reports whether step i is one of the checked steps, which are
-// spread evenly over the walk.
-func stepChecked(i int) bool { return i*checkedSteps()%walkSteps < checkedSteps() }
-
 // TestSeedCloseCeilingIsABound checks, model by model, the argument Submit's
 // fast path stands on: (III.3)'s a-priori ceiling is above the LP bound and
 // above every incumbent, and seedGap never under-states the seed's distance
@@ -99,12 +85,6 @@ func TestSeedCloseCeilingIsABound(t *testing.T) {
 	closable := 0
 	for models := 0; models < walkSteps; models++ {
 		q := w.next(t)
-		if !stepChecked(models) {
-			if _, err := p.Submit(ctx, q); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
 		p.beginCall(plan.SubmitConfig{})
 		b := p.newBuilder([]dsps.StreamID{q}, false)
 		seed := b.seed(time.Time{})
@@ -153,28 +133,24 @@ func TestSeedCloseCeilingIsABound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n := checkedSteps()
-	t.Logf("%d of %d checked models had a seed within the tolerance of the ceiling", closable, n)
-	if floor := 150 * n / walkSteps; closable < floor {
-		t.Fatalf("only %d of %d checked models had a seed within the tolerance of the ceiling (want ≥ %d): the walk no longer exercises the fast path", closable, n, floor)
+	t.Logf("%d of %d models had a seed within the tolerance of the ceiling", closable, walkSteps)
+	if closable < 150 {
+		t.Fatalf("only %d of %d models had a seed within the tolerance of the ceiling (want ≥ 150): the walk no longer exercises the fast path", closable, walkSteps)
 	}
 }
 
-// TestSeedCloseMatchesFullSolve replays every checked submission the seed
-// closed on a planner cloned just before it, through the full path: the
-// solve must stop at its root and leave a byte-identical state.
+// TestSeedCloseMatchesFullSolve replays every submission the seed closed on
+// a planner cloned just before it, through the full path: the solve must
+// stop at its root and leave a byte-identical state.
 func TestSeedCloseMatchesFullSolve(t *testing.T) {
 	w := newChurnWalk()
 	ctx := context.Background()
 	closed := 0
 	for step := 0; step < walkSteps; step++ {
 		q := w.next(t)
-		var clone *Planner
-		if stepChecked(step) {
-			clone = NewPlanner(w.sys, w.cfg)
-			if err := clone.ImportState(w.p.ExportState()); err != nil {
-				t.Fatal(err)
-			}
+		clone := NewPlanner(w.sys, w.cfg)
+		if err := clone.ImportState(w.p.ExportState()); err != nil {
+			t.Fatal(err)
 		}
 		res, err := w.p.Submit(ctx, q)
 		if err != nil {
@@ -189,9 +165,6 @@ func TestSeedCloseMatchesFullSolve(t *testing.T) {
 		closed++
 		if !res.Admitted || res.Nodes != 0 || res.LPIters != 0 || res.ModelVars != 0 || res.SolveStatus != milp.FeasibleMIP {
 			t.Fatalf("step %d: seed-closed result carries solver effort or no admission: %+v", step, res)
-		}
-		if clone == nil {
-			continue
 		}
 		clone.beginCall(plan.SubmitConfig{})
 		b := clone.newBuilder([]dsps.StreamID{q}, false)

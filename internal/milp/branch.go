@@ -77,8 +77,17 @@ func (m *Model) Solve(opts Options) Result {
 		maxNodes = 10000
 	}
 
-	c, err := m.compile(!opts.DisableTreeReduction)
+	// Checked builds hold presolve to a warm start that satisfies the
+	// model: no feasibility reduction may cut it off.
+	var witness []float64
+	if invariant.Enabled && len(opts.Incumbent) == len(m.vars) && m.satisfies(opts.Incumbent) {
+		witness = opts.Incumbent
+	}
+	c, err := m.compile(!opts.DisableTreeReduction, witness)
 	if err != nil {
+		if invariant.Enabled && witness != nil {
+			invariant.Failf("milp: compile proved infeasible a model the warm start satisfies")
+		}
 		return Result{Status: InfeasibleMIP, Bound: math.Inf(-1)}
 	}
 
@@ -246,17 +255,27 @@ func (s *search) exhausted() bool {
 // Validation runs against the caller's original rows — not the presolved
 // image — so an accepted incumbent is feasible for the exact model as built.
 func (s *search) validateCandidate(x []float64) (float64, bool) {
-	m := s.c.m
-	if len(x) != len(m.vars) {
+	if !s.c.m.satisfies(x) {
 		return 0, false
+	}
+	// bestObj lives in the compiled LP's minimisation space so it compares
+	// directly against node relaxation values.
+	return s.c.lpSpace(s.c.modelObjective(x)), true
+}
+
+// satisfies reports whether x is a feasible point of the model as built:
+// within bounds, integral on binaries, and within tolerance on every row.
+func (m *Model) satisfies(x []float64) bool {
+	if len(x) != len(m.vars) {
+		return false
 	}
 	for i := range m.vars {
 		v := &m.vars[i]
 		if x[i] < v.lo-1e-6 || x[i] > v.hi+1e-6 {
-			return 0, false
+			return false
 		}
 		if v.typ == Binary && math.Abs(x[i]-math.Round(x[i])) > intTol {
-			return 0, false
+			return false
 		}
 	}
 	for ri := range m.rows {
@@ -265,25 +284,24 @@ func (s *search) validateCandidate(x []float64) (float64, bool) {
 		for _, t := range r.terms {
 			lhs += t.Coef * x[t.Var]
 		}
-		tol := 1e-6 * (1 + math.Abs(r.rhs))
-		switch r.sense {
-		case LE:
-			if lhs > r.rhs+tol {
-				return 0, false
-			}
-		case GE:
-			if lhs < r.rhs-tol {
-				return 0, false
-			}
-		case EQ:
-			if math.Abs(lhs-r.rhs) > tol {
-				return 0, false
-			}
+		if !rowHolds(r.sense, lhs, r.rhs, 1e-6*(1+math.Abs(r.rhs))) {
+			return false
 		}
 	}
-	// bestObj lives in the compiled LP's minimisation space so it compares
-	// directly against node relaxation values.
-	return s.c.lpSpace(s.c.modelObjective(x)), true
+	return true
+}
+
+// rowHolds reports whether lhs meets rhs under sense within tol.
+func rowHolds(sense Sense, lhs, rhs, tol float64) bool {
+	switch sense {
+	case LE:
+		return lhs <= rhs+tol
+	case GE:
+		return lhs >= rhs-tol
+	case EQ:
+		return math.Abs(lhs-rhs) <= tol
+	}
+	return true
 }
 
 // installIncumbent installs a validated point if it improves the incumbent,

@@ -306,6 +306,14 @@ type compiled struct {
 	pskip    []bool
 	appear   []int32 // live-row appearance count per model variable
 
+	// Presolve worklist: the rows of each model variable (vrows, indexed
+	// by vstart), the ring of rows waiting for a visit with their
+	// membership flags, and the variables the last row visit fixed.
+	vstart, vrows []int32
+	queue         []int32
+	queued        []bool
+	moved         []int32
+
 	prio []int8 // branch priority of each LP-active variable
 
 	presolveFixed     int // binaries/columns fixed by presolve
@@ -384,8 +392,9 @@ func growInt32s(s []int32, n int) []int32 {
 // over that image (see presolve.go); then emit the LP with fixed variables
 // substituted out and the remaining ones shifted to zero lower bounds.
 // Returns errInfeasible when a row is unsatisfiable over the (possibly
-// tightened) bounds.
-func (m *Model) compile(presolveOn bool) (*compiled, error) {
+// tightened) bounds. witness, when non-nil, is a point feasible for the
+// model that checked builds hold presolve's feasibility reductions to.
+func (m *Model) compile(presolveOn bool, witness []float64) (*compiled, error) {
 	nv := len(m.vars)
 	c := &m.scratch
 	c.m = m
@@ -444,7 +453,7 @@ func (m *Model) compile(presolveOn bool) (*compiled, error) {
 	c.pstart[nr] = len(c.pterms)
 
 	if presolveOn {
-		if err := c.runPresolve(); err != nil {
+		if err := c.runPresolve(witness); err != nil {
 			return nil, err
 		}
 	}

@@ -24,12 +24,19 @@
 //     objective-preferred bound (dominated placement columns: a variable
 //     whose every constraint went redundant cannot improve the objective at
 //     any other value).
+//
+// The fixpoint is reached by a worklist rather than by repeated sweeps:
+// every row is visited once in row order and re-applied until nothing is
+// left on it, and a row is queued again only when another row's visit fixed
+// one of its variables. Tightening and dropping a row change no variable's
+// bounds, so no other row can gain a reduction from them.
 package milp
 
-import "math"
+import (
+	"math"
 
-// presolveMaxPasses bounds the fixpoint iteration; each pass is O(nnz).
-const presolveMaxPasses = 8
+	"sqpr/internal/invariant"
+)
 
 // rowActivity returns the minimum and maximum of a·x over the overlay
 // bounds of the row's variables.
@@ -54,34 +61,79 @@ func (c *compiled) freeBinary(mi int) bool {
 	return c.m.vars[mi].typ == Binary && c.plo[mi] == 0 && c.phi[mi] == 1
 }
 
-// runPresolve tightens the row image in place; returns errInfeasible when a
-// row is proven unsatisfiable over the bounds.
-func (c *compiled) runPresolve() error {
+// indexVarRows builds the variable→rows index of the row image: the rows
+// of model variable mi are vrows[vstart[mi]:vstart[mi+1]], in row order.
+func (c *compiled) indexVarRows(nv, nr int) {
+	c.vstart = growInt32s(c.vstart, nv+1)
+	clear(c.vstart)
+	for _, t := range c.pterms {
+		c.vstart[t.Var]++
+	}
+	// vstart[mi] is the end of mi's rows here; filling backwards moves it
+	// to their start.
+	for mi := 1; mi <= nv; mi++ {
+		c.vstart[mi] += c.vstart[mi-1]
+	}
+	c.vrows = growInt32s(c.vrows, len(c.pterms))
+	for ri := nr - 1; ri >= 0; ri-- {
+		for _, t := range c.pterms[c.pstart[ri]:c.pstart[ri+1]] {
+			c.vstart[t.Var]--
+			c.vrows[c.vstart[t.Var]] = int32(ri)
+		}
+	}
+}
+
+// runPresolve tightens the row image in place to the fixpoint of the
+// single-row reductions, then fixes dominated columns; returns errInfeasible
+// when a row is proven unsatisfiable over the bounds. A row visit costs its
+// length per pass, so the worklist costs O(nnz + revisits). Checked builds
+// assert that the fixpoint keeps witness, a point feasible for the model,
+// when one is given.
+func (c *compiled) runPresolve(witness []float64) error {
 	nv := len(c.m.vars)
 	nr := len(c.prhs)
-	for pass := 0; pass < presolveMaxPasses; pass++ {
-		changed := false
-		for ri := 0; ri < nr; ri++ {
-			if c.pskip[ri] {
-				continue
-			}
-			ch, err := c.presolveRow(ri)
-			if err != nil {
-				return err
-			}
-			changed = changed || ch
+	c.indexVarRows(nv, nr)
+
+	// The queue is a ring of nr slots: a row is in it at most once. Only
+	// its own visit drops a row, so a row in the queue is live.
+	c.queue = growInt32s(c.queue, nr)
+	c.queued = growBools(c.queued, nr)
+	for ri := 0; ri < nr; ri++ {
+		c.queue[ri] = int32(ri)
+		c.queued[ri] = true
+	}
+	head, n := 0, nr
+	for n > 0 {
+		ri := int(c.queue[head])
+		head = (head + 1) % nr
+		n--
+		c.queued[ri] = false
+		c.moved = c.moved[:0]
+		if err := c.presolveRow(ri); err != nil {
+			return err
 		}
-		if !changed {
-			break
+		for _, mi := range c.moved {
+			for _, r := range c.vrows[c.vstart[mi]:c.vstart[mi+1]] {
+				if int(r) == ri || c.pskip[r] || c.queued[r] {
+					continue
+				}
+				c.queue[(head+n)%nr] = r
+				c.queued[r] = true
+				n++
+			}
 		}
 	}
 
-	// Unconstrained columns: fix at the objective-preferred bound. appear
-	// counts live-row appearances after all row reductions.
-	c.appear = growInt32s(c.appear, nv)
-	for i := range c.appear[:nv] {
-		c.appear[i] = 0
+	if invariant.Enabled && witness != nil {
+		c.mustKeep(witness)
 	}
+
+	// Unconstrained columns: fix at the objective-preferred bound. This
+	// keeps an optimum, not every feasible point, so it comes after the
+	// witness check. appear counts live-row appearances after all row
+	// reductions.
+	c.appear = growInt32s(c.appear, nv)
+	clear(c.appear)
 	for ri := 0; ri < nr; ri++ {
 		if c.pskip[ri] {
 			continue
@@ -116,130 +168,175 @@ func (c *compiled) runPresolve() error {
 	return nil
 }
 
-// presolveRow applies the single-row reductions to row ri. Reports whether
-// anything changed.
-func (c *compiled) presolveRow(ri int) (bool, error) {
-	sense := c.psense[ri]
-	rhs := c.prhs[ri]
-	minAct, maxAct := c.rowActivity(ri)
-	tol := 1e-7 * (1 + math.Abs(rhs))
-
-	// Infeasibility and redundancy over current bounds.
-	switch sense {
-	case LE:
-		if minAct > rhs+tol {
-			return false, errInfeasible
-		}
-		if maxAct <= rhs+tol {
-			c.pskip[ri] = true
-			c.presolveDropped++
-			return true, nil
-		}
-	case GE:
-		if maxAct < rhs-tol {
-			return false, errInfeasible
-		}
-		if minAct >= rhs-tol {
-			c.pskip[ri] = true
-			c.presolveDropped++
-			return true, nil
-		}
-	case EQ:
-		if minAct > rhs+tol || maxAct < rhs-tol {
-			return false, errInfeasible
+// mustKeep fails a checked build when the presolved bounds or a live
+// presolved row cut off x. Coefficient tightening moves a row's activity
+// at a point off {0,1} by at most the binaries' distance from it times the
+// coefficient change, hence the row-norm term in the tolerance.
+func (c *compiled) mustKeep(x []float64) {
+	for mi := range c.m.vars {
+		if x[mi] < c.plo[mi]-1e-6 || x[mi] > c.phi[mi]+1e-6 {
+			invariant.Failf("milp: presolve bounds [%g, %g] cut off the warm start's %s = %g",
+				c.plo[mi], c.phi[mi], c.m.vars[mi].name, x[mi])
 		}
 	}
-
-	changed := false
-	terms := c.pterms[c.pstart[ri]:c.pstart[ri+1]]
-	for i := range terms {
-		t := &terms[i]
-		mi := int(t.Var)
-		a := t.Coef
-		if a == 0 || !c.freeBinary(mi) {
+	for ri := range c.prhs {
+		if c.pskip[ri] {
 			continue
 		}
-		// Activity of the row without this variable's extreme contribution.
-		var minOthers, maxOthers float64
-		if a > 0 {
-			minOthers, maxOthers = minAct, maxAct-a
-		} else {
-			minOthers, maxOthers = minAct-a, maxAct
+		var lhs, norm float64
+		for _, t := range c.pterms[c.pstart[ri]:c.pstart[ri+1]] {
+			lhs += t.Coef * x[t.Var]
+			norm += math.Abs(t.Coef)
 		}
+		rhs := c.prhs[ri]
+		if !rowHolds(c.psense[ri], lhs, rhs, 1e-6*(1+math.Abs(rhs)+norm)) {
+			invariant.Failf("milp: presolved row %s cuts off the warm start (lhs %g, rhs %g)",
+				c.m.rows[ri].name, lhs, rhs)
+		}
+	}
+}
 
-		// Forbid values that cannot be completed within the row.
-		forbid0 := false
-		forbid1 := false
+// presolveRow applies the single-row reductions to row ri until none is
+// left on it: a pass that fixes or tightens anything is followed by another
+// over freshly computed activities. Every change it makes is counted in
+// presolveFixed, presolveTightened or presolveDropped, and the variables it
+// fixes are appended to c.moved.
+func (c *compiled) presolveRow(ri int) error {
+	for again := true; again; {
+		again = false
+		sense := c.psense[ri]
+		rhs := c.prhs[ri]
+		minAct, maxAct := c.rowActivity(ri)
+		tol := 1e-7 * (1 + math.Abs(rhs))
+
+		// Infeasibility and redundancy over current bounds.
 		switch sense {
 		case LE:
-			forbid0 = minOthers > rhs+tol
-			forbid1 = minOthers+a > rhs+tol
+			if minAct > rhs+tol {
+				return errInfeasible
+			}
+			if maxAct <= rhs+tol {
+				c.pskip[ri] = true
+				c.presolveDropped++
+				return nil
+			}
 		case GE:
-			forbid0 = maxOthers < rhs-tol
-			forbid1 = maxOthers+a < rhs-tol
+			if maxAct < rhs-tol {
+				return errInfeasible
+			}
+			if minAct >= rhs-tol {
+				c.pskip[ri] = true
+				c.presolveDropped++
+				return nil
+			}
 		case EQ:
-			forbid0 = minOthers > rhs+tol || maxOthers < rhs-tol
-			forbid1 = minOthers+a > rhs+tol || maxOthers+a < rhs-tol
-		}
-		if forbid0 && forbid1 {
-			return false, errInfeasible
-		}
-		if forbid0 || forbid1 {
-			if forbid0 {
-				c.plo[mi] = 1
-			} else {
-				c.phi[mi] = 0
+			if minAct > rhs+tol || maxAct < rhs-tol {
+				return errInfeasible
 			}
-			c.presolveFixed++
-			// Activities and sibling decisions are stale now; recompute on
-			// the next fixpoint pass rather than patching incrementally.
-			return true, nil
 		}
 
-		// Coefficient tightening (inequalities only): shift (a, rhs) so the
-		// branch side that is vacuous over the bounds becomes exactly tight.
-		switch sense {
-		case LE:
-			if a > 0 && !math.IsInf(maxOthers, 1) {
-				// x=0 side vacuous iff maxOthers <= rhs; pull both down.
-				if delta := rhs - maxOthers; delta > tol && delta < a-tol {
-					t.Coef = a - delta
-					rhs -= delta
-					c.prhs[ri] = rhs
-					maxAct -= delta // maxAct used x=1: shrink coef and rhs
-					c.presolveTightened++
-					changed = true
-				}
-			} else if a < 0 && !math.IsInf(maxOthers, 1) {
-				// x=1 side vacuous iff rhs-a >= maxOthers; raise a toward 0.
-				if na := rhs - maxOthers; na > a+tol && na <= 0 {
-					t.Coef = na
-					minAct += na - a // min contribution was a (at x=1)
-					c.presolveTightened++
-					changed = true
-				}
+		terms := c.pterms[c.pstart[ri]:c.pstart[ri+1]]
+		for i := range terms {
+			t := &terms[i]
+			mi := int(t.Var)
+			a := t.Coef
+			if a == 0 || !c.freeBinary(mi) {
+				continue
 			}
-		case GE:
-			if a > 0 && !math.IsInf(minOthers, -1) {
-				// x=1 side vacuous iff rhs-a <= minOthers; lower a toward 0.
-				if na := rhs - minOthers; na < a-tol && na >= 0 {
-					t.Coef = na
-					maxAct -= a - na // max contribution was a (at x=1)
-					c.presolveTightened++
-					changed = true
+			// Activity of the row without this variable's extreme contribution.
+			var minOthers, maxOthers float64
+			if a > 0 {
+				minOthers, maxOthers = minAct, maxAct-a
+			} else {
+				minOthers, maxOthers = minAct-a, maxAct
+			}
+
+			// Forbid values that cannot be completed within the row.
+			forbid0 := false
+			forbid1 := false
+			switch sense {
+			case LE:
+				forbid0 = minOthers > rhs+tol
+				forbid1 = minOthers+a > rhs+tol
+			case GE:
+				forbid0 = maxOthers < rhs-tol
+				forbid1 = maxOthers+a < rhs-tol
+			case EQ:
+				forbid0 = minOthers > rhs+tol || maxOthers < rhs-tol
+				forbid1 = minOthers+a > rhs+tol || maxOthers+a < rhs-tol
+			}
+			if forbid0 && forbid1 {
+				return errInfeasible
+			}
+			if forbid0 || forbid1 {
+				// The fixed term's contribution collapses to its value, so
+				// the activities patch by the side it leaves.
+				if forbid0 {
+					c.plo[mi] = 1
+					if a > 0 {
+						minAct += a
+					} else {
+						maxAct += a
+					}
+				} else {
+					c.phi[mi] = 0
+					if a > 0 {
+						maxAct -= a
+					} else {
+						minAct -= a
+					}
 				}
-			} else if a < 0 && !math.IsInf(minOthers, -1) {
-				// x=0 side vacuous iff rhs <= minOthers; pull both up.
-				if delta := minOthers - rhs; delta > tol && delta < -a-tol {
-					t.Coef = a + delta
-					rhs += delta
-					c.prhs[ri] = rhs
-					minAct += delta // minAct used x=1: both rise together
-					c.presolveTightened++
-					changed = true
+				c.presolveFixed++
+				c.moved = append(c.moved, int32(mi))
+				again = true
+				continue
+			}
+
+			// Coefficient tightening (inequalities only): shift (a, rhs) so the
+			// branch side that is vacuous over the bounds becomes exactly tight.
+			switch sense {
+			case LE:
+				if a > 0 && !math.IsInf(maxOthers, 1) {
+					// x=0 side vacuous iff maxOthers <= rhs; pull both down.
+					if delta := rhs - maxOthers; delta > tol && delta < a-tol {
+						t.Coef = a - delta
+						rhs -= delta
+						c.prhs[ri] = rhs
+						maxAct -= delta // maxAct used x=1: shrink coef and rhs
+						c.presolveTightened++
+						again = true
+					}
+				} else if a < 0 && !math.IsInf(maxOthers, 1) {
+					// x=1 side vacuous iff rhs-a >= maxOthers; raise a toward 0.
+					if na := rhs - maxOthers; na > a+tol && na <= 0 {
+						t.Coef = na
+						minAct += na - a // min contribution was a (at x=1)
+						c.presolveTightened++
+						again = true
+					}
+				}
+			case GE:
+				if a > 0 && !math.IsInf(minOthers, -1) {
+					// x=1 side vacuous iff rhs-a <= minOthers; lower a toward 0.
+					if na := rhs - minOthers; na < a-tol && na >= 0 {
+						t.Coef = na
+						maxAct -= a - na // max contribution was a (at x=1)
+						c.presolveTightened++
+						again = true
+					}
+				} else if a < 0 && !math.IsInf(minOthers, -1) {
+					// x=0 side vacuous iff rhs <= minOthers; pull both up.
+					if delta := minOthers - rhs; delta > tol && delta < -a-tol {
+						t.Coef = a + delta
+						rhs += delta
+						c.prhs[ri] = rhs
+						minAct += delta // minAct used x=1: both rise together
+						c.presolveTightened++
+						again = true
+					}
 				}
 			}
 		}
 	}
-	return changed, nil
+	return nil
 }

@@ -138,6 +138,69 @@ func TestPresolveFixesForcedBinaries(t *testing.T) {
 	}
 }
 
+// TestPresolveReachesFixpoint checks that presolve ends at the fixpoint of
+// its row reductions rather than after a fixed number of sweeps. One budget
+// row holding twelve over-budget binaries needs twelve fixes, each of which
+// changes the row's activity; all must happen before the search, which then
+// has nothing left to branch on. On the random models, re-applying the row
+// reductions to every live row after presolve must change nothing, and a
+// re-solve warm-started at the optimum (which checked builds hold presolve
+// to) must return it.
+func TestPresolveReachesFixpoint(t *testing.T) {
+	m := NewModel()
+	var terms, obj []Term
+	for i := 0; i < 12; i++ {
+		v := m.AddBinary("big")
+		terms = append(terms, Term{v, 9})
+		obj = append(obj, Term{v, 10})
+	}
+	small := m.AddBinary("small")
+	m.AddCons("cpu", LE, 5, append(terms, Term{small, 2})...)
+	m.SetObjective(true, append(obj, Term{small, 1})...)
+	res := m.Solve(Options{})
+	if res.Status != OptimalMIP || math.Round(res.X[small]) != 1 {
+		t.Fatalf("status %v, x %v", res.Status, res.X)
+	}
+	if res.PresolveFixed < 12 || res.Nodes != 1 {
+		t.Fatalf("presolve fixed %d binaries (want ≥ 12), search took %d nodes (want 1)", res.PresolveFixed, res.Nodes)
+	}
+
+	checked := 0
+	for seed := int64(0); seed < 50; seed++ {
+		m := mixedRandomModel(rand.New(rand.NewSource(seed)))
+		c, err := m.compile(true, nil)
+		if err != nil {
+			continue // presolve proved it infeasible
+		}
+		checked++
+		// presolveRow counts every fix, tightening and drop it makes.
+		counts := [3]int{c.presolveFixed, c.presolveTightened, c.presolveDropped}
+		for ri := range c.prhs {
+			if c.pskip[ri] {
+				continue
+			}
+			if err := c.presolveRow(ri); err != nil {
+				t.Fatalf("seed %d: row %d (%s) infeasible on a second look: %v", seed, ri, m.rows[ri].name, err)
+			}
+			if now := [3]int{c.presolveFixed, c.presolveTightened, c.presolveDropped}; now != counts {
+				t.Fatalf("seed %d: row %d (%s) still reduces after presolve: (fixed, tightened, dropped) %v → %v", seed, ri, m.rows[ri].name, counts, now)
+			}
+		}
+
+		opt := m.Solve(Options{MaxNodes: 500000})
+		if opt.Status != OptimalMIP {
+			continue
+		}
+		warm := m.Solve(Options{MaxNodes: 500000, Incumbent: opt.X})
+		if warm.Status != OptimalMIP || math.Abs(warm.Objective-opt.Objective) > 1e-6*(1+math.Abs(opt.Objective)) {
+			t.Fatalf("seed %d: warm re-solve %v at %v, cold %v", seed, warm.Status, warm.Objective, opt.Objective)
+		}
+	}
+	if checked < 25 {
+		t.Fatalf("only %d of 50 random models survived presolve", checked)
+	}
+}
+
 // TestPresolveInfeasible checks that activity bounds prove infeasibility
 // without a search.
 func TestPresolveInfeasible(t *testing.T) {
