@@ -384,6 +384,9 @@ func (p *Planner) solve(ctx context.Context, b *builder, seed *dsps.Assignment, 
 	if sol.Cancelled || ctx.Err() != nil {
 		return nil, ctx.Err()
 	}
+	if sol.Err != nil {
+		return nil, fmt.Errorf("core: %w", sol.Err)
+	}
 	if sol.X == nil {
 		res.Reason = plan.ReasonNoFeasiblePlan
 		return nil, nil

@@ -71,7 +71,7 @@ func TestRowEtaMatchesDenseSolve(t *testing.T) {
 
 		// m0 equality rows over m0 structural columns carry B; the spare
 		// inequality rows only reserve arena capacity and stay inactive.
-		p := &Problem{NumVars: m0, Cost: make([]float64, m0)}
+		p := &Problem{NumVars: m0, Cost: make([]float64, m0), Upper: make([]float64, m0)}
 		dense := make([][]float64, m0)
 		for i := 0; i < m0; i++ {
 			dense[i] = make([]float64, m0)
@@ -84,6 +84,7 @@ func TestRowEtaMatchesDenseSolve(t *testing.T) {
 				dense[i][j] = c
 				terms = append(terms, Term{j, c})
 			}
+			p.Upper[i] = 1 // column i; the solves below never read the box
 			p.Cons = append(p.Cons, Constraint{Terms: terms, Sense: EQ, RHS: 1})
 		}
 		for i := 0; i < spare; i++ {
@@ -94,7 +95,7 @@ func TestRowEtaMatchesDenseSolve(t *testing.T) {
 		if err := s.Load(p); err != nil {
 			t.Fatal(err)
 		}
-		s.rebuild()
+		s.rebuild(false)
 		for j := 0; j < s.n; j++ {
 			s.inBasis[j], s.rowOf[j] = false, -1
 		}

@@ -8,6 +8,14 @@ import (
 	"sqpr/internal/invariant"
 )
 
+// The oracle's cold solve is a two-phase primal simplex, which needs a
+// phase-1 zero test and can end unbounded; the sparse Solver, a dual
+// simplex over boxed columns only, has neither.
+const (
+	zeroTol          = 1e-9 // phase-1 objective zero test
+	unbounded Status = IterLimit + 1
+)
+
 // DenseSolver is the dense-tableau engine the sparse Solver replaced, kept
 // in a test file as the oracle of the equivalence suite (equiv_test.go,
 // activation_test.go): no non-test code refers to it, and the hotpath
@@ -522,7 +530,7 @@ func (s *DenseSolver) ReSolve(opts Options) Solution {
 			// feasible region, so inactive rows cannot rescue it.) The
 			// tableau stays consistent, so later ReSolves stay warm.
 			return Solution{Status: Infeasible, Iters: s.iters}
-		case Unbounded:
+		case unbounded:
 			if s.nInactive > 0 {
 				// The descent ray may be cut off by rows not yet active;
 				// bring everything in and restart cold.
@@ -531,7 +539,7 @@ func (s *DenseSolver) ReSolve(opts Options) Solution {
 				coldDone = false
 				continue
 			}
-			return Solution{Status: Unbounded, X: s.extract(), Iters: s.iters}
+			return Solution{Status: unbounded, X: s.extract(), Iters: s.iters}
 		default: // IterLimit
 			if s.expired() || coldDone {
 				return Solution{Status: IterLimit, Iters: s.iters}
@@ -708,7 +716,7 @@ func (s *DenseSolver) checkFeasibleActive(x []float64) bool {
 	return true
 }
 
-// activateAll brings every inactive row in (used before an Unbounded
+// activateAll brings every inactive row in (used before an unbounded
 // restart; the subsequent pass is cold, so a plain marking suffices).
 func (s *DenseSolver) activateAll() {
 	for i := range s.activeRows[:s.mAll] {
@@ -1152,7 +1160,7 @@ func (s *DenseSolver) chooseEntering() int {
 
 // step performs the ratio test and either flips the entering variable to
 // its opposite bound or pivots it into the basis. Returns 0 on success,
-// Unbounded if the entering direction is unbounded.
+// unbounded if the entering direction is unbounded.
 //
 //sqpr:hotpath
 func (s *DenseSolver) step(j int) Status {
@@ -1183,7 +1191,7 @@ func (s *DenseSolver) step(j int) Status {
 	}
 	if leave < 0 {
 		if math.IsInf(tmax, 1) {
-			return Unbounded
+			return unbounded
 		}
 		// Bound flip: the entering variable moves straight to its upper
 		// bound; re-orient it so it is nonbasic at zero again.

@@ -413,7 +413,7 @@ func (s *Solver) activeColNNZ(col int) int {
 // active-nonzero order to limit fill), resets the eta file, and refreshes
 // the basic solution and reduced costs exactly. Reports false when the
 // basis is numerically singular — the caller falls back to a cold rebuild,
-// whose slack/artificial start basis is diagonal and always factorizes.
+// whose slack start basis is diagonal and always factorizes.
 func (s *Solver) refactorize() bool {
 	f := &s.lu
 	m := s.m
@@ -484,8 +484,8 @@ func (s *Solver) refactorize() bool {
 				f.scatterEntry(slot, sign*s.ccCoef[e], st)
 			}
 		} else {
-			aux := col - s.nStruct
-			f.scatterEntry(s.auxSlot[aux], s.auxCoef[aux], st)
+			t := col - s.nStruct
+			f.scatterEntry(int32(t), s.slackCoef[t], st)
 		}
 		// Sparse lower solve: pop pivotal positions in ascending order
 		// (ascending positions is a topological order for L), emitting U
@@ -609,20 +609,17 @@ func (f *luFactor) heapPop() int32 {
 }
 
 // costOf returns the objective coefficient of column j under the current
-// orientation and solve phase.
+// orientation, with negative costs at zero while the cold pass is shifted.
 //
 //sqpr:hotpath
 func (s *Solver) costOf(j int) float64 {
-	if s.phase1 {
-		if j >= s.nStruct && s.auxIsArt[j-s.nStruct] {
-			return 1
-		}
-		return 0
-	}
 	if j >= s.nStruct {
 		return 0
 	}
 	c := s.prob.cost(j)
+	if s.shifted && c < 0 {
+		c = 0
+	}
 	if s.flipped[j] {
 		return -c
 	}
@@ -635,8 +632,8 @@ func (s *Solver) costOf(j int) float64 {
 //sqpr:hotpath
 func (s *Solver) colDot(j int, y []float64) float64 {
 	if j >= s.nStruct {
-		aux := j - s.nStruct
-		return s.auxCoef[aux] * y[s.auxSlot[aux]]
+		t := j - s.nStruct
+		return s.slackCoef[t] * y[t]
 	}
 	sum := 0.0
 	for e := s.ccStart[j]; e < s.ccStart[j+1]; e++ {
@@ -703,8 +700,8 @@ func (s *Solver) checkResidual(where string) {
 				}
 			}
 		} else {
-			aux := col - s.nStruct
-			res[s.auxSlot[aux]] += s.auxCoef[aux] * v
+			t := col - s.nStruct
+			res[t] += s.slackCoef[t] * v
 		}
 	}
 	for t := 0; t < m; t++ {

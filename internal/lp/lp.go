@@ -1,21 +1,23 @@
 // Package lp implements a sparse revised-simplex solver for linear programs
-// with variable upper bounds.
+// over boxed variables.
 //
 // The solver handles problems of the form
 //
 //	minimise  c·x
 //	subject to  a_i·x {<=,>=,=} b_i   for every constraint i
-//	            0 <= x_j <= u_j      for every variable j (u_j may be +Inf)
+//	            0 <= x_j <= u_j      for every variable j (u_j finite)
 //
 // Upper bounds are handled inside the simplex via complement substitution
 // (x̄ = u − x), so they do not add rows. The basis inverse is an LU
-// factorization plus an eta file (see Solver). A cold solve is a two-phase
-// primal simplex with artificial variables; a warm re-solve after bound
-// changes starts from the previous basis and repairs it with dual simplex.
-// In lazy mode rows join the basis only once a solution violates them. The
-// solver is the substrate for the branch-and-bound MILP solver in
-// internal/milp, which in turn stands in for the CPLEX dependency of the
-// SQPR paper.
+// factorization plus an eta file (see Solver). There is one method, the
+// bounded-variable dual simplex: a cold solve starts it from the slack
+// basis with negative costs shifted to zero, and a warm re-solve after
+// bound changes starts it from the previous basis. Because every column is
+// boxed, any column left dual infeasible is made feasible by a bound flip,
+// so the problem can never be unbounded. In lazy mode rows join the basis
+// only once a solution violates them. The solver is the substrate for the
+// branch-and-bound MILP solver in internal/milp, which in turn stands in
+// for the CPLEX dependency of the SQPR paper.
 package lp
 
 import (
@@ -69,8 +71,8 @@ type Problem struct {
 	// Cost holds the minimisation objective coefficients; missing entries
 	// (shorter slice) are treated as zero.
 	Cost []float64
-	// Upper holds per-variable upper bounds; missing entries are +Inf.
-	// All lower bounds are zero by construction.
+	// Upper holds per-variable upper bounds; missing entries are +Inf,
+	// which Solver.Load rejects. All lower bounds are zero by construction.
 	Upper []float64
 	// Cons are the linear constraints.
 	Cons []Constraint
@@ -85,8 +87,6 @@ const (
 	Optimal Status = iota
 	// Infeasible means the constraint set has no feasible point.
 	Infeasible
-	// Unbounded means the objective can decrease without bound.
-	Unbounded
 	// IterLimit means the iteration budget or deadline was exhausted
 	// before optimality was proven. X holds the best feasible point found
 	// if Feasible is true.
@@ -100,8 +100,6 @@ func (s Status) String() string {
 		return "optimal"
 	case Infeasible:
 		return "infeasible"
-	case Unbounded:
-		return "unbounded"
 	case IterLimit:
 		return "iteration-limit"
 	}
@@ -114,7 +112,7 @@ type Solution struct {
 	X         []float64 // structural variable values (valid when Feasible)
 	Objective float64   // c·X
 	Feasible  bool      // X satisfies all constraints and bounds
-	Iters     int       // simplex iterations performed across both phases
+	Iters     int       // dual simplex pivots, cold pass and activation waves included
 }
 
 // Options tunes a solve.

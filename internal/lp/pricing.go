@@ -2,26 +2,23 @@ package lp
 
 import "math"
 
-// candidateMax bounds the pricing candidate list: a refill scan collects at
-// most this many eligible columns before pivoting resumes, so Dantzig-style
-// most-negative selection runs over a short list instead of every column.
-const candidateMax = 64
-
-// rebuild resets the logical basis to the slack/artificial start over the
-// active rows, folding the current variable fixes in as zero-width columns
-// (at-upper fixes in complement orientation). The factorization of this
-// start basis is diagonal (±1 singletons), so the follow-up refactorize
-// cannot fail.
+// rebuild resets the logical basis to the slack basis over the active rows,
+// folding the current variable fixes in as zero-width columns (at-upper
+// fixes in complement orientation). Every row gets one slack column, and
+// the slack of slot t is column nStruct+t: +1 for LE and EQ rows, −1 for GE
+// rows, with an EQ row's slack zero-width so it never enters. Free columns
+// start at 0, or with atUpper at their upper bound when their cost is
+// negative. The factorization of this basis is diagonal (±1 singletons), so
+// the follow-up refactorize cannot fail.
 //
 //sqpr:hotpath
-func (s *Solver) rebuild() {
+func (s *Solver) rebuild(atUpper bool) {
 	p := s.prob
 	s.scanValid = false // cold rebuilds move the point arbitrarily
 	for j := 0; j < s.colCap; j++ {
 		s.upper[j] = math.Inf(1)
 		s.baseU[j] = math.Inf(1)
 		s.flipped[j] = false
-		s.banned[j] = false
 		s.inBasis[j] = false
 		s.rowOf[j] = -1
 		s.d[j] = 0
@@ -32,98 +29,64 @@ func (s *Solver) rebuild() {
 		switch s.fixVal[j] {
 		case fixFree:
 			s.upper[j] = u
+			s.flipped[j] = atUpper && p.cost(j) < 0
 		case fixZero:
 			s.upper[j] = 0
-			s.banned[j] = true
 		case fixUpper:
 			s.upper[j] = 0
-			s.banned[j] = true
 			s.flipped[j] = true
 		}
 	}
-	// Assign slots and slack columns densely over the active rows; rows
-	// activated warm later take fresh slots at the then-current edge.
+	// Assign slots densely over the active rows; rows activated warm later
+	// take fresh slots at the then-current edge.
 	for i := 0; i < s.mAll; i++ {
 		s.rowSlot[i] = -1
-		s.slackOf[i] = -1
 	}
 	slot := 0
-	naux := 0
 	for i := 0; i < s.mAll; i++ {
 		if !s.activeRows[i] {
 			continue
 		}
+		c := &p.Cons[i]
 		s.rowSlot[i] = int32(slot)
 		s.slotRow[slot] = int32(i)
-		if p.Cons[i].Sense != EQ {
-			col := s.nStruct + naux
-			s.slackOf[i] = int32(col)
-			s.auxSlot[naux] = int32(slot)
-			s.auxIsArt[naux] = false
-			if p.Cons[i].Sense == LE {
-				s.auxCoef[naux] = 1
-			} else {
-				s.auxCoef[naux] = -1
-			}
-			naux++
+		s.slackCoef[slot] = 1
+		col := s.nStruct + slot
+		switch c.Sense {
+		case GE:
+			s.slackCoef[slot] = -1
+		case EQ:
+			s.upper[col] = 0
+			s.baseU[col] = 0
 		}
-		slot++
-	}
-	s.m = slot
-	s.nArtStart = s.nStruct + naux
-
-	// Effective right-hand sides under the fix orientation.
-	for t := 0; t < s.m; t++ {
-		c := &p.Cons[s.slotRow[t]]
 		rhs := c.RHS
 		for _, tm := range c.Terms {
 			if s.flipped[tm.Var] {
 				rhs -= tm.Coef * s.baseU[tm.Var]
 			}
 		}
-		s.beff[t] = rhs
+		s.beff[slot] = rhs
+		s.basis[slot] = col
+		s.inBasis[col] = true
+		s.rowOf[col] = slot
+		slot++
 	}
-
-	// Starting basis: a row's slack is basic when it starts feasible at the
-	// origin of the current orientation (LE with beff >= 0, or GE with
-	// beff < 0, where the −1 slack coefficient makes the slack value
-	// positive); an artificial signed to keep its value non-negative covers
-	// every other row.
-	for t := 0; t < s.m; t++ {
-		i := int(s.slotRow[t])
-		c := &p.Cons[i]
-		sl := s.slackOf[i]
-		if sl >= 0 && ((c.Sense == LE && s.beff[t] >= 0) || (c.Sense == GE && s.beff[t] < 0)) {
-			s.basis[t] = int(sl)
-			continue
-		}
-		col := s.nStruct + naux
-		s.auxSlot[naux] = int32(t)
-		s.auxIsArt[naux] = true
-		if s.beff[t] >= 0 {
-			s.auxCoef[naux] = 1
-		} else {
-			s.auxCoef[naux] = -1
-		}
-		naux++
-		s.basis[t] = col
-	}
-	s.n = s.nStruct + naux
-	for t := 0; t < s.m; t++ {
-		b := s.basis[t]
-		s.inBasis[b] = true
-		s.rowOf[b] = t
-	}
+	s.m = slot
+	s.n = s.nStruct + slot
 	s.factorValid = false
 	s.xbValid = false
-	s.candPos = 0
-	s.cand = s.cand[:0]
 }
 
-// coldPass rebuilds the basis from the problem plus current fixes over the
-// active row set and runs the two-phase primal simplex through the
-// factorization. On success the solver is left at an optimal basis and
-// marked warm.
+// coldPass solves from the slack basis over the active rows with the dual
+// simplex alone. The slack basis prices every column at its cost, so with
+// negative costs shifted to zero it is dual feasible from the start. Once
+// the shifted problem is optimal the true costs come back: every boxed
+// column whose reduced cost turned negative is bound-flipped and the dual
+// simplex resumes. Should a slack, which has no upper bound to flip to, be
+// left dual infeasible instead, the pass restarts once from the slack basis
+// with each negative-cost column at its upper bound, a start that is dual
+// feasible by construction. On success the solver is left at an optimal
+// basis and marked warm.
 func (s *Solver) coldPass() Status {
 	if s.nStruct == 0 {
 		if constRowsFeasible(s.prob) {
@@ -131,198 +94,58 @@ func (s *Solver) coldPass() Status {
 		}
 		return Infeasible
 	}
-	s.rebuild()
-	hasArt := s.n > s.nArtStart
-	s.phase1 = hasArt
-	if !s.refactorize() {
-		// Unreachable for the diagonal start basis; fail closed.
-		s.phase1 = false
-		return Infeasible
-	}
-
-	if hasArt {
-		st := s.iterate()
-		if st == IterLimit || st == stCold {
-			s.phase1 = false
-			return IterLimit
-		}
-		if s.phase1Value() > zeroTol*float64(1+s.m) {
-			s.phase1 = false
-			return Infeasible
-		}
-		s.driveOutArtificials()
-		for j := s.nArtStart; j < s.n; j++ {
-			if s.auxIsArt[j-s.nStruct] {
-				s.banned[j] = true
-			}
-		}
-		s.phase1 = false
+	s.rebuild(false)
+	s.shifted = true
+	st := s.startDual()
+	s.shifted = false
+	if st == Optimal {
 		s.computeDuals()
+		flipped := true
+		for j := 0; j < s.n && flipped; j++ {
+			flipped = s.flipToDualFeasible(j)
+		}
+		if flipped {
+			if !s.xbValid {
+				s.ftranXB()
+			}
+			st = s.dualIterate()
+		} else {
+			s.rebuild(true)
+			st = s.startDual()
+		}
 	}
-
-	st := s.iterate()
 	if st == stCold {
 		st = IterLimit
-	}
-	if st == Optimal || st == IterLimit {
-		// Pin artificials at zero so the dual simplex treats any later
-		// drift on redundant rows as a violation to repair.
-		for j := s.nArtStart; j < s.n; j++ {
-			if s.auxIsArt[j-s.nStruct] {
-				s.upper[j] = 0
-			}
-		}
 	}
 	s.warm = st == Optimal
 	return st
 }
 
-// phase1Value returns the current sum of artificial variable values.
-func (s *Solver) phase1Value() float64 {
-	var sum float64
-	for t, b := range s.basis[:s.m] {
-		if b >= s.nStruct && s.auxIsArt[b-s.nStruct] {
-			sum += s.xB[t]
-		}
+// startDual factorizes the slack basis rebuild just installed and runs the
+// dual simplex from it.
+func (s *Solver) startDual() Status {
+	if !s.refactorize() {
+		return Infeasible // unreachable for the diagonal slack basis; fail closed
 	}
-	return sum
+	return s.dualIterate()
 }
 
-// driveOutArtificials pivots zero-valued basic artificials onto structural
-// columns where possible, leaving redundant rows with a basic artificial
-// pinned at zero. Banned (fixed) columns are never pivoted in: a fixed
-// variable entering the basis could later drift off its pinned value.
-func (s *Solver) driveOutArtificials() {
-	for r := 0; r < s.m; r++ {
-		b := s.basis[r]
-		if b < s.nStruct || !s.auxIsArt[b-s.nStruct] {
-			continue
-		}
-		s.btranRow(r)
-		s.buildPivotRow()
-		pivotCol := -1
-		for _, k32 := range s.accTouch {
-			k := int(k32)
-			if k >= s.nArtStart {
-				continue
-			}
-			if s.inBasis[k] || s.banned[k] {
-				continue
-			}
-			if math.Abs(s.accV[k]) > 1e-7 && (pivotCol < 0 || k < pivotCol) {
-				pivotCol = k
-			}
-		}
-		if pivotCol < 0 {
-			continue
-		}
-		s.ftranCol(pivotCol, s.alpha)
-		if math.Abs(s.alpha[r]) <= pivotTol {
-			continue
-		}
-		s.pivotCommit(r, pivotCol)
-		if s.eta.count >= s.etaLimit() && !s.refactorize() {
-			return
-		}
-	}
-}
-
-// iterate runs primal simplex iterations until optimality, unboundedness or
-// a budget is exhausted.
+// flipToDualFeasible bound-flips nonbasic column j when its reduced cost
+// prefers the opposite bound, leaving xB stale for the caller to refresh.
+// It reports false when that bound is infinite, which only a slack's is.
 //
 //sqpr:hotpath
-func (s *Solver) iterate() Status {
-	for {
-		if s.iters >= s.maxIters {
-			return IterLimit
-		}
-		if s.iters%16 == 0 && s.expired() {
-			return IterLimit
-		}
-		j := s.chooseEntering()
-		if j < 0 {
-			return Optimal
-		}
-		st := s.step(j)
-		if st == stRetry {
-			continue // drift-triggered refactorize; re-price and retry
-		}
-		if st != 0 {
-			return st
-		}
-		s.iters++
+func (s *Solver) flipToDualFeasible(j int) bool {
+	if s.inBasis[j] || s.upper[j] == 0 || s.d[j] >= -costTol {
+		return true
 	}
-}
-
-// chooseEntering selects a nonbasic column with negative reduced cost:
-// most-negative within the rotating candidate list normally (partial
-// pricing), and Bland's first-eligible full scan once degeneracy stalls.
-// Optimality is only ever declared after a refill scanned every column.
-//
-//sqpr:hotpath
-func (s *Solver) chooseEntering() int {
-	if s.bland {
-		for j := 0; j < s.n; j++ {
-			if !s.inBasis[j] && !s.banned[j] && s.d[j] < -costTol {
-				return j
-			}
-		}
-		return -1
-	}
-	//sqpr:noctx bounded: ends on a candidate hit or one full fruitless pricing wrap
-	for {
-		best, bestVal := -1, -costTol
-		live := s.cand[:0]
-		for _, j32 := range s.cand {
-			j := int(j32)
-			if s.inBasis[j] || s.banned[j] || s.d[j] >= -costTol {
-				continue // stale candidate: entered the basis or repriced
-			}
-			live = append(live, j32) //sqpr:amortized — in-place compaction
-			if s.d[j] < bestVal {
-				bestVal, best = s.d[j], j
-			}
-		}
-		s.cand = live
-		if best >= 0 {
-			return best
-		}
-		if !s.priceRefill() {
-			return -1
-		}
-	}
-}
-
-// priceRefill scans from the rotating cursor for up to candidateMax
-// eligible columns, wrapping at most once over all n columns; reports
-// whether any candidate was found. Only called with an empty list, so a
-// full fruitless wrap is a proof of optimality.
-//
-//sqpr:hotpath
-func (s *Solver) priceRefill() bool {
-	n := s.n
-	if n == 0 {
+	if math.IsInf(s.upper[j], 1) {
 		return false
 	}
-	if s.candPos >= n {
-		s.candPos = 0
-	}
-	found := 0
-	for scanned := 0; scanned < n && found < candidateMax; scanned++ {
-		j := s.candPos
-		s.candPos++
-		if s.candPos >= n {
-			s.candPos = 0
-		}
-		if s.inBasis[j] || s.banned[j] {
-			continue
-		}
-		if s.d[j] < -costTol {
-			s.cand = append(s.cand, int32(j)) //sqpr:amortized — cap colCap from Load
-			found++
-		}
-	}
-	return found > 0
+	s.toggleFlip(j)
+	s.d[j] = -s.d[j]
+	s.xbValid = false
+	return true
 }
 
 // ftranCol computes alpha = B⁻¹·a_j for column j under the current
@@ -344,8 +167,8 @@ func (s *Solver) ftranCol(j int, out []float64) {
 			}
 		}
 	} else {
-		aux := j - s.nStruct
-		out[s.auxSlot[aux]] += s.auxCoef[aux]
+		t := j - s.nStruct
+		out[t] += s.slackCoef[t]
 	}
 	s.ftran(out)
 }
@@ -364,10 +187,10 @@ func (s *Solver) btranRow(r int) {
 // buildPivotRow expands rho into the sparse tableau pivot row
 // accV[j] = rho·a_jᵉᶠᶠ over all live columns, touching only columns of
 // rows where rho is nonzero. accTouch lists the touched columns; accMark
-// round-stamps validity. Basic columns are skipped outright: every consumer
-// of the row (dual ratio test, reduced-cost update, artificial drive-out)
-// ignores them, and on dense-ish rows they are a sizable share of the
-// touched set.
+// round-stamps validity. Basic columns are skipped outright: both consumers
+// of the row (the dual ratio test and the reduced-cost update) ignore them,
+// and on dense-ish rows they are a sizable share of the touched set. A
+// slack is touched only through its own slot.
 //
 //sqpr:hotpath
 func (s *Solver) buildPivotRow() {
@@ -396,99 +219,17 @@ func (s *Solver) buildPivotRow() {
 			s.accV[tm.Var] += rv * a
 		}
 	}
-	naux := s.n - s.nStruct
-	for a := 0; a < naux; a++ {
-		rv := s.rho[s.auxSlot[a]]
-		if rv == 0 {
+	for t := 0; t < s.m; t++ {
+		rv := s.rho[t]
+		col := s.nStruct + t
+		if rv == 0 || s.inBasis[col] {
 			continue
 		}
-		col := s.nStruct + a
-		if s.inBasis[col] {
-			continue
-		}
-		if s.accMark[col] != round {
-			s.accMark[col] = round
-			s.accV[col] = 0
-			touch = append(touch, int32(col)) //sqpr:amortized
-		}
-		s.accV[col] += rv * s.auxCoef[a]
+		s.accMark[col] = round
+		s.accV[col] = rv * s.slackCoef[t]
+		touch = append(touch, int32(col)) //sqpr:amortized
 	}
 	s.accTouch = touch
-}
-
-// step performs the ratio test for entering column j and either flips the
-// variable to its opposite bound or pivots it into the basis. Returns 0 on
-// success, Unbounded if the entering direction is unbounded, stRetry after
-// a drift-triggered refactorize, stCold if a refactorize failed.
-//
-//sqpr:hotpath
-func (s *Solver) step(j int) Status {
-	s.ftranCol(j, s.alpha)
-	alpha := s.alpha
-	tmax := s.upper[j]
-	leave := -1
-	leaveAtUpper := false
-	apiv := 0.0
-	for i := 0; i < s.m; i++ {
-		a := alpha[i]
-		if a > pivotTol {
-			lim := s.xB[i] / a
-			if lim < tmax-ratioTol || (lim < tmax+ratioTol && leave >= 0 && math.Abs(a) > math.Abs(apiv)) {
-				tmax, leave, leaveAtUpper, apiv = lim, i, false, a
-			}
-		} else if a < -pivotTol {
-			ub := s.upper[s.basis[i]]
-			if math.IsInf(ub, 1) {
-				continue
-			}
-			lim := (ub - s.xB[i]) / -a
-			if lim < tmax-ratioTol || (lim < tmax+ratioTol && leave >= 0 && math.Abs(a) > math.Abs(apiv)) {
-				tmax, leave, leaveAtUpper, apiv = lim, i, true, a
-			}
-		}
-	}
-	if leave < 0 {
-		if math.IsInf(tmax, 1) {
-			return Unbounded
-		}
-		// Bound flip: the entering variable moves straight to its upper
-		// bound; re-orient it so it is nonbasic at zero again. The basic
-		// point moves along the tableau column: xB ← xB − u·α.
-		u := s.upper[j]
-		for i := 0; i < s.m; i++ {
-			if av := alpha[i]; av != 0 {
-				s.xB[i] -= av * u
-			}
-		}
-		s.toggleFlip(j)
-		s.d[j] = -s.d[j]
-		s.noteProgress(tmax)
-		return 0
-	}
-	if tmax < ratioTol {
-		s.stall++
-		if s.stall > 5*(s.m+10) {
-			s.bland = true
-		}
-	} else {
-		s.noteProgress(tmax)
-	}
-	if leaveAtUpper && s.upper[s.basis[leave]] > 0 {
-		// Re-orient the leaving basic variable so it exits at zero. A
-		// zero-width column (fixed variable, pinned artificial) needs no
-		// re-orientation — both of its bounds coincide at zero — and for a
-		// fixed variable the orientation *is* the fix-at-upper semantics,
-		// so flipping it would silently move the pinned value.
-		s.flipBasic(leave)
-		alpha[leave] = -alpha[leave]
-	}
-	s.btranRow(leave)
-	s.buildPivotRow()
-	if st := s.driftGate(leave, j); st != 0 {
-		return st
-	}
-	s.pivotCommit(leave, j)
-	return s.maybeRefactor()
 }
 
 // dualIterate runs bounded-variable dual simplex pivots from a dual-
@@ -497,8 +238,16 @@ func (s *Solver) step(j int) Status {
 // a basic variable below zero leaves directly; one above a positive upper
 // bound is first re-oriented to its complement (flipBasic) so it, too,
 // exits at zero. A basic variable above a zero-width bound (fixed
-// variables, artificials) pivots out directly — both of its bounds coincide
-// at zero, so no re-orientation is needed or wanted.
+// variables, EQ slacks) pivots out directly — both of its bounds coincide
+// at zero, so no re-orientation is needed or wanted. Zero-width columns
+// never enter: their reduced costs may take either sign.
+//
+// The leaving row is the most violating one and the entering column the
+// minimum ratio, ties going to the larger pivot. After 5(m+10) consecutive
+// pivots whose dual step was zero, the loop switches to the least-index
+// rule for the rest of the call: the violated basic variable of lowest
+// column index leaves, and among minimum ratios the lowest column index
+// enters, which cannot cycle.
 //
 //sqpr:hotpath
 func (s *Solver) dualIterate() Status {
@@ -511,16 +260,18 @@ func (s *Solver) dualIterate() Status {
 			return IterLimit
 		}
 
-		// Leaving row: most violating basic variable.
+		// Leaving row.
 		r, above := -1, false
 		viol := dualTol
 		for i := 0; i < s.m; i++ {
-			if v := -s.xB[i]; v > viol {
-				viol, r, above = v, i, false
+			v, ab := -s.xB[i], false
+			if w := s.xB[i] - s.upper[s.basis[i]]; w > v {
+				v, ab = w, true
 			}
-			if ub := s.upper[s.basis[i]]; !math.IsInf(ub, 1) {
-				if v := s.xB[i] - ub; v > viol {
-					viol, r, above = v, i, true
+			if v > viol && (!s.bland || r < 0 || s.basis[i] < s.basis[r]) {
+				r, above = i, ab
+				if !s.bland {
+					viol = v
 				}
 			}
 		}
@@ -543,7 +294,7 @@ func (s *Solver) dualIterate() Status {
 		best := math.Inf(1)
 		for _, k32 := range s.accTouch {
 			j := int(k32)
-			if s.inBasis[j] || s.banned[j] {
+			if s.inBasis[j] || s.upper[j] == 0 {
 				continue
 			}
 			a := s.accV[j]
@@ -554,9 +305,11 @@ func (s *Solver) dualIterate() Status {
 			if av <= pivotTol {
 				continue
 			}
-			ratio := s.d[j] / av
-			if ratio < best-ratioTol ||
-				(ratio < best+ratioTol && enter >= 0 && math.Abs(a) > math.Abs(s.accV[enter])) {
+			// A negative d_j is drift; read as it is, it lets a tiny
+			// pivot win on a negative ratio.
+			ratio := max(s.d[j], 0) / av
+			if ratio < best-ratioTol || (ratio < best+ratioTol && enter >= 0 &&
+				(s.bland && j < enter || !s.bland && math.Abs(a) > math.Abs(s.accV[enter]))) {
 				best = ratio
 				enter = j
 			}
@@ -577,6 +330,11 @@ func (s *Solver) dualIterate() Status {
 			return st
 		}
 		s.iters++
+		if best >= ratioTol {
+			s.stall = 0
+		} else if s.stall++; s.stall > 5*(s.m+10) {
+			s.bland = true
+		}
 	}
 }
 
@@ -671,13 +429,6 @@ func (s *Solver) maybeRefactor() Status {
 		return stCold
 	}
 	return 0
-}
-
-//sqpr:hotpath
-func (s *Solver) noteProgress(step float64) {
-	if step > ratioTol {
-		s.stall = 0
-	}
 }
 
 // toggleFlip re-orients nonbasic structural column j (x ↔ u − x̄),

@@ -8,7 +8,6 @@ const (
 	costTol  = 1e-9 // reduced-cost optimality tolerance
 	pivotTol = 1e-9 // minimum admissible pivot magnitude
 	ratioTol = 1e-9 // ratio-test tie tolerance
-	zeroTol  = 1e-9 // phase-1 objective zero test
 )
 
 // Fix targets for structural variables (see Solver.Fix).

@@ -10,7 +10,7 @@ import (
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 // Solve is the one-shot form the tests use: compile p into a fresh Solver
-// and run a cold two-phase primal solve. It never mutates p.
+// and run a cold solve. It never mutates p.
 func Solve(p *Problem, opts Options) Solution {
 	if p.NumVars == 0 {
 		if p.Validate() != nil {
@@ -45,10 +45,11 @@ func TestEmptyProblem(t *testing.T) {
 }
 
 func TestSimpleMaxViaMin(t *testing.T) {
-	// max 3x+2y s.t. x+y<=4, x+3y<=6, x,y>=0  → x=4,y=0, obj 12.
+	// max 3x+2y s.t. x+y<=4, x+3y<=6, 0<=x,y<=10  → x=4,y=0, obj 12.
 	p := &Problem{
 		NumVars: 2,
 		Cost:    []float64{-3, -2},
+		Upper:   []float64{10, 10},
 		Cons: []Constraint{
 			{Terms: []Term{{0, 1}, {1, 1}}, Sense: LE, RHS: 4},
 			{Terms: []Term{{0, 1}, {1, 3}}, Sense: LE, RHS: 6},
@@ -64,10 +65,11 @@ func TestSimpleMaxViaMin(t *testing.T) {
 }
 
 func TestEqualityAndGE(t *testing.T) {
-	// min x+y s.t. x+y>=2, x-y=0 → x=y=1, obj 2.
+	// min x+y s.t. x+y>=2, x-y=0, x,y<=10 → x=y=1, obj 2.
 	p := &Problem{
 		NumVars: 2,
 		Cost:    []float64{1, 1},
+		Upper:   []float64{10, 10},
 		Cons: []Constraint{
 			{Terms: []Term{{0, 1}, {1, 1}}, Sense: GE, RHS: 2},
 			{Terms: []Term{{0, 1}, {1, -1}}, Sense: EQ, RHS: 0},
@@ -132,6 +134,7 @@ func TestInfeasible(t *testing.T) {
 func TestInfeasibleContradictoryEqualities(t *testing.T) {
 	p := &Problem{
 		NumVars: 2,
+		Upper:   []float64{10, 10},
 		Cons: []Constraint{
 			{Terms: []Term{{0, 1}, {1, 1}}, Sense: EQ, RHS: 1},
 			{Terms: []Term{{0, 1}, {1, 1}}, Sense: EQ, RHS: 2},
@@ -143,26 +146,12 @@ func TestInfeasibleContradictoryEqualities(t *testing.T) {
 	}
 }
 
-func TestUnbounded(t *testing.T) {
-	// min -x with x free above.
-	p := &Problem{
-		NumVars: 1,
-		Cost:    []float64{-1},
-		Cons: []Constraint{
-			{Terms: []Term{{0, 1}}, Sense: GE, RHS: 0},
-		},
-	}
-	sol := Solve(p, Options{})
-	if sol.Status != Unbounded {
-		t.Fatalf("status=%v want unbounded", sol.Status)
-	}
-}
-
 func TestDegenerateProblem(t *testing.T) {
 	// Klee–Minty-flavoured degenerate rows should still terminate.
 	p := &Problem{
 		NumVars: 3,
 		Cost:    []float64{-100, -10, -1},
+		Upper:   []float64{10, 1000, 100000},
 		Cons: []Constraint{
 			{Terms: []Term{{0, 1}}, Sense: LE, RHS: 1},
 			{Terms: []Term{{0, 20}, {1, 1}}, Sense: LE, RHS: 100},
@@ -176,10 +165,11 @@ func TestDegenerateProblem(t *testing.T) {
 }
 
 func TestNegativeRHS(t *testing.T) {
-	// -x <= -2  ⇔  x >= 2; min x → 2.
+	// -x <= -2  ⇔  x >= 2; min x over x <= 10 → 2.
 	p := &Problem{
 		NumVars: 1,
 		Cost:    []float64{1},
+		Upper:   []float64{10},
 		Cons: []Constraint{
 			{Terms: []Term{{0, -1}}, Sense: LE, RHS: -2},
 		},
@@ -191,10 +181,11 @@ func TestNegativeRHS(t *testing.T) {
 }
 
 func TestRedundantRows(t *testing.T) {
-	// Duplicate equalities create a redundant row; phase 1 must cope.
+	// Duplicate equalities create a redundant row the solver must cope with.
 	p := &Problem{
 		NumVars: 2,
 		Cost:    []float64{1, 2},
+		Upper:   []float64{10, 10},
 		Cons: []Constraint{
 			{Terms: []Term{{0, 1}, {1, 1}}, Sense: EQ, RHS: 3},
 			{Terms: []Term{{0, 2}, {1, 2}}, Sense: EQ, RHS: 6},
@@ -229,6 +220,22 @@ func TestValidateRejectsBadIndices(t *testing.T) {
 	p := &Problem{NumVars: 1, Cons: []Constraint{{Terms: []Term{{5, 1}}, Sense: LE, RHS: 0}}}
 	if err := p.Validate(); err == nil {
 		t.Fatal("expected validation error")
+	}
+}
+
+// TestLoadRejectsFreeColumn: every column must be boxed, whether its upper
+// bound is missing or explicitly infinite.
+func TestLoadRejectsFreeColumn(t *testing.T) {
+	rows := []Constraint{{Terms: []Term{{0, 1}, {1, 1}}, Sense: GE, RHS: 1}}
+	for _, upper := range [][]float64{nil, {1}, {1, math.Inf(1)}} {
+		p := &Problem{NumVars: 2, Cost: []float64{1, 1}, Upper: upper, Cons: rows}
+		if err := NewSolver().Load(p); err == nil {
+			t.Fatalf("Load accepted upper bounds %v", upper)
+		}
+	}
+	p := &Problem{NumVars: 2, Cost: []float64{1, 1}, Upper: []float64{1, 2}, Cons: rows}
+	if err := NewSolver().Load(p); err != nil {
+		t.Fatalf("Load rejected a boxed problem: %v", err)
 	}
 }
 
@@ -285,7 +292,7 @@ func TestQuickTransportLP(t *testing.T) {
 		p := &Problem{
 			NumVars: 2,
 			Cost:    []float64{c1, c2},
-			Upper:   []float64{cap1, math.Inf(1)},
+			Upper:   []float64{cap1, 10},
 			Cons: []Constraint{
 				{Terms: []Term{{0, 1}, {1, 1}}, Sense: EQ, RHS: dem},
 			},

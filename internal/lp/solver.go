@@ -2,6 +2,7 @@ package lp
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"time"
 
@@ -35,15 +36,13 @@ type Solver struct {
 	mAll    int // total constraint rows of the problem
 	m       int // active rows (= basis size)
 	nStruct int // structural variables
-	nSlack  int // inequality rows of the problem (potential slack columns)
+	nSlack  int // inequality rows of the problem
 
-	// colCap is the worst-case live column count, nStruct + nSlack + mAll;
-	// arenas are sized for it up front, so warm-activating rows never
-	// reallocates.
+	// colCap is the worst-case live column count, nStruct + mAll; arenas
+	// are sized for it up front, so warm-activating rows never reallocates.
 	colCap int
 
-	n         int // live total columns (structural + aux)
-	nArtStart int // first artificial column at the last cold rebuild
+	n int // live total columns (structural + one slack per active row)
 
 	lazyMode   bool
 	activeRows []bool // per original row
@@ -62,23 +61,23 @@ type Solver struct {
 	// the next cold rebuild or basis restore.
 	rowSlot []int32 // original row -> slot, -1 when inactive
 	slotRow []int32 // slot -> original row
-	slackOf []int32 // original row -> slack column, -1 when none
 
-	// Aux columns (slacks and artificials) are the columns >= nStruct. Each
-	// is a singleton: coefficient auxCoef in the row at slot auxSlot.
-	auxSlot  []int32
-	auxCoef  []float64
-	auxIsArt []bool
+	// The columns >= nStruct are slacks, one per active row: column
+	// nStruct+t is the singleton slackCoef[t] in slot t.
+	slackCoef []float64
 
 	basis   []int // slot -> basic column
 	rowOf   []int // column -> slot, -1 when nonbasic
 	inBasis []bool
-	upper   []float64 // effective bound (0 for fixed variables)
+	upper   []float64 // effective bound; 0 for fixed variables and EQ slacks, which never enter
 	baseU   []float64 // bound as loaded, used for orientation arithmetic
 	flipped []bool    // column in complement orientation x̄ = u − x
-	banned  []bool    // excluded from entering (artificials, fixed variables)
 	fixVal  []int8    // structural fix state
 	d       []float64 // reduced costs of the current basis
+
+	// released lists the columns Unfix freed since the last solve; the next
+	// warm ReSolve bound-flips those whose reduced cost went negative.
+	released []int32
 
 	// beff is the effective right-hand side per slot under the current
 	// orientation: RHS minus the contributions of flipped columns at their
@@ -96,14 +95,14 @@ type Solver struct {
 	eta         etaFile
 	factorValid bool
 	xbValid     bool
-	phase1      bool // costOf prices the phase-1 objective
+	shifted     bool // costOf prices negative costs at zero (the cold pass's first leg)
 	driftTries  int
 	stats       FactorStats
 
 	// Solve scratch, all preallocated by Load to keep the warm path free of
 	// heap allocation: alpha/rho are FTRAN/BTRAN result vectors, work is the
 	// triangular-solve permutation buffer, accV/accMark/accTouch hold the
-	// sparse pivot row, cand the pricing candidate list.
+	// sparse pivot row.
 	alpha    []float64
 	rho      []float64
 	work     []float64
@@ -111,8 +110,6 @@ type Solver struct {
 	accMark  []int
 	accTouch []int32
 	accRound int
-	cand     []int32
-	candPos  int
 
 	xbuf []float64 // extraction buffer
 
@@ -120,8 +117,8 @@ type Solver struct {
 	maxIters int
 	deadline time.Time
 	ctx      context.Context
-	bland    bool
-	stall    int
+	bland    bool // least-index rule, after a run of zero-step pivots
+	stall    int  // consecutive zero-step pivots
 
 	// Incremental lazy-row scanning: a var→row CSR index plus per-variable
 	// last-scanned values, so a re-solve only re-evaluates rows whose
@@ -146,21 +143,16 @@ type Solver struct {
 		valid      bool
 		m          int
 		n          int
-		nArtStart  int
 		nInactive  int
 		activeRows []bool
-		slackOf    []int32
 		slotRow    []int32
-		auxSlot    []int32
-		auxCoef    []float64
-		auxIsArt   []bool
+		slackCoef  []float64
 		beff       []float64
 		basis      []int
 		rowOf      []int
 		inBasis    []bool
 		upper      []float64
 		flipped    []bool
-		banned     []bool
 		fixVal     []int8
 		d          []float64
 	}
@@ -215,24 +207,30 @@ func (s *Solver) etaLimit() int {
 func (s *Solver) FactorStats() FactorStats { return s.stats }
 
 // Load compiles p into the solver's arenas, growing them only when p is
-// larger than any previously loaded problem. All variables start free and
-// the first ReSolve performs a cold solve. The solver keeps a reference to p
-// (it does not copy constraint data) and never mutates it.
+// larger than any previously loaded problem. Every variable needs a finite
+// upper bound: the dual simplex needs a bound to flip a column to. All
+// variables start free and the first ReSolve performs a cold solve. The
+// solver keeps a reference to p (it does not copy constraint data) and
+// never mutates it.
 func (s *Solver) Load(p *Problem) error {
 	if err := p.Validate(); err != nil {
 		return err
+	}
+	for j := 0; j < p.NumVars; j++ {
+		if math.IsInf(p.upper(j), 1) {
+			return fmt.Errorf("lp: variable %d has no finite upper bound", j)
+		}
 	}
 	s.prob = p
 	s.warm = false
 	s.factorValid = false
 	s.xbValid = false
-	s.phase1 = false
+	s.shifted = false
 	s.stats = FactorStats{}
 	s.mAll = len(p.Cons)
 	s.m = 0
 	s.nStruct = p.NumVars
 
-	s.slackOf = growI32(s.slackOf, s.mAll)
 	s.rowSlot = growI32(s.rowSlot, s.mAll)
 	s.slotRow = growI32(s.slotRow, s.mAll)
 	s.activeRows = growB(s.activeRows, s.mAll)
@@ -243,7 +241,6 @@ func (s *Solver) Load(p *Problem) error {
 		// or warm activation), not up front: the live column count then
 		// scales with the rows actually active, not with the thousands of
 		// lazy rows that never bind.
-		s.slackOf[i] = -1
 		s.rowSlot[i] = -1
 		if p.Cons[i].Sense == EQ {
 			s.activeRows[i] = true
@@ -256,13 +253,9 @@ func (s *Solver) Load(p *Problem) error {
 			s.nInactive++
 		}
 	}
-	// Worst case: every row active with a slack plus one artificial each.
-	s.colCap = p.NumVars + s.nSlack + s.mAll
-
-	auxCap := s.colCap - p.NumVars
-	s.auxSlot = growI32(s.auxSlot, auxCap)
-	s.auxCoef = growF(s.auxCoef, auxCap)
-	s.auxIsArt = growB(s.auxIsArt, auxCap)
+	// Worst case: every row active with its slack.
+	s.colCap = p.NumVars + s.mAll
+	s.slackCoef = growF(s.slackCoef, s.mAll)
 
 	s.basis = growI(s.basis, s.mAll)
 	s.rowOf = growI(s.rowOf, s.colCap)
@@ -270,12 +263,12 @@ func (s *Solver) Load(p *Problem) error {
 	s.upper = growF(s.upper, s.colCap)
 	s.baseU = growF(s.baseU, s.colCap)
 	s.flipped = growB(s.flipped, s.colCap)
-	s.banned = growB(s.banned, s.colCap)
 	s.d = growF(s.d, s.colCap)
 	s.fixVal = growI8(s.fixVal, p.NumVars)
 	for j := range s.fixVal[:p.NumVars] {
 		s.fixVal[j] = fixFree
 	}
+	s.released = growI32(s.released, p.NumVars)[:0]
 
 	s.beff = growF(s.beff, s.mAll)
 	s.xB = growF(s.xB, s.mAll)
@@ -289,8 +282,6 @@ func (s *Solver) Load(p *Problem) error {
 	}
 	s.accRound = 0
 	s.accTouch = growI32(s.accTouch, s.colCap)[:0]
-	s.cand = growI32(s.cand, s.colCap)[:0]
-	s.candPos = 0
 	s.driftTries = 0
 
 	n := p.NumVars
@@ -418,21 +409,13 @@ func (s *Solver) SaveBasis() {
 	sp.valid = true
 	sp.m = s.m
 	sp.n = s.n
-	sp.nArtStart = s.nArtStart
 	sp.nInactive = s.nInactive
 	sp.activeRows = growB(sp.activeRows, s.mAll)
 	copy(sp.activeRows, s.activeRows[:s.mAll])
-	sp.slackOf = growI32(sp.slackOf, s.mAll)
-	copy(sp.slackOf, s.slackOf[:s.mAll])
 	sp.slotRow = growI32(sp.slotRow, s.m)
 	copy(sp.slotRow, s.slotRow[:s.m])
-	naux := s.n - s.nStruct
-	sp.auxSlot = growI32(sp.auxSlot, naux)
-	copy(sp.auxSlot, s.auxSlot[:naux])
-	sp.auxCoef = growF(sp.auxCoef, naux)
-	copy(sp.auxCoef, s.auxCoef[:naux])
-	sp.auxIsArt = growB(sp.auxIsArt, naux)
-	copy(sp.auxIsArt, s.auxIsArt[:naux])
+	sp.slackCoef = growF(sp.slackCoef, s.m)
+	copy(sp.slackCoef, s.slackCoef[:s.m])
 	sp.beff = growF(sp.beff, s.m)
 	copy(sp.beff, s.beff[:s.m])
 	sp.basis = growI(sp.basis, s.m)
@@ -445,8 +428,6 @@ func (s *Solver) SaveBasis() {
 	copy(sp.upper, s.upper[:s.n])
 	sp.flipped = growB(sp.flipped, s.n)
 	copy(sp.flipped, s.flipped[:s.n])
-	sp.banned = growB(sp.banned, s.n)
-	copy(sp.banned, s.banned[:s.n])
 	sp.fixVal = growI8(sp.fixVal, s.nStruct)
 	copy(sp.fixVal, s.fixVal[:s.nStruct])
 	sp.d = growF(sp.d, s.n)
@@ -466,29 +447,24 @@ func (s *Solver) RestoreBasis() bool {
 	}
 	s.m = sp.m
 	s.n = sp.n
-	s.nArtStart = sp.nArtStart
 	s.nInactive = sp.nInactive
 	s.scanValid = false // the restored point differs from the scanned one
+	s.released = s.released[:0]
 	copy(s.activeRows[:s.mAll], sp.activeRows)
-	copy(s.slackOf[:s.mAll], sp.slackOf)
 	copy(s.slotRow[:sp.m], sp.slotRow)
+	copy(s.slackCoef[:sp.m], sp.slackCoef)
 	for i := 0; i < s.mAll; i++ {
 		s.rowSlot[i] = -1
 	}
 	for t := 0; t < sp.m; t++ {
 		s.rowSlot[sp.slotRow[t]] = int32(t)
 	}
-	naux := sp.n - s.nStruct
-	copy(s.auxSlot[:naux], sp.auxSlot)
-	copy(s.auxCoef[:naux], sp.auxCoef)
-	copy(s.auxIsArt[:naux], sp.auxIsArt)
 	copy(s.beff[:sp.m], sp.beff)
 	copy(s.basis[:sp.m], sp.basis)
 	copy(s.rowOf[:sp.n], sp.rowOf)
 	copy(s.inBasis[:sp.n], sp.inBasis)
 	copy(s.upper[:sp.n], sp.upper)
 	copy(s.flipped[:sp.n], sp.flipped)
-	copy(s.banned[:sp.n], sp.banned)
 	copy(s.fixVal[:s.nStruct], sp.fixVal)
 	copy(s.d[:sp.n], sp.d)
 	s.factorValid = false
@@ -539,32 +515,24 @@ func (s *Solver) checkBasis(where string) {
 
 // RowDual returns the dual multiplier of original constraint row i at the
 // current (optimal) basis: the sensitivity ∂objective/∂RHS_i in the
-// problem's minimisation space. Inactive lazy rows and equality rows (whose
-// slack column is not kept) report 0.
+// problem's minimisation space. Inactive lazy rows report 0.
 //
 //sqpr:hotpath
 func (s *Solver) RowDual(i int) float64 {
-	if i < 0 || i >= s.mAll || !s.activeRows[i] {
+	if i < 0 || i >= s.mAll || s.rowSlot[i] < 0 {
 		return 0
 	}
-	slack := s.slackOf[i]
-	if slack < 0 {
-		return 0
-	}
-	// d_slack = −sc·y for the row a·x + sc·s = b with sc = +1 (LE) or −1
-	// (GE); the original-row multiplier is y, so y = −d_slack/sc.
-	if s.prob.Cons[i].Sense == GE {
-		return s.d[slack]
-	}
-	return -s.d[slack]
+	// d_slack = −sc·y for the row a·x + sc·s = b with sc = +1 (LE, EQ) or
+	// −1 (GE); the original-row multiplier is y, so y = −d_slack/sc.
+	t := int(s.rowSlot[i])
+	return -s.d[s.nStruct+t] / s.slackCoef[t]
 }
 
 // Fix pins structural variable j at 0 (atUpper false) or at its upper bound
 // (atUpper true) without recompiling the problem. When the solver holds a
 // warm basis the bound change is applied in place: the column is re-oriented
 // if needed and its effective bound collapses to zero, leaving any primal
-// infeasibility for the next ReSolve's dual simplex to repair. Fixing at
-// the upper bound requires a finite upper bound.
+// infeasibility for the next ReSolve's dual simplex to repair.
 //
 //sqpr:hotpath
 func (s *Solver) Fix(j int, atUpper bool) {
@@ -593,12 +561,13 @@ func (s *Solver) Fix(j int, atUpper bool) {
 		s.upper[j] = 0
 	}
 	s.fixVal[j] = want
-	s.banned[j] = true
 }
 
 // Unfix releases a previously fixed variable back to its full [0, upper]
-// range. The variable's current position (whichever bound it was fixed at)
-// remains a valid nonbasic point, so no pivoting is needed.
+// range. The variable stays at the bound it was fixed at, which remains
+// primal feasible; the next ReSolve bound-flips it if its reduced cost
+// prefers the other bound, which keeps the basis dual feasible without a
+// pivot.
 //
 //sqpr:hotpath
 func (s *Solver) Unfix(j int) {
@@ -606,20 +575,21 @@ func (s *Solver) Unfix(j int) {
 		return
 	}
 	s.fixVal[j] = fixFree
-	s.banned[j] = false
 	if s.warm {
 		s.upper[j] = s.baseU[j]
+		s.released = append(s.released, int32(j)) //sqpr:amortized — cap NumVars from Load
 	}
 }
 
-// ReSolve optimises the loaded problem under the current variable fixes.
-// From a warm basis it refreshes the factorization if stale and runs
-// bounded-variable dual simplex plus a primal clean-up; otherwise (first
-// call, or after a fallback) it performs a cold two-phase primal solve over
-// the active rows. Violated inactive rows are then activated and repaired
-// until the point satisfies the full problem. The returned Solution's X
-// aliases a solver-owned buffer valid until the next call. The steady-state
-// warm path performs no heap allocation.
+// ReSolve optimises the loaded problem under the current variable fixes
+// with the bounded-variable dual simplex. From a warm basis it bound-flips
+// the columns Unfix released whose reduced cost went negative, refreshes
+// the factorization if stale and repairs primal feasibility; otherwise
+// (first call, or after a fallback) it solves cold from the slack basis
+// over the active rows (coldPass). Violated inactive rows are then
+// activated and repaired until the point satisfies the full problem. The
+// returned Solution's X aliases a solver-owned buffer valid until the next
+// call. The steady-state warm path performs no heap allocation.
 //
 //sqpr:hotpath
 func (s *Solver) ReSolve(opts Options) Solution {
@@ -630,20 +600,19 @@ func (s *Solver) ReSolve(opts Options) Solution {
 		if !s.warm {
 			st = s.coldPass()
 			coldDone = true
-		} else if !s.prepWarm() {
-			// The restored/stale basis would not factorize: rebuild cold.
-			s.stats.DriftRebuilds++
-			s.warm = false
-			continue
 		} else {
-			st = s.dualIterate()
-			if st == Optimal {
-				// Dual pivots restored primal feasibility. Bound
-				// *relaxations* (Unfix) can leave a released column with a
-				// negative reduced cost, so finish with primal pivots; when
-				// the basis is already dual feasible this is a no-op.
-				st = s.iterate()
+			// Released columns are boxed, so each flip succeeds.
+			for _, j := range s.released {
+				s.flipToDualFeasible(int(j))
 			}
+			s.released = s.released[:0]
+			if !s.prepWarm() {
+				// The restored/stale basis would not factorize: rebuild cold.
+				s.stats.DriftRebuilds++
+				s.warm = false
+				continue
+			}
+			st = s.dualIterate()
 		}
 		switch st {
 		case Optimal:
@@ -677,21 +646,11 @@ func (s *Solver) ReSolve(opts Options) Solution {
 				Iters:     s.iters,
 			}
 		case Infeasible:
-			// Dual unbounded or phase 1 stuck: the current bound set admits
-			// no feasible point. (Activating more rows can only shrink the
-			// feasible region, so inactive rows cannot rescue it.) The basis
-			// stays consistent, so later ReSolves stay warm.
+			// Dual unbounded: the current bound set admits no feasible
+			// point. (Activating more rows can only shrink the feasible
+			// region, so inactive rows cannot rescue it.) The basis stays
+			// consistent, so later ReSolves stay warm.
 			return Solution{Status: Infeasible, Iters: s.iters}
-		case Unbounded:
-			if s.nInactive > 0 {
-				// The descent ray may be cut off by rows not yet active;
-				// bring everything in and restart cold.
-				s.activateAll()
-				s.warm = false
-				coldDone = false
-				continue
-			}
-			return Solution{Status: Unbounded, X: s.extract(), Iters: s.iters}
 		default: // IterLimit, or stCold after a failed refactorize
 			if s.expired() || coldDone {
 				return Solution{Status: IterLimit, Iters: s.iters}
@@ -754,12 +713,6 @@ func (s *Solver) installOpts(opts Options) {
 	s.bland = false
 	s.stall = 0
 	s.driftTries = 0
-	// Deterministic pricing start: every solve prices from column 0, so
-	// reduced-cost ties break toward low indices — the same bias as a full
-	// ascending Dantzig scan — regardless of where the previous solve's
-	// pricing cursor stopped. The cursor still rotates within the solve.
-	s.candPos = 0
-	s.cand = s.cand[:0]
 }
 
 // activateViolated evaluates the inactive rows at x and warm-activates the
@@ -861,15 +814,6 @@ func (s *Solver) checkFeasibleActive(x []float64) bool {
 	return true
 }
 
-// activateAll brings every inactive row in (used before an Unbounded
-// restart; the subsequent pass is cold, so a plain marking suffices).
-func (s *Solver) activateAll() {
-	for i := range s.activeRows[:s.mAll] {
-		s.activeRows[i] = true
-	}
-	s.nInactive = 0
-}
-
 // activateRow appends inactive inequality row i to the warm basis: the row
 // claims a fresh slot and slack column, its effective RHS is computed under
 // the current orientation, and the slack becomes basic. The grown basis is
@@ -884,21 +828,15 @@ func (s *Solver) activateRow(i int) {
 	c := &s.prob.Cons[i]
 	col := s.n
 	slot := s.m
-	aux := col - s.nStruct
-	s.slackOf[i] = int32(col)
-	s.auxSlot[aux] = int32(slot)
-	s.auxIsArt[aux] = false
-	if c.Sense == LE {
-		s.auxCoef[aux] = 1
-	} else {
-		s.auxCoef[aux] = -1
+	s.slackCoef[slot] = 1
+	if c.Sense == GE {
+		s.slackCoef[slot] = -1
 	}
 	// Scrub any stale column state (the slot may have been used before a
 	// basis restore rewound the solver).
 	s.upper[col] = math.Inf(1)
 	s.baseU[col] = math.Inf(1)
 	s.flipped[col] = false
-	s.banned[col] = false
 	s.d[col] = 0
 	s.rowSlot[i] = int32(slot)
 	s.slotRow[slot] = int32(i)
@@ -918,7 +856,7 @@ func (s *Solver) activateRow(i int) {
 	s.activeRows[i] = true
 	s.nInactive--
 	if s.factorValid {
-		s.border(c, slot, s.auxCoef[aux])
+		s.border(c, slot, s.slackCoef[slot])
 	} else {
 		s.xbValid = false
 	}

@@ -8,7 +8,7 @@ import (
 
 // randomBoundedLP builds a random dense LP with finite bounds whose origin
 // is feasible for the LE rows (non-negative RHS); a sprinkle of GE and EQ
-// rows exercises artificials and lazy activation.
+// rows exercises EQ slacks and lazy activation.
 func randomBoundedLP(rng *rand.Rand, n, mrows int) *Problem {
 	p := &Problem{NumVars: n, Cost: make([]float64, n), Upper: make([]float64, n)}
 	for j := 0; j < n; j++ {
@@ -275,10 +275,11 @@ func TestConcurrentIndependentSolvers(t *testing.T) {
 // TestRowDualSensitivity checks RowDual against a finite-difference
 // perturbation of the right-hand side.
 func TestRowDualSensitivity(t *testing.T) {
-	// min −x0 s.t. x0 <= 5 (row), x0 unbounded above: optimum −5, dual −1.
+	// min −x0 s.t. x0 <= 5 (row), x0 <= 10 (bound): optimum −5, dual −1.
 	p := &Problem{
 		NumVars: 1,
 		Cost:    []float64{-1},
+		Upper:   []float64{10},
 		Cons:    []Constraint{{Terms: []Term{{0, 1}}, Sense: LE, RHS: 5}},
 	}
 	s := NewSolver()
@@ -296,6 +297,7 @@ func TestRowDualSensitivity(t *testing.T) {
 	p2 := &Problem{
 		NumVars: 1,
 		Cost:    []float64{1},
+		Upper:   []float64{10},
 		Cons:    []Constraint{{Terms: []Term{{0, 1}}, Sense: GE, RHS: 3}},
 	}
 	s2 := NewSolver()

@@ -85,6 +85,9 @@ func (m *Model) Solve(opts Options) Result {
 	}
 	c, err := m.compile(!opts.DisableTreeReduction, witness)
 	if err != nil {
+		if err != errInfeasible {
+			return Result{Status: NoSolution, Bound: math.Inf(-1), Err: err}
+		}
 		if invariant.Enabled && witness != nil {
 			invariant.Failf("milp: compile proved infeasible a model the warm start satisfies")
 		}
@@ -116,6 +119,7 @@ func (m *Model) Solve(opts Options) Result {
 		BudgetHit:     s.truncated && !s.stalled && !s.cancelled,
 		PresolveFixed: c.presolveFixed,
 		Factor:        s.factor,
+		Err:           s.err,
 	}
 	switch {
 	case s.bestX == nil && s.provedInfeasible:
@@ -162,6 +166,8 @@ type search struct {
 
 	bestX   []float64 // model-space incumbent (aliases compiled scratch)
 	bestObj float64   // minimisation-space objective of incumbent
+
+	err error // lp.Load rejected the compiled problem
 
 	// Pseudo-costs per LP-active variable: sums of per-unit objective
 	// degradation and observation counts, plus global averages used for
@@ -437,7 +443,8 @@ func (w *worker) release() {
 }
 
 // ensureLoaded lazily compiles the base LP into this worker's solver; the
-// arena is reused from previous Solve calls when large enough.
+// arena is reused from previous Solve calls when large enough. A problem
+// Load rejects is recorded on the search.
 func (w *worker) ensureLoaded() bool {
 	if w.loaded {
 		return true
@@ -447,6 +454,7 @@ func (w *worker) ensureLoaded() bool {
 	// tableau stays small.
 	w.slv.SetLazy(true)
 	if err := w.slv.Load(&w.s.c.base); err != nil {
+		w.s.err = err
 		return false
 	}
 	w.loaded = true
@@ -478,10 +486,11 @@ const (
 // applyBounds diffs the node's pin set against what the solver currently
 // has and applies only the changes, preserving the warm basis. A plunged
 // child only adds pins, so the diff is one Fix and the re-solve is pure
-// dual simplex. Jumping to another subtree would need Unfixes — those drop
-// dual optimality and force primal clean-up pivots — so in that case the
-// worker first restores its saved near-root basis (whose pin set is a
-// subset of any node's) and tightens from there instead.
+// dual simplex. Jumping to another subtree would need Unfixes — those can
+// leave released columns dual infeasible, costing bound flips and the dual
+// pivots that repair them — so in that case the worker first restores its
+// saved near-root basis (whose pin set is a subset of any node's) and
+// tightens from there instead.
 func (w *worker) applyBounds(bounds []boundFix) {
 	for i := range w.target {
 		w.target[i] = nodeFree
@@ -535,7 +544,8 @@ func (w *worker) snapIsSubset() bool {
 // warm path allocates nothing.
 func (w *worker) solveNode(bounds []boundFix, into []float64) (lp.Solution, []float64) {
 	if !w.ensureLoaded() {
-		return lp.Solution{Status: lp.Infeasible}, nil
+		// Not a proof of anything: the search ends without one.
+		return lp.Solution{Status: lp.IterLimit}, nil
 	}
 	w.applyBounds(bounds)
 	sol := w.slv.ReSolve(lp.Options{Deadline: w.s.deadline, Ctx: w.s.ctx})
@@ -563,9 +573,10 @@ func (s *search) processRoot(w *worker) {
 	case sol.Status == lp.IterLimit && !sol.Feasible:
 		s.proofLost = true
 		return
-	case sol.Status == lp.Unbounded || !sol.Feasible:
-		// Unbounded relaxations cannot be bounded; the search ends with
-		// whatever incumbent the warm start supplied.
+	case !sol.Feasible:
+		// An optimum that failed its feasibility re-check cannot bound
+		// anything; the search ends with whatever incumbent the warm start
+		// supplied.
 		return
 	}
 	relax := sol.Objective
@@ -833,9 +844,9 @@ func (w *worker) commit(n *bbNode, sol lp.Solution, xAct []float64) *bbNode {
 		// proof of optimality or infeasibility.
 		s.proofLost = true
 		return nil
-	case sol.Status == lp.Unbounded || !sol.Feasible:
-		// Unbounded relaxations cannot be pruned; treat as failure to
-		// bound.
+	case !sol.Feasible:
+		// An optimum that failed its feasibility re-check cannot be
+		// pruned on; treat as failure to bound.
 		return nil
 	}
 	if relax >= s.bestObj-s.pruneSlack() {

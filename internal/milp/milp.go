@@ -223,6 +223,11 @@ type Result struct {
 	// Cancelled is set when Options.Ctx was cancelled mid-search; callers
 	// should discard any incumbent and keep their previous state.
 	Cancelled bool
+	// Err is set when the model is outside what the solver accepts: a
+	// variable without a finite upper bound (every LP column must be
+	// boxed), or a row the LP rejects. Callers should treat the solve as
+	// failed.
+	Err error
 }
 
 // Options tunes a MILP solve.
@@ -392,7 +397,8 @@ func growInt32s(s []int32, n int) []int32 {
 // over that image (see presolve.go); then emit the LP with fixed variables
 // substituted out and the remaining ones shifted to zero lower bounds.
 // Returns errInfeasible when a row is unsatisfiable over the (possibly
-// tightened) bounds. witness, when non-nil, is a point feasible for the
+// tightened) bounds, and an error naming the variable when one has no
+// finite upper bound. witness, when non-nil, is a point feasible for the
 // model that checked builds hold presolve's feasibility reductions to.
 func (m *Model) compile(presolveOn bool, witness []float64) (*compiled, error) {
 	nv := len(m.vars)
@@ -411,6 +417,9 @@ func (m *Model) compile(presolveOn bool, witness []float64) (*compiled, error) {
 	c.phi = growFloats(c.phi, nv)
 	for i := range m.vars {
 		v := &m.vars[i]
+		if math.IsInf(v.hi, 1) {
+			return nil, fmt.Errorf("milp: variable %q has no finite upper bound", v.name)
+		}
 		if v.hi < v.lo-1e-9 {
 			return nil, errInfeasible
 		}
@@ -490,11 +499,7 @@ func (m *Model) compile(presolveOn bool, witness []float64) (*compiled, error) {
 	for k, mi := range c.active {
 		v := &m.vars[mi]
 		c.base.Cost[k] = c.objDir * v.obj
-		if math.IsInf(c.phi[mi], 1) {
-			c.base.Upper[k] = math.Inf(1)
-		} else {
-			c.base.Upper[k] = c.phi[mi] - c.plo[mi]
-		}
+		c.base.Upper[k] = c.phi[mi] - c.plo[mi]
 		c.prio[k] = v.prio
 	}
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime/debug"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -52,6 +53,30 @@ func TestMixedIntegerContinuous(t *testing.T) {
 	res := m.Solve(Options{})
 	if res.Status != OptimalMIP || math.Abs(res.Objective-9) > 1e-6 {
 		t.Fatalf("status=%v obj=%v x=%v", res.Status, res.Objective, res.X)
+	}
+}
+
+// TestUnboxedVariableIsAnError: every LP column must be boxed, so Solve
+// refuses a variable without a finite upper bound, names it, and runs no
+// search; the same model with the variable boxed solves.
+func TestUnboxedVariableIsAnError(t *testing.T) {
+	build := func(hi float64) *Model {
+		m := NewModel()
+		z := m.AddBinary("z")
+		y := m.AddContinuous(0, hi, "spill")
+		m.SetObjective(true, Term{z, 2}, Term{y, 1})
+		m.AddCons("link", LE, 3, Term{y, 1}, Term{z, -4})
+		return m
+	}
+	res := build(math.Inf(1)).Solve(Options{})
+	if res.Err == nil || !strings.Contains(res.Err.Error(), `"spill"`) {
+		t.Fatalf("err %v, want one naming \"spill\"", res.Err)
+	}
+	if res.Status != NoSolution || res.X != nil || res.Nodes != 0 {
+		t.Fatalf("status %v, x %v, %d nodes after the error", res.Status, res.X, res.Nodes)
+	}
+	if res := build(10).Solve(Options{}); res.Err != nil || res.Status != OptimalMIP || math.Abs(res.Objective-9) > 1e-6 {
+		t.Fatalf("boxed model: err %v, status %v, objective %v", res.Err, res.Status, res.Objective)
 	}
 }
 

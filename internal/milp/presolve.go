@@ -156,9 +156,6 @@ func (c *compiled) runPresolve(witness []float64) error {
 			wantHigh = v.obj < 0
 		}
 		if wantHigh {
-			if math.IsInf(c.phi[mi], 1) {
-				continue // unbounded improving ray; leave for the LP
-			}
 			c.plo[mi] = c.phi[mi]
 		} else {
 			c.phi[mi] = c.plo[mi]
