@@ -170,7 +170,13 @@ func TestRowEtaMatchesDenseSolve(t *testing.T) {
 				if math.Abs(alpha[r]) < 0.1 {
 					continue // keep the mirrored matrix well conditioned
 				}
-				s.eta.appendPivot(r, alpha, size)
+				for i, av := range alpha[:size] {
+					if i != r && av != 0 {
+						s.eta.idx = append(s.eta.idx, int32(i))
+						s.eta.val = append(s.eta.val, av)
+					}
+				}
+				s.eta.close(r, alpha[r], false)
 				for i := range dense {
 					dense[i][r] = a[i]
 				}

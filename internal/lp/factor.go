@@ -42,7 +42,10 @@ func (f *FactorStats) Merge(o FactorStats) {
 // *position* (elimination order). L is unit-lower-triangular in position
 // order with its off-diagonal entries stored per column against row slots;
 // U is upper-triangular with off-diagonal entries stored per column against
-// row positions and its diagonal kept separately.
+// row positions and its diagonal kept separately. Both triangles are also
+// kept row-wise, indexed by position against column positions, so the
+// transposed solve scatters along rows the way the forward solve scatters
+// down columns.
 type luFactor struct {
 	m      int
 	lStart []int32
@@ -57,6 +60,16 @@ type luFactor struct {
 	cpos   []int32 // position -> basis slot whose column pivoted there
 	nnzB   int
 	nnzLU  int
+
+	// Row-wise copies: row position t of L holds ltCol/ltVal[ltStart[t]:
+	// ltStart[t+1]], of U utCol/utVal[utStart[t]:utStart[t+1]], each entry
+	// against its column position.
+	ltStart []int32
+	ltCol   []int32
+	ltVal   []float64
+	utStart []int32
+	utCol   []int32
+	utVal   []float64
 
 	// Factorization scratch: a stamped dense work column over row slots and
 	// a min-heap of pivotal positions that orders the sparse lower solve.
@@ -81,6 +94,8 @@ func (f *luFactor) init(mcap int) {
 	f.rpos = growI32(f.rpos, mcap)
 	f.rinv = growI32(f.rinv, mcap)
 	f.cpos = growI32(f.cpos, mcap)
+	f.ltStart = growI32(f.ltStart, mcap+1)
+	f.utStart = growI32(f.utStart, mcap+1)
 	f.w = growF(f.w, mcap)
 	f.wmark = growI32(f.wmark, mcap)
 	for i := range f.wmark[:mcap] {
@@ -102,6 +117,10 @@ func (f *luFactor) init(mcap int) {
 		f.lVal = make([]float64, 0, ecap)
 		f.uRow = make([]int32, 0, ecap)
 		f.uVal = make([]float64, 0, ecap)
+		f.ltCol = make([]int32, 0, ecap)
+		f.ltVal = make([]float64, 0, ecap)
+		f.utCol = make([]int32, 0, ecap)
+		f.utVal = make([]float64, 0, ecap)
 	}
 	f.lRow = f.lRow[:0]
 	f.lVal = f.lVal[:0]
@@ -156,21 +175,6 @@ func (e *etaFile) reset() {
 	e.start[0] = 0
 	e.idx = e.idx[:0]
 	e.val = e.val[:0]
-}
-
-// appendPivot records the eta of a basis change: column with FTRAN image
-// alpha replaces the basic variable of row r.
-//
-//sqpr:hotpath
-func (e *etaFile) appendPivot(r int, alpha []float64, m int) {
-	// The eta arenas are preallocated by init and reused across solves.
-	for i := 0; i < m; i++ {
-		if i != r && alpha[i] != 0 {
-			e.idx = append(e.idx, int32(i)) //sqpr:amortized
-			e.val = append(e.val, alpha[i]) //sqpr:amortized
-		}
-	}
-	e.close(r, alpha[r], false)
 }
 
 // appendNeg records the negation eta of re-orienting the basic variable of
@@ -306,7 +310,8 @@ func (s *Solver) border(c *Constraint, r int, sigma float64) {
 }
 
 // extend grows the factors from B₀ to diag(B₀,1): slot r = f.m pivots at
-// position r on a unit diagonal with empty L and U columns.
+// position r on a unit diagonal with empty L and U columns, and empty L and
+// U rows.
 //
 //sqpr:hotpath
 func (f *luFactor) extend(r int) {
@@ -316,6 +321,8 @@ func (f *luFactor) extend(r int) {
 	f.cpos[r] = int32(r)
 	f.lStart[r+1] = f.lStart[r]
 	f.uStart[r+1] = f.uStart[r]
+	f.ltStart[r+1] = f.ltStart[r]
+	f.utStart[r+1] = f.utStart[r]
 	f.m = r + 1
 }
 
@@ -330,8 +337,9 @@ func (s *Solver) noteEta() {
 }
 
 // luSolveF solves (B₀)z = v in place against the LU factors: forward
-// substitution through L in position order, backward through U, then the
-// column permutation scatters position-space results back to slots.
+// substitution through L in position order, backward through U, each
+// skipping the positions that are zero, then the column permutation
+// scatters position-space results back to slots.
 //
 //sqpr:hotpath
 func (s *Solver) luSolveF(v []float64) {
@@ -348,12 +356,15 @@ func (s *Solver) luSolveF(v []float64) {
 	}
 	w := s.work
 	for t := m - 1; t >= 0; t-- {
-		vv := v[f.rpos[t]] / f.uDiag[t]
+		vv := v[f.rpos[t]]
+		if vv == 0 {
+			w[t] = 0
+			continue
+		}
+		vv /= f.uDiag[t]
 		w[t] = vv
-		if vv != 0 {
-			for e := f.uStart[t]; e < f.uStart[t+1]; e++ {
-				v[f.rpos[f.uRow[e]]] -= f.uVal[e] * vv
-			}
+		for e := f.uStart[t]; e < f.uStart[t+1]; e++ {
+			v[f.rpos[f.uRow[e]]] -= f.uVal[e] * vv
 		}
 	}
 	for t := 0; t < m; t++ {
@@ -362,8 +373,9 @@ func (s *Solver) luSolveF(v []float64) {
 }
 
 // luSolveB solves (B₀)ᵀz = v in place: forward through Uᵀ in position
-// order, backward through Lᵀ, with the row permutation scattering back to
-// slots.
+// order, backward through Lᵀ, each in scatter form — a solved nonzero
+// scatters along its row of the row-wise copy, a zero is skipped — with the
+// row permutation scattering the results back to slots.
 //
 //sqpr:hotpath
 func (s *Solver) luSolveB(v []float64) {
@@ -375,17 +387,23 @@ func (s *Solver) luSolveB(v []float64) {
 	}
 	for t := 0; t < m; t++ {
 		vv := w[t]
-		for e := f.uStart[t]; e < f.uStart[t+1]; e++ {
-			vv -= f.uVal[e] * w[f.uRow[e]]
+		if vv == 0 {
+			continue
 		}
-		w[t] = vv / f.uDiag[t]
+		vv /= f.uDiag[t]
+		w[t] = vv
+		for e := f.utStart[t]; e < f.utStart[t+1]; e++ {
+			w[f.utCol[e]] -= f.utVal[e] * vv
+		}
 	}
 	for t := m - 1; t >= 0; t-- {
 		vv := w[t]
-		for e := f.lStart[t]; e < f.lStart[t+1]; e++ {
-			vv -= f.lVal[e] * w[f.rinv[f.lRow[e]]]
+		if vv == 0 {
+			continue
 		}
-		w[t] = vv
+		for e := f.ltStart[t]; e < f.ltStart[t+1]; e++ {
+			w[f.ltCol[e]] -= f.ltVal[e] * vv
+		}
 	}
 	for t := 0; t < m; t++ {
 		v[f.rpos[t]] = w[t]
@@ -533,6 +551,8 @@ func (s *Solver) refactorize() bool {
 		f.uStart[k+1] = int32(len(f.uRow))
 	}
 	f.nnzLU = len(f.lRow) + len(f.uRow) + m
+	f.ltCol, f.ltVal = rowCopy(m, f.lStart, f.lRow, f.lVal, f.rinv, f.ltStart, f.ltCol, f.ltVal)
+	f.utCol, f.utVal = rowCopy(m, f.uStart, f.uRow, f.uVal, nil, f.utStart, f.utCol, f.utVal)
 
 	s.eta.reset()
 	s.factorValid = true
@@ -548,6 +568,52 @@ func (s *Solver) refactorize() bool {
 		s.checkResidual("refactorize")
 	}
 	return true
+}
+
+// rowCopy writes the row-wise copy of a triangle stored by column over m
+// positions: column t holds idx/val[start[t]:start[t+1]], and an entry's
+// row position is pos[idx] (idx itself when pos is nil). rs receives the
+// row starts; rc/rv, resized and returned, the column positions and values,
+// each row in ascending column order.
+func rowCopy(m int, start, idx []int32, val []float64, pos, rs, rc []int32, rv []float64) ([]int32, []float64) {
+	nnz := int(start[m])
+	if cap(rc) < nnz {
+		// Take the column storage's capacity, which append grows
+		// geometrically, so the copy does not reallocate at every
+		// refactorize once the factors outgrow init's sizing.
+		rc = make([]int32, 0, cap(idx))
+		rv = make([]float64, 0, cap(idx))
+	}
+	rc, rv = rc[:nnz], rv[:nnz]
+	for t := 0; t <= m; t++ {
+		rs[t] = 0
+	}
+	for _, p := range idx[:nnz] {
+		if pos != nil {
+			p = pos[p]
+		}
+		rs[p+1]++
+	}
+	for t := 0; t < m; t++ {
+		rs[t+1] += rs[t]
+	}
+	// Fill using rs as the write cursor, then shift it back.
+	for t := 0; t < m; t++ {
+		for e := start[t]; e < start[t+1]; e++ {
+			p := idx[e]
+			if pos != nil {
+				p = pos[p]
+			}
+			rc[rs[p]] = int32(t)
+			rv[rs[p]] = val[e]
+			rs[p]++
+		}
+	}
+	for t := m; t > 0; t-- {
+		rs[t] = rs[t-1]
+	}
+	rs[0] = 0
+	return rc, rv
 }
 
 // scatterEntry marks slot live in the stamped work vector (zero-filling on
@@ -626,31 +692,11 @@ func (s *Solver) costOf(j int) float64 {
 	return c
 }
 
-// colDot returns a_jᵉᶠᶠ·y over the active rows for column j under the
-// current orientation.
-//
-//sqpr:hotpath
-func (s *Solver) colDot(j int, y []float64) float64 {
-	if j >= s.nStruct {
-		t := j - s.nStruct
-		return s.slackCoef[t] * y[t]
-	}
-	sum := 0.0
-	for e := s.ccStart[j]; e < s.ccStart[j+1]; e++ {
-		if slot := s.rowSlot[s.ccRow[e]]; slot >= 0 {
-			sum += s.ccCoef[e] * y[slot]
-		}
-	}
-	if s.flipped[j] {
-		return -sum
-	}
-	return sum
-}
-
 // computeDuals recomputes every reduced cost exactly from the current
-// factors: y = B⁻ᵀ·c_B by one BTRAN, then d_j = c_j − y·a_j per nonbasic
-// column. Runs at every refactorize so incremental d updates cannot drift
-// for more than one refactor interval.
+// factors: y = B⁻ᵀ·c_B by one BTRAN into rho, yᵀA over the nonbasic
+// columns by expanding only the active rows where y is nonzero
+// (buildPivotRow), then d_j = c_j − y·a_j. Runs at every refactorize so
+// incremental d updates cannot drift for more than one refactor interval.
 //
 //sqpr:hotpath
 func (s *Solver) computeDuals() {
@@ -660,12 +706,16 @@ func (s *Solver) computeDuals() {
 		y[t] = s.costOf(s.basis[t])
 	}
 	s.btran(y)
+	s.buildPivotRow()
 	for j := 0; j < s.n; j++ {
 		if s.inBasis[j] {
 			s.d[j] = 0
 			continue
 		}
-		s.d[j] = s.costOf(j) - s.colDot(j, y)
+		s.d[j] = s.costOf(j)
+	}
+	for _, j := range s.accTouch {
+		s.d[j] -= s.accV[j]
 	}
 }
 

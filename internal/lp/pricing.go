@@ -185,12 +185,13 @@ func (s *Solver) btranRow(r int) {
 }
 
 // buildPivotRow expands rho into the sparse tableau pivot row
-// accV[j] = rho·a_jᵉᶠᶠ over all live columns, touching only columns of
-// rows where rho is nonzero. accTouch lists the touched columns; accMark
-// round-stamps validity. Basic columns are skipped outright: both consumers
-// of the row (the dual ratio test and the reduced-cost update) ignore them,
-// and on dense-ish rows they are a sizable share of the touched set. A
-// slack is touched only through its own slot.
+// accV[j] = rho·a_jᵉᶠᶠ over all live columns, expanding only the rows
+// where rho is nonzero, in slot order. accTouch lists the touched columns;
+// accMark round-stamps validity. Basic columns are skipped outright: every
+// consumer of the row (the dual ratio test, the reduced-cost update,
+// computeDuals) ignores them, and on dense-ish rows they are a sizable
+// share of the touched set. A slack is touched only through its own slot,
+// right after its row's terms.
 //
 //sqpr:hotpath
 func (s *Solver) buildPivotRow() {
@@ -218,16 +219,11 @@ func (s *Solver) buildPivotRow() {
 			}
 			s.accV[tm.Var] += rv * a
 		}
-	}
-	for t := 0; t < s.m; t++ {
-		rv := s.rho[t]
-		col := s.nStruct + t
-		if rv == 0 || s.inBasis[col] {
-			continue
+		if col := s.nStruct + t; !s.inBasis[col] {
+			s.accMark[col] = round
+			s.accV[col] = rv * s.slackCoef[t]
+			touch = append(touch, int32(col)) //sqpr:amortized
 		}
-		s.accMark[col] = round
-		s.accV[col] = rv * s.slackCoef[t]
-		touch = append(touch, int32(col)) //sqpr:amortized
 	}
 	s.accTouch = touch
 }
@@ -369,9 +365,9 @@ func (s *Solver) driftGate(r, j int) Status {
 }
 
 // pivotCommit makes column j basic in row r: reduced costs update along the
-// sparse pivot row, an eta records the basis change, and the basic solution
-// moves by the entering step. Requires alpha = B⁻¹a_j and the pivot row
-// (accV/accTouch) for row r.
+// sparse pivot row, then one pass over alpha records the column eta of the
+// basis change and moves the basic solution by the entering step. Requires
+// alpha = B⁻¹a_j and the pivot row (accV/accTouch) for row r.
 //
 //sqpr:hotpath
 func (s *Solver) pivotCommit(r, j int) {
@@ -397,20 +393,26 @@ func (s *Solver) pivotCommit(r, j int) {
 	s.d[old] = -f
 	s.d[j] = 0
 
-	s.eta.appendPivot(r, s.alpha, s.m)
-	s.noteEta()
-
-	// Apply the new eta to xB in place: the entering variable takes the
-	// ratio-test step, every other basic value moves along alpha.
+	// The eta's entries are alpha off row r; applying it to xB in place,
+	// the entering variable takes the ratio-test step and every other basic
+	// value moves along alpha. The eta arenas are preallocated by init and
+	// reused across solves.
+	e := &s.eta
 	vr := s.xB[r] / piv
 	for i := 0; i < s.m; i++ {
-		if av := s.alpha[i]; av != 0 {
-			s.xB[i] -= av * vr
-			if s.xB[i] < 0 && s.xB[i] > -1e-11 {
-				s.xB[i] = 0
-			}
+		av := s.alpha[i]
+		if av == 0 || i == r {
+			continue
+		}
+		e.idx = append(e.idx, int32(i)) //sqpr:amortized
+		e.val = append(e.val, av)       //sqpr:amortized
+		s.xB[i] -= av * vr
+		if s.xB[i] < 0 && s.xB[i] > -1e-11 {
+			s.xB[i] = 0
 		}
 	}
+	e.close(r, piv, false)
+	s.noteEta()
 	s.xB[r] = vr
 	if vr < 0 && vr > -1e-11 {
 		s.xB[r] = 0

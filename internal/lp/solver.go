@@ -16,8 +16,14 @@ import (
 // product-form eta file for the pivots in between. Every tableau quantity
 // the simplex method needs is recovered on demand by two sparse triangular
 // solves — FTRAN (B⁻¹·a, entering columns and basic values) and BTRAN
-// (B⁻ᵀ·e, pivot rows and duals) — so per-pivot cost scales with the
-// nonzeros involved, not with rows × columns.
+// (B⁻ᵀ·e, pivot rows and duals). A pivot costs the nonzeros it touches
+// plus a handful of cheap sweeps over the m basis slots: each triangular
+// solve visits every position once but does work only at its nonzeros
+// (the transposed one through row-wise copies of L and U), the eta file
+// costs its entries, the pivot row and the reduced costs expand only the
+// rows where ρ or y is nonzero, and the eta and basic-solution update is
+// one pass over α. The leaving-row scan is the one O(m) pass with work at
+// every slot.
 //
 // The public surface — Load/ReSolve with warm restarts, Fix/Unfix bound
 // pinning, lazy row activation, SaveBasis/RestoreBasis snapshots and RowDual
@@ -101,7 +107,7 @@ type Solver struct {
 
 	// Solve scratch, all preallocated by Load to keep the warm path free of
 	// heap allocation: alpha/rho are FTRAN/BTRAN result vectors, work is the
-	// triangular-solve permutation buffer, accV/accMark/accTouch hold the
+	// LU solves' position-indexed buffer, accV/accMark/accTouch hold the
 	// sparse pivot row.
 	alpha    []float64
 	rho      []float64
@@ -185,11 +191,13 @@ func (s *Solver) SetLazy(on bool) { s.lazyMode = on }
 
 // etaLimit is the effective eta-file length that triggers a scheduled
 // refactorize: refactorInterval, but never more than half the basis size
-// (with a small floor). Applying the eta file costs O(count · m), so on a
-// small active basis letting it grow to the full interval makes every
-// BTRAN/FTRAN pay for dozens of stale pivots when a from-scratch
-// refactorize costs almost nothing; on large bases the full interval wins
-// because refactorizes there are the expensive side.
+// (with a small floor). Applying the file costs O(count + its entries) per
+// FTRAN and per BTRAN, not O(count · m), so the cap buys no time: against
+// the plain interval it is level on the S15 kernel benchmark and a few
+// percent behind end to end (DESIGN.md "Sparse revised simplex"). It stays
+// for the pivot paths it sets on small bases: without it the Fig. 2
+// example's branch-and-bound reaches other vertices and runs out of its
+// node budget before admitting.
 //
 //sqpr:hotpath
 func (s *Solver) etaLimit() int {
@@ -789,10 +797,7 @@ func (s *Solver) checkFeasibleActive(x []float64) bool {
 			return false
 		}
 	}
-	for i := 0; i < s.mAll; i++ {
-		if !s.activeRows[i] {
-			continue
-		}
+	for _, i := range s.slotRow[:s.m] {
 		c := &p.Cons[i]
 		lhs := Eval(c.Terms, x)
 		tol := FeasTol * (1 + math.Abs(c.RHS))
@@ -863,7 +868,9 @@ func (s *Solver) activateRow(i int) {
 }
 
 // extract reconstructs structural variable values in the original
-// orientation, writing into the solver's reusable buffer.
+// orientation, writing into the solver's reusable buffer. A nonbasic
+// column sits exactly at a bound; only basic values are snapped onto a
+// bound they miss by roundoff.
 //
 //sqpr:hotpath
 func (s *Solver) extract() []float64 {
@@ -880,20 +887,17 @@ func (s *Solver) extract() []float64 {
 			continue
 		}
 		v := s.xB[i]
+		u := s.baseU[b]
 		if s.flipped[b] {
-			v = s.baseU[b] - v
+			v = u - v
 		}
-		x[b] = v
-	}
-	for j := range x {
-		v := x[j]
 		if v < 0 && v > -1e-9 {
 			v = 0
 		}
-		if u := s.baseU[j]; !math.IsInf(u, 1) && v > u && v < u+1e-9 {
+		if v > u && v < u+1e-9 {
 			v = u
 		}
-		x[j] = v
+		x[b] = v
 	}
 	return x
 }
