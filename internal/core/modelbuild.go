@@ -30,6 +30,11 @@ type builder struct {
 	bigM  float64
 	norm  Norm // the (III.3) normalisers of sys, for the objective and the seed
 
+	// Build scratch: the objective's terms and, by y variable, the
+	// preservation rows' marks (all false between builds).
+	objTerms []milp.Term
+	need     []bool
+
 	// stay, by z variable (offset from zBase), rewards keeping a surviving
 	// operator on its incumbent host (repair's migration cost, mirrored as a
 	// reward so the model stays a maximisation), and prefer, by operator
@@ -292,25 +297,27 @@ func (b *builder) computeResiduals() {
 }
 
 // originAt states how host h can have stream s without receiving it: it
-// appends −z_ho for every free producer o of s to terms and returns, as the
-// row's right-hand side, 1[s ∈ S⁰_h] plus the fixed operators already
-// producing s at h.
-func (b *builder) originAt(h dsps.HostID, s dsps.StreamID, terms []milp.Term) ([]milp.Term, float64) {
+// adds −z_ho for every free producer o of s to the model's open row and
+// returns, as the row's right-hand side, 1[s ∈ S⁰_h] plus the fixed
+// operators already producing s at h.
+func (b *builder) originAt(h dsps.HostID, s dsps.StreamID) float64 {
 	rhs := 0.0
 	if b.sys.IsBaseAt(h, s) {
 		rhs += 1
 	}
 	for _, op := range b.sys.ProducersOf(s) {
 		if zv, ok := b.z(h, op); ok {
-			terms = append(terms, milp.Term{Var: zv, Coef: -1})
+			b.model.AddTerm(zv, -1)
 		} else if b.planner.Assignment().HasOp(dsps.Placement{Host: h, Op: op}) {
 			rhs += 1
 		}
 	}
-	return terms, rhs
+	return rhs
 }
 
-// build assembles the MILP into the builder's pooled model.
+// build assembles the MILP into the builder's pooled model. Each row's
+// terms go straight into the model's row matrix (AddTerm, then EndRow), so
+// a warm build allocates nothing.
 func (b *builder) build() *milp.Model {
 	m := b.model
 	sys := b.sys
@@ -361,21 +368,23 @@ func (b *builder) build() *milp.Model {
 		if b.stride[si] != 3 {
 			continue // no provide variables for s
 		}
-		var sum []milp.Term
 		for _, h := range b.hosts {
 			d, _ := b.d(h, s)
 			y, _ := b.y(h, s)
 			// (III.4a) d_hs <= y_hs (δ_s = 1 since s is requested here).
 			m.AddCons("demand-avail", milp.LE, 0, milp.Term{Var: d, Coef: 1}, milp.Term{Var: y, Coef: -1})
-			sum = append(sum, milp.Term{Var: d, Coef: 1})
+		}
+		for _, h := range b.hosts {
+			d, _ := b.d(h, s)
+			m.AddTerm(d, 1)
 		}
 		if b.planner.Admitted(s) {
 			// (IV.9): already admitted queries must stay satisfied,
 			// though possibly from a different host.
-			m.AddCons("keep-admitted", milp.EQ, 1, sum...)
+			m.EndRow("keep-admitted", milp.EQ, 1)
 		} else {
 			// (III.4b): at most one provider.
-			m.AddCons("one-provider", milp.LE, 1, sum...)
+			m.EndRow("one-provider", milp.LE, 1)
 		}
 	}
 
@@ -383,15 +392,14 @@ func (b *builder) build() *milp.Model {
 	for _, s := range b.freeStreams {
 		for _, h := range b.hosts {
 			y, _ := b.y(h, s)
-			terms := []milp.Term{{Var: y, Coef: 1}}
+			m.AddTerm(y, 1)
 			for _, src := range b.hosts {
 				if xv, ok := b.x(src, h, s); ok {
-					terms = append(terms, milp.Term{Var: xv, Coef: -1})
+					m.AddTerm(xv, -1)
 				}
 			}
 			// (III.5a): y_hs <= Σ x + Σ z + base indicator.
-			terms, rhs := b.originAt(h, s, terms)
-			m.AddCons("avail", milp.LE, rhs, terms...)
+			m.EndRow("avail", milp.LE, b.originAt(h, s))
 		}
 	}
 	// (III.5b): z_ho <= y_hs for every input stream of o.
@@ -449,30 +457,30 @@ func (b *builder) build() *milp.Model {
 // host outside the candidate set has no y variable and is skipped; forced
 // hosts should prevent that.
 func (b *builder) addPreservationRows() {
-	var need []bool // by y variable
+	b.need = slices.Grow(b.need[:0], int(b.zBase))[:b.zBase]
+	found := false
 	for _, pl := range b.planner.Assignment().Ops {
 		if b.hasOp(pl.Op) {
 			continue
 		}
 		for _, in := range b.sys.Operators[pl.Op].Inputs {
 			if yv, ok := b.y(pl.Host, in); ok {
-				if need == nil {
-					need = make([]bool, b.zBase)
-				}
-				need[yv] = true
+				b.need[yv] = true
+				found = true
 			}
 		}
 	}
-	if need == nil {
+	if !found {
 		return
 	}
 	for _, s := range b.freeStreams {
 		for _, h := range b.hosts {
-			if yv, _ := b.y(h, s); need[yv] {
+			if yv, _ := b.y(h, s); b.need[yv] {
 				b.model.AddCons("preserve-avail", milp.GE, 1, milp.Term{Var: yv, Coef: 1})
 			}
 		}
 	}
+	clear(b.need)
 }
 
 // addResourceRows emits the four budget families of (III.6) over candidate
@@ -482,79 +490,82 @@ func (b *builder) addResourceRows() {
 	m := b.model
 	for i, h := range b.hosts {
 		// (III.6d) CPU.
-		var cpu []milp.Term
-		for _, o := range b.freeOps {
-			zv, _ := b.z(h, o)
-			cpu = append(cpu, milp.Term{Var: zv, Coef: sys.Operators[o].Cost})
-		}
-		if len(cpu) > 0 {
-			m.AddCons("cpu", milp.LE, b.resCPU[i], cpu...)
+		if len(b.freeOps) > 0 {
+			for _, o := range b.freeOps {
+				zv, _ := b.z(h, o)
+				m.AddTerm(zv, sys.Operators[o].Cost)
+			}
+			m.EndRow("cpu", milp.LE, b.resCPU[i])
 		}
 		// Memory budget (future-work resource; zero budget = unconstrained).
 		if sys.Hosts[h].Mem > 0 {
-			var mem []milp.Term
+			mem := false
 			for _, o := range b.freeOps {
 				if mu := sys.Operators[o].Mem; mu > 0 {
 					zv, _ := b.z(h, o)
-					mem = append(mem, milp.Term{Var: zv, Coef: mu})
+					m.AddTerm(zv, mu)
+					mem = true
 				}
 			}
-			if len(mem) > 0 {
-				m.AddCons("mem", milp.LE, b.resMem[i], mem...)
+			if mem {
+				m.EndRow("mem", milp.LE, b.resMem[i])
 			}
 		}
 		// O4 linearisation: L >= fixedCPU_h + Σ γ z_ho
-		fixedCPU := sys.Hosts[h].CPU - b.resCPU[i]
-		lrow := []milp.Term{{Var: b.lVar, Coef: 1}}
-		for _, t := range cpu {
-			lrow = append(lrow, milp.Term{Var: t.Var, Coef: -t.Coef})
+		m.AddTerm(b.lVar, 1)
+		for _, o := range b.freeOps {
+			zv, _ := b.z(h, o)
+			m.AddTerm(zv, -sys.Operators[o].Cost)
 		}
-		m.AddCons("load", milp.GE, fixedCPU, lrow...)
+		m.EndRow("load", milp.GE, sys.Hosts[h].CPU-b.resCPU[i])
 
 		// (III.6c) outgoing host bandwidth: flows out plus client deliveries.
-		var out []milp.Term
+		out := false
 		for _, s := range b.freeStreams {
 			rate := sys.Streams[s].Rate
 			for _, mm := range b.hosts {
 				if xv, ok := b.x(h, mm, s); ok {
-					out = append(out, milp.Term{Var: xv, Coef: rate})
+					m.AddTerm(xv, rate)
+					out = true
 				}
 			}
 			if dv, ok := b.d(h, s); ok {
-				out = append(out, milp.Term{Var: dv, Coef: rate})
+				m.AddTerm(dv, rate)
+				out = true
 			}
 		}
-		if len(out) > 0 {
-			m.AddCons("out-bw", milp.LE, b.resOut[i], out...)
+		if out {
+			m.EndRow("out-bw", milp.LE, b.resOut[i])
 		}
 
 		// (III.6b) incoming host bandwidth.
-		var in []milp.Term
+		in := false
 		for _, s := range b.freeStreams {
 			rate := sys.Streams[s].Rate
 			for _, src := range b.hosts {
 				if xv, ok := b.x(src, h, s); ok {
-					in = append(in, milp.Term{Var: xv, Coef: rate})
+					m.AddTerm(xv, rate)
+					in = true
 				}
 			}
 		}
-		if len(in) > 0 {
-			m.AddCons("in-bw", milp.LE, b.resIn[i], in...)
+		if in {
+			m.EndRow("in-bw", milp.LE, b.resIn[i])
 		}
 
 		// (III.6a) pairwise link capacity.
+		if len(b.freeStreams) == 0 {
+			continue
+		}
 		for j, mm := range b.hosts {
 			if i == j {
 				continue
 			}
-			var link []milp.Term
 			for _, s := range b.freeStreams {
 				xv, _ := b.x(h, mm, s)
-				link = append(link, milp.Term{Var: xv, Coef: sys.Streams[s].Rate})
+				m.AddTerm(xv, sys.Streams[s].Rate)
 			}
-			if len(link) > 0 {
-				m.AddCons("link", milp.LE, b.resLink[i][j], link...)
-			}
+			m.EndRow("link", milp.LE, b.resLink[i][j])
 		}
 	}
 }
@@ -563,7 +574,7 @@ func (b *builder) addResourceRows() {
 func (b *builder) setObjective() {
 	w := b.planner.cfg.Weights
 	sys := b.sys
-	var terms []milp.Term
+	terms := b.objTerms[:0]
 	for _, s := range b.freeStreams {
 		for _, h := range b.hosts {
 			dv, ok := b.d(h, s)
@@ -599,4 +610,5 @@ func (b *builder) setObjective() {
 	}
 	terms = append(terms, milp.Term{Var: b.lVar, Coef: -w.L4 / b.norm.MaxCPU})
 	b.model.SetObjective(true, terms...)
+	b.objTerms = terms
 }

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"time"
 
@@ -15,6 +16,128 @@ const (
 	zeroTol          = 1e-9 // phase-1 objective zero test
 	unbounded Status = IterLimit + 1
 )
+
+// Validate checks the structural integrity of the problem as the dense
+// oracle needs it: variable indices in range, finite costs, coefficients
+// and right-hand sides, and non-negative upper bounds. Solver.Load makes
+// the same checks, and insists on finite upper bounds besides.
+func (p *Problem) Validate() error {
+	if len(p.Cost) > p.NumVars || len(p.Upper) > p.NumVars {
+		return fmt.Errorf("lp: %d costs and %d bounds for %d variables", len(p.Cost), len(p.Upper), p.NumVars)
+	}
+	for j := 0; j < len(p.Upper); j++ {
+		if p.Upper[j] < 0 || math.IsNaN(p.Upper[j]) {
+			return fmt.Errorf("lp: variable %d has invalid upper bound %v", j, p.Upper[j])
+		}
+	}
+	for j, c := range p.Cost {
+		if math.IsNaN(c) || math.IsInf(c, 0) {
+			return fmt.Errorf("lp: variable %d has non-finite cost %v", j, c)
+		}
+	}
+	for i, c := range p.Cons {
+		for _, t := range c.Terms {
+			if t.Var < 0 || t.Var >= p.NumVars {
+				return fmt.Errorf("lp: constraint %d references variable %d outside [0,%d)", i, t.Var, p.NumVars)
+			}
+			if math.IsNaN(t.Coef) || math.IsInf(t.Coef, 0) {
+				return fmt.Errorf("lp: constraint %d has non-finite coefficient on variable %d", i, t.Var)
+			}
+		}
+		if math.IsNaN(c.RHS) || math.IsInf(c.RHS, 0) {
+			return fmt.Errorf("lp: constraint %d has non-finite right-hand side", i)
+		}
+	}
+	return nil
+}
+
+// upper returns the upper bound of variable j: +Inf when Upper is short.
+func (p *Problem) upper(j int) float64 {
+	if j < len(p.Upper) {
+		return p.Upper[j]
+	}
+	return math.Inf(1)
+}
+
+// cost returns the objective coefficient of variable j: 0 when Cost is
+// short.
+func (p *Problem) cost(j int) float64 {
+	if j < len(p.Cost) {
+		return p.Cost[j]
+	}
+	return 0
+}
+
+// Eval computes a·x for the given constraint row.
+func Eval(terms []Term, x []float64) float64 {
+	var sum float64
+	for _, t := range terms {
+		sum += t.Coef * x[t.Var]
+	}
+	return sum
+}
+
+// CheckFeasible reports whether x satisfies every constraint and bound of p
+// within FeasTol (scaled by the magnitude of the row activity).
+func (p *Problem) CheckFeasible(x []float64) bool {
+	if len(x) < p.NumVars {
+		return false
+	}
+	for j := 0; j < p.NumVars; j++ {
+		if x[j] < -FeasTol || x[j] > p.upper(j)+FeasTol {
+			return false
+		}
+	}
+	for _, c := range p.Cons {
+		lhs := Eval(c.Terms, x)
+		tol := FeasTol * (1 + math.Abs(c.RHS))
+		switch c.Sense {
+		case LE:
+			if lhs > c.RHS+tol {
+				return false
+			}
+		case GE:
+			if lhs < c.RHS-tol {
+				return false
+			}
+		case EQ:
+			if math.Abs(lhs-c.RHS) > tol {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Objective computes c·x for the problem's cost vector.
+func (p *Problem) Objective(x []float64) float64 {
+	var sum float64
+	for j := 0; j < len(p.Cost) && j < len(x); j++ {
+		sum += p.Cost[j] * x[j]
+	}
+	return sum
+}
+
+// constRowsFeasible reports whether a zero-variable problem is feasible.
+func constRowsFeasible(p *Problem) bool {
+	for _, c := range p.Cons {
+		switch c.Sense {
+		case LE:
+			if 0 > c.RHS+FeasTol {
+				return false
+			}
+		case GE:
+			if 0 < c.RHS-FeasTol {
+				return false
+			}
+		case EQ:
+			if math.Abs(c.RHS) > FeasTol {
+				return false
+			}
+		}
+	}
+	return true
+}
 
 // DenseSolver is the dense-tableau engine the sparse Solver replaced, kept
 // in a test file as the oracle of the equivalence suite (equiv_test.go,

@@ -2,7 +2,9 @@ package lp
 
 import (
 	"context"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -154,5 +156,69 @@ func TestLargeDenseLPTerminates(t *testing.T) {
 	}
 	if time.Since(start) > 10*time.Second {
 		t.Fatal("large LP took too long")
+	}
+}
+
+// TestNonFiniteCostRejected: a NaN or infinite cost is refused by Load, in
+// the pass that builds the column copy, and by Validate; before, Load took
+// cost {NaN, 1} and the solve came back optimal and feasible at a NaN
+// objective.
+func TestNonFiniteCostRejected(t *testing.T) {
+	for _, c := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		p := &Problem{
+			NumVars: 2,
+			Cost:    []float64{c, 1},
+			Upper:   []float64{1, 1},
+			Cons:    []Constraint{{Terms: []Term{{0, 1}, {1, 1}}, Sense: GE, RHS: 1}},
+		}
+		if err := NewSolver().Load(p); err == nil || !strings.Contains(err.Error(), "cost") {
+			t.Errorf("cost %v: Load returned %v, want an error naming the cost", c, err)
+		}
+		if err := p.Validate(); err == nil {
+			t.Errorf("cost %v: Validate accepted it", c)
+		}
+		if sol := Solve(p, Options{}); sol.Status == Optimal {
+			t.Errorf("cost %v: Solve returned optimal at %v", c, sol.Objective)
+		}
+	}
+}
+
+// TestLoadCSRRejectsMalformedRows: LoadCSR checks a program that did not
+// come through Load in the passes that build its column copy, and names
+// the offending row.
+func TestLoadCSRRejectsMalformedRows(t *testing.T) {
+	good := func() *CSR {
+		return &CSR{
+			NumVars: 2,
+			Cost:    []float64{1, 1},
+			Upper:   []float64{1, 1},
+			Start:   []int32{0, 2, 2, 3},
+			Var:     []int32{0, 1, 1},
+			Coef:    []float64{1, 1, 1},
+			Sense:   []Sense{GE, LE, LE},
+			RHS:     []float64{1, 0, 1},
+		}
+	}
+	if err := NewSolver().LoadCSR(good()); err != nil {
+		t.Fatalf("LoadCSR rejected a well-formed program: %v", err)
+	}
+	for _, tc := range []struct {
+		name  string
+		spoil func(a *CSR)
+		want  string
+	}{
+		{"variable out of range", func(a *CSR) { a.Var[2] = 2 }, "constraint 2 references variable 2"},
+		{"negative variable", func(a *CSR) { a.Var[0] = -1 }, "constraint 0 references variable -1"},
+		{"non-finite coefficient", func(a *CSR) { a.Coef[2] = math.Inf(-1) }, "constraint 2 has non-finite coefficient"},
+		{"non-finite right-hand side", func(a *CSR) { a.RHS[1] = math.NaN() }, "constraint 1 has non-finite right-hand side"},
+		{"infinite upper bound", func(a *CSR) { a.Upper[1] = math.Inf(1) }, "variable 1 has no finite non-negative upper bound"},
+		{"short row starts", func(a *CSR) { a.Start = a.Start[:3] }, "malformed CSR"},
+		{"starts past the terms", func(a *CSR) { a.Start[3] = 4 }, "malformed CSR"},
+	} {
+		a := good()
+		tc.spoil(a)
+		if err := NewSolver().LoadCSR(a); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: LoadCSR returned %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -273,10 +273,10 @@ func (s *Solver) btran(v []float64) {
 	s.luSolveB(v)
 }
 
-// border extends valid factors over the inequality row c just appended at
+// border extends valid factors over the inequality row just appended at
 // basis slot r with slack coefficient sigma, instead of discarding them. The
 // grown basis is B' = diag(B,1)·E with E the identity except for row r,
-// which holds c's coefficients on the basic columns (by slot, in the
+// which holds the row's coefficients on the basic columns (by slot, in the
 // current orientation) and sigma on the diagonal. diag(B,1) costs the LU
 // one trivial pivot (unit diagonal, empty L and U columns, slot r at
 // position r); E is one row eta. The new basic value follows from the row
@@ -284,19 +284,21 @@ func (s *Solver) btran(v []float64) {
 // a zero in y = B'⁻ᵀc_B at r, so every other reduced cost stays exact.
 //
 //sqpr:hotpath
-func (s *Solver) border(c *Constraint, r int, sigma float64) {
+func (s *Solver) border(row, r int, sigma float64) {
 	s.lu.extend(r)
 	e := &s.eta
 	dot := 0.0
-	for _, tm := range c.Terms {
-		if !s.inBasis[tm.Var] {
+	rows := s.rows
+	for k := rows.Start[row]; k < rows.Start[row+1]; k++ {
+		j := rows.Var[k]
+		if !s.inBasis[j] {
 			continue
 		}
-		a := tm.Coef
-		if s.flipped[tm.Var] {
+		a := rows.Coef[k]
+		if s.flipped[j] {
 			a = -a
 		}
-		i := s.rowOf[tm.Var]
+		i := s.rowOf[j]
 		e.idx = append(e.idx, int32(i)) //sqpr:amortized
 		e.val = append(e.val, a)        //sqpr:amortized
 		dot += a * s.xB[i]
@@ -682,7 +684,7 @@ func (s *Solver) costOf(j int) float64 {
 	if j >= s.nStruct {
 		return 0
 	}
-	c := s.prob.cost(j)
+	c := s.rows.Cost[j]
 	if s.shifted && c < 0 {
 		c = 0
 	}

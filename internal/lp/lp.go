@@ -64,7 +64,8 @@ type Constraint struct {
 }
 
 // Problem is a linear program in the canonical form documented on the
-// package comment. The zero value is an empty (trivially optimal) problem.
+// package comment, one Constraint per row; Solver.Load flattens it into a
+// CSR. The zero value is an empty (trivially optimal) problem.
 type Problem struct {
 	// NumVars is the number of structural variables.
 	NumVars int
@@ -76,6 +77,55 @@ type Problem struct {
 	Upper []float64
 	// Cons are the linear constraints.
 	Cons []Constraint
+}
+
+// CSR is a linear program in the form Solver reads it: the cost and upper
+// bound of every column, and the constraint rows stored once in
+// compressed-sparse-row form. Row i is Sense[i] and RHS[i] over the terms
+// Coef[k]·x[Var[k]] for k in [Start[i], Start[i+1]); Start has one entry
+// more than there are rows and begins at 0. Cost and Upper have NumVars
+// entries each.
+type CSR struct {
+	NumVars int
+	Cost    []float64
+	Upper   []float64
+	Start   []int32
+	Var     []int32
+	Coef    []float64
+	Sense   []Sense
+	RHS     []float64
+}
+
+// Objective computes c·x for the program's cost vector.
+func (a *CSR) Objective(x []float64) float64 {
+	var sum float64
+	for j, c := range a.Cost {
+		sum += c * x[j]
+	}
+	return sum
+}
+
+// eval computes a·x for row i.
+func (a *CSR) eval(i int, x []float64) float64 {
+	var sum float64
+	for k := a.Start[i]; k < a.Start[i+1]; k++ {
+		sum += a.Coef[k] * x[a.Var[k]]
+	}
+	return sum
+}
+
+// violated reports whether row i misses its right-hand side at x by more
+// than FeasTol scaled by the right-hand side's magnitude.
+func (a *CSR) violated(i int, x []float64) bool {
+	lhs, rhs := a.eval(i, x), a.RHS[i]
+	tol := FeasTol * (1 + math.Abs(rhs))
+	switch a.Sense[i] {
+	case LE:
+		return lhs > rhs+tol
+	case GE:
+		return lhs < rhs-tol
+	}
+	return math.Abs(lhs-rhs) > tol
 }
 
 // Status reports the outcome of a solve.
@@ -127,102 +177,6 @@ type Options struct {
 	MaxIters int
 }
 
-// upper returns the upper bound of variable j.
-func (p *Problem) upper(j int) float64 {
-	if j < len(p.Upper) {
-		return p.Upper[j]
-	}
-	return math.Inf(1)
-}
-
-// cost returns the objective coefficient of variable j.
-func (p *Problem) cost(j int) float64 {
-	if j < len(p.Cost) {
-		return p.Cost[j]
-	}
-	return 0
-}
-
-// Validate checks the structural integrity of the problem: variable indices
-// in range, finite coefficients, and non-negative upper bounds.
-func (p *Problem) Validate() error {
-	for j := 0; j < len(p.Upper) && j < p.NumVars; j++ {
-		if p.Upper[j] < 0 || math.IsNaN(p.Upper[j]) {
-			return fmt.Errorf("lp: variable %d has invalid upper bound %v", j, p.Upper[j])
-		}
-	}
-	if len(p.Cost) > p.NumVars {
-		return fmt.Errorf("lp: cost vector longer (%d) than variable count (%d)", len(p.Cost), p.NumVars)
-	}
-	if len(p.Upper) > p.NumVars {
-		return fmt.Errorf("lp: bound vector longer (%d) than variable count (%d)", len(p.Upper), p.NumVars)
-	}
-	for i, c := range p.Cons {
-		for _, t := range c.Terms {
-			if t.Var < 0 || t.Var >= p.NumVars {
-				return fmt.Errorf("lp: constraint %d references variable %d outside [0,%d)", i, t.Var, p.NumVars)
-			}
-			if math.IsNaN(t.Coef) || math.IsInf(t.Coef, 0) {
-				return fmt.Errorf("lp: constraint %d has non-finite coefficient on variable %d", i, t.Var)
-			}
-		}
-		if math.IsNaN(c.RHS) || math.IsInf(c.RHS, 0) {
-			return fmt.Errorf("lp: constraint %d has non-finite right-hand side", i)
-		}
-	}
-	return nil
-}
-
-// Eval computes a·x for the given constraint row.
-func Eval(terms []Term, x []float64) float64 {
-	var sum float64
-	for _, t := range terms {
-		sum += t.Coef * x[t.Var]
-	}
-	return sum
-}
-
-// FeasTol is the feasibility tolerance used by CheckFeasible and by the
-// solver when classifying a point as feasible.
+// FeasTol is the feasibility tolerance the solver classifies a point by:
+// a row may miss its right-hand side by FeasTol scaled by 1 + |rhs|.
 const FeasTol = 1e-6
-
-// CheckFeasible reports whether x satisfies every constraint and bound of p
-// within FeasTol (scaled by the magnitude of the row activity).
-func (p *Problem) CheckFeasible(x []float64) bool {
-	if len(x) < p.NumVars {
-		return false
-	}
-	for j := 0; j < p.NumVars; j++ {
-		if x[j] < -FeasTol || x[j] > p.upper(j)+FeasTol {
-			return false
-		}
-	}
-	for _, c := range p.Cons {
-		lhs := Eval(c.Terms, x)
-		tol := FeasTol * (1 + math.Abs(c.RHS))
-		switch c.Sense {
-		case LE:
-			if lhs > c.RHS+tol {
-				return false
-			}
-		case GE:
-			if lhs < c.RHS-tol {
-				return false
-			}
-		case EQ:
-			if math.Abs(lhs-c.RHS) > tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Objective computes c·x for the problem's cost vector.
-func (p *Problem) Objective(x []float64) float64 {
-	var sum float64
-	for j := 0; j < len(p.Cost) && j < len(x); j++ {
-		sum += p.Cost[j] * x[j]
-	}
-	return sum
-}

@@ -13,7 +13,7 @@ import "math"
 //
 //sqpr:hotpath
 func (s *Solver) rebuild(atUpper bool) {
-	p := s.prob
+	a := s.rows
 	s.scanValid = false // cold rebuilds move the point arbitrarily
 	for j := 0; j < s.colCap; j++ {
 		s.upper[j] = math.Inf(1)
@@ -24,12 +24,12 @@ func (s *Solver) rebuild(atUpper bool) {
 		s.d[j] = 0
 	}
 	for j := 0; j < s.nStruct; j++ {
-		u := p.upper(j)
+		u := a.Upper[j]
 		s.baseU[j] = u
 		switch s.fixVal[j] {
 		case fixFree:
 			s.upper[j] = u
-			s.flipped[j] = atUpper && p.cost(j) < 0
+			s.flipped[j] = atUpper && a.Cost[j] < 0
 		case fixZero:
 			s.upper[j] = 0
 		case fixUpper:
@@ -47,25 +47,18 @@ func (s *Solver) rebuild(atUpper bool) {
 		if !s.activeRows[i] {
 			continue
 		}
-		c := &p.Cons[i]
 		s.rowSlot[i] = int32(slot)
 		s.slotRow[slot] = int32(i)
 		s.slackCoef[slot] = 1
 		col := s.nStruct + slot
-		switch c.Sense {
+		switch a.Sense[i] {
 		case GE:
 			s.slackCoef[slot] = -1
 		case EQ:
 			s.upper[col] = 0
 			s.baseU[col] = 0
 		}
-		rhs := c.RHS
-		for _, tm := range c.Terms {
-			if s.flipped[tm.Var] {
-				rhs -= tm.Coef * s.baseU[tm.Var]
-			}
-		}
-		s.beff[slot] = rhs
+		s.beff[slot] = s.flippedRHS(i)
 		s.basis[slot] = col
 		s.inBasis[col] = true
 		s.rowOf[col] = slot
@@ -89,10 +82,13 @@ func (s *Solver) rebuild(atUpper bool) {
 // basis and marked warm.
 func (s *Solver) coldPass() Status {
 	if s.nStruct == 0 {
-		if constRowsFeasible(s.prob) {
-			return Optimal
+		// Every row is a constant: the zero vector settles it.
+		for i := range s.rows.RHS {
+			if s.rows.violated(i, nil) {
+				return Infeasible
+			}
 		}
-		return Infeasible
+		return Optimal
 	}
 	s.rebuild(false)
 	s.shifted = true
@@ -198,26 +194,28 @@ func (s *Solver) buildPivotRow() {
 	s.accRound++
 	round := s.accRound
 	touch := s.accTouch[:0]
+	rows := s.rows
 	for t := 0; t < s.m; t++ {
 		rv := s.rho[t]
 		if rv == 0 {
 			continue
 		}
-		c := &s.prob.Cons[s.slotRow[t]]
-		for _, tm := range c.Terms {
-			if s.inBasis[tm.Var] {
+		i := s.slotRow[t]
+		for k := rows.Start[i]; k < rows.Start[i+1]; k++ {
+			j := rows.Var[k]
+			if s.inBasis[j] {
 				continue
 			}
-			a := tm.Coef
-			if s.flipped[tm.Var] {
+			a := rows.Coef[k]
+			if s.flipped[j] {
 				a = -a
 			}
-			if s.accMark[tm.Var] != round {
-				s.accMark[tm.Var] = round
-				s.accV[tm.Var] = 0
-				touch = append(touch, int32(tm.Var)) //sqpr:amortized
+			if s.accMark[j] != round {
+				s.accMark[j] = round
+				s.accV[j] = 0
+				touch = append(touch, j) //sqpr:amortized
 			}
-			s.accV[tm.Var] += rv * a
+			s.accV[j] += rv * a
 		}
 		if col := s.nStruct + t; !s.inBasis[col] {
 			s.accMark[col] = round

@@ -1,7 +1,5 @@
 package lp
 
-import "math"
-
 // Numerical tolerances for the simplex method, shared by the sparse Solver
 // and the test-only dense oracle (dense_test.go).
 const (
@@ -22,27 +20,6 @@ const (
 // variable is bounded by 2·scanEps, which a row's coefficient sum keeps
 // well inside the FeasTol-scaled row tolerances.
 const scanEps = 1e-9
-
-// constRowsFeasible reports whether a zero-variable problem is feasible.
-func constRowsFeasible(p *Problem) bool {
-	for _, c := range p.Cons {
-		switch c.Sense {
-		case LE:
-			if 0 > c.RHS+FeasTol {
-				return false
-			}
-		case GE:
-			if 0 < c.RHS-FeasTol {
-				return false
-			}
-		case EQ:
-			if math.Abs(c.RHS) > FeasTol {
-				return false
-			}
-		}
-	}
-	return true
-}
 
 func growF(s []float64, n int) []float64 {
 	if cap(s) < n {

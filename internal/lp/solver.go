@@ -4,14 +4,16 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"sqpr/internal/invariant"
 )
 
 // Solver is a reusable sparse revised-simplex engine. Instead of carrying a
-// dense tableau, it stores the constraint matrix once in compressed-sparse-
-// column form and represents the basis inverse implicitly: an LU
+// dense tableau, it reads the constraint rows from the caller's CSR, builds
+// their compressed-sparse-column transpose once per Load, and represents
+// the basis inverse implicitly: an LU
 // factorization of the basis matrix refreshed every few dozen pivots, plus a
 // product-form eta file for the pivots in between. Every tableau quantity
 // the simplex method needs is recovered on demand by two sparse triangular
@@ -37,7 +39,8 @@ import (
 //
 // The solver is not safe for concurrent use; use one per goroutine.
 type Solver struct {
-	prob *Problem
+	rows *CSR // the loaded program; Load flattens a Problem into flat
+	flat CSR
 
 	mAll    int // total constraint rows of the problem
 	m       int // active rows (= basis size)
@@ -55,9 +58,10 @@ type Solver struct {
 	nInactive  int
 
 	// Constraint matrix in compressed-sparse-column form over the structural
-	// variables: column j's entries are ccRow/ccCoef[ccStart[j]:ccStart[j+1]]
-	// with ccRow holding *original row indices* (not basis slots), so the
-	// matrix never needs rebuilding as lazy rows activate.
+	// variables, the transpose of rows: column j's entries are
+	// ccRow/ccCoef[ccStart[j]:ccStart[j+1]] in row order, with ccRow holding
+	// *original row indices* (not basis slots), so the matrix never needs
+	// rebuilding as lazy rows activate.
 	ccStart []int32
 	ccRow   []int32
 	ccCoef  []float64
@@ -126,15 +130,13 @@ type Solver struct {
 	bland    bool // least-index rule, after a run of zero-step pivots
 	stall    int  // consecutive zero-step pivots
 
-	// Incremental lazy-row scanning: a var→row CSR index plus per-variable
-	// last-scanned values, so a re-solve only re-evaluates rows whose
-	// variables moved.
-	varRowsStart []int
-	varRowsList  []int32
-	scanX        []float64
-	scanValid    bool
-	rowMark      []int
-	rowRound     int
+	// Incremental lazy-row scanning: per-variable last-scanned values, so a
+	// re-solve only re-evaluates the rows (found through the CSC) of the
+	// variables that moved.
+	scanX     []float64
+	scanValid bool
+	rowMark   []int
+	rowRound  int
 
 	// warm records that the solver holds a dual-feasible basis from a
 	// completed solve, so ReSolve may start with dual simplex.
@@ -214,43 +216,80 @@ func (s *Solver) etaLimit() int {
 // FactorStats returns the factorization counters accumulated since Load.
 func (s *Solver) FactorStats() FactorStats { return s.stats }
 
-// Load compiles p into the solver's arenas, growing them only when p is
-// larger than any previously loaded problem. Every variable needs a finite
-// upper bound: the dual simplex needs a bound to flip a column to. All
-// variables start free and the first ReSolve performs a cold solve. The
-// solver keeps a reference to p (it does not copy constraint data) and
-// never mutates it.
+// Load flattens p into a solver-owned CSR and loads that (LoadCSR); the
+// solver keeps no reference to p. Missing Cost entries are zero and missing
+// Upper entries +Inf, which LoadCSR rejects.
 func (s *Solver) Load(p *Problem) error {
-	if err := p.Validate(); err != nil {
+	n := p.NumVars
+	if len(p.Cost) > n || len(p.Upper) > n {
+		return fmt.Errorf("lp: %d costs and %d bounds for %d variables", len(p.Cost), len(p.Upper), n)
+	}
+	a := &s.flat
+	a.NumVars = n
+	a.Cost = append(a.Cost[:0], p.Cost...)
+	a.Upper = append(a.Upper[:0], p.Upper...)
+	for len(a.Cost) < n {
+		a.Cost = append(a.Cost, 0)
+	}
+	for len(a.Upper) < n {
+		a.Upper = append(a.Upper, math.Inf(1))
+	}
+	a.Start = append(a.Start[:0], 0)
+	a.Var, a.Coef = a.Var[:0], a.Coef[:0]
+	a.Sense, a.RHS = a.Sense[:0], a.RHS[:0]
+	for i, c := range p.Cons {
+		for _, t := range c.Terms {
+			if t.Var < 0 || t.Var >= n { // before int32 could wrap it into range
+				return fmt.Errorf("lp: constraint %d references variable %d outside [0,%d)", i, t.Var, n)
+			}
+			a.Var = append(a.Var, int32(t.Var))
+			a.Coef = append(a.Coef, t.Coef)
+		}
+		a.Start = append(a.Start, int32(len(a.Var)))
+		a.Sense = append(a.Sense, c.Sense)
+		a.RHS = append(a.RHS, c.RHS)
+	}
+	return s.LoadCSR(a)
+}
+
+// LoadCSR loads a into the solver's arenas, growing them only when a is
+// larger than any previously loaded program. It checks a in the pass that
+// builds the column-wise copy (buildCSC). All variables start free and the
+// first ReSolve performs a cold solve. The solver keeps a reference to a
+// (it does not copy the rows) and never mutates it.
+func (s *Solver) LoadCSR(a *CSR) error {
+	nr := len(a.Sense)
+	if len(a.Cost) != a.NumVars || len(a.Upper) != a.NumVars || len(a.Start) != nr+1 || len(a.RHS) != nr ||
+		a.Start[0] != 0 || int(a.Start[nr]) != len(a.Var) || len(a.Coef) != len(a.Var) {
+		return fmt.Errorf("lp: malformed CSR of %d variables and %d rows", a.NumVars, nr)
+	}
+	s.rows = a
+	s.mAll = nr
+	s.nStruct = a.NumVars
+	ineqNNZ, err := s.buildCSC()
+	if err != nil {
+		s.rows = nil
 		return err
 	}
-	for j := 0; j < p.NumVars; j++ {
-		if math.IsInf(p.upper(j), 1) {
-			return fmt.Errorf("lp: variable %d has no finite upper bound", j)
-		}
-	}
-	s.prob = p
 	s.warm = false
 	s.factorValid = false
 	s.xbValid = false
 	s.shifted = false
 	s.stats = FactorStats{}
-	s.mAll = len(p.Cons)
 	s.m = 0
-	s.nStruct = p.NumVars
 
 	s.rowSlot = growI32(s.rowSlot, s.mAll)
 	s.slotRow = growI32(s.slotRow, s.mAll)
 	s.activeRows = growB(s.activeRows, s.mAll)
 	s.nSlack = 0
 	s.nInactive = 0
-	for i := range p.Cons {
+	for i, sense := range a.Sense {
 		// Slack columns are assigned when a row enters the basis (rebuild,
 		// or warm activation), not up front: the live column count then
 		// scales with the rows actually active, not with the thousands of
 		// lazy rows that never bind.
 		s.rowSlot[i] = -1
-		if p.Cons[i].Sense == EQ {
+		if sense == EQ {
 			s.activeRows[i] = true
 			continue
 		}
@@ -262,7 +301,7 @@ func (s *Solver) Load(p *Problem) error {
 		}
 	}
 	// Worst case: every row active with its slack.
-	s.colCap = p.NumVars + s.mAll
+	s.colCap = a.NumVars + s.mAll
 	s.slackCoef = growF(s.slackCoef, s.mAll)
 
 	s.basis = growI(s.basis, s.mAll)
@@ -272,11 +311,11 @@ func (s *Solver) Load(p *Problem) error {
 	s.baseU = growF(s.baseU, s.colCap)
 	s.flipped = growB(s.flipped, s.colCap)
 	s.d = growF(s.d, s.colCap)
-	s.fixVal = growI8(s.fixVal, p.NumVars)
-	for j := range s.fixVal[:p.NumVars] {
+	s.fixVal = growI8(s.fixVal, a.NumVars)
+	for j := range s.fixVal[:a.NumVars] {
 		s.fixVal[j] = fixFree
 	}
-	s.released = growI32(s.released, p.NumVars)[:0]
+	s.released = growI32(s.released, a.NumVars)[:0]
 
 	s.beff = growF(s.beff, s.mAll)
 	s.xB = growF(s.xB, s.mAll)
@@ -285,111 +324,96 @@ func (s *Solver) Load(p *Problem) error {
 	s.work = growF(s.work, s.mAll)
 	s.accV = growF(s.accV, s.colCap)
 	s.accMark = growI(s.accMark, s.colCap)
-	for i := range s.accMark[:s.colCap] {
-		s.accMark[i] = 0
-	}
+	clear(s.accMark)
 	s.accRound = 0
 	s.accTouch = growI32(s.accTouch, s.colCap)[:0]
 	s.driftTries = 0
 
-	n := p.NumVars
-	if n == 0 {
-		n = 1
-	}
+	n := max(a.NumVars, 1)
 	s.xbuf = growF(s.xbuf, n)
 	s.snap.valid = false
 
-	s.buildCSC()
 	s.lu.init(s.mAll)
+	// Every inequality row a lazy Load leaves inactive may border the
+	// factors later; ineqNNZ is their coefficient count.
+	s.eta.init(s.mAll, s.nInactive, ineqNNZ)
 
-	// Var→row CSR over the inequality rows.
 	s.scanX = growF(s.scanX, n)
 	s.scanValid = false
 	s.rowMark = growI(s.rowMark, s.mAll)
-	for i := range s.rowMark[:s.mAll] {
-		s.rowMark[i] = 0
-	}
+	clear(s.rowMark)
 	s.rowRound = 0
-	s.varRowsStart = growI(s.varRowsStart, p.NumVars+1)
-	for j := range s.varRowsStart[:p.NumVars+1] {
-		s.varRowsStart[j] = 0
-	}
-	nnz := 0
-	for i := range p.Cons {
-		if p.Cons[i].Sense == EQ {
-			continue
-		}
-		for _, t := range p.Cons[i].Terms {
-			s.varRowsStart[t.Var+1]++
-			nnz++
-		}
-	}
-	for j := 1; j <= p.NumVars; j++ {
-		s.varRowsStart[j] += s.varRowsStart[j-1]
-	}
-	// Every inequality row a lazy Load leaves inactive may border the
-	// factors later; nnz is their coefficient count.
-	s.eta.init(s.mAll, s.nInactive, nnz)
-	if cap(s.varRowsList) < nnz {
-		s.varRowsList = make([]int32, nnz)
-	}
-	s.varRowsList = s.varRowsList[:nnz]
-	// Fill using varRowsStart as the write cursor, then shift it back.
-	for i := range p.Cons {
-		if p.Cons[i].Sense == EQ {
-			continue
-		}
-		for _, t := range p.Cons[i].Terms {
-			s.varRowsList[s.varRowsStart[t.Var]] = int32(i)
-			s.varRowsStart[t.Var]++
-		}
-	}
-	for j := p.NumVars; j > 0; j-- {
-		s.varRowsStart[j] = s.varRowsStart[j-1]
-	}
-	s.varRowsStart[0] = 0
 	return nil
 }
 
-// buildCSC builds the compressed-sparse-column index of the structural
-// constraint matrix. Row indices are original row numbers; activity is
-// resolved through rowSlot at solve time.
-func (s *Solver) buildCSC() {
-	p := s.prob
+// buildCSC checks the loaded program — every upper bound finite and
+// non-negative (the dual simplex needs a bound to flip a column to), costs,
+// coefficients and right-hand sides finite, variable indices in range — and
+// transposes its rows into the compressed-sparse-column index of the
+// structural constraint matrix, in the same pass. It returns the
+// coefficient count of the inequality rows. Row indices are original row
+// numbers; activity is resolved through rowSlot at solve time.
+func (s *Solver) buildCSC() (ineqNNZ int, err error) {
+	a := s.rows
 	n := s.nStruct
-	s.ccStart = growI32(s.ccStart, n+1)
-	for j := 0; j <= n; j++ {
-		s.ccStart[j] = 0
-	}
-	nnz := 0
-	for i := 0; i < s.mAll; i++ {
-		for _, t := range p.Cons[i].Terms {
-			s.ccStart[t.Var+1]++
-			nnz++
+	for j, u := range a.Upper {
+		if !finite(u) || u < 0 {
+			return 0, fmt.Errorf("lp: variable %d has no finite non-negative upper bound (%v)", j, u)
 		}
+		if c := a.Cost[j]; !finite(c) {
+			return 0, fmt.Errorf("lp: variable %d has non-finite cost %v", j, c)
+		}
+	}
+	start, vars, coefs := a.Start, a.Var, a.Coef
+	for i, rhs := range a.RHS {
+		if !finite(rhs) {
+			return 0, fmt.Errorf("lp: constraint %d has non-finite right-hand side", i)
+		}
+		if a.Sense[i] != EQ {
+			ineqNNZ += int(start[i+1] - start[i])
+		}
+	}
+	// Counting column j at cc[j+1] and then prefix-summing leaves the start
+	// of column j at cc[j]. Filling advances cc[j] to the start of column
+	// j+1, so the starts end up one column to the right.
+	cc := growI32(s.ccStart, n+1)
+	clear(cc)
+	for k, j := range vars {
+		if j < 0 || int(j) >= n {
+			i, _ := slices.BinarySearch(start, int32(k)+1)
+			return 0, fmt.Errorf("lp: constraint %d references variable %d outside [0,%d)", i-1, j, n)
+		}
+		cc[j+1]++
 	}
 	for j := 1; j <= n; j++ {
-		s.ccStart[j] += s.ccStart[j-1]
+		cc[j] += cc[j-1]
 	}
-	if cap(s.ccRow) < nnz {
-		s.ccRow = make([]int32, nnz)
-		s.ccCoef = make([]float64, nnz)
-	}
-	s.ccRow = s.ccRow[:nnz]
-	s.ccCoef = s.ccCoef[:nnz]
-	for i := 0; i < s.mAll; i++ {
-		for _, t := range p.Cons[i].Terms {
-			c := s.ccStart[t.Var]
-			s.ccRow[c] = int32(i)
-			s.ccCoef[c] = t.Coef
-			s.ccStart[t.Var] = c + 1
+	nnz := int(cc[n])
+	ccRow := growI32(s.ccRow, nnz)
+	ccCoef := growF(s.ccCoef, nnz)
+	// Filling in row order lists each column's rows ascending.
+	i := int32(0)
+	for k, j := range vars {
+		for int32(k) >= start[i+1] {
+			i++
 		}
+		cf := coefs[k]
+		if !finite(cf) {
+			return 0, fmt.Errorf("lp: constraint %d has non-finite coefficient on variable %d", i, j)
+		}
+		c := cc[j]
+		ccRow[c] = i
+		ccCoef[c] = cf
+		cc[j] = c + 1
 	}
-	for j := n; j > 0; j-- {
-		s.ccStart[j] = s.ccStart[j-1]
-	}
-	s.ccStart[0] = 0
+	copy(cc[1:], cc[:n])
+	cc[0] = 0
+	s.ccStart, s.ccRow, s.ccCoef = cc, ccRow, ccCoef
+	return ineqNNZ, nil
 }
+
+// finite reports whether x is neither infinite nor NaN.
+func finite(x float64) bool { return x-x == 0 }
 
 // NumVars returns the structural variable count of the loaded problem.
 func (s *Solver) NumVars() int { return s.nStruct }
@@ -399,7 +423,7 @@ func (s *Solver) NumVars() int { return s.nStruct }
 // this so a recycled solver cannot keep a dead caller's constraint storage
 // reachable; the next Load makes the solver usable again.
 func (s *Solver) Detach() {
-	s.prob = nil
+	s.rows = nil
 	s.warm = false
 	s.snap.valid = false
 }
@@ -649,7 +673,7 @@ func (s *Solver) ReSolve(opts Options) Solution {
 			return Solution{
 				Status:    Optimal,
 				X:         x,
-				Objective: s.prob.Objective(x),
+				Objective: s.rows.Objective(x),
 				Feasible:  feas,
 				Iters:     s.iters,
 			}
@@ -735,7 +759,7 @@ func (s *Solver) activateViolated(x []float64) int {
 	count := 0
 	if !s.scanValid {
 		for i := 0; i < s.mAll; i++ {
-			if !s.activeRows[i] && s.rowViolated(i, x) {
+			if !s.activeRows[i] && s.rows.violated(i, x) {
 				s.activateRow(i)
 				count++
 			}
@@ -752,36 +776,21 @@ func (s *Solver) activateViolated(x []float64) int {
 			continue
 		}
 		s.scanX[j] = x[j]
-		for _, ri := range s.varRowsList[s.varRowsStart[j]:s.varRowsStart[j+1]] {
+		// The column lists every row of j; its EQ rows are always active.
+		for _, ri := range s.ccRow[s.ccStart[j]:s.ccStart[j+1]] {
 			i := int(ri)
 			if s.rowMark[i] == round || s.activeRows[i] {
 				s.rowMark[i] = round
 				continue
 			}
 			s.rowMark[i] = round
-			if s.rowViolated(i, x) {
+			if s.rows.violated(i, x) {
 				s.activateRow(i)
 				count++
 			}
 		}
 	}
 	return count
-}
-
-// rowViolated evaluates inequality row i at x against its tolerance.
-//
-//sqpr:hotpath
-func (s *Solver) rowViolated(i int, x []float64) bool {
-	c := &s.prob.Cons[i]
-	lhs := Eval(c.Terms, x)
-	tol := FeasTol * (1 + math.Abs(c.RHS))
-	switch c.Sense {
-	case LE:
-		return lhs > c.RHS+tol
-	case GE:
-		return lhs < c.RHS-tol
-	}
-	return false
 }
 
 // checkFeasibleActive verifies bounds and the *active* rows of the problem
@@ -791,29 +800,15 @@ func (s *Solver) rowViolated(i int, x []float64) bool {
 //
 //sqpr:hotpath
 func (s *Solver) checkFeasibleActive(x []float64) bool {
-	p := s.prob
-	for j := 0; j < p.NumVars; j++ {
-		if x[j] < -FeasTol || x[j] > p.upper(j)+FeasTol {
+	a := s.rows
+	for j, u := range a.Upper {
+		if x[j] < -FeasTol || x[j] > u+FeasTol {
 			return false
 		}
 	}
 	for _, i := range s.slotRow[:s.m] {
-		c := &p.Cons[i]
-		lhs := Eval(c.Terms, x)
-		tol := FeasTol * (1 + math.Abs(c.RHS))
-		switch c.Sense {
-		case LE:
-			if lhs > c.RHS+tol {
-				return false
-			}
-		case GE:
-			if lhs < c.RHS-tol {
-				return false
-			}
-		case EQ:
-			if math.Abs(lhs-c.RHS) > tol {
-				return false
-			}
+		if a.violated(int(i), x) {
+			return false
 		}
 	}
 	return true
@@ -830,11 +825,10 @@ func (s *Solver) checkFeasibleActive(x []float64) bool {
 //
 //sqpr:hotpath
 func (s *Solver) activateRow(i int) {
-	c := &s.prob.Cons[i]
 	col := s.n
 	slot := s.m
 	s.slackCoef[slot] = 1
-	if c.Sense == GE {
+	if s.rows.Sense[i] == GE {
 		s.slackCoef[slot] = -1
 	}
 	// Scrub any stale column state (the slot may have been used before a
@@ -845,14 +839,7 @@ func (s *Solver) activateRow(i int) {
 	s.d[col] = 0
 	s.rowSlot[i] = int32(slot)
 	s.slotRow[slot] = int32(i)
-	rhs := c.RHS
-	for _, tm := range c.Terms {
-		if s.flipped[tm.Var] {
-			// Column tm.Var is in complement orientation x̄ = u − x.
-			rhs -= tm.Coef * s.baseU[tm.Var]
-		}
-	}
-	s.beff[slot] = rhs
+	s.beff[slot] = s.flippedRHS(i)
 	s.basis[slot] = col
 	s.inBasis[col] = true
 	s.rowOf[col] = slot
@@ -861,10 +848,26 @@ func (s *Solver) activateRow(i int) {
 	s.activeRows[i] = true
 	s.nInactive--
 	if s.factorValid {
-		s.border(c, slot, s.slackCoef[slot])
+		s.border(i, slot, s.slackCoef[slot])
 	} else {
 		s.xbValid = false
 	}
+}
+
+// flippedRHS returns row i's right-hand side under the current
+// orientation: minus the contribution of every column held in complement
+// orientation x̄ = u − x.
+//
+//sqpr:hotpath
+func (s *Solver) flippedRHS(i int) float64 {
+	a := s.rows
+	rhs := a.RHS[i]
+	for k := a.Start[i]; k < a.Start[i+1]; k++ {
+		if j := a.Var[k]; s.flipped[j] {
+			rhs -= a.Coef[k] * s.baseU[j]
+		}
+	}
+	return rhs
 }
 
 // extract reconstructs structural variable values in the original

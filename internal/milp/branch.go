@@ -284,13 +284,13 @@ func (m *Model) satisfies(x []float64) bool {
 			return false
 		}
 	}
-	for ri := range m.rows {
-		r := &m.rows[ri]
+	for ri, sense := range m.rowSense {
 		var lhs float64
-		for _, t := range r.terms {
-			lhs += t.Coef * x[t.Var]
+		for k := m.rowStart[ri]; k < m.rowStart[ri+1]; k++ {
+			lhs += m.rowCoef[k] * x[m.rowVar[k]]
 		}
-		if !rowHolds(r.sense, lhs, r.rhs, 1e-6*(1+math.Abs(r.rhs))) {
+		rhs := m.rowRHS[ri]
+		if !rowHolds(sense, lhs, rhs, 1e-6*(1+math.Abs(rhs))) {
 			return false
 		}
 	}
@@ -453,7 +453,7 @@ func (w *worker) ensureLoaded() bool {
 	// rows of which only a handful bind at any node optimum, so the active
 	// tableau stays small.
 	w.slv.SetLazy(true)
-	if err := w.slv.Load(&w.s.c.base); err != nil {
+	if err := w.slv.LoadCSR(&w.s.c.lp); err != nil {
 		w.s.err = err
 		return false
 	}

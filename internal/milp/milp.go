@@ -55,40 +55,54 @@ type varInfo struct {
 	lo, hi float64
 	typ    VarType
 	prio   int8
+	at     int32 // position of the variable's term in the open row, if it has one
 	name   string
 	obj    float64
-}
-
-type rowInfo struct {
-	terms []Term
-	sense Sense
-	rhs   float64
-	name  string
 }
 
 // Model is a mutable MILP under construction. It is not safe for concurrent
 // use (including concurrent Solve calls on the same Model; independent
 // Models may solve concurrently).
+//
+// The rows are stored once, in compressed-sparse-row form: row i is
+// rowSense[i] and rowRHS[i] over the terms rowCoef[k]·x[rowVar[k]] for k in
+// [rowStart[i], rowStart[i+1]). The terms from rowStart's last entry to
+// the end of rowVar are the open row, the one AddTerm is appending to.
 type Model struct {
 	vars     []varInfo
-	rows     []rowInfo
 	maximize bool
+
+	rowStart []int32
+	rowVar   []int32
+	rowCoef  []float64
+	rowSense []Sense
+	rowRHS   []float64
+	rowName  []string
+
+	// stray is the first variable outside the model that the open row
+	// referenced, when hasStray; err names the first row that did.
+	stray    Var
+	hasStray bool
+	err      error
 
 	// scratch is the reusable compilation image; see compile.
 	scratch compiled
 }
 
 // NewModel returns an empty model.
-func NewModel() *Model { return &Model{} }
+func NewModel() *Model { return &Model{rowStart: []int32{0}} }
 
 // Reset empties the model for rebuilding while keeping all backing storage
-// (variable and row slices, per-row term slices, the compiled-image arena),
-// so a long-lived planner can re-emit its model every submission without
+// (the variables, the row matrix, the compiled-image arena), so a
+// long-lived planner can re-emit its model every submission without
 // churning the heap.
 func (m *Model) Reset() {
 	m.vars = m.vars[:0]
-	m.rows = m.rows[:0]
 	m.maximize = false
+	m.rowStart = append(m.rowStart[:0], 0)
+	m.rowVar, m.rowCoef = m.rowVar[:0], m.rowCoef[:0]
+	m.rowSense, m.rowRHS, m.rowName = m.rowSense[:0], m.rowRHS[:0], m.rowName[:0]
+	m.hasStray, m.err = false, nil
 }
 
 // NumVars returns the number of variables added so far.
@@ -149,20 +163,58 @@ func (m *Model) SetObjective(maximize bool, terms ...Term) {
 	}
 }
 
-// AddCons appends a linear constraint. Terms on the same variable are
-// accumulated. After a Reset, rows reuse the term storage of the previous
-// build.
+// AddCons appends the linear constraint Σ terms (sense) rhs: AddTerm for
+// each term, then EndRow.
 func (m *Model) AddCons(name string, sense Sense, rhs float64, terms ...Term) {
-	if len(m.rows) < cap(m.rows) {
-		m.rows = m.rows[:len(m.rows)+1]
-	} else {
-		m.rows = append(m.rows, rowInfo{})
+	for _, t := range terms {
+		m.AddTerm(t.Var, t.Coef)
 	}
-	r := &m.rows[len(m.rows)-1]
-	r.terms = append(r.terms[:0], terms...)
-	r.sense = sense
-	r.rhs = rhs
-	r.name = name
+	m.EndRow(name, sense, rhs)
+}
+
+// AddTerm appends coef·v to the open row, the one the next EndRow closes.
+// A variable the row already holds has coef added to its first
+// appearance. A variable the model lacks fails the next Solve with an
+// error naming the row.
+func (m *Model) AddTerm(v Var, coef float64) {
+	if v < 0 || int(v) >= len(m.vars) {
+		if !m.hasStray {
+			m.stray, m.hasStray = v, true
+		}
+		return
+	}
+	vi := &m.vars[v]
+	if k := vi.at; k >= m.rowStart[len(m.rowStart)-1] && int(k) < len(m.rowVar) && m.rowVar[k] == int32(v) {
+		m.rowCoef[k] += coef
+		return
+	}
+	vi.at = int32(len(m.rowVar))
+	m.rowVar = append(m.rowVar, int32(v))
+	m.rowCoef = append(m.rowCoef, coef)
+}
+
+// EndRow closes the open row as the constraint Σ terms (sense) rhs. Terms
+// whose coefficients summed to zero are dropped; the row stays even when
+// none is left.
+func (m *Model) EndRow(name string, sense Sense, rhs float64) {
+	k := int(m.rowStart[len(m.rowStart)-1])
+	for p := k; p < len(m.rowVar); p++ {
+		if cf := m.rowCoef[p]; cf != 0 {
+			m.rowVar[k], m.rowCoef[k] = m.rowVar[p], cf
+			k++
+		}
+	}
+	m.rowVar, m.rowCoef = m.rowVar[:k], m.rowCoef[:k]
+	m.rowStart = append(m.rowStart, int32(k))
+	m.rowSense = append(m.rowSense, sense)
+	m.rowRHS = append(m.rowRHS, rhs)
+	m.rowName = append(m.rowName, name)
+	if m.hasStray {
+		if m.err == nil {
+			m.err = fmt.Errorf("milp: row %d (%q) references variable %d, outside the model's %d", len(m.rowSense)-1, name, m.stray, len(m.vars))
+		}
+		m.hasStray = false
+	}
 }
 
 // Status reports the outcome of a MILP solve.
@@ -223,10 +275,10 @@ type Result struct {
 	// Cancelled is set when Options.Ctx was cancelled mid-search; callers
 	// should discard any incumbent and keep their previous state.
 	Cancelled bool
-	// Err is set when the model is outside what the solver accepts: a
-	// variable without a finite upper bound (every LP column must be
-	// boxed), or a row the LP rejects. Callers should treat the solve as
-	// failed.
+	// Err is set when the model is outside what the solver accepts: a row
+	// term on a variable the model lacks, a variable without a finite upper
+	// bound (every LP column must be boxed), or a row the LP rejects.
+	// Callers should treat the solve as failed.
 	Err error
 }
 
@@ -274,39 +326,32 @@ const intTol = 1e-6
 
 // compiled is the presolved LP image of the model: fixed variables are
 // substituted out and the remaining ones are shifted so lower bounds are 0.
+// Either way a model variable's offset is its overlay lower bound plo,
+// which is the value of a fixed one.
 // One instance lives on each Model and is rebuilt in place by compile, so
 // repeated Solve calls on a long-lived model reuse all of its storage.
 type compiled struct {
 	m *Model
 
-	active  []int     // model index of each LP variable
-	lpIndex []int     // LP index of each model variable, -1 if fixed
-	shift   []float64 // lower bound subtracted from each model variable
-	fixed   []float64 // value of each fixed model variable (by model index)
+	active  []int   // model index of each LP variable
+	lpIndex []int32 // LP index of each model variable, -1 if fixed
 
-	base   lp.Problem // constraints with substituted/fixed parts folded in
-	objDir float64    // +1 minimise, -1 the model maximises (we negate)
-	objOff float64    // constant objective contribution of fixed variables
+	lp     lp.CSR  // the live rows with fixed variables folded out, over the active ones
+	objDir float64 // +1 minimise, -1 the model maximises (we negate)
+	objOff float64 // constant objective contribution of fixed variables
 
 	// shiftOff is the objective contribution of the lower-bound shifts of
 	// the active variables; together with objOff it converts LP objective
 	// values back to model space: modelObj = objDir·lpObj + objOff + shiftOff.
 	shiftOff float64
 
-	// Row-compilation scratch: coefficient accumulator per model variable
-	// with a round-stamped dirty mark, replacing a per-row map allocation.
-	coefAcc []float64
-	mark    []int
-	touched []int
-	round   int
-
-	// Presolve working image: a bounds overlay plus a flattened, mutable
-	// copy of the model rows (terms accumulated, coefficients possibly
-	// tightened, redundant rows marked skipped). See presolve.go.
+	// Presolve working image: a bounds overlay, mutable copies of the
+	// model's coefficients and right-hand sides (possibly tightened), and
+	// the rows found redundant. The variables and senses are the model's.
+	// See presolve.go.
 	plo, phi []float64
-	pterms   []Term
-	pstart   []int
-	psense   []Sense
+	free     []bool // a binary still exactly {0,1} under the overlay, by model variable
+	pcoef    []float64
 	prhs     []float64
 	pskip    []bool
 	appear   []int32 // live-row appearance count per model variable
@@ -343,13 +388,6 @@ func growFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
 // lpSpace converts a model-direction objective value into the minimisation
 // space of the compiled LP.
 func (c *compiled) lpSpace(modelObj float64) float64 {
@@ -362,13 +400,6 @@ func (c *compiled) modelSpace(lpObj float64) float64 {
 }
 
 var errInfeasible = fmt.Errorf("milp: trivially infeasible after presolve")
-
-func growSenses(s []Sense, n int) []Sense {
-	if cap(s) < n {
-		return make([]Sense, n)
-	}
-	return s[:n]
-}
 
 func growBools(s []bool, n int) []bool {
 	if cap(s) < n {
@@ -391,16 +422,19 @@ func growInt32s(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-// compile builds the LP image into the model's reusable scratch arena in
-// three steps: flatten the model rows into a mutable, term-accumulated row
-// image with a bounds overlay; optionally run the tree-reduction presolve
-// over that image (see presolve.go); then emit the LP with fixed variables
+// compile builds the LP image into the model's reusable scratch arena:
+// copy the coefficients and right-hand sides into the presolve image under
+// a bounds overlay, optionally run the tree-reduction presolve over it (see
+// presolve.go), then emit the live rows as one CSR with fixed variables
 // substituted out and the remaining ones shifted to zero lower bounds.
 // Returns errInfeasible when a row is unsatisfiable over the (possibly
 // tightened) bounds, and an error naming the variable when one has no
 // finite upper bound. witness, when non-nil, is a point feasible for the
 // model that checked builds hold presolve's feasibility reductions to.
 func (m *Model) compile(presolveOn bool, witness []float64) (*compiled, error) {
+	if m.err != nil {
+		return nil, m.err
+	}
 	nv := len(m.vars)
 	c := &m.scratch
 	c.m = m
@@ -415,6 +449,7 @@ func (m *Model) compile(presolveOn bool, witness []float64) (*compiled, error) {
 	// Bounds overlay: presolve tightens these, never the model's bounds.
 	c.plo = growFloats(c.plo, nv)
 	c.phi = growFloats(c.phi, nv)
+	c.free = growBools(c.free, nv)
 	for i := range m.vars {
 		v := &m.vars[i]
 		if math.IsInf(v.hi, 1) {
@@ -424,129 +459,108 @@ func (m *Model) compile(presolveOn bool, witness []float64) (*compiled, error) {
 			return nil, errInfeasible
 		}
 		c.plo[i], c.phi[i] = v.lo, v.hi
+		c.free[i] = v.typ == Binary && v.lo == 0 && v.hi == 1
 	}
-
-	// Row image: accumulated terms, flattened; the accumulator is keyed by
-	// model variable with a round-stamped dirty mark (no per-row map).
-	c.coefAcc = growFloats(c.coefAcc, nv)
-	c.mark = growInts(c.mark, nv)
-	nr := len(m.rows)
-	c.pstart = growInts(c.pstart, nr+1)
-	c.psense = growSenses(c.psense, nr)
-	c.prhs = growFloats(c.prhs, nr)
-	c.pskip = growBools(c.pskip, nr)
-	c.pterms = c.pterms[:0]
-	for ri := range m.rows {
-		r := &m.rows[ri]
-		c.pstart[ri] = len(c.pterms)
-		c.psense[ri] = r.sense
-		c.prhs[ri] = r.rhs
-		c.pskip[ri] = false
-		c.round++
-		c.touched = c.touched[:0]
-		for _, t := range r.terms {
-			mi := int(t.Var)
-			if c.mark[mi] != c.round {
-				c.mark[mi] = c.round
-				c.coefAcc[mi] = 0
-				c.touched = append(c.touched, mi)
-			}
-			c.coefAcc[mi] += t.Coef
-		}
-		for _, mi := range c.touched {
-			if cf := c.coefAcc[mi]; cf != 0 {
-				c.pterms = append(c.pterms, Term{Var: Var(mi), Coef: cf})
-			}
-		}
-	}
-	c.pstart[nr] = len(c.pterms)
+	c.pcoef = append(c.pcoef[:0], m.rowCoef...)
+	c.prhs = append(c.prhs[:0], m.rowRHS...)
+	c.pskip = growBools(c.pskip, len(m.rowSense))
+	clear(c.pskip)
 
 	if presolveOn {
 		if err := c.runPresolve(witness); err != nil {
 			return nil, err
 		}
 	}
+	if err := c.activate(); err != nil {
+		return nil, err
+	}
+	if err := c.emit(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
 
-	// Active set from the overlay bounds.
-	c.lpIndex = growInts(c.lpIndex, nv)
-	c.shift = growFloats(c.shift, nv)
-	c.fixed = growFloats(c.fixed, nv)
+// activate splits the model variables by their overlay bounds into fixed
+// ones and the LP's active columns, shifted to zero lower bounds, and sets
+// the LP's cost and upper bound of each column.
+func (c *compiled) activate() error {
+	m := c.m
+	c.lpIndex = growInt32s(c.lpIndex, len(m.vars))
 	c.active = c.active[:0]
 	for i := range m.vars {
 		v := &m.vars[i]
 		lo, hi := c.plo[i], c.phi[i]
-		c.shift[i] = 0
-		c.fixed[i] = 0
 		if hi < lo-1e-9 {
-			return nil, errInfeasible
+			return errInfeasible
 		}
 		if hi-lo <= 1e-12 {
 			c.lpIndex[i] = -1
-			c.fixed[i] = lo
 			c.objOff += v.obj * lo
 			continue
 		}
-		c.lpIndex[i] = len(c.active)
-		c.shift[i] = lo
+		c.lpIndex[i] = int32(len(c.active))
 		c.shiftOff += v.obj * lo
 		c.active = append(c.active, i)
 	}
 	n := len(c.active)
-	c.base.NumVars = n
-	c.base.Cost = growFloats(c.base.Cost, n)
-	c.base.Upper = growFloats(c.base.Upper, n)
+	c.lp.NumVars = n
+	c.lp.Cost = growFloats(c.lp.Cost, n)
+	c.lp.Upper = growFloats(c.lp.Upper, n)
 	c.prio = growInt8s(c.prio, n)
 	for k, mi := range c.active {
 		v := &m.vars[mi]
-		c.base.Cost[k] = c.objDir * v.obj
-		c.base.Upper[k] = c.phi[mi] - c.plo[mi]
+		c.lp.Cost[k] = c.objDir * v.obj
+		c.lp.Upper[k] = c.phi[mi] - c.plo[mi]
 		c.prio[k] = v.prio
 	}
+	return nil
+}
 
-	// LP rows from the (possibly tightened) row image.
-	c.base.Cons = c.base.Cons[:0]
-	for ri := 0; ri < nr; ri++ {
+// emit writes the live rows of the presolve image into the LP's CSR: every
+// term moves its variable's offset into the right-hand side, a fixed
+// variable's term goes no further, and a row left without terms is checked
+// and not emitted.
+func (c *compiled) emit() error {
+	m := c.m
+	a := &c.lp
+	start, rowVar := m.rowStart, m.rowVar
+	pcoef, plo, lpIndex := c.pcoef, c.plo, c.lpIndex
+	vars := growInt32s(a.Var, len(rowVar))
+	coefs := growFloats(a.Coef, len(rowVar))
+	a.Start = append(a.Start[:0], 0)
+	a.Sense, a.RHS = a.Sense[:0], a.RHS[:0]
+	n := int32(0)
+	for ri, sense := range m.rowSense {
 		if c.pskip[ri] {
 			continue
 		}
 		rhs := c.prhs[ri]
-		// Reuse the previous build's term storage for this constraint slot.
-		if len(c.base.Cons) < cap(c.base.Cons) {
-			c.base.Cons = c.base.Cons[:len(c.base.Cons)+1]
-		} else {
-			c.base.Cons = append(c.base.Cons, lp.Constraint{})
-		}
-		cons := &c.base.Cons[len(c.base.Cons)-1]
-		cons.Terms = cons.Terms[:0]
-		for _, t := range c.pterms[c.pstart[ri]:c.pstart[ri+1]] {
-			mi := int(t.Var)
-			if c.lpIndex[mi] < 0 {
-				rhs -= t.Coef * c.fixed[mi]
-				continue
+		first := n
+		lo, hi := start[ri], start[ri+1]
+		rc := pcoef[lo:hi]
+		for k, mi := range rowVar[lo:hi] {
+			cf := rc[k]
+			// Subtracting a zero offset leaves a nonzero rhs as it is.
+			if l := plo[mi]; l != 0 || rhs == 0 {
+				rhs -= cf * l
 			}
-			rhs -= t.Coef * c.shift[mi]
-			cons.Terms = append(cons.Terms, lp.Term{Var: c.lpIndex[mi], Coef: t.Coef})
-		}
-		if len(cons.Terms) == 0 {
-			c.base.Cons = c.base.Cons[:len(c.base.Cons)-1]
-			ok := true
-			switch c.psense[ri] {
-			case LE:
-				ok = 0 <= rhs+lp.FeasTol
-			case GE:
-				ok = 0 >= rhs-lp.FeasTol
-			case EQ:
-				ok = math.Abs(rhs) <= lp.FeasTol
+			if j := lpIndex[mi]; j >= 0 {
+				vars[n], coefs[n] = j, cf
+				n++
 			}
-			if !ok {
-				return nil, errInfeasible
+		}
+		if n == first {
+			if !rowHolds(sense, 0, rhs, lp.FeasTol) {
+				return errInfeasible
 			}
 			continue
 		}
-		cons.Sense = c.psense[ri]
-		cons.RHS = rhs
+		a.Start = append(a.Start, n)
+		a.Sense = append(a.Sense, sense)
+		a.RHS = append(a.RHS, rhs)
 	}
-	return c, nil
+	a.Var, a.Coef = vars[:n], coefs[:n]
+	return nil
 }
 
 // toModelXInto expands an LP point back to full model-variable space, into
@@ -554,9 +568,9 @@ func (m *Model) compile(presolveOn bool, witness []float64) (*compiled, error) {
 // paths stay allocation-free.
 func (c *compiled) toModelXInto(x, buf []float64) []float64 {
 	buf = growFloats(buf, len(c.m.vars))
-	copy(buf, c.fixed)
+	copy(buf, c.plo)
 	for k, mi := range c.active {
-		buf[mi] = x[k] + c.shift[mi]
+		buf[mi] = x[k] + c.plo[mi]
 	}
 	return buf
 }

@@ -399,3 +399,28 @@ func TestConcurrentIndependentSolves(t *testing.T) {
 		t.Fatalf("concurrent solve failed: %v", e)
 	}
 }
+
+// TestStrayVariableIsAnError: a row term on a variable the model lacks
+// fails Solve with an error naming the row instead of panicking in
+// compile, and Reset clears it.
+func TestStrayVariableIsAnError(t *testing.T) {
+	m := NewModel()
+	a := m.AddBinary("a")
+	m.SetObjective(true, Term{a, 1})
+	m.AddCons("cap", LE, 1, Term{a, 1})
+	m.AddCons("link", LE, 1, Term{a, 1}, Term{Var(7), 1})
+	res := m.Solve(Options{})
+	if res.Err == nil || !strings.Contains(res.Err.Error(), `"link"`) || !strings.Contains(res.Err.Error(), "7") {
+		t.Fatalf("err %v, want one naming row \"link\" and variable 7", res.Err)
+	}
+	if res.Status != NoSolution || res.X != nil || res.Nodes != 0 {
+		t.Fatalf("status %v, x %v, %d nodes after the error", res.Status, res.X, res.Nodes)
+	}
+	m.Reset()
+	a = m.AddBinary("a")
+	m.SetObjective(true, Term{a, 1})
+	m.AddCons("cap", LE, 1, Term{a, 1})
+	if res := m.Solve(Options{}); res.Err != nil || res.Status != OptimalMIP || res.Objective != 1 {
+		t.Fatalf("after Reset: err %v, status %v, objective %v", res.Err, res.Status, res.Objective)
+	}
+}

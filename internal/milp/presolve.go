@@ -1,8 +1,8 @@
 // Presolve: the once-per-Solve reduction pass of the tree-reduction layer.
-// It operates on the compiled row image (a mutable, term-accumulated copy of
-// the model rows plus a bounds overlay) before the LP is emitted, so the
-// model itself is never altered and every Solve starts from the caller's
-// exact formulation.
+// It operates on the compiled row image (the model's row matrix with
+// mutable copies of its coefficients and right-hand sides, plus a bounds
+// overlay) before the LP is emitted, so the model itself is never altered
+// and every Solve starts from the caller's exact formulation.
 //
 // Three families of single-row reductions run to a fixpoint:
 //
@@ -38,47 +38,71 @@ import (
 	"sqpr/internal/invariant"
 )
 
-// rowActivity returns the minimum and maximum of a·x over the overlay
-// bounds of the row's variables.
-func (c *compiled) rowActivity(ri int) (minAct, maxAct float64) {
-	for _, t := range c.pterms[c.pstart[ri]:c.pstart[ri+1]] {
-		mi := int(t.Var)
-		lo, hi := c.plo[mi], c.phi[mi]
-		if t.Coef > 0 {
-			minAct += t.Coef * lo
-			maxAct += t.Coef * hi
+// rowActivity returns the minimum and maximum of the row with the given
+// terms over the overlay bounds of its variables, and the largest |a| on a
+// free binary.
+func (c *compiled) rowActivity(vars []int32, coefs []float64) (minAct, maxAct, big float64) {
+	plo, phi, free := c.plo, c.phi, c.free
+	for k, mi := range vars {
+		a := coefs[k]
+		lo, hi := plo[mi], phi[mi]
+		if a > 0 {
+			minAct += a * lo
+			maxAct += a * hi
 		} else {
-			minAct += t.Coef * hi
-			maxAct += t.Coef * lo
+			minAct += a * hi
+			maxAct += a * lo
+		}
+		if free[mi] && math.Abs(a) > big {
+			big = math.Abs(a)
 		}
 	}
-	return minAct, maxAct
-}
-
-// freeBinary reports whether model variable mi is a binary still free under
-// the overlay bounds (exactly {0,1}).
-func (c *compiled) freeBinary(mi int) bool {
-	return c.m.vars[mi].typ == Binary && c.plo[mi] == 0 && c.phi[mi] == 1
+	return minAct, maxAct, big
 }
 
 // indexVarRows builds the variable→rows index of the row image: the rows
 // of model variable mi are vrows[vstart[mi]:vstart[mi+1]], in row order.
+// Every row of a model holds each of its variables once with a nonzero
+// coefficient, so the count of mi's rows is also where appear starts.
 func (c *compiled) indexVarRows(nv, nr int) {
-	c.vstart = growInt32s(c.vstart, nv+1)
-	clear(c.vstart)
-	for _, t := range c.pterms {
-		c.vstart[t.Var]++
+	start := c.m.rowStart
+	vars := c.m.rowVar[:start[nr]]
+	vstart := growInt32s(c.vstart, nv+1)
+	clear(vstart)
+	for _, mi := range vars {
+		vstart[mi]++
 	}
+	c.appear = append(growInt32s(c.appear, nv)[:0], vstart[:nv]...)
 	// vstart[mi] is the end of mi's rows here; filling backwards moves it
 	// to their start.
 	for mi := 1; mi <= nv; mi++ {
-		c.vstart[mi] += c.vstart[mi-1]
+		vstart[mi] += vstart[mi-1]
 	}
-	c.vrows = growInt32s(c.vrows, len(c.pterms))
+	vrows := growInt32s(c.vrows, len(vars))
 	for ri := nr - 1; ri >= 0; ri-- {
-		for _, t := range c.pterms[c.pstart[ri]:c.pstart[ri+1]] {
-			c.vstart[t.Var]--
-			c.vrows[c.vstart[t.Var]] = int32(ri)
+		for _, mi := range vars[start[ri]:start[ri+1]] {
+			vstart[mi]--
+			vrows[vstart[mi]] = int32(ri)
+		}
+	}
+	c.vstart, c.vrows = vstart, vrows
+}
+
+// zeroed takes a term out of appear when tightening set its coefficient to
+// na = 0.
+func (c *compiled) zeroed(mi int32, na float64) {
+	if na == 0 {
+		c.appear[mi]--
+	}
+}
+
+// drop marks row ri redundant and takes its terms out of appear.
+func (c *compiled) drop(ri int, vars []int32, coefs []float64) {
+	c.pskip[ri] = true
+	c.presolveDropped++
+	for k, mi := range vars {
+		if coefs[k] != 0 {
+			c.appear[mi]--
 		}
 	}
 }
@@ -131,19 +155,7 @@ func (c *compiled) runPresolve(witness []float64) error {
 	// Unconstrained columns: fix at the objective-preferred bound. This
 	// keeps an optimum, not every feasible point, so it comes after the
 	// witness check. appear counts live-row appearances after all row
-	// reductions.
-	c.appear = growInt32s(c.appear, nv)
-	clear(c.appear)
-	for ri := 0; ri < nr; ri++ {
-		if c.pskip[ri] {
-			continue
-		}
-		for _, t := range c.pterms[c.pstart[ri]:c.pstart[ri+1]] {
-			if t.Coef != 0 {
-				c.appear[t.Var]++
-			}
-		}
-	}
+	// reductions: drop and the tightenings to zero kept it up to date.
 	for mi := 0; mi < nv; mi++ {
 		if c.appear[mi] > 0 || c.phi[mi]-c.plo[mi] <= 1e-12 {
 			continue
@@ -160,6 +172,7 @@ func (c *compiled) runPresolve(witness []float64) error {
 		} else {
 			c.phi[mi] = c.plo[mi]
 		}
+		c.free[mi] = false
 		c.presolveFixed++
 	}
 	return nil
@@ -181,16 +194,25 @@ func (c *compiled) mustKeep(x []float64) {
 			continue
 		}
 		var lhs, norm float64
-		for _, t := range c.pterms[c.pstart[ri]:c.pstart[ri+1]] {
-			lhs += t.Coef * x[t.Var]
-			norm += math.Abs(t.Coef)
+		for k := c.m.rowStart[ri]; k < c.m.rowStart[ri+1]; k++ {
+			lhs += c.pcoef[k] * x[c.m.rowVar[k]]
+			norm += math.Abs(c.pcoef[k])
 		}
 		rhs := c.prhs[ri]
-		if !rowHolds(c.psense[ri], lhs, rhs, 1e-6*(1+math.Abs(rhs)+norm)) {
+		if !rowHolds(c.m.rowSense[ri], lhs, rhs, 1e-6*(1+math.Abs(rhs)+norm)) {
 			invariant.Failf("milp: presolved row %s cuts off the warm start (lhs %g, rhs %g)",
-				c.m.rows[ri].name, lhs, rhs)
+				c.m.rowName[ri], lhs, rhs)
 		}
 	}
+}
+
+// settled reports that no fix or tightening of presolveRow can apply to a
+// live row of the given activities, right-hand side and tolerance whose
+// largest free-binary |a| is big. Each of them needs |a| above
+// rhs+tol−minAct or maxAct−rhs+tol, whatever the sense; the margin keeps
+// the answer clear of what rounding could move the row's tests by.
+func settled(minAct, maxAct, rhs, tol, big float64) bool {
+	return big < min(rhs+tol-minAct, maxAct-rhs+tol)-1e-9*(1+math.Abs(minAct)+math.Abs(maxAct)+math.Abs(rhs)+big)
 }
 
 // presolveRow applies the single-row reductions to row ri until none is
@@ -199,11 +221,13 @@ func (c *compiled) mustKeep(x []float64) {
 // presolveFixed, presolveTightened or presolveDropped, and the variables it
 // fixes are appended to c.moved.
 func (c *compiled) presolveRow(ri int) error {
+	lo, hi := c.m.rowStart[ri], c.m.rowStart[ri+1]
+	vars, coefs := c.m.rowVar[lo:hi], c.pcoef[lo:hi]
+	sense := c.m.rowSense[ri]
 	for again := true; again; {
 		again = false
-		sense := c.psense[ri]
 		rhs := c.prhs[ri]
-		minAct, maxAct := c.rowActivity(ri)
+		minAct, maxAct, big := c.rowActivity(vars, coefs)
 		tol := 1e-7 * (1 + math.Abs(rhs))
 
 		// Infeasibility and redundancy over current bounds.
@@ -213,8 +237,7 @@ func (c *compiled) presolveRow(ri int) error {
 				return errInfeasible
 			}
 			if maxAct <= rhs+tol {
-				c.pskip[ri] = true
-				c.presolveDropped++
+				c.drop(ri, vars, coefs)
 				return nil
 			}
 		case GE:
@@ -222,8 +245,7 @@ func (c *compiled) presolveRow(ri int) error {
 				return errInfeasible
 			}
 			if minAct >= rhs-tol {
-				c.pskip[ri] = true
-				c.presolveDropped++
+				c.drop(ri, vars, coefs)
 				return nil
 			}
 		case EQ:
@@ -231,13 +253,13 @@ func (c *compiled) presolveRow(ri int) error {
 				return errInfeasible
 			}
 		}
+		if settled(minAct, maxAct, rhs, tol, big) {
+			return nil
+		}
 
-		terms := c.pterms[c.pstart[ri]:c.pstart[ri+1]]
-		for i := range terms {
-			t := &terms[i]
-			mi := int(t.Var)
-			a := t.Coef
-			if a == 0 || !c.freeBinary(mi) {
+		for k, mi := range vars {
+			a := coefs[k]
+			if a == 0 || !c.free[mi] {
 				continue
 			}
 			// Activity of the row without this variable's extreme contribution.
@@ -283,8 +305,9 @@ func (c *compiled) presolveRow(ri int) error {
 						minAct -= a
 					}
 				}
+				c.free[mi] = false
 				c.presolveFixed++
-				c.moved = append(c.moved, int32(mi))
+				c.moved = append(c.moved, mi)
 				again = true
 				continue
 			}
@@ -296,7 +319,7 @@ func (c *compiled) presolveRow(ri int) error {
 				if a > 0 && !math.IsInf(maxOthers, 1) {
 					// x=0 side vacuous iff maxOthers <= rhs; pull both down.
 					if delta := rhs - maxOthers; delta > tol && delta < a-tol {
-						t.Coef = a - delta
+						coefs[k] = a - delta
 						rhs -= delta
 						c.prhs[ri] = rhs
 						maxAct -= delta // maxAct used x=1: shrink coef and rhs
@@ -306,7 +329,8 @@ func (c *compiled) presolveRow(ri int) error {
 				} else if a < 0 && !math.IsInf(maxOthers, 1) {
 					// x=1 side vacuous iff rhs-a >= maxOthers; raise a toward 0.
 					if na := rhs - maxOthers; na > a+tol && na <= 0 {
-						t.Coef = na
+						coefs[k] = na
+						c.zeroed(mi, na)
 						minAct += na - a // min contribution was a (at x=1)
 						c.presolveTightened++
 						again = true
@@ -316,7 +340,8 @@ func (c *compiled) presolveRow(ri int) error {
 				if a > 0 && !math.IsInf(minOthers, -1) {
 					// x=1 side vacuous iff rhs-a <= minOthers; lower a toward 0.
 					if na := rhs - minOthers; na < a-tol && na >= 0 {
-						t.Coef = na
+						coefs[k] = na
+						c.zeroed(mi, na)
 						maxAct -= a - na // max contribution was a (at x=1)
 						c.presolveTightened++
 						again = true
@@ -324,7 +349,7 @@ func (c *compiled) presolveRow(ri int) error {
 				} else if a < 0 && !math.IsInf(minOthers, -1) {
 					// x=0 side vacuous iff rhs <= minOthers; pull both up.
 					if delta := minOthers - rhs; delta > tol && delta < -a-tol {
-						t.Coef = a + delta
+						coefs[k] = a + delta
 						rhs += delta
 						c.prhs[ri] = rhs
 						minAct += delta // minAct used x=1: both rise together

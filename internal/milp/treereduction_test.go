@@ -180,10 +180,10 @@ func TestPresolveReachesFixpoint(t *testing.T) {
 				continue
 			}
 			if err := c.presolveRow(ri); err != nil {
-				t.Fatalf("seed %d: row %d (%s) infeasible on a second look: %v", seed, ri, m.rows[ri].name, err)
+				t.Fatalf("seed %d: row %d (%s) infeasible on a second look: %v", seed, ri, m.rowName[ri], err)
 			}
 			if now := [3]int{c.presolveFixed, c.presolveTightened, c.presolveDropped}; now != counts {
-				t.Fatalf("seed %d: row %d (%s) still reduces after presolve: (fixed, tightened, dropped) %v → %v", seed, ri, m.rows[ri].name, counts, now)
+				t.Fatalf("seed %d: row %d (%s) still reduces after presolve: (fixed, tightened, dropped) %v → %v", seed, ri, m.rowName[ri], counts, now)
 			}
 		}
 
@@ -214,5 +214,126 @@ func TestPresolveInfeasible(t *testing.T) {
 	}
 	if res.Nodes != 0 {
 		t.Fatalf("explored %d nodes for a presolve-infeasible model", res.Nodes)
+	}
+}
+
+// reducible reports whether presolveRow's term loop would fix or tighten a
+// term of row ri, or prove it infeasible, over the current bounds: the
+// loop's own tests, run without the settled shortcut. The row must have
+// passed presolveRow's infeasibility and redundancy checks.
+func reducible(c *compiled, ri int) bool {
+	lo, hi := c.m.rowStart[ri], c.m.rowStart[ri+1]
+	vars, coefs := c.m.rowVar[lo:hi], c.pcoef[lo:hi]
+	sense, rhs := c.m.rowSense[ri], c.prhs[ri]
+	minAct, maxAct, _ := c.rowActivity(vars, coefs)
+	tol := 1e-7 * (1 + math.Abs(rhs))
+	for k, mi := range vars {
+		a := coefs[k]
+		if a == 0 || !c.free[mi] {
+			continue
+		}
+		minOthers, maxOthers := minAct, maxAct-a
+		if a < 0 {
+			minOthers, maxOthers = minAct-a, maxAct
+		}
+		switch sense {
+		case LE:
+			if minOthers > rhs+tol || minOthers+a > rhs+tol {
+				return true
+			}
+			if d := rhs - maxOthers; a > 0 && d > tol && d < a-tol {
+				return true
+			}
+			if na := rhs - maxOthers; a < 0 && na > a+tol && na <= 0 {
+				return true
+			}
+		case GE:
+			if maxOthers < rhs-tol || maxOthers+a < rhs-tol {
+				return true
+			}
+			if na := rhs - minOthers; a > 0 && na < a-tol && na >= 0 {
+				return true
+			}
+			if d := minOthers - rhs; a < 0 && d > tol && d < -a-tol {
+				return true
+			}
+		case EQ:
+			if minOthers > rhs+tol || maxOthers < rhs-tol || minOthers+a > rhs+tol || maxOthers+a < rhs-tol {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestSettledRowsHaveNoReduction holds presolveRow's shortcut to the tests
+// it skips: on random rows, many with a right-hand side a hair either side
+// of the point where a coefficient starts to reduce, no row that settled
+// calls finished would have had a fix, a tightening or an infeasibility
+// proof in its term loop.
+func TestSettledRowsHaveNoReduction(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	nSettled, nReducible := 0, 0
+	for trial := 0; trial < 20000; trial++ {
+		m := NewModel()
+		var terms []Term
+		for k := 0; k < 1+rng.Intn(5); k++ {
+			var v Var
+			if rng.Intn(4) == 0 {
+				v = m.AddContinuous(0, float64(1+rng.Intn(20)), "y")
+			} else {
+				v = m.AddBinary("b")
+			}
+			a := float64(rng.Intn(9) - 4)
+			if rng.Intn(2) == 0 {
+				a = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(4)))
+			}
+			terms = append(terms, Term{v, a})
+		}
+		sense := Sense(rng.Intn(3))
+		m.AddCons("r", sense, 0, terms...)
+		c, err := m.compile(false, nil)
+		if err != nil || len(m.rowVar) == 0 {
+			continue
+		}
+		vars, coefs := m.rowVar, c.pcoef
+		minAct, maxAct, big := c.rowActivity(vars, coefs)
+		// A right-hand side that puts one of the two slacks near a
+		// coefficient's magnitude, nudged by a relative step down to
+		// rounding, or a plain random one.
+		target := math.Abs(coefs[rng.Intn(len(coefs))]) * (1 + []float64{0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6}[rng.Intn(9)])
+		var rhs float64
+		switch rng.Intn(3) {
+		case 0:
+			rhs = minAct + target
+			rhs -= 1e-7 * (1 + math.Abs(rhs))
+		case 1:
+			rhs = maxAct - target
+			rhs += 1e-7 * (1 + math.Abs(rhs))
+		default:
+			rhs = minAct + (maxAct-minAct)*rng.Float64()
+		}
+		c.prhs[0] = rhs
+		tol := 1e-7 * (1 + math.Abs(rhs))
+		switch {
+		case sense != GE && minAct > rhs+tol, sense != LE && maxAct < rhs-tol:
+			continue // presolveRow proves it infeasible first
+		case sense == LE && maxAct <= rhs+tol, sense == GE && minAct >= rhs-tol:
+			continue // presolveRow drops it first
+		}
+		red := reducible(c, 0)
+		if red {
+			nReducible++
+		}
+		if settled(minAct, maxAct, rhs, tol, big) {
+			nSettled++
+			if red {
+				t.Fatalf("trial %d: %v row %v·%v rhs %.17g settled, yet its term loop reduces it", trial, sense, coefs, vars, rhs)
+			}
+		}
+	}
+	t.Logf("%d settled rows, %d reducible ones", nSettled, nReducible)
+	if nSettled < 1000 || nReducible < 1000 {
+		t.Fatalf("only %d settled and %d reducible rows: the trials miss the shortcut", nSettled, nReducible)
 	}
 }
