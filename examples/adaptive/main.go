@@ -1,8 +1,10 @@
 // Adaptive: demonstrates §IV-B adaptive query planning. After initial
 // placement, the observed cost of an operator drifts far above the cost
-// model's estimate (e.g. a data-rate surge). The planner detects the
-// drifted queries, conceptually removes them, and re-plans them with the
-// corrected costs — migrating operators to hosts that can still carry them.
+// model's estimate (e.g. a data-rate surge). The monitor's measurement goes
+// to the admission service as a cost event: Repair replaces the modelled
+// cost, journals it with the rest of the planner state, and re-plans the
+// queries running the operator — migrating operators to hosts that can
+// still carry them.
 package main
 
 import (
@@ -31,53 +33,34 @@ func main() {
 
 	cfg := sqpr.DefaultPlannerConfig()
 	cfg.SolveTimeout = 300 * time.Millisecond
-	planner := sqpr.NewPlanner(sys, cfg)
+	svc := sqpr.NewService(sqpr.NewPlanner(sys, cfg), sqpr.ServiceConfig{})
+	defer svc.Close()
 
 	ctx := context.Background()
 	for _, q := range w.Queries {
-		if _, err := planner.Submit(ctx, q); err != nil {
+		if _, err := svc.Submit(ctx, q); err != nil {
 			log.Fatal(err)
 		}
 	}
-	fmt.Printf("initially admitted %d/%d queries\n", planner.AdmittedCount(), len(w.Queries))
+	fmt.Printf("initially admitted %d/%d queries\n", svc.AdmittedCount(), len(w.Queries))
+	fmt.Printf("max per-host CPU before drift: %.2f\n", svc.Assignment().ComputeUsage(sys).MaxCPU())
 
-	before := planner.Assignment().ComputeUsage(sys)
-	fmt.Printf("max per-host CPU before drift: %.2f\n", before.MaxCPU())
-
-	// Simulate monitoring feedback: one heavily shared operator now costs
-	// 2.5x its estimate (the resource monitor of Fig. 3 reports this).
-	var drifted sqpr.OperatorID = -1
-	if ops := planner.Assignment().Ops; len(ops) > 0 {
-		drifted = ops[0].Op
-	}
-	if drifted < 0 {
+	// Simulate monitoring feedback: one placed operator now costs 2.5x its
+	// estimate (the resource monitor of Fig. 3 reports this).
+	ops := svc.Assignment().Ops
+	if len(ops) == 0 {
 		log.Fatal("no operators placed")
 	}
-	observed := map[sqpr.OperatorID]float64{
-		drifted: sys.Operators[drifted].Cost * 2.5,
-	}
-	affected := planner.DriftedQueries(observed, 0.2)
-	fmt.Printf("operator %d drifted 2.5x; %d queries affected\n", drifted, len(affected))
-
-	// Update the cost model to the observed value and re-plan the affected
-	// queries (remove + re-add, as §IV-B prescribes).
-	sys.Operators[drifted].Cost = observed[drifted]
-	results, err := planner.Replan(ctx, affected)
+	drifted := ops[0].Op
+	rr, err := svc.Repair(ctx, []sqpr.Event{sqpr.CostDrift(drifted, sys.Operators[drifted].Cost*2.5)})
 	if err != nil {
 		log.Fatal(err)
 	}
-	readmitted := 0
-	for _, r := range results {
-		if r.Admitted {
-			readmitted++
-		}
-	}
-	fmt.Printf("re-planned %d queries, %d re-admitted\n", len(affected), readmitted)
-	fmt.Printf("now admitted %d/%d queries\n", planner.AdmittedCount(), len(w.Queries))
+	fmt.Printf("operator %d drifted 2.5x; %d queries affected, %d re-admitted\n", drifted, len(rr.Affected), len(rr.Kept))
+	fmt.Printf("now admitted %d/%d queries\n", svc.AdmittedCount(), len(w.Queries))
 
-	after := planner.Assignment().ComputeUsage(sys)
-	fmt.Printf("max per-host CPU after replanning: %.2f\n", after.MaxCPU())
-	if err := planner.Assignment().Validate(sys); err != nil {
+	fmt.Printf("max per-host CPU after replanning: %.2f\n", svc.Assignment().ComputeUsage(sys).MaxCPU())
+	if err := svc.Assignment().Validate(sys); err != nil {
 		log.Fatalf("replanned state invalid: %v", err)
 	}
 	fmt.Println("replanned state validated OK")

@@ -107,8 +107,10 @@ func (p *Planner) refund(q dsps.StreamID) {
 // admissions no longer fit, the fewest possible queries (largest charges
 // first) are dropped, which keeps the count an upper bound on any real
 // planner's surviving admissions. Recoveries restore capacity. The bound
-// has no physical placements, so nothing migrates, and drift events are
-// no-ops (the bound's reuse accounting is already maximally optimistic).
+// has no physical placements, so nothing migrates. A cost event changes the
+// system's cost table, which prices later admissions, and leaves the charges
+// of admitted queries as they are; a query-drift event is a no-op (the
+// bound's reuse accounting is already maximally optimistic).
 func (p *Planner) Repair(ctx context.Context, events []plan.Event, opts ...plan.SubmitOption) (plan.RepairResult, error) {
 	ctx = plan.OrBackground(ctx)
 	start := time.Now()

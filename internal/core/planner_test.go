@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -266,21 +267,35 @@ func TestRemoveKeepsSharedSupport(t *testing.T) {
 	}
 }
 
-func TestReplanRestoresQueries(t *testing.T) {
+func TestRepairCostDriftKeepsQuery(t *testing.T) {
 	sys, q := twoHostSystem(t)
 	p := NewPlanner(sys, testConfig())
 	if _, err := p.Submit(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
-	results, err := p.Replan(context.Background(), []dsps.StreamID{q})
+	op := sys.Streams[q].Producer
+	// 9 still fits a 10-CPU host: the query is re-planned and kept, and the
+	// new cost is in the system and in the exported state.
+	rr, err := p.Repair(context.Background(), []plan.Event{plan.CostDrift(op, 9)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 1 || !results[0].Admitted {
-		t.Fatalf("replan results: %+v", results)
+	if !slices.Equal(rr.Kept, []dsps.StreamID{q}) || !p.Admitted(q) {
+		t.Fatalf("repair %+v lost the query", rr)
 	}
-	if !p.Admitted(q) {
-		t.Fatal("query lost after replan")
+	if got := p.ExportState().Costs; sys.Operators[op].Cost != 9 || !slices.Equal(got, []plan.OpCost{{Op: op, Cost: 9}}) {
+		t.Fatalf("cost %v, exported %v; want 9", sys.Operators[op].Cost, got)
+	}
+	// 11 fits no host: the query is dropped, not left on an overloaded one.
+	rr, err = p.Repair(context.Background(), []plan.Event{plan.CostDrift(op, 11)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(rr.Dropped, []dsps.StreamID{q}) || p.Admitted(q) {
+		t.Fatalf("repair %+v kept a query no host can run", rr)
+	}
+	if err := p.Assignment().Validate(sys); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -317,15 +332,15 @@ func TestDriftedQueries(t *testing.T) {
 	if _, err := p.Submit(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
-	op := sys.Operators[0]
-	// Within threshold: no drift.
-	got := p.DriftedQueries(map[dsps.OperatorID]float64{op.ID: op.Cost * 1.05}, 0.2)
-	if len(got) != 0 {
+	drifted := func(events ...plan.Event) []dsps.StreamID {
+		return plan.DriftedQueries(sys, p.Assignment(), plan.DriftedOps(sys, events))
+	}
+	// Only a cost event names an operator.
+	if got := drifted(plan.DriftQuery(q), plan.FailHost(1)); len(got) != 0 {
 		t.Fatalf("unexpected drift: %v", got)
 	}
-	// Exceeds threshold: the query using the operator drifts.
-	got = p.DriftedQueries(map[dsps.OperatorID]float64{op.ID: op.Cost * 2}, 0.2)
-	if len(got) != 1 || got[0] != q {
+	// The query running the operator drifts, whatever the new cost.
+	if got := drifted(plan.CostDrift(sys.Streams[q].Producer, 0)); !slices.Equal(got, []dsps.StreamID{q}) {
 		t.Fatalf("drift detection failed: %v", got)
 	}
 }

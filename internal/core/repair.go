@@ -11,13 +11,13 @@ import (
 )
 
 // Repair is the SQPR planner's churn-repair operation (plan.QueryPlanner).
-// It applies the event set's host-state transitions, strips every
-// allocation a failure invalidated, and re-plans exactly the affected
-// queries with a *delta MILP*: all placements unaffected by the events stay
-// pinned (the free set is the closures of the affected queries only — no
-// sharing-merge), and the objective pays a migration cost for moving a
-// surviving operator off its incumbent host, so repair plans reuse the
-// running system instead of rebuilding it (§IV of the paper, applied to
+// It applies the event set's host-state transitions and cost changes,
+// strips every allocation a failure invalidated, and re-plans exactly the
+// affected queries with a *delta MILP*: all placements unaffected by the
+// events stay pinned (the free set is the closures of the affected queries
+// only — no sharing-merge), and the objective pays a migration cost for
+// moving a surviving operator off its incumbent host, so repair plans reuse
+// the running system instead of rebuilding it (§IV of the paper, applied to
 // churn). The solve reuses the warm-start machinery of Submit: the stripped
 // incumbent plus a greedy re-admission seeds the branch and bound, and the
 // stateful LP solver resolves from its persistent basis.
@@ -41,16 +41,10 @@ func (p *Planner) Repair(ctx context.Context, events []plan.Event, opts ...plan.
 	// admission is at stake. Soft-affected queries merely touch a draining
 	// host: they stay admitted (constraint (IV.9)) while their placements
 	// are freed so the solver can evacuate them.
-	hard := p.Assignment().AffectedQueries(p.sys, func(h dsps.HostID) bool { return !p.sys.HostUsable(h) })
-	hard = append(hard, plan.DriftedEventQueries(events, hard, p.Admitted)...)
-	slices.Sort(hard)
-	affected := p.Assignment().AffectedQueries(p.sys, func(h dsps.HostID) bool { return !p.sys.HostPlaceable(h) })
-	for _, q := range hard {
-		if !slices.Contains(affected, q) {
-			affected = append(affected, q)
-		}
-	}
+	hard := plan.Invalidated(p.sys, p, events)
+	affected := append(p.Assignment().AffectedQueries(p.sys, func(h dsps.HostID) bool { return !p.sys.HostPlaceable(h) }), hard...)
 	slices.Sort(affected)
+	affected = slices.Compact(affected)
 	rr.Affected = affected
 
 	if len(affected) == 0 {
@@ -71,12 +65,18 @@ func (p *Planner) Repair(ctx context.Context, events []plan.Event, opts ...plan.
 	// rebuilding it from scratch; the final garbage collection below
 	// removes whatever the re-plan leaves unused. Until then every
 	// allocation is staged, not committed: it holds support no provide
-	// rests on.
+	// rests on. A drifted operator's placements go too: at its new cost
+	// its host may be over budget, which no pinned solve could repair.
+	// Only the demoted queries ran them.
+	drifted := plan.DriftedOps(p.sys, events)
 	stripped := before.Clone()
 	for _, q := range hard {
 		stripped.DeleteProvide(q)
 	}
 	stripped.StripFailed(p.sys)
+	if drifted != nil {
+		stripped.DeleteOpsFunc(func(pl dsps.Placement) bool { return drifted[pl.Op] })
+	}
 	stripped.PruneAcausal(p.sys)
 	p.Stage(stripped, hard...)
 
@@ -89,12 +89,13 @@ func (p *Planner) Repair(ctx context.Context, events []plan.Event, opts ...plan.
 	deadline := plan.Deadline(ctx, start, total)
 	p.beginCall(cfg)
 
-	// Drifted queries' operators get no stay bonus: their costs changed,
-	// so re-placing them is the point of the repair. Only drift events
-	// that actually demoted an admitted query count — the set is
-	// intersected with each chunk's free operators, so a drift repair
-	// never slows the fast path of an unrelated failure chunk.
+	// Drifted operators get no stay bonus: their costs changed, so
+	// re-placing them is the point of the repair. Nor do the operators of a
+	// drifted query that was admitted. The set is intersected with each
+	// chunk's free operators, so a drift repair never slows the fast path of
+	// an unrelated failure chunk.
 	noBonus := make([]bool, len(p.sys.Operators)) // by OperatorID
+	copy(noBonus, drifted)
 	for _, ev := range events {
 		if _, isHard := slices.BinarySearch(hard, ev.Query); ev.Kind != plan.QueryDrifted || !isHard {
 			continue

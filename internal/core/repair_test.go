@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"sqpr/internal/dsps"
@@ -202,19 +203,25 @@ func TestRepairDriftReplans(t *testing.T) {
 	p := NewPlanner(sys, testConfig())
 	submitAll(t, p, qs)
 
-	// Inflate the cost model of qs[0]'s operator and repair the drift: the
-	// query must stay admitted on a valid plan under the new costs.
-	for i := range sys.Operators {
-		if sys.Operators[i].Output == qs[0] {
-			sys.Operators[i].Cost *= 3
+	// The monitor measures qs[0]'s operators at three times their modelled
+	// cost: the query must stay admitted on a valid plan under the new costs.
+	var events []plan.Event
+	for _, op := range sys.Operators {
+		if op.Output == qs[0] {
+			events = append(events, plan.CostDrift(op.ID, 3*op.Cost))
 		}
 	}
-	rr, err := p.Repair(context.Background(), []plan.Event{plan.DriftQuery(qs[0])})
+	rr, err := p.Repair(context.Background(), events)
 	if err != nil {
-		t.Fatalf("Repair(drift): %v", err)
+		t.Fatalf("Repair(cost): %v", err)
 	}
-	if len(rr.Affected) == 0 {
-		t.Fatalf("drift event affected nothing: %+v", rr)
+	for _, ev := range events {
+		if got := sys.Operators[ev.Op].Cost; got != ev.Cost {
+			t.Errorf("operator %d costs %v after the repair, want %v", ev.Op, got, ev.Cost)
+		}
+	}
+	if !slices.Contains(rr.Affected, qs[0]) {
+		t.Fatalf("cost event did not affect the query running the operator: %+v", rr)
 	}
 	if !p.Admitted(qs[0]) {
 		t.Fatal("drifted query lost its admission despite fitting capacity")

@@ -127,6 +127,10 @@ type System struct {
 	// consumersOf[s] lists every operator with s among its inputs, once
 	// each: the forward edges the scoped passes walk.
 	consumersOf [][]OperatorID
+
+	// builtCost[o] is operator o's cost as the system was built, recorded
+	// by SetCost before it first changes o's cost.
+	builtCost []float64
 }
 
 // NewSystem creates a system with the given hosts, all pairwise link
@@ -232,6 +236,19 @@ func (sys *System) ProducersOf(s StreamID) []OperatorID {
 
 // SetRequested marks stream s as a requested query result (δ_s = 1).
 func (sys *System) SetRequested(s StreamID, v bool) { sys.Streams[s].Requested = v }
+
+// SetCost sets operator o's cost γ_o to c, the cost a resource monitor
+// measured (§IV-B). It records the costs the system was built with first.
+func (sys *System) SetCost(o OperatorID, c float64) {
+	for i := len(sys.builtCost); i < len(sys.Operators); i++ {
+		sys.builtCost = append(sys.builtCost, sys.Operators[i].Cost)
+	}
+	sys.Operators[o].Cost = c
+}
+
+// BuiltCosts returns the operator costs the system was built with, by
+// OperatorID; nil while SetCost has changed none. Do not mutate.
+func (sys *System) BuiltCosts() []float64 { return sys.builtCost }
 
 // NumHosts returns |H|.
 func (sys *System) NumHosts() int { return len(sys.Hosts) }

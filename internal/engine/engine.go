@@ -164,7 +164,9 @@ func (e *Engine) HostStates() []dsps.HostState {
 // happens-before edge with the planner's state, so reading it would race,
 // and in the worst case (a ctx that expired just as the dispatcher picked
 // the repair up) the engine merely lags in the benign direction — hosts the
-// planner stopped using keep running until the caller retries.
+// planner stopped using keep running until the caller retries. An event set
+// the planner refused (plan.ErrInvalidEvent), such as one naming a host
+// outside the system, changed nothing, so the engine is left as it is too.
 //
 // Pass a plan.Service as the planner and the call is safe from any
 // goroutine — monitors and operators can report failures concurrently while
@@ -176,17 +178,10 @@ func (e *Engine) HostStates() []dsps.HostState {
 func (e *Engine) ApplyChurn(ctx context.Context, p plan.QueryPlanner, events []plan.Event, opts ...plan.SubmitOption) (plan.RepairResult, error) {
 	e.churnMu.Lock()
 	defer e.churnMu.Unlock()
-	for _, ev := range events {
-		switch ev.Kind {
-		case plan.HostFailed, plan.HostRecovered:
-			if int(ev.Host) < 0 || int(ev.Host) >= e.sys.NumHosts() {
-				return plan.RepairResult{}, fmt.Errorf("engine: churn event %v: host %d out of range", ev.Kind, ev.Host)
-			}
-		}
-	}
 	rr, err := p.Repair(ctx, events, opts...)
 	if err != nil && (errors.Is(err, plan.ErrQueueFull) || errors.Is(err, plan.ErrServiceClosed) ||
-		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
+		errors.Is(err, plan.ErrInvalidEvent)) {
 		return rr, err
 	}
 	for _, ev := range events {

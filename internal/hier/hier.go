@@ -22,8 +22,7 @@ import (
 // Planner is one SQPR planner with site-level query routing in front of
 // its Submit and Repair; state, bookkeeping and Remove are the embedded
 // planner's own (so its Stats count every retried site as a planning
-// call), and so are Replan and DriftedQueries: a replan re-submits through
-// the embedded planner, over all sites. It implements plan.QueryPlanner.
+// call). It implements plan.QueryPlanner.
 type Planner struct {
 	*core.Planner
 	sys   *dsps.System

@@ -138,7 +138,7 @@ func (f *durableFake) ImportState(s plan.State) error {
 	if err := plan.CheckState(f.sys, s); err != nil {
 		return err
 	}
-	plan.ApplyHostStates(f.sys, s.Hosts)
+	plan.ApplySystemState(f.sys, s)
 	f.state = s.Assignment.Clone()
 	f.admitted = make(map[dsps.StreamID]bool, len(s.Admitted))
 	for _, q := range s.Admitted {

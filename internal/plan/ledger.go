@@ -167,23 +167,24 @@ func (l *Ledger) mustBeCollected(after string) {
 }
 
 // ExportState snapshots the durable state (see StatePorter): allocation,
-// admitted set and host availability. Everything else a planner holds is
-// derived and rebuilds after an import.
+// admitted set, host availability and changed operator costs. Everything
+// else a planner holds is derived and rebuilds after an import.
 func (l *Ledger) ExportState() State { return ExportedState(l.sys, l.state, l.admitted) }
 
 // ImportState replaces the state with s (see StatePorter).
 func (l *Ledger) ImportState(s State) error { return l.ImportStateIf(s, nil) }
 
 // ImportStateIf is ImportState with a planner's own acceptance test, run on
-// the incoming allocation under the incoming host states before anything
-// else is replaced. The accepted allocation is collected: a state this
-// package exported already is, so for a journal it wrote this changes
-// nothing, and for any other it establishes the ledger's invariant.
+// the incoming allocation under the incoming host states and operator
+// costs before anything else is replaced. The accepted allocation is
+// collected: a state this package exported already is, so for a journal it
+// wrote this changes nothing, and for any other it establishes the
+// ledger's invariant.
 func (l *Ledger) ImportStateIf(s State, accept func(next *dsps.Assignment) error) error {
 	if err := CheckState(l.sys, s); err != nil {
 		return fmt.Errorf("%s: %w", l.name, err)
 	}
-	ApplyHostStates(l.sys, s.Hosts)
+	ApplySystemState(l.sys, s)
 	next := s.Assignment.Clone()
 	if accept != nil {
 		if err := accept(next); err != nil {

@@ -2,7 +2,9 @@ package plan
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -28,6 +30,10 @@ const (
 	// QueryDrifted: the query's observed resource consumption diverged from
 	// the plan (§IV-B); its placement should be re-optimised.
 	QueryDrifted
+	// CostDrifted: an operator's measured cost diverged from the cost model
+	// (§IV-B). The new cost replaces the old one, and every admitted query
+	// running the operator is re-planned under it.
+	CostDrifted
 )
 
 // String returns a readable name for the kind.
@@ -41,16 +47,20 @@ func (k EventKind) String() string {
 		return "host-drained"
 	case QueryDrifted:
 		return "query-drifted"
+	case CostDrifted:
+		return "cost-drifted"
 	}
 	return fmt.Sprintf("EventKind(%d)", int8(k))
 }
 
 // Event is one churn event. Host events carry Host; QueryDrifted carries
-// Query.
+// Query; CostDrifted carries Op and its new Cost.
 type Event struct {
 	Kind  EventKind
 	Host  dsps.HostID
 	Query dsps.StreamID
+	Op    dsps.OperatorID
+	Cost  float64
 }
 
 // FailHost returns a host-failure event.
@@ -64,6 +74,16 @@ func DrainHost(h dsps.HostID) Event { return Event{Kind: HostDrained, Host: h} }
 
 // DriftQuery returns a query-drift event.
 func DriftQuery(q dsps.StreamID) Event { return Event{Kind: QueryDrifted, Query: q} }
+
+// CostDrift returns the event of operator op measured at cost observed.
+func CostDrift(op dsps.OperatorID, observed float64) Event {
+	return Event{Kind: CostDrifted, Op: op, Cost: observed}
+}
+
+// ErrInvalidEvent reports an event that names a host, stream or operator
+// outside the system, carries a cost that is not a finite non-negative
+// number, or is of no known kind.
+var ErrInvalidEvent = errors.New("invalid event")
 
 // RepairResult reports the outcome of one Repair call. The embedded Result
 // carries the solver telemetry of the delta solve (or the cumulative effort
@@ -83,21 +103,27 @@ type RepairResult struct {
 	Migrated int
 }
 
-// ApplyEvents applies the host-state transitions of the event set to the
-// system, validating IDs first so malformed events cannot corrupt state.
+// ApplyEvents applies the host-state transitions and cost changes of the
+// event set to the system. It checks every event first and applies nothing
+// if one is invalid (ErrInvalidEvent), so malformed events cannot corrupt
+// state.
 func ApplyEvents(sys *dsps.System, events []Event) error {
 	for _, ev := range events {
+		var err error
 		switch ev.Kind {
 		case HostFailed, HostRecovered, HostDrained:
 			if int(ev.Host) < 0 || int(ev.Host) >= sys.NumHosts() {
-				return fmt.Errorf("plan: event %v: host %d out of range", ev.Kind, ev.Host)
+				err = fmt.Errorf("host %d out of range", ev.Host)
 			}
 		case QueryDrifted:
-			if err := CheckStream(sys, ev.Query); err != nil {
-				return fmt.Errorf("plan: event %v: %w", ev.Kind, err)
-			}
+			err = CheckStream(sys, ev.Query)
+		case CostDrifted:
+			err = checkCost(sys, OpCost{Op: ev.Op, Cost: ev.Cost})
 		default:
-			return fmt.Errorf("plan: unknown event kind %d", int8(ev.Kind))
+			err = fmt.Errorf("unknown kind")
+		}
+		if err != nil {
+			return fmt.Errorf("plan: event %v: %w: %w", ev.Kind, ErrInvalidEvent, err)
 		}
 	}
 	for _, ev := range events {
@@ -108,32 +134,81 @@ func ApplyEvents(sys *dsps.System, events []Event) error {
 			sys.SetHostState(ev.Host, dsps.HostUp)
 		case HostDrained:
 			sys.SetHostState(ev.Host, dsps.HostDraining)
+		case CostDrifted:
+			sys.SetCost(ev.Op, ev.Cost)
 		}
 	}
 	return nil
 }
 
-// DriftedEventQueries extracts the QueryDrifted targets that are currently
-// admitted, deduplicated against the already-collected affected set.
-func DriftedEventQueries(events []Event, affected []dsps.StreamID, admitted func(dsps.StreamID) bool) []dsps.StreamID {
-	have := make(map[dsps.StreamID]bool, len(affected))
-	for _, q := range affected {
-		have[q] = true
+// checkCost rejects an operator outside sys — any negative one when sys is
+// nil — and a cost that is NaN, infinite or negative.
+func checkCost(sys *dsps.System, c OpCost) error {
+	switch {
+	case c.Op < 0 || sys != nil && int(c.Op) >= len(sys.Operators):
+		return fmt.Errorf("operator %d out of range", c.Op)
+	case !(c.Cost >= 0) || math.IsInf(c.Cost, 1):
+		return fmt.Errorf("operator %d: cost %v is not a finite non-negative number", c.Op, c.Cost)
 	}
-	var extra []dsps.StreamID
+	return nil
+}
+
+// Invalidated returns, ascending, the admitted queries of p whose plans the
+// (applied) events invalidate: those with support on a down host, the
+// targets of QueryDrifted events, and those running an operator whose cost
+// a CostDrifted event changed.
+func Invalidated(sys *dsps.System, p QueryPlanner, events []Event) []dsps.StreamID {
+	a := p.Assignment()
+	out := a.AffectedQueries(sys, func(h dsps.HostID) bool { return !sys.HostUsable(h) })
 	for _, ev := range events {
-		if ev.Kind == QueryDrifted && !have[ev.Query] && admitted(ev.Query) {
-			have[ev.Query] = true
-			extra = append(extra, ev.Query)
+		if ev.Kind == QueryDrifted && p.Admitted(ev.Query) {
+			out = append(out, ev.Query)
 		}
 	}
-	return extra
+	out = append(out, DriftedQueries(sys, a, DriftedOps(sys, events))...)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// DriftedOps marks, by OperatorID, the operators CostDrifted events name;
+// it is nil when no event does.
+func DriftedOps(sys *dsps.System, events []Event) []bool {
+	var drifted []bool
+	for _, ev := range events {
+		if ev.Kind == CostDrifted {
+			if drifted == nil {
+				drifted = make([]bool, len(sys.Operators))
+			}
+			drifted[ev.Op] = true
+		}
+	}
+	return drifted
+}
+
+// DriftedQueries returns, ascending, the queries a provides whose support
+// runs a drifted operator (see DriftedOps): the plans priced with a cost
+// that no longer holds (§IV-B).
+func DriftedQueries(sys *dsps.System, a *dsps.Assignment, drifted []bool) []dsps.StreamID {
+	if drifted == nil {
+		return nil
+	}
+	var out []dsps.StreamID
+	seen := dsps.GetStamps(sys)
+	defer seen.Release()
+	stable := func(pl dsps.Placement) bool { return !drifted[pl.Op] }
+	for _, pr := range a.Provides {
+		seen.Next()
+		if !a.WalkSupport(sys, pr.Host, pr.Stream, seen, stable, nil) {
+			out = append(out, pr.Stream)
+		}
+	}
+	return out
 }
 
 // RepairByResubmit is the fallback Repair shared by planners without a
-// delta solver: apply the events, remove every query invalidated by a host
-// failure (or flagged as drifted), and resubmit each one through the
-// planner's own Submit, which re-places it on the surviving hosts. It is
+// delta solver: apply the events, remove every query they invalidate (see
+// Invalidated), and resubmit each one through the planner's own Submit,
+// which re-places it on the surviving hosts under the current costs. It is
 // correct — the resulting state never references down hosts and every
 // affected query is either re-admitted or reported dropped — but migrates
 // freely: resubmission forgets where the surviving operators ran. Draining
@@ -148,11 +223,7 @@ func RepairByResubmit(ctx context.Context, sys *dsps.System, p QueryPlanner, eve
 	}
 	before := p.Assignment().Clone()
 
-	rr.Affected = p.Assignment().AffectedQueries(sys, func(h dsps.HostID) bool {
-		return !sys.HostUsable(h)
-	})
-	rr.Affected = append(rr.Affected, DriftedEventQueries(events, rr.Affected, p.Admitted)...)
-	slices.Sort(rr.Affected)
+	rr.Affected = Invalidated(sys, p, events)
 	if len(rr.Affected) == 0 {
 		rr.Admitted = true
 		rr.PlanTime = time.Since(start)
@@ -167,10 +238,6 @@ func RepairByResubmit(ctx context.Context, sys *dsps.System, p QueryPlanner, eve
 			}
 		}
 	}
-	// Removal garbage-collects all invalidated support; strip any stray
-	// down-host pieces defensively so resubmission starts from a clean,
-	// feasible state even if the planner left orphans behind.
-	p.Assignment().StripFailed(sys)
 
 	rr.Admitted = true
 	for i, q := range rr.Affected {

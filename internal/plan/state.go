@@ -5,15 +5,17 @@ import (
 	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"sqpr/internal/dsps"
 )
 
 // State is the complete durable state of a planner: the allocation, the
-// admitted query set, the host availability states, and an optional
-// planner-private extension. It is what the write-ahead log snapshots and
-// what recovery rebuilds — re-importing an exported State must reproduce
-// the planner exactly, without re-running any solve.
+// admitted query set, the host availability states, the operator costs
+// that drifted from the cost model, and an optional planner-private
+// extension. It is what the write-ahead log snapshots and what recovery
+// rebuilds — re-importing an exported State must reproduce the planner
+// exactly, without re-running any solve.
 //
 // Marshalling is deterministic (sorted slices throughout), so two planners
 // in the same state produce byte-identical JSON; tests and the recovery
@@ -25,6 +27,9 @@ type State struct {
 	Admitted []dsps.StreamID `json:"admitted"`
 	// Hosts is the availability state per host, indexed by HostID.
 	Hosts []dsps.HostState `json:"hosts"`
+	// Costs lists, by ascending operator, every operator whose cost differs
+	// from the one its system was built with (CostDrifted events).
+	Costs []OpCost `json:"costs,omitempty"`
 	// Aux carries planner-private state (e.g. the optimistic bound's cost
 	// ledger) as deterministic JSON; nil for planners without any.
 	Aux json.RawMessage `json:"aux,omitempty"`
@@ -37,16 +42,19 @@ type StatePorter interface {
 	// ExportState returns a deep snapshot of the planner's current state.
 	ExportState() State
 	// ImportState replaces the planner's state with s, including the host
-	// availability states of its system. Counters (Stats) are not part of
-	// the durable state and are left untouched.
+	// availability states and operator costs of its system. Counters
+	// (Stats) are not part of the durable state and are left untouched.
 	ImportState(s State) error
 }
 
 // Clone deep-copies the state.
 func (s State) Clone() State {
 	c := State{
-		Admitted: append([]dsps.StreamID(nil), s.Admitted...),
-		Hosts:    append([]dsps.HostState(nil), s.Hosts...),
+		// slices.Clone keeps an empty list empty, not nil: [] and null
+		// are different states to Equal.
+		Admitted: slices.Clone(s.Admitted),
+		Hosts:    slices.Clone(s.Hosts),
+		Costs:    slices.Clone(s.Costs),
 	}
 	if s.Assignment != nil {
 		c.Assignment = s.Assignment.Clone()
@@ -68,7 +76,8 @@ func (s State) Equal(o State) bool {
 }
 
 // ExportedState assembles a State from the fields every planner keeps:
-// its assignment, admitted set (ascending, without repeats) and system.
+// its assignment, admitted set (ascending, without repeats) and system,
+// whose host states and changed operator costs it records.
 // Planner-private extras go in Aux afterwards.
 func ExportedState(sys *dsps.System, a *dsps.Assignment, admitted []dsps.StreamID) State {
 	s := State{
@@ -79,6 +88,11 @@ func ExportedState(sys *dsps.System, a *dsps.Assignment, admitted []dsps.StreamI
 	}
 	for h := range sys.Hosts {
 		s.Hosts[h] = sys.Hosts[h].State
+	}
+	for o, built := range sys.BuiltCosts() {
+		if c := sys.Operators[o].Cost; c != built {
+			s.Costs = append(s.Costs, OpCost{Op: dsps.OperatorID(o), Cost: c})
+		}
 	}
 	return s
 }
@@ -101,15 +115,39 @@ func CheckState(sys *dsps.System, s State) error {
 			return err
 		}
 	}
+	for i, c := range s.Costs {
+		if err := checkCost(sys, c); err != nil {
+			return fmt.Errorf("plan: state: %w", err)
+		}
+		if i > 0 && s.Costs[i-1].Op >= c.Op {
+			return fmt.Errorf("plan: state costs out of order at operator %d", c.Op)
+		}
+	}
 	return nil
 }
 
-// ApplyHostStates transitions every host of sys to the recorded state.
-func ApplyHostStates(sys *dsps.System, states []dsps.HostState) {
-	for h, st := range states {
+// ApplySystemState transitions every host of sys to its recorded state and
+// sets every operator to its recorded cost, or to the one the system was
+// built with when s records none.
+func ApplySystemState(sys *dsps.System, s State) {
+	for h, st := range s.Hosts {
 		sys.SetHostState(dsps.HostID(h), st)
 	}
+	for o, built := range sys.BuiltCosts() {
+		sys.SetCost(dsps.OperatorID(o), built)
+	}
+	for _, c := range s.Costs {
+		sys.SetCost(c.Op, c.Cost)
+	}
 }
+
+// OpCost is the cost of one operator in a State or a Delta.
+type OpCost struct {
+	Op   dsps.OperatorID `json:"op"`
+	Cost float64         `json:"cost"`
+}
+
+func compareOpCosts(a, b OpCost) int { return cmp.Compare(a.Op, b.Op) }
 
 // HostChange records one host availability transition in a Delta.
 type HostChange struct {
@@ -131,6 +169,10 @@ type Delta struct {
 	OpAdd      []dsps.Placement `json:"op_add,omitempty"`
 	OpDel      []dsps.Placement `json:"op_del,omitempty"`
 	Hosts      []HostChange     `json:"hosts,omitempty"`
+	// CostSet records new operator costs; CostDel the operators back at the
+	// cost their system was built with.
+	CostSet []OpCost          `json:"cost_set,omitempty"`
+	CostDel []dsps.OperatorID `json:"cost_del,omitempty"`
 	// Aux replaces the planner-private state wholesale when AuxSet is true
 	// (private state has no generic sub-structure to diff).
 	Aux    json.RawMessage `json:"aux,omitempty"`
@@ -143,7 +185,7 @@ func (d Delta) IsEmpty() bool {
 		len(d.ProvideSet) == 0 && len(d.ProvideDel) == 0 &&
 		len(d.FlowAdd) == 0 && len(d.FlowDel) == 0 &&
 		len(d.OpAdd) == 0 && len(d.OpDel) == 0 &&
-		len(d.Hosts) == 0 && !d.AuxSet
+		len(d.Hosts) == 0 && len(d.CostSet) == 0 && len(d.CostDel) == 0 && !d.AuxSet
 }
 
 // Diff computes the delta that transforms before into after. Every list
@@ -167,6 +209,12 @@ func Diff(before, after State) Delta {
 		}
 	}
 
+	var costDel []OpCost
+	d.CostSet, costDel = dsps.DiffSorted(before.Costs, after.Costs, compareOpCosts)
+	for _, c := range costDel {
+		d.CostDel = append(d.CostDel, c.Op)
+	}
+
 	if !bytes.Equal(before.Aux, after.Aux) {
 		d.Aux = append(json.RawMessage(nil), after.Aux...)
 		d.AuxSet = true
@@ -180,7 +228,9 @@ func Diff(before, after State) Delta {
 // counterpart; a delta read off a damaged journal may hold unsorted or
 // repeated entries and still leaves s sorted. A host change may name a
 // recorded host or extend the list by one (Diff emits new hosts in order);
-// any other host is an error, and s is then left partly applied.
+// any other host is an error, and so is a cost set on a negative operator
+// or to a value that is not a finite non-negative number; s is then left
+// partly applied.
 func (s *State) Apply(d Delta) error {
 	if s.Assignment == nil {
 		s.Assignment = dsps.NewAssignment()
@@ -199,6 +249,16 @@ func (s *State) Apply(d Delta) error {
 			s.Hosts[hc.Host] = hc.State
 		}
 	}
+	for _, c := range d.CostSet {
+		if err := checkCost(nil, c); err != nil {
+			return fmt.Errorf("plan: delta: %w", err)
+		}
+	}
+	costDel := make([]OpCost, len(d.CostDel))
+	for i, o := range d.CostDel {
+		costDel[i].Op = o
+	}
+	s.Costs = dsps.EditSorted(s.Costs, costDel, d.CostSet, compareOpCosts)
 	if d.AuxSet {
 		s.Aux = append(json.RawMessage(nil), d.Aux...)
 	}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"slices"
@@ -19,7 +21,7 @@ import (
 // before the sorted slices: a full state, a state with an empty assignment
 // (null provides and flows, an empty placement list), a delta touching
 // every field, and an empty delta. Pieces are added out of order on
-// purpose.
+// purpose. A delta of operator costs, which came later, ends the file.
 func goldenValues() []any {
 	full := dsps.NewAssignment()
 	full.SetProvide(7, 2)
@@ -47,6 +49,7 @@ func goldenValues() []any {
 			AuxSet:     true,
 		},
 		plan.Delta{},
+		plan.Delta{CostSet: []plan.OpCost{{Op: 2, Cost: 1.5}}, CostDel: []dsps.OperatorID{4}},
 	}
 }
 
@@ -89,7 +92,7 @@ func TestWireGolden(t *testing.T) {
 }
 
 // randomState draws a state over hosts hosts: random pieces, admitted set,
-// host states and aux.
+// host states, aux and operator costs.
 func randomState(rng *rand.Rand, hosts int) plan.State {
 	a := dsps.NewAssignment()
 	host := func() dsps.HostID { return dsps.HostID(rng.Intn(hosts)) }
@@ -110,6 +113,11 @@ func randomState(rng *rand.Rand, hosts int) plan.State {
 	}
 	if rng.Intn(2) == 0 {
 		s.Aux = json.RawMessage(fmt.Sprintf(`{"n":%d}`, rng.Intn(10)))
+	}
+	for o := range dsps.OperatorID(12) {
+		if rng.Intn(4) == 0 {
+			s.Costs = append(s.Costs, plan.OpCost{Op: o, Cost: float64(rng.Intn(3))})
+		}
 	}
 	return s
 }
@@ -178,9 +186,9 @@ func strictly[T any](s []T, cmp func(T, T) int) bool {
 }
 
 // FuzzDeltaApply is the journal's byte boundary: whatever delta the bytes of
-// a record decode to — unsorted or repeated lists, ids of any size — applying
-// it to a valid state must not panic and must leave every list of the state
-// sorted without repeats.
+// a record decode to — unsorted or repeated lists, ids of any size, costs of
+// any sign — applying it to a valid state must not panic and must leave
+// every list of the state sorted without repeats.
 func FuzzDeltaApply(f *testing.F) {
 	raw, err := os.ReadFile("testdata/wire_golden.jsonl")
 	if err != nil {
@@ -194,6 +202,8 @@ func FuzzDeltaApply(f *testing.F) {
 	f.Add([]byte(`{"provide_set":[{"stream":7,"host":1},{"stream":3,"host":-4},{"stream":7,"host":0}],"provide_del":[3,3,-1],"admit_add":[9,1,9],"admit_del":[3]}`))
 	f.Add([]byte(`{"op_add":[{"Host":-1,"Op":99999},{"Host":0,"Op":0}],"op_del":[{"Host":2,"Op":1}],"hosts":[{"host":-1,"state":1}]}`))
 	f.Add([]byte(`{"hosts":[{"host":4,"state":2},{"host":9,"state":0}]}`))
+	f.Add([]byte(`{"cost_set":[{"op":9,"cost":2},{"op":3,"cost":1},{"op":9,"cost":0.5}],"cost_del":[3,3,-2,7]}`))
+	f.Add([]byte(`{"cost_set":[{"op":-1,"cost":2},{"op":1,"cost":-3}]}`))
 
 	var base plan.State
 	if err := json.Unmarshal(lines[0], &base); err != nil {
@@ -208,8 +218,91 @@ func FuzzDeltaApply(f *testing.F) {
 		s.Apply(d) // an error leaves s partly applied, and still sorted
 		a := s.Assignment
 		if !strictly(s.Admitted, cmp.Compare[dsps.StreamID]) || !strictly(a.Provides, dsps.CompareProvides) ||
-			!strictly(a.Flows, dsps.CompareFlows) || !strictly(a.Ops, dsps.ComparePlacements) {
+			!strictly(a.Flows, dsps.CompareFlows) || !strictly(a.Ops, dsps.ComparePlacements) ||
+			!strictly(s.Costs, compareOpCosts) {
 			t.Fatalf("applying %s left the state unsorted or repeating:\n%s", data, mustJSON(t, s))
 		}
 	})
+}
+
+func compareOpCosts(a, b plan.OpCost) int { return cmp.Compare(a.Op, b.Op) }
+
+// TestCostListBoundary: the cost list of a state read from a journal names
+// only operators of the system, each once and in order, at a finite
+// non-negative cost. CheckState refuses any other list; Apply refuses a
+// delta setting a negative operator or such a cost, and merges the rest
+// into a list that stays sorted without repeats.
+func TestCostListBoundary(t *testing.T) {
+	sys := dsps.NewSystem([]dsps.Host{{CPU: 1}}, 1)
+	in := sys.AddStream(1, dsps.NoOperator, "in")
+	sys.AddOperator([]dsps.StreamID{in}, 1, 1, "a")
+	sys.AddOperator([]dsps.StreamID{in}, 1, 1, "b")
+	state := func(costs ...plan.OpCost) plan.State {
+		return plan.State{Assignment: dsps.NewAssignment(), Hosts: make([]dsps.HostState, 1), Costs: costs}
+	}
+	if err := plan.CheckState(sys, state(plan.OpCost{Op: 0, Cost: 0}, plan.OpCost{Op: 1, Cost: 3})); err != nil {
+		t.Fatalf("valid costs refused: %v", err)
+	}
+	for name, c := range map[string][]plan.OpCost{
+		"stray operator":    {{Op: 2, Cost: 1}},
+		"negative operator": {{Op: -1, Cost: 1}},
+		"NaN":               {{Op: 0, Cost: math.NaN()}},
+		"+Inf":              {{Op: 0, Cost: math.Inf(1)}},
+		"-Inf":              {{Op: 0, Cost: math.Inf(-1)}},
+		"negative cost":     {{Op: 0, Cost: -1}},
+		"out of order":      {{Op: 1, Cost: 1}, {Op: 0, Cost: 1}},
+		"repeated":          {{Op: 1, Cost: 1}, {Op: 1, Cost: 2}},
+	} {
+		if err := plan.CheckState(sys, state(c...)); err == nil {
+			t.Errorf("CheckState accepted costs with a %s", name)
+		}
+		if name == "stray operator" || name == "out of order" || name == "repeated" {
+			continue
+		}
+		if s := state(); s.Apply(plan.Delta{CostSet: c}) == nil {
+			t.Errorf("Apply accepted a cost change with a %s", name)
+		}
+	}
+	s := state(plan.OpCost{Op: 1, Cost: 1}, plan.OpCost{Op: 4, Cost: 1})
+	if err := s.Apply(plan.Delta{CostSet: []plan.OpCost{{Op: 3, Cost: 2}, {Op: 0, Cost: 1}, {Op: 3, Cost: 5}}, CostDel: []dsps.OperatorID{4, 4, 9}}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []plan.OpCost{{Op: 0, Cost: 1}, {Op: 1, Cost: 1}, {Op: 3, Cost: 5}}; !slices.Equal(s.Costs, want) {
+		t.Fatalf("costs %v, want %v", s.Costs, want)
+	}
+}
+
+// TestApplyEventsRejectsInvalidCost: a cost event from outside the program
+// may name any operator and carry any number. ApplyEvents refuses the whole
+// event set, before it changes anything, if one names an operator outside
+// the table or a cost that is not a finite non-negative number.
+func TestApplyEventsRejectsInvalidCost(t *testing.T) {
+	sys := dsps.NewSystem([]dsps.Host{{CPU: 1}, {CPU: 1}}, 1)
+	in := sys.AddStream(1, dsps.NoOperator, "in")
+	op := sys.AddOperator([]dsps.StreamID{in}, 1, 2, "a").ID
+	for _, bad := range []plan.Event{
+		plan.CostDrift(op+1, 1), plan.CostDrift(-1, 1), plan.CostDrift(op, math.NaN()),
+		plan.CostDrift(op, math.Inf(1)), plan.CostDrift(op, math.Inf(-1)), plan.CostDrift(op, -1),
+	} {
+		err := plan.ApplyEvents(sys, []plan.Event{plan.FailHost(1), plan.CostDrift(op, 5), bad})
+		if !errors.Is(err, plan.ErrInvalidEvent) {
+			t.Errorf("event %+v: err = %v, want ErrInvalidEvent", bad, err)
+		}
+		if sys.Hosts[1].State != dsps.HostUp || sys.Operators[op].Cost != 2 || sys.BuiltCosts() != nil {
+			t.Fatalf("event %+v: a refused event set changed the system", bad)
+		}
+	}
+	if err := plan.ApplyEvents(sys, []plan.Event{plan.FailHost(1), plan.CostDrift(op, 5)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := plan.ExportedState(sys, dsps.NewAssignment(), nil).Costs; !slices.Equal(got, []plan.OpCost{{Op: op, Cost: 5}}) {
+		t.Fatalf("exported costs %v after a cost event", got)
+	}
+	// Back at the cost the system was built with, the operator leaves the list.
+	if err := plan.ApplyEvents(sys, []plan.Event{plan.CostDrift(op, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := plan.ExportedState(sys, dsps.NewAssignment(), nil).Costs; got != nil {
+		t.Fatalf("exported costs %v at the built costs", got)
+	}
 }

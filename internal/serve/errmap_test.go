@@ -107,6 +107,7 @@ func TestStatusForMappings(t *testing.T) {
 		{fmt.Errorf("replay: %w", wal.ErrCorrupt), http.StatusServiceUnavailable},
 		{fmt.Errorf("append: %w", wal.ErrClosed), http.StatusServiceUnavailable},
 		{fmt.Errorf("lookup: %w", plan.ErrUnknownStream), http.StatusBadRequest},
+		{fmt.Errorf("repair: %w", plan.ErrInvalidEvent), http.StatusBadRequest},
 		{fmt.Errorf("remove: %w", plan.ErrNotAdmitted), http.StatusNotFound},
 		{context.DeadlineExceeded, http.StatusGatewayTimeout},
 		{fmt.Errorf("boom"), http.StatusInternalServerError},

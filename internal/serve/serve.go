@@ -150,11 +150,13 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 
 // eventJSON is one churn event on the wire. Kind accepts the canonical
 // EventKind names ("host-failed", ...) and short curl-friendly aliases
-// ("fail", "recover", "drain", "drift").
+// ("fail", "recover", "drain", "drift", "cost").
 type eventJSON struct {
-	Kind  string        `json:"kind"`
-	Host  dsps.HostID   `json:"host,omitempty"`
-	Query dsps.StreamID `json:"query,omitempty"`
+	Kind  string          `json:"kind"`
+	Host  dsps.HostID     `json:"host,omitempty"`
+	Query dsps.StreamID   `json:"query,omitempty"`
+	Op    dsps.OperatorID `json:"op,omitempty"`
+	Cost  float64         `json:"cost,omitempty"`
 }
 
 // repairRequest is the POST /v1/repair body.
@@ -183,8 +185,10 @@ func parseEvent(e eventJSON) (plan.Event, error) {
 		return plan.DrainHost(e.Host), nil
 	case "drift", plan.QueryDrifted.String():
 		return plan.DriftQuery(e.Query), nil
+	case "cost", plan.CostDrifted.String():
+		return plan.CostDrift(e.Op, e.Cost), nil
 	}
-	return plan.Event{}, fmt.Errorf("unknown event kind %q (want fail, recover, drain or drift)", e.Kind)
+	return plan.Event{}, fmt.Errorf("unknown event kind %q (want fail, recover, drain, drift or cost)", e.Kind)
 }
 
 func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
@@ -337,7 +341,8 @@ func statusFor(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, plan.ErrQueueFull):
 		return http.StatusTooManyRequests
-	case errors.Is(err, plan.ErrUnknownStream), errors.Is(err, plan.ErrNotRequested):
+	case errors.Is(err, plan.ErrUnknownStream), errors.Is(err, plan.ErrNotRequested),
+		errors.Is(err, plan.ErrInvalidEvent):
 		return http.StatusBadRequest
 	case errors.Is(err, plan.ErrNotAdmitted):
 		return http.StatusNotFound

@@ -143,7 +143,7 @@ func (f *fakePlanner) ImportState(s plan.State) error {
 	if err := plan.CheckState(f.sys, s); err != nil {
 		return err
 	}
-	plan.ApplyHostStates(f.sys, s.Hosts)
+	plan.ApplySystemState(f.sys, s)
 	f.state = s.Assignment.Clone()
 	f.admitted = make(map[dsps.StreamID]bool, len(s.Admitted))
 	for _, q := range s.Admitted {
@@ -348,6 +348,59 @@ func TestRepairHandler(t *testing.T) {
 	decode(t, rec, &rr)
 	if !rr.Admitted || len(rr.Dropped) != 0 {
 		t.Fatalf("drain repair %+v, want admitted with nothing dropped", rr)
+	}
+}
+
+// TestRepairCostEvent: a cost event on the wire reaches the planner's
+// system and the journal, and survives a restart; one with a negative cost
+// or an operator outside the table is answered 400 and journals nothing.
+func TestRepairCostEvent(t *testing.T) {
+	fs := walfault.New()
+	newPlanner := func() *fakePlanner {
+		f := newFakePlanner(2, 4)
+		f.sys.AddOperator([]dsps.StreamID{0}, 1, 2, "op")
+		return f
+	}
+	f := newPlanner()
+	svc, _, err := plan.OpenService(f, plan.ServiceConfig{}, fs, wal.Options{})
+	if err != nil {
+		t.Fatalf("OpenService: %v", err)
+	}
+	srv, err := serve.New(serve.Config{Service: svc})
+	if err != nil {
+		t.Fatalf("serve.New: %v", err)
+	}
+	h := srv.Handler()
+
+	if rec := do(t, h, "POST", "/v1/repair", `{"events": [{"kind": "cost", "op": 0, "cost": 3.5}]}`); rec.Code != http.StatusOK {
+		t.Fatalf("cost repair: status %d, body %s", rec.Code, rec.Body)
+	}
+	appends := svc.WALStats().Appends
+	if appends != 1 {
+		t.Fatalf("cost repair journaled %d records, want 1", appends)
+	}
+	for _, body := range []string{
+		`{"events": [{"kind": "cost", "op": 0, "cost": -1}]}`,
+		`{"events": [{"kind": "fail", "host": 1}, {"kind": "cost-drifted", "op": 1, "cost": 1}]}`,
+	} {
+		if rec := do(t, h, "POST", "/v1/repair", body); rec.Code != http.StatusBadRequest {
+			t.Errorf("repair %s: status %d, want 400", body, rec.Code)
+		}
+	}
+	if got := svc.WALStats().Appends; got != appends || f.sys.Operators[0].Cost != 3.5 || f.sys.Hosts[1].State != dsps.HostUp {
+		t.Fatalf("refused repairs changed something: %d records, cost %v, host 1 %v",
+			got, f.sys.Operators[0].Cost, f.sys.Hosts[1].State)
+	}
+	svc.Close()
+
+	f2 := newPlanner()
+	svc2, _, err := plan.OpenService(f2, plan.ServiceConfig{}, fs, wal.Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer svc2.Close()
+	if got := f2.sys.Operators[0].Cost; got != 3.5 {
+		t.Fatalf("recovered cost %v, want 3.5", got)
 	}
 }
 

@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"sqpr/internal/core"
 	"sqpr/internal/dsps"
+	"sqpr/internal/plan"
 )
 
 // AdaptiveResult reports the §IV-B adaptive-replanning experiment: how many
@@ -27,8 +29,8 @@ type AdaptiveResult struct {
 
 // Adaptive runs the experiment: plan the workload, inflate the cost of the
 // most-loaded operators by surgeFactor (as the resource monitor would
-// report), detect the drift against the system's cost table, and re-plan the
-// affected queries.
+// report), detect the drift against the system's cost table, and hand the
+// drifted costs to Repair, which re-plans the affected queries.
 func Adaptive(sc Scale, surgeFactor float64, surgeOps int) (AdaptiveResult, error) {
 	var res AdaptiveResult
 	env := BuildEnv(sc)
@@ -47,56 +49,25 @@ func Adaptive(sc Scale, surgeFactor float64, surgeOps int) (AdaptiveResult, erro
 	res.MaxCPUBefore = before.MaxCPU()
 	res.ShortageBefore = len(ShortageHosts(env.Sys, before, 0.9))
 
-	// Pick the most expensive placed operators and synthesise monitoring
-	// observations with surged costs.
-	type placed struct {
-		op   dsps.OperatorID
-		cost float64
-	}
-	var candidates []placed
-	seen := map[dsps.OperatorID]bool{}
+	// Pick the most expensive placed operators (the lowest id among equal
+	// costs) and synthesise monitoring observations with surged costs.
+	var placed []dsps.OperatorID // ascending: placements sort by operator
 	for _, pl := range p.Assignment().Ops {
-		if !seen[pl.Op] {
-			seen[pl.Op] = true
-			candidates = append(candidates, placed{pl.Op, env.Sys.Operators[pl.Op].Cost})
-		}
+		placed = append(placed, pl.Op)
 	}
-	for i := 0; i < len(candidates); i++ {
-		for j := i + 1; j < len(candidates); j++ {
-			if candidates[j].cost > candidates[i].cost ||
-				(candidates[j].cost == candidates[i].cost && candidates[j].op < candidates[i].op) {
-				candidates[i], candidates[j] = candidates[j], candidates[i]
-			}
-		}
-	}
-	if surgeOps > len(candidates) {
-		surgeOps = len(candidates)
-	}
+	placed = slices.Compact(placed)
+	cost := func(o dsps.OperatorID) float64 { return env.Sys.Operators[o].Cost }
+	slices.SortStableFunc(placed, func(a, b dsps.OperatorID) int { return cmp.Compare(cost(b), cost(a)) })
 	var obs []Observation
-	for _, c := range candidates[:surgeOps] {
-		obs = append(obs, Observation{Op: c.op, Cost: c.cost * surgeFactor})
+	for _, o := range placed[:min(surgeOps, len(placed))] {
+		obs = append(obs, Observation{Op: o, Cost: cost(o) * surgeFactor})
 	}
-	reports := DetectDrift(env.Sys, obs, 0.2)
-	driftedOps := make(map[dsps.OperatorID]float64, len(reports))
-	for _, r := range reports {
-		driftedOps[r.Op] = r.Observed
-	}
-	queries := p.DriftedQueries(driftedOps, 0.2)
-	res.Drifted = len(queries)
-
-	// Update the cost model to the observed reality, then re-plan.
-	for op, observed := range driftedOps {
-		env.Sys.Operators[op].Cost = observed
-	}
-	results, err := p.Replan(ctx, queries)
+	rr, err := p.Repair(ctx, DetectDrift(env.Sys, obs, 0.2))
 	if err != nil {
 		return res, err
 	}
-	for _, r := range results {
-		if r.Admitted {
-			res.Readmitted++
-		}
-	}
+	res.Drifted = len(rr.Affected)
+	res.Readmitted = len(rr.Kept)
 	res.AdmittedAfter = p.AdmittedCount()
 	after := p.Assignment().ComputeUsage(env.Sys)
 	res.MaxCPUAfter = after.MaxCPU()
@@ -114,11 +85,16 @@ type Observation struct {
 	Cost float64
 }
 
+// driftEps is the observation floor below which a measurement on a
+// zero-cost operator is monitoring noise, not drift.
+const driftEps = 1e-9
+
 // Drift quantifies the relative deviation between an operator's modelled
-// cost and an observed cost.
+// cost and an observed cost. A zero-cost operator has drifted infinitely
+// once it is observed above driftEps, and not at all before.
 func Drift(modelled, observed float64) float64 {
 	if modelled == 0 {
-		if observed == 0 {
+		if observed <= driftEps {
 			return 0
 		}
 		return math.Inf(1)
@@ -126,32 +102,21 @@ func Drift(modelled, observed float64) float64 {
 	return math.Abs(observed-modelled) / modelled
 }
 
-// DriftReport lists operators whose observed cost deviates from the
-// system's current cost table by more than threshold, ordered by severity.
-type DriftReport struct {
-	Op       dsps.OperatorID
-	Modelled float64
-	Observed float64
-	Relative float64
-}
-
 // DetectDrift compares observations against the system's operator costs
 // (§IV-B condition (a): "resource consumption differs from the initial
-// estimates by a given threshold").
-func DetectDrift(sys *dsps.System, obs []Observation, threshold float64) []DriftReport {
-	var out []DriftReport
+// estimates by a given threshold") and returns a cost event for each
+// operator that drifted by more than threshold, the most drifted first.
+// Observations of operators outside the system are skipped.
+func DetectDrift(sys *dsps.System, obs []Observation, threshold float64) []plan.Event {
+	drift := func(op dsps.OperatorID, observed float64) float64 { return Drift(sys.Operators[op].Cost, observed) }
+	var out []plan.Event
 	for _, o := range obs {
-		modelled := sys.Operators[o.Op].Cost
-		rel := Drift(modelled, o.Cost)
-		if rel > threshold {
-			out = append(out, DriftReport{Op: o.Op, Modelled: modelled, Observed: o.Cost, Relative: rel})
+		if o.Op >= 0 && int(o.Op) < len(sys.Operators) && drift(o.Op, o.Cost) > threshold {
+			out = append(out, plan.CostDrift(o.Op, o.Cost))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Relative != out[j].Relative {
-			return out[i].Relative > out[j].Relative
-		}
-		return out[i].Op < out[j].Op
+	slices.SortFunc(out, func(a, b plan.Event) int {
+		return cmp.Or(cmp.Compare(drift(b.Op, b.Cost), drift(a.Op, a.Cost)), cmp.Compare(a.Op, b.Op))
 	})
 	return out
 }

@@ -63,14 +63,21 @@ func driftSystem() (*dsps.System, *dsps.Operator, *dsps.Operator) {
 }
 
 func TestDrift(t *testing.T) {
-	if Drift(10, 15) != 0.5 {
-		t.Fatal("drift wrong")
-	}
-	if Drift(0, 0) != 0 {
-		t.Fatal("zero drift wrong")
-	}
-	if !math.IsInf(Drift(0, 1), 1) {
-		t.Fatal("infinite drift wrong")
+	for _, tc := range []struct {
+		name               string
+		modelled, observed float64
+		want               float64
+	}{
+		{"half up", 10, 15, 0.5},
+		{"zero cost observed at zero", 0, 0, 0},
+		{"zero cost observed at noise level", 0, 1e-12, 0},
+		{"zero cost observed at a real cost", 0, 0.5, math.Inf(1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := Drift(tc.modelled, tc.observed); got != tc.want {
+				t.Fatalf("Drift(%v, %v) = %v, want %v", tc.modelled, tc.observed, got, tc.want)
+			}
+		})
 	}
 }
 
@@ -89,6 +96,25 @@ func TestDetectDriftOrdersBySeverity(t *testing.T) {
 	got = DetectDrift(sys, obs, 0.5)
 	if len(got) != 1 || got[0].Op != abc.ID {
 		t.Fatalf("threshold filter failed: %+v", got)
+	}
+
+	for _, tc := range []struct {
+		name string
+		obs  []Observation
+		want int // number of drifted operators at a 0.2 threshold
+	}{
+		{"no observations", nil, 0},
+		{"within threshold", []Observation{{Op: ab.ID, Cost: 11}}, 0},
+		{"beyond threshold", []Observation{{Op: ab.ID, Cost: 20}}, 1},
+		{"shrunk beyond threshold", []Observation{{Op: ab.ID, Cost: 1}}, 1},
+		{"operator id out of range high", []Observation{{Op: dsps.OperatorID(len(sys.Operators) + 3), Cost: 10}}, 0},
+		{"operator id negative", []Observation{{Op: -1, Cost: 10}}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := DetectDrift(sys, tc.obs, 0.2); len(got) != tc.want {
+				t.Fatalf("DetectDrift = %+v, want %d operators", got, tc.want)
+			}
+		})
 	}
 }
 

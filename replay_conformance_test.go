@@ -19,16 +19,33 @@ import (
 	"sqpr/internal/wal/walfault"
 )
 
+// driftEvent is the cost event of the i-th step of a schedule: an operator
+// the service has placed (any operator when it places none) measured at
+// 1.5 times its current cost.
+func driftEvent(svc *sqpr.Service, sys *sqpr.System, i int) sqpr.Event {
+	op := sqpr.OperatorID(i % len(sys.Operators))
+	if ops := svc.Assignment().Ops; len(ops) > 0 {
+		op = ops[i%len(ops)].Op
+	}
+	return sqpr.CostDrift(op, 1.5*sys.Operators[op].Cost)
+}
+
 // driveReplaySchedule applies a deterministic pseudo-random mix of
-// submits, removes and host repairs through the service. Every applied
-// operation is acknowledged (and hence journaled) before the next starts.
+// submits, removes, host repairs and cost repairs through the service.
+// Every applied operation is acknowledged (and hence journaled) before the
+// next starts.
 func driveReplaySchedule(t *testing.T, svc *sqpr.Service, sys *sqpr.System, queries []sqpr.StreamID, seed int64) {
 	t.Helper()
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(seed))
 	hostDown := make([]bool, sys.NumHosts())
 	for i := 0; i < 3*len(queries); i++ {
-		switch rng.Intn(6) {
+		switch rng.Intn(7) {
+		case 6: // an operator drifts to a new cost
+			ev := driftEvent(svc, sys, i)
+			if _, err := svc.Repair(ctx, []sqpr.Event{ev}); err != nil {
+				t.Fatalf("op %d: Repair(%v): %v", i, ev, err)
+			}
 		case 0: // remove a random admitted query
 			for _, q := range queries {
 				if svc.Admitted(q) && rng.Intn(2) == 0 {
@@ -79,8 +96,9 @@ func driveReplaySchedule(t *testing.T, svc *sqpr.Service, sys *sqpr.System, quer
 // TestReplayEquivalenceAcrossPlanners is the all-planner replay test: after
 // a randomized schedule through a durable service, a fresh planner opened
 // over the same journal must export byte-identical state — admitted set,
-// full assignment, host availability and planner-private aux — without a
-// single planning call.
+// full assignment, host availability, operator costs and planner-private
+// aux — without a single planning call, and run on a system with the
+// drifted costs.
 func TestReplayEquivalenceAcrossPlanners(t *testing.T) {
 	for _, tc := range conformanceCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -98,8 +116,8 @@ func TestReplayEquivalenceAcrossPlanners(t *testing.T) {
 			driveReplaySchedule(t, svc, sys, queries, 42)
 			svc.Close()
 			want := p.(sqpr.StatePorter).ExportState()
-			if len(want.Admitted) == 0 {
-				t.Fatal("schedule left nothing admitted; test would be vacuous")
+			if len(want.Admitted) == 0 || len(want.Costs) == 0 {
+				t.Fatalf("schedule left %d admitted and %d costs drifted; test would be vacuous", len(want.Admitted), len(want.Costs))
 			}
 
 			sys2, _ := conformanceEnv()
@@ -119,6 +137,11 @@ func TestReplayEquivalenceAcrossPlanners(t *testing.T) {
 			if solves := p2.Stats().Submissions; solves != 0 {
 				t.Fatalf("recovery ran %d planning calls, want 0", solves)
 			}
+			for o := range sys.Operators {
+				if got, want := sys2.Operators[o].Cost, sys.Operators[o].Cost; got != want {
+					t.Fatalf("operator %d costs %v after recovery, %v before", o, got, want)
+				}
+			}
 			if rs2.Admitted != len(want.Admitted) {
 				t.Fatalf("recovery reports %d admitted, want %d", rs2.Admitted, len(want.Admitted))
 			}
@@ -127,102 +150,122 @@ func TestReplayEquivalenceAcrossPlanners(t *testing.T) {
 }
 
 // TestServiceCrashRecoveryAtEveryPoint is the acceptance test for the
-// durability tentpole: for every registered WAL crash point, the journal
-// dies mid-run (with a torn unsynced tail left behind), and the restarted
-// service must recover to exactly the last acknowledged state — or that
-// state plus the single in-flight operation, when the crash struck after
-// the record reached (or tore into) the disk image — with zero planning
-// solves, and keep working afterwards.
+// durability tentpole: for every registered WAL crash point and every
+// planner, the journal dies mid-run (with a torn unsynced tail left
+// behind), and the restarted service must recover to exactly the last
+// acknowledged state — or that state plus the single in-flight operation,
+// when the crash struck after the record reached (or tore into) the disk
+// image — operator costs included, with zero planning solves, and keep
+// working afterwards.
 func TestServiceCrashRecoveryAtEveryPoint(t *testing.T) {
-	newCorePlanner := conformanceCases()[0].make // "core": the MILP planner
 	for _, point := range wal.CrashPoints() {
 		t.Run(point, func(t *testing.T) {
-			ctx := context.Background()
-			fs := walfault.New()
-			fs.CrashAt(point, 1)
-			fs.SetTear(7)
-			sys, queries := conformanceEnv()
-			p := newCorePlanner(sys)
-			porter := p.(sqpr.StatePorter)
-			// Tiny segments and a 2-record snapshot interval so every write
-			// path — rotation, append, snapshot, compaction — runs within a
-			// few operations and the armed crash point fires early.
-			scfg := sqpr.ServiceConfig{SnapshotEvery: 2}
-			svc, _, err := sqpr.OpenService(p, scfg, fs, sqpr.WALOptions{SegmentBytes: 256})
-			if err != nil {
-				t.Fatalf("OpenService: %v", err)
-			}
-
-			// Alternate submits and removes until the journal dies. After
-			// each acknowledged op the exported state is the new durable
-			// baseline; the failed op's state is the one-past-acked bound.
-			acked := porter.ExportState()
-			var opErr error
-			for i := 0; i < 200 && opErr == nil; i++ {
-				q := queries[i%len(queries)]
-				if svc.Admitted(q) {
-					opErr = svc.Remove(q)
-				} else {
-					_, opErr = svc.Submit(ctx, q)
-				}
-				if opErr == nil {
-					acked = porter.ExportState()
-				}
-			}
-			if opErr == nil {
-				t.Fatalf("crash point %s never fired (crashed=%v)", point, fs.Crashed())
-			}
-			if !errors.Is(opErr, sqpr.ErrWALFailed) {
-				t.Fatalf("op failed with %v, want ErrWALFailed", opErr)
-			}
-			next := porter.ExportState()
-			img := fs.Reopen()
-			svc.Close()
-
-			sys2, _ := conformanceEnv()
-			p2 := newCorePlanner(sys2)
-			svc2, rs, err := sqpr.OpenService(p2, scfg, img, sqpr.WALOptions{SegmentBytes: 256})
-			if err != nil {
-				t.Fatalf("recovery after crash at %s: %v", point, err)
-			}
-			got := p2.(sqpr.StatePorter).ExportState()
-			if !got.Equal(acked) && !got.Equal(next) {
-				svc2.Close()
-				t.Fatalf("recovered state matches neither the acked state (%d admitted) nor acked+1 (%d admitted); got %d admitted, records=%d torn=%d",
-					len(acked.Admitted), len(next.Admitted), len(got.Admitted), rs.Records, rs.TailTruncated)
-			}
-			if solves := p2.Stats().Submissions; solves != 0 {
-				svc2.Close()
-				t.Fatalf("recovery ran %d planning calls, want 0", solves)
-			}
-
-			// The recovered service must accept new work and journal it.
-			q := queries[0]
-			var err2 error
-			if svc2.Admitted(q) {
-				err2 = svc2.Remove(q)
-			} else {
-				_, err2 = svc2.Submit(ctx, q)
-			}
-			if err2 != nil {
-				svc2.Close()
-				t.Fatalf("recovered service rejected follow-up op: %v", err2)
-			}
-			after := p2.(sqpr.StatePorter).ExportState()
-			img2 := img.Reopen()
-			svc2.Close()
-
-			sys3, _ := conformanceEnv()
-			p3 := newCorePlanner(sys3)
-			svc3, _, err := sqpr.OpenService(p3, scfg, img2, sqpr.WALOptions{SegmentBytes: 256})
-			if err != nil {
-				t.Fatalf("second recovery: %v", err)
-			}
-			defer svc3.Close()
-			if !p3.(sqpr.StatePorter).ExportState().Equal(after) {
-				t.Fatal("follow-up op on the recovered service did not persist")
+			for _, tc := range conformanceCases() {
+				t.Run(tc.name, func(t *testing.T) { crashAndRecover(t, point, tc.make) })
 			}
 		})
+	}
+}
+
+// crashAndRecover is one case of TestServiceCrashRecoveryAtEveryPoint.
+func crashAndRecover(t *testing.T, point string, newPlanner func(*sqpr.System) sqpr.QueryPlanner) {
+	ctx := context.Background()
+	fs := walfault.New()
+	fs.SetTear(7)
+	sys, queries := conformanceEnv()
+	p := newPlanner(sys)
+	porter := p.(sqpr.StatePorter)
+	// Tiny segments and a 2-record snapshot interval so every write path —
+	// rotation, append, snapshot, compaction — runs within a few operations
+	// and the armed crash point fires early.
+	scfg := sqpr.ServiceConfig{SnapshotEvery: 2}
+	svc, _, err := sqpr.OpenService(p, scfg, fs, sqpr.WALOptions{SegmentBytes: 256})
+	if err != nil {
+		t.Fatalf("OpenService: %v", err)
+	}
+
+	// A cost event, then two submits or removes, and again, until the
+	// journal dies. The crash is armed once the first cost event is
+	// durable, so every journal it leaves holds one. After each
+	// acknowledged op the exported state is the new durable baseline; the
+	// failed op's state is the one-past-acked bound.
+	acked := porter.ExportState()
+	var opErr error
+	for i := 0; i < 200 && opErr == nil; i++ {
+		if i == 1 {
+			fs.CrashAt(point, 1)
+		}
+		q := queries[i%len(queries)]
+		switch {
+		case i%3 == 0:
+			_, opErr = svc.Repair(ctx, []sqpr.Event{driftEvent(svc, sys, i)})
+		case svc.Admitted(q):
+			opErr = svc.Remove(q)
+		default:
+			_, opErr = svc.Submit(ctx, q)
+		}
+		if opErr == nil {
+			acked = porter.ExportState()
+		}
+	}
+	if opErr == nil {
+		t.Fatalf("crash point %s never fired (crashed=%v)", point, fs.Crashed())
+	}
+	if !errors.Is(opErr, sqpr.ErrWALFailed) {
+		t.Fatalf("op failed with %v, want ErrWALFailed", opErr)
+	}
+	next := porter.ExportState()
+	img := fs.Reopen()
+	svc.Close()
+
+	sys2, _ := conformanceEnv()
+	p2 := newPlanner(sys2)
+	svc2, rs, err := sqpr.OpenService(p2, scfg, img, sqpr.WALOptions{SegmentBytes: 256})
+	if err != nil {
+		t.Fatalf("recovery after crash at %s: %v", point, err)
+	}
+	got := p2.(sqpr.StatePorter).ExportState()
+	if !got.Equal(acked) && !got.Equal(next) {
+		svc2.Close()
+		t.Fatalf("recovered state matches neither the acked state (%d admitted, %d costs) nor acked+1 (%d admitted, %d costs); got %d admitted, %d costs, records=%d torn=%d",
+			len(acked.Admitted), len(acked.Costs), len(next.Admitted), len(next.Costs), len(got.Admitted), len(got.Costs), rs.Records, rs.TailTruncated)
+	}
+	for _, c := range got.Costs {
+		if sys2.Operators[c.Op].Cost != c.Cost {
+			svc2.Close()
+			t.Fatalf("recovered state costs operator %d %v, its system %v", c.Op, c.Cost, sys2.Operators[c.Op].Cost)
+		}
+	}
+	if solves := p2.Stats().Submissions; solves != 0 {
+		svc2.Close()
+		t.Fatalf("recovery ran %d planning calls, want 0", solves)
+	}
+
+	// The recovered service must accept new work and journal it.
+	q := queries[0]
+	var err2 error
+	if svc2.Admitted(q) {
+		err2 = svc2.Remove(q)
+	} else {
+		_, err2 = svc2.Submit(ctx, q)
+	}
+	if err2 != nil {
+		svc2.Close()
+		t.Fatalf("recovered service rejected follow-up op: %v", err2)
+	}
+	after := p2.(sqpr.StatePorter).ExportState()
+	img2 := img.Reopen()
+	svc2.Close()
+
+	sys3, _ := conformanceEnv()
+	p3 := newPlanner(sys3)
+	svc3, _, err := sqpr.OpenService(p3, scfg, img2, sqpr.WALOptions{SegmentBytes: 256})
+	if err != nil {
+		t.Fatalf("second recovery: %v", err)
+	}
+	defer svc3.Close()
+	if !p3.(sqpr.StatePorter).ExportState().Equal(after) {
+		t.Fatal("follow-up op on the recovered service did not persist")
 	}
 }
 

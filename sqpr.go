@@ -145,7 +145,8 @@ type (
 // Durability types: the write-ahead admission journal and recovery.
 type (
 	// PlannerState is a planner's exported durable state: assignment,
-	// admitted set, host availability and planner-private aux data.
+	// admitted set, host availability, drifted operator costs and
+	// planner-private aux data.
 	PlannerState = plan.State
 	// StatePorter is implemented by every planner in this repository:
 	// export/import of the full durable state, the basis of journal replay.
@@ -219,6 +220,7 @@ const (
 	HostRecovered = plan.HostRecovered
 	HostDrained   = plan.HostDrained
 	QueryDrifted  = plan.QueryDrifted
+	CostDrifted   = plan.CostDrifted
 )
 
 // Service trace kinds (the dispatcher's audit stream).
@@ -239,6 +241,11 @@ func DrainHost(h HostID) Event { return plan.DrainHost(h) }
 
 // DriftQuery returns a query-drift event for Repair.
 func DriftQuery(q StreamID) Event { return plan.DriftQuery(q) }
+
+// CostDrift returns the event of operator op measured at cost observed, for
+// Repair: the cost replaces the modelled one, durably, and the queries
+// running op are re-planned under it (§IV-B).
+func CostDrift(op OperatorID, observed float64) Event { return plan.CostDrift(op, observed) }
 
 // Rejection reasons carried by Result.Reason.
 const (
