@@ -63,9 +63,13 @@ func main() {
 		fmt.Printf("query %2d (stream %3d, %s): %-28s plan-time=%-8v reduced-model: %d streams / %d ops / %d hosts\n",
 			i, q, sys.Streams[q].Name, verdict, res.PlanTime.Round(time.Millisecond),
 			res.FreeStreams, res.FreeOps, res.CandidateHosts)
-		if *showStats && res.SeedClosed {
+		switch {
+		case !*showStats:
+		case res.SeedClosed && !res.Admitted:
+			fmt.Println("    solver: skipped (seed could not place the query on a large model)")
+		case res.SeedClosed:
 			fmt.Println("    solver: skipped (seed within gap of the a-priori bound)")
-		} else if *showStats {
+		default:
 			fmt.Printf("    solver: %d nodes, %d presolve-fixed vars, %d LP iters\n",
 				res.Nodes, res.PresolveFixed, res.LPIters)
 			fmt.Printf("    basis:  %d refactorizations (%d drift-forced), %d eta updates (peak file %d), fill-in %.2f\n",

@@ -143,11 +143,15 @@ func DefaultConfig() Config {
 	}
 }
 
-// Stagnation-stop tuning for large reduced models (see submit).
-const (
-	stallVarThreshold = 400
-	stallNodesLarge   = 8
-)
+// largeModelVars is the layout size from which submit treats a reduced
+// model as large: a single query its seed cannot place there is rejected
+// without a solve, and the solves that remain get the stagnation stop.
+const largeModelVars = 400
+
+// stallNodesLarge is the stagnation stop of large Submit solves and of
+// failure repairs: the nodes a search may run without improving its
+// incumbent.
+const stallNodesLarge = 8
 
 // submitGapTol stops a Submit search when the incumbent is provably within
 // this relative gap of the optimum. Because λ1 dominates the objective, a
@@ -315,33 +319,38 @@ func (p *Planner) submit(ctx context.Context, qs []dsps.StreamID, timeout time.D
 		AbsGapTol: 0.02 * p.cfg.Weights.L1,
 	}
 	seed := b.seed(deadline)
+	_, placed := seed.Provider(fresh[0])
 	var next *dsps.Assignment
 	var err error
-	// Bound before build: a seed within the tolerance of the a-priori ceiling
-	// is what the solve would return from its root (no LP bound is above the
-	// ceiling), so it takes the decoded point's tail and no model is built —
-	// unless ctx ended (solve reports that).
-	if ctx.Err() == nil && b.seedGap(seed) <= opts.AbsGapTol {
+	switch {
+	case ctx.Err() != nil:
+		// solve reports the cancellation.
+		next, err = p.solve(ctx, b, seed, opts, &res)
+	case b.seedGap(seed) <= opts.AbsGapTol:
+		// Bound before build: a seed within the tolerance of the a-priori
+		// ceiling is what the solve would return from its root (no LP bound
+		// is above the ceiling), so it takes the decoded point's tail and no
+		// model is built.
 		if invariant.Enabled {
 			p.mustStopAtRoot(ctx, b, seed, opts)
 		}
 		b.pruneUnused(seed)
 		res.SeedClosed, res.SolveStatus = true, milp.FeasibleMIP
 		next, err = p.validated(seed, &res)
-	} else {
-		// Large reduced models get a stagnation stop. A call that reaches
-		// this branch is almost always a rejection in the making (on the
-		// benchmark's churn workloads every one is): the seed could not
-		// place the fresh query, and the query's own fractional d keeps the
-		// LP bound up to λ1 above the incumbent, which branching refutes
-		// only slowly. Without the stop, `go run ./bench` (seed 1, 2-core
-		// VM, measured before presolve ran to its fixpoint) fell from 587
-		// to 193 ops/s on steady_churn and from 325 to 106 on
-		// fill_to_saturation, at the same admissions. Small models
-		// search their full budget: on them a late admission find is cheap
-		// and real (the Fig. 2 shared-chain and relay scenarios need more
-		// than 48 nodes).
-		if b.numVars() >= stallVarThreshold {
+	case len(fresh) == 1 && !placed && b.numVars() >= largeModelVars:
+		// A measured heuristic (DESIGN.md "Seed-decided rejections"): on a
+		// large model the search from a seed that could not place the lone
+		// query only ever stalled out and handed the seed back, so the call
+		// is rejected here, with nothing built and nothing committed.
+		res.SeedClosed, res.SolveStatus = true, milp.FeasibleMIP
+		res.Reason = plan.ReasonNoFeasiblePlan
+	default:
+		// The large models that still solve (batches, and seeds that place
+		// the query without closing the gap) stop once the search stops
+		// improving its incumbent; small models search their full budget,
+		// where a late admission find is cheap and real (the Fig. 2
+		// shared-chain and relay scenarios need more than 48 nodes).
+		if b.numVars() >= largeModelVars {
 			opts.StallNodes = stallNodesLarge
 		}
 		next, err = p.solve(ctx, b, seed, opts, &res)

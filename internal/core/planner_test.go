@@ -376,3 +376,69 @@ func TestZeroValueConfigGetsDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRefactorsPerSolveBudget fills the 15-host daemon substrate (the
+// benchmark's s15: population seed 7, the daemon's planner limits) with its
+// first 80 queries under a timeout no call comes near, and bounds the LU
+// factorizations and simplex iterations each solve costs. Lazy-row
+// activation borders the factors instead of discarding them, which took
+// the refactorization ratio from 36 to 11; presolve run to its fixpoint
+// hands the LP fewer free binaries, which took the iteration ratio from 348
+// to 255; the dual simplex's cold start from the slack basis with shifted
+// costs holds them at 249.2 iterations and 13.6 refactorizations, where
+// starting each negative-cost column at its upper bound costs 294.5 and
+// 17.8. Both bounds are counts, so a change that goes back
+// to refactorizing per activation wave, to stopping presolve early, or to
+// a costlier cold start fails here on any machine.
+//
+// Most of the walk's large models are seed-decided rejections, which build
+// no model; each is replayed through the full path on a planner cloned
+// just before it, so the gate still covers the solves those calls ran.
+func TestRefactorsPerSolveBudget(t *testing.T) {
+	sys := workload.BuildSystem(workload.SystemConfig{NumHosts: 15, CPUPerHost: 10, OutBW: 60, InBW: 60, LinkCap: 25})
+	w := workload.Generate(sys, workload.Config{
+		NumBaseStreams: 150, BaseRate: 10, Zipf: 1, Arities: []int{2, 3}, NumQueries: 80,
+		SelMin: 0.001, SelMax: 0.005, CostPerRate: 0.05, Seed: 7,
+	})
+	cfg := DefaultConfig()
+	cfg.SolveTimeout = time.Minute
+	cfg.MaxCandidateHosts = 8
+	cfg.MaxFreeStreams = 30
+	p := NewPlanner(sys, cfg)
+	var replayed Stats
+	for _, q := range w.Queries {
+		clone := NewPlanner(sys, cfg)
+		if err := clone.ImportState(p.ExportState()); err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Submit(context.Background(), q)
+		if err != nil {
+			t.Fatalf("Submit(%d): %v", q, err)
+		}
+		if res.SeedClosed && !res.Admitted {
+			replayed.Record(replayFullPath(t, clone, q))
+		}
+	}
+	// The average is over the solves that ran or were replayed: submissions
+	// the greedy seed closed with an admission cost no factorization and
+	// would dilute the gate to nothing.
+	st := p.Stats()
+	solves := st.Submissions - st.SeedClosed + replayed.Submissions
+	refactors := st.Factor.Refactors + replayed.Factor.Refactors
+	rowEtas := st.Factor.RowEtas + replayed.Factor.RowEtas
+	lpIters := st.TotalLPIters + replayed.TotalLPIters
+	if solves <= 0 || rowEtas == 0 {
+		t.Fatalf("nothing measured: %d submissions, %d seed-closed, %d replayed, %d row etas", st.Submissions, st.SeedClosed, replayed.Submissions, rowEtas)
+	}
+	const budget, itersBudget = 14, 260
+	per := float64(refactors) / float64(solves)
+	iters := float64(lpIters) / float64(solves)
+	t.Logf("%d refactorizations, %d row etas, %d LP iterations over %d solves (%d submissions, %d seed-closed, %d of them replayed): %.1f refactorizations and %.1f iterations per solve",
+		refactors, rowEtas, lpIters, solves, st.Submissions, st.SeedClosed, replayed.Submissions, per, iters)
+	if per > budget {
+		t.Fatalf("%.1f refactorizations per solve, budget %d", per, budget)
+	}
+	if iters > itersBudget {
+		t.Fatalf("%.1f LP iterations per solve, budget %d", iters, itersBudget)
+	}
+}

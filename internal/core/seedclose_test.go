@@ -23,7 +23,7 @@ func fullSolveOptions(p *Planner, b *builder) milp.Options {
 		GapTol:    submitGapTol,
 		AbsGapTol: 0.02 * p.cfg.Weights.L1,
 	}
-	if b.numVars() >= stallVarThreshold {
+	if b.numVars() >= largeModelVars {
 		opts.StallNodes = stallNodesLarge
 	}
 	return opts
@@ -139,52 +139,109 @@ func TestSeedCloseCeilingIsABound(t *testing.T) {
 	}
 }
 
-// TestSeedCloseMatchesFullSolve replays every submission the seed closed on
-// a planner cloned just before it, through the full path: the solve must
-// stop at its root and leave a byte-identical state.
-func TestSeedCloseMatchesFullSolve(t *testing.T) {
+// walkSubmits runs the churn walk and hands every submission's result to
+// check, with the walked planner and a planner cloned from it just before
+// the submission.
+func walkSubmits(t *testing.T, check func(step int, q dsps.StreamID, p, clone *Planner, res Result)) plan.Stats {
+	t.Helper()
 	w := newChurnWalk()
-	ctx := context.Background()
-	closed := 0
 	for step := 0; step < walkSteps; step++ {
 		q := w.next(t)
 		clone := NewPlanner(w.sys, w.cfg)
 		if err := clone.ImportState(w.p.ExportState()); err != nil {
 			t.Fatal(err)
 		}
-		res, err := w.p.Submit(ctx, q)
+		res, err := w.p.Submit(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
+		check(step, q, w.p, clone, res)
+	}
+	return w.p.Stats()
+}
+
+// replayFullPath submits q on p through the full path — build, solve from
+// the seed with fullSolveOptions, commit — whatever the seed decides, and
+// returns the solve's result with Admitted set by the commit.
+func replayFullPath(t *testing.T, p *Planner, q dsps.StreamID) Result {
+	t.Helper()
+	p.beginCall(plan.SubmitConfig{})
+	b := p.newBuilder([]dsps.StreamID{q}, false)
+	var full Result
+	next, err := p.solve(context.Background(), b, b.seed(time.Time{}), fullSolveOptions(p, b), &full)
+	if err != nil || next == nil {
+		t.Fatalf("query %d: full path failed: %v (%+v)", q, err, full)
+	}
+	full.Admitted = p.Commit(next, q)
+	return full
+}
+
+// TestSeedCloseMatchesFullSolve replays every submission the seed closed
+// with an admission on a planner cloned just before it, through the full
+// path: the solve must stop at its root and leave a byte-identical state.
+// Seed-decided rejections must carry no solver effort;
+// TestSeedCloseRejectionsMatchFullSolve replays them.
+func TestSeedCloseMatchesFullSolve(t *testing.T) {
+	closed, rejected := 0, 0
+	st := walkSubmits(t, func(step int, q dsps.StreamID, p, clone *Planner, res Result) {
 		if !res.SeedClosed {
 			if res.Nodes == 0 || res.ModelVars == 0 {
 				t.Fatalf("step %d: neither seed-closed nor solved: %+v", step, res)
 			}
-			continue
+			return
+		}
+		if res.Nodes != 0 || res.LPIters != 0 || res.ModelVars != 0 || res.SolveStatus != milp.FeasibleMIP {
+			t.Fatalf("step %d: seed-closed result carries solver effort: %+v", step, res)
+		}
+		if !res.Admitted {
+			if res.Reason != plan.ReasonNoFeasiblePlan {
+				t.Fatalf("step %d: seed-decided rejection without its reason: %+v", step, res)
+			}
+			rejected++
+			return
 		}
 		closed++
-		if !res.Admitted || res.Nodes != 0 || res.LPIters != 0 || res.ModelVars != 0 || res.SolveStatus != milp.FeasibleMIP {
-			t.Fatalf("step %d: seed-closed result carries solver effort or no admission: %+v", step, res)
-		}
-		clone.beginCall(plan.SubmitConfig{})
-		b := clone.newBuilder([]dsps.StreamID{q}, false)
-		var full Result
-		next, err := clone.solve(ctx, b, b.seed(time.Time{}), fullSolveOptions(clone, b), &full)
-		if err != nil || next == nil {
-			t.Fatalf("step %d: full path failed: %v (%+v)", step, err, full)
-		}
-		clone.Commit(next, q)
+		full := replayFullPath(t, clone, q)
 		if full.Nodes != 1 {
 			t.Fatalf("step %d: the full path searched %d nodes where the seed closed the call", step, full.Nodes)
 		}
-		if !clone.ExportState().Equal(w.p.ExportState()) {
+		if !clone.ExportState().Equal(p.ExportState()) {
 			t.Fatalf("step %d: fast path and full path disagree on the state after query %d", step, q)
 		}
+	})
+	t.Logf("%d of %d submissions seed-closed with an admission, %d seed-rejected, %d rejected", closed, st.Submissions, rejected, st.Rejections)
+	if closed < 150 || st.SeedClosed != closed+rejected {
+		t.Fatalf("%d seed-closed submissions seen, Stats counts %d (want ≥ 150 admitted and equal)", closed+rejected, st.SeedClosed)
 	}
-	st := w.p.Stats()
-	t.Logf("%d of %d submissions seed-closed, %d rejected", closed, st.Submissions, st.Rejections)
-	if closed < 150 || st.SeedClosed != closed {
-		t.Fatalf("%d seed-closed submissions seen, Stats counts %d (want ≥ 150 and equal)", closed, st.SeedClosed)
+}
+
+// TestSeedCloseRejectionsMatchFullSolve replays every seed-decided rejection
+// of the walk — a lone query the seed could not place on a model of at
+// least largeModelVars variables — on a planner cloned just before it,
+// through the full path: the search must not admit the query either, and
+// must leave a byte-identical state. The rule is a measured heuristic, not
+// a bound, so this walk is its evidence.
+func TestSeedCloseRejectionsMatchFullSolve(t *testing.T) {
+	rejected := 0
+	walkSubmits(t, func(step int, q dsps.StreamID, p, clone *Planner, res Result) {
+		if !res.SeedClosed || res.Admitted {
+			return
+		}
+		rejected++
+		full := replayFullPath(t, clone, q)
+		if full.Admitted {
+			t.Fatalf("step %d: the full path admits query %d in %d nodes, which the seed rejected", step, q, full.Nodes)
+		}
+		if full.Nodes == 0 || full.ModelVars < largeModelVars {
+			t.Fatalf("step %d: the replay did not search a large model: %+v", step, full)
+		}
+		if !clone.ExportState().Equal(p.ExportState()) {
+			t.Fatalf("step %d: seed-decided and full-path rejections of query %d disagree on the state", step, q)
+		}
+	})
+	t.Logf("%d seed-decided rejections in %d steps, each also rejected by the full path", rejected, walkSteps)
+	if rejected < 40 {
+		t.Fatalf("only %d seed-decided rejections in %d steps (want ≥ 40): the walk no longer exercises the rule", rejected, walkSteps)
 	}
 }
 

@@ -170,10 +170,12 @@ type Result struct {
 	// this call (core SQPR and hierarchical only; 0 when no solve ran).
 	ModelVars int
 	// SeedClosed reports that no solve ran because the greedy seed already
-	// closed the call: a Submit whose seed sits within the gap tolerance of
-	// (III.3)'s a-priori ceiling, or a Repair chunk whose seed re-admitted
-	// every query (core SQPR and hierarchical only). The solver-effort
-	// fields are then zero.
+	// decided the call (core SQPR and hierarchical only): a Submit whose
+	// seed sits within the gap tolerance of (III.3)'s a-priori ceiling, a
+	// Repair chunk whose seed re-admitted every query, or a single-query
+	// Submit whose seed could not place the query on a large reduced model,
+	// which is rejected (Admitted false, Reason ReasonNoFeasiblePlan) with
+	// the state unchanged. The solver-effort fields are then zero.
 	SeedClosed bool
 }
 
@@ -209,10 +211,11 @@ type Stats struct {
 	Timeouts int
 	// Stalls counts calls ended by the solver's stagnation stop.
 	Stalls int
-	// SeedClosed counts calls the greedy seed closed without a solve (see
-	// Result.SeedClosed): the effort totals above are spread over at most
-	// Submissions − SeedClosed calls, which is what a per-solve average
-	// divides by.
+	// SeedClosed counts calls the greedy seed decided without a solve (see
+	// Result.SeedClosed), admissions and seed-decided rejections alike: the
+	// effort totals above are spread over at most Submissions − SeedClosed
+	// calls, which is what a per-solve average divides by. The rejections
+	// among them are counted in Rejections too.
 	SeedClosed int
 }
 
