@@ -83,9 +83,9 @@ func main() {
 
 	if *showStats {
 		st := p.Stats()
-		fmt.Printf("cumulative solver effort: %d nodes, %d presolve-fixed, %d LP iters over %d submissions (%d skipped, %d timeouts, %d stalls)\n",
+		fmt.Printf("cumulative solver effort: %d nodes, %d presolve-fixed, %d LP iters over %d submissions (%d skipped, %d timeouts, %d stalls, %d admitted beyond the seed)\n",
 			st.TotalNodes, st.TotalPresolveFixed,
-			st.TotalLPIters, st.Submissions, st.SeedClosed, st.Timeouts, st.Stalls)
+			st.TotalLPIters, st.Submissions, st.SeedClosed, st.Timeouts, st.Stalls, st.BeyondSeed)
 		fmt.Printf("cumulative basis effort:  %d refactorizations (%d drift-forced), %d eta updates, peak eta file %d, peak fill-in %.2f\n\n",
 			st.Factor.Refactors, st.Factor.DriftRebuilds, st.Factor.EtaAppends,
 			st.Factor.PeakEtas, st.Factor.FillRatio)

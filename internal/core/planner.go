@@ -146,7 +146,12 @@ func DefaultConfig() Config {
 // largeModelVars is the layout size from which submit treats a reduced
 // model as large: a single query its seed cannot place there is rejected
 // without a solve, and the solves that remain get the stagnation stop.
-const largeModelVars = 400
+// Below it the search keeps its full budget. It sits about 2× clear of
+// both sides of what was measured (DESIGN.md "Seed-decided rejections"):
+// the hand-built scenarios whose search admits what the seed cannot lay
+// out 43–53 variables, and the seed-failed lone queries of the S15
+// workloads and the sqpr-sim figures 233–393.
+const largeModelVars = 128
 
 // stallNodesLarge is the stagnation stop of large Submit solves and of
 // failure repairs: the nodes a search may run without improving its
@@ -347,9 +352,11 @@ func (p *Planner) submit(ctx context.Context, qs []dsps.StreamID, timeout time.D
 	default:
 		// The large models that still solve (batches, and seeds that place
 		// the query without closing the gap) stop once the search stops
-		// improving its incumbent; small models search their full budget,
-		// where a late admission find is cheap and real (the Fig. 2
-		// shared-chain and relay scenarios need more than 48 nodes).
+		// improving its incumbent. Models below largeModelVars — the
+		// hand-built scenarios, not the S15 workloads — search their full
+		// budget, lone queries the seed cannot place included: there a late
+		// admission find is cheap and real (the Fig. 2 shared-chain and
+		// relay scenarios need more than 48 nodes).
 		if b.numVars() >= largeModelVars {
 			opts.StallNodes = stallNodesLarge
 		}
@@ -360,6 +367,11 @@ func (p *Planner) submit(ctx context.Context, qs []dsps.StreamID, timeout time.D
 		// reports "all admitted".
 		if res.Admitted = p.Commit(next, fresh...); !res.Admitted {
 			res.Reason = plan.ReasonNoFeasiblePlan
+		}
+		for _, q := range fresh {
+			if _, seeded := seed.Provider(q); !seeded && p.Admitted(q) {
+				res.BeyondSeed++
+			}
 		}
 	}
 	// Otherwise — cancelled, no feasible plan within the budget, or unusable

@@ -391,9 +391,10 @@ func TestZeroValueConfigGetsDefaults(t *testing.T) {
 // to refactorizing per activation wave, to stopping presolve early, or to
 // a costlier cold start fails here on any machine.
 //
-// Most of the walk's large models are seed-decided rejections, which build
-// no model; each is replayed through the full path on a planner cloned
-// just before it, so the gate still covers the solves those calls ran.
+// Most of the walk's models are seed-decided rejections, which build no
+// model; each is replayed through the full path on a planner cloned just
+// before it, with the search those calls ran before the seed decided them
+// (fullBudgetOptions), so the gate still covers the same solves.
 func TestRefactorsPerSolveBudget(t *testing.T) {
 	sys := workload.BuildSystem(workload.SystemConfig{NumHosts: 15, CPUPerHost: 10, OutBW: 60, InBW: 60, LinkCap: 25})
 	w := workload.Generate(sys, workload.Config{
@@ -416,7 +417,7 @@ func TestRefactorsPerSolveBudget(t *testing.T) {
 			t.Fatalf("Submit(%d): %v", q, err)
 		}
 		if res.SeedClosed && !res.Admitted {
-			replayed.Record(replayFullPath(t, clone, q))
+			replayed.Record(replayFullPath(t, clone, q, fullBudgetOptions))
 		}
 	}
 	// The average is over the solves that ran or were replayed: submissions

@@ -161,14 +161,15 @@ func walkSubmits(t *testing.T, check func(step int, q dsps.StreamID, p, clone *P
 }
 
 // replayFullPath submits q on p through the full path — build, solve from
-// the seed with fullSolveOptions, commit — whatever the seed decides, and
-// returns the solve's result with Admitted set by the commit.
-func replayFullPath(t *testing.T, p *Planner, q dsps.StreamID) Result {
+// the seed with the options opts gives for the model laid out, commit —
+// whatever the seed decides, and returns the solve's result with Admitted
+// set by the commit.
+func replayFullPath(t *testing.T, p *Planner, q dsps.StreamID, opts func(*Planner, *builder) milp.Options) Result {
 	t.Helper()
 	p.beginCall(plan.SubmitConfig{})
 	b := p.newBuilder([]dsps.StreamID{q}, false)
 	var full Result
-	next, err := p.solve(context.Background(), b, b.seed(time.Time{}), fullSolveOptions(p, b), &full)
+	next, err := p.solve(context.Background(), b, b.seed(time.Time{}), opts(p, b), &full)
 	if err != nil || next == nil {
 		t.Fatalf("query %d: full path failed: %v (%+v)", q, err, full)
 	}
@@ -190,7 +191,7 @@ func TestSeedCloseMatchesFullSolve(t *testing.T) {
 			}
 			return
 		}
-		if res.Nodes != 0 || res.LPIters != 0 || res.ModelVars != 0 || res.SolveStatus != milp.FeasibleMIP {
+		if res.Nodes != 0 || res.LPIters != 0 || res.ModelVars != 0 || res.BeyondSeed != 0 || res.SolveStatus != milp.FeasibleMIP {
 			t.Fatalf("step %d: seed-closed result carries solver effort: %+v", step, res)
 		}
 		if !res.Admitted {
@@ -201,7 +202,7 @@ func TestSeedCloseMatchesFullSolve(t *testing.T) {
 			return
 		}
 		closed++
-		full := replayFullPath(t, clone, q)
+		full := replayFullPath(t, clone, q, fullSolveOptions)
 		if full.Nodes != 1 {
 			t.Fatalf("step %d: the full path searched %d nodes where the seed closed the call", step, full.Nodes)
 		}
@@ -215,33 +216,112 @@ func TestSeedCloseMatchesFullSolve(t *testing.T) {
 	}
 }
 
+// stallFreeVars is where the stagnation stop started before largeModelVars
+// moved down to meet the seed-decided rejections: a model below it searched
+// its full budget, and its rejections are replayed at that strength.
+const stallFreeVars = 400
+
+// fullBudgetOptions are fullSolveOptions with the stagnation stop a model of
+// fewer than stallFreeVars variables never had taken off again.
+func fullBudgetOptions(p *Planner, b *builder) milp.Options {
+	opts := fullSolveOptions(p, b)
+	if b.numVars() < stallFreeVars {
+		opts.StallNodes = 0
+	}
+	return opts
+}
+
 // TestSeedCloseRejectionsMatchFullSolve replays every seed-decided rejection
 // of the walk — a lone query the seed could not place on a model of at
 // least largeModelVars variables — on a planner cloned just before it,
 // through the full path: the search must not admit the query either, and
-// must leave a byte-identical state. The rule is a measured heuristic, not
-// a bound, so this walk is its evidence.
+// must leave a byte-identical state. A model below stallFreeVars is
+// replayed with the full submitMaxNodes budget and no stagnation stop, the
+// search it had before the rule reached it. The rule is a measured
+// heuristic, not a bound, so this walk is its evidence.
 func TestSeedCloseRejectionsMatchFullSolve(t *testing.T) {
-	rejected := 0
+	rejected, fullBudget := 0, 0
 	walkSubmits(t, func(step int, q dsps.StreamID, p, clone *Planner, res Result) {
 		if !res.SeedClosed || res.Admitted {
 			return
 		}
 		rejected++
-		full := replayFullPath(t, clone, q)
+		full := replayFullPath(t, clone, q, fullBudgetOptions)
 		if full.Admitted {
 			t.Fatalf("step %d: the full path admits query %d in %d nodes, which the seed rejected", step, q, full.Nodes)
 		}
 		if full.Nodes == 0 || full.ModelVars < largeModelVars {
 			t.Fatalf("step %d: the replay did not search a large model: %+v", step, full)
 		}
+		if full.ModelVars < stallFreeVars {
+			if full.Stalled {
+				t.Fatalf("step %d: the full-budget replay of a %d-variable model stalled: %+v", step, full.ModelVars, full)
+			}
+			fullBudget++
+		}
 		if !clone.ExportState().Equal(p.ExportState()) {
 			t.Fatalf("step %d: seed-decided and full-path rejections of query %d disagree on the state", step, q)
 		}
 	})
-	t.Logf("%d seed-decided rejections in %d steps, each also rejected by the full path", rejected, walkSteps)
+	t.Logf("%d seed-decided rejections in %d steps, each also rejected by the full path; %d replayed on models under %d variables with the full budget",
+		rejected, walkSteps, fullBudget, stallFreeVars)
 	if rejected < 40 {
 		t.Fatalf("only %d seed-decided rejections in %d steps (want ≥ 40): the walk no longer exercises the rule", rejected, walkSteps)
+	}
+	if fullBudget < 5 {
+		t.Fatalf("only %d seed-decided rejections on models under %d variables (want ≥ 5): the walk no longer exercises the moved line", fullBudget, stallFreeVars)
+	}
+}
+
+// TestSeedCloseSmallModelsKeepTheirSearch pins the models below
+// largeModelVars whose search the seed-decided rejection must leave alone:
+// a lone query the seed cannot place, on a layout under the line, searches.
+// Fig. 2's q1 and the relay query are admitted by that search and by
+// nothing else, so each counts one admission beyond the seed.
+func TestSeedCloseSmallModelsKeepTheirSearch(t *testing.T) {
+	fig2Planner := func(t *testing.T) (*Planner, dsps.StreamID) {
+		sys, _, q1, _ := fig2System(t)
+		cfg := DefaultConfig()
+		cfg.SolveTimeout = 2 * time.Second
+		return NewPlanner(sys, cfg), q1
+	}
+	relayPlanner := func(t *testing.T) (*Planner, dsps.StreamID) {
+		sys, q := relayScenario(t)
+		cfg := DefaultConfig()
+		cfg.SolveTimeout = 3 * time.Second
+		return NewPlanner(sys, cfg), q
+	}
+	nestedPlanner := func(t *testing.T) (*Planner, dsps.StreamID) {
+		sys, ab, _, _ := nestedSystem(t, 0.5)
+		return NewPlanner(sys, testConfig()), ab
+	}
+	for _, tc := range []struct {
+		name  string
+		setup func(*testing.T) (*Planner, dsps.StreamID)
+		admit bool
+	}{
+		{"Fig. 2 q1", fig2Planner, true},
+		{"relay", relayPlanner, true},
+		{"nested ab without CPU", nestedPlanner, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, q := tc.setup(t)
+			res := mustSubmit(t, p, false, q)
+			if res.ModelVars >= largeModelVars || res.Nodes == 0 {
+				t.Fatalf("want a search on fewer than %d variables: %+v", largeModelVars, res)
+			}
+			if res.Admitted != tc.admit {
+				t.Fatalf("Admitted = %v, want %v: %+v", res.Admitted, tc.admit, res)
+			}
+			want := 0
+			if tc.admit {
+				want = 1
+			}
+			if res.BeyondSeed != want || p.Stats().BeyondSeed != want {
+				t.Fatalf("BeyondSeed = %d (Stats %d), want %d: %+v", res.BeyondSeed, p.Stats().BeyondSeed, want, res)
+			}
+			t.Logf("%d variables, %d nodes", res.ModelVars, res.Nodes)
+		})
 	}
 }
 

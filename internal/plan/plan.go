@@ -177,6 +177,10 @@ type Result struct {
 	// which is rejected (Admitted false, Reason ReasonNoFeasiblePlan) with
 	// the state unchanged. The solver-effort fields are then zero.
 	SeedClosed bool
+	// BeyondSeed counts the fresh queries of a Submit solve that the call
+	// admitted and its greedy seed had not placed: what the search bought
+	// over the seed (core SQPR and hierarchical only; 0 when SeedClosed).
+	BeyondSeed int
 }
 
 // Stats aggregates planner telemetry across all planning calls.
@@ -217,6 +221,9 @@ type Stats struct {
 	// calls, which is what a per-solve average divides by. The rejections
 	// among them are counted in Rejections too.
 	SeedClosed int
+	// BeyondSeed accumulates Result.BeyondSeed: the queries Submit solves
+	// admitted beyond their seeds.
+	BeyondSeed int
 }
 
 // Record folds one call's outcome into the cumulative stats.
@@ -239,6 +246,7 @@ func (s *Stats) Record(res Result) {
 	if res.SeedClosed {
 		s.SeedClosed++
 	}
+	s.BeyondSeed += res.BeyondSeed
 }
 
 // SubmitConfig collects the per-call settings assembled from SubmitOptions.

@@ -36,6 +36,7 @@ func goldenData() serve.MetricsData {
 			Timeouts:           2,
 			Stalls:             1,
 			SeedClosed:         17,
+			BeyondSeed:         6,
 			Factor: lp.FactorStats{
 				Refactors:     12,
 				DriftRebuilds: 1,

@@ -240,8 +240,18 @@ func (s *Server) handleAdmitted(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleAssignment writes the allocation's own wire encoding, compact:
+// re-indenting it through writeJSON would encode the whole allocation a
+// second time, and it is the largest body the API serves.
 func (s *Server) handleAssignment(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.svc.Assignment())
+	body, err := s.svc.Assignment().MarshalJSON()
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {

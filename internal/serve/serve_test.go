@@ -421,6 +421,41 @@ func TestQueriesAndAssignmentHandlers(t *testing.T) {
 	}
 }
 
+// TestAssignmentBodyIsTheWireEncoding: GET /v1/assignment serves the
+// allocation's own compact encoding, newline-terminated, and it decodes to
+// the service's allocation.
+func TestAssignmentBodyIsTheWireEncoding(t *testing.T) {
+	f, svc, srv := newTestServer(t)
+	h := srv.Handler()
+	for _, q := range []string{`{"query": 0}`, `{"query": 2}`} {
+		if rec := do(t, h, "POST", "/v1/submit", q); rec.Code != http.StatusOK {
+			t.Fatalf("submit %s: status %d", q, rec.Code)
+		}
+	}
+	f.mu.Lock()
+	f.state.AddFlow(dsps.Flow{From: 0, To: 1, Stream: 2})
+	f.state.AddOp(dsps.Placement{Host: 1, Op: 0})
+	f.mu.Unlock()
+
+	rec := do(t, h, "GET", "/v1/assignment", "")
+	if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/json" {
+		t.Fatalf("assignment: status %d, content type %q", rec.Code, rec.Header().Get("Content-Type"))
+	}
+	body := rec.Body.String()
+	if !strings.HasSuffix(body, "}\n") || strings.Count(body, "\n") != 1 {
+		t.Fatalf("assignment body is not compact and newline-terminated: %q", body)
+	}
+	var got dsps.Assignment
+	decode(t, rec, &got)
+	want := svc.Assignment()
+	if !slices.Equal(got.Provides, want.Provides) || !slices.Equal(got.Flows, want.Flows) || !slices.Equal(got.Ops, want.Ops) {
+		t.Fatalf("served assignment %+v, service holds %+v", got, want)
+	}
+	if len(want.Provides) != 2 || len(want.Flows) != 1 || len(want.Ops) != 1 {
+		t.Fatalf("service allocation %+v, want 2 provides, 1 flow, 1 placement", want)
+	}
+}
+
 func TestHealthAndReadiness(t *testing.T) {
 	_, _, srv := newTestServer(t)
 	h := srv.Handler()
