@@ -223,8 +223,7 @@ func TestSubmitOptionsAcrossPlanners(t *testing.T) {
 			p := tc.make(sys)
 			ctx := context.Background()
 			if _, err := p.Submit(ctx, queries[0],
-				sqpr.WithTimeout(100*time.Millisecond),
-				sqpr.WithValidation(true)); err != nil {
+				sqpr.WithTimeout(100*time.Millisecond)); err != nil {
 				t.Fatalf("options submit: %v", err)
 			}
 			hosts := make([]sqpr.HostID, sys.NumHosts())

@@ -126,11 +126,6 @@ type Config struct {
 	// branching, so the solver runs plain most-fractional branch and
 	// bound (conformance tests compare both modes).
 	DisableTreeReduction bool
-	// Validate re-checks every produced assignment against the dsps
-	// feasibility validator. DefaultConfig sets it; the zero Config does
-	// not validate. A plan.WithValidation submit option overrides it per
-	// call.
-	Validate bool
 }
 
 // DefaultConfig returns the configuration used by the evaluation harness.
@@ -139,7 +134,6 @@ func DefaultConfig() Config {
 		Weights:           PaperWeights(),
 		SolveTimeout:      500 * time.Millisecond,
 		MaxCandidateHosts: 10,
-		Validate:          true,
 	}
 }
 
@@ -192,8 +186,6 @@ type Planner struct {
 	// allowedHosts, when non-nil, restricts discretionary candidate hosts
 	// for the current call (plan.WithCandidateHosts).
 	allowedHosts map[dsps.HostID]bool
-	// validate is the per-call effective validation switch.
-	validate bool
 
 	// bld is the pooled model builder, reused across submissions so a
 	// long-lived planner stops churning the heap on every call.
@@ -238,9 +230,9 @@ func NewPlanner(sys *dsps.System, cfg Config) *Planner {
 // plan.WithCandidateHosts restricts the candidate host universe (the
 // building block of internal/hier), plan.WithBatch plans additional
 // queries jointly in one optimisation with the deadline scaled by the
-// batch size (§V-A1), and plan.WithValidation toggles post-solve
-// feasibility validation. Cancelling ctx aborts the MILP search promptly and
-// leaves the planner state unchanged.
+// batch size (§V-A1). Every plan committed passes the dsps feasibility
+// validator. Cancelling ctx aborts the MILP search promptly and leaves the
+// planner state unchanged.
 func (p *Planner) Submit(ctx context.Context, q dsps.StreamID, opts ...plan.SubmitOption) (Result, error) {
 	ctx = plan.OrBackground(ctx)
 	cfg := plan.Apply(opts)
@@ -257,15 +249,11 @@ func (p *Planner) Submit(ctx context.Context, q dsps.StreamID, opts ...plan.Subm
 	return p.submit(ctx, qs, timeout)
 }
 
-// beginCall resolves the per-call options Submit and Repair share: the
-// candidate-host restriction and the validation override. Both are read
-// only by the builders of the call that set them.
+// beginCall resolves the per-call option Submit and Repair share: the
+// candidate-host restriction, read only by the builders of the call that
+// set it.
 func (p *Planner) beginCall(cfg plan.SubmitConfig) {
 	p.allowedHosts = cfg.HostSet()
-	p.validate = p.cfg.Validate
-	if cfg.Validate != nil {
-		p.validate = *cfg.Validate
-	}
 }
 
 func (p *Planner) submit(ctx context.Context, qs []dsps.StreamID, timeout time.Duration) (Result, error) {
@@ -419,13 +407,11 @@ func (p *Planner) solve(ctx context.Context, b *builder, seed *dsps.Assignment, 
 	return p.validated(next, res)
 }
 
-// validated passes next through unless the call validates and it fails.
+// validated passes next through unless the dsps validator refuses it.
 func (p *Planner) validated(next *dsps.Assignment, res *Result) (*dsps.Assignment, error) {
-	if p.validate {
-		if err := next.Validate(p.sys); err != nil {
-			res.Reason = plan.ReasonValidationFailed
-			return nil, fmt.Errorf("core: solver produced infeasible plan: %w", err)
-		}
+	if err := next.Validate(p.sys); err != nil {
+		res.Reason = plan.ReasonValidationFailed
+		return nil, fmt.Errorf("core: solver produced infeasible plan: %w", err)
 	}
 	return next, nil
 }

@@ -27,27 +27,26 @@ type Planner struct {
 	// track is the usage ledger of the candidate being probed, reset per
 	// candidate and kept current placement by placement.
 	track dsps.Usage
-
-	// MaxPlans caps abstract plan enumeration per query (exhaustive for
-	// the paper's 2- to 4-way joins; 5-way trees are pruned beyond this).
-	MaxPlans int
 }
+
+// maxPlans caps abstract plan enumeration per query (exhaustive for the
+// paper's 2- to 4-way joins; 5-way trees are pruned beyond this).
+const maxPlans = 256
 
 // New creates a heuristic planner with the same objective weights as SQPR.
 func New(sys *dsps.System, w core.Weights) *Planner {
 	return &Planner{
-		Ledger:   plan.NewLedger("heuristic", sys),
-		sys:      sys,
-		weights:  w,
-		MaxPlans: 256,
+		Ledger:  plan.NewLedger("heuristic", sys),
+		sys:     sys,
+		weights: w,
 	}
 }
 
 // Submit plans query q (and any plan.WithBatch companions, sequentially —
 // the heuristic has no joint optimisation). plan.WithCandidateHosts
-// restricts the hosts tried, plan.WithTimeout bounds the candidate search
-// and plan.WithValidation toggles the feasibility re-check. Cancelling ctx
-// aborts the search and leaves the planner state unchanged.
+// restricts the hosts tried and plan.WithTimeout bounds the candidate
+// search; every committed plan passes the feasibility re-check. Cancelling
+// ctx aborts the search and leaves the planner state unchanged.
 func (p *Planner) Submit(ctx context.Context, q dsps.StreamID, opts ...plan.SubmitOption) (plan.Result, error) {
 	return p.SubmitEach(ctx, q, opts, p.submitOne)
 }
@@ -100,10 +99,8 @@ func (p *Planner) submitOne(ctx context.Context, q dsps.StreamID, cfg *plan.Subm
 		return false, plan.ReasonNoFeasiblePlan, nil
 	}
 	best.SetProvide(q, bestHost)
-	if cfg.Validate == nil || *cfg.Validate {
-		if best.Validate(p.sys) != nil {
-			return false, plan.ReasonValidationFailed, nil
-		}
+	if best.Validate(p.sys) != nil {
+		return false, plan.ReasonValidationFailed, nil
 	}
 	p.Commit(best, q)
 	return true, plan.ReasonNone, nil
@@ -119,7 +116,7 @@ type abstractPlan struct {
 
 // abstractPlans enumerates the join trees producing q.
 func (p *Planner) abstractPlans(q dsps.StreamID) []*abstractPlan {
-	return p.plansFor(q, p.MaxPlans)
+	return p.plansFor(q, maxPlans)
 }
 
 func (p *Planner) plansFor(s dsps.StreamID, budget int) []*abstractPlan {

@@ -29,9 +29,6 @@ type Planner struct {
 	sites [][]dsps.HostID
 	// siteOf maps every host to its site index.
 	siteOf []int
-	// Fallback controls whether a query rejected by its primary site is
-	// retried on the next-best sites.
-	Fallback bool
 }
 
 // New creates a hierarchical planner with the hosts partitioned into
@@ -45,10 +42,9 @@ func New(sys *dsps.System, cfg core.Config, numSites int) *Planner {
 		numSites = n
 	}
 	p := &Planner{
-		sys:      sys,
-		Planner:  core.NewPlanner(sys, cfg),
-		siteOf:   make([]int, n),
-		Fallback: true,
+		sys:     sys,
+		Planner: core.NewPlanner(sys, cfg),
+		siteOf:  make([]int, n),
 	}
 	base := n / numSites
 	extra := n % numSites
@@ -81,9 +77,9 @@ func (p *Planner) Repair(ctx context.Context, events []plan.Event, opts ...plan.
 	return plan.RepairByResubmit(ctx, p.sys, p, events, opts...)
 }
 
-// Submit routes the query to its best site and plans it there; with
-// Fallback enabled, rejected queries are retried on the remaining sites in
-// descending preference order. An explicit plan.WithCandidateHosts option
+// Submit routes the query to its best site and plans it there; a query
+// its site rejects falls back to the remaining sites in descending
+// preference order. An explicit plan.WithCandidateHosts option
 // bypasses site routing and delegates to the wrapped planner unchanged.
 // plan.WithTimeout bounds the whole call including fallback attempts (one
 // budget drawn down across the per-site solves); the remaining options are
@@ -107,16 +103,8 @@ func (p *Planner) Submit(ctx context.Context, q dsps.StreamID, opts ...plan.Subm
 	if cfg.Batch != nil {
 		siteOpts = append(siteOpts, plan.WithBatch(cfg.Batch...))
 	}
-	if cfg.Validate != nil {
-		siteOpts = append(siteOpts, plan.WithValidation(*cfg.Validate))
-	}
-	order := p.rankSites(q)
-	tries := order
-	if !p.Fallback && len(order) > 0 {
-		tries = order[:1]
-	}
 	var last plan.Result
-	for _, s := range tries {
+	for _, s := range p.rankSites(q) {
 		attempt := append(append([]plan.SubmitOption(nil), siteOpts...),
 			plan.WithCandidateHosts(p.sites[s]...))
 		if !deadline.IsZero() {

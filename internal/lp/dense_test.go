@@ -394,16 +394,6 @@ func (s *DenseSolver) Load(p *Problem) error {
 // NumVars returns the structural variable count of the loaded problem.
 func (s *DenseSolver) NumVars() int { return s.nStruct }
 
-// Detach drops the solver's reference to the loaded problem and invalidates
-// any saved basis, keeping only the raw arenas. Pools of idle solvers call
-// this so a recycled solver cannot keep a dead caller's constraint storage
-// reachable; the next Load makes the solver usable again.
-func (s *DenseSolver) Detach() {
-	s.prob = nil
-	s.warm = false
-	s.snap.valid = false
-}
-
 // SaveBasis snapshots the full tableau state — basis, bounds, fix set,
 // orientation, active rows, reduced costs — into a solver-owned arena. One
 // snapshot is held at a time; saving again overwrites it. The copy costs

@@ -418,16 +418,6 @@ func finite(x float64) bool { return x-x == 0 }
 // NumVars returns the structural variable count of the loaded problem.
 func (s *Solver) NumVars() int { return s.nStruct }
 
-// Detach drops the solver's reference to the loaded problem and invalidates
-// any saved basis, keeping only the raw arenas. Pools of idle solvers call
-// this so a recycled solver cannot keep a dead caller's constraint storage
-// reachable; the next Load makes the solver usable again.
-func (s *Solver) Detach() {
-	s.rows = nil
-	s.warm = false
-	s.snap.valid = false
-}
-
 // SaveBasis snapshots the solver's logical state — basis, bounds, fix set,
 // orientation, active rows, reduced costs — into a solver-owned arena. One
 // snapshot is held at a time; saving again overwrites it. The factorization

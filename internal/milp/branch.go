@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"context"
 	"math"
-	"sync"
 	"time"
 
 	"sqpr/internal/invariant"
@@ -13,7 +12,8 @@ import (
 
 // bbNode is one branch-and-bound subproblem: a set of pinned binaries
 // (indices into compiled.active space) plus bookkeeping for best-first
-// ordering and pseudo-cost updates. Nodes are pooled on the compiled arena.
+// ordering and pseudo-cost updates. Fathomed nodes are recycled through
+// the search's scratch.
 type bbNode struct {
 	bounds []boundFix
 	depth  int
@@ -56,12 +56,6 @@ func (h *nodeHeap) Pop() any {
 	return it
 }
 
-// workerPool recycles workers — their lp.Solver arenas and all per-node
-// scratch — across Solve calls, so a long-lived planner's branch-and-bound
-// stops allocating fresh tableaus and buffers per submission. Solve calls on
-// independent models may run on different goroutines and share the pool.
-var workerPool = sync.Pool{New: func() any { return &worker{slv: lp.NewSolver()} }}
-
 // Solve optimises the model. The returned Result always carries the best
 // incumbent found, mirroring the paper's use of a solver timeout after which
 // "the best solution that the method found" is used. The search runs on the
@@ -94,18 +88,8 @@ func (m *Model) Solve(opts Options) Result {
 		return Result{Status: InfeasibleMIP, Bound: math.Inf(-1)}
 	}
 
-	s := &search{
-		c:          c,
-		ctx:        opts.Ctx,
-		reduce:     !opts.DisableTreeReduction,
-		maxNodes:   maxNodes,
-		stallNodes: opts.StallNodes,
-		deadline:   opts.Deadline,
-		gapTol:     opts.GapTol,
-		absGap:     opts.AbsGapTol,
-		bestObj:    math.Inf(1), // minimisation space
-	}
-	s.initScratch()
+	s := &m.search
+	s.reset(c, opts, maxNodes)
 
 	// Warm start: accept an externally computed feasible point.
 	if opts.Incumbent != nil && len(opts.Incumbent) == len(m.vars) {
@@ -118,8 +102,10 @@ func (m *Model) Solve(opts Options) Result {
 		Nodes: s.nodes, LPIters: s.lpIters, Cancelled: s.cancelled, Stalled: s.stalled,
 		BudgetHit:     s.truncated && !s.stalled && !s.cancelled,
 		PresolveFixed: c.presolveFixed,
-		Factor:        s.factor,
 		Err:           s.err,
+	}
+	if s.loaded {
+		res.Factor = s.slv.FactorStats()
 	}
 	switch {
 	case s.bestX == nil && s.provedInfeasible:
@@ -132,7 +118,7 @@ func (m *Model) Solve(opts Options) Result {
 		res.Status = FeasibleMIP
 	}
 	if s.bestX != nil {
-		// bestX lives in the compiled scratch arena; the Result owns its X.
+		// bestX lives in the search's scratch; the Result owns its X.
 		res.X = append([]float64(nil), s.bestX...)
 		res.Objective = c.modelObjective(s.bestX)
 	}
@@ -144,8 +130,14 @@ func (m *Model) Solve(opts Options) Result {
 	return res
 }
 
-// search is the state of one branch-and-bound run.
+// search is the state of one branch-and-bound run over the compiled model.
+// One lives on each Model and every Solve resets it; the scratch it embeds
+// (the warm LP solver, recycled nodes and the sized buffers) carries across
+// Solves, so a long-lived planner's branch-and-bound allocates nothing per
+// node and no fresh LP arenas per submission.
 type search struct {
+	scratch
+
 	c        *compiled
 	ctx      context.Context
 	reduce   bool // presolve + pseudo-cost branching enabled
@@ -157,25 +149,25 @@ type search struct {
 	stallNodes  int // stop after this many nodes without incumbent progress
 	lastImprove int // node count at the last incumbent improvement
 
-	open nodeHeap
-	seq  int
+	seq int
 
 	nodes   int
 	lpIters int
-	factor  lp.FactorStats // taken from the worker's solver at release
 
-	bestX   []float64 // model-space incumbent (aliases compiled scratch)
+	bestX   []float64 // model-space incumbent (aliases bestXBuf)
 	bestObj float64   // minimisation-space objective of incumbent
 
-	err error // lp.Load rejected the compiled problem
+	loaded bool  // the solver holds this solve's LP
+	err    error // lp.LoadCSR rejected the compiled problem
 
-	// Pseudo-costs per LP-active variable: sums of per-unit objective
-	// degradation and observation counts, plus global averages used for
-	// uninitialised candidates.
-	pcUp, pcDn   []float64
-	pcUpN, pcDnN []int32
-	pcSum        float64
-	pcCnt        int32
+	// hasSnap marks that the solver holds a saved basis whose fix set is
+	// snapApplied; jumping to an unrelated subtree restores it so the node
+	// re-solve stays pure dual simplex (bound tightenings only).
+	hasSnap bool
+
+	// Global pseudo-cost average, used for candidates without observations.
+	pcSum float64
+	pcCnt int32
 
 	rootBound        float64
 	stalled          bool // ended via the stagnation stop
@@ -187,43 +179,85 @@ type search struct {
 	cancelled        bool
 }
 
-// initScratch wires the per-Solve scratch (heap backing, node pool,
-// pseudo-cost arrays) to the compiled arena so repeated Solves reuse it.
-func (s *search) initScratch() {
-	c := s.c
-	nAct := len(c.active)
-	c.pcUp = growFloats(c.pcUp, nAct)
-	c.pcDn = growFloats(c.pcDn, nAct)
-	c.pcUpN = growInt32s(c.pcUpN, nAct)
-	c.pcDnN = growInt32s(c.pcDnN, nAct)
-	for k := 0; k < nAct; k++ {
-		c.pcUp[k], c.pcDn[k] = 0, 0
-		c.pcUpN[k], c.pcDnN[k] = 0, 0
-	}
-	s.pcUp, s.pcDn = c.pcUp, c.pcDn
-	s.pcUpN, s.pcDnN = c.pcUpN, c.pcDnN
-	s.open = c.openScratch[:0]
+// scratch is what a search keeps from one Solve to the next: the warm LP
+// solver and the buffers sized to the model, reused when large enough.
+type scratch struct {
+	slv *lp.Solver
+
+	open     nodeHeap
+	recycled []*bbNode // fathomed nodes, reused by newNode
+	bestXBuf []float64
+
+	// Pseudo-costs per LP-active variable: sums of per-unit objective
+	// degradation and observation counts.
+	pcUp, pcDn   []float64
+	pcUpN, pcDnN []int32
+
+	target      []int8 // desired fix per active var for the current node
+	applied     []int8 // fix currently applied to the solver
+	snapApplied []int8 // fix set of the saved basis
+	xAct        []float64
+	xDive       []float64
+
+	fracs      []fracCand // fractional binaries of the current relaxation
+	candBuf    []float64  // model-space integral candidate
+	diveBuf    []float64  // model-space dive candidate
+	diveBounds []boundFix
 }
 
-// finishScratch recycles remaining open nodes and returns the heap backing
-// to the arena.
-func (s *search) finishScratch() {
+// reset readies the search for a run over c under opts: every per-solve
+// field starts afresh, and the scratch is emptied and sized to c. Nodes
+// left open by the previous run go back to the recycling list.
+func (s *search) reset(c *compiled, opts Options, maxNodes int) {
 	for _, n := range s.open {
-		if n != nil {
-			s.freeNode(n)
-		}
+		s.freeNode(n)
 	}
+	*s = search{
+		scratch:    s.scratch,
+		c:          c,
+		ctx:        opts.Ctx,
+		reduce:     !opts.DisableTreeReduction,
+		maxNodes:   maxNodes,
+		stallNodes: opts.StallNodes,
+		deadline:   opts.Deadline,
+		gapTol:     opts.GapTol,
+		absGap:     opts.AbsGapTol,
+		bestObj:    math.Inf(1), // minimisation space
+		rootBound:  math.Inf(-1),
+	}
+	if s.slv == nil {
+		// Lazy rows: SQPR models carry thousands of availability/acyclicity
+		// rows of which only a handful bind at any node optimum, so the
+		// active tableau stays small.
+		s.slv = lp.NewSolver()
+		s.slv.SetLazy(true)
+	}
+	nAct, nv := len(c.active), len(c.m.vars)
 	s.open = s.open[:0]
-	s.c.openScratch = s.open
+	s.pcUp, s.pcDn = growFloats(s.pcUp, nAct), growFloats(s.pcDn, nAct)
+	s.pcUpN, s.pcDnN = growInt32s(s.pcUpN, nAct), growInt32s(s.pcDnN, nAct)
+	clear(s.pcUp)
+	clear(s.pcDn)
+	clear(s.pcUpN)
+	clear(s.pcDnN)
+	s.target = growInt8s(s.target, nAct)
+	s.applied = growInt8s(s.applied, nAct)
+	s.snapApplied = growInt8s(s.snapApplied, nAct)
+	for k := 0; k < nAct; k++ {
+		s.target[k], s.applied[k], s.snapApplied[k] = nodeFree, nodeFree, nodeFree
+	}
+	s.xAct = growFloats(s.xAct, nAct)
+	s.xDive = growFloats(s.xDive, nAct)
+	s.candBuf = growFloats(s.candBuf, nv)
+	s.diveBuf = growFloats(s.diveBuf, nv)
 }
 
-// newNode takes a node from the pool.
+// newNode takes a recycled node, or makes one.
 func (s *search) newNode() *bbNode {
-	c := s.c
-	if n := len(c.nodeFree); n > 0 {
-		nd := c.nodeFree[n-1]
-		c.nodeFree[n-1] = nil
-		c.nodeFree = c.nodeFree[:n-1]
+	if n := len(s.recycled); n > 0 {
+		nd := s.recycled[n-1]
+		s.recycled[n-1] = nil
+		s.recycled = s.recycled[:n-1]
 		nd.bounds = nd.bounds[:0]
 		nd.depth, nd.est, nd.seq = 0, 0, 0
 		nd.branchVar, nd.branchUp, nd.parentEst, nd.branchDist = -1, false, 0, 0
@@ -234,7 +268,7 @@ func (s *search) newNode() *bbNode {
 
 // freeNode recycles a fathomed node.
 func (s *search) freeNode(n *bbNode) {
-	s.c.nodeFree = append(s.c.nodeFree, n)
+	s.recycled = append(s.recycled, n)
 }
 
 // stopped reports whether the search must wind down.
@@ -311,12 +345,12 @@ func rowHolds(sense Sense, lhs, rhs, tol float64) bool {
 }
 
 // installIncumbent installs a validated point if it improves the incumbent,
-// copying it into the arena-owned incumbent buffer.
+// copying it into the scratch's incumbent buffer.
 func (s *search) installIncumbent(x []float64, lpObj float64) bool {
 	if lpObj < s.bestObj-1e-12 {
 		s.bestObj = lpObj
-		s.c.bestXBuf = append(s.c.bestXBuf[:0], x...)
-		s.bestX = s.c.bestXBuf
+		s.bestXBuf = append(s.bestXBuf[:0], x...)
+		s.bestX = s.bestXBuf
 		s.lastImprove = s.nodes
 		return true
 	}
@@ -337,14 +371,10 @@ func (s *search) acceptModelPoint(x []float64) bool {
 // run reflects whether the tree was exhausted (proof) or a
 // budget/gap/cancellation cut it short.
 func (s *search) run() {
-	s.rootBound = math.Inf(-1)
-
-	w := newWorker(s)
-	s.processRoot(w)
+	s.processRoot()
 	if !s.stopped() && len(s.open) > 0 {
-		w.loop()
+		s.loop()
 	}
-	w.release()
 
 	if !s.stopped() && !s.proofLost && len(s.open) == 0 {
 		s.provedOptimal = s.bestX != nil
@@ -352,7 +382,6 @@ func (s *search) run() {
 			s.provedInfeasible = true
 		}
 	}
-	s.finishScratch()
 }
 
 // push enqueues a node.
@@ -384,87 +413,25 @@ type fracCand struct {
 	frac float64 // distance from the nearest integer
 }
 
-// worker owns one warm LP solver over the compiled base problem plus the
-// scratch buffers for bound diffing and candidate points, so processing a
-// node allocates nothing in steady state.
-type worker struct {
-	s       *search
-	slv     *lp.Solver
-	loaded  bool
-	target  []int8 // desired fix per active var for the current node
-	applied []int8 // fix currently applied to the solver
-	xAct    []float64
-	xDive   []float64
-
-	// hasSnap marks that the solver holds a saved basis whose fix set is
-	// snapApplied; jumping to an unrelated subtree restores it so the node
-	// re-solve stays pure dual simplex (bound tightenings only).
-	hasSnap     bool
-	snapApplied []int8
-
-	fracs      []fracCand // fractional binaries of the current relaxation
-	candBuf    []float64  // model-space integral candidate
-	diveBuf    []float64  // model-space dive candidate
-	diveBounds []boundFix
-}
-
-func newWorker(s *search) *worker {
-	w := workerPool.Get().(*worker)
-	nAct := len(s.c.active)
-	nv := len(s.c.m.vars)
-	w.s = s
-	w.loaded = false
-	w.hasSnap = false
-	w.target = growInt8s(w.target, nAct)
-	w.applied = growInt8s(w.applied, nAct)
-	w.snapApplied = growInt8s(w.snapApplied, nAct)
-	for k := 0; k < nAct; k++ {
-		w.target[k], w.applied[k], w.snapApplied[k] = nodeFree, nodeFree, nodeFree
-	}
-	w.xAct = growFloats(w.xAct, nAct)
-	w.xDive = growFloats(w.xDive, nAct)
-	w.candBuf = growFloats(w.candBuf, nv)
-	w.diveBuf = growFloats(w.diveBuf, nv)
-	w.fracs = w.fracs[:0]
-	w.diveBounds = w.diveBounds[:0]
-	return w
-}
-
-// release detaches the worker's solver from the model — so the pool does
-// not keep a dead planner's compiled constraint storage reachable — and
-// recycles the worker with all its scratch.
-func (w *worker) release() {
-	if w.loaded {
-		w.s.factor = w.slv.FactorStats()
-	}
-	w.slv.Detach()
-	w.s = nil
-	workerPool.Put(w)
-}
-
-// ensureLoaded lazily compiles the base LP into this worker's solver; the
-// arena is reused from previous Solve calls when large enough. A problem
-// Load rejects is recorded on the search.
-func (w *worker) ensureLoaded() bool {
-	if w.loaded {
+// ensureLoaded lazily loads the compiled LP into the search's solver; its
+// arenas are reused from previous Solve calls when large enough. A problem
+// LoadCSR rejects is recorded on the search.
+func (s *search) ensureLoaded() bool {
+	if s.loaded {
 		return true
 	}
-	// Lazy rows: SQPR models carry thousands of availability/acyclicity
-	// rows of which only a handful bind at any node optimum, so the active
-	// tableau stays small.
-	w.slv.SetLazy(true)
-	if err := w.slv.LoadCSR(&w.s.c.lp); err != nil {
-		w.s.err = err
+	if err := s.slv.LoadCSR(&s.c.lp); err != nil {
+		s.err = err
 		return false
 	}
-	w.loaded = true
+	s.loaded = true
 	return true
 }
 
 // resolveRoot re-solves the unpinned root and classifies it; ok is false
 // when the root phase must end (infeasibility proven or proof lost).
-func (s *search) resolveRoot(w *worker) (sol lp.Solution, xAct []float64, ok bool) {
-	sol, xAct = w.solveNode(nil, w.xAct)
+func (s *search) resolveRoot() (sol lp.Solution, xAct []float64, ok bool) {
+	sol, xAct = s.solveNode(nil, s.xAct)
 	s.lpIters += sol.Iters
 	if sol.Status == lp.Infeasible {
 		s.provedInfeasible = s.bestX == nil
@@ -488,51 +455,51 @@ const (
 // child only adds pins, so the diff is one Fix and the re-solve is pure
 // dual simplex. Jumping to another subtree would need Unfixes — those can
 // leave released columns dual infeasible, costing bound flips and the dual
-// pivots that repair them — so in that case the worker first restores its
+// pivots that repair them — so in that case the search first restores its
 // saved near-root basis (whose pin set is a subset of any node's) and
 // tightens from there instead.
-func (w *worker) applyBounds(bounds []boundFix) {
-	for i := range w.target {
-		w.target[i] = nodeFree
+func (s *search) applyBounds(bounds []boundFix) {
+	for i := range s.target {
+		s.target[i] = nodeFree
 	}
 	for _, b := range bounds {
 		if b.lo {
-			w.target[b.lpVar] = nodeAtUpper
+			s.target[b.lpVar] = nodeAtUpper
 		} else {
-			w.target[b.lpVar] = nodeAtZero
+			s.target[b.lpVar] = nodeAtZero
 		}
 	}
 	tightening := true
-	for j, want := range w.target {
-		if a := w.applied[j]; a != nodeFree && a != want {
+	for j, want := range s.target {
+		if a := s.applied[j]; a != nodeFree && a != want {
 			tightening = false
 			break
 		}
 	}
-	if !tightening && w.hasSnap && w.snapIsSubset() && w.slv.RestoreBasis() {
-		copy(w.applied, w.snapApplied)
+	if !tightening && s.hasSnap && s.snapIsSubset() && s.slv.RestoreBasis() {
+		copy(s.applied, s.snapApplied)
 	}
-	for j, want := range w.target {
-		if w.applied[j] == want {
+	for j, want := range s.target {
+		if s.applied[j] == want {
 			continue
 		}
 		switch want {
 		case nodeFree:
-			w.slv.Unfix(j)
+			s.slv.Unfix(j)
 		case nodeAtZero:
-			w.slv.Fix(j, false)
+			s.slv.Fix(j, false)
 		case nodeAtUpper:
-			w.slv.Fix(j, true)
+			s.slv.Fix(j, true)
 		}
-		w.applied[j] = want
+		s.applied[j] = want
 	}
 }
 
 // snapIsSubset reports whether the saved basis's pin set only contains pins
 // the current target also has, so restoring it needs no Unfix.
-func (w *worker) snapIsSubset() bool {
-	for j, sa := range w.snapApplied {
-		if sa != nodeFree && sa != w.target[j] {
+func (s *search) snapIsSubset() bool {
+	for j, sa := range s.snapApplied {
+		if sa != nodeFree && sa != s.target[j] {
 			return false
 		}
 	}
@@ -542,13 +509,13 @@ func (w *worker) snapIsSubset() bool {
 // solveNode re-solves the base LP under the node's pins and expands the
 // point into compiled-active coordinates (pinned variables included). The
 // warm path allocates nothing.
-func (w *worker) solveNode(bounds []boundFix, into []float64) (lp.Solution, []float64) {
-	if !w.ensureLoaded() {
+func (s *search) solveNode(bounds []boundFix, into []float64) (lp.Solution, []float64) {
+	if !s.ensureLoaded() {
 		// Not a proof of anything: the search ends without one.
 		return lp.Solution{Status: lp.IterLimit}, nil
 	}
-	w.applyBounds(bounds)
-	sol := w.slv.ReSolve(lp.Options{Deadline: w.s.deadline, Ctx: w.s.ctx})
+	s.applyBounds(bounds)
+	sol := s.slv.ReSolve(lp.Options{Deadline: s.deadline, Ctx: s.ctx})
 	if sol.X == nil {
 		return sol, nil
 	}
@@ -558,13 +525,13 @@ func (w *worker) solveNode(bounds []boundFix, into []float64) (lp.Solution, []fl
 
 // processRoot runs the root phase: the root relaxation, the rounding-dive
 // heuristic and the first branch.
-func (s *search) processRoot(w *worker) {
+func (s *search) processRoot() {
 	if s.exhausted() {
 		return
 	}
 	s.nodes++
 
-	sol, xAct := w.solveNode(nil, w.xAct)
+	sol, xAct := s.solveNode(nil, s.xAct)
 	s.lpIters += sol.Iters
 	switch {
 	case sol.Status == lp.Infeasible:
@@ -587,9 +554,9 @@ func (s *search) processRoot(w *worker) {
 	// incumbent already exists, so the dive LP — and the root re-solve it
 	// forces, since it leaves the solver at its leaf — are skipped.
 	if s.bestX == nil {
-		w.dive(xAct)
+		s.dive(xAct)
 		var ok bool
-		if sol, xAct, ok = s.resolveRoot(w); !ok {
+		if sol, xAct, ok = s.resolveRoot(); !ok {
 			return
 		}
 		relax = sol.Objective
@@ -598,9 +565,9 @@ func (s *search) processRoot(w *worker) {
 
 	// The root basis is the restore point for subtree jumps.
 	if sol.Status == lp.Optimal && sol.Feasible {
-		w.slv.SaveBasis()
-		copy(w.snapApplied, w.applied)
-		w.hasSnap = true
+		s.slv.SaveBasis()
+		copy(s.snapApplied, s.applied)
+		s.hasSnap = true
 	}
 
 	if s.gapReached() {
@@ -612,15 +579,15 @@ func (s *search) processRoot(w *worker) {
 		return
 	}
 
-	w.collectFracs(xAct)
-	if len(w.fracs) == 0 {
-		s.acceptModelPoint(roundBinaries(s.c, s.c.toModelXInto(xAct, w.candBuf)))
+	s.collectFracs(xAct)
+	if len(s.fracs) == 0 {
+		s.acceptModelPoint(roundBinaries(s.c, s.c.toModelXInto(xAct, s.candBuf)))
 		return
 	}
-	k, val := w.selectBranch()
+	k, val := s.selectBranch()
 
 	root := s.newNode()
-	up, down := w.makeChildren(root, relax, k, val)
+	up, down := s.makeChildren(root, relax, k, val)
 	s.freeNode(root)
 	if val >= 0.5 {
 		s.push(up)
@@ -636,8 +603,7 @@ func (s *search) processRoot(w *worker) {
 // warm, then branch, bound or fathom. Plunging dives depth-first along the
 // preferred (rounded) branch, which finds incumbents early, while the
 // best-first queue orders the remaining subtrees.
-func (w *worker) loop() {
-	s := w.s
+func (s *search) loop() {
 	var plunge *bbNode
 	for {
 		var n *bbNode
@@ -659,26 +625,25 @@ func (w *worker) loop() {
 		}
 		s.nodes++
 
-		sol, xAct := w.solveNode(n.bounds, w.xAct)
+		sol, xAct := s.solveNode(n.bounds, s.xAct)
 		s.lpIters += sol.Iters
 
 		// The first optimal basis becomes the restore point for
 		// cross-subtree jumps.
-		if !w.hasSnap && sol.Status == lp.Optimal && sol.Feasible {
-			w.slv.SaveBasis()
-			copy(w.snapApplied, w.applied)
-			w.hasSnap = true
+		if !s.hasSnap && sol.Status == lp.Optimal && sol.Feasible {
+			s.slv.SaveBasis()
+			copy(s.snapApplied, s.applied)
+			s.hasSnap = true
 		}
 
-		plunge = w.commit(n, sol, xAct)
+		plunge = s.commit(n, sol, xAct)
 		s.freeNode(n)
 	}
 }
 
-// collectFracs fills w.fracs with every fractional binary of xAct.
-func (w *worker) collectFracs(xAct []float64) {
-	s := w.s
-	w.fracs = w.fracs[:0]
+// collectFracs fills s.fracs with every fractional binary of xAct.
+func (s *search) collectFracs(xAct []float64) {
+	s.fracs = s.fracs[:0]
 	for k, mi := range s.c.active {
 		if s.c.m.vars[mi].typ != Binary {
 			continue
@@ -686,26 +651,26 @@ func (w *worker) collectFracs(xAct []float64) {
 		v := xAct[k]
 		f := math.Abs(v - math.Round(v))
 		if f > intTol {
-			w.fracs = append(w.fracs, fracCand{k: k, val: v, frac: f})
+			s.fracs = append(s.fracs, fracCand{k: k, val: v, frac: f})
 		}
 	}
 }
 
 // dive pins every binary to its rounded root-LP value and re-solves the
 // residual LP; a feasible result that validates becomes the incumbent.
-func (w *worker) dive(xRoot []float64) {
-	c := w.s.c
-	w.diveBounds = w.diveBounds[:0]
+func (s *search) dive(xRoot []float64) {
+	c := s.c
+	s.diveBounds = s.diveBounds[:0]
 	for k, mi := range c.active {
 		if c.m.vars[mi].typ != Binary {
 			continue
 		}
-		w.diveBounds = append(w.diveBounds, boundFix{k, xRoot[k] >= 0.5})
+		s.diveBounds = append(s.diveBounds, boundFix{k, xRoot[k] >= 0.5})
 	}
-	sol, xd := w.solveNode(w.diveBounds, w.xDive)
-	w.s.lpIters += sol.Iters
+	sol, xd := s.solveNode(s.diveBounds, s.xDive)
+	s.lpIters += sol.Iters
 	if sol.Feasible && xd != nil {
-		w.s.acceptModelPoint(roundBinaries(c, c.toModelXInto(xd, w.diveBuf)))
+		s.acceptModelPoint(roundBinaries(c, c.toModelXInto(xd, s.diveBuf)))
 	}
 }
 
@@ -726,17 +691,16 @@ func (s *search) pcScore(fc fracCand) float64 {
 	return math.Max(dn*fc.val, eps) * math.Max(up*(1-fc.val), eps)
 }
 
-// selectBranch picks the branching variable among w.fracs: only candidates
+// selectBranch picks the branching variable among s.fracs: only candidates
 // of the highest branch-priority class are considered (the builder ranks
 // admission d and availability y above flow x), and within the class the
 // pseudo-cost product score decides, with fractionality then index as
 // deterministic tie-breaks.
-func (w *worker) selectBranch() (int, float64) {
-	s := w.s
+func (s *search) selectBranch() (int, float64) {
 	if !s.reduce {
 		// Ablated: plain most-fractional branching.
-		best := w.fracs[0]
-		for _, fc := range w.fracs[1:] {
+		best := s.fracs[0]
+		for _, fc := range s.fracs[1:] {
 			if fc.frac > best.frac {
 				best = fc
 			}
@@ -746,7 +710,7 @@ func (w *worker) selectBranch() (int, float64) {
 	bestIdx := -1
 	bestScore := math.Inf(-1)
 	var best fracCand
-	for _, fc := range w.fracs {
+	for _, fc := range s.fracs {
 		// Branch priorities break ties, they do not dictate: the builder
 		// ranks admission d and availability y above flow x, and that
 		// ranking decides between candidates whose pseudo-cost scores are
@@ -774,14 +738,13 @@ func (w *worker) selectBranch() (int, float64) {
 
 // makeChildren builds the two children of node n branching on variable k at
 // fractional value val, inheriting n's pins.
-func (w *worker) makeChildren(n *bbNode, relax float64, k int, val float64) (up, down *bbNode) {
-	s := w.s
+func (s *search) makeChildren(n *bbNode, relax float64, k int, val float64) (up, down *bbNode) {
 	build := func(atUpper bool) *bbNode {
 		ch := s.newNode()
-		// One exact-size growth at most: pooled nodes keep their backing,
+		// One exact-size growth at most: recycled nodes keep their backing,
 		// so the steady-state search allocates no per-node bookkeeping.
 		if need := len(n.bounds) + 1; cap(ch.bounds) < need {
-			// Round the capacity up so pooled nodes converge on a size that
+			// Round the capacity up so recycled nodes converge on a size that
 			// fits any node of the tree.
 			ch.bounds = make([]boundFix, 0, (need/32+1)*32)
 		}
@@ -807,8 +770,7 @@ func (w *worker) makeChildren(n *bbNode, relax float64, k int, val float64) (up,
 // commit folds one solved relaxation into the search state: update
 // pseudo-costs, prune, install an integral incumbent, or select a branching
 // variable and expand. It returns the child to plunge into, if any.
-func (w *worker) commit(n *bbNode, sol lp.Solution, xAct []float64) *bbNode {
-	s := w.s
+func (s *search) commit(n *bbNode, sol lp.Solution, xAct []float64) *bbNode {
 	solved := sol.Status == lp.Optimal && sol.Feasible
 	relax := sol.Objective // compiled minimisation space
 	// Checked builds verify bound monotonicity: a child subproblem only adds
@@ -852,19 +814,19 @@ func (w *worker) commit(n *bbNode, sol lp.Solution, xAct []float64) *bbNode {
 	if relax >= s.bestObj-s.pruneSlack() {
 		return nil
 	}
-	w.collectFracs(xAct)
-	if len(w.fracs) == 0 {
-		s.acceptModelPoint(roundBinaries(s.c, s.c.toModelXInto(xAct, w.candBuf)))
+	s.collectFracs(xAct)
+	if len(s.fracs) == 0 {
+		s.acceptModelPoint(roundBinaries(s.c, s.c.toModelXInto(xAct, s.candBuf)))
 		if s.gapReached() {
 			s.gapHit = true
 		}
 		return nil
 	}
-	k, val := w.selectBranch()
+	k, val := s.selectBranch()
 
 	// Branch: plunge into the rounded side (depth-first dive) and queue the
 	// sibling best-first.
-	up, down := w.makeChildren(n, relax, k, val)
+	up, down := s.makeChildren(n, relax, k, val)
 	preferred, sibling := up, down
 	if val < 0.5 {
 		preferred, sibling = down, up

@@ -85,7 +85,7 @@ func referenceCompile(m *Model, rows []refRow, presolveOn bool) (*refLP, error) 
 		im.rowName = append(im.rowName, r.name)
 	}
 
-	c := &im.scratch
+	c := &im.compiled
 	c.m = im
 	out := &refLP{objDir: 1}
 	if im.maximize {

@@ -64,6 +64,11 @@ type varInfo struct {
 // use (including concurrent Solve calls on the same Model; independent
 // Models may solve concurrently).
 //
+// A Model owns everything its solves use: the compiled LP image and the
+// branch-and-bound search, whose LP solver and buffers are allocated by
+// the first Solve and reused, grown only when a model outgrows them, by
+// every later one. Nothing is shared between Models.
+//
 // The rows are stored once, in compressed-sparse-row form: row i is
 // rowSense[i] and rowRHS[i] over the terms rowCoef[k]·x[rowVar[k]] for k in
 // [rowStart[i], rowStart[i+1]). The terms from rowStart's last entry to
@@ -85,17 +90,21 @@ type Model struct {
 	hasStray bool
 	err      error
 
-	// scratch is the reusable compilation image; see compile.
-	scratch compiled
+	// compiled is the reusable compilation image; see compile.
+	compiled compiled
+
+	// search is the branch-and-bound state Solve resets and runs; its
+	// LP solver and buffers carry from one Solve to the next.
+	search search
 }
 
 // NewModel returns an empty model.
 func NewModel() *Model { return &Model{rowStart: []int32{0}} }
 
 // Reset empties the model for rebuilding while keeping all backing storage
-// (the variables, the row matrix, the compiled-image arena), so a
-// long-lived planner can re-emit its model every submission without
-// churning the heap.
+// (the variables, the row matrix, the compiled image, the search's LP
+// solver and buffers), so a long-lived planner can re-emit its model every
+// submission without churning the heap.
 func (m *Model) Reset() {
 	m.vars = m.vars[:0]
 	m.maximize = false
@@ -369,16 +378,6 @@ type compiled struct {
 	presolveFixed     int // binaries/columns fixed by presolve
 	presolveTightened int // coefficients tightened
 	presolveDropped   int // redundant rows removed
-
-	// Node recycling: fathomed bbNodes are returned here and reused, so the
-	// steady-state search allocates no per-node bookkeeping.
-	nodeFree []*bbNode
-
-	// Per-Solve search scratch reused across Solve calls.
-	openScratch  []*bbNode
-	bestXBuf     []float64
-	pcUp, pcDn   []float64 // pseudo-cost sums per active variable
-	pcUpN, pcDnN []int32   // observation counts per active variable
 }
 
 func growFloats(s []float64, n int) []float64 {
@@ -422,7 +421,7 @@ func growInt32s(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-// compile builds the LP image into the model's reusable scratch arena:
+// compile builds the LP image into the model's reusable compiled image:
 // copy the coefficients and right-hand sides into the presolve image under
 // a bounds overlay, optionally run the tree-reduction presolve over it (see
 // presolve.go), then emit the live rows as one CSR with fixed variables
@@ -436,7 +435,7 @@ func (m *Model) compile(presolveOn bool, witness []float64) (*compiled, error) {
 		return nil, m.err
 	}
 	nv := len(m.vars)
-	c := &m.scratch
+	c := &m.compiled
 	c.m = m
 	c.objDir = 1
 	if m.maximize {

@@ -3,8 +3,6 @@ package milp
 import (
 	"math"
 	"math/rand"
-	"runtime/debug"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -313,6 +311,14 @@ func TestAccumulatedTerms(t *testing.T) {
 // tree is non-trivial.
 func randomKnapsackModel(rng *rand.Rand, n int) *Model {
 	m := NewModel()
+	fillKnapsackModel(m, rng, n)
+	return m
+}
+
+// fillKnapsackModel resets m and rebuilds it as randomKnapsackModel's
+// knapsack.
+func fillKnapsackModel(m *Model, rng *rand.Rand, n int) {
+	m.Reset()
 	vars := make([]Var, n)
 	terms := make([]Term, n)
 	weights := make([]Term, n)
@@ -326,36 +332,26 @@ func randomKnapsackModel(rng *rand.Rand, n int) *Model {
 	for i := 0; i+1 < n; i += 3 {
 		m.AddCons("pair", LE, 1, Term{vars[i], 1}, Term{vars[i+1], 1})
 	}
-	return m
 }
 
 // TestSolveAllocationsPerSolveBounded: on a 40-binary knapsack with conflicts
 // (a search of about 500 nodes), a warm Solve allocates a handful of times in
-// all, not per node: the pooled worker keeps its LP arenas and node scratch
+// all, not per node: the Model's search keeps its LP arenas and node scratch
 // across calls, and the node re-solves allocate nothing.
 func TestSolveAllocationsPerSolveBounded(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("checked builds allocate scratch in their invariant checks")
 	}
-	if raceEnabled() {
-		t.Skip("the race detector drops a quarter of what goes back into a sync.Pool, the worker pool included")
-	}
 	m := randomKnapsackModel(rand.New(rand.NewSource(9)), 40)
 	var res Result
 	solve := func() { res = m.Solve(Options{MaxNodes: 100000}) }
-	solve() // the first solve compiles the model and sizes the pooled worker
+	solve() // the first solve compiles the model and sizes the search
 	if allocs := testing.AllocsPerRun(5, solve); allocs > 4 {
 		t.Fatalf("warm Solve allocated %v times over %d nodes, want <= 4", allocs, res.Nodes)
 	}
 	if res.Status != OptimalMIP {
 		t.Fatalf("status %v after %d nodes, want optimal", res.Status, res.Nodes)
 	}
-}
-
-// raceEnabled reports whether the test binary was built with -race.
-func raceEnabled() bool {
-	bi, ok := debug.ReadBuildInfo()
-	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }
 
 // TestSerialDeterministic builds the identical model twice and expects bit-identical node counts and objectives.
@@ -373,8 +369,8 @@ func TestSerialDeterministic(t *testing.T) {
 }
 
 // TestConcurrentIndependentSolves exercises many Solve calls on independent
-// models from independent goroutines; run with -race to verify solver
-// isolation (the worker pool is shared).
+// models from independent goroutines; run with -race to verify that the
+// models share no solver state.
 func TestConcurrentIndependentSolves(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan string, 16)
@@ -397,6 +393,55 @@ func TestConcurrentIndependentSolves(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Fatalf("concurrent solve failed: %v", e)
+	}
+}
+
+// TestSolveReusesSearchState: the search a Model keeps between Solves (its
+// LP solver, recycled nodes and sized buffers) leaves no trace in the next
+// run. Each Solve on one long-lived Model — the same model again, then a
+// smaller one after Reset, under every option that changes the search —
+// must give bit for bit what a fresh Model gives.
+func TestSolveReusesSearchState(t *testing.T) {
+	variants := []struct {
+		name string
+		opts func(n int) Options
+	}{
+		{"plain", func(int) Options { return Options{MaxNodes: 100000} }},
+		{"warm", func(n int) Options { return Options{MaxNodes: 100000, Incumbent: make([]float64, n)} }},
+		{"stall", func(int) Options { return Options{MaxNodes: 100000, StallNodes: 10} }},
+		{"ablated", func(int) Options { return Options{MaxNodes: 100000, DisableTreeReduction: true} }},
+	}
+	steps := []struct {
+		seed    int64
+		n       int
+		rebuild bool
+	}{{9, 40, true}, {9, 40, false}, {4, 16, true}}
+	reused := NewModel()
+	for _, v := range variants {
+		for i, st := range steps {
+			if st.rebuild {
+				fillKnapsackModel(reused, rand.New(rand.NewSource(st.seed)), st.n)
+			}
+			got := reused.Solve(v.opts(st.n))
+			want := randomKnapsackModel(rand.New(rand.NewSource(st.seed)), st.n).Solve(v.opts(st.n))
+			if want.Nodes < 2 || want.X == nil {
+				t.Fatalf("%s step %d: fresh solve took %d nodes with incumbent %v, want a search", v.name, i, want.Nodes, want.X != nil)
+			}
+			if got.Status != want.Status || got.Nodes != want.Nodes || got.LPIters != want.LPIters ||
+				math.Float64bits(got.Objective) != math.Float64bits(want.Objective) || got.Factor != want.Factor {
+				t.Fatalf("%s step %d: reused Model gave (%v, %d nodes, %d iters, %v, %+v), fresh (%v, %d, %d, %v, %+v)",
+					v.name, i, got.Status, got.Nodes, got.LPIters, got.Objective, got.Factor,
+					want.Status, want.Nodes, want.LPIters, want.Objective, want.Factor)
+			}
+			if len(got.X) != len(want.X) {
+				t.Fatalf("%s step %d: reused X has %d values, fresh %d", v.name, i, len(got.X), len(want.X))
+			}
+			for j := range want.X {
+				if math.Float64bits(got.X[j]) != math.Float64bits(want.X[j]) {
+					t.Fatalf("%s step %d: X[%d] reused %v, fresh %v", v.name, i, j, got.X[j], want.X[j])
+				}
+			}
+		}
 	}
 }
 

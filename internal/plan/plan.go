@@ -260,9 +260,6 @@ type SubmitConfig struct {
 	// Batch lists additional queries planned jointly with the primary one
 	// in a single optimisation (§V-A1).
 	Batch []dsps.StreamID
-	// Validate, when non-nil, overrides the planner's feasibility
-	// re-validation of produced assignments.
-	Validate *bool
 }
 
 // SubmitOption customises one Submit call.
@@ -287,12 +284,6 @@ func WithCandidateHosts(hosts ...dsps.HostID) SubmitOption {
 // the paper's "timeout of 30n secs" (Fig. 4(b)).
 func WithBatch(qs ...dsps.StreamID) SubmitOption {
 	return func(c *SubmitConfig) { c.Batch = append([]dsps.StreamID(nil), qs...) }
-}
-
-// WithValidation overrides whether the produced assignment is re-checked
-// against the dsps feasibility validator before being accepted.
-func WithValidation(on bool) SubmitOption {
-	return func(c *SubmitConfig) { c.Validate = &on }
 }
 
 // Apply folds the options into a SubmitConfig.

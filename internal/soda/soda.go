@@ -46,8 +46,8 @@ func New(sys *dsps.System, _ core.Weights) *Planner {
 
 // Submit runs admission (macroQ) and placement (miniW) for query q (and
 // any plan.WithBatch companions, sequentially). plan.WithCandidateHosts
-// restricts the hosts tried by miniW placement and plan.WithValidation
-// toggles the feasibility re-check. Cancelling ctx aborts the call and
+// restricts the hosts tried by miniW placement; every committed plan
+// passes the feasibility re-check. Cancelling ctx aborts the call and
 // leaves the planner state unchanged.
 func (p *Planner) Submit(ctx context.Context, q dsps.StreamID, opts ...plan.SubmitOption) (plan.Result, error) {
 	return p.SubmitEach(ctx, q, opts, p.submitOne)
@@ -105,10 +105,8 @@ func (p *Planner) submitOne(ctx context.Context, q dsps.StreamID, cfg *plan.Subm
 		return false, plan.ReasonNoFeasiblePlan, nil
 	}
 	cand.SetProvide(q, last)
-	if cfg.Validate == nil || *cfg.Validate {
-		if cand.Validate(p.sys) != nil {
-			return false, plan.ReasonValidationFailed, nil
-		}
+	if cand.Validate(p.sys) != nil {
+		return false, plan.ReasonValidationFailed, nil
 	}
 	p.Commit(cand, q)
 	return true, plan.ReasonNone, nil

@@ -44,8 +44,8 @@ import (
 // by all five planners: core SQPR, the heuristic baseline, the SODA-like
 // baseline, the optimistic bound and the hierarchical decomposition.
 // Submit accepts functional options (WithTimeout, WithCandidateHosts,
-// WithBatch, WithValidation); cancelling the context aborts a planning call
-// promptly and leaves the planner state unchanged.
+// WithBatch); cancelling the context aborts a planning call promptly and
+// leaves the planner state unchanged.
 type QueryPlanner = plan.QueryPlanner
 
 // Compile-time conformance of all five planners to the interface.
@@ -110,7 +110,7 @@ type (
 	// PlannerStats is the cumulative telemetry every planner exposes.
 	PlannerStats = plan.Stats
 	// SubmitOption customises one Submit call (see WithTimeout,
-	// WithCandidateHosts, WithBatch, WithValidation).
+	// WithCandidateHosts, WithBatch).
 	SubmitOption = plan.SubmitOption
 	// Weights are the λ1–λ4 objective weights.
 	Weights = core.Weights
@@ -290,9 +290,6 @@ func WithCandidateHosts(hosts ...HostID) SubmitOption { return plan.WithCandidat
 // WithBatch plans the given queries jointly with the primary query in one
 // optimisation; the solver deadline scales with the batch size (§V-A1).
 func WithBatch(qs ...StreamID) SubmitOption { return plan.WithBatch(qs...) }
-
-// WithValidation overrides post-solve feasibility validation for one call.
-func WithValidation(on bool) SubmitOption { return plan.WithValidation(on) }
 
 // NewSystem creates a system with the given hosts and uniform link capacity.
 func NewSystem(hosts []Host, linkCap float64) *System { return dsps.NewSystem(hosts, linkCap) }
