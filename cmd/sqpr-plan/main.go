@@ -65,10 +65,8 @@ func main() {
 			res.FreeStreams, res.FreeOps, res.CandidateHosts)
 		switch {
 		case !*showStats:
-		case res.SeedClosed && !res.Admitted:
-			fmt.Println("    solver: skipped (seed could not place the query on a large model)")
 		case res.SeedClosed:
-			fmt.Println("    solver: skipped (seed within gap of the a-priori bound)")
+			fmt.Println("    solver: skipped (seed decided: large model, or within gap of the a-priori bound)")
 		default:
 			fmt.Printf("    solver: %d nodes, %d presolve-fixed vars, %d LP iters\n",
 				res.Nodes, res.PresolveFixed, res.LPIters)
@@ -83,9 +81,9 @@ func main() {
 
 	if *showStats {
 		st := p.Stats()
-		fmt.Printf("cumulative solver effort: %d nodes, %d presolve-fixed, %d LP iters over %d submissions (%d skipped, %d timeouts, %d stalls, %d admitted beyond the seed)\n",
+		fmt.Printf("cumulative solver effort: %d nodes, %d presolve-fixed, %d LP iters over %d submissions (%d skipped, %d timeouts, %d admitted beyond the seed)\n",
 			st.TotalNodes, st.TotalPresolveFixed,
-			st.TotalLPIters, st.Submissions, st.SeedClosed, st.Timeouts, st.Stalls, st.BeyondSeed)
+			st.TotalLPIters, st.Submissions, st.SeedClosed, st.Timeouts, st.BeyondSeed)
 		fmt.Printf("cumulative basis effort:  %d refactorizations (%d drift-forced), %d eta updates, peak eta file %d, peak fill-in %.2f\n\n",
 			st.Factor.Refactors, st.Factor.DriftRebuilds, st.Factor.EtaAppends,
 			st.Factor.PeakEtas, st.Factor.FillRatio)

@@ -18,11 +18,11 @@ import (
 // this model was a multi-gigabyte allocation before the first pivot; the
 // sparse revised simplex prices it at its nonzero count.
 //
-// Capacity is ample at this scale, so the greedy seed serves the whole batch
-// and Submit closes the call on it without a model. The LP is what this test
+// Submit no longer solves a model of this size at all: at or above
+// largeModelVars the greedy seed decides the call. The LP is what this test
 // is about, so it runs where the solver is called: one planner, one builder,
 // then solve — build, the seed as incumbent, milp.Solve, decode — with
-// Submit's own options, and the result committed as Submit would.
+// Submit's search options, and the result committed as Submit would.
 //
 // The serialized one-at-a-time run (default closure cap) is the admitted-set
 // reference: admission is order-independent here, so the joint solve must

@@ -137,20 +137,15 @@ func DefaultConfig() Config {
 	}
 }
 
-// largeModelVars is the layout size from which submit treats a reduced
-// model as large: a single query its seed cannot place there is rejected
-// without a solve, and the solves that remain get the stagnation stop.
-// Below it the search keeps its full budget. It sits about 2× clear of
-// both sides of what was measured (DESIGN.md "Seed-decided rejections"):
-// the hand-built scenarios whose search admits what the seed cannot lay
-// out 43–53 variables, and the seed-failed lone queries of the S15
-// workloads and the sqpr-sim figures 233–393.
+// largeModelVars is the layout size from which the greedy seed decides a
+// planning call without a solve: Submit commits what the seed placed and
+// rejects the rest, and a failure Repair chunk stages its pinned seed
+// (DESIGN.md "Seed-decided calls"). Below it Submit keeps the ceiling check
+// and Algorithm 1's search. It sits about 2× clear of both sides of what
+// was measured: the hand-built scenarios whose search admits what the seed
+// cannot lay out 43–53 variables, and the smallest seed-decided models of
+// the S15 workloads and the sqpr-sim figures 233.
 const largeModelVars = 128
-
-// stallNodesLarge is the stagnation stop of large Submit solves and of
-// failure repairs: the nodes a search may run without improving its
-// incumbent.
-const stallNodesLarge = 8
 
 // submitGapTol stops a Submit search when the incumbent is provably within
 // this relative gap of the optimum. Because λ1 dominates the objective, a
@@ -230,7 +225,9 @@ func NewPlanner(sys *dsps.System, cfg Config) *Planner {
 // plan.WithCandidateHosts restricts the candidate host universe (the
 // building block of internal/hier), plan.WithBatch plans additional
 // queries jointly in one optimisation with the deadline scaled by the
-// batch size (§V-A1). Every plan committed passes the dsps feasibility
+// batch size (§V-A1). On a reduced model of at least largeModelVars
+// variables the greedy seed decides the call instead of the MILP (DESIGN.md
+// "Seed-decided calls"). Every plan committed passes the dsps feasibility
 // validator. Cancelling ctx aborts the MILP search promptly and leaves the
 // planner state unchanged.
 func (p *Planner) Submit(ctx context.Context, q dsps.StreamID, opts ...plan.SubmitOption) (Result, error) {
@@ -290,8 +287,8 @@ func (p *Planner) submit(ctx context.Context, qs []dsps.StreamID, timeout time.D
 	// deadline, so a ctx deadline also bounds individual node LPs.
 	deadline := plan.Deadline(ctx, start, timeout)
 
-	// The whole batch is one joint solve over the union of the closures:
-	// the sparse LP prices it at its nonzero count. MaxFreeStreams bounds
+	// The whole batch is planned jointly over the union of the closures:
+	// the sparse LP prices a solve at its nonzero count. MaxFreeStreams bounds
 	// closure growth only where sharing queries are merged (closure.go) and
 	// repairs are chunked (repair.go).
 	b := p.newBuilder(fresh, false)
@@ -312,42 +309,34 @@ func (p *Planner) submit(ctx context.Context, qs []dsps.StreamID, timeout time.D
 		AbsGapTol: 0.02 * p.cfg.Weights.L1,
 	}
 	seed := b.seed(deadline)
-	_, placed := seed.Provider(fresh[0])
+	placed := func(q dsps.StreamID) bool { _, ok := seed.Provider(q); return ok }
 	var next *dsps.Assignment
 	var err error
-	switch {
+	switch large := b.numVars() >= largeModelVars; {
 	case ctx.Err() != nil:
-		// solve reports the cancellation.
-		next, err = p.solve(ctx, b, seed, opts, &res)
-	case b.seedGap(seed) <= opts.AbsGapTol:
-		// Bound before build: a seed within the tolerance of the a-priori
-		// ceiling is what the solve would return from its root (no LP bound
-		// is above the ceiling), so it takes the decoded point's tail and no
-		// model is built.
-		if invariant.Enabled {
+		err = ctx.Err()
+	case large && !slices.ContainsFunc(fresh, placed):
+		// The seed placed nothing on a large model: the call is rejected,
+		// with nothing built and nothing committed.
+		res.SeedClosed, res.SolveStatus = true, milp.FeasibleMIP
+		res.Reason = plan.ReasonNoFeasiblePlan
+	case large || b.seedGap(seed) <= opts.AbsGapTol:
+		// On a large model the seed decides (a measured heuristic, DESIGN.md
+		// "Seed-decided calls"): the search from it never admitted more.
+		// Below the line this is the bound before build: a seed within the
+		// tolerance of the a-priori ceiling is what the solve would return
+		// from its root (no LP bound is above the ceiling). Either way the
+		// seed takes the decoded point's tail and no model is built.
+		if invariant.Enabled && !large {
 			p.mustStopAtRoot(ctx, b, seed, opts)
 		}
 		b.pruneUnused(seed)
 		res.SeedClosed, res.SolveStatus = true, milp.FeasibleMIP
 		next, err = p.validated(seed, &res)
-	case len(fresh) == 1 && !placed && b.numVars() >= largeModelVars:
-		// A measured heuristic (DESIGN.md "Seed-decided rejections"): on a
-		// large model the search from a seed that could not place the lone
-		// query only ever stalled out and handed the seed back, so the call
-		// is rejected here, with nothing built and nothing committed.
-		res.SeedClosed, res.SolveStatus = true, milp.FeasibleMIP
-		res.Reason = plan.ReasonNoFeasiblePlan
 	default:
-		// The large models that still solve (batches, and seeds that place
-		// the query without closing the gap) stop once the search stops
-		// improving its incumbent. Models below largeModelVars — the
-		// hand-built scenarios, not the S15 workloads — search their full
-		// budget, lone queries the seed cannot place included: there a late
-		// admission find is cheap and real (the Fig. 2 shared-chain and
-		// relay scenarios need more than 48 nodes).
-		if b.numVars() >= largeModelVars {
-			opts.StallNodes = stallNodesLarge
-		}
+		// Algorithm 1's search, from the seed, on a small model: there a
+		// late admission find is cheap and real (the Fig. 2 shared-chain
+		// and relay scenarios need more than 48 nodes).
 		next, err = p.solve(ctx, b, seed, opts, &res)
 	}
 	if next != nil {
@@ -357,7 +346,7 @@ func (p *Planner) submit(ctx context.Context, qs []dsps.StreamID, timeout time.D
 			res.Reason = plan.ReasonNoFeasiblePlan
 		}
 		for _, q := range fresh {
-			if _, seeded := seed.Provider(q); !seeded && p.Admitted(q) {
+			if !placed(q) && p.Admitted(q) {
 				res.BeyondSeed++
 			}
 		}
@@ -387,7 +376,6 @@ func (p *Planner) solve(ctx context.Context, b *builder, seed *dsps.Assignment, 
 	res.LPIters = sol.LPIters
 	res.Factor = sol.Factor
 	res.PresolveFixed = sol.PresolveFixed
-	res.Stalled = sol.Stalled
 	res.BudgetHit = sol.BudgetHit
 
 	if sol.Cancelled || ctx.Err() != nil {

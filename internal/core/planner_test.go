@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sqpr/internal/dsps"
+	"sqpr/internal/milp"
 	"sqpr/internal/plan"
 	"sqpr/internal/workload"
 )
@@ -394,8 +395,18 @@ func TestZeroValueConfigGetsDefaults(t *testing.T) {
 // Most of the walk's models are seed-decided rejections, which build no
 // model; each is replayed through the full path on a planner cloned just
 // before it, with the search those calls ran before the seed decided them
-// (fullBudgetOptions), so the gate still covers the same solves.
+// (replayOptions), so the gate still covers the same solves.
 func TestRefactorsPerSolveBudget(t *testing.T) {
+	// A model of at least 400 variables used to end its search at the
+	// solver's stagnation stop, eight nodes after its seed; a smaller one
+	// searched its whole budget.
+	replayOptions := func(p *Planner, b *builder) milp.Options {
+		opts := fullSolveOptions(p, b)
+		if b.numVars() >= 400 {
+			opts.MaxNodes = 8
+		}
+		return opts
+	}
 	sys := workload.BuildSystem(workload.SystemConfig{NumHosts: 15, CPUPerHost: 10, OutBW: 60, InBW: 60, LinkCap: 25})
 	w := workload.Generate(sys, workload.Config{
 		NumBaseStreams: 150, BaseRate: 10, Zipf: 1, Arities: []int{2, 3}, NumQueries: 80,
@@ -417,7 +428,7 @@ func TestRefactorsPerSolveBudget(t *testing.T) {
 			t.Fatalf("Submit(%d): %v", q, err)
 		}
 		if res.SeedClosed && !res.Admitted {
-			replayed.Record(replayFullPath(t, clone, q, fullBudgetOptions))
+			replayed.Record(replayFullPath(t, clone, q, replayOptions))
 		}
 	}
 	// The average is over the solves that ran or were replayed: submissions

@@ -267,18 +267,22 @@ func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before
 		}
 	}
 
-	// Fast path for pure failure repair: the pinned greedy only ever adds
-	// to the surviving allocation (it never moves a placement), preferring
-	// each severed operator's former host. If it re-admits every chunk
-	// query, the result is simultaneously admission-complete and
+	// Pure failure repair is decided by the pinned greedy, which only ever
+	// adds to the surviving allocation (it never moves a placement),
+	// preferring each severed operator's former host. If it re-admits every
+	// chunk query, the result is simultaneously admission-complete and
 	// migration-minimal — no delta solve can keep more queries or move
-	// fewer survivors — so the MILP is skipped. Drain chunks (a draining
-	// candidate host needs evacuating) and drift chunks (re-placement is the
-	// goal) always take the full solve.
+	// fewer survivors — so the MILP is skipped. On a large model its seed
+	// stands even when it leaves a query out, as Submit's does (DESIGN.md
+	// "Seed-decided calls"); the query comes back in Dropped. Drain chunks
+	// (a draining candidate host needs evacuating) and drift chunks
+	// (re-placement is the goal) always take the full solve.
 	seed := b.seed(deadline)
 	unserved := func(q dsps.StreamID) bool { _, ok := seed.Provider(q); return !ok }
-	if !thorough && !slices.ContainsFunc(chunk, unserved) {
-		res.Admitted = p.Stage(seed, chunk...)
+	if !thorough && (b.numVars() >= largeModelVars || !slices.ContainsFunc(chunk, unserved)) {
+		if res.Admitted = p.Stage(seed, chunk...); !res.Admitted {
+			res.Reason = plan.ReasonNoFeasiblePlan
+		}
 		res.SeedClosed = true
 		res.PlanTime = time.Since(start)
 		p.Record(res)
@@ -297,20 +301,13 @@ func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before
 		// avoidable migrations.
 		AbsGapTol: 0.25 * migrationWeight,
 	}
-	// For pure failure chunks the pinned incumbent — survivors in place,
-	// severed queries greedily rebuilt at their former hosts — is already
-	// near-optimal, and the tight gap above would burn the whole node
-	// budget proving it: stop once the search stops improving (improving
-	// nodes, an extra admission or an avoided migration, reset the
-	// counter). Drain and drift chunks exist to move away from the
-	// incumbent, so they search their full budget — and a deeper one: the
-	// warm start still carries the placements those chunks must undo, so
-	// the evacuation optimum only surfaces once the search has re-derived
-	// it node by node, which a Submit-sized node cap routinely cuts short.
+	// Drain and drift chunks exist to move away from the incumbent, so they
+	// search deeper: the warm start still carries the placements those
+	// chunks must undo, so the evacuation optimum only surfaces once the
+	// search has re-derived it node by node, which a Submit-sized node cap
+	// routinely cuts short.
 	if thorough {
 		opts.MaxNodes = 8 * submitMaxNodes
-	} else {
-		opts.StallNodes = stallNodesLarge
 	}
 	next, err := p.solve(ctx, b, seed, opts, &res)
 	if next != nil {

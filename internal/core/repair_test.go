@@ -165,6 +165,62 @@ func TestRepairDrainEvacuatesBestEffort(t *testing.T) {
 	}
 }
 
+// TestRepairLargeFailureChunkStagesSeed fills the S15 substrate of the
+// seed-close walks with its whole population, then fails each host in turn
+// until a repair chunk's pinned seed cannot re-place a producible query. On
+// a model of at least largeModelVars variables that seed decides: the
+// chunk stages it and searches no node, and the query comes back in
+// Dropped. (Drain chunks still search: TestRepairDrainEvacuatesBestEffort.)
+func TestRepairLargeFailureChunkStagesSeed(t *testing.T) {
+	w := newChurnWalk()
+	ctx := context.Background()
+	for _, q := range w.queries {
+		if _, err := w.p.Submit(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for h := range w.sys.Hosts {
+		p := NewPlanner(w.sys, w.cfg)
+		if err := p.ImportState(w.p.ExportState()); err != nil {
+			t.Fatal(err)
+		}
+		before := p.Stats()
+		rr, err := p.Repair(ctx, []plan.Event{plan.FailHost(dsps.HostID(h))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := p.Stats()
+		producible := p.producibleCheck()
+		var lost []dsps.StreamID // dropped by a chunk, not by the screen
+		for _, q := range rr.Dropped {
+			if producible(q) {
+				lost = append(lost, q)
+			}
+		}
+		w.sys.SetHostState(dsps.HostID(h), dsps.HostUp)
+		if len(lost) == 0 {
+			continue
+		}
+		chunks := st.Submissions - before.Submissions
+		if rr.Nodes != 0 || st.TotalNodes != before.TotalNodes || st.SeedClosed-before.SeedClosed != chunks {
+			t.Fatalf("host %d: %d of %d chunks decided by their seeds, %d nodes searched; want every chunk seed-decided: %+v",
+				h, st.SeedClosed-before.SeedClosed, chunks, rr.Nodes, rr)
+		}
+		if st.Rejections == before.Rejections {
+			t.Fatalf("host %d: queries %v dropped, yet no chunk recorded a rejection", h, lost)
+		}
+		p.beginCall(plan.SubmitConfig{})
+		for _, q := range lost {
+			if n := p.newBuilder([]dsps.StreamID{q}, true).numVars(); n < largeModelVars {
+				t.Fatalf("host %d: query %d's pinned model lays out %d variables, want at least %d", h, q, n, largeModelVars)
+			}
+		}
+		t.Logf("host %d: %d chunks, none searched; queries %v not re-placed by their seeds", h, chunks, lost)
+		return
+	}
+	t.Fatal("no host failure left a producible query its seed could not re-place: the test no longer exercises the rule")
+}
+
 func TestRepairNoEventsNoAffected(t *testing.T) {
 	sys, qs := churnSystem(t)
 	p := NewPlanner(sys, testConfig())

@@ -14,19 +14,15 @@ import (
 	"sqpr/internal/workload"
 )
 
-// fullSolveOptions are the solver options submit hands to solve for the
-// model b lays out, without a deadline.
-func fullSolveOptions(p *Planner, b *builder) milp.Options {
-	opts := milp.Options{
+// fullSolveOptions are the solver options submit hands to solve, without a
+// deadline: Algorithm 1's whole submitMaxNodes budget, whatever the model.
+func fullSolveOptions(p *Planner, _ *builder) milp.Options {
+	return milp.Options{
 		Ctx:       context.Background(),
 		MaxNodes:  submitMaxNodes,
 		GapTol:    submitGapTol,
 		AbsGapTol: 0.02 * p.cfg.Weights.L1,
 	}
-	if b.numVars() >= largeModelVars {
-		opts.StallNodes = stallNodesLarge
-	}
-	return opts
 }
 
 // churnWalk is a seeded submit/remove walk over the benchmark's 15-host
@@ -216,60 +212,113 @@ func TestSeedCloseMatchesFullSolve(t *testing.T) {
 	}
 }
 
-// stallFreeVars is where the stagnation stop started before largeModelVars
-// moved down to meet the seed-decided rejections: a model below it searched
-// its full budget, and its rejections are replayed at that strength.
-const stallFreeVars = 400
-
-// fullBudgetOptions are fullSolveOptions with the stagnation stop a model of
-// fewer than stallFreeVars variables never had taken off again.
-func fullBudgetOptions(p *Planner, b *builder) milp.Options {
-	opts := fullSolveOptions(p, b)
-	if b.numVars() < stallFreeVars {
-		opts.StallNodes = 0
-	}
-	return opts
-}
-
 // TestSeedCloseRejectionsMatchFullSolve replays every seed-decided rejection
 // of the walk — a lone query the seed could not place on a model of at
 // least largeModelVars variables — on a planner cloned just before it,
-// through the full path: the search must not admit the query either, and
-// must leave a byte-identical state. A model below stallFreeVars is
-// replayed with the full submitMaxNodes budget and no stagnation stop, the
-// search it had before the rule reached it. The rule is a measured
-// heuristic, not a bound, so this walk is its evidence.
+// through the full path with Algorithm 1's whole submitMaxNodes budget: the
+// search must not admit the query either, and must leave a byte-identical
+// state. The rule is a measured heuristic, not a bound, so this walk is its
+// evidence.
 func TestSeedCloseRejectionsMatchFullSolve(t *testing.T) {
-	rejected, fullBudget := 0, 0
+	rejected := 0
 	walkSubmits(t, func(step int, q dsps.StreamID, p, clone *Planner, res Result) {
 		if !res.SeedClosed || res.Admitted {
 			return
 		}
 		rejected++
-		full := replayFullPath(t, clone, q, fullBudgetOptions)
+		full := replayFullPath(t, clone, q, fullSolveOptions)
 		if full.Admitted {
 			t.Fatalf("step %d: the full path admits query %d in %d nodes, which the seed rejected", step, q, full.Nodes)
 		}
 		if full.Nodes == 0 || full.ModelVars < largeModelVars {
 			t.Fatalf("step %d: the replay did not search a large model: %+v", step, full)
 		}
-		if full.ModelVars < stallFreeVars {
-			if full.Stalled {
-				t.Fatalf("step %d: the full-budget replay of a %d-variable model stalled: %+v", step, full.ModelVars, full)
-			}
-			fullBudget++
-		}
 		if !clone.ExportState().Equal(p.ExportState()) {
 			t.Fatalf("step %d: seed-decided and full-path rejections of query %d disagree on the state", step, q)
 		}
 	})
-	t.Logf("%d seed-decided rejections in %d steps, each also rejected by the full path; %d replayed on models under %d variables with the full budget",
-		rejected, walkSteps, fullBudget, stallFreeVars)
+	t.Logf("%d seed-decided rejections in %d steps, each also rejected by the full path", rejected, walkSteps)
 	if rejected < 40 {
 		t.Fatalf("only %d seed-decided rejections in %d steps (want ≥ 40): the walk no longer exercises the rule", rejected, walkSteps)
 	}
-	if fullBudget < 5 {
-		t.Fatalf("only %d seed-decided rejections on models under %d variables (want ≥ 5): the walk no longer exercises the moved line", fullBudget, stallFreeVars)
+}
+
+// largeBatchSteps is the number of 3-query batches
+// TestSeedCloseLargeBatchCommitsItsSeed submits.
+const largeBatchSteps = 24
+
+// TestSeedCloseLargeBatchCommitsItsSeed pins the seed-decided Submit on a
+// joint batch: on the churn walk, every 3-query WithBatch submit whose model
+// lays out at least largeModelVars variables builds no model, searches no
+// node, and admits exactly the queries the greedy seed places on a planner
+// cloned just before it. Each batch is also replayed on that clone through
+// the full path, Algorithm 1's submitMaxNodes search from the seed, which
+// must admit no more.
+func TestSeedCloseLargeBatchCommitsItsSeed(t *testing.T) {
+	w := newChurnWalk()
+	ctx := context.Background()
+	large, seedAdmits, minVars, maxVars := 0, 0, math.MaxInt, 0
+	for step := 0; step < largeBatchSteps; step++ {
+		var batch []dsps.StreamID
+		for len(batch) < 3 {
+			if q := w.next(t); !slices.Contains(batch, q) {
+				batch = append(batch, q)
+			}
+		}
+		clone := NewPlanner(w.sys, w.cfg)
+		if err := clone.ImportState(w.p.ExportState()); err != nil {
+			t.Fatal(err)
+		}
+		clone.beginCall(plan.SubmitConfig{})
+		b := clone.newBuilder(batch, false)
+		seed := b.seed(time.Time{})
+
+		res, err := w.p.Submit(ctx, batch[0], plan.WithBatch(batch[1:]...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.numVars() < largeModelVars {
+			continue
+		}
+		large++
+		minVars, maxVars = min(minVars, b.numVars()), max(maxVars, b.numVars())
+		if res.ModelVars != 0 || res.Nodes != 0 || !res.SeedClosed {
+			t.Fatalf("step %d: a %d-variable batch was not decided by its seed: %+v", step, b.numVars(), res)
+		}
+		placed := 0
+		for _, q := range batch {
+			_, seeded := seed.Provider(q)
+			if w.p.Admitted(q) != seeded {
+				t.Fatalf("step %d: query %d admitted %v, placed by the seed %v", step, q, w.p.Admitted(q), seeded)
+			}
+			if seeded {
+				placed++
+			}
+		}
+		seedAdmits += placed
+
+		var full Result
+		next, err := clone.solve(ctx, b, seed, fullSolveOptions(clone, b), &full)
+		if err != nil {
+			t.Fatalf("step %d: full path failed: %v (%+v)", step, err, full)
+		}
+		if next != nil {
+			clone.Commit(next, batch...)
+		}
+		searched := 0
+		for _, q := range batch {
+			if clone.Admitted(q) {
+				searched++
+			}
+		}
+		if searched > placed {
+			t.Fatalf("step %d: the %d-node search admits %d of batch %v, the seed %d", step, full.Nodes, searched, batch, placed)
+		}
+	}
+	t.Logf("%d of %d batches on models of %d–%d variables, %d queries admitted by their seeds, none beyond them by the full path",
+		large, largeBatchSteps, minVars, maxVars, seedAdmits)
+	if large < largeBatchSteps*3/4 {
+		t.Fatalf("only %d of %d batches on models of %d or more variables: the walk no longer exercises the rule", large, largeBatchSteps, largeModelVars)
 	}
 }
 

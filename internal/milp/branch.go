@@ -99,8 +99,8 @@ func (m *Model) Solve(opts Options) Result {
 	s.run()
 
 	res := Result{
-		Nodes: s.nodes, LPIters: s.lpIters, Cancelled: s.cancelled, Stalled: s.stalled,
-		BudgetHit:     s.truncated && !s.stalled && !s.cancelled,
+		Nodes: s.nodes, LPIters: s.lpIters, Cancelled: s.cancelled,
+		BudgetHit:     s.truncated && !s.cancelled,
 		PresolveFixed: c.presolveFixed,
 		Err:           s.err,
 	}
@@ -146,9 +146,6 @@ type search struct {
 	gapTol   float64
 	absGap   float64
 
-	stallNodes  int // stop after this many nodes without incumbent progress
-	lastImprove int // node count at the last incumbent improvement
-
 	seq int
 
 	nodes   int
@@ -170,7 +167,6 @@ type search struct {
 	pcCnt int32
 
 	rootBound        float64
-	stalled          bool // ended via the stagnation stop
 	provedOptimal    bool
 	provedInfeasible bool
 	truncated        bool // node/deadline budget exhausted mid-search
@@ -213,17 +209,16 @@ func (s *search) reset(c *compiled, opts Options, maxNodes int) {
 		s.freeNode(n)
 	}
 	*s = search{
-		scratch:    s.scratch,
-		c:          c,
-		ctx:        opts.Ctx,
-		reduce:     !opts.DisableTreeReduction,
-		maxNodes:   maxNodes,
-		stallNodes: opts.StallNodes,
-		deadline:   opts.Deadline,
-		gapTol:     opts.GapTol,
-		absGap:     opts.AbsGapTol,
-		bestObj:    math.Inf(1), // minimisation space
-		rootBound:  math.Inf(-1),
+		scratch:   s.scratch,
+		c:         c,
+		ctx:       opts.Ctx,
+		reduce:    !opts.DisableTreeReduction,
+		maxNodes:  maxNodes,
+		deadline:  opts.Deadline,
+		gapTol:    opts.GapTol,
+		absGap:    opts.AbsGapTol,
+		bestObj:   math.Inf(1), // minimisation space
+		rootBound: math.Inf(-1),
 	}
 	if s.slv == nil {
 		// Lazy rows: SQPR models carry thousands of availability/acyclicity
@@ -276,14 +271,12 @@ func (s *search) stopped() bool {
 	return s.cancelled || s.truncated || s.gapHit
 }
 
-// exhausted is polled before every node: it records a cancellation, a
-// stagnation stop or a spent node/deadline budget, and reports stopped.
+// exhausted is polled before every node: it records a cancellation or a
+// spent node/deadline budget, and reports stopped.
 func (s *search) exhausted() bool {
 	switch {
 	case s.ctx != nil && s.ctx.Err() != nil:
 		s.cancelled, s.truncated = true, true
-	case s.stallNodes > 0 && s.bestX != nil && s.nodes-s.lastImprove >= s.stallNodes:
-		s.stalled, s.truncated = true, true
 	case s.nodes >= s.maxNodes || (!s.deadline.IsZero() && time.Now().After(s.deadline)):
 		s.truncated = true
 	}
@@ -351,7 +344,6 @@ func (s *search) installIncumbent(x []float64, lpObj float64) bool {
 		s.bestObj = lpObj
 		s.bestXBuf = append(s.bestXBuf[:0], x...)
 		s.bestX = s.bestXBuf
-		s.lastImprove = s.nodes
 		return true
 	}
 	return false

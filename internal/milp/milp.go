@@ -2,9 +2,8 @@
 // top of the simplex in internal/lp. It offers the subset of the CPLEX
 // feature surface that the SQPR planner depends on: binary and continuous
 // variables, linear constraints, maximisation or minimisation, a solve
-// deadline after which the best incumbent found so far is returned, node
-// and stagnation limits, branch priorities, and externally supplied
-// warm-start incumbents.
+// deadline after which the best incumbent found so far is returned, a node
+// limit, branch priorities, and externally supplied warm-start incumbents.
 //
 // The search is a best-first branch and bound with depth-first plunging
 // over one root LP. Unless Options.DisableTreeReduction is set, a presolve
@@ -273,13 +272,9 @@ type Result struct {
 	Factor lp.FactorStats
 	// PresolveFixed counts variables eliminated before the search started.
 	PresolveFixed int
-	// Stalled is set when the search ended via Options.StallNodes rather
-	// than a deadline or node budget; telemetry keeps it apart from real
-	// timeouts.
-	Stalled bool
 	// BudgetHit is set when the deadline or the node budget cut the search
 	// short — the only endings telemetry counts as timeouts. Gap-tolerance
-	// and stall stops also return FeasibleMIP but leave it false.
+	// stops also return FeasibleMIP but leave it false.
 	BudgetHit bool
 	// Cancelled is set when Options.Ctx was cancelled mid-search; callers
 	// should discard any incumbent and keep their previous state.
@@ -313,16 +308,6 @@ type Options struct {
 	// extra admitted query, so the search stops as soon as the admission
 	// count is provably optimal.
 	AbsGapTol float64
-	// StallNodes, when positive, stops the search (returning the incumbent
-	// as FeasibleMIP) once that many consecutive nodes were explored
-	// without improving the incumbent — counting only while an incumbent
-	// exists, so a search that has not found a feasible point yet keeps
-	// going. SQPR uses this: with λ1 dominating the objective, a stalled
-	// search is either polishing sub-λ1 placement terms or chasing a
-	// fractional-only admission whose refutation tree is enormous; neither
-	// changes the admission decision the planner is waiting on. 0 disables
-	// stagnation stopping (proofs of optimality need the full tree).
-	StallNodes int
 	// DisableTreeReduction turns off presolve and pseudo-cost branching,
 	// falling back to plain most-fractional branch and bound over the
 	// unreduced model (conformance testing).

@@ -408,7 +408,6 @@ func TestSolveReusesSearchState(t *testing.T) {
 	}{
 		{"plain", func(int) Options { return Options{MaxNodes: 100000} }},
 		{"warm", func(n int) Options { return Options{MaxNodes: 100000, Incumbent: make([]float64, n)} }},
-		{"stall", func(int) Options { return Options{MaxNodes: 100000, StallNodes: 10} }},
 		{"ablated", func(int) Options { return Options{MaxNodes: 100000, DisableTreeReduction: true} }},
 	}
 	steps := []struct {

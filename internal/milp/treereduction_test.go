@@ -81,42 +81,6 @@ func TestTreeReductionConformance(t *testing.T) {
 	}
 }
 
-// TestStallNodesStopsSearch verifies the stagnation stop: with an incumbent
-// supplied and a stall budget, the search returns Feasible after roughly
-// that many nodes instead of exhausting the tree.
-func TestStallNodesStopsSearch(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	n := 30
-	m := NewModel()
-	vars := make([]Var, n)
-	terms := make([]Term, n)
-	weights := make([]Term, n)
-	for i := 0; i < n; i++ {
-		vars[i] = m.AddBinary("x")
-		terms[i] = Term{vars[i], 1 + rng.Float64()*9}
-		weights[i] = Term{vars[i], 1 + rng.Float64()*9}
-	}
-	m.SetObjective(true, terms...)
-	m.AddCons("cap", LE, float64(n), weights...)
-
-	full := m.Solve(Options{MaxNodes: 100000})
-	if full.Status != OptimalMIP {
-		t.Fatalf("full solve: %v", full.Status)
-	}
-	// Hand the optimum in as the incumbent: the stalled search can never
-	// improve it, so it must stop after ~StallNodes nodes.
-	stalled := m.Solve(Options{MaxNodes: 100000, StallNodes: 5, Incumbent: full.X})
-	if stalled.X == nil {
-		t.Fatalf("stalled solve lost the incumbent: %v", stalled.Status)
-	}
-	if math.Abs(stalled.Objective-full.Objective) > 1e-9 {
-		t.Fatalf("stalled objective %v != optimal %v", stalled.Objective, full.Objective)
-	}
-	if full.Nodes > 20 && stalled.Nodes > full.Nodes/2 {
-		t.Fatalf("stall did not shorten the search: %d vs %d nodes", stalled.Nodes, full.Nodes)
-	}
-}
-
 // TestPresolveFixesForcedBinaries checks the activity-based fixing rule: a
 // binary whose coefficient exceeds the residual budget must be eliminated
 // before the search.

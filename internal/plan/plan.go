@@ -155,11 +155,9 @@ type Result struct {
 	// drift-rebuild counts, eta-file appends, peak eta-file length and LU
 	// fill-in ratio. See lp.FactorStats.
 	Factor lp.FactorStats
-	// Stalled reports that the MILP search ended via its stagnation stop
-	// (no incumbent progress) rather than a deadline or node budget;
-	// BudgetHit that the deadline or node budget cut it short. A solve that
-	// stopped on its gap tolerance or proved optimality sets neither.
-	Stalled   bool
+	// BudgetHit reports that the deadline or node budget cut the MILP
+	// search short. A solve that stopped on its gap tolerance or proved
+	// optimality leaves it false.
 	BudgetHit bool
 	// PresolveFixed counts variables eliminated before the search (core
 	// SQPR and hierarchical only; see internal/milp).
@@ -170,12 +168,13 @@ type Result struct {
 	// this call (core SQPR and hierarchical only; 0 when no solve ran).
 	ModelVars int
 	// SeedClosed reports that no solve ran because the greedy seed already
-	// decided the call (core SQPR and hierarchical only): a Submit whose
-	// seed sits within the gap tolerance of (III.3)'s a-priori ceiling, a
-	// Repair chunk whose seed re-admitted every query, or a single-query
-	// Submit whose seed could not place the query on a large reduced model,
-	// which is rejected (Admitted false, Reason ReasonNoFeasiblePlan) with
-	// the state unchanged. The solver-effort fields are then zero.
+	// decided the call (core SQPR and hierarchical only): a Submit or a
+	// failure Repair chunk on a large reduced model, which keeps what its
+	// seed placed and rejects the rest (Admitted false, Reason
+	// ReasonNoFeasiblePlan, when the seed left a query out); a smaller
+	// Submit whose seed sits within the gap tolerance of (III.3)'s a-priori
+	// ceiling; or a Repair chunk whose seed re-admitted every query. The
+	// solver-effort fields are then zero.
 	SeedClosed bool
 	// BeyondSeed counts the fresh queries of a Submit solve that the call
 	// admitted and its greedy seed had not placed: what the search bought
@@ -209,11 +208,12 @@ type Stats struct {
 	// Timeouts counts calls whose solver was cut short by its deadline or
 	// node budget, whether or not it held an incumbent by then (a budget
 	// hit with nothing found, NoSolution, counts too). Gap-tolerance stops
-	// are not timeouts, and stagnation stops are counted separately in
-	// Stalls: both are deliberate early exits, not a budget problem an
-	// operator should tune away.
+	// are not timeouts: they are deliberate early exits, not a budget
+	// problem an operator should tune away.
 	Timeouts int
-	// Stalls counts calls ended by the solver's stagnation stop.
+	// Stalls is always zero: the solver's stagnation stop is gone, and it
+	// is retained only because bench/ reads it, until the benchmark drops
+	// core.stalls.
 	Stalls int
 	// SeedClosed counts calls the greedy seed decided without a solve (see
 	// Result.SeedClosed), admissions and seed-decided rejections alike: the
@@ -237,9 +237,6 @@ func (s *Stats) Record(res Result) {
 	s.TotalLPIters += res.LPIters
 	s.Factor.Merge(res.Factor)
 	s.TotalPresolveFixed += res.PresolveFixed
-	if res.Stalled {
-		s.Stalls++
-	}
 	if res.BudgetHit {
 		s.Timeouts++
 	}

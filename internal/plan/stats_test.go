@@ -30,25 +30,25 @@ func TestStatsTimeoutsCountOnlyBudgetHits(t *testing.T) {
 		if sol.Status != milp.FeasibleMIP {
 			t.Fatalf("solve with %+v ended %v, want an unproven incumbent", opts, sol.Status)
 		}
-		return Result{Admitted: true, SolveStatus: sol.Status, Stalled: sol.Stalled, BudgetHit: sol.BudgetHit}
+		return Result{Admitted: true, SolveStatus: sol.Status, BudgetHit: sol.BudgetHit}
 	}
 
 	var gap Stats
 	gap.Record(solve(milp.Options{AbsGapTol: 100}))
-	if gap.Timeouts != 0 || gap.Stalls != 0 {
-		t.Fatalf("gap-stopped solve recorded %d timeouts, %d stalls; want 0, 0", gap.Timeouts, gap.Stalls)
+	if gap.Timeouts != 0 {
+		t.Fatalf("gap-stopped solve recorded %d timeouts, want 0", gap.Timeouts)
 	}
 
 	var budget Stats
 	budget.Record(solve(milp.Options{MaxNodes: 1}))
-	if budget.Timeouts != 1 || budget.Stalls != 0 {
-		t.Fatalf("node-budget solve recorded %d timeouts, %d stalls; want 1, 0", budget.Timeouts, budget.Stalls)
+	if budget.Timeouts != 1 {
+		t.Fatalf("node-budget solve recorded %d timeouts, want 1", budget.Timeouts)
 	}
 
 	// A budget hit before any incumbent was found is a timeout as well.
 	var empty Stats
 	empty.Record(Result{SolveStatus: milp.NoSolution, BudgetHit: true})
-	if empty.Timeouts != 1 || empty.Stalls != 0 {
-		t.Fatalf("budget hit with no incumbent recorded %d timeouts, %d stalls; want 1, 0", empty.Timeouts, empty.Stalls)
+	if empty.Timeouts != 1 {
+		t.Fatalf("budget hit with no incumbent recorded %d timeouts, want 1", empty.Timeouts)
 	}
 }

@@ -56,7 +56,6 @@ func WriteMetrics(w io.Writer, d MetricsData) {
 	m.counter("sqpr_planner_lp_iterations_total", "Simplex iterations performed.", float64(d.Planner.TotalLPIters))
 	m.counter("sqpr_planner_presolve_fixed_total", "Variables eliminated by presolve.", float64(d.Planner.TotalPresolveFixed))
 	m.counter("sqpr_planner_timeouts_total", "Solves cut short by their deadline or node budget.", float64(d.Planner.Timeouts))
-	m.counter("sqpr_planner_stalls_total", "Solves ended by the stagnation stop.", float64(d.Planner.Stalls))
 	m.counter("sqpr_planner_seed_closed_total", "Planning calls the greedy seed decided without a solve, admissions and rejections.", float64(d.Planner.SeedClosed))
 	m.counter("sqpr_planner_beyond_seed_total", "Queries Submit solves admitted that their greedy seed had not placed.", float64(d.Planner.BeyondSeed))
 	m.gauge("sqpr_planner_admitted_queries", "Currently admitted queries.", float64(d.Admitted))

@@ -34,7 +34,6 @@ func goldenData() serve.MetricsData {
 			TotalLPIters:       3200,
 			TotalPresolveFixed: 54,
 			Timeouts:           2,
-			Stalls:             1,
 			SeedClosed:         17,
 			BeyondSeed:         6,
 			Factor: lp.FactorStats{
