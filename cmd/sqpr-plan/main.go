@@ -66,7 +66,7 @@ func main() {
 		switch {
 		case !*showStats:
 		case res.SeedClosed:
-			fmt.Println("    solver: skipped (seed decided: large model, or within gap of the a-priori bound)")
+			fmt.Println("    solver: skipped (seed decided: large model)")
 		default:
 			fmt.Printf("    solver: %d nodes, %d presolve-fixed vars, %d LP iters\n",
 				res.Nodes, res.PresolveFixed, res.LPIters)

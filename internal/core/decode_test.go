@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 
 	"sqpr/internal/dsps"
 	"sqpr/internal/plan"
@@ -99,7 +98,7 @@ func TestPruneFromNeighbourRootsMatchesAllRoots(t *testing.T) {
 		q := w.next(t)
 		w.p.beginCall(plan.SubmitConfig{})
 		b := w.p.newBuilder([]dsps.StreamID{q}, false)
-		seed := b.seed(time.Time{})
+		seed := b.seed()
 		for range 6 {
 			h, m := b.hosts[rng.Intn(len(b.hosts))], b.hosts[rng.Intn(len(b.hosts))]
 			if s := b.freeStreams[rng.Intn(len(b.freeStreams))]; h != m {

@@ -3,7 +3,6 @@ package core
 import (
 	"slices"
 	"sort"
-	"time"
 
 	"sqpr/internal/dsps"
 	"sqpr/internal/milp"
@@ -62,14 +61,11 @@ type builder struct {
 	auxStack      [][]dsps.HostID
 	seedDepth     int
 
-	// seedDeadline bounds the greedy warm start's wall clock and
-	// seedProbes its backtracking: planStreamAt is an exponential
-	// backtracking search, and on large joint (batch) models at saturation
-	// an unbounded greedy can eat minutes before the MILP even starts —
-	// blowing straight through the solve deadline, which only the LP and
-	// branch-and-bound loops poll (see incumbent in seed.go).
-	seedDeadline time.Time
-	seedProbes   int
+	// seedProbes bounds the greedy warm start's backtracking:
+	// planStreamAt is an exponential backtracking search, and on large
+	// joint (batch) models at saturation an unbounded greedy can eat
+	// minutes (see seedProbeBudget in seed.go).
+	seedProbes int
 }
 
 // builder returns the pooled builder, emptied: no free streams, no hosts,

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"sqpr/internal/dsps"
-	"sqpr/internal/invariant"
 	"sqpr/internal/milp"
 	"sqpr/internal/plan"
 )
@@ -72,41 +71,16 @@ func (w Weights) provide(sys *dsps.System, h dsps.HostID) float64 {
 	return w.L1
 }
 
-// seedGap bounds, without building the model, how far the seed just built
-// (b.track is still its ledger) can sit below the model's optimum. (III.3)
-// bounds itself: d is the only variable family with a positive coefficient
-// and Σ_h d_hs ≤ 1, every other variable has a non-positive coefficient and
-// lower bound 0, so no point scores above the ceiling Σ_s max_h c_hs over
-// the streams with provide variables. The seed collects c at its provider
-// for each one it serves and pays its λ2–λ4 terms, which the ledger's
-// system-wide usage over-estimates. Submit models only: Repair's stay
-// bonuses are positive coefficients outside the ceiling.
-func (b *builder) seedGap(seed *dsps.Assignment) float64 {
-	w := b.planner.cfg.Weights
-	var best float64
-	for _, h := range b.hosts {
-		best = max(best, w.provide(b.sys, h))
-	}
-	gap := -b.scoreResources()
-	for i, s := range b.freeStreams {
-		if b.stride[i] != 3 {
-			continue // no provide variables for s
-		}
-		gap += best
-		if h, ok := seed.Provider(s); ok && b.hasHost(h) {
-			gap -= w.provide(b.sys, h)
-		}
-	}
-	return gap
-}
-
 // Config tunes the planner.
 type Config struct {
 	Weights Weights
-	// SolveTimeout bounds each planning call, after which the best
-	// incumbent found so far is used (the paper's CPLEX timeout). A
-	// plan.WithTimeout submit option overrides it per call, and a ctx
-	// deadline always wins when earlier.
+	// SolveTimeout bounds the search of each planning call, after which
+	// the best incumbent found so far is used (the paper's CPLEX timeout):
+	// Submit and failure repairs on models below largeModelVars, and drain
+	// and drift repairs. The greedy seed never reads it, so a seed-decided
+	// call comes out the same under any timeout. A plan.WithTimeout submit
+	// option overrides it per call, and a ctx deadline always wins when
+	// earlier.
 	SolveTimeout time.Duration
 	// SolveWorkers is ignored; kept only for bench/harness.go, which still
 	// assigns it (the branch and bound runs on the calling goroutine).
@@ -140,11 +114,11 @@ func DefaultConfig() Config {
 // largeModelVars is the layout size from which the greedy seed decides a
 // planning call without a solve: Submit commits what the seed placed and
 // rejects the rest, and a failure Repair chunk stages its pinned seed
-// (DESIGN.md "Seed-decided calls"). Below it Submit keeps the ceiling check
-// and Algorithm 1's search. It sits about 2× clear of both sides of what
-// was measured: the hand-built scenarios whose search admits what the seed
-// cannot lay out 43–53 variables, and the smallest seed-decided models of
-// the S15 workloads and the sqpr-sim figures 233.
+// (DESIGN.md "Seed-decided calls"). Below it Submit always builds the model
+// and runs Algorithm 1's search from the seed. The line sits about 2× clear
+// of both sides of what was measured: the hand-built scenarios whose search
+// admits what the seed cannot lay out 43–53 variables, and the smallest
+// seed-decided models of the S15 workloads and the sqpr-sim figures 233.
 const largeModelVars = 128
 
 // submitGapTol stops a Submit search when the incumbent is provably within
@@ -163,11 +137,6 @@ const submitMaxNodes = 80
 // migration, while staying well below Weights.L1 so an admission is never
 // sacrificed to avoid one.
 const migrationWeight = 2
-
-// groupGraceBudget is the minimum wall-clock budget an armed greedy run
-// receives even when earlier work consumed the whole call timeout (see
-// seedArm in seed.go).
-const groupGraceBudget = 10 * time.Millisecond
 
 // Planner is the SQPR planner. It implements plan.QueryPlanner and is not
 // safe for concurrent use.
@@ -227,9 +196,10 @@ func NewPlanner(sys *dsps.System, cfg Config) *Planner {
 // queries jointly in one optimisation with the deadline scaled by the
 // batch size (§V-A1). On a reduced model of at least largeModelVars
 // variables the greedy seed decides the call instead of the MILP (DESIGN.md
-// "Seed-decided calls"). Every plan committed passes the dsps feasibility
-// validator. Cancelling ctx aborts the MILP search promptly and leaves the
-// planner state unchanged.
+// "Seed-decided calls"), whatever the timeout; on a smaller one the search
+// from the seed does, within it. Every plan committed passes the dsps
+// feasibility validator. Cancelling ctx aborts the MILP search promptly and
+// leaves the planner state unchanged.
 func (p *Planner) Submit(ctx context.Context, q dsps.StreamID, opts ...plan.SubmitOption) (Result, error) {
 	ctx = plan.OrBackground(ctx)
 	cfg := plan.Apply(opts)
@@ -308,7 +278,7 @@ func (p *Planner) submit(ctx context.Context, qs []dsps.StreamID, timeout time.D
 		// still fathoming hopeless subtrees early.
 		AbsGapTol: 0.02 * p.cfg.Weights.L1,
 	}
-	seed := b.seed(deadline)
+	seed := b.seed()
 	placed := func(q dsps.StreamID) bool { _, ok := seed.Provider(q); return ok }
 	var next *dsps.Assignment
 	var err error
@@ -320,16 +290,10 @@ func (p *Planner) submit(ctx context.Context, qs []dsps.StreamID, timeout time.D
 		// with nothing built and nothing committed.
 		res.SeedClosed, res.SolveStatus = true, milp.FeasibleMIP
 		res.Reason = plan.ReasonNoFeasiblePlan
-	case large || b.seedGap(seed) <= opts.AbsGapTol:
+	case large:
 		// On a large model the seed decides (a measured heuristic, DESIGN.md
-		// "Seed-decided calls"): the search from it never admitted more.
-		// Below the line this is the bound before build: a seed within the
-		// tolerance of the a-priori ceiling is what the solve would return
-		// from its root (no LP bound is above the ceiling). Either way the
+		// "Seed-decided calls"): the search from it never admitted more. The
 		// seed takes the decoded point's tail and no model is built.
-		if invariant.Enabled && !large {
-			p.mustStopAtRoot(ctx, b, seed, opts)
-		}
 		b.pruneUnused(seed)
 		res.SeedClosed, res.SolveStatus = true, milp.FeasibleMIP
 		next, err = p.validated(seed, &res)
@@ -402,17 +366,4 @@ func (p *Planner) validated(next *dsps.Assignment, res *Result) (*dsps.Assignmen
 		return nil, fmt.Errorf("core: solver produced infeasible plan: %w", err)
 	}
 	return next, nil
-}
-
-// mustStopAtRoot is the checked-build proof that seedGap changes no output:
-// the skipped solve, run anyway, stops at its root and hands the seed back.
-func (p *Planner) mustStopAtRoot(ctx context.Context, b *builder, seed *dsps.Assignment, opts milp.Options) {
-	var full Result
-	got, err := p.solve(ctx, b, seed, opts, &full)
-	want := seed.Clone()
-	b.pruneUnused(want)
-	if ctx.Err() == nil && !full.BudgetHit && (full.Nodes != 1 || got == nil || !slices.Equal(got.Provides, want.Provides) ||
-		!slices.Equal(got.Ops, want.Ops) || !slices.Equal(got.Flows, want.Flows)) {
-		invariant.Failf("core: seed %g below the ceiling, yet the solve took %d nodes or moved the plan (%v)", b.seedGap(seed), full.Nodes, err)
-	}
 }

@@ -277,7 +277,7 @@ func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before
 	// "Seed-decided calls"); the query comes back in Dropped. Drain chunks
 	// (a draining candidate host needs evacuating) and drift chunks
 	// (re-placement is the goal) always take the full solve.
-	seed := b.seed(deadline)
+	seed := b.seed()
 	unserved := func(q dsps.StreamID) bool { _, ok := seed.Provider(q); return !ok }
 	if !thorough && (b.numVars() >= largeModelVars || !slices.ContainsFunc(chunk, unserved)) {
 		if res.Admitted = p.Stage(seed, chunk...); !res.Admitted {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"sqpr/internal/dsps"
 	"sqpr/internal/invariant"
 	"sqpr/internal/milp"
@@ -21,16 +19,16 @@ import (
 // probing never clones the assignment or recomputes usage from scratch.
 //
 // planStreamAt is an exponential backtracking search (producers × hosts,
-// recursing through operator inputs), so the greedy runs under two brakes,
-// armed by seedArm: a probe budget shared across the call, and the solve
-// deadline, polled inside the recursion every 256 probes (on contended
-// joint models the unbraked search could take minutes). A truncated greedy
-// is harmless: the seed is the current allocation extended with however many
+// recursing through operator inputs), so the greedy runs under a probe
+// budget shared across the call, armed by seedArm (on contended joint
+// models the unbraked search could take minutes). It reads no clock, so a
+// seed is the same whatever the call's timeout. A truncated greedy is
+// harmless: the seed is the current allocation extended with however many
 // queries were admitted before the brake, still a feasible warm start.
-func (b *builder) seed(deadline time.Time) *dsps.Assignment {
+func (b *builder) seed() *dsps.Assignment {
 	cand := b.planner.Assignment().Clone()
 	b.track.Reset(b.sys, cand)
-	b.seedArm(deadline)
+	b.seedArm()
 	for _, q := range b.queries {
 		if _, ok := cand.Provider(q); ok {
 			continue
@@ -43,45 +41,23 @@ func (b *builder) seed(deadline time.Time) *dsps.Assignment {
 	return cand
 }
 
-// seedProbeBudget caps planStreamAt invocations per armed greedy run — a
-// safety net for deadline-free calls. A probe costs tens of nanoseconds
-// (most short-circuit on Available), so the cap bounds the greedy at a few
-// tens of milliseconds; ordinary Submit calls use orders of magnitude fewer
-// probes, and the repair greedy's heavier preferHost rebuilds stay well
-// inside it too. The pathological joint-batch cases this exists for burned
-// billions of probes. The solve deadline is the primary brake: planStreamAt
-// polls it every 256 probes, so an expired call stops within microseconds.
+// seedProbeBudget caps planStreamAt invocations per armed greedy run, the
+// seed's only brake. A probe costs about 0.8 µs on the sqpr-sim Fig. 5c
+// workload at arity 5 (its slowest seed took 336k probes in 250–280 ms on
+// a 2-core VM), so the cap bounds one greedy run at about 0.85 s there; no
+// seed of the sqpr-sim figures or the benchmark workloads reaches it. The
+// pathological joint-batch cases it exists for burned billions of probes.
 const seedProbeBudget = 1 << 20
 
-// seedArm resets the greedy brakes for one run and sizes planStreamAt's
-// cycle guard to the system. Every greedy entry point
-// must arm explicitly: the builder is pooled across calls, and a stale
-// deadline from a previous call would otherwise truncate the next greedy
-// on sight (a repair fast path running after a submit, for example). The
-// deadline is floored by a small grace so a greedy is never stillborn just
-// because earlier work consumed the call budget — it is the cheap path
-// (microseconds to low milliseconds normally), and killing it would drop
-// admissions and repairs the solver then has no time to recover; the
-// brakes exist for the pathological minutes-long searches, which the
-// grace still bounds.
-func (b *builder) seedArm(deadline time.Time) {
-	if !deadline.IsZero() {
-		if min := time.Now().Add(groupGraceBudget); deadline.Before(min) {
-			deadline = min
-		}
-	}
-	b.seedDeadline = deadline
+// seedArm resets the probe budget for one run and sizes planStreamAt's
+// cycle guard to the system. Every greedy entry point must arm explicitly:
+// the builder is pooled across calls, and a spent budget from a previous
+// call would otherwise truncate the next greedy on sight.
+func (b *builder) seedArm() {
 	b.seedProbes = seedProbeBudget
 	if n := b.sys.NumHosts() * len(b.sys.Streams); len(b.visiting) != n {
 		b.visiting = make([]bool, n)
 	}
-}
-
-// seedExpired reports whether the greedy's wall-clock deadline has lapsed.
-//
-//sqpr:hotpath
-func (b *builder) seedExpired() bool {
-	return !b.seedDeadline.IsZero() && time.Now().After(b.seedDeadline)
 }
 
 // seedHostsAt returns the two pooled host-scratch buffers for one
@@ -315,10 +291,6 @@ func (b *builder) planStreamAt(trial *dsps.Assignment, s dsps.StreamID, h dsps.H
 		return false
 	}
 	b.seedProbes--
-	if b.seedProbes&255 == 0 && b.seedExpired() {
-		b.seedProbes = 0 // poison the rest of the run: deadline lapsed
-		return false
-	}
 	depth := b.seedDepth
 	b.seedDepth++
 	defer b.seedExit()

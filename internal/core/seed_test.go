@@ -5,7 +5,6 @@ import (
 	"runtime/debug"
 	"slices"
 	"testing"
-	"time"
 
 	"sqpr/internal/dsps"
 	"sqpr/internal/invariant"
@@ -33,7 +32,7 @@ func TestSeedAllocationsBounded(t *testing.T) {
 	w.p.beginCall(plan.SubmitConfig{})
 	b := w.p.newBuilder([]dsps.StreamID{q}, false)
 	var seed *dsps.Assignment
-	run := func() { seed = b.seed(time.Time{}) }
+	run := func() { seed = b.seed() }
 	run() // the first run sizes the builder's scratch
 	if _, ok := seed.Provider(q); !ok || len(seed.Flows) <= len(w.p.Assignment().Flows) {
 		t.Fatalf("the seed did not admit query %d over new flows; the state would not exercise the greedy", q)

@@ -171,10 +171,9 @@ type Result struct {
 	// decided the call (core SQPR and hierarchical only): a Submit or a
 	// failure Repair chunk on a large reduced model, which keeps what its
 	// seed placed and rejects the rest (Admitted false, Reason
-	// ReasonNoFeasiblePlan, when the seed left a query out); a smaller
-	// Submit whose seed sits within the gap tolerance of (III.3)'s a-priori
-	// ceiling; or a Repair chunk whose seed re-admitted every query. The
-	// solver-effort fields are then zero.
+	// ReasonNoFeasiblePlan, when the seed left a query out), or a failure
+	// Repair chunk whose seed re-admitted every query. The solver-effort
+	// fields are then zero. A Submit on a smaller model always solves.
 	SeedClosed bool
 	// BeyondSeed counts the fresh queries of a Submit solve that the call
 	// admitted and its greedy seed had not placed: what the search bought
@@ -262,8 +261,10 @@ type SubmitConfig struct {
 // SubmitOption customises one Submit call.
 type SubmitOption func(*SubmitConfig)
 
-// WithTimeout bounds the planning call by d instead of the planner's
-// configured default. The context deadline, when earlier, still wins.
+// WithTimeout bounds the planning call's search by d instead of the
+// planner's configured default. The context deadline, when earlier, still
+// wins. In core SQPR the greedy seed reads no clock, so a call the seed
+// decides (a large model) comes out the same under any timeout.
 func WithTimeout(d time.Duration) SubmitOption {
 	return func(c *SubmitConfig) { c.Timeout = d }
 }

@@ -87,7 +87,8 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 type submitRequest struct {
 	// Query is the requested result stream.
 	Query dsps.StreamID `json:"query"`
-	// TimeoutMS, when positive, bounds the planning call (WithTimeout).
+	// TimeoutMS, when positive, bounds the planning call's search
+	// (WithTimeout); a call its greedy seed decides ignores it.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 

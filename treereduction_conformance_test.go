@@ -2,8 +2,9 @@
 // level: with presolve and pseudo-cost branching on versus off, every
 // submission of a seeded workload must reach the identical admission
 // decision, and the final allocations must score the identical paper
-// objective. CI runs this under -race (the large-model stagnation stop and
-// all solver scratch pooling are exercised on the way).
+// objective. The instances are sized below the planner's large-model line,
+// so Algorithm 1's search decides their submissions in both modes. CI runs
+// this under -race (all solver scratch pooling is exercised on the way).
 package sqpr_test
 
 import (
@@ -55,11 +56,15 @@ func TestTreeReductionPlannerConformance(t *testing.T) {
 	if testing.Short() {
 		instances = 10
 	}
+	// searched counts, per mode, the submissions that ran the search;
+	// deep those that branched beyond its root.
+	var searched, deep [2]int
 	for seed := int64(1); seed <= int64(instances); seed++ {
 		sc := sim.DefaultScale()
-		sc.Hosts = 6
+		sc.Hosts = 4
+		sc.CPUPerHost = 2
 		sc.BaseStreams = 20
-		sc.Queries = 8
+		sc.Queries = 12
 		sc.Seed = seed
 		// Generous, node-bounded budgets keep both searches deterministic:
 		// the solves end on node limits and gap criteria, never on wall
@@ -70,8 +75,12 @@ func TestTreeReductionPlannerConformance(t *testing.T) {
 			env := sim.BuildEnv(sc)
 			cfg := core.DefaultConfig()
 			cfg.SolveTimeout = sc.Timeout
-			cfg.MaxCandidateHosts = 6
+			cfg.MaxCandidateHosts = 3
 			cfg.DisableTreeReduction = disable
+			mode := 0
+			if disable {
+				mode = 1
+			}
 			p := core.NewPlanner(env.Sys, cfg)
 			ctx := context.Background()
 			decisions := make([]bool, 0, len(env.Queries))
@@ -81,6 +90,12 @@ func TestTreeReductionPlannerConformance(t *testing.T) {
 					t.Fatalf("seed %d disable=%v: %v", seed, disable, err)
 				}
 				decisions = append(decisions, res.Admitted)
+				if res.Nodes > 0 {
+					searched[mode]++
+				}
+				if res.Nodes > 1 {
+					deep[mode]++
+				}
 			}
 			return p, env.Sys, decisions
 		}
@@ -102,6 +117,15 @@ func TestTreeReductionPlannerConformance(t *testing.T) {
 		if math.Abs(objOn-objOff) > objTol {
 			t.Fatalf("seed %d: final objective %.4f with tree reduction, %.4f without",
 				seed, objOn, objOff)
+		}
+	}
+	t.Logf("searched submissions: %d with tree reduction (%d beyond the root), %d without (%d)",
+		searched[0], deep[0], searched[1], deep[1])
+	// A floor, so that the conformance cannot go vacuous: submissions the
+	// seed decides compare no searches.
+	for mode, n := range searched {
+		if n < 2*instances {
+			t.Fatalf("DisableTreeReduction=%v: only %d searched submissions over %d instances (want ≥ %d)", mode == 1, n, instances, 2*instances)
 		}
 	}
 }
