@@ -98,7 +98,7 @@ func TestPruneFromNeighbourRootsMatchesAllRoots(t *testing.T) {
 		q := w.next(t)
 		w.p.beginCall(plan.SubmitConfig{})
 		b := w.p.newBuilder([]dsps.StreamID{q}, false)
-		seed := b.seed()
+		seed := b.seed(ctx)
 		for range 6 {
 			h, m := b.hosts[rng.Intn(len(b.hosts))], b.hosts[rng.Intn(len(b.hosts))]
 			if s := b.freeStreams[rng.Intn(len(b.freeStreams))]; h != m {

@@ -62,7 +62,7 @@ func TestLargeModelJointSolve(t *testing.T) {
 	var res Result
 	opts := fullSolveOptions(joint, bld)
 	opts.Deadline = deadline
-	next, err := joint.solve(ctx, bld, bld.seed(), opts, &res)
+	next, err := joint.solve(ctx, bld, bld.seed(ctx), opts, &res)
 	if err != nil || next == nil {
 		t.Fatalf("joint solve: %v (%+v)", err, res)
 	}

@@ -76,11 +76,11 @@ type Config struct {
 	Weights Weights
 	// SolveTimeout bounds the search of each planning call, after which
 	// the best incumbent found so far is used (the paper's CPLEX timeout):
-	// Submit and failure repairs on models below largeModelVars, and drain
-	// and drift repairs. The greedy seed never reads it, so a seed-decided
-	// call comes out the same under any timeout. A plan.WithTimeout submit
-	// option overrides it per call, and a ctx deadline always wins when
-	// earlier.
+	// Submit calls and Repair chunks on models below largeModelVars, the
+	// only ones that search. The greedy seed never reads it, so a
+	// seed-decided call comes out the same under any timeout. A
+	// plan.WithTimeout submit option overrides it per call, and a ctx
+	// deadline always wins when earlier.
 	SolveTimeout time.Duration
 	// SolveWorkers is ignored; kept only for bench/harness.go, which still
 	// assigns it (the branch and bound runs on the calling goroutine).
@@ -113,12 +113,13 @@ func DefaultConfig() Config {
 
 // largeModelVars is the layout size from which the greedy seed decides a
 // planning call without a solve: Submit commits what the seed placed and
-// rejects the rest, and a failure Repair chunk stages its pinned seed
-// (DESIGN.md "Seed-decided calls"). Below it Submit always builds the model
-// and runs Algorithm 1's search from the seed. The line sits about 2× clear
-// of both sides of what was measured: the hand-built scenarios whose search
-// admits what the seed cannot lay out 43–53 variables, and the smallest
-// seed-decided models of the S15 workloads and the sqpr-sim figures 233.
+// rejects the rest, and a Repair chunk, whatever its events, stages its
+// pinned seed (DESIGN.md "Seed-decided calls"). Below it both always build
+// the model and run Algorithm 1's search from the seed. The line sits about
+// 2× clear of both sides of what was measured: the hand-built scenarios
+// whose search admits what the seed cannot lay out 43–53 variables, and the
+// smallest seed-decided models of the S15 workloads and the sqpr-sim
+// figures 233.
 const largeModelVars = 128
 
 // submitGapTol stops a Submit search when the incumbent is provably within
@@ -126,8 +127,8 @@ const largeModelVars = 128
 // small relative gap never sacrifices admissions.
 const submitGapTol = 0.01
 
-// submitMaxNodes caps the branch-and-bound nodes of one solve; drain and
-// drift repairs search eight times as deep (see repairChunk).
+// submitMaxNodes caps the branch-and-bound nodes of one solve, a Submit
+// call's or a Repair chunk's alike.
 const submitMaxNodes = 80
 
 // migrationWeight is the objective reward Repair grants for keeping a
@@ -198,8 +199,8 @@ func NewPlanner(sys *dsps.System, cfg Config) *Planner {
 // variables the greedy seed decides the call instead of the MILP (DESIGN.md
 // "Seed-decided calls"), whatever the timeout; on a smaller one the search
 // from the seed does, within it. Every plan committed passes the dsps
-// feasibility validator. Cancelling ctx aborts the MILP search promptly and
-// leaves the planner state unchanged.
+// feasibility validator. Cancelling ctx aborts the seed or the MILP search
+// promptly and leaves the planner state unchanged.
 func (p *Planner) Submit(ctx context.Context, q dsps.StreamID, opts ...plan.SubmitOption) (Result, error) {
 	ctx = plan.OrBackground(ctx)
 	cfg := plan.Apply(opts)
@@ -278,7 +279,7 @@ func (p *Planner) submit(ctx context.Context, qs []dsps.StreamID, timeout time.D
 		// still fathoming hopeless subtrees early.
 		AbsGapTol: 0.02 * p.cfg.Weights.L1,
 	}
-	seed := b.seed()
+	seed := b.seed(ctx)
 	placed := func(q dsps.StreamID) bool { _, ok := seed.Provider(q); return ok }
 	var next *dsps.Assignment
 	var err error

@@ -18,9 +18,10 @@ import (
 // only — no sharing-merge), and the objective pays a migration cost for
 // moving a surviving operator off its incumbent host, so repair plans reuse
 // the running system instead of rebuilding it (§IV of the paper, applied to
-// churn). The solve reuses the warm-start machinery of Submit: the stripped
-// incumbent plus a greedy re-admission seeds the branch and bound, and the
-// stateful LP solver resolves from its persistent basis.
+// churn). Each chunk is decided as Submit decides a call: the stripped
+// incumbent plus a greedy re-admission is the seed, which stands on a model
+// of at least largeModelVars variables (so a drain there does not evacuate)
+// and warm-starts the branch and bound below it.
 //
 // The event consequences commit even when re-planning fails or the ctx is
 // cancelled: the planner state never references a down host after Repair
@@ -225,7 +226,7 @@ func (p *Planner) repairChunks(affected []dsps.StreamID) [][]dsps.StreamID {
 	return chunks
 }
 
-// repairChunk runs one delta solve over the chunk's pinned free set.
+// repairChunk re-plans one chunk over its pinned free set.
 func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before *dsps.Assignment, noBonus []bool, deadline time.Time) (Result, error) {
 	start := time.Now()
 	var res Result
@@ -248,12 +249,8 @@ func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before
 		deadline = d
 	}
 
-	// Does this chunk actually touch a drifted operator, or a draining
-	// host? Only then must the re-optimisation machinery below treat it as
-	// a drift or drain repair.
+	// Drifted operators earn no stay bonus: re-placing them is the point.
 	drifted := func(op dsps.OperatorID) bool { return noBonus[op] }
-	draining := func(h dsps.HostID) bool { return p.sys.Hosts[h].State == dsps.HostDraining }
-	thorough := slices.ContainsFunc(b.freeOps, drifted) || slices.ContainsFunc(b.hosts, draining)
 
 	// Migration costs: keeping a surviving free operator on the placeable
 	// host it already runs on earns the stay bonus; placements on draining
@@ -267,28 +264,16 @@ func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before
 		}
 	}
 
-	// Pure failure repair is decided by the pinned greedy, which only ever
-	// adds to the surviving allocation (it never moves a placement),
-	// preferring each severed operator's former host. If it re-admits every
-	// chunk query, the result is simultaneously admission-complete and
-	// migration-minimal — no delta solve can keep more queries or move
-	// fewer survivors — so the MILP is skipped. On a large model its seed
-	// stands even when it leaves a query out, as Submit's does (DESIGN.md
-	// "Seed-decided calls"); the query comes back in Dropped. Drain chunks
-	// (a draining candidate host needs evacuating) and drift chunks
-	// (re-placement is the goal) always take the full solve.
-	seed := b.seed()
-	unserved := func(q dsps.StreamID) bool { _, ok := seed.Provider(q); return !ok }
-	if !thorough && (b.numVars() >= largeModelVars || !slices.ContainsFunc(chunk, unserved)) {
-		if res.Admitted = p.Stage(seed, chunk...); !res.Admitted {
-			res.Reason = plan.ReasonNoFeasiblePlan
-		}
-		res.SeedClosed = true
-		res.PlanTime = time.Since(start)
-		p.Record(res)
-		return res, nil
+	// The pinned greedy only ever adds to the surviving allocation (it never
+	// moves a placement), preferring each severed operator's former host.
+	// The chunk is decided as Submit decides a call (DESIGN.md "Seed-decided
+	// calls"): on a large model the seed stands, whatever the chunk's events,
+	// and a query it leaves out comes back in Dropped; on a smaller one the
+	// delta solve searches from it.
+	seed := b.seed(ctx)
+	if err := ctx.Err(); err != nil {
+		return res, err
 	}
-
 	opts := milp.Options{
 		Ctx:                  ctx,
 		Deadline:             deadline,
@@ -301,15 +286,13 @@ func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before
 		// avoidable migrations.
 		AbsGapTol: 0.25 * migrationWeight,
 	}
-	// Drain and drift chunks exist to move away from the incumbent, so they
-	// search deeper: the warm start still carries the placements those
-	// chunks must undo, so the evacuation optimum only surfaces once the
-	// search has re-derived it node by node, which a Submit-sized node cap
-	// routinely cuts short.
-	if thorough {
-		opts.MaxNodes = 8 * submitMaxNodes
+	var next *dsps.Assignment
+	var err error
+	if b.numVars() >= largeModelVars {
+		next, res.SeedClosed, res.SolveStatus = seed, true, milp.FeasibleMIP
+	} else {
+		next, err = p.solve(ctx, b, seed, opts, &res)
 	}
-	next, err := p.solve(ctx, b, seed, opts, &res)
 	if next != nil {
 		if res.Admitted = p.Stage(next, chunk...); !res.Admitted {
 			res.Reason = plan.ReasonNoFeasiblePlan

@@ -165,20 +165,28 @@ func TestRepairDrainEvacuatesBestEffort(t *testing.T) {
 	}
 }
 
-// TestRepairLargeFailureChunkStagesSeed fills the S15 substrate of the
-// seed-close walks with its whole population, then fails each host in turn
-// until a repair chunk's pinned seed cannot re-place a producible query. On
-// a model of at least largeModelVars variables that seed decides: the
-// chunk stages it and searches no node, and the query comes back in
-// Dropped. (Drain chunks still search: TestRepairDrainEvacuatesBestEffort.)
-func TestRepairLargeFailureChunkStagesSeed(t *testing.T) {
+// filledChurnWalk is the churn walk's S15 substrate with its whole query
+// population submitted in order.
+func filledChurnWalk(t *testing.T) *churnWalk {
+	t.Helper()
 	w := newChurnWalk()
-	ctx := context.Background()
 	for _, q := range w.queries {
-		if _, err := w.p.Submit(ctx, q); err != nil {
+		if _, err := w.p.Submit(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return w
+}
+
+// TestRepairLargeFailureChunkStagesSeed fails each host of the filled S15
+// substrate in turn until a repair chunk's pinned seed cannot re-place a
+// producible query. On a model of at least largeModelVars variables that
+// seed decides: the chunk stages it and searches no node, and the query
+// comes back in Dropped. (Small chunks search from their seed:
+// TestRepairDrainEvacuatesBestEffort.)
+func TestRepairLargeFailureChunkStagesSeed(t *testing.T) {
+	w := filledChurnWalk(t)
+	ctx := context.Background()
 	for h := range w.sys.Hosts {
 		p := NewPlanner(w.sys, w.cfg)
 		if err := p.ImportState(w.p.ExportState()); err != nil {
@@ -219,6 +227,48 @@ func TestRepairLargeFailureChunkStagesSeed(t *testing.T) {
 		return
 	}
 	t.Fatal("no host failure left a producible query its seed could not re-place: the test no longer exercises the rule")
+}
+
+// TestRepairLargeDrainAndDriftChunksStageSeed pins that the events of a
+// chunk do not change the rule: on the filled S15 substrate, draining a host
+// that runs operators and drifting the cost of a placed operator yield
+// only chunks decided by their pinned seeds, with no node searched.
+func TestRepairLargeDrainAndDriftChunksStageSeed(t *testing.T) {
+	w := filledChurnWalk(t)
+	pl := w.p.Assignment().Ops[0]
+	op := w.sys.Operators[pl.Op]
+	for _, tc := range []struct {
+		name  string
+		event plan.Event
+	}{
+		{"drain", plan.DrainHost(pl.Host)},
+		{"drift", plan.CostDrift(op.ID, 2*op.Cost)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer w.sys.SetCost(op.ID, op.Cost)
+			defer w.sys.SetHostState(pl.Host, dsps.HostUp)
+			p := NewPlanner(w.sys, w.cfg)
+			if err := p.ImportState(w.p.ExportState()); err != nil {
+				t.Fatal(err)
+			}
+			rr, err := p.Repair(context.Background(), []plan.Event{tc.event})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := p.Stats()
+			if len(rr.Affected) == 0 || st.Submissions == 0 {
+				t.Fatalf("the event re-planned nothing: %+v", rr)
+			}
+			if rr.Nodes != 0 || st.TotalNodes != 0 || st.SeedClosed != st.Submissions {
+				t.Fatalf("%d of %d chunks decided by their seeds, %d nodes searched; want every chunk seed-decided: %+v",
+					st.SeedClosed, st.Submissions, rr.Nodes, rr)
+			}
+			if err := p.Assignment().Validate(w.sys); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d queries affected in %d chunks, %d kept, %d migrated", len(rr.Affected), st.Submissions, len(rr.Kept), rr.Migrated)
+		})
+	}
 }
 
 func TestRepairNoEventsNoAffected(t *testing.T) {

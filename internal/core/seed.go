@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"sqpr/internal/dsps"
 	"sqpr/internal/invariant"
 	"sqpr/internal/milp"
@@ -22,10 +24,12 @@ import (
 // recursing through operator inputs), so the greedy runs under a probe
 // budget shared across the call, armed by seedArm (on contended joint
 // models the unbraked search could take minutes). It reads no clock, so a
-// seed is the same whatever the call's timeout. A truncated greedy is
-// harmless: the seed is the current allocation extended with however many
-// queries were admitted before the brake, still a feasible warm start.
-func (b *builder) seed() *dsps.Assignment {
+// seed is the same whatever the call's timeout; it polls ctx every 256
+// probes and stops once ctx is cancelled, and its caller then discards it.
+// A truncated greedy is harmless: the seed is the current allocation
+// extended with however many queries were admitted before the brake, still
+// a feasible warm start.
+func (b *builder) seed(ctx context.Context) *dsps.Assignment {
 	cand := b.planner.Assignment().Clone()
 	b.track.Reset(b.sys, cand)
 	b.seedArm()
@@ -36,7 +40,7 @@ func (b *builder) seed() *dsps.Assignment {
 		if b.seedProbes <= 0 {
 			break
 		}
-		b.greedyAdmit(cand, q)
+		b.greedyAdmit(ctx, cand, q)
 	}
 	return cand
 }
@@ -182,7 +186,7 @@ type scored struct {
 // through the journal; the best-scoring resource-feasible plan is kept.
 //
 //sqpr:hotpath
-func (b *builder) greedyAdmit(cand *dsps.Assignment, q dsps.StreamID) bool {
+func (b *builder) greedyAdmit(ctx context.Context, cand *dsps.Assignment, q dsps.StreamID) bool {
 	order := b.hostScratch[:0]
 	order = append(order, b.hosts...) //sqpr:amortized pooled on the builder
 	b.hostScratch = order
@@ -194,7 +198,7 @@ func (b *builder) greedyAdmit(cand *dsps.Assignment, q dsps.StreamID) bool {
 			break
 		}
 		mark := len(b.journal)
-		if !b.planStreamAt(cand, q, h) {
+		if !b.planStreamAt(ctx, cand, q, h) {
 			b.rollback(cand, mark)
 			continue
 		}
@@ -216,7 +220,7 @@ func (b *builder) greedyAdmit(cand *dsps.Assignment, q dsps.StreamID) bool {
 	sortScoredDesc(results)
 	for _, r := range results {
 		mark := len(b.journal)
-		if !b.planStreamAt(cand, q, r.h) {
+		if !b.planStreamAt(ctx, cand, q, r.h) {
 			b.rollback(cand, mark)
 			continue
 		}
@@ -283,12 +287,22 @@ func (b *builder) scoreResources() float64 {
 // planStreamAt makes stream s available at host h inside trial, adding
 // flows and operator placements greedily (journaled, ledger-checked).
 // b.visiting guards against cycles. On failure the caller rolls back to
-// its own mark; partial work may remain in the journal.
+// its own mark; partial work may remain in the journal. Every 256th probe,
+// the first included, polls ctx without blocking; a cancelled ctx spends
+// the rest of the probe budget.
 //
 //sqpr:hotpath
-func (b *builder) planStreamAt(trial *dsps.Assignment, s dsps.StreamID, h dsps.HostID) bool {
+func (b *builder) planStreamAt(ctx context.Context, trial *dsps.Assignment, s dsps.StreamID, h dsps.HostID) bool {
 	if b.seedProbes <= 0 {
 		return false
+	}
+	if b.seedProbes&255 == 0 {
+		select {
+		case <-ctx.Done():
+			b.seedProbes = 0
+			return false
+		default:
+		}
 	}
 	b.seedProbes--
 	depth := b.seedDepth
@@ -373,7 +387,7 @@ func (b *builder) planStreamAt(trial *dsps.Assignment, s dsps.StreamID, h dsps.H
 			mark := len(b.journal)
 			ok := true
 			for _, in := range o.Inputs {
-				if !b.planStreamAt(trial, in, m) {
+				if !b.planStreamAt(ctx, trial, in, m) {
 					ok = false
 					break
 				}

@@ -100,7 +100,7 @@ func replayFullPath(t *testing.T, p *Planner, q dsps.StreamID, opts func(*Planne
 	p.beginCall(plan.SubmitConfig{})
 	b := p.newBuilder([]dsps.StreamID{q}, false)
 	var full Result
-	next, err := p.solve(context.Background(), b, b.seed(), opts(p, b), &full)
+	next, err := p.solve(context.Background(), b, b.seed(context.Background()), opts(p, b), &full)
 	if err != nil || next == nil {
 		t.Fatalf("query %d: full path failed: %v (%+v)", q, err, full)
 	}
@@ -206,7 +206,7 @@ func TestSeedCloseLargeBatchCommitsItsSeed(t *testing.T) {
 		}
 		clone.beginCall(plan.SubmitConfig{})
 		b := clone.newBuilder(batch, false)
-		seed := b.seed()
+		seed := b.seed(ctx)
 
 		res, err := w.p.Submit(ctx, batch[0], plan.WithBatch(batch[1:]...))
 		if err != nil {
@@ -290,7 +290,7 @@ func TestSeedCloseSmallModelsKeepTheirSearch(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, q := tc.setup(t)
-			res := mustSubmit(t, p, false, q)
+			res := mustSubmit(t, p, q)
 			if res.ModelVars >= largeModelVars || res.Nodes == 0 {
 				t.Fatalf("want a search on fewer than %d variables: %+v", largeModelVars, res)
 			}
@@ -337,19 +337,16 @@ func nestedSystem(t *testing.T, cpu float64) (sys *dsps.System, ab, abc, ac dsps
 	return sys, ab, abc, ac
 }
 
-// mustSubmit submits q (with batch companions) and checks whether the seed
-// closed the call.
-func mustSubmit(t *testing.T, p *Planner, wantClosed bool, q dsps.StreamID, batch ...dsps.StreamID) Result {
+// mustSubmit submits q (with batch companions) and checks that the call
+// searched: every caller plans a model below largeModelVars.
+func mustSubmit(t *testing.T, p *Planner, q dsps.StreamID, batch ...dsps.StreamID) Result {
 	t.Helper()
 	res, err := p.Submit(context.Background(), q, plan.WithBatch(batch...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SeedClosed != wantClosed {
-		t.Fatalf("Submit(%d, batch %v): SeedClosed = %v, want %v (%+v)", q, batch, res.SeedClosed, wantClosed, res)
-	}
-	if solved := res.ModelVars > 0 && res.Nodes > 0; solved == wantClosed {
-		t.Fatalf("Submit(%d, batch %v): seed-closed %v but solver effort %+v", q, batch, wantClosed, res)
+	if res.SeedClosed || res.ModelVars == 0 || res.Nodes == 0 {
+		t.Fatalf("Submit(%d, batch %v): want a search, got %+v", q, batch, res)
 	}
 	if err := p.Assignment().Validate(p.sys); err != nil {
 		t.Fatal(err)
@@ -363,13 +360,13 @@ func mustSubmit(t *testing.T, p *Planner, wantClosed bool, q dsps.StreamID, batc
 func TestSeedCloseIgnoresUnsubmittedQueries(t *testing.T) {
 	sys, ab, abc, _ := nestedSystem(t, 10)
 	p := NewPlanner(sys, testConfig())
-	if res := mustSubmit(t, p, false, abc); !res.Admitted {
+	if res := mustSubmit(t, p, abc); !res.Admitted {
 		t.Fatalf("abc rejected: %+v", res)
 	}
 	if _, ok := p.Assignment().Provider(ab); ok || p.Admitted(ab) {
 		t.Fatalf("abc's submit touched ab: provided %v, admitted %v", ok, p.Admitted(ab))
 	}
-	if res := mustSubmit(t, p, false, ab); !res.Admitted || p.AdmittedCount() != 2 {
+	if res := mustSubmit(t, p, ab); !res.Admitted || p.AdmittedCount() != 2 {
 		t.Fatalf("ab not admitted beside abc: %+v", res)
 	}
 }
@@ -388,7 +385,7 @@ func TestSolveProvidesOnlyWhatItAdmits(t *testing.T) {
 	opts := fullSolveOptions(p, b)
 	opts.MaxNodes = 5000
 	var res Result
-	next, err := p.solve(context.Background(), b, b.seed(), opts, &res)
+	next, err := p.solve(context.Background(), b, b.seed(context.Background()), opts, &res)
 	if err != nil || next == nil {
 		t.Fatalf("full solve failed: %v (%+v)", err, res)
 	}
@@ -409,25 +406,18 @@ func TestSolveProvidesOnlyWhatItAdmits(t *testing.T) {
 // TestSeedCloseMustNotFire pins small-model submissions the seed must not
 // decide, however well it does: each one searches.
 func TestSeedCloseMustNotFire(t *testing.T) {
-	t.Run("query the seed cannot place", func(t *testing.T) {
-		sys, ab, _, _ := nestedSystem(t, 0.5) // no host can run a cost-1 join
-		p := NewPlanner(sys, testConfig())
-		if res := mustSubmit(t, p, false, ab); res.Admitted {
-			t.Fatalf("ab admitted without CPU: %+v", res)
-		}
-	})
 	t.Run("provider on a draining host", func(t *testing.T) {
 		for _, drain := range []bool{false, true} {
 			sys, ab, _, ac := nestedSystem(t, 10)
 			p := NewPlanner(sys, testConfig())
-			mustSubmit(t, p, false, ab)
+			mustSubmit(t, p, ab)
 			if drain {
 				// ac shares base stream a, so ab is freed with it; leaving ab's
 				// provider on the draining host forfeits migrationWeight.
 				h, _ := p.Assignment().Provider(ab)
 				sys.SetHostState(h, dsps.HostDraining)
 			}
-			if res := mustSubmit(t, p, false, ac); !res.Admitted || !p.Admitted(ab) {
+			if res := mustSubmit(t, p, ac); !res.Admitted || !p.Admitted(ab) {
 				t.Fatalf("drain=%v: ac or ab lost: %+v", drain, res)
 			}
 		}
@@ -436,7 +426,7 @@ func TestSeedCloseMustNotFire(t *testing.T) {
 		sys, ab, _, _ := nestedSystem(t, 10)
 		cfg := testConfig()
 		cfg.Weights = Weights{L1: 1, L2: 1, L3: 1, L4: 1}
-		if res := mustSubmit(t, NewPlanner(sys, cfg), false, ab); !res.Admitted {
+		if res := mustSubmit(t, NewPlanner(sys, cfg), ab); !res.Admitted {
 			t.Fatalf("ab rejected under flat weights: %+v", res)
 		}
 	})
@@ -447,7 +437,7 @@ func TestSeedCloseMustNotFire(t *testing.T) {
 func TestSeedCloseJointBatch(t *testing.T) {
 	sys, ab, _, ac := nestedSystem(t, 10)
 	p := NewPlanner(sys, testConfig())
-	if res := mustSubmit(t, p, false, ab, ac); !res.Admitted || p.AdmittedCount() != 2 {
+	if res := mustSubmit(t, p, ab, ac); !res.Admitted || p.AdmittedCount() != 2 {
 		t.Fatalf("ample batch not fully admitted: %+v", res)
 	}
 	if st := p.Stats(); st.Submissions != 1 || st.SeedClosed != 0 {
@@ -458,7 +448,7 @@ func TestSeedCloseJointBatch(t *testing.T) {
 	sys, ab, _, ac = nestedSystem(t, 0.5)
 	sys.Hosts[0].CPU = 1
 	p = NewPlanner(sys, testConfig())
-	if res := mustSubmit(t, p, false, ab, ac); res.Admitted || p.AdmittedCount() != 1 {
+	if res := mustSubmit(t, p, ab, ac); res.Admitted || p.AdmittedCount() != 1 {
 		t.Fatalf("tight batch: want exactly one of two admitted, got %d (%+v)", p.AdmittedCount(), res)
 	}
 }

@@ -167,13 +167,13 @@ type Result struct {
 	// ModelVars is the variable count of the compiled MILP model solved by
 	// this call (core SQPR and hierarchical only; 0 when no solve ran).
 	ModelVars int
-	// SeedClosed reports that no solve ran because the greedy seed already
-	// decided the call (core SQPR and hierarchical only): a Submit or a
-	// failure Repair chunk on a large reduced model, which keeps what its
-	// seed placed and rejects the rest (Admitted false, Reason
-	// ReasonNoFeasiblePlan, when the seed left a query out), or a failure
-	// Repair chunk whose seed re-admitted every query. The solver-effort
-	// fields are then zero. A Submit on a smaller model always solves.
+	// SeedClosed reports that no solve ran because the greedy seed decided
+	// the call (core SQPR and hierarchical only): a Submit or a Repair chunk
+	// (failure, drain or drift alike) on a large reduced model keeps what
+	// its seed placed and rejects the rest (Admitted false, Reason
+	// ReasonNoFeasiblePlan, when the seed left a query out). The
+	// solver-effort fields are then zero. A call on a smaller model always
+	// solves.
 	SeedClosed bool
 	// BeyondSeed counts the fresh queries of a Submit solve that the call
 	// admitted and its greedy seed had not placed: what the search bought
@@ -215,10 +215,11 @@ type Stats struct {
 	// core.stalls.
 	Stalls int
 	// SeedClosed counts calls the greedy seed decided without a solve (see
-	// Result.SeedClosed), admissions and seed-decided rejections alike: the
-	// effort totals above are spread over at most Submissions − SeedClosed
-	// calls, which is what a per-solve average divides by. The rejections
-	// among them are counted in Rejections too.
+	// Result.SeedClosed), Submits and Repair chunks, admissions and
+	// seed-decided rejections alike: the effort totals above are spread
+	// over at most Submissions − SeedClosed calls, which is what a
+	// per-solve average divides by. The rejections among them are counted
+	// in Rejections too.
 	SeedClosed int
 	// BeyondSeed accumulates Result.BeyondSeed: the queries Submit solves
 	// admitted beyond their seeds.

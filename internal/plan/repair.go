@@ -213,7 +213,7 @@ func DriftedQueries(sys *dsps.System, a *dsps.Assignment, drifted []bool) []dsps
 // affected query is either re-admitted or reported dropped — but migrates
 // freely: resubmission forgets where the surviving operators ran. Draining
 // hosts are left alone (their allocations are still valid; only the core
-// delta solver evacuates them).
+// delta solver evacuates them, on models small enough to search).
 func RepairByResubmit(ctx context.Context, sys *dsps.System, p QueryPlanner, events []Event, opts ...SubmitOption) (RepairResult, error) {
 	ctx = OrBackground(ctx)
 	start := time.Now()
