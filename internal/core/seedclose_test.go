@@ -406,6 +406,13 @@ func TestSolveProvidesOnlyWhatItAdmits(t *testing.T) {
 // TestSeedCloseMustNotFire pins small-model submissions the seed must not
 // decide, however well it does: each one searches.
 func TestSeedCloseMustNotFire(t *testing.T) {
+	t.Run("query the seed cannot place", func(t *testing.T) {
+		sys, ab, _, _ := nestedSystem(t, 0.5) // no host can run a cost-1 join
+		p := NewPlanner(sys, testConfig())
+		if res := mustSubmit(t, p, ab); res.Admitted {
+			t.Fatalf("ab admitted without CPU: %+v", res)
+		}
+	})
 	t.Run("provider on a draining host", func(t *testing.T) {
 		for _, drain := range []bool{false, true} {
 			sys, ab, _, ac := nestedSystem(t, 10)
