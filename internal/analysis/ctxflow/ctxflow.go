@@ -22,9 +22,10 @@
 //     polling requirement (the core planner's chunk loop, which must stay
 //     cancellable between chunks even though it ranges over a slice).
 //
-// The transitive-poll analysis is a package-internal fixpoint: a function
-// polls if its body mentions Done/Err on a context value, or if it calls a
-// same-package function that polls.
+// The transitive-poll analysis runs on the shared call graph (package
+// flow) built over the pass's package alone: a function polls if its body
+// mentions Done/Err on a context value, or if it calls, defers or launches
+// a same-package function that polls.
 package ctxflow
 
 import (
@@ -33,6 +34,7 @@ import (
 
 	"sqpr/internal/analysis/anno"
 	"sqpr/internal/analysis/anz"
+	"sqpr/internal/analysis/flow"
 )
 
 // Analyzer is the ctxflow check.
@@ -102,46 +104,22 @@ func checkRootContext(pass *anz.Pass, lines *anno.Lines, call *ast.CallExpr) {
 	pass.Reportf(call.Pos(), "library package calls context.%s(); accept a ctx from the caller, or annotate a deliberate root with //sqpr:ctxroot <reason>", sel.Sel.Name)
 }
 
-// pollingFuncs computes the set of package functions that (transitively)
-// poll a context: body mentions .Done()/.Err() on a context.Context value,
-// or calls a same-package function in the set.
-func pollingFuncs(pass *anz.Pass) map[types.Object]bool {
-	type fn struct {
-		obj  types.Object
-		body *ast.BlockStmt
-	}
-	var fns []fn
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if obj := pass.TypesInfo.Defs[fd.Name]; obj != nil {
-				fns = append(fns, fn{obj: obj, body: fd.Body})
-			}
+// pollingFuncs computes the keys of the package functions that
+// (transitively) poll a context: a body that mentions .Done()/.Err() on a
+// context.Context value seeds the set, and every same-package caller
+// through a call, defer or go edge joins it.
+func pollingFuncs(pass *anz.Pass) map[string]bool {
+	g := flow.Build([]*anz.Package{{
+		PkgPath: pass.Pkg.Path(), Fset: pass.Fset, Syntax: pass.Files,
+		Types: pass.Pkg, TypesInfo: pass.TypesInfo,
+	}})
+	seeds := make(map[string]bool)
+	g.Each(func(f *flow.Func) {
+		if body := f.Body(); body != nil && mentionsCtxPoll(pass, body) {
+			seeds[f.Key] = true
 		}
-	}
-	polls := make(map[types.Object]bool)
-	for _, f := range fns {
-		if mentionsCtxPoll(pass, f.body) {
-			polls[f.obj] = true
-		}
-	}
-	// Fixpoint over the package-internal call graph.
-	for changed := true; changed; {
-		changed = false
-		for _, f := range fns {
-			if polls[f.obj] {
-				continue
-			}
-			if callsPolling(pass, polls, f.body) {
-				polls[f.obj] = true
-				changed = true
-			}
-		}
-	}
-	return polls
+	})
+	return g.ReachesAny(seeds, flow.KindCall, flow.KindDefer, flow.KindGo)
 }
 
 // mentionsCtxPoll reports a direct Done/Err selector on a context-typed
@@ -166,37 +144,26 @@ func mentionsCtxPoll(pass *anz.Pass, n ast.Node) bool {
 	return found
 }
 
-func callsPolling(pass *anz.Pass, polls map[types.Object]bool, n ast.Node) bool {
+// callsPolling reports a call anywhere in the node whose static callee
+// polls.
+func callsPolling(pass *anz.Pass, polls map[string]bool, n ast.Node) bool {
 	found := false
 	ast.Inspect(n, func(node ast.Node) bool {
 		if found {
 			return false
 		}
-		call, ok := node.(*ast.CallExpr)
-		if !ok {
-			return true
+		if call, ok := node.(*ast.CallExpr); ok {
+			key, ok := flow.ResolveCall(pass.TypesInfo, call)
+			found = ok && polls[key]
 		}
-		var id *ast.Ident
-		switch fun := call.Fun.(type) {
-		case *ast.Ident:
-			id = fun
-		case *ast.SelectorExpr:
-			id = fun.Sel
-		default:
-			return true
-		}
-		if obj := pass.TypesInfo.Uses[id]; obj != nil && polls[obj] {
-			found = true
-			return false
-		}
-		return true
+		return !found
 	})
 	return found
 }
 
 // bodyPolls reports whether the loop body polls cancellation directly or
 // through a same-package call.
-func bodyPolls(pass *anz.Pass, polls map[types.Object]bool, body *ast.BlockStmt) bool {
+func bodyPolls(pass *anz.Pass, polls map[string]bool, body *ast.BlockStmt) bool {
 	return mentionsCtxPoll(pass, body) || callsPolling(pass, polls, body)
 }
 

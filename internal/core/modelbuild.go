@@ -21,27 +21,26 @@ type builder struct {
 	layout
 
 	// Residual budgets on candidate hosts after subtracting consumption of
-	// fixed (non-free) flows, provides and operators.
-	resCPU, resMem, resOut, resIn []float64
-	resLink                       [][]float64
+	// fixed (non-free) flows, provides and operators, by host slot (resLink
+	// by slot pair, row-major), written by build.
+	resCPU, resMem, resOut, resIn, resLink []float64
 
 	model *milp.Model
-	bigM  float64
-	norm  Norm // the (III.3) normalisers of sys, for the objective and the seed
+	bigM  float64 // the acyclicity rows' M, written by build
+	norm  Norm    // the (III.3) normalisers of sys, for the objective and the seed
 
 	// Build scratch: the objective's terms and, by y variable, the
 	// preservation rows' marks (all false between builds).
 	objTerms []milp.Term
 	need     []bool
 
-	// stay, by z variable (offset from zBase), rewards keeping a surviving
-	// operator on its incumbent host (repair's migration cost, mirrored as a
-	// reward so the model stays a maximisation), and prefer, by operator
-	// slot, biases the greedy warm start towards rebuilding an operator
-	// where it ran before the events (−1 = no preference). Both are blank
-	// outside Repair.
-	stay   []bool
-	prefer []dsps.HostID
+	// Repair's allocation before its events and its operators denied the
+	// stay bonus (by OperatorID), both nil outside Repair (see stays); and
+	// prefer, by operator slot, which biases the greedy warm start towards
+	// rebuilding an operator where it ran (−1 = no preference).
+	before  *dsps.Assignment
+	noBonus []bool
+	prefer  []dsps.HostID
 
 	// Greedy warm-start scratch (see seed.go): the usage ledger of the
 	// trial, the trial-mutation journal, the cycle guard of planStreamAt
@@ -79,16 +78,18 @@ func (p *Planner) builder() *builder {
 	b.planner = p
 	b.sys = p.sys
 	b.queries = nil
+	b.before, b.noBonus = nil, nil
 	b.reset(p.sys)
 	b.journal = b.journal[:0]
 	b.model.Reset()
 	return b
 }
 
-// newBuilder computes the free sets, candidate hosts, residual budgets and
-// variable layout for planning queries. Submit frees their closures merged
-// with those of the admitted queries sharing streams with them; Repair
-// passes pinned and gets the closures alone.
+// newBuilder computes the free sets, candidate hosts and variable layout
+// for planning queries: what the seed and the size line read. Submit frees
+// their closures merged with those of the admitted queries sharing streams
+// with them; Repair passes pinned and gets the closures alone. What only
+// the model needs is left to build.
 func (p *Planner) newBuilder(queries []dsps.StreamID, pinned bool) *builder {
 	b := p.builder()
 	b.queries = queries
@@ -100,14 +101,11 @@ func (p *Planner) newBuilder(queries []dsps.StreamID, pinned bool) *builder {
 	}
 	b.seal(b.sys)
 	b.selectHosts()
-	b.computeResiduals()
 	b.place(b.allowProvide)
-	b.stay = append(b.stay[:0], make([]bool, len(b.freeOps)*len(b.hosts))...)
 	b.prefer = b.prefer[:0]
 	for range b.freeOps {
 		b.prefer = append(b.prefer, -1)
 	}
-	b.bigM = float64(len(b.hosts)) + 2
 	b.norm = NormOf(b.sys)
 	return b
 }
@@ -196,9 +194,10 @@ func (b *builder) selectHosts() {
 		cap = n
 	}
 	// Add preferred hosts (base-stream holders), then the globally most
-	// spare ones, each ordered by spare CPU.
-	usage := st.ComputeUsage(b.sys)
-	spare := func(h dsps.HostID) float64 { return b.sys.Hosts[h].CPU - usage.CPU[h] }
+	// spare ones, each ordered by spare CPU. The seed resets the usage
+	// ledger to its own trial afterwards.
+	b.track.Reset(b.sys, st)
+	spare := func(h dsps.HostID) float64 { return b.sys.Hosts[h].CPU - b.track.CPU[h] }
 	fill := func(list []dsps.HostID) {
 		sort.Slice(list, func(i, j int) bool {
 			si, sj := spare(list[i]), spare(list[j])
@@ -244,22 +243,18 @@ func (b *builder) selectHosts() {
 
 // computeResiduals subtracts the consumption of all *fixed* allocation
 // pieces (flows/ops/provides outside the free sets) from the budgets of the
-// candidate hosts.
+// candidate hosts, into arrays pooled on the builder.
 func (b *builder) computeResiduals() {
 	k := len(b.hosts)
-	b.resCPU = make([]float64, k)
-	b.resMem = make([]float64, k)
-	b.resOut = make([]float64, k)
-	b.resIn = make([]float64, k)
-	b.resLink = make([][]float64, k)
-	for i, h := range b.hosts {
-		b.resCPU[i] = b.sys.Hosts[h].CPU
-		b.resMem[i] = b.sys.Hosts[h].Mem
-		b.resOut[i] = b.sys.Hosts[h].OutBW
-		b.resIn[i] = b.sys.Hosts[h].InBW
-		b.resLink[i] = make([]float64, k)
-		for j, m := range b.hosts {
-			b.resLink[i][j] = b.sys.LinkCap[h][m]
+	b.resCPU, b.resMem = b.resCPU[:0], b.resMem[:0]
+	b.resOut, b.resIn, b.resLink = b.resOut[:0], b.resIn[:0], b.resLink[:0]
+	for _, h := range b.hosts {
+		b.resCPU = append(b.resCPU, b.sys.Hosts[h].CPU)
+		b.resMem = append(b.resMem, b.sys.Hosts[h].Mem)
+		b.resOut = append(b.resOut, b.sys.Hosts[h].OutBW)
+		b.resIn = append(b.resIn, b.sys.Hosts[h].InBW)
+		for _, m := range b.hosts {
+			b.resLink = append(b.resLink, b.sys.LinkCap[h][m])
 		}
 	}
 	st := b.planner.Assignment()
@@ -278,7 +273,7 @@ func (b *builder) computeResiduals() {
 		if i >= 0 {
 			b.resOut[i] -= rate
 			if j >= 0 {
-				b.resLink[i][j] -= rate
+				b.resLink[int(i)*k+int(j)] -= rate
 			}
 		}
 		if j >= 0 {
@@ -317,7 +312,8 @@ func (b *builder) originAt(h dsps.HostID, s dsps.StreamID) float64 {
 func (b *builder) build() *milp.Model {
 	m := b.model
 	sys := b.sys
-	st := b.planner.Assignment()
+	b.bigM = float64(len(b.hosts)) + 2
+	b.computeResiduals()
 
 	// --- Variables -----------------------------------------------------
 	// Created in layout order (each creation is checked against it), after
@@ -404,17 +400,9 @@ func (b *builder) build() *milp.Model {
 		for _, h := range b.hosts {
 			zv, _ := b.z(h, o)
 			for _, in := range op.Inputs {
-				yv, ok := b.y(h, in)
-				if !ok {
-					// Input outside free set can only happen with
-					// reduction disabled inconsistencies; treat as fixed
-					// availability from current state.
-					if st.Available(sys, h, in) {
-						continue
-					}
-					b.model.Fix(zv, 0)
-					continue
-				}
+				// Closures are input-closed (layout.seal), so every input
+				// of a free operator is a free stream.
+				yv, _ := b.y(h, in)
 				m.AddCons("op-input", milp.LE, 0, milp.Term{Var: zv, Coef: 1}, milp.Term{Var: yv, Coef: -1})
 			}
 		}
@@ -561,9 +549,17 @@ func (b *builder) addResourceRows() {
 				xv, _ := b.x(h, mm, s)
 				m.AddTerm(xv, sys.Streams[s].Rate)
 			}
-			m.EndRow("link", milp.LE, b.resLink[i][j])
+			m.EndRow("link", milp.LE, b.resLink[i*len(b.hosts)+j])
 		}
 	}
+}
+
+// stays reports whether Repair's objective pays the stay bonus for
+// operator o on host h: o ran there before the events, did not drift, and
+// h still takes new load.
+func (b *builder) stays(h dsps.HostID, o dsps.OperatorID) bool {
+	return b.before != nil && !b.noBonus[o] && b.sys.HostPlaceable(h) &&
+		b.before.HasOp(dsps.Placement{Host: h, Op: o})
 }
 
 // setObjective installs λ1·O1 − λ2·O2 − λ3·O3 − λ4·O4 (maximisation).
@@ -590,7 +586,7 @@ func (b *builder) setObjective() {
 			// Repair's migration cost: moving a surviving operator off its
 			// incumbent host forfeits the stay bonus, so migration only happens
 			// when it buys admission or substantial placement quality.
-			if b.stay[zv-b.zBase] {
+			if b.stays(h, o) {
 				coef += migrationWeight
 			}
 			// Draining hosts repel load at the same magnitude a migration

@@ -249,17 +249,18 @@ func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before
 		deadline = d
 	}
 
-	// Drifted operators earn no stay bonus: re-placing them is the point.
-	drifted := func(op dsps.OperatorID) bool { return noBonus[op] }
-
 	// Migration costs: keeping a surviving free operator on the placeable
-	// host it already runs on earns the stay bonus; placements on draining
-	// hosts earn nothing, so evacuation is free and staying is not.
-	for _, pl := range before.Ops {
-		if zv, ok := b.z(pl.Host, pl.Op); ok && !drifted(pl.Op) && p.sys.HostPlaceable(pl.Host) {
-			b.stay[zv-b.zBase] = true
-			if prev := &b.prefer[b.oSlot[pl.Op]]; *prev < 0 || pl.Host < *prev {
-				*prev = pl.Host
+	// candidate host it already runs on earns the stay bonus (builder.stays)
+	// and makes that host the seed's preference; placements on draining
+	// hosts earn nothing, so evacuation is free and staying is not. Drifted
+	// operators earn neither: re-placing them is the point. Placements are
+	// sorted by host, so the preference is the least such host.
+	b.before, b.noBonus = before, noBonus
+	for i, o := range b.freeOps {
+		for _, pl := range before.PlacementsOf(o) {
+			if b.hasHost(pl.Host) && b.stays(pl.Host, o) {
+				b.prefer[i] = pl.Host
+				break
 			}
 		}
 	}

@@ -41,26 +41,24 @@ type Tuple struct {
 
 // Config tunes the engine.
 type Config struct {
-	// TuplesPerRateUnit converts a stream's model rate into tuples/sec:
-	// a stream with rate 10 and 2.0 tuples-per-unit emits 20 tuples/sec.
-	TuplesPerRateUnit float64
-	// WindowSize is the number of tuples each join retains per input.
-	WindowSize int
 	// KeyDomain bounds generated join keys; smaller domains join more.
 	KeyDomain int64
-	// InboxDepth is the per-host network queue length.
-	InboxDepth int
 }
 
 // DefaultConfig returns sensible demo settings.
 func DefaultConfig() Config {
-	return Config{
-		TuplesPerRateUnit: 2,
-		WindowSize:        64,
-		KeyDomain:         32,
-		InboxDepth:        1024,
-	}
+	return Config{KeyDomain: 32}
 }
+
+const (
+	// tuplesPerRateUnit converts a stream's model rate into tuples/sec:
+	// a stream with rate 10 emits 20 tuples/sec.
+	tuplesPerRateUnit = 2
+	// windowSize is the number of tuples each join retains per input.
+	windowSize = 64
+	// inboxDepth is the per-host network queue length.
+	inboxDepth = 1024
+)
 
 // Engine executes one deployed assignment.
 type Engine struct {
@@ -92,17 +90,8 @@ type Engine struct {
 
 // New creates an engine for the system (not yet deployed).
 func New(sys *dsps.System, cfg Config) *Engine {
-	if cfg.TuplesPerRateUnit <= 0 {
-		cfg.TuplesPerRateUnit = 2
-	}
-	if cfg.WindowSize <= 0 {
-		cfg.WindowSize = 64
-	}
 	if cfg.KeyDomain <= 0 {
 		cfg.KeyDomain = 32
-	}
-	if cfg.InboxDepth <= 0 {
-		cfg.InboxDepth = 1024
 	}
 	return &Engine{
 		sys:  sys,
@@ -292,7 +281,7 @@ func (e *Engine) neededBaseStreams(a *dsps.Assignment) map[dsps.StreamID]bool {
 // runSource injects base-stream tuples at the stream's model rate.
 func (e *Engine) runSource(s dsps.StreamID, at dsps.HostID) {
 	defer e.wg.Done()
-	rate := e.sys.Streams[s].Rate * e.cfg.TuplesPerRateUnit // tuples/sec
+	rate := e.sys.Streams[s].Rate * tuplesPerRateUnit // tuples/sec
 	if rate <= 0 {
 		return
 	}

@@ -25,12 +25,12 @@ func newHost(e *Engine, id dsps.HostID) *host {
 	return &host{
 		id:    id,
 		e:     e,
-		inbox: make(chan Tuple, e.cfg.InboxDepth),
+		inbox: make(chan Tuple, inboxDepth),
 		ops:   make(map[dsps.OperatorID]*opInstance),
 		byIn:  make(map[dsps.StreamID][]*opInstance),
 		fwd:   make(map[dsps.StreamID][]dsps.HostID),
 		dlv:   make(map[dsps.StreamID]bool),
-		local: make(chan Tuple, e.cfg.InboxDepth),
+		local: make(chan Tuple, inboxDepth),
 	}
 }
 

@@ -23,7 +23,7 @@ type opInstance struct {
 func newOpInstance(e *Engine, op *dsps.Operator) *opInstance {
 	inst := &opInstance{op: op, e: e, windows: make(map[dsps.StreamID]*window)}
 	for _, in := range op.Inputs {
-		inst.windows[in] = newWindow(e.cfg.WindowSize)
+		inst.windows[in] = newWindow(windowSize)
 	}
 	if k, ok := e.kernels[op.ID]; ok {
 		inst.kernel = k

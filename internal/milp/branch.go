@@ -193,12 +193,9 @@ type scratch struct {
 	applied     []int8 // fix currently applied to the solver
 	snapApplied []int8 // fix set of the saved basis
 	xAct        []float64
-	xDive       []float64
 
-	fracs      []fracCand // fractional binaries of the current relaxation
-	candBuf    []float64  // model-space integral candidate
-	diveBuf    []float64  // model-space dive candidate
-	diveBounds []boundFix
+	fracs   []fracCand // fractional binaries of the current relaxation
+	candBuf []float64  // model-space integral candidate
 }
 
 // reset readies the search for a run over c under opts: every per-solve
@@ -242,9 +239,7 @@ func (s *search) reset(c *compiled, opts Options, maxNodes int) {
 		s.target[k], s.applied[k], s.snapApplied[k] = nodeFree, nodeFree, nodeFree
 	}
 	s.xAct = growFloats(s.xAct, nAct)
-	s.xDive = growFloats(s.xDive, nAct)
 	s.candBuf = growFloats(s.candBuf, nv)
-	s.diveBuf = growFloats(s.diveBuf, nv)
 }
 
 // newNode takes a recycled node, or makes one.
@@ -358,8 +353,8 @@ func (s *search) acceptModelPoint(x []float64) bool {
 	return s.installIncumbent(x, lpObj)
 }
 
-// run drives the search: the root phase (root LP, dive heuristic, root
-// branching) followed by the best-first tree loop. The search state after
+// run drives the search: the root phase (root LP, root branching)
+// followed by the best-first tree loop. The search state after
 // run reflects whether the tree was exhausted (proof) or a
 // budget/gap/cancellation cut it short.
 func (s *search) run() {
@@ -418,22 +413,6 @@ func (s *search) ensureLoaded() bool {
 	}
 	s.loaded = true
 	return true
-}
-
-// resolveRoot re-solves the unpinned root and classifies it; ok is false
-// when the root phase must end (infeasibility proven or proof lost).
-func (s *search) resolveRoot() (sol lp.Solution, xAct []float64, ok bool) {
-	sol, xAct = s.solveNode(nil, s.xAct)
-	s.lpIters += sol.Iters
-	if sol.Status == lp.Infeasible {
-		s.provedInfeasible = s.bestX == nil
-		return sol, nil, false
-	}
-	if sol.Status != lp.Optimal || !sol.Feasible {
-		s.proofLost = true
-		return sol, nil, false
-	}
-	return sol, xAct, true
 }
 
 const (
@@ -515,8 +494,8 @@ func (s *search) solveNode(bounds []boundFix, into []float64) (lp.Solution, []fl
 	return sol, into
 }
 
-// processRoot runs the root phase: the root relaxation, the rounding-dive
-// heuristic and the first branch.
+// processRoot runs the root phase: the root relaxation and the first
+// branch.
 func (s *search) processRoot() {
 	if s.exhausted() {
 		return
@@ -539,20 +518,6 @@ func (s *search) processRoot() {
 		return
 	}
 	relax := sol.Objective
-
-	// Rounding dive: pins every binary to its rounded root value and
-	// re-solves; a feasible result seeds the incumbent that pruning needs.
-	// When the caller supplied a warm start (SQPR's greedy plan) the
-	// incumbent already exists, so the dive LP — and the root re-solve it
-	// forces, since it leaves the solver at its leaf — are skipped.
-	if s.bestX == nil {
-		s.dive(xAct)
-		var ok bool
-		if sol, xAct, ok = s.resolveRoot(); !ok {
-			return
-		}
-		relax = sol.Objective
-	}
 	s.rootBound = relax
 
 	// The root basis is the restore point for subtree jumps.
@@ -645,24 +610,6 @@ func (s *search) collectFracs(xAct []float64) {
 		if f > intTol {
 			s.fracs = append(s.fracs, fracCand{k: k, val: v, frac: f})
 		}
-	}
-}
-
-// dive pins every binary to its rounded root-LP value and re-solves the
-// residual LP; a feasible result that validates becomes the incumbent.
-func (s *search) dive(xRoot []float64) {
-	c := s.c
-	s.diveBounds = s.diveBounds[:0]
-	for k, mi := range c.active {
-		if c.m.vars[mi].typ != Binary {
-			continue
-		}
-		s.diveBounds = append(s.diveBounds, boundFix{k, xRoot[k] >= 0.5})
-	}
-	sol, xd := s.solveNode(s.diveBounds, s.xDive)
-	s.lpIters += sol.Iters
-	if sol.Feasible && xd != nil {
-		s.acceptModelPoint(roundBinaries(c, c.toModelXInto(xd, s.diveBuf)))
 	}
 }
 

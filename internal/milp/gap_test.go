@@ -79,8 +79,8 @@ func TestBoundNeverBelowIncumbentMax(t *testing.T) {
 }
 
 func TestNoSolutionStatus(t *testing.T) {
-	// MaxNodes 1 with a model whose root LP is fractional and whose dive
-	// is infeasible can end with no incumbent; the status must reflect it.
+	// A model whose root LP is fractional and which has no integer point
+	// ends with no incumbent after branching; the status must reflect it.
 	m := NewModel()
 	a := m.AddBinary("a")
 	b := m.AddBinary("b")

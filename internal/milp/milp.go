@@ -9,8 +9,10 @@
 // over one root LP. Unless Options.DisableTreeReduction is set, a presolve
 // pass tightens and fixes over the row image before compilation
 // (presolve.go) and branching runs on pseudo-costs with builder-supplied
-// priorities as tie-breaks. A rounding "dive" heuristic at the root
-// produces an early incumbent when the caller supplied none.
+// priorities as tie-breaks. The search has no primal heuristic of its
+// own: a caller that wants an incumbent from the start supplies one
+// (Options.Incumbent), and without one the search branches until a leaf
+// is integral.
 package milp
 
 import (

@@ -43,7 +43,8 @@ type DrainResult struct {
 	// zero: draining evacuates best-effort, existing placements stay valid).
 	HostsDrained, Dropped, LostAdmissions int
 	// ProbeOK of ProbeTotal concurrent API probes (GET /readyz +
-	// /v1/admitted) succeeded while the roll was underway.
+	// /v1/admitted) succeeded while the roll was underway; at least one
+	// of them began after each drain returned.
 	ProbeOK, ProbeTotal int
 	// RecoveredAdmitted is the admitted count a fresh planner recovers
 	// from the journal after the daemon exits; Durable reports whether it
@@ -148,7 +149,8 @@ func RollingDrain(ctx context.Context, dsc DrainScale) (DrainResult, error) {
 	}
 
 	// Concurrent probe: the API must keep answering while hosts roll.
-	var probeOK, probeTotal atomic.Int64
+	// probeTotal counts the probes begun, probeEnded those completed.
+	var probeOK, probeTotal, probeEnded atomic.Int64
 	probeStop := make(chan struct{})
 	probeDone := make(chan struct{})
 	go func() {
@@ -165,18 +167,29 @@ func RollingDrain(ctx context.Context, dsc DrainScale) (DrainResult, error) {
 			var out struct {
 				Count int `json:"count"`
 			}
-			if err := api.call(ctx, "GET", "/readyz", nil, nil); err != nil {
-				continue
-			}
-			if err := api.call(ctx, "GET", "/v1/admitted", nil, &out); err == nil {
+			if api.call(ctx, "GET", "/readyz", nil, nil) == nil &&
+				api.call(ctx, "GET", "/v1/admitted", nil, &out) == nil {
 				probeOK.Add(1)
 			}
+			probeEnded.Add(1)
 		}
 	}()
+	// awaitProbe waits, bounded by ctx, until the probe after the first
+	// mark probes has completed. Probes run one at a time, so that probe
+	// began after mark was read.
+	awaitProbe := func(mark int64) {
+		for probeEnded.Load() <= mark && ctx.Err() == nil {
+			select {
+			case <-ctx.Done():
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}
 
 	// Roll: drain each host through a journaled Repair, assert nothing was
-	// lost, recover it, move on. Draining evacuates best-effort — existing
-	// placements stay valid — so admissions must survive every step.
+	// lost, let the API be probed while it is drained, recover it, move
+	// on. Draining evacuates best-effort — existing placements stay valid —
+	// so admissions must survive every step.
 	nHosts := dsc.DrainHosts
 	if nHosts > dsc.Hosts {
 		nHosts = dsc.Hosts
@@ -200,6 +213,7 @@ func RollingDrain(ctx context.Context, dsc DrainScale) (DrainResult, error) {
 			}
 			return res, fmt.Errorf("sim: draining host %d: %w", h, err)
 		}
+		drained := probeTotal.Load()
 		res.Dropped += len(rr.Dropped)
 		after, err := api.admittedCount(ctx)
 		if err != nil {
@@ -208,6 +222,7 @@ func RollingDrain(ctx context.Context, dsc DrainScale) (DrainResult, error) {
 		if after < before {
 			res.LostAdmissions += before - after
 		}
+		awaitProbe(drained)
 		recover := map[string]any{"events": []map[string]any{{"kind": "recover", "host": h}}}
 		if err := api.call(ctx, "POST", "/v1/repair", recover, nil); err != nil {
 			if ctx.Err() != nil {

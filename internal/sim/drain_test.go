@@ -39,8 +39,8 @@ func TestRollingDrainScenario(t *testing.T) {
 	if res.Dropped != 0 {
 		t.Fatalf("dropped %d queries across the roll, want 0 (drain is best-effort evacuation)", res.Dropped)
 	}
-	if res.ProbeTotal == 0 {
-		t.Fatal("the concurrent probe never ran")
+	if res.ProbeTotal < res.HostsDrained {
+		t.Fatalf("%d concurrent probes over %d drained hosts; each drained host must be probed", res.ProbeTotal, res.HostsDrained)
 	}
 	if res.ProbeOK != res.ProbeTotal {
 		t.Fatalf("API probes failed during the roll: %d/%d ok", res.ProbeOK, res.ProbeTotal)
