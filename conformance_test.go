@@ -29,7 +29,7 @@ func conformanceCases() []conformanceCase {
 	return []conformanceCase{
 		{"core", func(sys *sqpr.System) sqpr.QueryPlanner { return sqpr.NewPlanner(sys, cfg) }},
 		{"heuristic", func(sys *sqpr.System) sqpr.QueryPlanner { return sqpr.NewHeuristicPlanner(sys, sqpr.PaperWeights()) }},
-		{"soda", func(sys *sqpr.System) sqpr.QueryPlanner { return sqpr.NewSODAPlanner(sys, sqpr.PaperWeights()) }},
+		{"soda", func(sys *sqpr.System) sqpr.QueryPlanner { return sqpr.NewSODAPlanner(sys) }},
 		{"bound", func(sys *sqpr.System) sqpr.QueryPlanner { return sqpr.NewBoundPlanner(sys) }},
 		{"hier", func(sys *sqpr.System) sqpr.QueryPlanner { return sqpr.NewHierarchicalPlanner(sys, cfg, 2) }},
 	}
@@ -105,6 +105,25 @@ func TestQueryPlannerConformance(t *testing.T) {
 				}
 			}
 
+			// A stream never marked as a query: typed error, state unchanged.
+			var unrequested sqpr.StreamID = -1
+			for i := range sys.Streams {
+				if !sys.Streams[i].Requested {
+					unrequested = sqpr.StreamID(i)
+					break
+				}
+			}
+			if unrequested < 0 {
+				t.Fatal("no unrequested stream to probe")
+			}
+			before := snapshot(p)
+			if _, err := p.Submit(ctx, unrequested); !errors.Is(err, sqpr.ErrNotRequested) {
+				t.Fatalf("Submit(%d) of an unrequested stream err = %v, want ErrNotRequested", unrequested, err)
+			}
+			if got := snapshot(p); got != before {
+				t.Fatalf("unrequested submission changed state: %+v -> %+v", before, got)
+			}
+
 			// Duplicate submission: recognised, state unchanged.
 			var admitted sqpr.StreamID = -1
 			for _, q := range queries {
@@ -116,7 +135,7 @@ func TestQueryPlannerConformance(t *testing.T) {
 			if admitted < 0 {
 				t.Fatal("no admitted query to probe")
 			}
-			before := snapshot(p)
+			before = snapshot(p)
 			res, err := p.Submit(ctx, admitted)
 			if err != nil {
 				t.Fatalf("duplicate Submit: %v", err)

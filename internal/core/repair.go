@@ -120,15 +120,21 @@ func (p *Planner) Repair(ctx context.Context, events []plan.Event, opts ...plan.
 		}
 	}
 
+	// The call's Result sums its chunks' effort; it is seed-decided only
+	// when every chunk was.
 	var firstErr error
+	chunks := p.repairChunks(replan)
+	rr.SeedClosed = len(chunks) > 0
 	//sqpr:ctxloop each chunk repair polls ctx inside repairChunk
-	for _, chunk := range p.repairChunks(replan) {
+	for _, chunk := range chunks {
 		res, err := p.repairChunk(ctx, chunk, before, noBonus, deadline)
 		rr.Nodes += res.Nodes
 		rr.LPIters += res.LPIters
 		rr.Factor.Merge(res.Factor)
 		rr.PresolveFixed += res.PresolveFixed
 		rr.SolveStatus = res.SolveStatus
+		rr.BudgetHit = rr.BudgetHit || res.BudgetHit
+		rr.SeedClosed = rr.SeedClosed && res.SeedClosed
 		if err != nil {
 			firstErr = err
 			break
@@ -153,6 +159,9 @@ func (p *Planner) Repair(ctx context.Context, events []plan.Event, opts ...plan.
 	}
 	rr.Migrated = dsps.CountMigrations(p.sys, before, p.Assignment())
 	rr.PlanTime = time.Since(start)
+	if len(chunks) > 0 {
+		p.Record(rr.Result)
+	}
 	return rr, firstErr
 }
 
@@ -226,7 +235,8 @@ func (p *Planner) repairChunks(affected []dsps.StreamID) [][]dsps.StreamID {
 	return chunks
 }
 
-// repairChunk re-plans one chunk over its pinned free set.
+// repairChunk re-plans one chunk over its pinned free set and reports the
+// chunk's solver effort; Repair records the call.
 func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before *dsps.Assignment, noBonus []bool, deadline time.Time) (Result, error) {
 	start := time.Now()
 	var res Result
@@ -236,9 +246,6 @@ func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before
 
 	// Pinned free set: the closures of the chunk's queries, nothing else.
 	b := p.newBuilder(chunk, true)
-	res.FreeStreams = len(b.freeStreams)
-	res.FreeOps = len(b.freeOps)
-	res.CandidateHosts = len(b.hosts)
 
 	// Each chunk gets the batch-scaled solver budget of an ordinary
 	// planning call (and never more than the repair's global deadline):
@@ -295,17 +302,11 @@ func (p *Planner) repairChunk(ctx context.Context, chunk []dsps.StreamID, before
 		next, err = p.solve(ctx, b, seed, opts, &res)
 	}
 	if next != nil {
-		if res.Admitted = p.Stage(next, chunk...); !res.Admitted {
-			res.Reason = plan.ReasonNoFeasiblePlan
-		}
+		p.Stage(next, chunk...)
 	}
 	// Otherwise the degraded state is already committed; the chunk simply
 	// stays un-repaired (its hard queries remain dropped) — on cancellation,
 	// on unusable solver output, or when no feasible point was found within
 	// the budget.
-	res.PlanTime = time.Since(start)
-	if err == nil {
-		p.Record(res)
-	}
 	return res, err
 }

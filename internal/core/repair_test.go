@@ -209,13 +209,13 @@ func TestRepairLargeFailureChunkStagesSeed(t *testing.T) {
 		if len(lost) == 0 {
 			continue
 		}
-		chunks := st.Submissions - before.Submissions
-		if rr.Nodes != 0 || st.TotalNodes != before.TotalNodes || st.SeedClosed-before.SeedClosed != chunks {
-			t.Fatalf("host %d: %d of %d chunks decided by their seeds, %d nodes searched; want every chunk seed-decided: %+v",
-				h, st.SeedClosed-before.SeedClosed, chunks, rr.Nodes, rr)
+		calls := st.Submissions - before.Submissions
+		if rr.Nodes != 0 || st.TotalNodes != before.TotalNodes || st.SeedClosed-before.SeedClosed != calls {
+			t.Fatalf("host %d: %d of %d calls decided by their seeds, %d nodes searched; want every call seed-decided: %+v",
+				h, st.SeedClosed-before.SeedClosed, calls, rr.Nodes, rr)
 		}
 		if st.Rejections == before.Rejections {
-			t.Fatalf("host %d: queries %v dropped, yet no chunk recorded a rejection", h, lost)
+			t.Fatalf("host %d: queries %v dropped, yet no call recorded a rejection", h, lost)
 		}
 		p.beginCall(plan.SubmitConfig{})
 		for _, q := range lost {
@@ -223,7 +223,7 @@ func TestRepairLargeFailureChunkStagesSeed(t *testing.T) {
 				t.Fatalf("host %d: query %d's pinned model lays out %d variables, want at least %d", h, q, n, largeModelVars)
 			}
 		}
-		t.Logf("host %d: %d chunks, none searched; queries %v not re-placed by their seeds", h, chunks, lost)
+		t.Logf("host %d: %d calls, none searched; queries %v not re-placed by their seeds", h, calls, lost)
 		return
 	}
 	t.Fatal("no host failure left a producible query its seed could not re-place: the test no longer exercises the rule")
@@ -260,13 +260,13 @@ func TestRepairLargeDrainAndDriftChunksStageSeed(t *testing.T) {
 				t.Fatalf("the event re-planned nothing: %+v", rr)
 			}
 			if rr.Nodes != 0 || st.TotalNodes != 0 || st.SeedClosed != st.Submissions {
-				t.Fatalf("%d of %d chunks decided by their seeds, %d nodes searched; want every chunk seed-decided: %+v",
+				t.Fatalf("%d of %d calls decided by their seeds, %d nodes searched; want every call seed-decided: %+v",
 					st.SeedClosed, st.Submissions, rr.Nodes, rr)
 			}
 			if err := p.Assignment().Validate(w.sys); err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("%d queries affected in %d chunks, %d kept, %d migrated", len(rr.Affected), st.Submissions, len(rr.Kept), rr.Migrated)
+			t.Logf("%d queries affected in %d calls, %d kept, %d migrated", len(rr.Affected), st.Submissions, len(rr.Kept), rr.Migrated)
 		})
 	}
 }

@@ -13,11 +13,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sqpr/internal/dsps"
-	"sqpr/internal/plan"
 )
 
 // ErrAlreadyDeployed reports a Deploy on an engine that is already running a
@@ -66,7 +64,6 @@ type Engine struct {
 	cfg Config
 
 	hosts   []*host
-	down    []atomic.Bool // host failure flags (index = HostID)
 	mon     *Monitor
 	kernels map[dsps.OperatorID]UnaryKernel
 	results chan Tuple
@@ -79,13 +76,6 @@ type Engine struct {
 	// redeploy can never race goroutines of the previous deployment.
 	mu      sync.Mutex
 	running bool //sqpr:guarded-by mu
-
-	// churnMu serialises ApplyChurn calls so the dataplane and the planner
-	// observe churn events in one order: without it, two concurrent calls
-	// with conflicting events (fail vs recover of the same host) could land
-	// in opposite orders on the engine's atomics and in the planner's
-	// repair queue, leaving the two permanently inconsistent.
-	churnMu sync.Mutex
 }
 
 // New creates an engine for the system (not yet deployed).
@@ -94,99 +84,10 @@ func New(sys *dsps.System, cfg Config) *Engine {
 		cfg.KeyDomain = 32
 	}
 	return &Engine{
-		sys:  sys,
-		cfg:  cfg,
-		down: make([]atomic.Bool, sys.NumHosts()),
-		mon:  NewMonitor(sys),
+		sys: sys,
+		cfg: cfg,
+		mon: NewMonitor(sys),
 	}
-}
-
-// FailHost simulates a crash of host h: its queued and future tuples are
-// discarded (counted as drops), it stops computing and delivering, and
-// tuples sent to it are lost in flight — the churn the repair planner
-// reacts to. Safe to call at any time, including before Deploy.
-func (e *Engine) FailHost(h dsps.HostID) {
-	if !e.down[h].Swap(true) {
-		e.mon.recordHostEvent(true)
-	}
-}
-
-// RecoverHost brings a failed host back: it resumes processing and its base
-// sources resume injecting. Operators and routes installed at Deploy time
-// are still in place, matching a process restart on the same plan.
-func (e *Engine) RecoverHost(h dsps.HostID) {
-	if e.down[h].Swap(false) {
-		e.mon.recordHostEvent(false)
-	}
-}
-
-// HostDown reports whether host h is currently failed.
-func (e *Engine) HostDown(h dsps.HostID) bool { return e.down[h].Load() }
-
-// HostStates returns the engine's observed availability of every host —
-// the "world as it is" view a reconciliation loop (plan.Service.Reconcile)
-// diffs against the planner's intent. The engine only distinguishes
-// up/down; draining is a planner-side notion.
-func (e *Engine) HostStates() []dsps.HostState {
-	states := make([]dsps.HostState, len(e.down))
-	for h := range e.down {
-		if e.down[h].Load() {
-			states[h] = dsps.HostDown
-		}
-	}
-	return states
-}
-
-// ApplyChurn is the engine's service-based churn entry point: it forwards
-// the events to the planner's Repair and then mirrors the system's recorded
-// host availability onto the running engine — so dataplane and plan change
-// together, planner first. The mirror reads the shared system's host states
-// rather than guessing from the error: Repair commits host-state
-// transitions even when its re-planning step later fails or overruns a
-// deadline, and a malformed event set commits nothing at all, so the system
-// record — not error identity — is the truth about what the planner
-// applied. The planner must operate on the same System the engine runs.
-//
-// When the request never completed through the planner — backpressure
-// (plan.ErrQueueFull), a closed service, or a context that died while the
-// request was queued — the engine is left untouched: there is no
-// happens-before edge with the planner's state, so reading it would race,
-// and in the worst case (a ctx that expired just as the dispatcher picked
-// the repair up) the engine merely lags in the benign direction — hosts the
-// planner stopped using keep running until the caller retries. An event set
-// the planner refused (plan.ErrInvalidEvent), such as one naming a host
-// outside the system, changed nothing, so the engine is left as it is too.
-//
-// Pass a plan.Service as the planner and the call is safe from any
-// goroutine — monitors and operators can report failures concurrently while
-// clients keep submitting. Concurrent ApplyChurn calls are serialised
-// against each other, so conflicting events for the same host reach the
-// planner and the dataplane in one order. Drain and drift events touch only
-// the planner; the engine keeps executing the still-valid allocations until
-// a new plan is deployed.
-func (e *Engine) ApplyChurn(ctx context.Context, p plan.QueryPlanner, events []plan.Event, opts ...plan.SubmitOption) (plan.RepairResult, error) {
-	e.churnMu.Lock()
-	defer e.churnMu.Unlock()
-	rr, err := p.Repair(ctx, events, opts...)
-	if err != nil && (errors.Is(err, plan.ErrQueueFull) || errors.Is(err, plan.ErrServiceClosed) ||
-		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, plan.ErrInvalidEvent)) {
-		return rr, err
-	}
-	for _, ev := range events {
-		switch ev.Kind {
-		case plan.HostFailed, plan.HostRecovered:
-			// Mirror what the planner actually recorded, not what the event
-			// asked for: a pre-commit validation failure leaves the system
-			// (and so the engine) unchanged.
-			if e.sys.Hosts[ev.Host].State == dsps.HostDown {
-				e.FailHost(ev.Host)
-			} else {
-				e.RecoverHost(ev.Host)
-			}
-		}
-	}
-	return rr, err
 }
 
 // Monitor exposes the engine's resource monitor.
@@ -297,9 +198,6 @@ func (e *Engine) runSource(s dsps.StreamID, at dsps.HostID) {
 		case <-e.ctx.Done():
 			return
 		case <-tick.C:
-			if e.down[at].Load() {
-				continue // failed hosts inject nothing
-			}
 			seq++
 			t := Tuple{
 				Stream:    s,
@@ -331,14 +229,9 @@ func (e *Engine) Stop() {
 }
 
 // send crosses the network — in process, straight into the destination
-// host's inbox — and the monitor accounts the transfer. Tuples to or from a
-// failed host are lost in flight and counted as drops at the sender; a full
-// inbox drops at the receiver.
+// host's inbox — and the monitor accounts the transfer. A full inbox drops
+// at the receiver.
 func (e *Engine) send(from, to dsps.HostID, t Tuple) {
-	if e.down[from].Load() || e.down[to].Load() {
-		e.mon.recordDrop(from)
-		return
-	}
 	e.mon.recordTransfer(from, to, e.sys.Streams[t.Stream].Rate)
 	select {
 	case e.hosts[to].inbox <- t:

@@ -72,10 +72,6 @@ func (h *host) ingestLocal(t Tuple) {
 // process routes one tuple: to local operators, to downstream hosts, and to
 // the client delivery channel.
 func (h *host) process(t Tuple) {
-	if h.e.down[h.id].Load() {
-		h.e.mon.recordDrop(h.id) // crashed host: queued tuples are lost
-		return
-	}
 	// Local operator consumption.
 	for _, inst := range h.byIn[t.Stream] {
 		outs := inst.consume(t)

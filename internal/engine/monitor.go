@@ -14,10 +14,6 @@ import (
 type Monitor struct {
 	sys *dsps.System
 
-	// The monitor's lock is a leaf: churn application records into it
-	// while holding its own lock, and it must never nest around that.
-	//
-	//sqpr:lock-order Engine.churnMu < Monitor.mu
 	mu        sync.Mutex
 	cpuWork   []float64 // accumulated operator cost units per host
 	sent      []float64 // accumulated rate-weighted transfers out (network egress only)
@@ -29,9 +25,6 @@ type Monitor struct {
 	latencySum   time.Duration
 	latencyCount int64
 	latencyMax   time.Duration
-
-	failures   int64
-	recoveries int64
 }
 
 // NewMonitor creates a monitor for the system.
@@ -74,23 +67,6 @@ func (m *Monitor) recordDrop(h dsps.HostID) {
 	m.mu.Lock()
 	m.drops[h]++
 	m.mu.Unlock()
-}
-
-func (m *Monitor) recordHostEvent(failed bool) {
-	m.mu.Lock()
-	if failed {
-		m.failures++
-	} else {
-		m.recoveries++
-	}
-	m.mu.Unlock()
-}
-
-// HostEvents returns the number of host failures and recoveries observed.
-func (m *Monitor) HostEvents() (failures, recoveries int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.failures, m.recoveries
 }
 
 func (m *Monitor) recordLatency(d time.Duration) {

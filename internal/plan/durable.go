@@ -1,12 +1,10 @@
 package plan
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 
-	"sqpr/internal/dsps"
 	"sqpr/internal/invariant"
 	"sqpr/internal/wal"
 )
@@ -200,55 +198,4 @@ func (s *Service) SyncWAL() error {
 		return s.walErr
 	}
 	return s.walLog.Sync()
-}
-
-// Reconcile diffs the planner's intended host availability against an
-// observed view (typically engine.HostStates) and repairs any divergence:
-// hosts observed down are failed, hosts observed back are recovered,
-// hosts observed draining are drained — through the same serialised Repair
-// path as explicit churn events, journaled like every other state change.
-// It returns the events it emitted (nil when intent and observation agree)
-// and the repair outcome. This is the operator-style reconciliation loop:
-// instead of hand-feeding churn to planner and engine separately (the
-// manual ApplyChurn flow), callers observe the world and let the service
-// converge its intent to it.
-//
-// The wrapped planner must implement StatePorter (all planners in this
-// repository do).
-func (s *Service) Reconcile(ctx context.Context, observed []dsps.HostState, opts ...SubmitOption) (RepairResult, []Event, error) {
-	s.pmu.Lock()
-	porter, ok := s.p.(StatePorter)
-	if !ok {
-		p := s.p
-		s.pmu.Unlock()
-		return RepairResult{}, nil, fmt.Errorf("plan: %T does not implement StatePorter; Reconcile cannot read its intent", p)
-	}
-	intent := porter.ExportState().Hosts
-	s.pmu.Unlock()
-
-	var events []Event
-	for h, obs := range observed {
-		cur := dsps.HostUp
-		if h < len(intent) {
-			cur = intent[h]
-		}
-		if cur == obs {
-			continue
-		}
-		switch obs {
-		case dsps.HostDown:
-			events = append(events, FailHost(dsps.HostID(h)))
-		case dsps.HostUp:
-			events = append(events, RecoverHost(dsps.HostID(h)))
-		case dsps.HostDraining:
-			events = append(events, DrainHost(dsps.HostID(h)))
-		default:
-			return RepairResult{}, nil, fmt.Errorf("plan: observed host %d in unknown state %d", h, int8(obs))
-		}
-	}
-	if len(events) == 0 {
-		return RepairResult{Result: Result{Admitted: true}}, nil, nil
-	}
-	rr, err := s.Repair(ctx, events, opts...)
-	return rr, events, err
 }

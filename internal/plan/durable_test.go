@@ -17,7 +17,7 @@ import (
 // durableFake is a minimal stateful QueryPlanner + StatePorter: it admits
 // any requested stream onto the first usable host and reacts to churn by
 // stripping failed placements. It lets the durable-service tests exercise
-// journaling, wedging, recovery and reconciliation without MILP solves
+// journaling, wedging and recovery without MILP solves
 // (real-planner replay equivalence is covered by the repo-level
 // conformance tests).
 type durableFake struct {
@@ -281,46 +281,5 @@ func TestDurableServiceWedgesOnJournalFailure(t *testing.T) {
 	defer s2.Close()
 	if rs.Admitted != 1 || !f2.Admitted(dsps.StreamID(0)) || f2.Admitted(dsps.StreamID(1)) {
 		t.Fatalf("recovered admitted set wrong: %+v", rs)
-	}
-}
-
-func TestServiceReconcile(t *testing.T) {
-	f := newDurableFake(3, 6)
-	s := plan.NewService(f, plan.ServiceConfig{})
-	defer s.Close()
-	ctx := context.Background()
-	for q := 0; q < 3; q++ {
-		if _, err := s.Submit(ctx, dsps.StreamID(q)); err != nil {
-			t.Fatalf("Submit(%d): %v", q, err)
-		}
-	}
-
-	// Intent and observation agree: no events, no repair.
-	observed := []dsps.HostState{dsps.HostUp, dsps.HostUp, dsps.HostUp}
-	if _, evs, err := s.Reconcile(ctx, observed); err != nil || len(evs) != 0 {
-		t.Fatalf("no-op reconcile: events %v, err %v", evs, err)
-	}
-
-	// Host 0 observed down: reconcile fails it and repairs.
-	observed[0] = dsps.HostDown
-	rr, evs, err := s.Reconcile(ctx, observed)
-	if err != nil {
-		t.Fatalf("reconcile: %v", err)
-	}
-	if len(evs) != 1 || evs[0].Kind != plan.HostFailed || evs[0].Host != 0 {
-		t.Fatalf("reconcile events %v, want one HostFailed(0)", evs)
-	}
-	_ = rr
-	if st := f.ExportState(); st.Hosts[0] != dsps.HostDown {
-		t.Fatalf("planner intent not converged: host 0 is %v", st.Hosts[0])
-	}
-	// Idempotent: a second pass over the same observation emits nothing.
-	if _, evs, err := s.Reconcile(ctx, observed); err != nil || len(evs) != 0 {
-		t.Fatalf("second reconcile not idempotent: events %v, err %v", evs, err)
-	}
-	// Recovery of the host converges back.
-	observed[0] = dsps.HostUp
-	if _, evs, err := s.Reconcile(ctx, observed); err != nil || len(evs) != 1 || evs[0].Kind != plan.HostRecovered {
-		t.Fatalf("recovery reconcile: events %v, err %v", evs, err)
 	}
 }

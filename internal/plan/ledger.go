@@ -219,8 +219,9 @@ func Deadline(ctx context.Context, start time.Time, timeout time.Duration) time.
 type PlaceOne func(ctx context.Context, q dsps.StreamID, cfg *SubmitConfig, deadline time.Time) (bool, Reason, error)
 
 // SubmitEach is Submit for planners without a joint optimisation: q and
-// its WithBatch companions are checked, then planned one after the other
-// by one, skipping those already admitted (Algorithm 1, line 3). An error
+// its WithBatch companions are checked (each must be a known, requested
+// stream) before any is planned, then planned one after the other by
+// one, skipping those already admitted (Algorithm 1, line 3). An error
 // mid-batch restores the allocation and admitted set of before the call.
 func (l *Ledger) SubmitEach(ctx context.Context, q dsps.StreamID, opts []SubmitOption, one PlaceOne) (Result, error) {
 	ctx = OrBackground(ctx)
@@ -230,6 +231,9 @@ func (l *Ledger) SubmitEach(ctx context.Context, q dsps.StreamID, opts []SubmitO
 	for _, query := range qs {
 		if err := CheckStream(l.sys, query); err != nil {
 			return Result{}, fmt.Errorf("%s: %w", l.name, err)
+		}
+		if !l.sys.Streams[query].Requested {
+			return Result{}, fmt.Errorf("%s: stream %d: %w", l.name, query, ErrNotRequested)
 		}
 	}
 	deadline := Deadline(ctx, start, cfg.Timeout)

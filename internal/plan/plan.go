@@ -168,12 +168,12 @@ type Result struct {
 	// this call (core SQPR and hierarchical only; 0 when no solve ran).
 	ModelVars int
 	// SeedClosed reports that no solve ran because the greedy seed decided
-	// the call (core SQPR and hierarchical only): a Submit or a Repair chunk
-	// (failure, drain or drift alike) on a large reduced model keeps what
-	// its seed placed and rejects the rest (Admitted false, Reason
-	// ReasonNoFeasiblePlan, when the seed left a query out). The
-	// solver-effort fields are then zero. A call on a smaller model always
-	// solves.
+	// the call (core SQPR and hierarchical only): a Submit, or each chunk
+	// of a Repair (failure, drain or drift alike), on a large reduced model
+	// keeps what its seed placed and rejects the rest (Admitted false,
+	// Reason ReasonNoFeasiblePlan, when the seed left a query out). A
+	// Repair is seed-decided only when every chunk was. The solver-effort
+	// fields are then zero. A call on a smaller model always solves.
 	SeedClosed bool
 	// BeyondSeed counts the fresh queries of a Submit solve that the call
 	// admitted and its greedy seed had not placed: what the search bought
@@ -183,9 +183,11 @@ type Result struct {
 
 // Stats aggregates planner telemetry across all planning calls.
 type Stats struct {
-	// Submissions counts planning calls (batch = one call).
+	// Submissions counts planning calls: each Submit (batch = one call)
+	// and each Repair that re-planned at least one chunk of queries.
 	Submissions int
-	// Rejections counts calls that failed to admit a fresh query.
+	// Rejections counts calls that failed to admit a fresh query, or to
+	// keep an affected one (Repair).
 	Rejections int
 	// TotalPlanTime accumulates wall-clock planning time.
 	TotalPlanTime time.Duration
@@ -215,7 +217,7 @@ type Stats struct {
 	// core.stalls.
 	Stalls int
 	// SeedClosed counts calls the greedy seed decided without a solve (see
-	// Result.SeedClosed), Submits and Repair chunks, admissions and
+	// Result.SeedClosed), Submits and Repairs, admissions and
 	// seed-decided rejections alike: the effort totals above are spread
 	// over at most Submissions − SeedClosed calls, which is what a
 	// per-solve average divides by. The rejections among them are counted

@@ -38,7 +38,6 @@ type MetricsData struct {
 type EngineMetrics struct {
 	Snapshot                engine.Snapshot
 	LatencyMean, LatencyMax time.Duration
-	Failures, Recoveries    int64
 }
 
 // WriteMetrics renders the snapshot in Prometheus text exposition format
@@ -98,15 +97,13 @@ func WriteMetrics(w io.Writer, d MetricsData) {
 		m.perHost("sqpr_engine_sent_total", "Rate-weighted network egress per host (transfers out, relays included).", e.Snapshot.Sent)
 		m.perHost("sqpr_engine_received_total", "Rate-weighted network ingress per host.", e.Snapshot.Received)
 		m.perHost("sqpr_engine_delivered_total", "Rate-weighted client deliveries per host (local, not egress).", e.Snapshot.Delivered)
-		m.help("sqpr_engine_drops_total", "Tuples lost to full queues or down hosts, per host.", "counter")
+		m.help("sqpr_engine_drops_total", "Tuples lost to full queues, per host.", "counter")
 		for h, v := range e.Snapshot.Drops {
 			m.labeled("sqpr_engine_drops_total", h, float64(v))
 		}
 		m.counter("sqpr_engine_compute_samples_total", "Operator invocations folded into cpu_work.", float64(e.Snapshot.ComputeSamples))
 		m.gauge("sqpr_engine_latency_mean_seconds", "Mean source-to-delivery latency.", e.LatencyMean.Seconds())
 		m.gauge("sqpr_engine_latency_max_seconds", "Maximum source-to-delivery latency.", e.LatencyMax.Seconds())
-		m.counter("sqpr_engine_host_failures_total", "Host failures observed by the monitor.", float64(e.Failures))
-		m.counter("sqpr_engine_host_recoveries_total", "Host recoveries observed by the monitor.", float64(e.Recoveries))
 	}
 }
 

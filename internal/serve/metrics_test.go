@@ -79,8 +79,6 @@ func goldenData() serve.MetricsData {
 			},
 			LatencyMean: 3 * time.Millisecond,
 			LatencyMax:  90 * time.Millisecond,
-			Failures:    2,
-			Recoveries:  1,
 		},
 	}
 }

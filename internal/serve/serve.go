@@ -302,7 +302,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.mon != nil {
 		em := EngineMetrics{Snapshot: s.mon.Snapshot()}
 		em.LatencyMean, em.LatencyMax = s.mon.Latency()
-		em.Failures, em.Recoveries = s.mon.HostEvents()
 		data.Engine = &em
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

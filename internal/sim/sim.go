@@ -219,4 +219,4 @@ func (e *Env) NewHeuristic() Submitter { return heuristic.New(e.Sys, core.PaperW
 func (e *Env) NewBound() Submitter { return bound.New(e.Sys) }
 
 // NewSODA builds the SODA-like baseline.
-func (e *Env) NewSODA() Submitter { return soda.New(e.Sys, core.PaperWeights()) }
+func (e *Env) NewSODA() Submitter { return soda.New(e.Sys) }

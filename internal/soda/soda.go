@@ -14,7 +14,6 @@ import (
 	"sort"
 	"time"
 
-	"sqpr/internal/core"
 	"sqpr/internal/dsps"
 	"sqpr/internal/plan"
 )
@@ -34,9 +33,9 @@ type Planner struct {
 	joinIdxAt int // number of operators indexed so far
 }
 
-// New creates a SODA-like planner. The weights are accepted for symmetry
-// with the other planners; miniW placement balances load only.
-func New(sys *dsps.System, _ core.Weights) *Planner {
+// New creates a SODA-like planner. It takes no objective weights: miniW
+// placement balances load only.
+func New(sys *dsps.System) *Planner {
 	return &Planner{
 		Ledger:   plan.NewLedger("soda", sys),
 		sys:      sys,

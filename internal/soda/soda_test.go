@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"sqpr/internal/core"
 	"sqpr/internal/dsps"
 	"sqpr/internal/workload"
 )
@@ -32,7 +31,7 @@ func buildWorkload(t *testing.T, hosts, bases, queries int) (*dsps.System, []dsp
 
 func TestAdmitsQueries(t *testing.T) {
 	sys, queries := buildWorkload(t, 4, 20, 10)
-	p := New(sys, core.PaperWeights())
+	p := New(sys)
 	admitted := 0
 	for _, q := range queries {
 		if submitOK(p, q) {
@@ -49,7 +48,7 @@ func TestAdmitsQueries(t *testing.T) {
 
 func TestTemplateIsLeftDeep(t *testing.T) {
 	sys, queries := buildWorkload(t, 2, 6, 3)
-	p := New(sys, core.PaperWeights())
+	p := New(sys)
 	for _, q := range queries {
 		tmpl, ok := p.template(q)
 		if !ok {
@@ -69,7 +68,7 @@ func TestTemplateIsLeftDeep(t *testing.T) {
 func TestReuseByGluingTemplates(t *testing.T) {
 	// Two identical queries: the second must fully reuse the first's ops.
 	sys, queries := buildWorkload(t, 3, 4, 8)
-	p := New(sys, core.PaperWeights())
+	p := New(sys)
 	for _, q := range queries {
 		submitOK(p, q)
 	}
@@ -95,7 +94,7 @@ func TestMacroQRejectsWhenAggregateCPUExhausted(t *testing.T) {
 	sys.PlaceBase(0, b)
 	op := sys.AddOperator([]dsps.StreamID{a, b}, 1, 2, "ab")
 	sys.SetRequested(op.Output, true)
-	p := New(sys, core.PaperWeights())
+	p := New(sys)
 	if submitOK(p, op.Output) {
 		t.Fatal("macroQ failed to reject an unservable query")
 	}
@@ -103,7 +102,7 @@ func TestMacroQRejectsWhenAggregateCPUExhausted(t *testing.T) {
 
 func TestDuplicateQueryFreeOfCharge(t *testing.T) {
 	sys, queries := buildWorkload(t, 3, 4, 1)
-	p := New(sys, core.PaperWeights())
+	p := New(sys)
 	if !submitOK(p, queries[0]) {
 		t.Fatal("first submit failed")
 	}
@@ -119,7 +118,7 @@ func TestDuplicateQueryFreeOfCharge(t *testing.T) {
 
 func TestBaseSetOf(t *testing.T) {
 	sys, queries := buildWorkload(t, 2, 8, 4)
-	p := New(sys, core.PaperWeights())
+	p := New(sys)
 	for _, q := range queries {
 		bases := p.baseSetOf(q)
 		if len(bases) < 2 {
@@ -155,7 +154,7 @@ func TestSkipsHostShortOfMemory(t *testing.T) {
 	op := sys.AddOperator([]dsps.StreamID{a, b}, 1, 2, "ab")
 	op.Mem = 2
 	sys.SetRequested(op.Output, true)
-	p := New(sys, core.PaperWeights())
+	p := New(sys)
 	res, err := p.Submit(context.Background(), op.Output)
 	if err != nil || !res.Admitted {
 		t.Fatalf("Submit = %+v, %v; host 1 fits the query", res, err)
@@ -179,7 +178,7 @@ func TestSODAIsDeterministic(t *testing.T) {
 	}).Queries
 	var states [2][]byte
 	for i := range states {
-		p := New(sys, core.PaperWeights())
+		p := New(sys)
 		for _, q := range queries {
 			submitOK(p, q)
 		}

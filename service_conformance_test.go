@@ -40,7 +40,7 @@ func serviceCases() []conformanceCase {
 	return []conformanceCase{
 		{"core", func(sys *sqpr.System) sqpr.QueryPlanner { return sqpr.NewPlanner(sys, cfg) }},
 		{"heuristic", func(sys *sqpr.System) sqpr.QueryPlanner { return sqpr.NewHeuristicPlanner(sys, sqpr.PaperWeights()) }},
-		{"soda", func(sys *sqpr.System) sqpr.QueryPlanner { return sqpr.NewSODAPlanner(sys, sqpr.PaperWeights()) }},
+		{"soda", func(sys *sqpr.System) sqpr.QueryPlanner { return sqpr.NewSODAPlanner(sys) }},
 		{"bound", func(sys *sqpr.System) sqpr.QueryPlanner { return sqpr.NewBoundPlanner(sys) }},
 		{"hier", func(sys *sqpr.System) sqpr.QueryPlanner { return sqpr.NewHierarchicalPlanner(sys, cfg, 2) }},
 	}

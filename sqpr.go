@@ -313,7 +313,7 @@ func PaperWeights() Weights { return core.PaperWeights() }
 func NewHeuristicPlanner(sys *System, w Weights) *HeuristicPlanner { return heuristic.New(sys, w) }
 
 // NewSODAPlanner creates the SODA-like baseline.
-func NewSODAPlanner(sys *System, w Weights) *SODAPlanner { return soda.New(sys, w) }
+func NewSODAPlanner(sys *System) *SODAPlanner { return soda.New(sys) }
 
 // NewBoundPlanner creates the optimistic-bound planner.
 func NewBoundPlanner(sys *System) *BoundPlanner { return bound.New(sys) }

@@ -77,7 +77,7 @@ func TestBaselinesViaFacade(t *testing.T) {
 		NumHosts: 3, CPUPerHost: 6, OutBW: 80, InBW: 80, LinkCap: 40,
 	})
 	w2 := sqpr.GenerateWorkload(sodaSys, wcfg)
-	s := sqpr.NewSODAPlanner(sodaSys, sqpr.PaperWeights())
+	s := sqpr.NewSODAPlanner(sodaSys)
 	bnd := sqpr.NewBoundPlanner(sys)
 
 	ctx := context.Background()
