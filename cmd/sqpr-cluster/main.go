@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"sqpr/internal/core"
-	"sqpr/internal/engine"
 	"sqpr/internal/plan"
 	"sqpr/internal/serve"
 	"sqpr/internal/sim"
@@ -229,10 +228,7 @@ func runServe(ctx context.Context, ds sim.DeployScale, addr, walDir string) {
 		svc = plan.NewService(p, plan.ServiceConfig{})
 	}
 
-	// An engine over the same substrate contributes per-host utilisation to
-	// /metrics. Construction is cheap — no goroutines run until a Deploy.
-	eng := engine.New(env.Sys, engine.Config{})
-	srv, err := serve.New(serve.Config{Service: svc, System: env.Sys, Monitor: eng.Monitor()})
+	srv, err := serve.New(serve.Config{Service: svc, System: env.Sys})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
 		os.Exit(1)

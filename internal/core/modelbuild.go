@@ -194,8 +194,8 @@ func (b *builder) selectHosts() {
 		cap = n
 	}
 	// Add preferred hosts (base-stream holders), then the globally most
-	// spare ones, each ordered by spare CPU. The seed resets the usage
-	// ledger to its own trial afterwards.
+	// spare ones, each ordered by spare CPU. The seed starts from the usage
+	// ledger summed here.
 	b.track.Reset(b.sys, st)
 	spare := func(h dsps.HostID) float64 { return b.sys.Hosts[h].CPU - b.track.CPU[h] }
 	fill := func(list []dsps.HostID) {

@@ -14,7 +14,9 @@ import (
 // each assembled on a single host, reusing streams that already exist. It
 // needs the layout and the usage ledger, never the model, so submit and
 // repairChunk run it before deciding whether to build one; vectorOf turns it
-// into the solver's incumbent.
+// into the solver's incumbent. It starts from the ledger selectHosts summed
+// over the current allocation and adds what it accepts, so a builder is
+// seeded once.
 //
 // The greedy probes many partial plans per query; it tracks resource usage
 // incrementally and rolls trial placements back through an undo journal, so
@@ -31,7 +33,6 @@ import (
 // a feasible warm start.
 func (b *builder) seed(ctx context.Context) *dsps.Assignment {
 	cand := b.planner.Assignment().Clone()
-	b.track.Reset(b.sys, cand)
 	b.seedArm()
 	for _, q := range b.queries {
 		if _, ok := cand.Provider(q); ok {

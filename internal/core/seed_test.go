@@ -33,7 +33,12 @@ func TestSeedAllocationsBounded(t *testing.T) {
 	w.p.beginCall(plan.SubmitConfig{})
 	b := w.p.newBuilder([]dsps.StreamID{q}, false)
 	var seed *dsps.Assignment
-	run := func() { seed = b.seed(ctx) }
+	// A seed adds what it accepts to the ledger selectHosts summed, so each
+	// run first restores that ledger, as newBuilder leaves it.
+	run := func() {
+		b.track.Reset(b.sys, w.p.Assignment())
+		seed = b.seed(ctx)
+	}
 	run() // the first run sizes the builder's scratch
 	if _, ok := seed.Provider(q); !ok || len(seed.Flows) <= len(w.p.Assignment().Flows) {
 		t.Fatalf("the seed did not admit query %d over new flows; the state would not exercise the greedy", q)

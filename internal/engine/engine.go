@@ -32,8 +32,9 @@ type Tuple struct {
 	// SeqNo orders tuples within their source.
 	SeqNo int64
 	// BornNanos is the source injection time (UnixNano); it rides along
-	// through joins and relays so delivery latency can be measured — the
-	// quantity the paper's load-balancing discussion (§II-C) is about.
+	// through joins and relays so a consumer of Results can measure
+	// delivery latency — the quantity the paper's load-balancing
+	// discussion (§II-C) is about.
 	BornNanos int64
 }
 
@@ -65,7 +66,6 @@ type Engine struct {
 
 	hosts   []*host
 	mon     *Monitor
-	kernels map[dsps.OperatorID]UnaryKernel
 	results chan Tuple
 	ctx     context.Context
 	cancel  context.CancelFunc

@@ -74,9 +74,61 @@ loop:
 	if snap.Sent[0] == 0 || snap.Received[1] == 0 {
 		t.Fatal("monitor recorded no transfer along the flow")
 	}
-	mean, max := eng.Monitor().Latency()
-	if mean <= 0 || max < mean {
-		t.Fatalf("latency accounting broken: mean=%v max=%v", mean, max)
+}
+
+// TestUnaryOperatorDelivers deploys one source feeding one single-input
+// operator on one host: every delivered tuple is on the operator's output
+// stream, numbered by the operator in strictly increasing order, and the
+// monitor charges the operator's work to the host.
+func TestUnaryOperatorDelivers(t *testing.T) {
+	hosts := []dsps.Host{{ID: 0, CPU: 10, OutBW: 100, InBW: 100}}
+	sys := dsps.NewSystem(hosts, 100)
+	src := sys.AddStream(50, dsps.NoOperator, "src")
+	sys.PlaceBase(0, src)
+	op := sys.AddOperator([]dsps.StreamID{src}, 25, 0.5, "project")
+	sys.SetRequested(op.Output, true)
+
+	asg := dsps.NewAssignment()
+	asg.AddOp(dsps.Placement{Host: 0, Op: op.ID})
+	asg.SetProvide(op.Output, 0)
+	if err := asg.Validate(sys); err != nil {
+		t.Fatal(err)
+	}
+
+	eng := New(sys, DefaultConfig())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := eng.Deploy(ctx, asg); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.After(2 * time.Second)
+	got := 0
+	var last int64
+loop:
+	for {
+		select {
+		case tup := <-eng.Results():
+			if tup.Stream != op.Output {
+				t.Fatalf("delivered stream %d, want the operator's output %d", tup.Stream, op.Output)
+			}
+			if tup.SeqNo <= last {
+				t.Fatalf("SeqNo %d after %d: not strictly increasing", tup.SeqNo, last)
+			}
+			last = tup.SeqNo
+			got++
+			if got >= 5 {
+				break loop
+			}
+		case <-deadline:
+			break loop
+		}
+	}
+	eng.Stop()
+	if got == 0 {
+		t.Fatal("unary operator delivered nothing")
+	}
+	if eng.Monitor().Snapshot().CPUWork[0] == 0 {
+		t.Fatal("monitor recorded no CPU work on the operator host")
 	}
 }
 
@@ -164,16 +216,6 @@ func TestMonitorSnapshotIsCopy(t *testing.T) {
 	snap.CPUWork[0] = 999
 	if m.Snapshot().CPUWork[0] != 5 {
 		t.Fatal("snapshot aliases monitor state")
-	}
-}
-
-func TestBusiestHost(t *testing.T) {
-	sys, _, _ := joinSetup(t)
-	m := NewMonitor(sys)
-	m.recordCompute(1, 10)
-	m.recordCompute(0, 3)
-	if m.BusiestHost() != 1 {
-		t.Fatal("busiest host wrong")
 	}
 }
 

@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"time"
-
-	"sqpr/internal/dsps"
-)
+import "sqpr/internal/dsps"
 
 // host executes operators and routes tuples. Each host runs a single
 // goroutine draining its inbox (the paper's DISSP hosts use worker pools;
@@ -87,9 +83,6 @@ func (h *host) process(t Tuple) {
 	// Client delivery (the d variables).
 	if h.dlv[t.Stream] {
 		h.e.mon.recordDelivery(h.id, h.e.sys.Streams[t.Stream].Rate)
-		if t.BornNanos > 0 {
-			h.e.mon.recordLatency(time.Duration(time.Now().UnixNano() - t.BornNanos))
-		}
 		select {
 		case h.e.results <- t:
 		default:

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"sync"
-	"time"
 
 	"sqpr/internal/dsps"
 )
@@ -12,8 +11,6 @@ import (
 // snapshots that a planner can compare against its cost-model estimates
 // (the input to adaptive replanning, §IV-B).
 type Monitor struct {
-	sys *dsps.System
-
 	mu        sync.Mutex
 	cpuWork   []float64 // accumulated operator cost units per host
 	sent      []float64 // accumulated rate-weighted transfers out (network egress only)
@@ -21,17 +18,12 @@ type Monitor struct {
 	delivered []float64 // accumulated rate-weighted client deliveries (local, no egress)
 	drops     []int64
 	samples   int64 // compute records folded into cpuWork
-
-	latencySum   time.Duration
-	latencyCount int64
-	latencyMax   time.Duration
 }
 
 // NewMonitor creates a monitor for the system.
 func NewMonitor(sys *dsps.System) *Monitor {
 	n := sys.NumHosts()
 	return &Monitor{
-		sys:       sys,
 		cpuWork:   make([]float64, n),
 		sent:      make([]float64, n),
 		received:  make([]float64, n),
@@ -69,27 +61,6 @@ func (m *Monitor) recordDrop(h dsps.HostID) {
 	m.mu.Unlock()
 }
 
-func (m *Monitor) recordLatency(d time.Duration) {
-	m.mu.Lock()
-	m.latencySum += d
-	m.latencyCount++
-	if d > m.latencyMax {
-		m.latencyMax = d
-	}
-	m.mu.Unlock()
-}
-
-// Latency returns the mean and maximum source-to-delivery latency observed
-// so far (zero when nothing was delivered).
-func (m *Monitor) Latency() (mean, max time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.latencyCount == 0 {
-		return 0, 0
-	}
-	return m.latencySum / time.Duration(m.latencyCount), m.latencyMax
-}
-
 // Snapshot is a utilisation report.
 type Snapshot struct {
 	// CPUWork is accumulated operator cost per host since start.
@@ -122,18 +93,4 @@ func (m *Monitor) Snapshot() Snapshot {
 		ComputeSamples: m.samples,
 	}
 	return s
-}
-
-// BusiestHost returns the host with the most accumulated CPU work.
-func (m *Monitor) BusiestHost() dsps.HostID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	best, bestWork := dsps.HostID(0), -1.0
-	for h, w := range m.cpuWork {
-		if w > bestWork {
-			bestWork = w
-			best = dsps.HostID(h)
-		}
-	}
-	return best
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // opInstance is one running operator. Binary operators are executed as
-// sliding-window symmetric hash joins on the tuple key; unary operators act
-// as filter/project passes. The instance is only touched by its host's
+// sliding-window symmetric hash joins on the tuple key; unary operators
+// pass their input through. The instance is only touched by its host's
 // goroutine, but a mutex guards against future multi-worker hosts.
 type opInstance struct {
 	op *dsps.Operator
@@ -16,7 +16,6 @@ type opInstance struct {
 
 	mu      sync.Mutex
 	windows map[dsps.StreamID]*window
-	kernel  UnaryKernel
 	outSeq  int64
 }
 
@@ -24,9 +23,6 @@ func newOpInstance(e *Engine, op *dsps.Operator) *opInstance {
 	inst := &opInstance{op: op, e: e, windows: make(map[dsps.StreamID]*window)}
 	for _, in := range op.Inputs {
 		inst.windows[in] = newWindow(windowSize)
-	}
-	if k, ok := e.kernels[op.ID]; ok {
-		inst.kernel = k
 	}
 	return inst
 }
@@ -39,28 +35,16 @@ func (o *opInstance) consume(t Tuple) []Tuple {
 	if !ok {
 		return nil
 	}
-	w.add(t)
 	if len(o.op.Inputs) == 1 {
-		// Unary operator: run the registered kernel (filter, project,
-		// aggregate); the default is identity pass-through. The model
-		// treats selection as rate reduction, which the monitor accounts
-		// via stream rates.
-		out := t
-		if o.kernel != nil {
-			var emit bool
-			out, emit = o.kernel.Process(t)
-			if !emit {
-				return nil
-			}
-		}
+		// Unary operator: identity pass-through onto the output stream,
+		// with no window to keep. The model treats selection as rate
+		// reduction, which the monitor accounts via stream rates.
 		o.outSeq++
-		out.Stream = o.op.Output
-		out.SeqNo = o.outSeq
-		if out.BornNanos == 0 {
-			out.BornNanos = t.BornNanos
-		}
-		return []Tuple{out}
+		t.Stream = o.op.Output
+		t.SeqNo = o.outSeq
+		return []Tuple{t}
 	}
+	w.add(t)
 	// Symmetric hash join: match the new tuple against the windows of the
 	// other inputs; a match across all inputs emits one output tuple.
 	var outs []Tuple

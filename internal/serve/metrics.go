@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"time"
 
-	"sqpr/internal/engine"
 	"sqpr/internal/plan"
 	"sqpr/internal/wal"
 )
@@ -29,20 +27,11 @@ type MetricsData struct {
 	Wedged bool
 	// Admitted is the current admitted query count.
 	Admitted int
-	// Engine carries the resource monitor's counters; nil when the server
-	// has no engine attached.
-	Engine *EngineMetrics
-}
-
-// EngineMetrics is the engine.Monitor surface in exportable form.
-type EngineMetrics struct {
-	Snapshot                engine.Snapshot
-	LatencyMean, LatencyMax time.Duration
 }
 
 // WriteMetrics renders the snapshot in Prometheus text exposition format
-// (version 0.0.4). Metric names follow sqpr_<surface>_<metric>; per-host
-// series carry a host="<id>" label; cumulative quantities end in _total.
+// (version 0.0.4). Metric names follow sqpr_<surface>_<metric>;
+// cumulative quantities end in _total.
 // The output is deterministic for a fixed MetricsData.
 func WriteMetrics(w io.Writer, d MetricsData) {
 	m := metricsWriter{w: w}
@@ -90,21 +79,6 @@ func WriteMetrics(w io.Writer, d MetricsData) {
 	m.gauge("sqpr_wal_last_seq", "Sequence number of the last journaled record.", float64(d.WAL.LastSeq))
 	m.gauge("sqpr_wal_snapshot_seq", "Sequence number covered by the latest snapshot.", float64(d.WAL.SnapshotSeq))
 	m.gauge("sqpr_wal_wedged", "1 when the service is wedged on a journal failure, else 0.", boolGauge(d.Wedged))
-
-	// Engine monitor surface (engine.Monitor), when attached.
-	if e := d.Engine; e != nil {
-		m.perHost("sqpr_engine_cpu_work_total", "Accumulated operator cost units per host.", e.Snapshot.CPUWork)
-		m.perHost("sqpr_engine_sent_total", "Rate-weighted network egress per host (transfers out, relays included).", e.Snapshot.Sent)
-		m.perHost("sqpr_engine_received_total", "Rate-weighted network ingress per host.", e.Snapshot.Received)
-		m.perHost("sqpr_engine_delivered_total", "Rate-weighted client deliveries per host (local, not egress).", e.Snapshot.Delivered)
-		m.help("sqpr_engine_drops_total", "Tuples lost to full queues, per host.", "counter")
-		for h, v := range e.Snapshot.Drops {
-			m.labeled("sqpr_engine_drops_total", h, float64(v))
-		}
-		m.counter("sqpr_engine_compute_samples_total", "Operator invocations folded into cpu_work.", float64(e.Snapshot.ComputeSamples))
-		m.gauge("sqpr_engine_latency_mean_seconds", "Mean source-to-delivery latency.", e.LatencyMean.Seconds())
-		m.gauge("sqpr_engine_latency_max_seconds", "Maximum source-to-delivery latency.", e.LatencyMax.Seconds())
-	}
 }
 
 func boolGauge(b bool) float64 {
@@ -131,17 +105,6 @@ func (m *metricsWriter) counter(name, help string, v float64) {
 func (m *metricsWriter) gauge(name, help string, v float64) {
 	m.help(name, help, "gauge")
 	fmt.Fprintf(m.w, "%s %s\n", name, num(v))
-}
-
-func (m *metricsWriter) labeled(name string, host int, v float64) {
-	fmt.Fprintf(m.w, "%s{host=\"%d\"} %s\n", name, host, num(v))
-}
-
-func (m *metricsWriter) perHost(name, help string, vs []float64) {
-	m.help(name, help, "counter")
-	for h, v := range vs {
-		m.labeled(name, h, v)
-	}
 }
 
 // histogram renders a Prometheus histogram from the service's fixed-bucket

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"sqpr/internal/engine"
 	"sqpr/internal/lp"
 	"sqpr/internal/plan"
 	"sqpr/internal/serve"
@@ -68,18 +67,6 @@ func goldenData() serve.MetricsData {
 		},
 		Wedged:   true,
 		Admitted: 33,
-		Engine: &serve.EngineMetrics{
-			Snapshot: engine.Snapshot{
-				CPUWork:        []float64{10.5, 20.25},
-				Sent:           []float64{100, 0},
-				Received:       []float64{0, 100},
-				Delivered:      []float64{0, 42},
-				Drops:          []int64{0, 7},
-				ComputeSamples: 123,
-			},
-			LatencyMean: 3 * time.Millisecond,
-			LatencyMax:  90 * time.Millisecond,
-		},
 	}
 }
 
@@ -136,7 +123,6 @@ func TestWriteMetricsHistogramCumulates(t *testing.T) {
 // every non-engine surface is present, engine series are absent.
 func TestWriteMetricsOmitsEngineWhenAbsent(t *testing.T) {
 	d := goldenData()
-	d.Engine = nil
 	var buf bytes.Buffer
 	serve.WriteMetrics(&buf, d)
 	out := buf.String()

@@ -1,11 +1,11 @@
 // Package serve is the control-plane serving surface of the admission
 // service: an HTTP API over plan.Service (submit, remove, repair, admitted
 // set, assignment) plus a Prometheus-text-format metrics exporter that
-// unifies every telemetry surface of the system — planner Stats, service
-// queueing/latency stats, the write-ahead journal, the engine's per-host
-// resource monitor and the LP factorization counters. It turns the one-shot
-// planning binaries into a long-running admission daemon in the style of
-// operator control planes: liveness on /healthz, readiness on /readyz (a
+// unifies every telemetry surface of the admission service — planner
+// Stats, service queueing/latency stats, the write-ahead journal and the
+// LP factorization counters. It turns the one-shot planning binaries into
+// a long-running admission daemon in the style of operator control
+// planes: liveness on /healthz, readiness on /readyz (a
 // WAL-wedged service serves reads but is not ready for work), and a
 // StartDrain hook that flips readiness off ahead of a graceful shutdown.
 package serve
@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"sqpr/internal/dsps"
-	"sqpr/internal/engine"
 	"sqpr/internal/plan"
 	"sqpr/internal/wal"
 )
@@ -33,9 +32,6 @@ type Config struct {
 	// System, when non-nil, enables GET /v1/queries (the submittable query
 	// streams of the system).
 	System *dsps.System
-	// Monitor, when non-nil, contributes the engine's per-host utilisation
-	// counters to GET /metrics.
-	Monitor *engine.Monitor
 }
 
 // Server is the HTTP control plane over one admission service. Create it
@@ -45,7 +41,6 @@ type Config struct {
 type Server struct {
 	svc *plan.Service
 	sys *dsps.System
-	mon *engine.Monitor
 
 	draining atomic.Bool
 	mux      *http.ServeMux
@@ -56,7 +51,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Service == nil {
 		return nil, errors.New("serve: Config.Service is required")
 	}
-	s := &Server{svc: cfg.Service, sys: cfg.System, mon: cfg.Monitor}
+	s := &Server{svc: cfg.Service, sys: cfg.System}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/submit", s.handleSubmit)
 	mux.HandleFunc("POST /v1/remove", s.handleRemove)
@@ -298,11 +293,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		WAL:      s.svc.WALStats(),
 		Wedged:   s.svc.Wedged() != nil,
 		Admitted: s.svc.AdmittedCount(),
-	}
-	if s.mon != nil {
-		em := EngineMetrics{Snapshot: s.mon.Snapshot()}
-		em.LatencyMean, em.LatencyMax = s.mon.Latency()
-		data.Engine = &em
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)

@@ -360,15 +360,12 @@ type (
 	// /healthz and /readyz (503 when the journal is wedged or a drain is
 	// underway).
 	AdmissionServer = serve.Server
-	// ServerConfig wires an AdmissionServer to its service, system and
-	// optional engine monitor.
+	// ServerConfig wires an AdmissionServer to its service and optional
+	// system.
 	ServerConfig = serve.Config
 	// MetricsData is one consistent snapshot of every telemetry surface the
-	// /metrics exporter unifies (planner, LP factorization, service, WAL,
-	// engine monitor).
+	// /metrics exporter unifies (planner, LP factorization, service, WAL).
 	MetricsData = serve.MetricsData
-	// EngineMetrics is the engine monitor's surface within MetricsData.
-	EngineMetrics = serve.EngineMetrics
 )
 
 // NewAdmissionServer builds the HTTP control plane; mount Handler on an
