@@ -36,7 +36,7 @@ import (
 	"syscall"
 	"time"
 
-	"sqpr/internal/core"
+	"sqpr/internal/dsps"
 	"sqpr/internal/plan"
 	"sqpr/internal/serve"
 	"sqpr/internal/sim"
@@ -158,18 +158,31 @@ func main() {
 			}
 			ad.Submit(ctx, q)
 		}
-		snap, delivered, err := sim.DeployAndMeasure(env.Sys, ad.Assignment(), 1500*time.Millisecond)
+		line, err := deployCheck(env.Sys, ad.Assignment())
 		if err != nil {
 			fmt.Println("deploy error:", err)
 			return
 		}
-		var cpu float64
-		for _, c := range snap.CPUWork {
-			cpu += c
-		}
-		fmt.Printf("admitted=%d deployed-result-tuples=%d total-cpu-work=%.1f\n",
-			ad.AdmittedCount(), delivered, cpu)
+		fmt.Printf("admitted=%d %s\n", ad.AdmittedCount(), line)
 	}
+}
+
+// deployCheck runs the assignment on the mini engine for 1.5 simulated
+// seconds and formats the result tuples and CPU work it measured.
+func deployCheck(sys *dsps.System, a *dsps.Assignment) (string, error) {
+	rep, err := sim.DeployAndMeasure(sys, a, 1500*time.Millisecond)
+	if err != nil {
+		return "", err
+	}
+	var tuples int64
+	for _, n := range rep.Results {
+		tuples += n
+	}
+	var cpu float64
+	for _, c := range rep.CPUWork {
+		cpu += c
+	}
+	return fmt.Sprintf("deployed-result-tuples=%d total-cpu-work=%.1f", tuples, cpu), nil
 }
 
 // clusterScale is the single-wave cluster substrate shared by the
@@ -201,11 +214,7 @@ const (
 func runServe(ctx context.Context, ds sim.DeployScale, addr, walDir string) {
 	scale := clusterScale(ds)
 	env := sim.BuildEnv(scale)
-	cfg := core.DefaultConfig()
-	cfg.SolveTimeout = scale.Timeout
-	cfg.MaxCandidateHosts = scale.MaxCandHost
-	cfg.MaxFreeStreams = 30
-	p := core.NewPlanner(env.Sys, cfg)
+	p := env.NewPlanner(scale)
 
 	var svc *plan.Service
 	if walDir != "" {
@@ -304,11 +313,7 @@ func runDurableDeploy(ctx context.Context, env *sim.Env, scale sim.Scale, dir st
 		fmt.Fprintf(os.Stderr, "wal: %v\n", err)
 		os.Exit(1)
 	}
-	cfg := core.DefaultConfig()
-	cfg.SolveTimeout = scale.Timeout
-	cfg.MaxCandidateHosts = scale.MaxCandHost
-	cfg.MaxFreeStreams = 30
-	p := core.NewPlanner(env.Sys, cfg)
+	p := env.NewPlanner(scale)
 	svc, rs, err := plan.OpenService(p, plan.ServiceConfig{}, fs, wal.Options{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "wal: opening durable service: %v\n", err)
@@ -344,14 +349,10 @@ func runDurableDeploy(ctx context.Context, env *sim.Env, scale sim.Scale, dir st
 		fmt.Println("(interrupted: journal flushed; rerun with the same -wal dir to resume)")
 		return
 	}
-	snap, delivered, err := sim.DeployAndMeasure(env.Sys, svc.Assignment(), 1500*time.Millisecond)
+	line, err := deployCheck(env.Sys, svc.Assignment())
 	if err != nil {
 		fmt.Println("deploy error:", err)
 		return
 	}
-	var cpu float64
-	for _, c := range snap.CPUWork {
-		cpu += c
-	}
-	fmt.Printf("deployed-result-tuples=%d total-cpu-work=%.1f\n", delivered, cpu)
+	fmt.Println(line)
 }

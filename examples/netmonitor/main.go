@@ -1,9 +1,9 @@
 // Netmonitor: a network-monitoring deployment (one of the application
 // domains motivating the paper, cf. Gigascope). Probe streams from several
 // vantage points are joined into per-link and per-path monitors; SQPR plans
-// the queries and the mini stream engine then executes the plan, with the
-// resource monitor reporting real consumption — the full plan → deploy →
-// measure loop of the DISSP architecture (Fig. 3).
+// the queries and the mini stream engine then executes the plan in
+// simulated time, reporting the consumption it measured — the full
+// plan → deploy → measure loop of the DISSP architecture (Fig. 3).
 package main
 
 import (
@@ -51,40 +51,23 @@ func main() {
 		fmt.Printf("monitor %-10s admitted=%v\n", sys.Streams[q].Name, res.Admitted)
 	}
 
-	plan := planner.Assignment()
-	fmt.Println("\ndeploying plan on the mini stream engine...")
-	eng := sqpr.NewEngine(sys, sqpr.DefaultEngineConfig())
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if err := eng.Deploy(ctx, plan); err != nil {
+	fmt.Println("\ndeploying plan on the mini stream engine for 1.2 simulated seconds...")
+	rep, err := sqpr.RunEngine(sys, planner.Assignment(), 1.2)
+	if err != nil {
 		log.Fatal(err)
 	}
-
-	// Collect result tuples for a while.
-	deadline := time.After(1200 * time.Millisecond)
-	perStream := map[sqpr.StreamID]int{}
-	total := 0
-collect:
-	for {
-		select {
-		case <-deadline:
-			break collect
-		case t := <-eng.Results():
-			perStream[t.Stream]++
-			total++
-		}
+	var total int64
+	for _, n := range rep.Results {
+		total += n
 	}
-	eng.Stop()
-
 	fmt.Printf("delivered %d result tuples:\n", total)
 	for _, q := range []sqpr.StreamID{link01.Output, link23.Output, path.Output} {
-		fmt.Printf("  %-10s %d tuples\n", sys.Streams[q].Name, perStream[q])
+		fmt.Printf("  %-10s %d tuples\n", sys.Streams[q].Name, rep.Results[q])
 	}
 
-	snap := eng.Monitor().Snapshot()
 	fmt.Println("\nper-host measured consumption (monitor):")
 	for h := 0; h < sys.NumHosts(); h++ {
-		fmt.Printf("  host %d: cpu-work=%.1f sent=%.0f received=%.0f delivered=%.0f drops=%d\n",
-			h, snap.CPUWork[h], snap.Sent[h], snap.Received[h], snap.Delivered[h], snap.Drops[h])
+		fmt.Printf("  host %d: cpu-work=%.1f sent=%.0f received=%.0f delivered=%.0f\n",
+			h, rep.CPUWork[h], rep.Sent[h], rep.Received[h], rep.Delivered[h])
 	}
 }

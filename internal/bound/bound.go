@@ -45,9 +45,6 @@ func New(sys *dsps.System) *Planner {
 	}
 }
 
-// Remaining returns the unused aggregate CPU budget.
-func (p *Planner) Remaining() float64 { return p.budget }
-
 // Submit admits q (and any plan.WithBatch companions, sequentially) if the
 // marginal CPU cost of the cheapest plan (reusing all previously placed
 // operators) fits the remaining aggregate budget. The host-restriction and

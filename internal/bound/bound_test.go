@@ -28,8 +28,8 @@ func TestAdmitWithinBudget(t *testing.T) {
 	if !submitOK(p, op.Output) {
 		t.Fatal("rejected within budget")
 	}
-	if p.Remaining() != 2 {
-		t.Fatalf("remaining budget %v", p.Remaining())
+	if p.budget != 2 {
+		t.Fatalf("remaining budget %v", p.budget)
 	}
 }
 
@@ -71,8 +71,8 @@ func TestReuseIsFree(t *testing.T) {
 	if !submitOK(p, q2.Output) { // shared op free: costs only 1
 		t.Fatal("q2 rejected despite reuse")
 	}
-	if p.Remaining() != 0 {
-		t.Fatalf("remaining %v, want 0", p.Remaining())
+	if p.budget != 0 {
+		t.Fatalf("remaining %v, want 0", p.budget)
 	}
 }
 
@@ -92,8 +92,8 @@ func TestCheapestPlanChosen(t *testing.T) {
 	if !submitOK(p, expensive.Output) {
 		t.Fatal("rejected although the cheap plan fits")
 	}
-	if p.Remaining() != 0.5 {
-		t.Fatalf("remaining %v, want 0.5", p.Remaining())
+	if p.budget != 0.5 {
+		t.Fatalf("remaining %v, want 0.5", p.budget)
 	}
 }
 
@@ -129,8 +129,8 @@ func TestBoundDominatesResourceArithmetic(t *testing.T) {
 	for _, q := range w.Queries {
 		submitOK(p, q)
 	}
-	if p.Remaining() < -1e-9 {
-		t.Fatalf("budget overdrawn: %v", p.Remaining())
+	if p.budget < -1e-9 {
+		t.Fatalf("budget overdrawn: %v", p.budget)
 	}
 	if p.AdmittedCount() == 0 {
 		t.Fatal("bound admitted nothing")

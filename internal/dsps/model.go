@@ -296,15 +296,6 @@ func (sys *System) TotalCPU() float64 {
 	return sum
 }
 
-// TotalOutBW returns Σ_h β_h.
-func (sys *System) TotalOutBW() float64 {
-	var sum float64
-	for _, h := range sys.Hosts {
-		sum += h.OutBW
-	}
-	return sum
-}
-
 // TotalLinkCap returns Σ_{h,m} κ_hm.
 func (sys *System) TotalLinkCap() float64 {
 	var sum float64

@@ -65,9 +65,6 @@ func TestTotals(t *testing.T) {
 	if sys.TotalCPU() != 30 {
 		t.Fatalf("total cpu %v", sys.TotalCPU())
 	}
-	if sys.TotalOutBW() != 150 {
-		t.Fatalf("total out bw %v", sys.TotalOutBW())
-	}
 	// 3 hosts, 6 directed pairs at 30 each.
 	if sys.TotalLinkCap() != 180 {
 		t.Fatalf("total link cap %v", sys.TotalLinkCap())

@@ -1,242 +1,179 @@
-// Package engine is a miniature distributed stream processing engine — the
-// stand-in for the paper's DISSP prototype (§IV-C) and its Emulab
-// deployment (§V-B). It instantiates query plans produced by any planner:
-// hosts run operators over typed tuples in sliding windows, streams flow
-// between hosts according to the plan's flow variables, base streams are
-// injected by rate-controlled sources, and a per-host resource monitor
-// reports CPU and network consumption back to the planner, closing the
-// plan → deploy → measure loop of Fig. 3.
+// Package engine is a miniature stream processing engine — the stand-in
+// for the paper's DISSP prototype (§IV-C) and its Emulab deployment
+// (§V-B). It executes query plans produced by any planner: hosts run
+// operators over keyed tuples in sliding windows, streams flow between
+// hosts along the plan's flow variables, base streams are injected at
+// their model rates, and the run reports per-host CPU and network
+// consumption back to the planner, closing the plan → deploy → measure
+// loop of Fig. 3.
+//
+// The engine runs in simulated time on one loop: the same plan and
+// duration always yield the same Report.
 package engine
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"sqpr/internal/dsps"
 )
 
-// ErrAlreadyDeployed reports a Deploy on an engine that is already running a
-// plan. Stop the engine first; a stopped engine can be redeployed.
-var ErrAlreadyDeployed = errors.New("engine already deployed")
-
-// Tuple is one data item of a stream.
-type Tuple struct {
-	Stream dsps.StreamID
-	// Key is the join attribute.
-	Key int64
-	// Value is an opaque payload (e.g. a measurement).
-	Value float64
-	// SeqNo orders tuples within their source.
-	SeqNo int64
-	// BornNanos is the source injection time (UnixNano); it rides along
-	// through joins and relays so a consumer of Results can measure
-	// delivery latency — the quantity the paper's load-balancing
-	// discussion (§II-C) is about.
-	BornNanos int64
-}
-
-// Config tunes the engine.
-type Config struct {
-	// KeyDomain bounds generated join keys; smaller domains join more.
-	KeyDomain int64
-}
-
-// DefaultConfig returns sensible demo settings.
-func DefaultConfig() Config {
-	return Config{KeyDomain: 32}
-}
-
 const (
-	// tuplesPerRateUnit converts a stream's model rate into tuples/sec:
-	// a stream with rate 10 emits 20 tuples/sec.
+	// tuplesPerRateUnit converts a stream's model rate into tuples per
+	// simulated second: a stream with rate 10 emits 20 tuples/sec.
 	tuplesPerRateUnit = 2
+	// keyDomain bounds the join keys sources generate: the n-th tuple of
+	// a base stream carries key n mod keyDomain.
+	keyDomain = 32
 	// windowSize is the number of tuples each join retains per input.
 	windowSize = 64
-	// inboxDepth is the per-host network queue length.
-	inboxDepth = 1024
 )
 
-// Engine executes one deployed assignment.
-type Engine struct {
-	sys *dsps.System
-	cfg Config
-
-	hosts   []*host
-	mon     *Monitor
-	results chan Tuple
-	ctx     context.Context
-	cancel  context.CancelFunc
-	wg      sync.WaitGroup
-
-	// mu guards the deploy/stop lifecycle: running flips on Deploy and off
-	// only after Stop has joined every goroutine and closed results, so a
-	// redeploy can never race goroutines of the previous deployment.
-	mu      sync.Mutex
-	running bool //sqpr:guarded-by mu
+// Report is what one run measured. The per-host slices are indexed by
+// host id.
+type Report struct {
+	// CPUWork is the operator cost charged per host: every operator
+	// invocation adds its operator's cost.
+	CPUWork []float64
+	// Sent and Received are rate-weighted network transfers (flows,
+	// relays included). Summed over hosts they balance, since no tuple is
+	// in flight or lost when a run ends.
+	Sent, Received []float64
+	// Delivered is the rate-weighted client delivery volume per host —
+	// local hand-offs to result consumers, disjoint from Sent.
+	Delivered []float64
+	// ComputeSamples counts the operator invocations folded into CPUWork,
+	// so CPUWork/ComputeSamples is the mean per-invocation cost.
+	ComputeSamples int64
+	// Results counts the result tuples delivered per provided stream.
+	Results map[dsps.StreamID]int64
 }
 
-// New creates an engine for the system (not yet deployed).
-func New(sys *dsps.System, cfg Config) *Engine {
-	if cfg.KeyDomain <= 0 {
-		cfg.KeyDomain = 32
-	}
-	return &Engine{
-		sys: sys,
-		cfg: cfg,
-		mon: NewMonitor(sys),
-	}
+// host is one host's routing tables.
+type host struct {
+	byIn map[dsps.StreamID][]*opInstance // local consumers per stream
+	fwd  map[dsps.StreamID][]dsps.HostID // flows (stream → hosts)
+	dlv  map[dsps.StreamID]bool          // client deliveries
 }
 
-// Monitor exposes the engine's resource monitor.
-func (e *Engine) Monitor() *Monitor { return e.mon }
-
-// Results returns the client delivery channel carrying tuples of all
-// provided result streams. Valid after Deploy; Stop closes it after every
-// producer has exited, so a consumer ranging over it terminates.
-func (e *Engine) Results() <-chan Tuple {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.results
+// run is one execution of an assignment.
+type run struct {
+	sys   *dsps.System
+	hosts []host
+	rep   Report
 }
 
-// Deploy instantiates the assignment: one goroutine per host, per base
-// source. The assignment must be feasible (Validate passes); Deploy checks.
-// Deploying over a live engine fails with ErrAlreadyDeployed — goroutines of
-// the previous deployment still send on the old results channel, so
-// reallocating it under them would strand consumers. Stop first; a stopped
-// engine can be deployed again (with a fresh Results channel).
-func (e *Engine) Deploy(ctx context.Context, a *dsps.Assignment) error {
-	if err := a.Validate(e.sys); err != nil {
-		return fmt.Errorf("engine: refusing to deploy infeasible plan: %w", err)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.running {
-		return fmt.Errorf("engine: %w", ErrAlreadyDeployed)
-	}
-	e.ctx, e.cancel = context.WithCancel(ctx)
-	e.results = make(chan Tuple, 4096)
-
-	n := e.sys.NumHosts()
-	e.hosts = make([]*host, n)
-	for h := 0; h < n; h++ {
-		e.hosts[h] = newHost(e, dsps.HostID(h))
-	}
-
-	// Routing tables from the assignment.
-	for _, f := range a.Flows {
-		e.hosts[f.From].fwd[f.Stream] = append(e.hosts[f.From].fwd[f.Stream], f.To)
-	}
-	for _, pl := range a.Ops {
-		e.hosts[pl.Host].installOperator(pl.Op)
-	}
-	for _, p := range a.Provides {
-		e.hosts[p.Host].dlv[p.Stream] = true
-	}
-
-	// Start hosts.
-	for _, h := range e.hosts {
-		e.wg.Add(1)
-		go h.run()
-	}
-	// Start base sources for streams actually consumed somewhere.
-	needed := e.neededBaseStreams(a)
-	for s := range needed {
-		for _, bh := range e.sys.BaseHosts(s) {
-			e.wg.Add(1)
-			go e.runSource(s, bh)
-			break // one injection point suffices
-		}
-	}
-	e.running = true
-	return nil
+// source is one injected base stream.
+type source struct {
+	stream  dsps.StreamID
+	at      dsps.HostID
+	perSec  float64 // tuples per simulated second
+	n, sent int64   // tuples due within the run, tuples emitted
 }
 
-// neededBaseStreams finds the base streams consumed by placed operators or
-// forwarded by flows.
-func (e *Engine) neededBaseStreams(a *dsps.Assignment) map[dsps.StreamID]bool {
-	need := make(map[dsps.StreamID]bool)
-	for _, pl := range a.Ops {
-		for _, in := range e.sys.Operators[pl.Op].Inputs {
-			if e.sys.Streams[in].IsBase() {
-				need[in] = true
-			}
+// Run executes assignment a on the system for the given simulated
+// seconds and reports what it measured. The assignment must be feasible;
+// Run validates it first. Each needed base stream emits its k-th tuple at
+// k/(rate × tuplesPerRateUnit) seconds, emissions are processed in (time,
+// stream) order, and each tuple runs to completion, with no network
+// delay, through local operators, flows and client deliveries.
+func Run(sys *dsps.System, a *dsps.Assignment, seconds float64) (Report, error) {
+	if err := a.Validate(sys); err != nil {
+		return Report{}, fmt.Errorf("engine: refusing to deploy infeasible plan: %w", err)
+	}
+	n := sys.NumHosts()
+	r := &run{
+		sys:   sys,
+		hosts: make([]host, n),
+		rep: Report{
+			CPUWork:   make([]float64, n),
+			Sent:      make([]float64, n),
+			Received:  make([]float64, n),
+			Delivered: make([]float64, n),
+			Results:   make(map[dsps.StreamID]int64),
+		},
+	}
+	for h := range r.hosts {
+		r.hosts[h] = host{
+			byIn: make(map[dsps.StreamID][]*opInstance),
+			fwd:  make(map[dsps.StreamID][]dsps.HostID),
+			dlv:  make(map[dsps.StreamID]bool),
 		}
 	}
 	for _, f := range a.Flows {
-		if e.sys.Streams[f.Stream].IsBase() {
-			need[f.Stream] = true
+		r.hosts[f.From].fwd[f.Stream] = append(r.hosts[f.From].fwd[f.Stream], f.To)
+	}
+	for _, pl := range a.Ops {
+		op := &sys.Operators[pl.Op]
+		inst := newOpInstance(op)
+		for _, in := range op.Inputs {
+			r.hosts[pl.Host].byIn[in] = append(r.hosts[pl.Host].byIn[in], inst)
 		}
 	}
 	for _, p := range a.Provides {
-		if e.sys.Streams[p.Stream].IsBase() {
-			need[p.Stream] = true
-		}
+		r.hosts[p.Host].dlv[p.Stream] = true
 	}
-	return need
-}
 
-// runSource injects base-stream tuples at the stream's model rate.
-func (e *Engine) runSource(s dsps.StreamID, at dsps.HostID) {
-	defer e.wg.Done()
-	rate := e.sys.Streams[s].Rate * tuplesPerRateUnit // tuples/sec
-	if rate <= 0 {
-		return
+	// One injection point per needed base stream, in stream order.
+	var srcs []source
+	var due int64
+	for s, st := range sys.Streams {
+		id := dsps.StreamID(s)
+		bh := sys.BaseHosts(id)
+		if !st.IsBase() || len(bh) == 0 || st.Rate <= 0 || !r.needed(id) {
+			continue
+		}
+		perSec := st.Rate * tuplesPerRateUnit
+		src := source{stream: id, at: bh[0], perSec: perSec, n: int64(perSec * seconds)}
+		srcs = append(srcs, src)
+		due += src.n
 	}
-	interval := time.Duration(float64(time.Second) / rate)
-	if interval <= 0 {
-		interval = time.Microsecond
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	var seq int64
-	for {
-		select {
-		case <-e.ctx.Done():
-			return
-		case <-tick.C:
-			seq++
-			t := Tuple{
-				Stream:    s,
-				Key:       seq % e.cfg.KeyDomain,
-				Value:     float64(seq),
-				SeqNo:     seq,
-				BornNanos: time.Now().UnixNano(),
+	for ; due > 0; due-- {
+		// The next emission is the earliest due one, the lowest stream
+		// on a tie: k1/p1 < k2/p2 ⇔ k1·p2 < k2·p1.
+		var next *source
+		for i := range srcs {
+			s := &srcs[i]
+			if s.sent < s.n && (next == nil || float64(s.sent+1)*next.perSec < float64(next.sent+1)*s.perSec) {
+				next = s
 			}
-			e.hosts[at].ingestLocal(t)
+		}
+		next.sent++
+		r.process(next.at, next.stream, next.sent%keyDomain)
+	}
+	return r.rep, nil
+}
+
+// needed reports whether some host consumes, forwards or delivers s.
+func (r *run) needed(s dsps.StreamID) bool {
+	for _, hs := range r.hosts {
+		if len(hs.byIn[s]) > 0 || len(hs.fwd[s]) > 0 || hs.dlv[s] {
+			return true
 		}
 	}
+	return false
 }
 
-// Stop terminates all host and source goroutines, waits for them, and then
-// closes the Results channel exactly once — so a consumer ranging over
-// Results terminates instead of blocking forever. Stop is idempotent: a
-// second Stop (or a Stop before Deploy) returns immediately without
-// panicking or double-closing.
-func (e *Engine) Stop() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.running {
-		return
+// process runs one tuple of stream s with the given key on host h to
+// completion: through the local operators that consume s (and on through
+// whatever they emit), along the flows of s (the x variables, relays
+// included), and to the client if h provides s (the d variables).
+func (r *run) process(h dsps.HostID, s dsps.StreamID, key int64) {
+	hs := &r.hosts[h]
+	for _, inst := range hs.byIn[s] {
+		r.rep.CPUWork[h] += inst.op.Cost
+		r.rep.ComputeSamples++
+		if inst.consume(s, key) {
+			r.process(h, inst.op.Output, key)
+		}
 	}
-	e.cancel()
-	e.wg.Wait()
-	close(e.results)
-	e.running = false
-}
-
-// send crosses the network — in process, straight into the destination
-// host's inbox — and the monitor accounts the transfer. A full inbox drops
-// at the receiver.
-func (e *Engine) send(from, to dsps.HostID, t Tuple) {
-	e.mon.recordTransfer(from, to, e.sys.Streams[t.Stream].Rate)
-	select {
-	case e.hosts[to].inbox <- t:
-	case <-e.ctx.Done():
-	default:
-		e.mon.recordDrop(to)
+	rate := r.sys.Streams[s].Rate
+	for _, to := range hs.fwd[s] {
+		r.rep.Sent[h] += rate
+		r.rep.Received[to] += rate
+		r.process(to, s, key)
+	}
+	if hs.dlv[s] {
+		r.rep.Delivered[h] += rate
+		r.rep.Results[s]++
 	}
 }

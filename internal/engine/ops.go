@@ -1,122 +1,64 @@
 package engine
 
-import (
-	"sync"
+import "sqpr/internal/dsps"
 
-	"sqpr/internal/dsps"
-)
-
-// opInstance is one running operator. Binary operators are executed as
-// sliding-window symmetric hash joins on the tuple key; unary operators
-// pass their input through. The instance is only touched by its host's
-// goroutine, but a mutex guards against future multi-worker hosts.
+// opInstance is one placed operator. A unary operator passes every tuple
+// through onto its output stream: the model treats selection as rate
+// reduction, which the report accounts through stream rates. An n-ary
+// operator is a sliding-window symmetric hash join on the tuple key.
 type opInstance struct {
-	op *dsps.Operator
-	e  *Engine
-
-	mu      sync.Mutex
+	op      *dsps.Operator
 	windows map[dsps.StreamID]*window
-	outSeq  int64
 }
 
-func newOpInstance(e *Engine, op *dsps.Operator) *opInstance {
-	inst := &opInstance{op: op, e: e, windows: make(map[dsps.StreamID]*window)}
+func newOpInstance(op *dsps.Operator) *opInstance {
+	inst := &opInstance{op: op, windows: make(map[dsps.StreamID]*window)}
 	for _, in := range op.Inputs {
 		inst.windows[in] = newWindow(windowSize)
 	}
 	return inst
 }
 
-// consume processes one input tuple and returns any produced output tuples.
-func (o *opInstance) consume(t Tuple) []Tuple {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	w, ok := o.windows[t.Stream]
-	if !ok {
-		return nil
-	}
+// consume takes one tuple of input stream s and reports whether the
+// operator emits a tuple with the same key. A join keeps the tuple in its
+// input's window and emits one representative output when every other
+// input's window holds the key (full cross-products would swamp the demo
+// engine; selectivity is modelled by the key domain instead).
+func (o *opInstance) consume(s dsps.StreamID, key int64) bool {
 	if len(o.op.Inputs) == 1 {
-		// Unary operator: identity pass-through onto the output stream,
-		// with no window to keep. The model treats selection as rate
-		// reduction, which the monitor accounts via stream rates.
-		o.outSeq++
-		t.Stream = o.op.Output
-		t.SeqNo = o.outSeq
-		return []Tuple{t}
+		return true
 	}
-	w.add(t)
-	// Symmetric hash join: match the new tuple against the windows of the
-	// other inputs; a match across all inputs emits one output tuple.
-	var outs []Tuple
-	matches := 1
-	var sum float64 = t.Value
+	o.windows[s].add(key)
 	for _, in := range o.op.Inputs {
-		if in == t.Stream {
-			continue
+		if in != s && o.windows[in].matching(key) == 0 {
+			return false
 		}
-		ow := o.windows[in]
-		hits := ow.matching(t.Key)
-		if len(hits) == 0 {
-			return nil
-		}
-		matches *= len(hits)
-		sum += hits[len(hits)-1].Value
 	}
-	// Emit one representative output per arrival (full cross-products
-	// would swamp the demo engine; selectivity is modelled by key-domain
-	// sizing instead).
-	o.outSeq++
-	outs = append(outs, Tuple{
-		Stream:    o.op.Output,
-		Key:       t.Key,
-		Value:     sum,
-		SeqNo:     o.outSeq,
-		BornNanos: t.BornNanos, // latency measured from the newest input
-	})
-	_ = matches
-	return outs
+	return true
 }
 
-// window is a bounded FIFO of tuples with a hash index on the join key.
+// window holds the keys of the last cap tuples of one join input.
 type window struct {
 	cap   int
-	fifo  []Tuple
-	byKey map[int64][]int // key → indices into fifo (may contain stale)
+	fifo  []int64       // retained keys, oldest first
+	count map[int64]int // retained tuples per key
 }
 
 func newWindow(cap int) *window {
-	return &window{cap: cap, byKey: make(map[int64][]int)}
+	return &window{cap: cap, count: make(map[int64]int)}
 }
 
-func (w *window) add(t Tuple) {
-	if len(w.fifo) >= w.cap {
-		// Evict the oldest tuple; rebuild its key bucket lazily.
+func (w *window) add(key int64) {
+	if len(w.fifo) == w.cap {
 		old := w.fifo[0]
 		w.fifo = w.fifo[1:]
-		idxs := w.byKey[old.Key]
-		if len(idxs) > 0 {
-			w.byKey[old.Key] = idxs[1:]
-		}
-		// Shift stored indices (bounded cap keeps this cheap).
-		for k, v := range w.byKey {
-			for i := range v {
-				v[i]--
-			}
-			w.byKey[k] = v
+		if w.count[old]--; w.count[old] == 0 {
+			delete(w.count, old)
 		}
 	}
-	w.fifo = append(w.fifo, t)
-	w.byKey[t.Key] = append(w.byKey[t.Key], len(w.fifo)-1)
+	w.fifo = append(w.fifo, key)
+	w.count[key]++
 }
 
-// matching returns the live tuples with the given key.
-func (w *window) matching(key int64) []Tuple {
-	idxs := w.byKey[key]
-	out := make([]Tuple, 0, len(idxs))
-	for _, i := range idxs {
-		if i >= 0 && i < len(w.fifo) && w.fifo[i].Key == key {
-			out = append(out, w.fifo[i])
-		}
-	}
-	return out
-}
+// matching returns how many retained tuples carry the key.
+func (w *window) matching(key int64) int { return w.count[key] }

@@ -113,8 +113,8 @@ func (s *Service) journal(kind TraceKind) error {
 	if s.walLog == nil {
 		return nil
 	}
-	if s.walErr != nil {
-		return s.walErr
+	if err := s.Wedged(); err != nil {
+		return err
 	}
 	cur := s.porter.ExportState()
 	d := Diff(s.last, cur)
@@ -147,21 +147,13 @@ func (s *Service) journal(kind TraceKind) error {
 	return nil
 }
 
-// setWALErr records the sticky journal error and publishes it to the
-// lock-free mirror Wedged reads. Callers hold pmu.
+// setWALErr records the sticky journal error that Wedged reads. Callers
+// hold pmu.
 //
 //sqpr:locked pmu
 func (s *Service) setWALErr(err error) error {
-	s.walErr = err
 	s.wedge.Store(&err)
 	return err
-}
-
-// wedged reports the sticky journal error, if any. Callers hold pmu.
-//
-//sqpr:locked pmu
-func (s *Service) wedged() error {
-	return s.walErr
 }
 
 // Wedged reports whether the service is wedged on a journal failure: nil
@@ -194,8 +186,11 @@ func (s *Service) WALStats() wal.Stats {
 func (s *Service) SyncWAL() error {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
-	if s.walLog == nil || s.walErr != nil {
-		return s.walErr
+	if s.walLog == nil {
+		return nil
+	}
+	if err := s.Wedged(); err != nil {
+		return err
 	}
 	return s.walLog.Sync()
 }

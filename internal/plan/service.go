@@ -204,18 +204,17 @@ type Service struct {
 
 	// Durable-service state (nil/zero for plain NewService services; see
 	// OpenService in durable.go). The dispatcher journals through walLog
-	// before acknowledging; walErr wedges the service after the first
-	// journal failure so memory never silently diverges from the log.
+	// before acknowledging.
 	walLog    *wal.Log    //sqpr:guarded-by pmu
 	porter    StatePorter //sqpr:guarded-by pmu
 	last      State       //sqpr:guarded-by pmu
-	walErr    error       //sqpr:guarded-by pmu
 	sinceSnap int         //sqpr:guarded-by pmu
 
-	// wedge mirrors walErr for lock-free reads: the wedge is sticky (set
-	// once, never cleared), so Wedged — and through it readiness probes —
-	// must not queue behind pmu, which the dispatcher holds across whole
-	// planner solves.
+	// wedge holds the first journal failure; it wedges the service so
+	// memory never silently diverges from the log. The wedge is sticky
+	// (set once, never cleared) and read lock-free, so Wedged — and
+	// through it readiness probes — never queues behind pmu, which the
+	// dispatcher holds across whole planner solves.
 	wedge atomic.Pointer[error]
 
 	closeOnce sync.Once
@@ -420,7 +419,7 @@ func (s *Service) apply(r *request) {
 		return
 	}
 	s.pmu.Lock()
-	if err := s.wedged(); err != nil {
+	if err := s.Wedged(); err != nil {
 		s.pmu.Unlock()
 		r.err = err
 		s.finish(r)

@@ -34,6 +34,8 @@ type AdaptiveResult struct {
 func Adaptive(sc Scale, surgeFactor float64, surgeOps int) (AdaptiveResult, error) {
 	var res AdaptiveResult
 	env := BuildEnv(sc)
+	// Not Env.NewPlanner: this experiment keeps core's default free-stream
+	// cap (24), and at 30 its table changes (6 queries drift, not 9).
 	cfg := core.DefaultConfig()
 	cfg.SolveTimeout = sc.Timeout
 	cfg.MaxCandidateHosts = sc.MaxCandHost

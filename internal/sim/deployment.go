@@ -147,32 +147,10 @@ func Fig7(ctx context.Context, ds DeployScale) Fig7Result {
 	return res
 }
 
-// DeployAndMeasure instantiates an assignment on the mini engine, lets it
-// run for the given duration, and returns the monitor snapshot plus the
-// number of result tuples delivered. This is the "real deployment" leg of
-// the Fig. 7 study: planners decide, the engine executes.
-func DeployAndMeasure(sys *dsps.System, a *dsps.Assignment, d time.Duration) (engine.Snapshot, int, error) {
-	eng := engine.New(sys, engine.DefaultConfig())
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if err := eng.Deploy(ctx, a); err != nil {
-		return engine.Snapshot{}, 0, err
-	}
-	deadline := time.After(d)
-	delivered := 0
-loop:
-	//sqpr:noctx bounded by the deadline timer or the engine closing Results
-	for {
-		select {
-		case <-deadline:
-			break loop
-		case _, ok := <-eng.Results():
-			if !ok {
-				break loop
-			}
-			delivered++
-		}
-	}
-	eng.Stop()
-	return eng.Monitor().Snapshot(), delivered, nil
+// DeployAndMeasure runs an assignment on the mini engine for d of
+// simulated time and returns what the engine measured. This is the
+// "real deployment" leg of the Fig. 7 study: planners decide, the engine
+// executes.
+func DeployAndMeasure(sys *dsps.System, a *dsps.Assignment, d time.Duration) (engine.Report, error) {
+	return engine.Run(sys, a, d.Seconds())
 }

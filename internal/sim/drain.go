@@ -108,7 +108,7 @@ func RollingDrain(ctx context.Context, dsc DrainScale) (DrainResult, error) {
 	var res DrainResult
 	env := BuildEnv(dsc.Scale)
 	fs := walfault.New()
-	p := restartPlanner(env, dsc.Scale)
+	p := env.NewPlanner(dsc.Scale)
 	svc, _, err := plan.OpenService(p, plan.ServiceConfig{}, fs, wal.Options{})
 	if err != nil {
 		return res, fmt.Errorf("sim: opening durable service: %w", err)
@@ -252,7 +252,7 @@ func RollingDrain(ctx context.Context, dsc DrainScale) (DrainResult, error) {
 	// Durability check: a fresh planner recovered from the journal image
 	// must hold exactly the admissions the daemon ended with.
 	env2 := BuildEnv(dsc.Scale)
-	p2 := restartPlanner(env2, dsc.Scale)
+	p2 := env2.NewPlanner(dsc.Scale)
 	svc2, rs, err := plan.OpenService(p2, plan.ServiceConfig{}, fs, wal.Options{})
 	if err != nil {
 		return res, fmt.Errorf("sim: recovering after drain run: %w", err)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"sqpr/internal/core"
 	"sqpr/internal/plan"
 	"sqpr/internal/wal"
 	"sqpr/internal/wal/walfault"
@@ -53,14 +52,6 @@ type RestartResult struct {
 	ResumeSubmitted, FinalAdmitted int
 }
 
-func restartPlanner(env *Env, sc Scale) *core.Planner {
-	cfg := core.DefaultConfig()
-	cfg.SolveTimeout = sc.Timeout
-	cfg.MaxCandidateHosts = sc.MaxCandHost
-	cfg.MaxFreeStreams = 30
-	return core.NewPlanner(env.Sys, cfg)
-}
-
 // Restart runs the crash/restart scenario on the SQPR planner. Cancelling
 // ctx stops the run gracefully at the next query boundary; the partial
 // result is still valid.
@@ -70,7 +61,7 @@ func Restart(ctx context.Context, rs RestartScale) (RestartResult, error) {
 	fs := walfault.New()
 	scfg := plan.ServiceConfig{SnapshotEvery: rs.SnapshotEvery}
 
-	p1 := restartPlanner(env, rs.Scale)
+	p1 := env.NewPlanner(rs.Scale)
 	svc, _, err := plan.OpenService(p1, scfg, fs, wal.Options{})
 	if err != nil {
 		return res, fmt.Errorf("sim: opening durable service: %w", err)
@@ -105,7 +96,7 @@ func Restart(ctx context.Context, rs RestartScale) (RestartResult, error) {
 	}
 
 	env2 := BuildEnv(rs.Scale)
-	p2 := restartPlanner(env2, rs.Scale)
+	p2 := env2.NewPlanner(rs.Scale)
 	svc2, recInfo, err := plan.OpenService(p2, scfg, img, wal.Options{})
 	if err != nil {
 		return res, fmt.Errorf("sim: recovering durable service: %w", err)

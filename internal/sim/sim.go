@@ -203,13 +203,20 @@ func BuildEnv(sc Scale) *Env {
 	return &Env{Sys: sys, Queries: w}
 }
 
-// NewSQPR builds a telemetry-recording SQPR planner at the given timeout.
-func (e *Env) NewSQPR(sc Scale, timeout time.Duration) *Recorder {
+// NewPlanner builds the harness's SQPR planner over the environment: the
+// scale's solve timeout and candidate-host cap, and 30 free streams.
+func (e *Env) NewPlanner(sc Scale) *core.Planner {
 	cfg := core.DefaultConfig()
-	cfg.SolveTimeout = timeout
+	cfg.SolveTimeout = sc.Timeout
 	cfg.MaxCandidateHosts = sc.MaxCandHost
 	cfg.MaxFreeStreams = 30
-	return NewRecorder(e.Sys, core.NewPlanner(e.Sys, cfg))
+	return core.NewPlanner(e.Sys, cfg)
+}
+
+// NewSQPR builds a telemetry-recording SQPR planner at the given timeout.
+func (e *Env) NewSQPR(sc Scale, timeout time.Duration) *Recorder {
+	sc.Timeout = timeout
+	return NewRecorder(e.Sys, e.NewPlanner(sc))
 }
 
 // NewHeuristic builds the heuristic baseline.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -153,16 +154,48 @@ func TestDeployAndMeasure(t *testing.T) {
 	for _, q := range env.Queries {
 		ad.Submit(context.Background(), q)
 	}
-	snap, _, err := DeployAndMeasure(env.Sys, ad.Assignment(), 300*time.Millisecond)
+	rep, err := DeployAndMeasure(env.Sys, ad.Assignment(), 300*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var work float64
-	for _, c := range snap.CPUWork {
+	for _, c := range rep.CPUWork {
 		work += c
 	}
 	if ad.AdmittedCount() > 0 && work == 0 {
 		t.Fatal("engine performed no work for a non-empty plan")
+	}
+}
+
+// TestDeployAndMeasureIsDeterministic plans the single-wave Fig. 7
+// cluster (sqpr-cluster's deployment check) and runs the plan twice on
+// the engine: the two reports are equal field for field.
+func TestDeployAndMeasureIsDeterministic(t *testing.T) {
+	ds := DefaultDeployScale()
+	sc := Scale{
+		Hosts: ds.Hosts, CPUPerHost: ds.CPUPerHost, OutBW: ds.OutBW,
+		InBW: ds.InBW, LinkCap: ds.LinkCap, BaseStreams: ds.BaseStreams,
+		BaseRate: ds.BaseRate, Queries: ds.WaveSize, Zipf: 1,
+		Arities: []int{2, 3}, Timeout: ds.Timeout, MaxCandHost: 8, Seed: ds.Seed,
+	}
+	env := BuildEnv(sc)
+	ad := env.NewSQPR(sc, sc.Timeout)
+	for _, q := range env.Queries {
+		ad.Submit(context.Background(), q)
+	}
+	first, err := DeployAndMeasure(env.Sys, ad.Assignment(), 1500*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := DeployAndMeasure(env.Sys, ad.Assignment(), 1500*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Results) == 0 {
+		t.Fatal("the cluster plan delivered no results")
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("two runs of one plan differ:\n%+v\n%+v", first, second)
 	}
 }
 

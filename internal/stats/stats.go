@@ -3,7 +3,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -93,16 +92,6 @@ func Max(samples []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Summary formats mean/median/p90/max of samples for reports.
-func Summary(samples []float64) string {
-	if len(samples) == 0 {
-		return "n=0"
-	}
-	c := NewCDF(samples)
-	return fmt.Sprintf("n=%d mean=%.3f p50=%.3f p90=%.3f max=%.3f",
-		len(samples), Mean(samples), c.Quantile(0.5), c.Quantile(0.9), c.Quantile(1))
 }
 
 // Table renders rows of labelled values as an aligned text table; used by

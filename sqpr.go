@@ -169,17 +169,9 @@ const (
 	SyncNever  = wal.SyncNever
 )
 
-// Engine types.
-type (
-	// Engine executes deployed assignments on simulated hosts.
-	Engine = engine.Engine
-	// EngineConfig tunes the engine.
-	EngineConfig = engine.Config
-	// Tuple is one stream data item.
-	Tuple = engine.Tuple
-	// Monitor is the per-host resource monitor.
-	Monitor = engine.Monitor
-)
+// EngineReport is what one RunEngine measured: per-host CPU work, network
+// transfers and deliveries, and the result tuples per provided stream.
+type EngineReport = engine.Report
 
 // Workload types.
 type (
@@ -268,9 +260,6 @@ var (
 	ErrQueueFull = plan.ErrQueueFull
 	// ErrServiceClosed reports a request against a closed Service.
 	ErrServiceClosed = plan.ErrServiceClosed
-	// ErrAlreadyDeployed reports a Deploy on an engine already running a
-	// plan; Stop it first.
-	ErrAlreadyDeployed = engine.ErrAlreadyDeployed
 	// ErrWALFailed reports that the admission journal could not be written;
 	// the durable service wedges (state-changing requests fail fast) until
 	// restarted, which recovers from the last good journal state.
@@ -376,11 +365,12 @@ func NewAdmissionServer(cfg ServerConfig) (*AdmissionServer, error) { return ser
 // format (what GET /metrics serves).
 func WriteMetrics(w io.Writer, d MetricsData) { serve.WriteMetrics(w, d) }
 
-// NewEngine creates a mini stream engine over the system.
-func NewEngine(sys *System, cfg EngineConfig) *Engine { return engine.New(sys, cfg) }
-
-// DefaultEngineConfig returns demo engine settings.
-func DefaultEngineConfig() EngineConfig { return engine.DefaultConfig() }
+// RunEngine executes the assignment on the mini stream engine for the
+// given simulated seconds; the same plan and duration always yield the
+// same report. An infeasible assignment is refused.
+func RunEngine(sys *System, a *Assignment, seconds float64) (EngineReport, error) {
+	return engine.Run(sys, a, seconds)
+}
 
 // QuickPlan is a convenience helper: it submits the queries in order with
 // the given per-query timeout and returns the number admitted. The context
