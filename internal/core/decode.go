@@ -104,8 +104,9 @@ func (b *builder) allRoots(a *dsps.Assignment, _ *dsps.Stamps) {
 // can only enter them through a fixed placement reading one: the producer
 // of a free stream, or the sender of its flow, would be a free piece, and
 // its target one of them already. The roots needed are therefore the
-// targets that are provided, and the targets a fixed placement reads where
-// it runs — found by one pass over the placements, without a walk.
+// targets that are provided, and the targets a fixed consumer of a free
+// stream reads where it runs — found from the free streams' runs, without
+// a walk.
 func (b *builder) neighbourRoots(a *dsps.Assignment, seen *dsps.Stamps) {
 	sys := b.sys
 	target := func(h dsps.HostID, s dsps.StreamID) {
@@ -125,13 +126,15 @@ func (b *builder) neighbourRoots(a *dsps.Assignment, seen *dsps.Stamps) {
 			target(f.To, s)
 		}
 	}
-	for _, pl := range a.Ops {
-		if b.hasOp(pl.Op) {
-			continue
-		}
-		for _, in := range sys.Operators[pl.Op].Inputs {
-			if i := sys.HSIndex(pl.Host, in); seen.Stamped(i) {
-				b.roots = append(b.roots, i)
+	for _, s := range b.freeStreams {
+		for _, op := range sys.ConsumersOf(s) {
+			if b.hasOp(op) {
+				continue
+			}
+			for _, pl := range a.PlacementsOf(op) {
+				if i := sys.HSIndex(pl.Host, s); seen.Stamped(i) {
+					b.roots = append(b.roots, i)
+				}
 			}
 		}
 	}

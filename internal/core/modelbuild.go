@@ -42,23 +42,17 @@ type builder struct {
 	noBonus []bool
 	prefer  []dsps.HostID
 
-	// Greedy warm-start scratch (see seed.go): the usage ledger of the
-	// trial, the trial-mutation journal, the cycle guard of planStreamAt
-	// and a host-ordering buffer, all pooled across submissions.
-	track       dsps.Usage
-	journal     []journalEntry
-	ext         dsps.Extension // accepts' view of the journal
-	roots       []int          // pruneUnused's roots, by System.HSIndex
-	visiting    []bool         // by System.HSIndex; all false between runs
-	hostScratch []dsps.HostID
-	// scoredScratch holds greedyAdmit's candidate ranking; tryStack and
-	// auxStack are depth-indexed host buffers for planStreamAt's recursion
-	// (seedDepth tracks the live level). All grow to their high-water mark
-	// once and are reused by every later probe.
+	// Greedy warm-start scratch (see seed.go), pooled across submissions:
+	// the trial with its usage ledger and journal, the cycle guard of
+	// planStreamAt, greedyAdmit's host order and candidate ranking,
+	// planStreamAt's host ranking and the holders of a stream.
+	trial         dsps.Trial
+	roots         []int  // pruneUnused's roots, by System.HSIndex
+	visiting      []bool // by System.HSIndex; all false between runs
+	hostScratch   []dsps.HostID
 	scoredScratch []scored
-	tryStack      [][]dsps.HostID
-	auxStack      [][]dsps.HostID
-	seedDepth     int
+	rankScratch   []dsps.HostID
+	holders       []dsps.HostID
 
 	// seedProbes bounds the greedy warm start's backtracking:
 	// planStreamAt is an exponential backtracking search, and on large
@@ -80,7 +74,6 @@ func (p *Planner) builder() *builder {
 	b.queries = nil
 	b.before, b.noBonus = nil, nil
 	b.reset(p.sys)
-	b.journal = b.journal[:0]
 	b.model.Reset()
 	return b
 }
@@ -196,8 +189,8 @@ func (b *builder) selectHosts() {
 	// Add preferred hosts (base-stream holders), then the globally most
 	// spare ones, each ordered by spare CPU. The seed starts from the usage
 	// ledger summed here.
-	b.track.Reset(b.sys, st)
-	spare := func(h dsps.HostID) float64 { return b.sys.Hosts[h].CPU - b.track.CPU[h] }
+	b.trial.Usage.Reset(b.sys, st)
+	spare := func(h dsps.HostID) float64 { return b.sys.Hosts[h].CPU - b.trial.Usage.CPU[h] }
 	fill := func(list []dsps.HostID) {
 		sort.Slice(list, func(i, j int) bool {
 			si, sj := spare(list[i]), spare(list[j])

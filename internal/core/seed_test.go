@@ -36,7 +36,7 @@ func TestSeedAllocationsBounded(t *testing.T) {
 	// A seed adds what it accepts to the ledger selectHosts summed, so each
 	// run first restores that ledger, as newBuilder leaves it.
 	run := func() {
-		b.track.Reset(b.sys, w.p.Assignment())
+		b.trial.Usage.Reset(b.sys, w.p.Assignment())
 		seed = b.seed(ctx)
 	}
 	run() // the first run sizes the builder's scratch

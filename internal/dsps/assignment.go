@@ -376,6 +376,28 @@ func (a *Assignment) Available(sys *System, h HostID, s StreamID) bool {
 	return false
 }
 
+// HoldersOf appends to dst the hosts where stream s is available — those
+// for which Available reports true, down hosts included — in ascending
+// order without repeats. It reads the runs of s: its base hosts, the
+// targets of its flows and the hosts running one of its producers.
+//
+//sqpr:hotpath
+func (a *Assignment) HoldersOf(sys *System, s StreamID, dst []HostID) []HostID {
+	start := len(dst)
+	dst = append(dst, sys.BaseHosts(s)...) //sqpr:amortized pooled by the caller
+	for _, f := range a.FlowsOf(s) {
+		dst = append(dst, f.To) //sqpr:amortized
+	}
+	for _, op := range sys.ProducersOf(s) {
+		for _, pl := range a.PlacementsOf(op) {
+			dst = append(dst, pl.Host) //sqpr:amortized
+		}
+	}
+	held := dst[start:]
+	slices.Sort(held)
+	return dst[:start+len(slices.Compact(held))]
+}
+
 // Usage is the resource ledger of an assignment: filled by Reset (or
 // ComputeUsage) and then kept current through the Add*/Remove* methods, so
 // a planner probing trial placements (with Fits*) never recomputes it.

@@ -234,6 +234,15 @@ func (sys *System) ProducersOf(s StreamID) []OperatorID {
 	return sys.producersOf[s]
 }
 
+// ConsumersOf returns the operators with stream s among their inputs, once
+// each.
+func (sys *System) ConsumersOf(s StreamID) []OperatorID {
+	if s < 0 || int(s) >= len(sys.consumersOf) {
+		return nil
+	}
+	return sys.consumersOf[s]
+}
+
 // SetRequested marks stream s as a requested query result (δ_s = 1).
 func (sys *System) SetRequested(s StreamID, v bool) { sys.Streams[s].Requested = v }
 

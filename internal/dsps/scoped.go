@@ -153,7 +153,7 @@ func (c *collector) forward(i int) {
 		c.back(h, s, kept)
 		return
 	}
-	for _, op := range sys.consumersOf[s] {
+	for _, op := range sys.ConsumersOf(s) {
 		if out := sys.Operators[op].Output; c.a.HasOp(Placement{Host: h, Op: op}) && !sys.IsBaseAt(h, out) {
 			c.forward(sys.HSIndex(h, out))
 		}
@@ -171,11 +171,6 @@ type Extension struct {
 	Ops      []Placement
 	Flows    []Flow
 	Provides []Provide
-}
-
-// Reset empties the extension, keeping its storage.
-func (e *Extension) Reset() {
-	e.Ops, e.Flows, e.Provides = e.Ops[:0], e.Flows[:0], e.Provides[:0]
 }
 
 // ValidateExtension reports whether a is feasible, as Validate would, for

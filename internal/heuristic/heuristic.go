@@ -24,9 +24,11 @@ type Planner struct {
 	sys     *dsps.System
 	weights core.Weights
 
-	// track is the usage ledger of the candidate being probed, reset per
-	// candidate and kept current placement by placement.
-	track dsps.Usage
+	// trial holds one copy of the allocation per query; every candidate is
+	// realised on it and rolled back. Its usage is summed from scratch per
+	// candidate, so each score is the sum a fresh copy would give.
+	trial   dsps.Trial
+	holders []dsps.HostID // fetch's scratch
 }
 
 // maxPlans caps abstract plan enumeration per query (exhaustive for the
@@ -66,9 +68,11 @@ func (p *Planner) submitOne(ctx context.Context, q dsps.StreamID, cfg *plan.Subm
 	}
 	allowed := cfg.HostSet()
 	norm := core.NormOf(p.sys)
-	plans := p.abstractPlans(q)
+	plans := p.plansFor(q, maxPlans)
+	cand := p.Assignment().Clone()
+	p.trial.Begin(cand)
 	bestScore := math.Inf(-1)
-	var best *dsps.Assignment
+	var best *abstractPlan
 	var bestHost dsps.HostID
 	for _, pl := range plans {
 		if err := ctx.Err(); err != nil {
@@ -78,19 +82,15 @@ func (p *Planner) submitOne(ctx context.Context, q dsps.StreamID, cfg *plan.Subm
 			break // best candidate so far stands, as with a solver timeout
 		}
 		for h := 0; h < p.sys.NumHosts(); h++ {
-			if allowed != nil && !allowed[dsps.HostID(h)] {
+			// A down or draining host is no new assembly host.
+			if (allowed != nil && !allowed[dsps.HostID(h)]) || !p.sys.HostPlaceable(dsps.HostID(h)) {
 				continue
 			}
-			if !p.sys.HostPlaceable(dsps.HostID(h)) {
-				continue // down or draining: no new assembly host
-			}
-			cand := p.implement(pl, q, dsps.HostID(h))
-			if cand == nil {
-				continue
-			}
-			if score := p.score(norm, cand); score > bestScore {
+			score, ok := p.implement(norm, pl, q, dsps.HostID(h))
+			p.trial.Rollback(0)
+			if ok && score > bestScore {
 				bestScore = score
-				best = cand
+				best = pl
 				bestHost = dsps.HostID(h)
 			}
 		}
@@ -98,11 +98,14 @@ func (p *Planner) submitOne(ctx context.Context, q dsps.StreamID, cfg *plan.Subm
 	if best == nil {
 		return false, plan.ReasonNoFeasiblePlan, nil
 	}
-	best.SetProvide(q, bestHost)
-	if best.Validate(p.sys) != nil {
+	// Realise the winner again: from the same allocation it adds the same
+	// pieces.
+	p.implement(norm, best, q, bestHost)
+	cand.SetProvide(q, bestHost)
+	if cand.Validate(p.sys) != nil {
 		return false, plan.ReasonValidationFailed, nil
 	}
-	p.Commit(best, q)
+	p.Commit(cand, q)
 	return true, plan.ReasonNone, nil
 }
 
@@ -110,15 +113,10 @@ func (p *Planner) submitOne(ctx context.Context, q dsps.StreamID, cfg *plan.Subm
 // and, recursively, for each composite input.
 type abstractPlan struct {
 	op     dsps.OperatorID
-	inputs []*abstractPlan // nil entries are leaves (streams taken as-is)
-	inIDs  []dsps.StreamID
+	inputs []*abstractPlan // by input; nil entries are leaves (streams taken as-is)
 }
 
-// abstractPlans enumerates the join trees producing q.
-func (p *Planner) abstractPlans(q dsps.StreamID) []*abstractPlan {
-	return p.plansFor(q, maxPlans)
-}
-
+// plansFor enumerates up to budget join trees producing s.
 func (p *Planner) plansFor(s dsps.StreamID, budget int) []*abstractPlan {
 	producers := p.sys.ProducersOf(s)
 	if len(producers) == 0 {
@@ -143,7 +141,7 @@ func (p *Planner) plansFor(s dsps.StreamID, budget int) []*abstractPlan {
 		}
 		combos := cartesian(choices, budget-len(out))
 		for _, combo := range combos {
-			out = append(out, &abstractPlan{op: opID, inputs: combo, inIDs: op.Inputs})
+			out = append(out, &abstractPlan{op: opID, inputs: combo})
 			if len(out) >= budget {
 				return out
 			}
@@ -175,84 +173,59 @@ func cartesian(choices [][]*abstractPlan, budget int) [][]*abstractPlan {
 	return acc
 }
 
-// implement tries to realise the plan with all its new operators on host h,
-// fetching input streams from hosts that already have them. Returns the
-// resulting assignment — p.track holding its usage — or nil when infeasible.
-func (p *Planner) implement(plan *abstractPlan, q dsps.StreamID, h dsps.HostID) *dsps.Assignment {
-	cand := p.Assignment().Clone()
-	p.track.Reset(p.sys, cand)
-	if !p.realise(cand, plan, h) || !p.track.FitsProvide(h, q, dsps.FitTol) {
-		return nil
+// implement tries to realise the plan with all its new operators on host h
+// in the trial, fetching input streams from hosts that already have them,
+// and returns the candidate's weighted objective (III.3). ok is false when
+// the plan does not fit; the caller rolls the trial back either way.
+func (p *Planner) implement(norm core.Norm, plan *abstractPlan, q dsps.StreamID, h dsps.HostID) (score float64, ok bool) {
+	u := &p.trial.Usage
+	u.Reset(p.sys, p.trial.Assignment)
+	if !p.realise(plan, h) || !u.FitsProvide(h, q, dsps.FitTol) {
+		return 0, false
 	}
-	return cand
+	// +1 for the query being placed.
+	return p.weights.Objective(norm, p.trial.Assignment.SatisfiedQueries()+1, u.Network, u.TotalCPU(), u.MaxCPU()), true
 }
 
 // realise recursively materialises the plan node's output at host h.
-func (p *Planner) realise(cand *dsps.Assignment, plan *abstractPlan, h dsps.HostID) bool {
+func (p *Planner) realise(plan *abstractPlan, h dsps.HostID) bool {
 	op := &p.sys.Operators[plan.op]
 	// Reuse first: if the output already exists somewhere, fetch it
 	// (the paper's heuristic favours transferring complete sub-queries).
-	if p.fetch(cand, op.Output, h) {
+	if p.fetch(op.Output, h) {
 		return true
 	}
 	// Otherwise place the operator here.
 	pl := dsps.Placement{Host: h, Op: plan.op}
-	if !p.track.FitsOp(pl, dsps.FitTol) {
+	if !p.trial.Usage.FitsOp(pl, dsps.FitTol) {
 		return false
 	}
-	for i, in := range plan.inIDs {
-		sub := plan.inputs[i]
-		if sub == nil {
-			if !p.fetch(cand, in, h) {
-				return false
-			}
-			continue
-		}
-		if !p.realise(cand, sub, h) {
+	for i, in := range op.Inputs {
+		// A leaf takes the input as it exists; a subtree computes it here.
+		if sub := plan.inputs[i]; (sub == nil && !p.fetch(in, h)) || (sub != nil && !p.realise(sub, h)) {
 			return false
 		}
 	}
-	cand.AddOp(pl)
-	p.track.AddOp(pl)
+	p.trial.AddOp(pl)
 	return true
 }
 
-// fetch makes stream s available at h by reusing an existing copy or a base
-// location; it never computes.
-func (p *Planner) fetch(cand *dsps.Assignment, s dsps.StreamID, h dsps.HostID) bool {
+// fetch makes stream s available at h by reusing an existing copy — a
+// base location, a host receiving it or one computing it, in host order;
+// it never computes.
+func (p *Planner) fetch(s dsps.StreamID, h dsps.HostID) bool {
+	cand := p.trial.Assignment
 	if cand.Available(p.sys, h, s) {
 		return true
 	}
-	try := func(m dsps.HostID) bool {
+	// h is not among the holders, and a flow that does not fit adds nothing.
+	p.holders = cand.HoldersOf(p.sys, s, p.holders[:0])
+	for _, m := range p.holders {
 		f := dsps.Flow{From: m, To: h, Stream: s}
-		if m == h || !p.sys.HostUsable(m) || !p.track.FitsFlow(f, dsps.FitTol) {
-			return false
-		}
-		cand.AddFlow(f)
-		p.track.AddFlow(f)
-		return true
-	}
-	// Prefer hosts that already materialised s (sub-query reuse)...
-	for m := 0; m < p.sys.NumHosts(); m++ {
-		if cand.Available(p.sys, dsps.HostID(m), s) && try(dsps.HostID(m)) {
+		if p.sys.HostUsable(m) && p.trial.Usage.FitsFlow(f, dsps.FitTol) {
+			p.trial.AddFlow(f)
 			return true
 		}
 	}
-	// ...then base locations.
-	if p.sys.Streams[s].IsBase() {
-		for _, m := range p.sys.BaseHosts(s) {
-			if try(m) {
-				return true
-			}
-		}
-	}
 	return false
-}
-
-// score evaluates the weighted objective (III.3) of the candidate
-// implement just built, from its tracked usage.
-func (p *Planner) score(norm core.Norm, cand *dsps.Assignment) float64 {
-	u := &p.track
-	// +1 for the query being placed.
-	return p.weights.Objective(norm, cand.SatisfiedQueries()+1, u.Network, u.TotalCPU(), u.MaxCPU())
 }

@@ -115,7 +115,7 @@ func TestAbstractPlanEnumeration(t *testing.T) {
 	cfg.Arities = []int{3}
 	w := workload.Generate(sys, cfg)
 	p := New(sys, core.PaperWeights())
-	plans := p.abstractPlans(w.Queries[0])
+	plans := p.plansFor(w.Queries[0], maxPlans)
 	if len(plans) < 3 {
 		t.Fatalf("expected >=3 abstract plans for a 3-way join, got %d", len(plans))
 	}

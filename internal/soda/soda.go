@@ -31,6 +31,12 @@ type Planner struct {
 
 	joinIdx   map[[2]dsps.StreamID]dsps.OperatorID
 	joinIdxAt int // number of operators indexed so far
+
+	// trial holds one copy of the allocation per query, on which every
+	// candidate host of an operator is tried and rolled back; usage is the
+	// ledger of what the query has placed so far. Both are pooled.
+	trial dsps.Trial
+	usage dsps.Usage
 }
 
 // New creates a SODA-like planner. It takes no objective weights: miniW
@@ -79,7 +85,9 @@ func (p *Planner) submitOne(ctx context.Context, q dsps.StreamID, cfg *plan.Subm
 		return false, plan.ReasonNoTemplate, nil
 	}
 	cand := p.Assignment().Clone()
-	u := cand.ComputeUsage(p.sys)
+	p.trial.Begin(cand)
+	u := &p.usage
+	u.Reset(p.sys, cand)
 	if !p.macroQ(tmpl, u) {
 		return false, plan.ReasonResourceExhausted, nil
 	}
@@ -93,7 +101,7 @@ func (p *Planner) submitOne(ctx context.Context, q dsps.StreamID, cfg *plan.Subm
 			last = h // reuse the glued sub-query as-is
 			continue
 		}
-		h, okPlace := p.placeOp(cand, u, opID, allowed)
+		h, okPlace := p.placeOp(opID, allowed)
 		if !okPlace {
 			return false, plan.ReasonNoFeasiblePlan, nil
 		}
@@ -207,67 +215,65 @@ func (p *Planner) macroQ(tmpl []dsps.OperatorID, u *dsps.Usage) bool {
 
 // placeOp places one template operator on the allowed host that minimises
 // the load-balancing score, fetching each input once from its producing or
-// base host (direct transfer only — no relays). On success cand and its
-// usage u become the winning trial.
-func (p *Planner) placeOp(cand *dsps.Assignment, u *dsps.Usage, opID dsps.OperatorID, allowed map[dsps.HostID]bool) (dsps.HostID, bool) {
-	op := &p.sys.Operators[opID]
+// base host (direct transfer only — no relays). On success the trial holds
+// the winner and p.usage its usage.
+func (p *Planner) placeOp(opID dsps.OperatorID, allowed map[dsps.HostID]bool) (dsps.HostID, bool) {
+	mark := p.trial.Mark()
 	bestScore := math.Inf(1)
-	var bestHost dsps.HostID
-	var bestTrial *dsps.Assignment
-	var bestUsage *dsps.Usage
+	bestHost := dsps.HostID(-1)
 	for h := 0; h < p.sys.NumHosts(); h++ {
 		pl := dsps.Placement{Host: dsps.HostID(h), Op: opID}
-		if allowed != nil && !allowed[pl.Host] {
+		// A down or draining host takes no new operator placements.
+		if (allowed != nil && !allowed[pl.Host]) || !p.sys.HostPlaceable(pl.Host) || !p.usage.FitsOp(pl, dsps.FitTol) {
 			continue
 		}
-		if !p.sys.HostPlaceable(pl.Host) {
-			continue // down or draining: no new operator placements
-		}
-		if !u.FitsOp(pl, dsps.FitTol) {
-			continue
-		}
-		trial := cand.Clone()
-		tu := trial.ComputeUsage(p.sys)
-		ok := true
-		for _, in := range op.Inputs {
-			if !p.fetchDirect(trial, tu, in, pl.Host) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		trial.AddOp(pl)
-		tu.AddOp(pl)
-		score := tu.MaxCPU() // SODA's placement objective here: balance load
-		if score < bestScore {
+		score, ok := p.tryOp(pl)
+		p.trial.Rollback(mark)
+		if ok && score < bestScore {
 			bestScore = score
 			bestHost = pl.Host
-			bestTrial, bestUsage = trial, tu
 		}
 	}
-	if bestTrial == nil {
+	if bestHost < 0 {
 		return 0, false
 	}
-	*cand, *u = *bestTrial, *bestUsage
+	// Place the winner again: from the same allocation it adds the same
+	// pieces, and the trial's usage becomes the query's ledger. The old
+	// ledger's storage goes to the trial, which re-sums it before use.
+	p.tryOp(dsps.Placement{Host: bestHost, Op: opID})
+	p.usage, p.trial.Usage = p.trial.Usage, p.usage
 	return bestHost, true
 }
 
-// fetchDirect brings stream s to host h with a single direct transfer from
-// the host that originates it (local propagation means a stream already
-// flowing into h is free).
-func (p *Planner) fetchDirect(cand *dsps.Assignment, u *dsps.Usage, s dsps.StreamID, h dsps.HostID) bool {
+// tryOp places pl in the trial with its inputs fetched, on usage summed
+// from scratch, and returns the load-balancing score: SODA's placement
+// objective here is the largest per-host CPU.
+func (p *Planner) tryOp(pl dsps.Placement) (float64, bool) {
+	u := &p.trial.Usage
+	u.Reset(p.sys, p.trial.Assignment)
+	for _, in := range p.sys.Operators[pl.Op].Inputs {
+		if !p.fetchDirect(in, pl.Host) {
+			return 0, false
+		}
+	}
+	p.trial.AddOp(pl)
+	return u.MaxCPU(), true
+}
+
+// fetchDirect brings stream s to host h in the trial with a single direct
+// transfer from the host that originates it (local propagation means a
+// stream already flowing into h is free).
+func (p *Planner) fetchDirect(s dsps.StreamID, h dsps.HostID) bool {
+	cand := p.trial.Assignment
 	if cand.Available(p.sys, h, s) {
 		return true
 	}
 	try := func(m dsps.HostID) bool {
 		f := dsps.Flow{From: m, To: h, Stream: s}
-		if m == h || !p.sys.HostUsable(m) || !u.FitsFlow(f, dsps.FitTol) {
+		if m == h || !p.sys.HostUsable(m) || !p.trial.Usage.FitsFlow(f, dsps.FitTol) {
 			return false
 		}
-		cand.AddFlow(f)
-		u.AddFlow(f)
+		p.trial.AddFlow(f)
 		return true
 	}
 	if p.sys.Streams[s].IsBase() {
