@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 
 	"sqpr/internal/dsps"
@@ -67,6 +68,8 @@ func (b *builder) mergeSharers() {
 	// inflate the candidate host set beyond its cap is rolled back, keeping
 	// the reduced model tractable.
 	admitted := p.AdmittedQueries()
+	b.clearTouched()
+	b.touchFree(0, math.MaxInt)
 	for changed := true; changed && len(b.freeStreams) < p.cfg.MaxFreeStreams; {
 		changed = false
 		for _, q := range admitted {
@@ -77,7 +80,7 @@ func (b *builder) mergeSharers() {
 			if slices.ContainsFunc(cl, b.hasStream) && len(b.freeStreams)+len(cl) <= p.cfg.MaxFreeStreams {
 				mark := len(b.freeStreams)
 				b.addFree(cl)
-				if b.hostsTouched() <= p.cfg.MaxCandidateHosts {
+				if b.touchFree(mark, p.cfg.MaxCandidateHosts) {
 					changed = true
 				} else {
 					b.truncFree(mark)
@@ -90,28 +93,58 @@ func (b *builder) mergeSharers() {
 	}
 }
 
-// hostsTouched estimates how many hosts the current allocation of the free
-// set involves.
-func (b *builder) hostsTouched() int {
-	touched := make([]bool, b.sys.NumHosts())
-	n := 0
-	touch := func(h dsps.HostID) {
-		if !touched[h] {
-			touched[h] = true
-			n++
-		}
+// clearTouched empties touchFree's set of touched hosts.
+func (b *builder) clearTouched() {
+	if n := b.sys.NumHosts(); len(b.isTouched) != n {
+		b.isTouched = make([]bool, n)
+	} else {
+		clear(b.isTouched)
 	}
+	b.touched = 0
+}
+
+// touchFree adds to the touched hosts — those the current allocation of the
+// free set involves: both ends of a free stream's flow and the host of its
+// producer's placement — the hosts of the streams added to the free set
+// since it had mark members, and reports whether at most limit hosts are
+// touched then. When more would be, it stops and leaves the touched set as
+// it was. So a merge attempt costs the closure it adds, not the whole
+// allocation, and a refused one less.
+func (b *builder) touchFree(mark, limit int) bool {
 	st := b.planner.Assignment()
-	for _, f := range st.Flows {
-		if b.hasStream(f.Stream) {
-			touch(f.From)
-			touch(f.To)
+	added := b.newTouched[:0]
+	touch := func(h dsps.HostID) bool {
+		if !b.isTouched[h] {
+			b.isTouched[h] = true
+			added = append(added, h)
+		}
+		return b.touched+len(added) <= limit
+	}
+	fits := true
+scan:
+	for _, s := range b.freeStreams[mark:] {
+		for _, f := range st.FlowsOf(s) {
+			if !touch(f.From) || !touch(f.To) {
+				fits = false
+				break scan
+			}
+		}
+		for _, op := range b.sys.ProducersOf(s) {
+			for _, pl := range st.PlacementsOf(op) {
+				if !touch(pl.Host) {
+					fits = false
+					break scan
+				}
+			}
 		}
 	}
-	for _, pl := range st.Ops {
-		if b.hasStream(b.sys.Operators[pl.Op].Output) {
-			touch(pl.Host)
+	if fits {
+		b.touched += len(added)
+	} else {
+		for _, h := range added {
+			b.isTouched[h] = false
 		}
 	}
-	return n
+	b.newTouched = added
+	return fits
 }

@@ -103,11 +103,15 @@ func TestHostsTouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := p.builder()
-	if got := b.hostsTouched(); got != 0 {
-		t.Fatalf("hostsTouched %d for empty set", got)
+	b.clearTouched()
+	if !b.touchFree(0, 0) || b.touched != 0 {
+		t.Fatalf("%d hosts touched by the empty set", b.touched)
 	}
 	b.addFree([]dsps.StreamID{ab})
-	if got := b.hostsTouched(); got < 1 {
-		t.Fatalf("hostsTouched %d, want >=1 after placement", got)
+	if b.touchFree(0, 0) || b.touched != 0 {
+		t.Fatalf("a placed stream fits a limit of no hosts, or a refusal kept %d hosts touched", b.touched)
+	}
+	if !b.touchFree(0, 8) || b.touched < 1 {
+		t.Fatalf("%d hosts touched, want >=1 after placement", b.touched)
 	}
 }

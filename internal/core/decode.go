@@ -70,18 +70,21 @@ func (b *builder) decode(x []float64) (*dsps.Assignment, error) {
 // Only free pieces are candidates, and whether one stays depends only on
 // the roots its target is reachable from, so the walk starts from just the
 // roots that reach the free pieces' targets (neighbourRoots), not from
-// every provide and fixed placement of the allocation.
-func (b *builder) pruneUnused(a *dsps.Assignment) {
+// every provide and fixed placement of the allocation. It reports whether
+// it deleted anything.
+func (b *builder) pruneUnused(a *dsps.Assignment) bool {
 	var full *dsps.Assignment
 	if invariant.Enabled {
 		full = a.Clone()
 		b.prune(full, b.allRoots)
 	}
+	pieces := len(a.Flows) + len(a.Ops)
 	b.prune(a, b.neighbourRoots)
 	if invariant.Enabled && !(slices.Equal(a.Flows, full.Flows) && slices.Equal(a.Ops, full.Ops)) {
 		invariant.Failf("core: pruning from the free pieces' roots kept %d flows and %d placements, from every root %d and %d",
 			len(a.Flows), len(a.Ops), len(full.Flows), len(full.Ops))
 	}
+	return len(a.Flows)+len(a.Ops) < pieces
 }
 
 // allRoots lists every root of pruneUnused's walk: each provide, and each

@@ -48,6 +48,9 @@ type builder struct {
 	// planStreamAt's host ranking and the holders of a stream.
 	trial         dsps.Trial
 	roots         []int  // pruneUnused's roots, by System.HSIndex
+	isTouched     []bool // by HostID: touchFree's touched hosts
+	touched       int    // how many hosts isTouched marks
+	newTouched    []dsps.HostID
 	visiting      []bool // by System.HSIndex; all false between runs
 	hostScratch   []dsps.HostID
 	scoredScratch []scored
@@ -99,7 +102,7 @@ func (p *Planner) newBuilder(queries []dsps.StreamID, pinned bool) *builder {
 	for range b.freeOps {
 		b.prefer = append(b.prefer, -1)
 	}
-	b.norm = NormOf(b.sys)
+	b.norm = p.norm
 	return b
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"sqpr/internal/dsps"
+	"sqpr/internal/invariant"
 	"sqpr/internal/milp"
 	"sqpr/internal/plan"
 )
@@ -157,6 +158,10 @@ type Planner struct {
 	bld *builder
 
 	closures *closureCache
+
+	// norm holds the (III.3) normalisers: host and link capacities never
+	// change after dsps.NewSystem, so they are summed once.
+	norm Norm
 }
 
 // Result describes the outcome of one planning call; it is the shared
@@ -187,6 +192,7 @@ func NewPlanner(sys *dsps.System, cfg Config) *Planner {
 		sys:      sys,
 		cfg:      cfg,
 		closures: newClosureCache(sys),
+		norm:     NormOf(sys),
 	}
 }
 
@@ -293,11 +299,16 @@ func (p *Planner) submit(ctx context.Context, qs []dsps.StreamID, timeout time.D
 		res.Reason = plan.ReasonNoFeasiblePlan
 	case large:
 		// On a large model the seed decides (a measured heuristic, DESIGN.md
-		// "Seed-decided calls"): the search from it never admitted more. The
-		// seed takes the decoded point's tail and no model is built.
-		b.pruneUnused(seed)
+		// "Seed-decided calls"): the search from it never admitted more, and
+		// no model is built. The seed is the valid allocation plus pieces
+		// accepts admitted, so unless pruning deleted something the commit
+		// check covers those pieces alone.
 		res.SeedClosed, res.SolveStatus = true, milp.FeasibleMIP
-		next, err = p.validated(seed, &res)
+		var added *dsps.Extension
+		if !b.pruneUnused(seed) {
+			added = b.trial.Extension(0)
+		}
+		next, err = p.validated(seed, added, &res)
 	default:
 		// Algorithm 1's search, from the seed, on a small model: there a
 		// late admission find is cheap and real (the Fig. 2 shared-chain
@@ -357,14 +368,29 @@ func (p *Planner) solve(ctx context.Context, b *builder, seed *dsps.Assignment, 
 	if err != nil {
 		return nil, fmt.Errorf("core: decoding solver output: %w", err)
 	}
-	return p.validated(next, res)
+	return p.validated(next, nil, res)
 }
 
-// validated passes next through unless the dsps validator refuses it.
-func (p *Planner) validated(next *dsps.Assignment, res *Result) (*dsps.Assignment, error) {
-	if err := next.Validate(p.sys); err != nil {
+// validated passes next through unless the dsps validator refuses it. A
+// non-nil ext says next is the committed allocation, valid by the ledger's
+// invariant, extended by ext's pieces: dsps.ValidateExtension then decides
+// as Validate would, over those pieces and the budgets they touch instead
+// of the whole allocation.
+func (p *Planner) validated(next *dsps.Assignment, ext *dsps.Extension, res *Result) (*dsps.Assignment, error) {
+	var err error
+	if ext == nil {
+		err = next.Validate(p.sys)
+	} else {
+		err = next.ValidateExtension(p.sys, ext)
+		if invariant.Enabled {
+			if full := next.Validate(p.sys); (err == nil) != (full == nil) {
+				invariant.Failf("core: the extension's check says %v, Validate says %v", err, full)
+			}
+		}
+	}
+	if err != nil {
 		res.Reason = plan.ReasonValidationFailed
-		return nil, fmt.Errorf("core: solver produced infeasible plan: %w", err)
+		return nil, fmt.Errorf("core: planned allocation infeasible: %w", err)
 	}
 	return next, nil
 }

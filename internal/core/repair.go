@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"math"
 	"slices"
 	"time"
 
 	"sqpr/internal/dsps"
+	"sqpr/internal/invariant"
 	"sqpr/internal/milp"
 	"sqpr/internal/plan"
 )
@@ -33,6 +35,11 @@ import (
 func (p *Planner) Repair(ctx context.Context, events []plan.Event, opts ...plan.SubmitOption) (plan.RepairResult, error) {
 	ctx = plan.OrBackground(ctx)
 	start := time.Now()
+	if invariant.Enabled {
+		// A seed-decided chunk stages its seed unvalidated, and the next
+		// Submit's commit check takes what the repair leaves to be valid.
+		defer p.mustBeValid("repair")
+	}
 	var rr plan.RepairResult
 	if err := plan.ApplyEvents(p.sys, events); err != nil {
 		return rr, err
@@ -165,6 +172,14 @@ func (p *Planner) Repair(ctx context.Context, events []plan.Event, opts ...plan.
 	return rr, firstErr
 }
 
+// mustBeValid is the checked-build assertion that the allocation validates,
+// as the ledger's invariant requires between calls.
+func (p *Planner) mustBeValid(after string) {
+	if err := p.Assignment().Validate(p.sys); err != nil {
+		invariant.Failf("core: after %s the allocation is invalid: %v", after, err)
+	}
+}
+
 // producibleCheck returns a memoised predicate for "stream s can be
 // materialised somewhere under the current host states": a base stream
 // needs a usable base host; a composite stream needs some producer whose
@@ -216,16 +231,23 @@ func (p *Planner) repairChunks(affected []dsps.StreamID) [][]dsps.StreamID {
 	var chunks [][]dsps.StreamID
 	var cur []dsps.StreamID
 	b := p.builder() // its free set accumulates the current chunk's closures
+	b.clearTouched()
 	for _, q := range affected {
 		cl := p.closures.streamsOf(q)
+		mark := len(b.freeStreams)
 		b.addFree(cl)
 		if len(cur) > 0 &&
 			(len(b.freeStreams) > p.cfg.MaxFreeStreams ||
-				b.hostsTouched() > p.cfg.MaxCandidateHosts) {
+				!b.touchFree(mark, p.cfg.MaxCandidateHosts)) {
 			chunks = append(chunks, cur)
 			cur = nil
 			b.truncFree(0)
+			b.clearTouched()
 			b.addFree(cl)
+			mark = 0
+		}
+		if len(cur) == 0 {
+			b.touchFree(mark, math.MaxInt) // a chunk's first query joins it whatever it touches
 		}
 		cur = append(cur, q)
 	}

@@ -414,6 +414,12 @@ type Usage struct {
 	CPUSum float64
 
 	sys *System
+
+	// written lists the Link cells (row-major) written since the last
+	// Reset and dirty marks them, by cell; dirty is nil until a Reset
+	// reuses the matrix, and no cell is tracked before.
+	written []int32
+	dirty   []bool
 }
 
 // Reset recomputes the ledger of a from scratch, reusing u's arrays.
@@ -424,13 +430,7 @@ func (u *Usage) Reset(sys *System, a *Assignment) {
 	u.Mem = resizeZero(u.Mem, n)
 	u.Out = resizeZero(u.Out, n)
 	u.In = resizeZero(u.In, n)
-	if cap(u.Link) < n {
-		u.Link = make([][]float64, n)
-	}
-	u.Link = u.Link[:n]
-	for i := range u.Link {
-		u.Link[i] = resizeZero(u.Link[i], n)
-	}
+	u.clearLinks(n)
 	u.Network, u.CPUSum = 0, 0
 	for _, pl := range a.Ops {
 		u.AddOp(pl)
@@ -440,6 +440,48 @@ func (u *Usage) Reset(sys *System, a *Assignment) {
 	}
 	for _, p := range a.Provides {
 		u.AddProvide(p.Host, p.Stream)
+	}
+}
+
+// clearLinks zeroes the n×n link matrix. A ledger reset again and again
+// (a planner scoring candidates) zeroes only the cells written since the
+// previous Reset: every other cell is still exactly 0, so the sums after
+// it are the same floats a cleared matrix gives, and a Reset costs the
+// allocation's flows instead of H² cells. The first Reset that reuses the
+// matrix clears it whole and starts the tracking.
+func (u *Usage) clearLinks(n int) {
+	if len(u.Link) == n && len(u.dirty) == n*n {
+		for _, k := range u.written {
+			u.Link[int(k)/n][int(k)%n] = 0
+			u.dirty[k] = false
+		}
+		u.written = u.written[:0]
+		return
+	}
+	reused := len(u.Link) == n
+	if cap(u.Link) < n {
+		u.Link = make([][]float64, n)
+	}
+	u.Link = u.Link[:n]
+	for i := range u.Link {
+		u.Link[i] = resizeZero(u.Link[i], n)
+	}
+	u.written, u.dirty = u.written[:0], nil
+	if reused {
+		u.dirty = make([]bool, n*n)
+	}
+}
+
+// writeLink records that link cell (h, m) is about to be written.
+//
+//sqpr:hotpath
+func (u *Usage) writeLink(h, m HostID) {
+	if u.dirty == nil {
+		return
+	}
+	if k := int(h)*len(u.Link) + int(m); !u.dirty[k] {
+		u.dirty[k] = true
+		u.written = append(u.written, int32(k)) //sqpr:amortized pooled on the ledger
 	}
 }
 
@@ -477,6 +519,7 @@ func (u *Usage) RemoveOp(pl Placement) {
 //sqpr:hotpath
 func (u *Usage) AddFlow(f Flow) {
 	rate := u.sys.Streams[f.Stream].Rate
+	u.writeLink(f.From, f.To)
 	u.Link[f.From][f.To] += rate
 	u.Out[f.From] += rate
 	u.In[f.To] += rate
@@ -488,6 +531,7 @@ func (u *Usage) AddFlow(f Flow) {
 //sqpr:hotpath
 func (u *Usage) RemoveFlow(f Flow) {
 	rate := u.sys.Streams[f.Stream].Rate
+	u.writeLink(f.From, f.To)
 	u.Link[f.From][f.To] -= rate
 	u.Out[f.From] -= rate
 	u.In[f.To] -= rate

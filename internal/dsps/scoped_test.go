@@ -364,3 +364,144 @@ func TestValidateExtensionMatchesValidate(t *testing.T) {
 		})
 	}
 }
+
+// validFixtures are trialFixtures made valid: the pieces on the down host
+// are stripped and what lost its support with them is pruned and collected,
+// as a repair leaves the allocation.
+var validFixtures = sync.OnceValue(func() []trialFixture {
+	var out []trialFixture
+	for _, fx := range trialFixtures() {
+		a := fx.a.Clone()
+		a.StripFailed(fx.sys)
+		a.PruneAcausal(fx.sys)
+		a.GarbageCollect(fx.sys)
+		if err := a.Validate(fx.sys); err != nil {
+			panic(fx.name + ": " + err.Error())
+		}
+		out = append(out, trialFixture{fx.name, fx.sys, a})
+	}
+	return out
+})
+
+// checkExtension extends a copy of fx's valid allocation by the pieces data
+// spells, four bytes each — a kind and three bytes of arguments — and
+// after every step requires ValidateExtension over everything added since
+// the extension began to agree with Validate. Most kinds add what a
+// planning call adds: a flow from a holder, a placement whose inputs are
+// at hand, a provide of a held stream, a relay; one adds an arbitrary
+// piece, and one rolls the extension back to begin another. It returns how
+// many checks accepted an extension of two or more pieces, and how many
+// refused one.
+func checkExtension(t *testing.T, fx trialFixture, data []byte) (accepted, refused int) {
+	sys, a := fx.sys, fx.a.Clone()
+	var tr dsps.Trial
+	tr.Begin(a)
+	tr.Usage.Reset(sys, a)
+	n := sys.NumHosts()
+	var holders []dsps.HostID
+	for ; len(data) >= 4; data = data[4:] {
+		x := int(data[1])<<8 | int(data[2])
+		h := dsps.HostID(int(data[3]) % n)
+		switch data[0] % 8 {
+		case 0, 1: // a stream the allocation moves, from one of its holders to h
+			s := a.Flows[x%len(a.Flows)].Stream
+			if holders = a.HoldersOf(sys, s, holders[:0]); len(holders) > 0 {
+				if from := holders[x%len(holders)]; from != h {
+					tr.AddFlow(dsps.Flow{From: from, To: h, Stream: s})
+				}
+			}
+		case 2, 3: // the next operator from x on whose inputs are all at h
+			for i := range len(sys.Operators) {
+				op := dsps.OperatorID((x + i) % len(sys.Operators))
+				if !slices.ContainsFunc(sys.Operators[op].Inputs, func(in dsps.StreamID) bool { return !a.Available(sys, h, in) }) {
+					tr.AddOp(dsps.Placement{Host: h, Op: op})
+					break
+				}
+			}
+		case 4: // the next requested, unprovided stream from x on that is held somewhere
+			for i := range len(sys.Streams) {
+				s := dsps.StreamID((x + i) % len(sys.Streams))
+				if _, ok := a.Provider(s); ok || !sys.Streams[s].Requested {
+					continue
+				}
+				if holders = a.HoldersOf(sys, s, holders[:0]); len(holders) > 0 {
+					tr.AddProvide(dsps.Provide{Stream: s, Host: holders[int(h)%len(holders)]})
+					break
+				}
+			}
+		case 5: // a relay: a flow the allocation holds, sent on into h
+			if f := a.Flows[x%len(a.Flows)]; f.To != h {
+				tr.AddFlow(dsps.Flow{From: f.To, To: h, Stream: f.Stream})
+			}
+		case 6: // a flow of any stream between two hosts, or a placement of any operator
+			if x%2 == 0 {
+				tr.AddFlow(dsps.Flow{From: h, To: dsps.HostID((int(h) + 1 + x%(n-1)) % n), Stream: dsps.StreamID(x % len(sys.Streams))})
+			} else {
+				tr.AddOp(dsps.Placement{Host: h, Op: dsps.OperatorID(x % len(sys.Operators))})
+			}
+		case 7: // a new extension
+			tr.Rollback(0)
+			continue
+		}
+		ext := tr.Extension(0)
+		scoped, full := a.ValidateExtension(sys, ext), a.Validate(sys)
+		if (scoped == nil) != (full == nil) {
+			t.Fatalf("%s: over %d placements, %d flows and %d provides ValidateExtension says %v, Validate says %v",
+				fx.name, len(ext.Ops), len(ext.Flows), len(ext.Provides), scoped, full)
+		}
+		switch pieces := len(ext.Ops) + len(ext.Flows) + len(ext.Provides); {
+		case full != nil:
+			refused++
+		case pieces >= 2:
+			accepted++
+		}
+	}
+	return accepted, refused
+}
+
+// extensionSeeds are the fuzz corpus and the property test's first inputs:
+// a held stream fetched, consumed and served, then a new extension of one
+// arbitrary piece; two relays consumed and served.
+var extensionSeeds = [][]byte{
+	{},
+	{0, 0, 3, 5, 2, 0, 0, 5, 4, 0, 0, 5, 7, 0, 0, 0, 6, 1, 9, 6},
+	{5, 0, 7, 2, 5, 0, 7, 9, 2, 2, 0, 9, 4, 1, 1, 9},
+}
+
+// TestValidateExtensionOnCallSizedExtensions runs checkExtension on the
+// corpus and on seeded random steps, on both fixtures, and requires both
+// verdicts to occur on extensions of several pieces.
+func TestValidateExtensionOnCallSizedExtensions(t *testing.T) {
+	inputs := slices.Clone(extensionSeeds)
+	rng := rand.New(rand.NewSource(1))
+	for range 8 {
+		data := make([]byte, 4*40)
+		rng.Read(data)
+		inputs = append(inputs, data)
+	}
+	for _, fx := range validFixtures() {
+		accepted, refused := 0, 0
+		for _, data := range inputs {
+			a, r := checkExtension(t, fx, data)
+			accepted += a
+			refused += r
+		}
+		t.Logf("%s: %d multi-piece extensions accepted, %d refused", fx.name, accepted, refused)
+		if accepted == 0 || refused == 0 {
+			t.Fatalf("%s: %d multi-piece extensions accepted and %d refused; the steps test only one verdict", fx.name, accepted, refused)
+		}
+	}
+}
+
+// FuzzValidateExtension is TestValidateExtensionOnCallSizedExtensions'
+// check on the steps the fuzz bytes pick.
+func FuzzValidateExtension(f *testing.F) {
+	for _, data := range extensionSeeds {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, fx := range validFixtures() {
+			checkExtension(t, fx, data)
+		}
+	})
+}

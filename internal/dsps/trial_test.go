@@ -54,7 +54,8 @@ var trialFixtures = sync.OnceValue(func() []trialFixture {
 // to the latest mark. After every add, the holders of the stream it
 // touched equal the hosts where Available holds; after every rollback, the
 // slices equal those at the mark, the extension listed exactly the pieces
-// undone, and usage is within rounding of a fresh sum.
+// undone, usage is within rounding of a fresh sum, and re-summed it
+// equals a fresh sum bit for bit.
 func checkTrial(t *testing.T, fx trialFixture, data []byte) {
 	sys, a := fx.sys, fx.a.Clone()
 	var tr dsps.Trial
@@ -107,6 +108,16 @@ func checkTrial(t *testing.T, fx trialFixture, data []byte) {
 		for h := range n {
 			if d := max(math.Abs(fresh.CPU[h]-tr.Usage.CPU[h]), math.Abs(fresh.Out[h]-tr.Usage.Out[h]), math.Abs(fresh.In[h]-tr.Usage.In[h])); d > 1e-9 {
 				t.Fatalf("%s: host %d's usage after rollback is %v off a fresh sum", fx.name, h, d)
+			}
+		}
+		// A planner scoring candidates re-sums the trial's ledger instead:
+		// a reset that zeroes only the link cells written since the last
+		// one must give the fresh sum bit for bit.
+		tr.Usage.Reset(sys, a)
+		for h := range n {
+			if !slices.Equal(tr.Usage.Link[h], fresh.Link[h]) || tr.Usage.CPU[h] != fresh.CPU[h] ||
+				tr.Usage.Out[h] != fresh.Out[h] || tr.Usage.In[h] != fresh.In[h] {
+				t.Fatalf("%s: host %d's usage re-summed after rollback differs from a fresh sum", fx.name, h)
 			}
 		}
 	}

@@ -23,6 +23,7 @@ type Planner struct {
 	plan.Ledger
 	sys     *dsps.System
 	weights core.Weights
+	norm    core.Norm // the (III.3) normalisers; capacities never change
 
 	// trial holds one copy of the allocation per query; every candidate is
 	// realised on it and rolled back. Its usage is summed from scratch per
@@ -41,6 +42,7 @@ func New(sys *dsps.System, w core.Weights) *Planner {
 		Ledger:  plan.NewLedger("heuristic", sys),
 		sys:     sys,
 		weights: w,
+		norm:    core.NormOf(sys),
 	}
 }
 
@@ -67,7 +69,6 @@ func (p *Planner) submitOne(ctx context.Context, q dsps.StreamID, cfg *plan.Subm
 		return false, plan.ReasonNone, err
 	}
 	allowed := cfg.HostSet()
-	norm := core.NormOf(p.sys)
 	plans := p.plansFor(q, maxPlans)
 	cand := p.Assignment().Clone()
 	p.trial.Begin(cand)
@@ -86,7 +87,7 @@ func (p *Planner) submitOne(ctx context.Context, q dsps.StreamID, cfg *plan.Subm
 			if (allowed != nil && !allowed[dsps.HostID(h)]) || !p.sys.HostPlaceable(dsps.HostID(h)) {
 				continue
 			}
-			score, ok := p.implement(norm, pl, q, dsps.HostID(h))
+			score, ok := p.implement(pl, q, dsps.HostID(h))
 			p.trial.Rollback(0)
 			if ok && score > bestScore {
 				bestScore = score
@@ -100,7 +101,7 @@ func (p *Planner) submitOne(ctx context.Context, q dsps.StreamID, cfg *plan.Subm
 	}
 	// Realise the winner again: from the same allocation it adds the same
 	// pieces.
-	p.implement(norm, best, q, bestHost)
+	p.implement(best, q, bestHost)
 	cand.SetProvide(q, bestHost)
 	if cand.Validate(p.sys) != nil {
 		return false, plan.ReasonValidationFailed, nil
@@ -177,14 +178,14 @@ func cartesian(choices [][]*abstractPlan, budget int) [][]*abstractPlan {
 // in the trial, fetching input streams from hosts that already have them,
 // and returns the candidate's weighted objective (III.3). ok is false when
 // the plan does not fit; the caller rolls the trial back either way.
-func (p *Planner) implement(norm core.Norm, plan *abstractPlan, q dsps.StreamID, h dsps.HostID) (score float64, ok bool) {
+func (p *Planner) implement(plan *abstractPlan, q dsps.StreamID, h dsps.HostID) (score float64, ok bool) {
 	u := &p.trial.Usage
 	u.Reset(p.sys, p.trial.Assignment)
 	if !p.realise(plan, h) || !u.FitsProvide(h, q, dsps.FitTol) {
 		return 0, false
 	}
 	// +1 for the query being placed.
-	return p.weights.Objective(norm, p.trial.Assignment.SatisfiedQueries()+1, u.Network, u.TotalCPU(), u.MaxCPU()), true
+	return p.weights.Objective(p.norm, p.trial.Assignment.SatisfiedQueries()+1, u.Network, u.TotalCPU(), u.MaxCPU()), true
 }
 
 // realise recursively materialises the plan node's output at host h.
