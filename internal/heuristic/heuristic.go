@@ -25,9 +25,9 @@ type Planner struct {
 	weights core.Weights
 	norm    core.Norm // the (III.3) normalisers; capacities never change
 
-	// trial holds one copy of the allocation per query; every candidate is
-	// realised on it and rolled back. Its usage is summed from scratch per
-	// candidate, so each score is the sum a fresh copy would give.
+	// trial holds one copy of the allocation per query with its usage,
+	// summed once; every candidate is realised on it and rolled back, which
+	// restores that sum bit for bit.
 	trial   dsps.Trial
 	holders []dsps.HostID // fetch's scratch
 }
@@ -72,6 +72,7 @@ func (p *Planner) submitOne(ctx context.Context, q dsps.StreamID, cfg *plan.Subm
 	plans := p.plansFor(q, maxPlans)
 	cand := p.Assignment().Clone()
 	p.trial.Begin(cand)
+	p.trial.Usage.Reset(p.sys, cand)
 	bestScore := math.Inf(-1)
 	var best *abstractPlan
 	var bestHost dsps.HostID
@@ -180,7 +181,6 @@ func cartesian(choices [][]*abstractPlan, budget int) [][]*abstractPlan {
 // the plan does not fit; the caller rolls the trial back either way.
 func (p *Planner) implement(plan *abstractPlan, q dsps.StreamID, h dsps.HostID) (score float64, ok bool) {
 	u := &p.trial.Usage
-	u.Reset(p.sys, p.trial.Assignment)
 	if !p.realise(plan, h) || !u.FitsProvide(h, q, dsps.FitTol) {
 		return 0, false
 	}

@@ -33,10 +33,9 @@ type Planner struct {
 	joinIdxAt int // number of operators indexed so far
 
 	// trial holds one copy of the allocation per query, on which every
-	// candidate host of an operator is tried and rolled back; usage is the
-	// ledger of what the query has placed so far. Both are pooled.
+	// candidate host of an operator is tried and rolled back; its usage is
+	// the ledger of what the query has placed so far.
 	trial dsps.Trial
-	usage dsps.Usage
 }
 
 // New creates a SODA-like planner. It takes no objective weights: miniW
@@ -86,7 +85,7 @@ func (p *Planner) submitOne(ctx context.Context, q dsps.StreamID, cfg *plan.Subm
 	}
 	cand := p.Assignment().Clone()
 	p.trial.Begin(cand)
-	u := &p.usage
+	u := &p.trial.Usage
 	u.Reset(p.sys, cand)
 	if !p.macroQ(tmpl, u) {
 		return false, plan.ReasonResourceExhausted, nil
@@ -216,7 +215,7 @@ func (p *Planner) macroQ(tmpl []dsps.OperatorID, u *dsps.Usage) bool {
 // placeOp places one template operator on the allowed host that minimises
 // the load-balancing score, fetching each input once from its producing or
 // base host (direct transfer only — no relays). On success the trial holds
-// the winner and p.usage its usage.
+// the winner.
 func (p *Planner) placeOp(opID dsps.OperatorID, allowed map[dsps.HostID]bool) (dsps.HostID, bool) {
 	mark := p.trial.Mark()
 	bestScore := math.Inf(1)
@@ -224,7 +223,7 @@ func (p *Planner) placeOp(opID dsps.OperatorID, allowed map[dsps.HostID]bool) (d
 	for h := 0; h < p.sys.NumHosts(); h++ {
 		pl := dsps.Placement{Host: dsps.HostID(h), Op: opID}
 		// A down or draining host takes no new operator placements.
-		if (allowed != nil && !allowed[pl.Host]) || !p.sys.HostPlaceable(pl.Host) || !p.usage.FitsOp(pl, dsps.FitTol) {
+		if (allowed != nil && !allowed[pl.Host]) || !p.sys.HostPlaceable(pl.Host) || !p.trial.Usage.FitsOp(pl, dsps.FitTol) {
 			continue
 		}
 		score, ok := p.tryOp(pl)
@@ -238,26 +237,22 @@ func (p *Planner) placeOp(opID dsps.OperatorID, allowed map[dsps.HostID]bool) (d
 		return 0, false
 	}
 	// Place the winner again: from the same allocation it adds the same
-	// pieces, and the trial's usage becomes the query's ledger. The old
-	// ledger's storage goes to the trial, which re-sums it before use.
+	// pieces.
 	p.tryOp(dsps.Placement{Host: bestHost, Op: opID})
-	p.usage, p.trial.Usage = p.trial.Usage, p.usage
 	return bestHost, true
 }
 
-// tryOp places pl in the trial with its inputs fetched, on usage summed
-// from scratch, and returns the load-balancing score: SODA's placement
-// objective here is the largest per-host CPU.
+// tryOp places pl in the trial with its inputs fetched and returns the
+// load-balancing score: SODA's placement objective here is the largest
+// per-host CPU.
 func (p *Planner) tryOp(pl dsps.Placement) (float64, bool) {
-	u := &p.trial.Usage
-	u.Reset(p.sys, p.trial.Assignment)
 	for _, in := range p.sys.Operators[pl.Op].Inputs {
 		if !p.fetchDirect(in, pl.Host) {
 			return 0, false
 		}
 	}
 	p.trial.AddOp(pl)
-	return u.MaxCPU(), true
+	return p.trial.Usage.MaxCPU(), true
 }
 
 // fetchDirect brings stream s to host h in the trial with a single direct
