@@ -60,6 +60,12 @@ func TestFig2BothQueriesAdmittedWithSharedChain(t *testing.T) {
 	if err != nil || !r1.Admitted {
 		t.Fatalf("q1 not admitted: %+v err=%v", r1, err)
 	}
+	// q1 is the most path-sensitive solve below the size line: a change to
+	// the LP's arithmetic or pivot order moves the node that admits it,
+	// with the 80-node budget close by. Pin its path.
+	if r1.Nodes != 57 || r1.LPIters != 403 {
+		t.Fatalf("q1 admitted at node %d after %d LP iterations, want node 57 after 403", r1.Nodes, r1.LPIters)
+	}
 	r2, err := p.Submit(context.Background(), q2)
 	if err != nil || !r2.Admitted {
 		t.Fatalf("q2 not admitted: %+v err=%v", r2, err)

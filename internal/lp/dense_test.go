@@ -284,8 +284,8 @@ func (s *DenseSolver) Load(p *Problem) error {
 	s.m = 0
 	s.nStruct = p.NumVars
 
-	s.slackOf = growI(s.slackOf, s.mAll)
-	s.activeRows = growB(s.activeRows, s.mAll)
+	s.slackOf = grow(s.slackOf, s.mAll)
+	s.activeRows = grow(s.activeRows, s.mAll)
 	s.nSlack = 0
 	s.nInactive = 0
 	for i := range p.Cons {
@@ -324,17 +324,17 @@ func (s *DenseSolver) Load(p *Problem) error {
 	for i := 0; i < s.mAll; i++ {
 		s.rows[i] = s.rowsBuf[i*s.stride : (i+1)*s.stride]
 	}
-	s.rhs = growF(s.rhs, s.mAll)
-	s.basis = growI(s.basis, s.mAll)
-	s.rowOf = growI(s.rowOf, s.stride)
-	s.inBasis = growB(s.inBasis, s.stride)
-	s.upper = growF(s.upper, s.stride)
-	s.baseU = growF(s.baseU, s.stride)
-	s.flipped = growB(s.flipped, s.stride)
-	s.banned = growB(s.banned, s.stride)
-	s.d = growF(s.d, s.stride)
-	s.cbuf = growF(s.cbuf, s.stride)
-	s.fixVal = growI8(s.fixVal, p.NumVars)
+	s.rhs = grow(s.rhs, s.mAll)
+	s.basis = grow(s.basis, s.mAll)
+	s.rowOf = grow(s.rowOf, s.stride)
+	s.inBasis = grow(s.inBasis, s.stride)
+	s.upper = grow(s.upper, s.stride)
+	s.baseU = grow(s.baseU, s.stride)
+	s.flipped = grow(s.flipped, s.stride)
+	s.banned = grow(s.banned, s.stride)
+	s.d = grow(s.d, s.stride)
+	s.cbuf = grow(s.cbuf, s.stride)
+	s.fixVal = grow(s.fixVal, p.NumVars)
 	for j := range s.fixVal {
 		s.fixVal[j] = fixFree
 	}
@@ -342,18 +342,18 @@ func (s *DenseSolver) Load(p *Problem) error {
 	if n == 0 {
 		n = 1
 	}
-	s.xbuf = growF(s.xbuf, n)
+	s.xbuf = grow(s.xbuf, n)
 	s.snap.valid = false
 
 	// Var→row CSR over the inequality rows.
-	s.scanX = growF(s.scanX, n)
+	s.scanX = grow(s.scanX, n)
 	s.scanValid = false
-	s.rowMark = growI(s.rowMark, s.mAll)
+	s.rowMark = grow(s.rowMark, s.mAll)
 	for i := range s.rowMark[:s.mAll] {
 		s.rowMark[i] = 0
 	}
 	s.rowRound = 0
-	s.varRowsStart = growI(s.varRowsStart, p.NumVars+1)
+	s.varRowsStart = grow(s.varRowsStart, p.NumVars+1)
 	for j := range s.varRowsStart[:p.NumVars+1] {
 		s.varRowsStart[j] = 0
 	}
@@ -408,33 +408,33 @@ func (s *DenseSolver) SaveBasis() {
 	sp.n = s.n
 	sp.nArtStart = s.nArtStart
 	sp.nInactive = s.nInactive
-	sp.activeRows = growB(sp.activeRows, s.mAll)
+	sp.activeRows = grow(sp.activeRows, s.mAll)
 	copy(sp.activeRows, s.activeRows[:s.mAll])
-	sp.slackOf = growI(sp.slackOf, s.mAll)
+	sp.slackOf = grow(sp.slackOf, s.mAll)
 	copy(sp.slackOf, s.slackOf[:s.mAll])
 	// Rows are packed at the live column width n, not the arena stride:
 	// the copy scales with the tableau actually in use.
-	sp.rowsBuf = growF(sp.rowsBuf, s.m*s.n)
+	sp.rowsBuf = grow(sp.rowsBuf, s.m*s.n)
 	for i := 0; i < s.m; i++ {
 		copy(sp.rowsBuf[i*s.n:(i+1)*s.n], s.rows[i][:s.n])
 	}
-	sp.rhs = growF(sp.rhs, s.m)
+	sp.rhs = grow(sp.rhs, s.m)
 	copy(sp.rhs, s.rhs[:s.m])
-	sp.basis = growI(sp.basis, s.m)
+	sp.basis = grow(sp.basis, s.m)
 	copy(sp.basis, s.basis[:s.m])
-	sp.rowOf = growI(sp.rowOf, s.n)
+	sp.rowOf = grow(sp.rowOf, s.n)
 	copy(sp.rowOf, s.rowOf[:s.n])
-	sp.inBasis = growB(sp.inBasis, s.n)
+	sp.inBasis = grow(sp.inBasis, s.n)
 	copy(sp.inBasis, s.inBasis[:s.n])
-	sp.upper = growF(sp.upper, s.n)
+	sp.upper = grow(sp.upper, s.n)
 	copy(sp.upper, s.upper[:s.n])
-	sp.flipped = growB(sp.flipped, s.n)
+	sp.flipped = grow(sp.flipped, s.n)
 	copy(sp.flipped, s.flipped[:s.n])
-	sp.banned = growB(sp.banned, s.n)
+	sp.banned = grow(sp.banned, s.n)
 	copy(sp.banned, s.banned[:s.n])
-	sp.fixVal = growI8(sp.fixVal, s.nStruct)
+	sp.fixVal = grow(sp.fixVal, s.nStruct)
 	copy(sp.fixVal, s.fixVal[:s.nStruct])
-	sp.d = growF(sp.d, s.n)
+	sp.d = grow(sp.d, s.n)
 	copy(sp.d, s.d[:s.n])
 }
 
@@ -682,10 +682,7 @@ func (s *DenseSolver) expired() bool {
 func (s *DenseSolver) installOpts(opts Options) {
 	s.deadline = opts.Deadline
 	s.ctx = opts.Ctx
-	s.maxIters = opts.MaxIters
-	if s.maxIters <= 0 {
-		s.maxIters = 200 * (s.mAll + s.nStruct + s.nSlack + 10)
-	}
+	s.maxIters = 200 * (s.mAll + s.nStruct + s.nSlack + 10)
 	s.iters = 0
 	s.bland = false
 	s.stall = 0

@@ -47,21 +47,6 @@ func TestCancelledContextAborts(t *testing.T) {
 	}
 }
 
-func TestMaxItersRespected(t *testing.T) {
-	p := &Problem{
-		NumVars: 3,
-		Cost:    []float64{-1, -2, -3},
-		Upper:   []float64{5, 5, 5},
-		Cons: []Constraint{
-			{Terms: []Term{{0, 1}, {1, 1}, {2, 1}}, Sense: LE, RHS: 6},
-		},
-	}
-	sol := Solve(p, Options{MaxIters: 1})
-	if sol.Iters > 1 {
-		t.Fatalf("performed %d iterations with MaxIters=1", sol.Iters)
-	}
-}
-
 func TestAllVariablesAtUpperBound(t *testing.T) {
 	// max Σx with generous constraints: everything should hit its bound
 	// via bound flips, not pivots.

@@ -42,10 +42,8 @@ func (f *FactorStats) Merge(o FactorStats) {
 // *position* (elimination order). L is unit-lower-triangular in position
 // order with its off-diagonal entries stored per column against row slots;
 // U is upper-triangular with off-diagonal entries stored per column against
-// row positions and its diagonal kept separately. Both triangles are also
-// kept row-wise, indexed by position against column positions, so the
-// transposed solve scatters along rows the way the forward solve scatters
-// down columns.
+// row positions and its diagonal kept separately. The forward solve scatters
+// down these columns and the transposed solve gathers across them.
 type luFactor struct {
 	m      int
 	lStart []int32
@@ -61,24 +59,12 @@ type luFactor struct {
 	nnzB   int
 	nnzLU  int
 
-	// Row-wise copies: row position t of L holds ltCol/ltVal[ltStart[t]:
-	// ltStart[t+1]], of U utCol/utVal[utStart[t]:utStart[t+1]], each entry
-	// against its column position.
-	ltStart []int32
-	ltCol   []int32
-	ltVal   []float64
-	utStart []int32
-	utCol   []int32
-	utVal   []float64
-
-	// Factorization scratch: a stamped dense work column over row slots and
-	// a min-heap of pivotal positions that orders the sparse lower solve.
+	// Factorization scratch: a dense work column over row slots, live where
+	// its stamp is current, and the slots touched under that stamp.
 	w      []float64
 	wmark  []int32
 	wtouch []int32
 	wstamp int32
-	heap   []int32
-	hseen  []int32
 	cnt    []int32 // counting-sort scratch for the column preorder
 	order  []int32 // slot processing order (ascending active column nnz)
 	nnzCol []int32
@@ -88,39 +74,28 @@ type luFactor struct {
 // inside the warm solve loop allocate nothing once the high-water mark is
 // reached.
 func (f *luFactor) init(mcap int) {
-	f.lStart = growI32(f.lStart, mcap+1)
-	f.uStart = growI32(f.uStart, mcap+1)
-	f.uDiag = growF(f.uDiag, mcap)
-	f.rpos = growI32(f.rpos, mcap)
-	f.rinv = growI32(f.rinv, mcap)
-	f.cpos = growI32(f.cpos, mcap)
-	f.ltStart = growI32(f.ltStart, mcap+1)
-	f.utStart = growI32(f.utStart, mcap+1)
-	f.w = growF(f.w, mcap)
-	f.wmark = growI32(f.wmark, mcap)
+	f.lStart = grow(f.lStart, mcap+1)
+	f.uStart = grow(f.uStart, mcap+1)
+	f.uDiag = grow(f.uDiag, mcap)
+	f.rpos = grow(f.rpos, mcap)
+	f.rinv = grow(f.rinv, mcap)
+	f.cpos = grow(f.cpos, mcap)
+	f.w = grow(f.w, mcap)
+	f.wmark = grow(f.wmark, mcap)
 	for i := range f.wmark[:mcap] {
 		f.wmark[i] = 0
 	}
 	f.wstamp = 0
-	f.wtouch = growI32(f.wtouch, mcap)[:0]
-	f.heap = growI32(f.heap, mcap)[:0]
-	f.hseen = growI32(f.hseen, mcap)
-	for i := range f.hseen[:mcap] {
-		f.hseen[i] = 0
-	}
-	f.cnt = growI32(f.cnt, mcap+2)
-	f.order = growI32(f.order, mcap)
-	f.nnzCol = growI32(f.nnzCol, mcap)
+	f.wtouch = grow(f.wtouch, mcap)[:0]
+	f.cnt = grow(f.cnt, mcap+2)
+	f.order = grow(f.order, mcap)
+	f.nnzCol = grow(f.nnzCol, mcap)
 	ecap := 8*mcap + 64
 	if cap(f.lRow) < ecap {
 		f.lRow = make([]int32, 0, ecap)
 		f.lVal = make([]float64, 0, ecap)
 		f.uRow = make([]int32, 0, ecap)
 		f.uVal = make([]float64, 0, ecap)
-		f.ltCol = make([]int32, 0, ecap)
-		f.ltVal = make([]float64, 0, ecap)
-		f.utCol = make([]int32, 0, ecap)
-		f.utVal = make([]float64, 0, ecap)
 	}
 	f.lRow = f.lRow[:0]
 	f.lVal = f.lVal[:0]
@@ -312,8 +287,7 @@ func (s *Solver) border(row, r int, sigma float64) {
 }
 
 // extend grows the factors from B₀ to diag(B₀,1): slot r = f.m pivots at
-// position r on a unit diagonal with empty L and U columns, and empty L and
-// U rows.
+// position r on a unit diagonal with empty L and U columns.
 //
 //sqpr:hotpath
 func (f *luFactor) extend(r int) {
@@ -323,8 +297,6 @@ func (f *luFactor) extend(r int) {
 	f.cpos[r] = int32(r)
 	f.lStart[r+1] = f.lStart[r]
 	f.uStart[r+1] = f.uStart[r]
-	f.ltStart[r+1] = f.ltStart[r]
-	f.utStart[r+1] = f.utStart[r]
 	f.m = r + 1
 }
 
@@ -375,9 +347,10 @@ func (s *Solver) luSolveF(v []float64) {
 }
 
 // luSolveB solves (B₀)ᵀz = v in place: forward through Uᵀ in position
-// order, backward through Lᵀ, each in scatter form — a solved nonzero
-// scatters along its row of the row-wise copy, a zero is skipped — with the
-// row permutation scattering the results back to slots.
+// order, backward through Lᵀ, each in gather form — position t takes the
+// solved positions of its column of U (or L) — with the column permutation
+// gathering slots into positions and the row permutation scattering the
+// results back.
 //
 //sqpr:hotpath
 func (s *Solver) luSolveB(v []float64) {
@@ -389,23 +362,17 @@ func (s *Solver) luSolveB(v []float64) {
 	}
 	for t := 0; t < m; t++ {
 		vv := w[t]
-		if vv == 0 {
-			continue
+		for e := f.uStart[t]; e < f.uStart[t+1]; e++ {
+			vv -= f.uVal[e] * w[f.uRow[e]]
 		}
-		vv /= f.uDiag[t]
-		w[t] = vv
-		for e := f.utStart[t]; e < f.utStart[t+1]; e++ {
-			w[f.utCol[e]] -= f.utVal[e] * vv
-		}
+		w[t] = vv / f.uDiag[t]
 	}
 	for t := m - 1; t >= 0; t-- {
 		vv := w[t]
-		if vv == 0 {
-			continue
+		for e := f.lStart[t]; e < f.lStart[t+1]; e++ {
+			vv -= f.lVal[e] * w[f.rinv[f.lRow[e]]]
 		}
-		for e := f.ltStart[t]; e < f.ltStart[t+1]; e++ {
-			w[f.ltCol[e]] -= f.ltVal[e] * vv
-		}
+		w[t] = vv
 	}
 	for t := 0; t < m; t++ {
 		v[f.rpos[t]] = w[t]
@@ -451,9 +418,6 @@ func (s *Solver) refactorize() bool {
 		for i := range f.wmark[:len(f.wmark)] {
 			f.wmark[i] = 0
 		}
-		for i := range f.hseen[:len(f.hseen)] {
-			f.hseen[i] = 0
-		}
 		f.wstamp = 0
 	}
 
@@ -488,9 +452,7 @@ func (s *Solver) refactorize() bool {
 		f.wstamp++
 		st := f.wstamp
 		f.wtouch = f.wtouch[:0]
-		f.heap = f.heap[:0]
-		// Scatter the basis column into the work vector, seeding the heap
-		// with already-pivotal row positions.
+		// Scatter the basis column into the work vector.
 		if col < s.nStruct {
 			sign := 1.0
 			if s.flipped[col] {
@@ -507,12 +469,15 @@ func (s *Solver) refactorize() bool {
 			t := col - s.nStruct
 			f.scatterEntry(int32(t), s.slackCoef[t], st)
 		}
-		// Sparse lower solve: pop pivotal positions in ascending order
-		// (ascending positions is a topological order for L), emitting U
-		// entries and pushing fill-in as it appears.
-		for len(f.heap) > 0 {
-			t := f.heapPop()
-			v := f.w[f.rpos[t]]
+		// Sparse lower solve: the pivotal positions in ascending order (a
+		// topological order for L), skipping slots the column has not
+		// touched, emitting U entries and scattering fill-in as it appears.
+		for t := int32(0); t < int32(k); t++ {
+			slot := f.rpos[t]
+			if f.wmark[slot] != st {
+				continue
+			}
+			v := f.w[slot]
 			if v == 0 {
 				continue
 			}
@@ -553,8 +518,6 @@ func (s *Solver) refactorize() bool {
 		f.uStart[k+1] = int32(len(f.uRow))
 	}
 	f.nnzLU = len(f.lRow) + len(f.uRow) + m
-	f.ltCol, f.ltVal = rowCopy(m, f.lStart, f.lRow, f.lVal, f.rinv, f.ltStart, f.ltCol, f.ltVal)
-	f.utCol, f.utVal = rowCopy(m, f.uStart, f.uRow, f.uVal, nil, f.utStart, f.utCol, f.utVal)
 
 	s.eta.reset()
 	s.factorValid = true
@@ -572,55 +535,8 @@ func (s *Solver) refactorize() bool {
 	return true
 }
 
-// rowCopy writes the row-wise copy of a triangle stored by column over m
-// positions: column t holds idx/val[start[t]:start[t+1]], and an entry's
-// row position is pos[idx] (idx itself when pos is nil). rs receives the
-// row starts; rc/rv, resized and returned, the column positions and values,
-// each row in ascending column order.
-func rowCopy(m int, start, idx []int32, val []float64, pos, rs, rc []int32, rv []float64) ([]int32, []float64) {
-	nnz := int(start[m])
-	if cap(rc) < nnz {
-		// Take the column storage's capacity, which append grows
-		// geometrically, so the copy does not reallocate at every
-		// refactorize once the factors outgrow init's sizing.
-		rc = make([]int32, 0, cap(idx))
-		rv = make([]float64, 0, cap(idx))
-	}
-	rc, rv = rc[:nnz], rv[:nnz]
-	for t := 0; t <= m; t++ {
-		rs[t] = 0
-	}
-	for _, p := range idx[:nnz] {
-		if pos != nil {
-			p = pos[p]
-		}
-		rs[p+1]++
-	}
-	for t := 0; t < m; t++ {
-		rs[t+1] += rs[t]
-	}
-	// Fill using rs as the write cursor, then shift it back.
-	for t := 0; t < m; t++ {
-		for e := start[t]; e < start[t+1]; e++ {
-			p := idx[e]
-			if pos != nil {
-				p = pos[p]
-			}
-			rc[rs[p]] = int32(t)
-			rv[rs[p]] = val[e]
-			rs[p]++
-		}
-	}
-	for t := m; t > 0; t-- {
-		rs[t] = rs[t-1]
-	}
-	rs[0] = 0
-	return rc, rv
-}
-
 // scatterEntry marks slot live in the stamped work vector (zero-filling on
-// first touch) and seeds the elimination heap when the slot is already
-// pivotal, then adds v.
+// first touch), then adds v.
 //
 //sqpr:hotpath
 func (f *luFactor) scatterEntry(slot int32, v float64, st int32) {
@@ -628,52 +544,8 @@ func (f *luFactor) scatterEntry(slot int32, v float64, st int32) {
 		f.wmark[slot] = st
 		f.w[slot] = 0
 		f.wtouch = append(f.wtouch, slot) //sqpr:amortized
-		if p := f.rinv[slot]; p >= 0 && f.hseen[p] != st {
-			f.hseen[p] = st
-			f.heapPush(p)
-		}
 	}
 	f.w[slot] += v
-}
-
-//sqpr:hotpath
-func (f *luFactor) heapPush(p int32) {
-	f.heap = append(f.heap, p) //sqpr:amortized
-	i := len(f.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if f.heap[parent] <= f.heap[i] {
-			break
-		}
-		f.heap[parent], f.heap[i] = f.heap[i], f.heap[parent]
-		i = parent
-	}
-}
-
-//sqpr:hotpath
-func (f *luFactor) heapPop() int32 {
-	top := f.heap[0]
-	last := len(f.heap) - 1
-	f.heap[0] = f.heap[last]
-	f.heap = f.heap[:last]
-	i := 0
-	//sqpr:noctx bounded sift-down over the heap height
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < last && f.heap[l] < f.heap[small] {
-			small = l
-		}
-		if r < last && f.heap[r] < f.heap[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		f.heap[i], f.heap[small] = f.heap[small], f.heap[i]
-		i = small
-	}
-	return top
 }
 
 // costOf returns the objective coefficient of column j under the current

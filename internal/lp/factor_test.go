@@ -67,8 +67,9 @@ func closeTo(got, want, tol float64) bool {
 // update checks the kernels against a dense solve of the explicit basis:
 // FTRAN and BTRAN of random sparse vectors, the tableau column (ftranCol)
 // and basis-inverse row (btranRow), and computeDuals' row-wise reduced
-// costs against a column-wise expansion of the same duals. A row-wise LU
-// copy left stale by a border shows up here as a BTRAN mismatch.
+// costs against a column-wise expansion of the same duals. A border that
+// leaves the new position's rpos or cpos entry, or its L or U column
+// start, stale shows up here as a solve mismatch.
 func TestFactorSolvesMatchDense(t *testing.T) {
 	const tol = 1e-9
 	for trial := 0; trial < 30; trial++ {

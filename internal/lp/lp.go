@@ -172,9 +172,6 @@ type Options struct {
 	// Ctx, when non-nil, is polled periodically during iteration; a
 	// cancelled context aborts the solve like an exhausted deadline.
 	Ctx context.Context
-	// MaxIters caps total simplex iterations; 0 selects a size-derived
-	// default.
-	MaxIters int
 }
 
 // FeasTol is the feasibility tolerance the solver classifies a point by:

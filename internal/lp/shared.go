@@ -21,37 +21,11 @@ const (
 // well inside the FeasTol-scaled row tolerances.
 const scanEps = 1e-9
 
-func growF(s []float64, n int) []float64 {
+// grow returns s resized to length n, reusing its backing array when it
+// is large enough; a fresh array is zeroed, a reused one keeps its values.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growI(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growB(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
-
-func growI8(s []int8, n int) []int8 {
-	if cap(s) < n {
-		return make([]int8, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

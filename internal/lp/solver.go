@@ -19,13 +19,13 @@ import (
 // the simplex method needs is recovered on demand by two sparse triangular
 // solves — FTRAN (B⁻¹·a, entering columns and basic values) and BTRAN
 // (B⁻ᵀ·e, pivot rows and duals). A pivot costs the nonzeros it touches
-// plus a handful of cheap sweeps over the m basis slots: each triangular
-// solve visits every position once but does work only at its nonzeros
-// (the transposed one through row-wise copies of L and U), the eta file
-// costs its entries, the pivot row and the reduced costs expand only the
-// rows where ρ or y is nonzero, and the eta and basic-solution update is
-// one pass over α. The leaving-row scan is the one O(m) pass with work at
-// every slot.
+// plus a handful of sweeps over the m basis slots: each triangular solve
+// visits every position once (the forward one does work only at its
+// nonzeros, the transposed one gathers every stored entry of L and U), the
+// eta file costs its entries, the pivot row and the reduced costs expand
+// only the rows where ρ or y is nonzero, and the eta and basic-solution
+// update is one pass over α. The leaving-row scan is an O(m) pass with work
+// at every slot.
 //
 // The public surface — Load/ReSolve with warm restarts, Fix/Unfix bound
 // pinning, lazy row activation, SaveBasis/RestoreBasis snapshots and RowDual
@@ -278,9 +278,9 @@ func (s *Solver) LoadCSR(a *CSR) error {
 	s.stats = FactorStats{}
 	s.m = 0
 
-	s.rowSlot = growI32(s.rowSlot, s.mAll)
-	s.slotRow = growI32(s.slotRow, s.mAll)
-	s.activeRows = growB(s.activeRows, s.mAll)
+	s.rowSlot = grow(s.rowSlot, s.mAll)
+	s.slotRow = grow(s.slotRow, s.mAll)
+	s.activeRows = grow(s.activeRows, s.mAll)
 	s.nSlack = 0
 	s.nInactive = 0
 	for i, sense := range a.Sense {
@@ -302,35 +302,35 @@ func (s *Solver) LoadCSR(a *CSR) error {
 	}
 	// Worst case: every row active with its slack.
 	s.colCap = a.NumVars + s.mAll
-	s.slackCoef = growF(s.slackCoef, s.mAll)
+	s.slackCoef = grow(s.slackCoef, s.mAll)
 
-	s.basis = growI(s.basis, s.mAll)
-	s.rowOf = growI(s.rowOf, s.colCap)
-	s.inBasis = growB(s.inBasis, s.colCap)
-	s.upper = growF(s.upper, s.colCap)
-	s.baseU = growF(s.baseU, s.colCap)
-	s.flipped = growB(s.flipped, s.colCap)
-	s.d = growF(s.d, s.colCap)
-	s.fixVal = growI8(s.fixVal, a.NumVars)
+	s.basis = grow(s.basis, s.mAll)
+	s.rowOf = grow(s.rowOf, s.colCap)
+	s.inBasis = grow(s.inBasis, s.colCap)
+	s.upper = grow(s.upper, s.colCap)
+	s.baseU = grow(s.baseU, s.colCap)
+	s.flipped = grow(s.flipped, s.colCap)
+	s.d = grow(s.d, s.colCap)
+	s.fixVal = grow(s.fixVal, a.NumVars)
 	for j := range s.fixVal[:a.NumVars] {
 		s.fixVal[j] = fixFree
 	}
-	s.released = growI32(s.released, a.NumVars)[:0]
+	s.released = grow(s.released, a.NumVars)[:0]
 
-	s.beff = growF(s.beff, s.mAll)
-	s.xB = growF(s.xB, s.mAll)
-	s.alpha = growF(s.alpha, s.mAll)
-	s.rho = growF(s.rho, s.mAll)
-	s.work = growF(s.work, s.mAll)
-	s.accV = growF(s.accV, s.colCap)
-	s.accMark = growI(s.accMark, s.colCap)
+	s.beff = grow(s.beff, s.mAll)
+	s.xB = grow(s.xB, s.mAll)
+	s.alpha = grow(s.alpha, s.mAll)
+	s.rho = grow(s.rho, s.mAll)
+	s.work = grow(s.work, s.mAll)
+	s.accV = grow(s.accV, s.colCap)
+	s.accMark = grow(s.accMark, s.colCap)
 	clear(s.accMark)
 	s.accRound = 0
-	s.accTouch = growI32(s.accTouch, s.colCap)[:0]
+	s.accTouch = grow(s.accTouch, s.colCap)[:0]
 	s.driftTries = 0
 
 	n := max(a.NumVars, 1)
-	s.xbuf = growF(s.xbuf, n)
+	s.xbuf = grow(s.xbuf, n)
 	s.snap.valid = false
 
 	s.lu.init(s.mAll)
@@ -338,9 +338,9 @@ func (s *Solver) LoadCSR(a *CSR) error {
 	// factors later; ineqNNZ is their coefficient count.
 	s.eta.init(s.mAll, s.nInactive, ineqNNZ)
 
-	s.scanX = growF(s.scanX, n)
+	s.scanX = grow(s.scanX, n)
 	s.scanValid = false
-	s.rowMark = growI(s.rowMark, s.mAll)
+	s.rowMark = grow(s.rowMark, s.mAll)
 	clear(s.rowMark)
 	s.rowRound = 0
 	return nil
@@ -376,7 +376,7 @@ func (s *Solver) buildCSC() (ineqNNZ int, err error) {
 	// Counting column j at cc[j+1] and then prefix-summing leaves the start
 	// of column j at cc[j]. Filling advances cc[j] to the start of column
 	// j+1, so the starts end up one column to the right.
-	cc := growI32(s.ccStart, n+1)
+	cc := grow(s.ccStart, n+1)
 	clear(cc)
 	for k, j := range vars {
 		if j < 0 || int(j) >= n {
@@ -389,8 +389,8 @@ func (s *Solver) buildCSC() (ineqNNZ int, err error) {
 		cc[j] += cc[j-1]
 	}
 	nnz := int(cc[n])
-	ccRow := growI32(s.ccRow, nnz)
-	ccCoef := growF(s.ccCoef, nnz)
+	ccRow := grow(s.ccRow, nnz)
+	ccCoef := grow(s.ccCoef, nnz)
 	// Filling in row order lists each column's rows ascending.
 	i := int32(0)
 	for k, j := range vars {
@@ -432,27 +432,27 @@ func (s *Solver) SaveBasis() {
 	sp.m = s.m
 	sp.n = s.n
 	sp.nInactive = s.nInactive
-	sp.activeRows = growB(sp.activeRows, s.mAll)
+	sp.activeRows = grow(sp.activeRows, s.mAll)
 	copy(sp.activeRows, s.activeRows[:s.mAll])
-	sp.slotRow = growI32(sp.slotRow, s.m)
+	sp.slotRow = grow(sp.slotRow, s.m)
 	copy(sp.slotRow, s.slotRow[:s.m])
-	sp.slackCoef = growF(sp.slackCoef, s.m)
+	sp.slackCoef = grow(sp.slackCoef, s.m)
 	copy(sp.slackCoef, s.slackCoef[:s.m])
-	sp.beff = growF(sp.beff, s.m)
+	sp.beff = grow(sp.beff, s.m)
 	copy(sp.beff, s.beff[:s.m])
-	sp.basis = growI(sp.basis, s.m)
+	sp.basis = grow(sp.basis, s.m)
 	copy(sp.basis, s.basis[:s.m])
-	sp.rowOf = growI(sp.rowOf, s.n)
+	sp.rowOf = grow(sp.rowOf, s.n)
 	copy(sp.rowOf, s.rowOf[:s.n])
-	sp.inBasis = growB(sp.inBasis, s.n)
+	sp.inBasis = grow(sp.inBasis, s.n)
 	copy(sp.inBasis, s.inBasis[:s.n])
-	sp.upper = growF(sp.upper, s.n)
+	sp.upper = grow(sp.upper, s.n)
 	copy(sp.upper, s.upper[:s.n])
-	sp.flipped = growB(sp.flipped, s.n)
+	sp.flipped = grow(sp.flipped, s.n)
 	copy(sp.flipped, s.flipped[:s.n])
-	sp.fixVal = growI8(sp.fixVal, s.nStruct)
+	sp.fixVal = grow(sp.fixVal, s.nStruct)
 	copy(sp.fixVal, s.fixVal[:s.nStruct])
-	sp.d = growF(sp.d, s.n)
+	sp.d = grow(sp.d, s.n)
 	copy(sp.d, s.d[:s.n])
 }
 
@@ -727,10 +727,7 @@ func (s *Solver) expired() bool {
 func (s *Solver) installOpts(opts Options) {
 	s.deadline = opts.Deadline
 	s.ctx = opts.Ctx
-	s.maxIters = opts.MaxIters
-	if s.maxIters <= 0 {
-		s.maxIters = 200 * (s.mAll + s.nStruct + s.nSlack + 10)
-	}
+	s.maxIters = 200 * (s.mAll + s.nStruct + s.nSlack + 10)
 	s.iters = 0
 	s.bland = false
 	s.stall = 0

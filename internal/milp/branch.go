@@ -16,7 +16,6 @@ import (
 // the search's scratch.
 type bbNode struct {
 	bounds []boundFix
-	depth  int
 	est    float64 // parent LP objective (minimisation space), for pruning
 	seq    int     // insertion order, deterministic tie-break
 
@@ -226,20 +225,20 @@ func (s *search) reset(c *compiled, opts Options, maxNodes int) {
 	}
 	nAct, nv := len(c.active), len(c.m.vars)
 	s.open = s.open[:0]
-	s.pcUp, s.pcDn = growFloats(s.pcUp, nAct), growFloats(s.pcDn, nAct)
-	s.pcUpN, s.pcDnN = growInt32s(s.pcUpN, nAct), growInt32s(s.pcDnN, nAct)
+	s.pcUp, s.pcDn = grow(s.pcUp, nAct), grow(s.pcDn, nAct)
+	s.pcUpN, s.pcDnN = grow(s.pcUpN, nAct), grow(s.pcDnN, nAct)
 	clear(s.pcUp)
 	clear(s.pcDn)
 	clear(s.pcUpN)
 	clear(s.pcDnN)
-	s.target = growInt8s(s.target, nAct)
-	s.applied = growInt8s(s.applied, nAct)
-	s.snapApplied = growInt8s(s.snapApplied, nAct)
+	s.target = grow(s.target, nAct)
+	s.applied = grow(s.applied, nAct)
+	s.snapApplied = grow(s.snapApplied, nAct)
 	for k := 0; k < nAct; k++ {
 		s.target[k], s.applied[k], s.snapApplied[k] = nodeFree, nodeFree, nodeFree
 	}
-	s.xAct = growFloats(s.xAct, nAct)
-	s.candBuf = growFloats(s.candBuf, nv)
+	s.xAct = grow(s.xAct, nAct)
+	s.candBuf = grow(s.candBuf, nv)
 }
 
 // newNode takes a recycled node, or makes one.
@@ -249,7 +248,7 @@ func (s *search) newNode() *bbNode {
 		s.recycled[n-1] = nil
 		s.recycled = s.recycled[:n-1]
 		nd.bounds = nd.bounds[:0]
-		nd.depth, nd.est, nd.seq = 0, 0, 0
+		nd.est, nd.seq = 0, 0
 		nd.branchVar, nd.branchUp, nd.parentEst, nd.branchDist = -1, false, 0, 0
 		return nd
 	}
@@ -689,7 +688,6 @@ func (s *search) makeChildren(n *bbNode, relax float64, k int, val float64) (up,
 		}
 		ch.bounds = append(ch.bounds, n.bounds...)
 		ch.bounds = append(ch.bounds, boundFix{k, atUpper})
-		ch.depth = n.depth + 1
 		ch.est = relax
 		ch.branchVar = k
 		ch.branchUp = atUpper

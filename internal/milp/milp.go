@@ -367,9 +367,11 @@ type compiled struct {
 	presolveDropped   int // redundant rows removed
 }
 
-func growFloats(s []float64, n int) []float64 {
+// grow returns s resized to length n, reusing its backing array when it
+// is large enough; a fresh array is zeroed, a reused one keeps its values.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -386,27 +388,6 @@ func (c *compiled) modelSpace(lpObj float64) float64 {
 }
 
 var errInfeasible = fmt.Errorf("milp: trivially infeasible after presolve")
-
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
-
-func growInt8s(s []int8, n int) []int8 {
-	if cap(s) < n {
-		return make([]int8, n)
-	}
-	return s[:n]
-}
-
-func growInt32s(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
 
 // compile builds the LP image into the model's reusable compiled image:
 // copy the coefficients and right-hand sides into the presolve image under
@@ -433,9 +414,9 @@ func (m *Model) compile(presolveOn bool, witness []float64) (*compiled, error) {
 	c.presolveFixed, c.presolveTightened, c.presolveDropped = 0, 0, 0
 
 	// Bounds overlay: presolve tightens these, never the model's bounds.
-	c.plo = growFloats(c.plo, nv)
-	c.phi = growFloats(c.phi, nv)
-	c.free = growBools(c.free, nv)
+	c.plo = grow(c.plo, nv)
+	c.phi = grow(c.phi, nv)
+	c.free = grow(c.free, nv)
 	for i := range m.vars {
 		v := &m.vars[i]
 		if math.IsInf(v.hi, 1) {
@@ -449,7 +430,7 @@ func (m *Model) compile(presolveOn bool, witness []float64) (*compiled, error) {
 	}
 	c.pcoef = append(c.pcoef[:0], m.rowCoef...)
 	c.prhs = append(c.prhs[:0], m.rowRHS...)
-	c.pskip = growBools(c.pskip, len(m.rowSense))
+	c.pskip = grow(c.pskip, len(m.rowSense))
 	clear(c.pskip)
 
 	if presolveOn {
@@ -471,7 +452,7 @@ func (m *Model) compile(presolveOn bool, witness []float64) (*compiled, error) {
 // the LP's cost and upper bound of each column.
 func (c *compiled) activate() error {
 	m := c.m
-	c.lpIndex = growInt32s(c.lpIndex, len(m.vars))
+	c.lpIndex = grow(c.lpIndex, len(m.vars))
 	c.active = c.active[:0]
 	for i := range m.vars {
 		v := &m.vars[i]
@@ -490,9 +471,9 @@ func (c *compiled) activate() error {
 	}
 	n := len(c.active)
 	c.lp.NumVars = n
-	c.lp.Cost = growFloats(c.lp.Cost, n)
-	c.lp.Upper = growFloats(c.lp.Upper, n)
-	c.prio = growInt8s(c.prio, n)
+	c.lp.Cost = grow(c.lp.Cost, n)
+	c.lp.Upper = grow(c.lp.Upper, n)
+	c.prio = grow(c.prio, n)
 	for k, mi := range c.active {
 		v := &m.vars[mi]
 		c.lp.Cost[k] = c.objDir * v.obj
@@ -511,8 +492,8 @@ func (c *compiled) emit() error {
 	a := &c.lp
 	start, rowVar := m.rowStart, m.rowVar
 	pcoef, plo, lpIndex := c.pcoef, c.plo, c.lpIndex
-	vars := growInt32s(a.Var, len(rowVar))
-	coefs := growFloats(a.Coef, len(rowVar))
+	vars := grow(a.Var, len(rowVar))
+	coefs := grow(a.Coef, len(rowVar))
 	a.Start = append(a.Start[:0], 0)
 	a.Sense, a.RHS = a.Sense[:0], a.RHS[:0]
 	n := int32(0)
@@ -553,7 +534,7 @@ func (c *compiled) emit() error {
 // the caller's buffer (grown as needed), so the branch-and-bound's candidate
 // paths stay allocation-free.
 func (c *compiled) toModelXInto(x, buf []float64) []float64 {
-	buf = growFloats(buf, len(c.m.vars))
+	buf = grow(buf, len(c.m.vars))
 	copy(buf, c.plo)
 	for k, mi := range c.active {
 		buf[mi] = x[k] + c.plo[mi]

@@ -67,18 +67,18 @@ func (c *compiled) rowActivity(vars []int32, coefs []float64) (minAct, maxAct, b
 func (c *compiled) indexVarRows(nv, nr int) {
 	start := c.m.rowStart
 	vars := c.m.rowVar[:start[nr]]
-	vstart := growInt32s(c.vstart, nv+1)
+	vstart := grow(c.vstart, nv+1)
 	clear(vstart)
 	for _, mi := range vars {
 		vstart[mi]++
 	}
-	c.appear = append(growInt32s(c.appear, nv)[:0], vstart[:nv]...)
+	c.appear = append(grow(c.appear, nv)[:0], vstart[:nv]...)
 	// vstart[mi] is the end of mi's rows here; filling backwards moves it
 	// to their start.
 	for mi := 1; mi <= nv; mi++ {
 		vstart[mi] += vstart[mi-1]
 	}
-	vrows := growInt32s(c.vrows, len(vars))
+	vrows := grow(c.vrows, len(vars))
 	for ri := nr - 1; ri >= 0; ri-- {
 		for _, mi := range vars[start[ri]:start[ri+1]] {
 			vstart[mi]--
@@ -120,8 +120,8 @@ func (c *compiled) runPresolve(witness []float64) error {
 
 	// The queue is a ring of nr slots: a row is in it at most once. Only
 	// its own visit drops a row, so a row in the queue is live.
-	c.queue = growInt32s(c.queue, nr)
-	c.queued = growBools(c.queued, nr)
+	c.queue = grow(c.queue, nr)
+	c.queued = grow(c.queued, nr)
 	for ri := 0; ri < nr; ri++ {
 		c.queue[ri] = int32(ri)
 		c.queued[ri] = true

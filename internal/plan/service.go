@@ -29,29 +29,24 @@ type ServiceConfig struct {
 	// queue holds QueueDepth entries fails fast with ErrQueueFull. 0
 	// selects 256.
 	QueueDepth int
-	// OnTrace, when non-nil, is invoked synchronously from the dispatcher
-	// goroutine after every applied request, in application order. It
-	// is the service's audit stream: tests replay it to check serial
-	// equivalence, harnesses log it. The callback must not call back into
-	// the service.
-	OnTrace func(Trace)
 	// SnapshotEvery compacts the admission journal with a full state
 	// snapshot after this many journaled records. Only meaningful for
 	// services opened with OpenService; 0 selects 256 there.
 	SnapshotEvery int
 }
 
-// TraceKind classifies one dispatcher application step.
+// TraceKind classifies one request: what the dispatcher applies and what
+// its journal record names.
 type TraceKind int8
 
 // Dispatcher step kinds.
 const (
-	// TraceSubmit is one planning call: Queries[0] is the primary query and
-	// Queries[1:] are the client's WithBatch companions.
+	// TraceSubmit is one planning call: the primary query and the
+	// client's WithBatch companions.
 	TraceSubmit TraceKind = iota
-	// TraceRemove is one Remove; Queries holds the single removed query.
+	// TraceRemove is one Remove.
 	TraceRemove
-	// TraceRepair is one Repair; Events holds its churn events.
+	// TraceRepair is one Repair of a batch of churn events.
 	TraceRepair
 )
 
@@ -66,17 +61,6 @@ func (k TraceKind) String() string {
 		return "repair"
 	}
 	return fmt.Sprintf("TraceKind(%d)", int8(k))
-}
-
-// Trace describes one request the dispatcher applied to the wrapped
-// planner, in application order.
-type Trace struct {
-	Kind    TraceKind
-	Queries []dsps.StreamID
-	Events  []Event
-	// Err is the error the planner call returned (nil on success; a
-	// rejection is not an error).
-	Err error
 }
 
 // LatencyBuckets lists the inclusive upper bounds of the per-request
@@ -429,15 +413,11 @@ func (s *Service) apply(r *request) {
 	case TraceSubmit:
 		r.res, r.err = s.p.Submit(r.ctx, r.q, r.opts...)
 		cfg := Apply(r.opts)
-		qs := cfg.Queries(r.q)
-		s.recordSolve(len(qs))
-		s.trace(Trace{Kind: TraceSubmit, Queries: qs, Err: r.err})
+		s.recordSolve(len(cfg.Queries(r.q)))
 	case TraceRemove:
 		r.err = s.p.Remove(r.q)
-		s.trace(Trace{Kind: TraceRemove, Queries: []dsps.StreamID{r.q}, Err: r.err})
 	case TraceRepair:
 		r.rr, r.err = s.p.Repair(r.ctx, r.evs, r.opts...)
-		s.trace(Trace{Kind: TraceRepair, Events: r.evs, Err: r.err})
 	}
 	if jerr := s.journal(r.kind); jerr != nil {
 		r.err = jerr
@@ -498,12 +478,4 @@ func (s *Service) reply(r *request, applied bool) {
 	}
 	s.smu.Unlock()
 	close(r.done)
-}
-
-// trace invokes the configured audit callback. Callers hold pmu, so traces
-// are delivered in exact application order.
-func (s *Service) trace(t Trace) {
-	if s.cfg.OnTrace != nil {
-		s.cfg.OnTrace(t)
-	}
 }

@@ -24,12 +24,23 @@ type fakePlanner struct {
 	// signalled each time a Submit reaches the gate.
 	gate     chan struct{}
 	entered  chan struct{}
-	calls    [][]dsps.StreamID // one entry per Submit, primary first
-	removed  []dsps.StreamID
-	repairs  int
+	calls    []fakeCall // every call the dispatcher made, in order
 	admitted map[dsps.StreamID]bool
 	active   int // concurrent calls observed (must stay <= 1)
 	maxAct   int
+}
+
+// fakeCall is one planner call as the fake saw it: a Submit lists its
+// primary query and WithBatch companions, a Remove its query.
+type fakeCall struct {
+	kind    plan.TraceKind
+	queries []dsps.StreamID
+}
+
+func (f *fakePlanner) record(kind plan.TraceKind, qs ...dsps.StreamID) {
+	f.mu.Lock()
+	f.calls = append(f.calls, fakeCall{kind, qs})
+	f.mu.Unlock()
 }
 
 func newFakePlanner(delay time.Duration) *fakePlanner {
@@ -61,13 +72,13 @@ func (f *fakePlanner) Submit(ctx context.Context, q dsps.StreamID, opts ...plan.
 		f.entered <- struct{}{}
 		<-f.gate
 	}
+	cfg := plan.Apply(opts)
+	qs := cfg.Queries(q)
+	f.record(plan.TraceSubmit, qs...)
 	if err := ctx.Err(); err != nil {
 		return plan.Result{}, err
 	}
-	cfg := plan.Apply(opts)
-	qs := cfg.Queries(q)
 	f.mu.Lock()
-	f.calls = append(f.calls, qs)
 	for _, s := range qs {
 		f.admitted[s] = true
 	}
@@ -78,22 +89,20 @@ func (f *fakePlanner) Submit(ctx context.Context, q dsps.StreamID, opts ...plan.
 func (f *fakePlanner) Remove(q dsps.StreamID) error {
 	f.enter()
 	defer f.exit()
+	f.record(plan.TraceRemove, q)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if !f.admitted[q] {
 		return plan.ErrNotAdmitted
 	}
 	delete(f.admitted, q)
-	f.removed = append(f.removed, q)
 	return nil
 }
 
 func (f *fakePlanner) Repair(ctx context.Context, events []plan.Event, opts ...plan.SubmitOption) (plan.RepairResult, error) {
 	f.enter()
 	defer f.exit()
-	f.mu.Lock()
-	f.repairs++
-	f.mu.Unlock()
+	f.record(plan.TraceRepair)
 	return plan.RepairResult{Result: plan.Result{Admitted: true}}, nil
 }
 
@@ -122,10 +131,7 @@ func TestServiceAppliesOneRequestPerCall(t *testing.T) {
 	f := newFakePlanner(0)
 	f.gate = make(chan struct{})
 	f.entered = make(chan struct{}, 8) // one slot per submit of the test
-	var trace []plan.Trace             // appended by the dispatcher, read after Close
-	s := plan.NewService(f, plan.ServiceConfig{
-		OnTrace: func(tr plan.Trace) { trace = append(trace, tr) },
-	})
+	s := plan.NewService(f, plan.ServiceConfig{})
 
 	// park starts call on its own goroutine and returns once its request
 	// sits in the queue as the queued-th entry.
@@ -182,21 +188,12 @@ func TestServiceAppliesOneRequestPerCall(t *testing.T) {
 		{plan.TraceSubmit, 0}, {plan.TraceSubmit, 1}, {plan.TraceSubmit, 2},
 		{plan.TraceRemove, 1}, {plan.TraceSubmit, 4}, {plan.TraceSubmit, 5},
 	}
-	if len(trace) != len(want) {
-		t.Fatalf("trace has %d entries, want %d: %+v", len(trace), len(want), trace)
+	if len(f.calls) != len(want) {
+		t.Fatalf("planner saw %d calls, want %d: %+v", len(f.calls), len(want), f.calls)
 	}
 	for i, w := range want {
-		if trace[i].Kind != w.kind || len(trace[i].Queries) != 1 || trace[i].Queries[0] != w.q {
-			t.Fatalf("trace[%d] = %v %v, want %v [%d]", i, trace[i].Kind, trace[i].Queries, w.kind, w.q)
-		}
-	}
-	wantCalls := []dsps.StreamID{0, 1, 2, 4, 5}
-	if len(f.calls) != len(wantCalls) {
-		t.Fatalf("planner saw %d Submit calls, want %d: %v", len(f.calls), len(wantCalls), f.calls)
-	}
-	for i, q := range wantCalls {
-		if len(f.calls[i]) != 1 || f.calls[i][0] != q {
-			t.Fatalf("planner call %d carried %v, want [%d]", i, f.calls[i], q)
+		if c := f.calls[i]; c.kind != w.kind || len(c.queries) != 1 || c.queries[0] != w.q {
+			t.Fatalf("call %d = %v %v, want %v [%d]", i, c.kind, c.queries, w.kind, w.q)
 		}
 	}
 	if f.maxAct > 1 {
@@ -348,20 +345,12 @@ func TestServiceCancelReachesThePlanner(t *testing.T) {
 	}
 }
 
-// TestServiceOrderAndTrace checks the ordering guarantee: requests are
-// applied in arrival order, the trace reports them in application order, and
-// a client's explicit batch is traced and counted with all its queries.
+// TestServiceOrderAndTrace checks the ordering guarantee: requests reach
+// the planner in arrival order, and a client's explicit batch is one
+// planner call, counted with all its queries.
 func TestServiceOrderAndTrace(t *testing.T) {
 	f := newFakePlanner(0)
-	var mu sync.Mutex
-	var trace []plan.Trace
-	s := plan.NewService(f, plan.ServiceConfig{
-		OnTrace: func(tr plan.Trace) {
-			mu.Lock()
-			trace = append(trace, tr)
-			mu.Unlock()
-		},
-	})
+	s := plan.NewService(f, plan.ServiceConfig{})
 	// Sequential requests (each waits for its reply), so the order is fixed.
 	ctx := context.Background()
 	if _, err := s.Submit(ctx, 1); err != nil {
@@ -382,19 +371,19 @@ func TestServiceOrderAndTrace(t *testing.T) {
 	s.Close()
 
 	want := []plan.TraceKind{plan.TraceSubmit, plan.TraceSubmit, plan.TraceRemove, plan.TraceRepair, plan.TraceSubmit}
-	if len(trace) != len(want) {
-		t.Fatalf("trace has %d entries, want %d: %+v", len(trace), len(want), trace)
+	if len(f.calls) != len(want) {
+		t.Fatalf("planner saw %d calls, want %d: %+v", len(f.calls), len(want), f.calls)
 	}
 	for i, k := range want {
-		if trace[i].Kind != k {
-			t.Fatalf("trace[%d].Kind = %v, want %v", i, trace[i].Kind, k)
+		if f.calls[i].kind != k {
+			t.Fatalf("call %d is a %v, want %v", i, f.calls[i].kind, k)
 		}
 	}
-	if trace[2].Queries[0] != 1 {
-		t.Fatalf("trace remove query = %d, want 1", trace[2].Queries[0])
+	if f.calls[2].queries[0] != 1 {
+		t.Fatalf("Remove reached the planner for %d, want 1", f.calls[2].queries[0])
 	}
-	if got := trace[4].Queries; !slices.Equal(got, []dsps.StreamID{3, 4, 5}) {
-		t.Fatalf("explicit-batch trace lists %v, want [3 4 5]", got)
+	if got := f.calls[4].queries; !slices.Equal(got, []dsps.StreamID{3, 4, 5}) {
+		t.Fatalf("explicit-batch call carried %v, want [3 4 5]", got)
 	}
 	if ss := s.ServiceStats(); ss.Solves != 3 || ss.BatchedSubmits != 5 {
 		t.Fatalf("%d solves carried %d queries, want 3 and 5", ss.Solves, ss.BatchedSubmits)

@@ -1,9 +1,10 @@
 // Service-conformance suite: every planner in the repository can be wrapped
-// in a plan.Service and driven by many goroutines at once. The service's
-// trace is its serialisation certificate — after a concurrent run of
-// Submit/Remove/Repair, replaying the recorded schedule serially on a fresh
-// planner must reproduce exactly the same admitted set, proving that the
-// dispatcher's queueing and locking never corrupt planner state.
+// in a plan.Service and driven by many goroutines at once. The schedule the
+// dispatcher applied is its serialisation certificate — after a concurrent
+// run of Submit/Remove/Repair, replaying the calls the planner received,
+// serially and in order, on a fresh planner must reproduce exactly the same
+// admitted set, proving that the dispatcher's queueing and locking never
+// corrupt planner state.
 // CI runs this file under -race (the race-service step).
 package sqpr_test
 
@@ -14,7 +15,50 @@ import (
 	"time"
 
 	"sqpr"
+	"sqpr/internal/plan"
 )
+
+// scheduledCall is one planner call the dispatcher made: a submit with its
+// primary query and WithBatch companions, a remove, or a repair.
+type scheduledCall struct {
+	kind    plan.TraceKind
+	queries []sqpr.StreamID
+	events  []sqpr.Event
+	err     error
+}
+
+// schedulePlanner records the calls it receives, in order, and forwards
+// them to the planner it wraps.
+type schedulePlanner struct {
+	sqpr.QueryPlanner
+	mu    sync.Mutex
+	calls []scheduledCall
+}
+
+func (p *schedulePlanner) record(c scheduledCall) {
+	p.mu.Lock()
+	p.calls = append(p.calls, c)
+	p.mu.Unlock()
+}
+
+func (p *schedulePlanner) Submit(ctx context.Context, q sqpr.StreamID, opts ...sqpr.SubmitOption) (sqpr.Result, error) {
+	res, err := p.QueryPlanner.Submit(ctx, q, opts...)
+	cfg := plan.Apply(opts)
+	p.record(scheduledCall{kind: plan.TraceSubmit, queries: cfg.Queries(q), err: err})
+	return res, err
+}
+
+func (p *schedulePlanner) Remove(q sqpr.StreamID) error {
+	err := p.QueryPlanner.Remove(q)
+	p.record(scheduledCall{kind: plan.TraceRemove, queries: []sqpr.StreamID{q}, err: err})
+	return err
+}
+
+func (p *schedulePlanner) Repair(ctx context.Context, events []sqpr.Event, opts ...sqpr.SubmitOption) (sqpr.RepairResult, error) {
+	rr, err := p.QueryPlanner.Repair(ctx, events, opts...)
+	p.record(scheduledCall{kind: plan.TraceRepair, events: events, err: err})
+	return rr, err
+}
 
 // serviceEnv builds the conformance system and workload at a slightly larger
 // scale than conformanceEnv, so rejections occur.
@@ -48,29 +92,22 @@ func serviceCases() []conformanceCase {
 
 // TestServiceConformance drives every planner through a plan.Service from
 // many goroutines — concurrent submits, removes and host-churn repairs —
-// then replays the service's recorded schedule serially on a fresh planner
+// then replays the calls the planner received serially on a fresh planner
 // and asserts the admitted sets match exactly.
 func TestServiceConformance(t *testing.T) {
 	for _, tc := range serviceCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			sys, queries := serviceEnv()
 
-			var mu sync.Mutex
-			var trace []sqpr.ServiceTrace
-			svc := sqpr.NewService(tc.make(sys), sqpr.ServiceConfig{
-				OnTrace: func(tr sqpr.ServiceTrace) {
-					mu.Lock()
-					trace = append(trace, tr)
-					mu.Unlock()
-				},
-			})
+			rec := &schedulePlanner{QueryPlanner: tc.make(sys)}
+			svc := sqpr.NewService(rec, sqpr.ServiceConfig{})
 
 			ctx := context.Background()
 			var wg sync.WaitGroup
 
 			// Concurrent submitters: every query submitted once, spread
 			// over the pool. Submitter 0 sends its share as one explicit
-			// batch, so the trace carries a multi-query submit to replay.
+			// batch, so the schedule carries a multi-query submit to replay.
 			for w := 0; w < 8; w++ {
 				wg.Add(1)
 				go func(w int) {
@@ -116,40 +153,40 @@ func TestServiceConformance(t *testing.T) {
 			replaySys, _ := serviceEnv()
 			replay := tc.make(replaySys)
 			batches := 0
-			for i, tr := range trace {
-				switch tr.Kind {
-				case sqpr.TraceSubmit:
-					if tr.Err != nil {
+			for i, c := range rec.calls {
+				switch c.kind {
+				case plan.TraceSubmit:
+					if c.err != nil {
 						continue // state unchanged on submit errors
 					}
 					var err error
-					if len(tr.Queries) > 1 {
+					if len(c.queries) > 1 {
 						batches++
-						_, err = replay.Submit(ctx, tr.Queries[0], sqpr.WithBatch(tr.Queries[1:]...))
+						_, err = replay.Submit(ctx, c.queries[0], sqpr.WithBatch(c.queries[1:]...))
 					} else {
-						_, err = replay.Submit(ctx, tr.Queries[0])
+						_, err = replay.Submit(ctx, c.queries[0])
 					}
 					if err != nil {
-						t.Fatalf("replay[%d] submit %v: %v", i, tr.Queries, err)
+						t.Fatalf("replay[%d] submit %v: %v", i, c.queries, err)
 					}
-				case sqpr.TraceRemove:
-					if tr.Err != nil {
+				case plan.TraceRemove:
+					if c.err != nil {
 						continue // failed removes did not change state
 					}
-					if err := replay.Remove(tr.Queries[0]); err != nil {
-						t.Fatalf("replay[%d] remove %d: %v", i, tr.Queries[0], err)
+					if err := replay.Remove(c.queries[0]); err != nil {
+						t.Fatalf("replay[%d] remove %d: %v", i, c.queries[0], err)
 					}
-				case sqpr.TraceRepair:
+				case plan.TraceRepair:
 					// Repairs commit host-state transitions even on error,
 					// so they always replay.
-					if _, err := replay.Repair(ctx, tr.Events); err != nil && tr.Err == nil {
+					if _, err := replay.Repair(ctx, c.events); err != nil && c.err == nil {
 						t.Fatalf("replay[%d] repair: %v", i, err)
 					}
 				}
 			}
 
 			if batches != 1 {
-				t.Fatalf("trace replayed %d multi-query submits, want submitter 0's explicit batch", batches)
+				t.Fatalf("schedule replayed %d multi-query submits, want submitter 0's explicit batch", batches)
 			}
 
 			// The concurrent run and its serial replay must agree exactly.

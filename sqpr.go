@@ -131,15 +131,12 @@ type (
 	// applied by one dispatcher in arrival order, one planner call per
 	// request. It implements QueryPlanner itself.
 	Service = plan.Service
-	// ServiceConfig tunes a Service (queue depth, trace hook, journal
-	// snapshot interval).
+	// ServiceConfig tunes a Service (queue depth, journal snapshot
+	// interval).
 	ServiceConfig = plan.ServiceConfig
 	// ServiceStats is the service-level telemetry: queueing, planner calls
 	// and per-request latency.
 	ServiceStats = plan.ServiceStats
-	// ServiceTrace describes one request the dispatcher applied, in order
-	// (the service's audit stream).
-	ServiceTrace = plan.Trace
 )
 
 // Durability types: the write-ahead admission journal and recovery.
@@ -213,13 +210,6 @@ const (
 	HostDrained   = plan.HostDrained
 	QueryDrifted  = plan.QueryDrifted
 	CostDrifted   = plan.CostDrifted
-)
-
-// Service trace kinds (the dispatcher's audit stream).
-const (
-	TraceSubmit = plan.TraceSubmit
-	TraceRemove = plan.TraceRemove
-	TraceRepair = plan.TraceRepair
 )
 
 // FailHost returns a host-failure event for Repair.
