@@ -29,6 +29,8 @@ type Planner struct {
 	// Remove can refund it. Refunds and the persistently placed operator
 	// closure are both optimistic, preserving the upper-bound property.
 	charged map[dsps.StreamID]float64
+	// lastAux is the aux of the previous TakeDelta; nil before the first.
+	lastAux []byte
 }
 
 // New creates the bound planner for a system. The aggregate budget counts

@@ -1,6 +1,7 @@
 package bound
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -28,6 +29,25 @@ type charge struct {
 // The CPU ledger travels in Aux, sorted for deterministic serialisation.
 func (p *Planner) ExportState() plan.State {
 	s := p.Ledger.ExportState()
+	s.Aux = p.auxJSON()
+	return s
+}
+
+// TakeDelta is the ledger's delta (see plan.DeltaRecorder) with the CPU
+// ledger in Aux whenever it changed since the previous call: the ledger's
+// own method would journal admissions without their charges.
+func (p *Planner) TakeDelta() plan.Delta {
+	d := p.Ledger.TakeDelta()
+	raw := p.auxJSON()
+	if p.lastAux != nil && !bytes.Equal(raw, p.lastAux) {
+		d.Aux, d.AuxSet = raw, true
+	}
+	p.lastAux = raw
+	return d
+}
+
+// auxJSON encodes the CPU ledger, sorted for deterministic serialisation.
+func (p *Planner) auxJSON() json.RawMessage {
 	a := aux{Budget: p.budget, Capacity: p.capacity}
 	for op := range p.placed {
 		a.Placed = append(a.Placed, op)
@@ -42,8 +62,7 @@ func (p *Planner) ExportState() plan.State {
 		// aux contains only plain numeric fields; Marshal cannot fail.
 		panic(fmt.Sprintf("bound: marshalling aux state: %v", err))
 	}
-	s.Aux = raw
-	return s
+	return raw
 }
 
 // ImportState replaces the planner state with s (see plan.StatePorter).
@@ -67,6 +86,10 @@ func (p *Planner) ImportState(s plan.State) error {
 	p.charged = make(map[dsps.StreamID]float64, len(a.Charged))
 	for _, c := range a.Charged {
 		p.charged[c.Stream] = c.Cost
+	}
+	if p.lastAux != nil {
+		// The ledger opened a fresh epoch at the imported state.
+		p.lastAux = p.auxJSON()
 	}
 	return nil
 }

@@ -75,7 +75,7 @@ func (b *builder) decode(x []float64) (*dsps.Assignment, error) {
 func (b *builder) pruneUnused(a *dsps.Assignment) bool {
 	var full *dsps.Assignment
 	if invariant.Enabled {
-		full = a.Clone()
+		full = a.Snapshot()
 		b.prune(full, b.allRoots)
 	}
 	pieces := len(a.Flows) + len(a.Ops)

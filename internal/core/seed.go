@@ -181,7 +181,7 @@ func (b *builder) mustAgreeWithValidate(cand *dsps.Assignment, ext *dsps.Extensi
 	if ok == (err == nil) {
 		return
 	}
-	before := cand.Clone()
+	before := cand.Snapshot()
 	before.DeleteProvide(ext.Provides[0].Stream)
 	before.EditFlows(ext.Flows, nil)
 	before.EditOps(ext.Ops, nil)

@@ -46,18 +46,26 @@ type Assignment struct {
 	// Ops holds every operator placement (z_ho = 1), in ComparePlacements
 	// order: (Op, Host).
 	Ops []Placement
+
+	// touches is the change record the mutators log into (nil: none), and
+	// epoch the record's epoch this allocation belongs to (see Touches).
+	touches *Touches
+	epoch   uint64
 }
 
 // NewAssignment returns an empty allocation (the initial solution of
 // Algorithm 1, line 1).
 func NewAssignment() *Assignment { return new(Assignment) }
 
-// Clone deep-copies the assignment.
+// Clone deep-copies the assignment. The copy logs into a's change record,
+// if a has one (see Touches).
 func (a *Assignment) Clone() *Assignment {
 	return &Assignment{
 		Provides: slices.Clone(a.Provides),
 		Flows:    slices.Clone(a.Flows),
 		Ops:      slices.Clone(a.Ops),
+		touches:  a.touches,
+		epoch:    a.epoch,
 	}
 }
 
@@ -195,6 +203,9 @@ func (a *Assignment) PlacementsOf(op OperatorID) []Placement {
 //sqpr:hotpath
 func (a *Assignment) SetProvide(s StreamID, h HostID) {
 	i, ok := a.provideIndex(s)
+	if !ok || a.Provides[i].Host != h {
+		a.touchStream(s)
+	}
 	if ok {
 		a.Provides[i].Host = h
 	} else {
@@ -211,6 +222,7 @@ func (a *Assignment) SetProvide(s StreamID, h HostID) {
 func (a *Assignment) DeleteProvide(s StreamID) bool {
 	i, ok := a.provideIndex(s)
 	if ok {
+		a.touchStream(s)
 		a.Provides = slices.Delete(a.Provides, i, i+1)
 	}
 	if invariant.Enabled {
@@ -225,6 +237,7 @@ func (a *Assignment) DeleteProvide(s StreamID) bool {
 func (a *Assignment) AddFlow(f Flow) bool {
 	i, ok := a.flowIndex(f)
 	if !ok {
+		a.touchStream(f.Stream)
 		a.Flows = insertAt(a.Flows, i, f)
 	}
 	if invariant.Enabled {
@@ -239,6 +252,7 @@ func (a *Assignment) AddFlow(f Flow) bool {
 func (a *Assignment) DeleteFlow(f Flow) bool {
 	i, ok := a.flowIndex(f)
 	if ok {
+		a.touchStream(f.Stream)
 		a.Flows = slices.Delete(a.Flows, i, i+1)
 	}
 	if invariant.Enabled {
@@ -253,6 +267,7 @@ func (a *Assignment) DeleteFlow(f Flow) bool {
 func (a *Assignment) AddOp(pl Placement) bool {
 	i, ok := a.opIndex(pl)
 	if !ok {
+		a.touchOp(pl.Op)
 		a.Ops = insertAt(a.Ops, i, pl)
 	}
 	if invariant.Enabled {
@@ -267,6 +282,7 @@ func (a *Assignment) AddOp(pl Placement) bool {
 func (a *Assignment) DeleteOp(pl Placement) bool {
 	i, ok := a.opIndex(pl)
 	if ok {
+		a.touchOp(pl.Op)
 		a.Ops = slices.Delete(a.Ops, i, i+1)
 	}
 	if invariant.Enabled {
@@ -275,9 +291,25 @@ func (a *Assignment) DeleteOp(pl Placement) bool {
 	return ok
 }
 
+// The Delete*Func mutators call del once per element. A tracked
+// assignment logs the matches before it deletes them: the delete shuffles
+// the slice as it goes, and logging reads it.
+
 // DeleteProvidesFunc withdraws every provide for which del reports true.
 func (a *Assignment) DeleteProvidesFunc(del func(Provide) bool) {
-	a.Provides = slices.DeleteFunc(a.Provides, del)
+	if a.recording() {
+		at := a.touches.marks[:0]
+		for i, p := range a.Provides {
+			if del(p) {
+				a.touchStream(p.Stream)
+				at = append(at, i)
+			}
+		}
+		a.touches.marks = at
+		a.Provides = deleteAt(a.Provides, at)
+	} else {
+		a.Provides = slices.DeleteFunc(a.Provides, del)
+	}
 	if invariant.Enabled {
 		a.mustBeOrdered()
 	}
@@ -285,7 +317,19 @@ func (a *Assignment) DeleteProvidesFunc(del func(Provide) bool) {
 
 // DeleteFlowsFunc turns off every transfer for which del reports true.
 func (a *Assignment) DeleteFlowsFunc(del func(Flow) bool) {
-	a.Flows = slices.DeleteFunc(a.Flows, del)
+	if a.recording() {
+		at := a.touches.marks[:0]
+		for i, f := range a.Flows {
+			if del(f) {
+				a.touchStream(f.Stream)
+				at = append(at, i)
+			}
+		}
+		a.touches.marks = at
+		a.Flows = deleteAt(a.Flows, at)
+	} else {
+		a.Flows = slices.DeleteFunc(a.Flows, del)
+	}
 	if invariant.Enabled {
 		a.mustBeOrdered()
 	}
@@ -293,10 +337,40 @@ func (a *Assignment) DeleteFlowsFunc(del func(Flow) bool) {
 
 // DeleteOpsFunc turns off every placement for which del reports true.
 func (a *Assignment) DeleteOpsFunc(del func(Placement) bool) {
-	a.Ops = slices.DeleteFunc(a.Ops, del)
+	if a.recording() {
+		at := a.touches.marks[:0]
+		for i, pl := range a.Ops {
+			if del(pl) {
+				a.touchOp(pl.Op)
+				at = append(at, i)
+			}
+		}
+		a.touches.marks = at
+		a.Ops = deleteAt(a.Ops, at)
+	} else {
+		a.Ops = slices.DeleteFunc(a.Ops, del)
+	}
 	if invariant.Enabled {
 		a.mustBeOrdered()
 	}
+}
+
+// deleteAt removes the elements at the ascending indices at from s and
+// zeroes the vacated tail, as slices.DeleteFunc does.
+func deleteAt[T any](s []T, at []int) []T {
+	if len(at) == 0 {
+		return s
+	}
+	w := at[0]
+	for k, i := range at {
+		end := len(s)
+		if k+1 < len(at) {
+			end = at[k+1]
+		}
+		w += copy(s[w:], s[i+1:end])
+	}
+	clear(s[w:])
+	return s[:w]
 }
 
 // EditProvides withdraws the provides of del, then binds each of set,
@@ -312,6 +386,10 @@ func (a *Assignment) EditProvides(del []StreamID, set []Provide) {
 	dels := make([]Provide, len(del))
 	for i, s := range del {
 		dels[i].Stream = s
+		a.touchStream(s)
+	}
+	for _, p := range set {
+		a.touchStream(p.Stream)
 	}
 	a.Provides = EditSorted(a.Provides, dels, set, CompareProvides)
 	if invariant.Enabled {
@@ -321,6 +399,11 @@ func (a *Assignment) EditProvides(del []StreamID, set []Provide) {
 
 // EditFlows: see EditProvides.
 func (a *Assignment) EditFlows(del, add []Flow) {
+	for _, l := range [2][]Flow{del, add} {
+		for _, f := range l {
+			a.touchStream(f.Stream)
+		}
+	}
 	a.Flows = EditSorted(a.Flows, del, add, CompareFlows)
 	if invariant.Enabled {
 		a.mustBeOrdered()
@@ -329,6 +412,11 @@ func (a *Assignment) EditFlows(del, add []Flow) {
 
 // EditOps: see EditProvides.
 func (a *Assignment) EditOps(del, add []Placement) {
+	for _, l := range [2][]Placement{del, add} {
+		for _, pl := range l {
+			a.touchOp(pl.Op)
+		}
+	}
 	a.Ops = EditSorted(a.Ops, del, add, ComparePlacements)
 	if invariant.Enabled {
 		a.mustBeOrdered()

@@ -15,30 +15,36 @@ import (
 // its full pass.
 
 // DeleteFlowsOfFunc turns off every transfer of stream s for which del
-// reports true. It costs the run of s, not the whole list.
+// reports true. It costs the run of s, not the whole list, and logs s as
+// touched only when it deletes something.
 func (a *Assignment) DeleteFlowsOfFunc(s StreamID, del func(Flow) bool) {
 	lo, hi := a.flowSpan(s)
-	a.Flows = deleteRunFunc(a.Flows, lo, hi, del)
+	if i := slices.IndexFunc(a.Flows[lo:hi], del); i >= 0 {
+		a.touchStream(s)
+		a.Flows = deleteRunFrom(a.Flows, lo+i, hi, del)
+	}
 	if invariant.Enabled {
 		a.mustBeOrdered()
 	}
 }
 
-// DeletePlacementsOfFunc turns off every placement of operator op for
-// which del reports true. It costs the run of op, not the whole list.
+// DeletePlacementsOfFunc: see DeleteFlowsOfFunc, for the run of op.
 func (a *Assignment) DeletePlacementsOfFunc(op OperatorID, del func(Placement) bool) {
 	lo, hi := a.opSpan(op)
-	a.Ops = deleteRunFunc(a.Ops, lo, hi, del)
+	if i := slices.IndexFunc(a.Ops[lo:hi], del); i >= 0 {
+		a.touchOp(op)
+		a.Ops = deleteRunFrom(a.Ops, lo+i, hi, del)
+	}
 	if invariant.Enabled {
 		a.mustBeOrdered()
 	}
 }
 
-// deleteRunFunc deletes from s[lo:hi] the elements del reports, closing
-// the gap with one shift of the tail.
-func deleteRunFunc[T any](s []T, lo, hi int, del func(T) bool) []T {
-	kept := slices.DeleteFunc(s[lo:hi], del)
-	return slices.Delete(s, lo+len(kept), hi)
+// deleteRunFrom deletes s[i], which del has reported, and the elements of
+// s[i+1:hi] del reports, closing the gap with one shift of the tail.
+func deleteRunFrom[T any](s []T, i, hi int, del func(T) bool) []T {
+	kept := slices.DeleteFunc(s[i+1:hi], del)
+	return slices.Delete(s, i+copy(s[i:], kept), hi)
 }
 
 // Collection marks, kept per availability in the value array beside the

@@ -56,6 +56,11 @@ func EditSorted[T any](base, del, add []T, cmp func(T, T) int) []T {
 // rebound to a new host), del the elements of before whose key after lacks.
 // Both come out in order and alias neither input.
 func DiffSorted[T comparable](before, after []T, cmp func(T, T) int) (set, del []T) {
+	return appendDiff(nil, nil, before, after, cmp)
+}
+
+// appendDiff is DiffSorted appending to set and del.
+func appendDiff[T comparable](set, del, before, after []T, cmp func(T, T) int) ([]T, []T) {
 	i, j := 0, 0
 	for i < len(before) && j < len(after) {
 		switch c := cmp(before[i], after[j]); {

@@ -298,6 +298,19 @@ func (f *luFactor) extend(r int) {
 	f.lStart[r+1] = f.lStart[r]
 	f.uStart[r+1] = f.uStart[r]
 	f.m = r + 1
+	if invariant.Enabled {
+		f.mustInvertRows("extend")
+	}
+}
+
+// mustInvertRows is the checked-build assertion that rinv inverts rpos over
+// the m pivoted slots, which luSolveB's Lᵀ solve reads it as.
+func (f *luFactor) mustInvertRows(after string) {
+	for k := 0; k < f.m; k++ {
+		if r := f.rpos[k]; r < 0 || int(r) >= f.m || f.rinv[r] != int32(k) {
+			invariant.Failf("lp: after %s position %d pivots on slot %d, which rinv maps to position %d", after, k, r, f.rinv[max(r, 0)])
+		}
+	}
 }
 
 // noteEta counts the eta just appended.
@@ -530,6 +543,7 @@ func (s *Solver) refactorize() bool {
 	s.ftranXB()
 	s.computeDuals()
 	if invariant.Enabled {
+		f.mustInvertRows("refactorize")
 		s.checkResidual("refactorize")
 	}
 	return true

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -49,7 +50,9 @@ type RecoveredState struct {
 // of the fresh planner's exported baseline (or the latest snapshot) and
 // imports the result wholesale, so the restarted planner reaches the exact
 // pre-crash state — admitted set, placements and host availability — with
-// zero planning solves. p must implement StatePorter.
+// zero planning solves. p must implement StatePorter. A p that is also a
+// DeltaRecorder is journaled from what each request touched and exported
+// only for snapshots; any other is exported and diffed after every request.
 //
 // The service owns the log: Close flushes and closes it.
 func OpenService(p QueryPlanner, cfg ServiceConfig, fs wal.FS, wopts wal.Options) (*Service, RecoveredState, error) {
@@ -94,18 +97,17 @@ func OpenService(p QueryPlanner, cfg ServiceConfig, fs wal.FS, wopts wal.Options
 	s := newService(p, cfg)
 	s.pmu.Lock()
 	s.walLog = log
-	s.porter = porter
-	s.last = porter.ExportState()
+	s.source = newJournalSource(p, porter)
 	s.pmu.Unlock()
 	go s.dispatch()
 	return s, rs, nil
 }
 
 // journal writes the state delta of the request the dispatcher just
-// applied, before it is acknowledged. Diffing exported state makes the
-// journal planner-agnostic and self-correcting: rejected submissions and
-// failed calls produce an empty delta and cost nothing. Returns the error
-// the request must be answered with (nil when clean). Callers hold pmu.
+// applied, before it is acknowledged. The delta is what the request
+// changed, so rejected submissions and failed calls produce an empty delta
+// and cost nothing. Returns the error the request must be answered with
+// (nil when clean). Callers hold pmu.
 //
 //sqpr:locked pmu
 //sqpr:journal-point
@@ -116,8 +118,7 @@ func (s *Service) journal(kind TraceKind) error {
 	if err := s.Wedged(); err != nil {
 		return err
 	}
-	cur := s.porter.ExportState()
-	d := Diff(s.last, cur)
+	d := s.source.TakeDelta()
 	if d.IsEmpty() {
 		return nil
 	}
@@ -128,10 +129,9 @@ func (s *Service) journal(kind TraceKind) error {
 	if _, err := s.walLog.Append(data); err != nil {
 		return s.setWALErr(fmt.Errorf("plan: appending journal record: %w: %w", err, ErrWALFailed))
 	}
-	s.last = cur
 	s.sinceSnap++
 	if s.sinceSnap >= s.cfg.SnapshotEvery {
-		snap, err := json.Marshal(cur)
+		snap, err := json.Marshal(s.source.State())
 		if err != nil {
 			return s.setWALErr(fmt.Errorf("plan: encoding journal snapshot: %w: %w", err, ErrWALFailed))
 		}
@@ -146,6 +146,76 @@ func (s *Service) journal(kind TraceKind) error {
 	}
 	return nil
 }
+
+// journalSource yields what the journal writes: each request's delta and,
+// every SnapshotEvery records, the whole state.
+type journalSource interface {
+	TakeDelta() Delta
+	State() State
+}
+
+// newJournalSource picks p's source: its own change record when it is a
+// DeltaRecorder (checked against the export diff under sqprdebug), else
+// export and diff. The recording starts here, at the recovered state.
+func newJournalSource(p QueryPlanner, porter StatePorter) journalSource {
+	rec, ok := p.(DeltaRecorder)
+	if !ok {
+		return &diffSource{porter: porter, last: porter.ExportState()}
+	}
+	rec.TakeDelta()
+	src := recordedSource{DeltaRecorder: rec, porter: porter}
+	if invariant.Enabled {
+		return &checkedSource{recordedSource: src, last: porter.ExportState()}
+	}
+	return src
+}
+
+// recordedSource journals a DeltaRecorder: a delta costs what the request
+// touched, and the state is exported only for a snapshot.
+type recordedSource struct {
+	DeltaRecorder
+	porter StatePorter
+}
+
+func (r recordedSource) State() State { return r.porter.ExportState() }
+
+// diffSource journals a StatePorter that records nothing: it exports the
+// whole state after every request and diffs it with the previous export.
+type diffSource struct {
+	porter StatePorter
+	last   State
+}
+
+func (d *diffSource) TakeDelta() Delta {
+	cur := d.porter.ExportState()
+	delta := Diff(d.last, cur)
+	d.last = cur
+	return delta
+}
+
+func (d *diffSource) State() State { return d.last }
+
+// checkedSource is a DeltaRecorder's source in checked builds: it also
+// exports after every request and asserts that the recorded delta encodes
+// to the bytes of the export diff.
+type checkedSource struct {
+	recordedSource
+	last State
+}
+
+func (c *checkedSource) TakeDelta() Delta {
+	d := c.recordedSource.TakeDelta()
+	cur := c.porter.ExportState()
+	got, err := json.Marshal(d)
+	want, err2 := json.Marshal(Diff(c.last, cur))
+	if err != nil || err2 != nil || !bytes.Equal(got, want) {
+		invariant.Failf("service: the recorded delta %s differs from the export diff %s", got, want)
+	}
+	c.last = cur
+	return d
+}
+
+func (c *checkedSource) State() State { return c.last }
 
 // setWALErr records the sticky journal error that Wedged reads. Callers
 // hold pmu.

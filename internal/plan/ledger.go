@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -13,10 +14,11 @@ import (
 // Ledger is the bookkeeping every planner keeps around its placement
 // algorithm: the system, the current allocation, the admitted query set
 // and the cumulative Stats. A planner embeds one and thereby implements
-// the seven bookkeeping methods of QueryPlanner and StatePorter; what is
-// left in the planner's own package is how it places a query. The methods
-// below are the only code that writes the allocation pointer or the
-// admitted set, so an admitted query and its provide change together.
+// the eight bookkeeping methods of QueryPlanner, StatePorter and
+// DeltaRecorder; what is left in the planner's own package is how it
+// places a query. The methods below are the only code that writes the
+// allocation pointer or the admitted set, so an admitted query and its
+// provide change together.
 //
 // Between calls the allocation is collected — GarbageCollect would delete
 // nothing — and, for a planner that validates what it commits, valid. The
@@ -29,6 +31,17 @@ type Ledger struct {
 	state    *dsps.Assignment
 	admitted []dsps.StreamID // ascending, without repeats
 	stats    Stats
+	changes  *changeRecord // what changed since the last TakeDelta; nil before the first
+}
+
+// changeRecord is what a Ledger records between two TakeDelta calls (an
+// epoch): the allocation's change record, and the admitted set, host
+// states and changed operator costs the epoch began with.
+type changeRecord struct {
+	touches  dsps.Touches
+	admitted []dsps.StreamID
+	hosts    []dsps.HostState
+	costs    []OpCost
 }
 
 // NewLedger returns the empty ledger of a planner over sys (the initial
@@ -97,6 +110,7 @@ func (l *Ledger) Stage(next *dsps.Assignment, queries ...dsps.StreamID) bool {
 			}
 		}
 	}
+	next.Succeed(l.state)
 	l.state = next
 	all := true
 	for _, q := range queries {
@@ -141,7 +155,7 @@ func (l *Ledger) Remove(q dsps.StreamID) error {
 	var full *dsps.Assignment
 	if invariant.Enabled {
 		l.mustBeCollected("remove")
-		full = l.state.Clone()
+		full = l.state.Snapshot()
 		full.DeleteProvide(q)
 		full.GarbageCollect(l.sys)
 	}
@@ -158,12 +172,57 @@ func (l *Ledger) Remove(q dsps.StreamID) error {
 // scoped passes rest on: a full collection of the allocation deletes
 // nothing.
 func (l *Ledger) mustBeCollected(after string) {
-	c := l.state.Clone()
+	c := l.state.Snapshot()
 	c.GarbageCollect(l.sys)
 	if len(c.Flows) != len(l.state.Flows) || len(c.Ops) != len(l.state.Ops) {
 		invariant.Failf("%s: after %s the allocation holds %d flows and %d placements no provide rests on",
 			l.name, after, len(l.state.Flows)-len(c.Flows), len(l.state.Ops)-len(c.Ops))
 	}
+}
+
+// TakeDelta returns the delta from the state at the previous TakeDelta to
+// the current one — the delta Diff gives for the two exports, to the byte —
+// and opens the next epoch (see DeltaRecorder). The first call starts the
+// recording and returns an empty delta; ImportState opens a fresh epoch at
+// the imported state. The cost is what the epoch touched and one pass over
+// the admitted set, the hosts and the operators whose cost SetCost changed.
+func (l *Ledger) TakeDelta() Delta {
+	j := l.changes
+	if j == nil {
+		l.changes = new(changeRecord)
+		l.changes.begin(l)
+		return Delta{}
+	}
+	c := j.touches.Take(l.state)
+	d := Delta{
+		ProvideSet: c.ProvideSet, ProvideDel: c.ProvideDel,
+		FlowAdd: c.FlowAdd, FlowDel: c.FlowDel,
+		OpAdd: c.OpAdd, OpDel: c.OpDel,
+	}
+	d.AdmitAdd, d.AdmitDel = dsps.DiffSorted(j.admitted, l.admitted, cmp.Compare[dsps.StreamID])
+	j.admitted = append(j.admitted[:0], l.admitted...)
+	for h := range l.sys.Hosts {
+		if st := l.sys.Hosts[h].State; st != j.hosts[h] {
+			d.Hosts = append(d.Hosts, HostChange{Host: dsps.HostID(h), State: st})
+			j.hosts[h] = st
+		}
+	}
+	costs := changedCosts(l.sys)
+	var del []OpCost
+	d.CostSet, del = dsps.DiffSorted(j.costs, costs, compareOpCosts)
+	for _, c := range del {
+		d.CostDel = append(d.CostDel, c.Op)
+	}
+	j.costs = costs
+	return d
+}
+
+// begin opens a fresh epoch at l's current state.
+func (j *changeRecord) begin(l *Ledger) {
+	l.state.Track(&j.touches)
+	j.admitted = append(j.admitted[:0], l.admitted...)
+	j.hosts = hostStates(l.sys)
+	j.costs = changedCosts(l.sys)
 }
 
 // ExportState snapshots the durable state (see StatePorter): allocation,
@@ -194,6 +253,9 @@ func (l *Ledger) ImportStateIf(s State, accept func(next *dsps.Assignment) error
 	next.GarbageCollect(l.sys)
 	l.state = next
 	l.admitted = slices.Compact(slices.Sorted(slices.Values(s.Admitted)))
+	if l.changes != nil {
+		l.changes.begin(l)
+	}
 	if invariant.Enabled {
 		l.mustBeCollected("import")
 	}
@@ -257,6 +319,7 @@ func (l *Ledger) SubmitEach(ctx context.Context, q dsps.StreamID, opts []SubmitO
 		ok, reason, err := one(ctx, query, &cfg, deadline)
 		if err != nil {
 			if len(qs) > 1 {
+				prevState.Succeed(l.state)
 				l.state, l.admitted = prevState, prevAdmitted
 				if invariant.Enabled {
 					l.mustBeCollected("rollback")

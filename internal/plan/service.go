@@ -189,10 +189,9 @@ type Service struct {
 	// Durable-service state (nil/zero for plain NewService services; see
 	// OpenService in durable.go). The dispatcher journals through walLog
 	// before acknowledging.
-	walLog    *wal.Log    //sqpr:guarded-by pmu
-	porter    StatePorter //sqpr:guarded-by pmu
-	last      State       //sqpr:guarded-by pmu
-	sinceSnap int         //sqpr:guarded-by pmu
+	walLog    *wal.Log      //sqpr:guarded-by pmu
+	source    journalSource //sqpr:guarded-by pmu
+	sinceSnap int           //sqpr:guarded-by pmu
 
 	// wedge holds the first journal failure; it wedges the service so
 	// memory never silently diverges from the log. The wedge is sticky
@@ -344,11 +343,12 @@ func (s *Service) AdmittedCount() int {
 
 // Assignment returns a deep copy of the wrapped planner's allocation state:
 // unlike a bare planner, the service cannot hand out its live state, which
-// the dispatcher mutates concurrently.
+// the dispatcher mutates concurrently. The copy records nothing into the
+// planner's change record.
 func (s *Service) Assignment() *dsps.Assignment {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
-	return s.p.Assignment().Clone()
+	return s.p.Assignment().Snapshot()
 }
 
 // AdmittedQueries returns the sorted list of currently admitted query

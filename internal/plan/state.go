@@ -47,6 +47,19 @@ type StatePorter interface {
 	ImportState(s State) error
 }
 
+// DeltaRecorder is implemented by planners that record what each call
+// changes: every planner built on Ledger. The durable service journals
+// through it, at the cost of what a request touched, where a StatePorter
+// alone must be exported and diffed whole after every request.
+type DeltaRecorder interface {
+	// TakeDelta returns the delta from the state at the previous call to
+	// the current one, byte for byte the Diff of the two exported states,
+	// and starts the next epoch. The first call starts the recording and
+	// returns an empty delta; ImportState starts a fresh epoch at the
+	// imported state.
+	TakeDelta() Delta
+}
+
 // Clone deep-copies the state.
 func (s State) Clone() State {
 	c := State{
@@ -80,21 +93,34 @@ func (s State) Equal(o State) bool {
 // whose host states and changed operator costs it records.
 // Planner-private extras go in Aux afterwards.
 func ExportedState(sys *dsps.System, a *dsps.Assignment, admitted []dsps.StreamID) State {
-	s := State{
-		Assignment: a.Clone(),
+	return State{
+		Assignment: a.Snapshot(),
 		// Never nil: an empty set is written as [], not null.
 		Admitted: append(make([]dsps.StreamID, 0, len(admitted)), admitted...),
-		Hosts:    make([]dsps.HostState, sys.NumHosts()),
+		Hosts:    hostStates(sys),
+		Costs:    changedCosts(sys),
 	}
+}
+
+// hostStates lists the state of every host of sys, by HostID.
+func hostStates(sys *dsps.System) []dsps.HostState {
+	hs := make([]dsps.HostState, sys.NumHosts())
 	for h := range sys.Hosts {
-		s.Hosts[h] = sys.Hosts[h].State
+		hs[h] = sys.Hosts[h].State
 	}
+	return hs
+}
+
+// changedCosts lists, by ascending operator, every operator of sys whose
+// cost differs from the one it was built with.
+func changedCosts(sys *dsps.System) []OpCost {
+	var cs []OpCost
 	for o, built := range sys.BuiltCosts() {
 		if c := sys.Operators[o].Cost; c != built {
-			s.Costs = append(s.Costs, OpCost{Op: dsps.OperatorID(o), Cost: c})
+			cs = append(cs, OpCost{Op: dsps.OperatorID(o), Cost: c})
 		}
 	}
-	return s
+	return cs
 }
 
 // CheckState validates a State against a system before import: the bytes

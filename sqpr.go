@@ -68,6 +68,17 @@ var (
 	_ StatePorter = (*hier.Planner)(nil)
 )
 
+// Compile-time conformance of all five planners to plan.DeltaRecorder:
+// the durable service journals what each request touched, exporting the
+// whole state only for snapshots.
+var (
+	_ plan.DeltaRecorder = (*core.Planner)(nil)
+	_ plan.DeltaRecorder = (*heuristic.Planner)(nil)
+	_ plan.DeltaRecorder = (*soda.Planner)(nil)
+	_ plan.DeltaRecorder = (*bound.Planner)(nil)
+	_ plan.DeltaRecorder = (*hier.Planner)(nil)
+)
+
 // Core model types.
 type (
 	// System describes hosts, streams, operators and link capacities.
