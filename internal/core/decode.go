@@ -71,15 +71,21 @@ func (b *builder) decode(x []float64) (*dsps.Assignment, error) {
 // the roots its target is reachable from, so the walk starts from just the
 // roots that reach the free pieces' targets (neighbourRoots), not from
 // every provide and fixed placement of the allocation. It reports whether
-// it deleted anything.
+// it deleted anything. A seeded a is the trial's allocation, and then the
+// deletions go through the trial, so a rollback to mark 0 undoes them with
+// the seed.
 func (b *builder) pruneUnused(a *dsps.Assignment) bool {
 	var full *dsps.Assignment
 	if invariant.Enabled {
 		full = a.Snapshot()
-		b.prune(full, b.allRoots)
+		b.prune(full, nil, b.allRoots)
+	}
+	var t *dsps.Trial
+	if a == b.trial.Assignment {
+		t = &b.trial
 	}
 	pieces := len(a.Flows) + len(a.Ops)
-	b.prune(a, b.neighbourRoots)
+	b.prune(a, t, b.neighbourRoots)
 	if invariant.Enabled && !(slices.Equal(a.Flows, full.Flows) && slices.Equal(a.Ops, full.Ops)) {
 		invariant.Failf("core: pruning from the free pieces' roots kept %d flows and %d placements, from every root %d and %d",
 			len(a.Flows), len(a.Ops), len(full.Flows), len(full.Ops))
@@ -145,8 +151,9 @@ func (b *builder) neighbourRoots(a *dsps.Assignment, seen *dsps.Stamps) {
 }
 
 // prune walks back from the roots listRoots appends to b.roots under
-// pruneUnused's policy and deletes the free pieces it does not keep.
-func (b *builder) prune(a *dsps.Assignment, listRoots func(*dsps.Assignment, *dsps.Stamps)) {
+// pruneUnused's policy and deletes the free pieces it does not keep: through
+// t when t is not nil (a is then t's allocation), else from a directly.
+func (b *builder) prune(a *dsps.Assignment, t *dsps.Trial, listRoots func(*dsps.Assignment, *dsps.Stamps)) {
 	// via marks each needed availability (h, s): 1, or 2+m when its support
 	// is the inflow from host m. It lives beside the stamps that say which
 	// availabilities are needed at all.
@@ -191,16 +198,26 @@ func (b *builder) prune(a *dsps.Assignment, listRoots func(*dsps.Assignment, *ds
 	}
 	// Allocation pieces of fixed (non-free) queries stay: only the runs of
 	// free operators and streams are swept.
+	dropOp := func(pl dsps.Placement) bool {
+		out := b.sys.Operators[pl.Op].Output
+		return !seen.Stamped(b.sys.HSIndex(pl.Host, out)) || b.sys.IsBaseAt(pl.Host, out)
+	}
+	dropFlow := func(f dsps.Flow) bool {
+		to := b.sys.HSIndex(f.To, f.Stream)
+		return !seen.Stamped(to) || via[to] != 2+uint32(f.From)
+	}
 	for _, o := range b.freeOps {
-		out := b.sys.Operators[o].Output
-		a.DeletePlacementsOfFunc(o, func(pl dsps.Placement) bool {
-			return !seen.Stamped(b.sys.HSIndex(pl.Host, out)) || b.sys.IsBaseAt(pl.Host, out)
-		})
+		if t != nil {
+			t.DeletePlacementsOfFunc(o, dropOp)
+		} else {
+			a.DeletePlacementsOfFunc(o, dropOp)
+		}
 	}
 	for _, s := range b.freeStreams {
-		a.DeleteFlowsOfFunc(s, func(f dsps.Flow) bool {
-			to := b.sys.HSIndex(f.To, f.Stream)
-			return !seen.Stamped(to) || via[to] != 2+uint32(f.From)
-		})
+		if t != nil {
+			t.DeleteFlowsOfFunc(s, dropFlow)
+		} else {
+			a.DeleteFlowsOfFunc(s, dropFlow)
+		}
 	}
 }

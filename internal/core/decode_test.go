@@ -77,8 +77,8 @@ func TestPruneUnusedKeepsOneSupport(t *testing.T) {
 	want.DeleteFlow(flow(0, 1, y))
 	b = NewPlanner(sys, Config{}).newBuilder([]dsps.StreamID{xy.Output}, false)
 	full := a.Clone()
-	b.prune(full, b.allRoots)
-	b.prune(a, b.neighbourRoots)
+	b.prune(full, nil, b.allRoots)
+	b.prune(a, nil, b.neighbourRoots)
 	if !reflect.DeepEqual(a, want) || !reflect.DeepEqual(full, want) {
 		t.Fatalf("pruning around a fixed consumer:\n  from neighbour roots %+v\n  from every root %+v\nwant %+v", a, full, want)
 	}
@@ -109,8 +109,8 @@ func TestPruneFromNeighbourRootsMatchesAllRoots(t *testing.T) {
 			}
 		}
 		full := seed.Clone()
-		b.prune(full, b.allRoots)
-		b.prune(seed, b.neighbourRoots)
+		b.prune(full, nil, b.allRoots)
+		b.prune(seed, nil, b.neighbourRoots)
 		if !reflect.DeepEqual(seed, full) {
 			t.Fatalf("step %d: from neighbour roots %+v\nfrom every root %+v", step, seed, full)
 		}

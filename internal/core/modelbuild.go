@@ -1,8 +1,8 @@
 package core
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"sqpr/internal/dsps"
 	"sqpr/internal/milp"
@@ -26,7 +26,7 @@ type builder struct {
 	resCPU, resMem, resOut, resIn, resLink []float64
 
 	model *milp.Model
-	bigM  float64 // the acyclicity rows' M, written by build
+	bigM  float64 // the acyclicity rows' M, written by newBuilder
 	norm  Norm    // the (III.3) normalisers of sys, for the objective and the seed
 
 	// Build scratch: the objective's terms and, by y variable, the
@@ -56,6 +56,13 @@ type builder struct {
 	scoredScratch []scored
 	rankScratch   []dsps.HostID
 	holders       []dsps.HostID
+	placedScratch []bool // Submit's record of what the seed placed, by fresh query
+
+	// mergeSharers' candidates, and by StreamID the call (sharerEpoch) in
+	// which it last met each sharer.
+	candScratch []dsps.StreamID
+	sharerMet   []uint32
+	sharerEpoch uint32
 
 	// seedProbes bounds the greedy warm start's backtracking:
 	// planStreamAt is an exponential backtracking search, and on large
@@ -93,11 +100,13 @@ func (p *Planner) newBuilder(queries []dsps.StreamID, pinned bool) *builder {
 		b.addFree(p.closures.streamsOf(q))
 	}
 	if !pinned {
+		p.indexSharers(queries)
 		b.mergeSharers()
 	}
 	b.seal(b.sys)
 	b.selectHosts()
 	b.place(b.allowProvide)
+	b.bigM = float64(len(b.hosts)) + 2
 	b.prefer = b.prefer[:0]
 	for range b.freeOps {
 		b.prefer = append(b.prefer, -1)
@@ -195,12 +204,11 @@ func (b *builder) selectHosts() {
 	b.trial.Usage.Reset(b.sys, st)
 	spare := func(h dsps.HostID) float64 { return b.sys.Hosts[h].CPU - b.trial.Usage.CPU[h] }
 	fill := func(list []dsps.HostID) {
-		sort.Slice(list, func(i, j int) bool {
-			si, sj := spare(list[i]), spare(list[j])
-			if si != sj {
-				return si > sj
+		slices.SortFunc(list, func(x, y dsps.HostID) int {
+			if c := cmp.Compare(spare(y), spare(x)); c != 0 {
+				return c
 			}
-			return list[i] < list[j]
+			return cmp.Compare(x, y)
 		})
 		for _, h := range list {
 			if chosen >= cap {
@@ -308,7 +316,6 @@ func (b *builder) originAt(h dsps.HostID, s dsps.StreamID) float64 {
 func (b *builder) build() *milp.Model {
 	m := b.model
 	sys := b.sys
-	b.bigM = float64(len(b.hosts)) + 2
 	b.computeResiduals()
 
 	// --- Variables -----------------------------------------------------

@@ -285,35 +285,44 @@ func (p *Planner) submit(ctx context.Context, qs []dsps.StreamID, timeout time.D
 		// still fathoming hopeless subtrees early.
 		AbsGapTol: 0.02 * p.cfg.Weights.L1,
 	}
-	seed := b.seed(ctx)
-	placed := func(q dsps.StreamID) bool { _, ok := seed.Provider(q); return ok }
+	// The seed extends the live allocation in place, under the builder's
+	// trial: every outcome below that does not commit it rolls the trial
+	// back to mark 0, which restores the allocation and its ledger exactly.
+	// What it placed is read first.
+	seed := b.seedOn(ctx, p.Assignment())
+	placed := b.placedScratch[:0]
+	for _, q := range fresh {
+		_, ok := seed.Provider(q)
+		placed = append(placed, ok)
+	}
+	b.placedScratch = placed
 	var next *dsps.Assignment
 	var err error
 	switch large := b.numVars() >= largeModelVars; {
 	case ctx.Err() != nil:
+		b.trial.Rollback(0)
 		err = ctx.Err()
-	case large && !slices.ContainsFunc(fresh, placed):
+	case large && !slices.Contains(placed, true):
 		// The seed placed nothing on a large model: the call is rejected,
 		// with nothing built and nothing committed.
+		b.trial.Rollback(0)
 		res.SeedClosed, res.SolveStatus = true, milp.FeasibleMIP
 		res.Reason = plan.ReasonNoFeasiblePlan
 	case large:
 		// On a large model the seed decides (a measured heuristic, DESIGN.md
 		// "Seed-decided calls"): the search from it never admitted more, and
-		// no model is built. The seed is the valid allocation plus pieces
-		// accepts admitted, so unless pruning deleted something the commit
-		// check covers those pieces alone.
+		// no model is built.
 		res.SeedClosed, res.SolveStatus = true, milp.FeasibleMIP
-		var added *dsps.Extension
-		if !b.pruneUnused(seed) {
-			added = b.trial.Extension(0)
-		}
-		next, err = p.validated(seed, added, &res)
+		next, err = p.checkedSeed(b, seed, &res)
 	default:
 		// Algorithm 1's search, from the seed, on a small model: there a
 		// late admission find is cheap and real (the Fig. 2 shared-chain
-		// and relay scenarios need more than 48 nodes).
-		next, err = p.solve(ctx, b, seed, opts, &res)
+		// and relay scenarios need more than 48 nodes). The seed is taken
+		// as the incumbent and rolled back before the model is built, so
+		// the build and the decode read the allocation of before the call.
+		incumbent := b.vectorOf(seed)
+		b.trial.Rollback(0)
+		next, err = p.solveFrom(ctx, b, incumbent, opts, &res)
 	}
 	if next != nil {
 		// Accept the new allocation; with several fresh queries, Admitted
@@ -321,8 +330,8 @@ func (p *Planner) submit(ctx context.Context, qs []dsps.StreamID, timeout time.D
 		if res.Admitted = p.Commit(next, fresh...); !res.Admitted {
 			res.Reason = plan.ReasonNoFeasiblePlan
 		}
-		for _, q := range fresh {
-			if !placed(q) && p.Admitted(q) {
+		for i, q := range fresh {
+			if !placed[i] && p.Admitted(q) {
 				res.BeyondSeed++
 			}
 		}
@@ -337,15 +346,38 @@ func (p *Planner) submit(ctx context.Context, qs []dsps.StreamID, timeout time.D
 	return res, err
 }
 
-// solve builds the model, runs it from the seed and decodes the solver's answer into the next assignment, filling res's solver
-// telemetry. It returns nil when there is nothing to commit: with an error
-// when ctx was cancelled mid-solve (any incumbent is discarded) or the
-// output fails to decode or validate, and with res.Reason set when no
-// feasible point was found within the budget.
+// checkedSeed prunes the live allocation Submit seeded and passes it on
+// to commit unless the commit check refuses it; then it rolls the trial
+// back to mark 0, undoing the prune with the seed, and returns nil. The
+// seed is the valid allocation plus pieces accepts admitted, so unless
+// pruning deleted something the check covers those pieces alone.
+func (p *Planner) checkedSeed(b *builder, seed *dsps.Assignment, res *Result) (*dsps.Assignment, error) {
+	var added *dsps.Extension
+	if !b.pruneUnused(seed) {
+		added = b.trial.Extension(0)
+	}
+	next, err := p.validated(seed, added, res)
+	if next == nil {
+		b.trial.Rollback(0)
+	}
+	return next, err
+}
+
+// solve builds the model, runs it from the seed and decodes the solver's
+// answer into the next assignment, filling res's solver telemetry. It
+// returns nil when there is nothing to commit: with an error when ctx was
+// cancelled mid-solve (any incumbent is discarded) or the output fails to
+// decode or validate, and with res.Reason set when no feasible point was
+// found within the budget.
 func (p *Planner) solve(ctx context.Context, b *builder, seed *dsps.Assignment, opts milp.Options, res *Result) (*dsps.Assignment, error) {
+	return p.solveFrom(ctx, b, b.vectorOf(seed), opts, res)
+}
+
+// solveFrom is solve from the seed's point in the model's variable space.
+func (p *Planner) solveFrom(ctx context.Context, b *builder, incumbent []float64, opts milp.Options, res *Result) (*dsps.Assignment, error) {
 	model := b.build()
 	res.ModelVars = model.NumVars()
-	opts.Incumbent = b.vectorOf(seed)
+	opts.Incumbent = incumbent
 	sol := model.Solve(opts)
 	res.SolveStatus = sol.Status
 	res.Nodes = sol.Nodes

@@ -18,6 +18,10 @@ import (
 // over the current allocation and adds what it accepts, so a builder is
 // seeded once.
 //
+// seed extends a copy of the current allocation, which repairChunk stages
+// or discards; Submit seeds the allocation itself (seedOn) and rolls the
+// trial back to mark 0 on every outcome that does not commit the seed.
+//
 // The greedy probes many partial plans per query on one dsps.Trial: it
 // tracks resource usage incrementally and rolls trial placements back
 // through the trial's journal, so probing never clones the assignment or
@@ -33,8 +37,13 @@ import (
 // extended with however many queries were admitted before the brake, still
 // a feasible warm start.
 func (b *builder) seed(ctx context.Context) *dsps.Assignment {
-	cand := b.planner.Assignment().Clone()
-	b.trial.Begin(cand)
+	return b.seedOn(ctx, b.planner.Assignment().Clone())
+}
+
+// seedOn runs the greedy on a, the current allocation or a copy of it, as
+// the trial's allocation from mark 0, and returns a.
+func (b *builder) seedOn(ctx context.Context, a *dsps.Assignment) *dsps.Assignment {
+	b.trial.Begin(a)
 	// The builder is pooled: re-arm the probe budget, or one a previous call
 	// spent would truncate this greedy on sight, and size planStreamAt's
 	// cycle guard to the system.
@@ -43,7 +52,7 @@ func (b *builder) seed(ctx context.Context) *dsps.Assignment {
 		b.visiting = make([]bool, n)
 	}
 	for _, q := range b.queries {
-		if _, ok := cand.Provider(q); ok {
+		if _, ok := a.Provider(q); ok {
 			continue
 		}
 		if b.seedProbes <= 0 {
@@ -51,7 +60,7 @@ func (b *builder) seed(ctx context.Context) *dsps.Assignment {
 		}
 		b.greedyAdmit(ctx, q)
 	}
-	return cand
+	return a
 }
 
 // seedProbeBudget caps planStreamAt invocations per greedy run, the

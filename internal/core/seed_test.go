@@ -13,8 +13,10 @@ import (
 )
 
 // TestSeedAllocationsBounded: on a fixed S15-shaped state, a warm greedy
-// seed allocates only its clone of the current allocation. Ranking hosts, probing trial flows and placements, rolling them
-// back and accepting the winner all run on scratch pooled on the builder.
+// seed of the live allocation, as Submit runs it, allocates nothing.
+// Ranking hosts, probing trial flows and placements, rolling them back and
+// accepting the winner all run on scratch pooled on the builder, and the
+// seed extends the allocation in place.
 func TestSeedAllocationsBounded(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("checked builds allocate scratch in their invariant checks")
@@ -32,19 +34,22 @@ func TestSeedAllocationsBounded(t *testing.T) {
 	q := w.next(t)
 	w.p.beginCall(plan.SubmitConfig{})
 	b := w.p.newBuilder([]dsps.StreamID{q}, false)
-	var seed *dsps.Assignment
-	// A seed adds what it accepts to the ledger selectHosts summed, so each
-	// run first restores that ledger, as newBuilder leaves it.
+	flows := len(w.p.Assignment().Flows)
+	// Each run seeds from the ledger newBuilder left, then rolls the
+	// seed back, as a Submit that does not commit it does.
+	placed := false
 	run := func() {
 		b.trial.Usage.Reset(b.sys, w.p.Assignment())
-		seed = b.seed(ctx)
+		seed := b.seedOn(ctx, w.p.Assignment())
+		_, ok := seed.Provider(q)
+		placed = ok && len(seed.Flows) > flows
+		b.trial.Rollback(0)
 	}
 	run() // the first run sizes the builder's scratch
-	if _, ok := seed.Provider(q); !ok || len(seed.Flows) <= len(w.p.Assignment().Flows) {
+	if !placed {
 		t.Fatalf("the seed did not admit query %d over new flows; the state would not exercise the greedy", q)
 	}
-	// Four of them are the clone: the struct and its three slices.
-	const maxAllocs = 5
+	const maxAllocs = 0
 	if allocs := testing.AllocsPerRun(10, run); allocs > maxAllocs {
 		t.Fatalf("a warm seed allocated %v times, want <= %d", allocs, maxAllocs)
 	}

@@ -52,7 +52,7 @@ func newChurnWalk() *churnWalk {
 // next removes admitted queries at random (one step in three once a third of
 // the population is in) and returns the next query to submit, not yet
 // admitted.
-func (w *churnWalk) next(t *testing.T) dsps.StreamID {
+func (w *churnWalk) next(t testing.TB) dsps.StreamID {
 	t.Helper()
 	for {
 		if adm := w.p.AdmittedQueries(); len(adm) > len(w.queries)/3 && w.rng.Intn(3) == 0 {

@@ -2,6 +2,7 @@ package dsps
 
 import (
 	"slices"
+	"sync"
 
 	"sqpr/internal/invariant"
 )
@@ -262,62 +263,112 @@ type linkUse struct {
 	use      float64
 }
 
-// checkTouchedBudgets checks (III.6) on the hosts and links ext's pieces
-// touch, as Validate's budget loop would.
-func (a *Assignment) checkTouchedBudgets(sys *System, ext *Extension) error {
-	var hostBuf [16]hostUse
-	var linkBuf [16]linkUse
-	hosts, links := hostBuf[:0], linkBuf[:0]
-	touch := func(h HostID) {
-		if !slices.ContainsFunc(hosts, func(u hostUse) bool { return u.h == h }) {
-			hosts = append(hosts, hostUse{h: h})
-		}
+// budgetScratch is checkTouchedBudgets' pooled scratch: the touched hosts
+// and links in the order ext first touches them, with their sums; slot,
+// by HostID, a touched host's index in hosts (−1: untouched, which is how
+// every entry is left between calls); and linkAt, by pair of host indices,
+// a touched link's index in links (−1: untouched).
+type budgetScratch struct {
+	hosts  []hostUse
+	links  []linkUse
+	slot   []int32
+	linkAt []int32
+}
+
+var budgetPool = sync.Pool{New: func() any { return new(budgetScratch) }}
+
+// getBudgetScratch returns an empty pooled scratch sized for sys; put it
+// back with release.
+func getBudgetScratch(sys *System) *budgetScratch {
+	bs := budgetPool.Get().(*budgetScratch)
+	for len(bs.slot) < sys.NumHosts() {
+		bs.slot = append(bs.slot, -1)
 	}
+	bs.hosts, bs.links = bs.hosts[:0], bs.links[:0]
+	return bs
+}
+
+// release un-marks the touched hosts and returns bs to the pool.
+func (bs *budgetScratch) release() {
+	for _, u := range bs.hosts {
+		bs.slot[u.h] = -1
+	}
+	budgetPool.Put(bs)
+}
+
+// touch adds host h to the touched hosts and returns its index.
+//
+//sqpr:hotpath
+func (bs *budgetScratch) touch(h HostID) int32 {
+	if i := bs.slot[h]; i >= 0 {
+		return i
+	}
+	bs.slot[h] = int32(len(bs.hosts))
+	bs.hosts = append(bs.hosts, hostUse{h: h}) //sqpr:amortized pooled
+	return bs.slot[h]
+}
+
+// checkTouchedBudgets checks (III.6) on the hosts and links ext's pieces
+// touch, as Validate's budget loop would. Each touched host and link sums
+// its use over the whole assignment in ComputeUsage's order, so it compares
+// the very float Validate would; a piece finds its host's sums through the
+// slot table, so the pass costs the allocation once, whatever ext touches.
+//
+//sqpr:hotpath
+func (a *Assignment) checkTouchedBudgets(sys *System, ext *Extension) error {
+	bs := getBudgetScratch(sys)
+	defer bs.release()
 	for _, pl := range ext.Ops {
-		touch(pl.Host)
+		bs.touch(pl.Host)
 	}
 	for _, f := range ext.Flows {
-		touch(f.From)
-		touch(f.To)
-		if !slices.ContainsFunc(links, func(l linkUse) bool { return l.from == f.From && l.to == f.To }) {
-			links = append(links, linkUse{from: f.From, to: f.To})
-		}
+		bs.touch(f.From)
+		bs.touch(f.To)
 	}
 	for _, p := range ext.Provides {
-		touch(p.Host)
+		bs.touch(p.Host)
 	}
-	use := func(h HostID) *hostUse {
-		for i := range hosts {
-			if hosts[i].h == h {
-				return &hosts[i]
-			}
+	// A touched link joins two touched hosts, so linkAt spans their pairs.
+	k := int32(len(bs.hosts))
+	bs.linkAt = bs.linkAt[:0]
+	for range k * k {
+		bs.linkAt = append(bs.linkAt, -1) //sqpr:amortized pooled
+	}
+	for _, f := range ext.Flows {
+		if at := &bs.linkAt[bs.slot[f.From]*k+bs.slot[f.To]]; *at < 0 {
+			*at = int32(len(bs.links))
+			bs.links = append(bs.links, linkUse{from: f.From, to: f.To}) //sqpr:amortized pooled
 		}
-		return nil
 	}
+	hosts, slot := bs.hosts, bs.slot
 	for _, pl := range a.Ops {
-		if u := use(pl.Host); u != nil {
+		if i := slot[pl.Host]; i >= 0 {
 			op := &sys.Operators[pl.Op]
-			u.cpu += op.Cost
-			u.mem += op.Mem
+			hosts[i].cpu += op.Cost
+			hosts[i].mem += op.Mem
 		}
 	}
 	for _, f := range a.Flows {
+		i, j := slot[f.From], slot[f.To]
+		if i < 0 && j < 0 {
+			continue
+		}
 		rate := sys.Streams[f.Stream].Rate
-		for i := range links {
-			if links[i].from == f.From && links[i].to == f.To {
-				links[i].use += rate
+		if i >= 0 && j >= 0 {
+			if l := bs.linkAt[i*k+j]; l >= 0 {
+				bs.links[l].use += rate
 			}
 		}
-		if u := use(f.From); u != nil {
-			u.out += rate
+		if i >= 0 {
+			hosts[i].out += rate
 		}
-		if u := use(f.To); u != nil {
-			u.in += rate
+		if j >= 0 {
+			hosts[j].in += rate
 		}
 	}
 	for _, p := range a.Provides {
-		if u := use(p.Host); u != nil {
-			u.out += sys.Streams[p.Stream].Rate
+		if i := slot[p.Host]; i >= 0 {
+			hosts[i].out += sys.Streams[p.Stream].Rate
 		}
 	}
 	for _, u := range hosts {
@@ -325,7 +376,7 @@ func (a *Assignment) checkTouchedBudgets(sys *System, ext *Extension) error {
 			return err
 		}
 	}
-	for _, l := range links {
+	for _, l := range bs.links {
 		if over(l.use, sys.LinkCap[l.from][l.to], ValidateTol) {
 			return linkBudgetError(sys, l.from, l.to, l.use)
 		}
