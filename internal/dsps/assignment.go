@@ -86,7 +86,9 @@ func ComparePlacements(a, b Placement) int {
 func CompareProvides(a, b Provide) int { return cmp.Compare(a.Stream, b.Stream) }
 
 // The lookups below compare ids inline: a range search by the leading key
-// (stream, operator), then a search of that short run by the full key.
+// (stream, operator), then a search of that short run by the full key. The
+// first search leaves lo at the run's start and hi there too (the binary
+// search ends with lo == hi), where the gallop to the run's end begins.
 
 // flowSpan returns the bounds of stream s's run of a.Flows.
 func (a *Assignment) flowSpan(s StreamID) (int, int) {
@@ -99,9 +101,14 @@ func (a *Assignment) flowSpan(s StreamID) (int, int) {
 			hi = m
 		}
 	}
+	// A run is a few pieces long: gallop from its start past its end, then
+	// search the last step.
 	end := lo
-	for hi = len(fs); end < hi; {
-		if m := int(uint(end+hi) >> 1); fs[m].Stream <= s {
+	for step := 1; hi < len(fs) && fs[hi].Stream == s; step *= 2 {
+		end, hi = hi+1, hi+step
+	}
+	for hi = min(hi, len(fs)); end < hi; {
+		if m := int(uint(end+hi) >> 1); fs[m].Stream == s {
 			end = m + 1
 		} else {
 			hi = m
@@ -122,8 +129,11 @@ func (a *Assignment) opSpan(op OperatorID) (int, int) {
 		}
 	}
 	end := lo
-	for hi = len(ops); end < hi; {
-		if m := int(uint(end+hi) >> 1); ops[m].Op <= op {
+	for step := 1; hi < len(ops) && ops[hi].Op == op; step *= 2 {
+		end, hi = hi+1, hi+step
+	}
+	for hi = min(hi, len(ops)); end < hi; {
+		if m := int(uint(end+hi) >> 1); ops[m].Op == op {
 			end = m + 1
 		} else {
 			hi = m

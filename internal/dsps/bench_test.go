@@ -106,9 +106,10 @@ func BenchmarkAssignmentDiff(b *testing.B) {
 // TestLargeStatePassesStayOffHS: GarbageCollect, Validate, WalkSupport and
 // the scoped passes WithdrawAndCollect and ValidateExtension stamp a pooled
 // array instead of allocating one of H·S entries per call, so on the large
-// state each allocates less than H·S bytes. The median of several calls is
-// taken: the race detector drops a quarter of what goes back into a
-// sync.Pool on purpose.
+// state each allocates less than H·S bytes. The bound holds only outside
+// -race builds: the race detector drops a quarter of what goes back into a
+// sync.Pool on purpose, and a median of nine calls can still land on a
+// dropped array. Race builds run the passes and every other check.
 func TestLargeStatePassesStayOffHS(t *testing.T) {
 	sys, a := largeState()
 	hs := uint64(len(sys.Hosts) * len(sys.Streams))
@@ -165,7 +166,7 @@ func TestLargeStatePassesStayOffHS(t *testing.T) {
 			per = append(per, ms.TotalAlloc-before)
 		}
 		slices.Sort(per)
-		if med := per[len(per)/2]; med >= hs {
+		if med := per[len(per)/2]; !raceEnabled && med >= hs {
 			t.Errorf("%s allocates %d bytes per call on the large state, want < H·S = %d", name, med, hs)
 		}
 	}

@@ -9,6 +9,7 @@ package dsps
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // HostID identifies a processing host.
@@ -131,6 +132,40 @@ type System struct {
 	// builtCost[o] is operator o's cost as the system was built, recorded
 	// by SetCost before it first changes o's cost.
 	builtCost []float64
+
+	// The blocks operator inputs and the lists above are cut from.
+	streamIDs slab[StreamID]
+	opIDs     slab[OperatorID]
+	hostIDs   slab[HostID]
+}
+
+// slab hands out a System's short id lists from shared blocks, so a system
+// built one operator at a time allocates per block, not per list. A list is
+// cut with its capacity capped: an append that outgrows it moves it out of
+// the block instead of over its neighbour.
+type slab[T any] struct{ free []T }
+
+// slabBlock is the length of a slab's blocks.
+const slabBlock = 1024
+
+// cut returns a list of length n and capacity c >= n.
+func (b *slab[T]) cut(n, c int) []T {
+	if len(b.free) < c {
+		b.free = make([]T, max(c, slabBlock))
+	}
+	l := b.free[:n:c]
+	b.free = b.free[c:]
+	return l
+}
+
+// append appends v to list, moving a full list to a cut of twice its
+// capacity (two for an empty one: most streams have one or two producers,
+// consumers or hosts).
+func (b *slab[T]) append(list []T, v T) []T {
+	if len(list) == cap(list) {
+		list = append(b.cut(0, max(2, 2*cap(list))), list...)
+	}
+	return append(list, v)
 }
 
 // NewSystem creates a system with the given hosts, all pairwise link
@@ -156,10 +191,20 @@ func NewSystem(hosts []Host, linkCap float64) *System {
 func (sys *System) AddStream(rate float64, producer OperatorID, name string) StreamID {
 	id := StreamID(len(sys.Streams))
 	sys.Streams = append(sys.Streams, Stream{ID: id, Rate: rate, Producer: producer, Name: name})
-	sys.baseHosts = append(sys.baseHosts, nil)
-	sys.producersOf = append(sys.producersOf, nil)
-	sys.consumersOf = append(sys.consumersOf, nil)
+	// The per-stream lists grow with the stream table's capacity, so a
+	// caller that reserved room for its streams reserved it for these too.
+	sys.baseHosts = appendNil(sys.baseHosts, cap(sys.Streams))
+	sys.producersOf = appendNil(sys.producersOf, cap(sys.Streams))
+	sys.consumersOf = appendNil(sys.consumersOf, cap(sys.Streams))
 	return id
+}
+
+// appendNil appends an empty list to s, growing a full s to capacity c.
+func appendNil[T any](s [][]T, c int) [][]T {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, c-len(s))
+	}
+	return append(s, nil)
 }
 
 // AddOperator registers an operator producing a fresh output stream with
@@ -174,7 +219,7 @@ func (sys *System) AddOperator(inputs []StreamID, outRate, cost float64, name st
 // stream (an alternative plan for the same composite stream).
 func (sys *System) AddProducerFor(out StreamID, inputs []StreamID, cost float64, name string) *Operator {
 	oid := OperatorID(len(sys.Operators))
-	in := make([]StreamID, len(inputs))
+	in := sys.streamIDs.cut(len(inputs), len(inputs))
 	copy(in, inputs)
 	sys.Operators = append(sys.Operators, Operator{ID: oid, Inputs: in, Output: out, Cost: cost, Name: name})
 	sys.index(oid)
@@ -187,14 +232,14 @@ func (sys *System) AddProducerFor(out StreamID, inputs []StreamID, cost float64,
 func (sys *System) index(oid OperatorID) {
 	op := &sys.Operators[oid]
 	if op.Output >= 0 && int(op.Output) < len(sys.producersOf) {
-		sys.producersOf[op.Output] = append(sys.producersOf[op.Output], oid)
+		sys.producersOf[op.Output] = sys.opIDs.append(sys.producersOf[op.Output], oid)
 	}
 	for _, in := range op.Inputs {
 		if in < 0 || int(in) >= len(sys.consumersOf) {
 			continue
 		}
 		if c := sys.consumersOf[in]; len(c) == 0 || c[len(c)-1] != oid {
-			sys.consumersOf[in] = append(c, oid)
+			sys.consumersOf[in] = sys.opIDs.append(c, oid)
 		}
 	}
 }
@@ -209,7 +254,7 @@ func (sys *System) PlaceBase(h HostID, s StreamID) {
 		sys.baseAt[h] = append(sys.baseAt[h], 0)
 	}
 	sys.baseAt[h][w] |= 1 << (s % 64)
-	sys.baseHosts[s] = append(sys.baseHosts[s], h)
+	sys.baseHosts[s] = sys.hostIDs.append(sys.baseHosts[s], h)
 }
 
 // IsBaseAt reports whether base stream s is available at host h.

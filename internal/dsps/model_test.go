@@ -1,6 +1,8 @@
 package dsps
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"sqpr/internal/invariant"
@@ -297,5 +299,74 @@ func TestMutatorsAssertOrder(t *testing.T) {
 			}()
 			mutate(a)
 		}()
+	}
+}
+
+// TestIndexListsMatchTables builds a system one piece at a time, as a
+// generator does, and holds every stream's producer, consumer and base-host
+// lists to a recount from the tables, and every operator's inputs to what
+// was passed: lists cut from shared blocks must never overlap, however far
+// they grow (one stream here feeds thousands of operators) and wherever a
+// block ends.
+func TestIndexListsMatchTables(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	sys := smallSystem()
+	var inputs [][]StreamID
+	for i := 0; i < 3000; i++ {
+		if len(sys.Streams) < 2 || rng.Intn(3) == 0 {
+			s := sys.AddStream(1, NoOperator, "")
+			for h := range sys.Hosts {
+				if rng.Intn(2) == 0 {
+					sys.PlaceBase(HostID(h), s)
+				}
+			}
+			continue
+		}
+		n := len(sys.Streams)
+		in := []StreamID{0, StreamID(rng.Intn(n)), StreamID(rng.Intn(n))}[:1+rng.Intn(3)]
+		out := StreamID(rng.Intn(n))
+		if slices.Contains(in, out) {
+			continue
+		}
+		inputs = append(inputs, slices.Clone(in))
+		op := sys.AddProducerFor(out, in, 1, "")
+		in[0] = -1 // the system keeps its own copy
+		if op.ID != OperatorID(len(inputs)-1) {
+			t.Fatalf("operator %d, want %d", op.ID, len(inputs)-1)
+		}
+	}
+	producers := make([][]OperatorID, len(sys.Streams))
+	consumers := make([][]OperatorID, len(sys.Streams))
+	for _, op := range sys.Operators {
+		if !slices.Equal(op.Inputs, inputs[op.ID]) {
+			t.Fatalf("operator %d inputs %v, want %v", op.ID, op.Inputs, inputs[op.ID])
+		}
+		producers[op.Output] = append(producers[op.Output], op.ID)
+		for i, in := range op.Inputs {
+			if !slices.Contains(op.Inputs[:i], in) {
+				consumers[in] = append(consumers[in], op.ID)
+			}
+		}
+	}
+	if len(consumers[0]) < 1000 {
+		t.Fatalf("stream 0 feeds %d operators, want a list longer than a block", len(consumers[0]))
+	}
+	for s := range sys.Streams {
+		id := StreamID(s)
+		if !slices.Equal(sys.ProducersOf(id), producers[s]) {
+			t.Fatalf("stream %d producers %v, want %v", s, sys.ProducersOf(id), producers[s])
+		}
+		if !slices.Equal(sys.ConsumersOf(id), consumers[s]) {
+			t.Fatalf("stream %d consumers %v, want %v", s, sys.ConsumersOf(id), consumers[s])
+		}
+		var hosts []HostID
+		for h := range sys.Hosts {
+			if sys.IsBaseAt(HostID(h), id) {
+				hosts = append(hosts, HostID(h))
+			}
+		}
+		if !slices.Equal(sys.BaseHosts(id), hosts) {
+			t.Fatalf("stream %d base hosts %v, want %v", s, sys.BaseHosts(id), hosts)
+		}
 	}
 }

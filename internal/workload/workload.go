@@ -11,10 +11,11 @@
 package workload
 
 import (
-	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"sqpr/internal/dsps"
@@ -90,10 +91,6 @@ type Workload struct {
 	Queries []dsps.StreamID
 	// BaseStreams lists the generated base streams.
 	BaseStreams []dsps.StreamID
-
-	cfg      Config
-	registry map[string]dsps.StreamID // canonical base-set -> composite stream
-	opKeys   map[string]bool          // dedup of registered operators
 }
 
 // Generate builds a workload into sys: base streams are placed uniformly at
@@ -106,115 +103,175 @@ func Generate(sys *dsps.System, cfg Config) *Workload {
 	// else runs in the process.
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	w := &Workload{
-		Sys:      sys,
-		cfg:      cfg,
-		registry: make(map[string]dsps.StreamID),
-		opKeys:   make(map[string]bool),
+		Sys:         sys,
+		Queries:     make([]dsps.StreamID, 0, cfg.NumQueries),
+		BaseStreams: make([]dsps.StreamID, 0, cfg.NumBaseStreams),
 	}
+	// Reserve the system's tables for the largest plan space the queries
+	// can register: the appends of AddStream and AddProducerFor then grow
+	// nothing.
+	composites, joins := planSpaceSize(cfg)
+	sys.Streams = slices.Grow(sys.Streams, cfg.NumBaseStreams+composites)
+	sys.Operators = slices.Grow(sys.Operators, joins)
+	g := &generator{sys: sys, cfg: cfg, registry: make(map[[2]dsps.StreamID]dsps.StreamID, composites)}
 	for i := 0; i < cfg.NumBaseStreams; i++ {
-		s := sys.AddStream(cfg.BaseRate, dsps.NoOperator, fmt.Sprintf("base%d", i))
+		g.name = strconv.AppendInt(append(g.name[:0], "base"...), int64(i), 10)
+		s := sys.AddStream(cfg.BaseRate, dsps.NoOperator, g.nameString())
 		sys.PlaceBase(dsps.HostID(rng.Intn(sys.NumHosts())), s)
 		w.BaseStreams = append(w.BaseStreams, s)
 	}
 	z := newZipf(rng, cfg.Zipf, cfg.NumBaseStreams)
 	for q := 0; q < cfg.NumQueries; q++ {
 		k := cfg.Arities[q%len(cfg.Arities)]
-		set := w.sampleDistinct(z, k)
-		result := w.registerPlanSpace(set)
+		g.sampleDistinct(z, w.BaseStreams, k)
+		result := g.registerPlanSpace()
 		sys.SetRequested(result, true)
 		w.Queries = append(w.Queries, result)
 	}
 	return w
 }
 
-// sampleDistinct draws k distinct base streams.
-func (w *Workload) sampleDistinct(z *zipf, k int) []dsps.StreamID {
-	seen := make(map[int]bool, k)
-	out := make([]dsps.StreamID, 0, k)
-	for len(out) < k {
-		i := z.next()
-		if seen[i] {
-			continue
+// planSpaceSize bounds what the queries of cfg can register: a query of
+// arity k has 2^k − k − 1 subsets of two or more base streams, each a
+// composite stream, and (3^k + 1)/2 − 2^k unordered splits of them, each a
+// join operator.
+func planSpaceSize(cfg Config) (composites, joins int) {
+	for q := 0; q < cfg.NumQueries; q++ {
+		k := cfg.Arities[q%len(cfg.Arities)]
+		pow3 := 1
+		for range k {
+			pow3 *= 3
 		}
-		seen[i] = true
-		out = append(out, w.BaseStreams[i])
+		composites += 1<<k - k - 1
+		joins += (pow3+1)/2 - 1<<k
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
+	return composites, joins
 }
 
-func setKey(set []dsps.StreamID) string {
-	parts := make([]string, len(set))
-	for i, s := range set {
-		parts[i] = fmt.Sprint(int(s))
+// generator is the state of one Generate call: the composite streams
+// registered so far and the scratch every query's registration reuses.
+type generator struct {
+	sys *dsps.System
+	cfg Config
+	// registry maps a base set T, |T| >= 2, to its composite stream. T is
+	// keyed as (stream of T minus its largest member, that member): the
+	// first is canonical by induction, so the pair is unique to T, and the
+	// registration, which visits T after T's prefix, has it at hand.
+	registry map[[2]dsps.StreamID]dsps.StreamID
+
+	set     []dsps.StreamID // the query's base set, ascending
+	streams []dsps.StreamID // the stream of each subset of set, by mask
+	fresh   []bool          // whether this query created the mask's stream
+	name    []byte          // the name being built
+	names   strings.Builder // the block names are cut from
+}
+
+// nameString returns g.name as a string cut from a block shared with the
+// names before it: the block's bytes before its end are never written
+// again, so each name stays as it was cut.
+func (g *generator) nameString() string {
+	if g.names.Cap()-g.names.Len() < len(g.name) {
+		g.names = strings.Builder{}
+		g.names.Grow(max(len(g.name), 4096))
 	}
-	return strings.Join(parts, ",")
+	start := g.names.Len()
+	g.names.Write(g.name)
+	return g.names.String()[start:]
+}
+
+// sampleDistinct draws k distinct base streams into g.set, ascending.
+func (g *generator) sampleDistinct(z *zipf, base []dsps.StreamID, k int) {
+	g.set = g.set[:0]
+	for len(g.set) < k {
+		if s := base[z.next()]; !slices.Contains(g.set, s) {
+			g.set = append(g.set, s)
+		}
+	}
+	slices.Sort(g.set)
+}
+
+// appendSetName appends the name of the composite stream over the subset
+// mask of set: "join{" + the subset's canonical key + "}".
+func appendSetName(dst []byte, set []dsps.StreamID, mask int) []byte {
+	dst = append(dst, "join{"...)
+	for i, s := range set {
+		if mask&(1<<i) == 0 {
+			continue
+		}
+		if dst[len(dst)-1] != '{' {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, int64(s), 10)
+	}
+	return append(dst, '}')
 }
 
 // selectivity derives a deterministic per-set selectivity inside
 // [SelMin, SelMax] from a hash of the canonical key, so that stream
 // identity implies identical rates regardless of join order or query.
-func (w *Workload) selectivity(key string) float64 {
+func (g *generator) selectivity(key []byte) float64 {
 	var h uint64 = 1469598103934665603
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
+	for _, c := range key {
+		h ^= uint64(c)
 		h *= 1099511628211
 	}
 	frac := float64(h%10000) / 10000
-	return w.cfg.SelMin + frac*(w.cfg.SelMax-w.cfg.SelMin)
+	return g.cfg.SelMin + frac*(g.cfg.SelMax-g.cfg.SelMin)
 }
 
-// compositeRate computes the canonical rate of the composite stream over
-// the given base set: Π rates · σ^(|set|−1). Being a pure function of the
-// set, every join order yields the same rate.
-func (w *Workload) compositeRate(set []dsps.StreamID) float64 {
-	key := setKey(set)
-	sel := w.selectivity(key)
+// streamFor returns the canonical composite stream over the subset mask of
+// g.set, with |mask| >= 2, and whether this call created it; g.streams
+// must hold the stream of every smaller mask. A new stream is named
+// "join{" + key + "}", key being the set's ascending stream ids joined by
+// commas, and its rate is Π rates · σ^(|mask|−1) with σ hashed from the
+// key: a pure function of the set, so every join order yields the same
+// rate.
+func (g *generator) streamFor(mask int) (dsps.StreamID, bool) {
+	top := bits.Len(uint(mask)) - 1
+	id := [2]dsps.StreamID{g.streams[mask&^(1<<top)], g.set[top]}
+	if s, ok := g.registry[id]; ok {
+		return s, false
+	}
+	g.name = appendSetName(g.name[:0], g.set, mask)
 	rate := 1.0
-	for _, s := range set {
-		rate *= w.Sys.Streams[s].Rate
+	for i, s := range g.set {
+		if mask&(1<<i) != 0 {
+			rate *= g.sys.Streams[s].Rate
+		}
 	}
-	return rate * math.Pow(sel, float64(len(set)-1))
+	key := g.name[len("join{") : len(g.name)-1]
+	rate *= math.Pow(g.selectivity(key), float64(bits.OnesCount(uint(mask))-1))
+	// The producer is patched in by the first operator registered for it.
+	s := g.sys.AddStream(rate, dsps.NoOperator, g.nameString())
+	g.registry[id] = s
+	return s, true
 }
 
-// streamFor returns (creating if needed) the canonical composite stream for
-// a base set. Singleton sets return the base stream itself.
-func (w *Workload) streamFor(set []dsps.StreamID) dsps.StreamID {
-	if len(set) == 1 {
-		return set[0]
-	}
-	key := setKey(set)
-	if s, ok := w.registry[key]; ok {
-		return s
-	}
-	// Producer is registered separately; create the stream with a dummy
-	// producer that is patched by the first registered operator.
-	s := w.Sys.AddStream(w.compositeRate(set), dsps.NoOperator, "join{"+key+"}")
-	// Mark it as composite by assigning the producer when operators are
-	// registered below; until then flag it with a sentinel so IsBase is
-	// false. We use the producer of the first operator added for it.
-	w.registry[key] = s
-	return s
-}
-
-// registerPlanSpace registers, for every subset T of the base set with
-// |T| >= 2 and every unordered split {A, T\A}, a join operator
+// registerPlanSpace registers, for every subset T of g.set with |T| >= 2
+// and every unordered split {A, T\A}, a join operator
 // stream(A) ⋈ stream(T\A) → stream(T). Returns the full-set stream.
-func (w *Workload) registerPlanSpace(set []dsps.StreamID) dsps.StreamID {
-	n := len(set)
+//
+// A stream an earlier query created had every split registered then, so
+// only the streams this call creates get operators: no split is registered
+// twice.
+func (g *generator) registerPlanSpace() dsps.StreamID {
+	n := len(g.set)
 	full := (1 << n) - 1
-	// Ensure streams exist for all subsets of size >= 2 (and remember the
-	// stream of each mask).
-	streams := make([]dsps.StreamID, full+1)
+	g.streams = slices.Grow(g.streams[:0], full+1)[:full+1]
+	g.fresh = slices.Grow(g.fresh[:0], full+1)[:full+1]
+	g.streams[0] = 0 // an arity-0 query requests stream 0
 	for mask := 1; mask <= full; mask++ {
-		sub := subsetOf(set, mask)
-		streams[mask] = w.streamFor(sub)
+		if mask&(mask-1) == 0 {
+			g.streams[mask], g.fresh[mask] = g.set[bits.TrailingZeros(uint(mask))], false
+		} else {
+			g.streams[mask], g.fresh[mask] = g.streamFor(mask)
+		}
 	}
 	for mask := 1; mask <= full; mask++ {
-		if popcount(mask) < 2 {
+		if !g.fresh[mask] {
 			continue
 		}
-		out := streams[mask]
+		out := g.streams[mask]
 		// Enumerate unordered splits: iterate submasks a with a < mask^a
 		// complement comparison to visit each pair once.
 		for a := (mask - 1) & mask; a > 0; a = (a - 1) & mask {
@@ -222,39 +279,15 @@ func (w *Workload) registerPlanSpace(set []dsps.StreamID) dsps.StreamID {
 			if a > b {
 				continue // unordered: visit each split once
 			}
-			inA, inB := streams[a], streams[b]
-			key := fmt.Sprintf("%d+%d->%d", inA, inB, out)
-			if w.opKeys[key] {
-				continue
-			}
-			w.opKeys[key] = true
-			cost := w.cfg.CostPerRate * (w.Sys.Streams[inA].Rate + w.Sys.Streams[inB].Rate)
-			op := w.Sys.AddProducerFor(out, []dsps.StreamID{inA, inB}, cost, "join")
-			if w.Sys.Streams[out].Producer == dsps.NoOperator {
-				w.Sys.Streams[out].Producer = op.ID
+			inA, inB := g.streams[a], g.streams[b]
+			cost := g.cfg.CostPerRate * (g.sys.Streams[inA].Rate + g.sys.Streams[inB].Rate)
+			op := g.sys.AddProducerFor(out, []dsps.StreamID{inA, inB}, cost, "join")
+			if g.sys.Streams[out].Producer == dsps.NoOperator {
+				g.sys.Streams[out].Producer = op.ID
 			}
 		}
 	}
-	return streams[full]
-}
-
-func subsetOf(set []dsps.StreamID, mask int) []dsps.StreamID {
-	var out []dsps.StreamID
-	for i := 0; i < len(set); i++ {
-		if mask&(1<<i) != 0 {
-			out = append(out, set[i])
-		}
-	}
-	return out
-}
-
-func popcount(x int) int {
-	c := 0
-	for x != 0 {
-		x &= x - 1
-		c++
-	}
-	return c
+	return g.streams[full]
 }
 
 // zipf samples ranks 0..n-1 with probability ∝ 1/(rank+1)^s; s = 0 yields

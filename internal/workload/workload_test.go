@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -230,24 +231,25 @@ func TestOperatorCostsPositive(t *testing.T) {
 
 func TestSubsetOfAndPopcount(t *testing.T) {
 	set := []dsps.StreamID{10, 20, 30}
-	got := subsetOf(set, 0b101)
-	if len(got) != 2 || got[0] != 10 || got[1] != 30 {
-		t.Fatalf("subsetOf: %v", got)
+	if got := string(appendSetName(nil, set, 0b101)); got != "join{10,30}" {
+		t.Fatalf("appendSetName: %q", got)
 	}
-	if popcount(0b1011) != 3 {
+	if got := string(appendSetName([]byte("x"), set, 0b111)); got != "xjoin{10,20,30}" {
+		t.Fatalf("appendSetName after a prefix: %q", got)
+	}
+	if bits.OnesCount(0b1011) != 3 {
 		t.Fatal("popcount wrong")
 	}
 }
 
 func TestSelectivityDeterministicInRange(t *testing.T) {
-	sys := testSystem(2)
-	w := &Workload{Sys: sys, cfg: DefaultConfig(), registry: map[string]dsps.StreamID{}, opKeys: map[string]bool{}}
-	s1 := w.selectivity("1,2,3")
-	s2 := w.selectivity("1,2,3")
+	g := &generator{sys: testSystem(2), cfg: DefaultConfig(), registry: map[[2]dsps.StreamID]dsps.StreamID{}}
+	s1 := g.selectivity([]byte("1,2,3"))
+	s2 := g.selectivity([]byte("1,2,3"))
 	if s1 != s2 {
 		t.Fatal("selectivity not deterministic")
 	}
-	if s1 < w.cfg.SelMin || s1 > w.cfg.SelMax {
-		t.Fatalf("selectivity %v outside [%v,%v]", s1, w.cfg.SelMin, w.cfg.SelMax)
+	if s1 < g.cfg.SelMin || s1 > g.cfg.SelMax {
+		t.Fatalf("selectivity %v outside [%v,%v]", s1, g.cfg.SelMin, g.cfg.SelMax)
 	}
 }
